@@ -23,10 +23,7 @@
 use dcuda_bench::harness::bench;
 use dcuda_bench::json::Json;
 use dcuda_net::wire::{WireMsg, EAGER_MAX};
-use dcuda_net::{
-    shm_supported, InProcessPlane, MeshOpts, NetConfig, NetEndpoint, SocketPlane, Transport,
-};
-use std::net::TcpListener;
+use dcuda_net::{shm_supported, InProcessPlane, NetConfig, NetEndpoint, SocketPlane, Transport};
 use std::time::{Duration, Instant};
 
 const EAGER_PAYLOAD: usize = 512;
@@ -50,37 +47,11 @@ fn deliver(payload: &[u8]) -> WireMsg {
     }
 }
 
-/// Establish a two-process-shaped mesh entirely in this process: the
-/// partner side runs on a helper thread, then both endpoint lists come
-/// back to the caller. `same_host` turns on the shared-memory plane by
-/// giving both sides an equal host fingerprint plus a pair-file directory.
+/// One endpoint per side of a loopback mesh; `same_host` switches the pair
+/// onto the shared-memory plane.
 fn mesh_pair(same_host: Option<&std::path::Path>) -> (NetEndpoint, NetEndpoint) {
-    let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addrs = vec![
-        l0.local_addr().expect("addr").to_string(),
-        l1.local_addr().expect("addr").to_string(),
-    ];
-    let hosts = if same_host.is_some() {
-        vec!["bench-host".to_string(), "bench-host".to_string()]
-    } else {
-        Vec::new()
-    };
     let dir = same_host.map(std::path::Path::to_path_buf);
-    let opts = |my_proc, listener| MeshOpts {
-        my_proc,
-        procs: 2,
-        devices_per_proc: 1,
-        peer_addrs: addrs.clone(),
-        peer_hosts: hosts.clone(),
-        shm_dir: dir.clone(),
-        listener,
-        config: NetConfig::default(),
-    };
-    let o1 = opts(1, l1);
-    let t = std::thread::spawn(move || SocketPlane::establish(o1).expect("establish proc 1"));
-    let mut a = SocketPlane::establish(opts(0, l0)).expect("establish proc 0");
-    let mut b = t.join().expect("partner thread");
+    let [mut a, mut b] = SocketPlane::loopback_pair(NetConfig::default(), dir).expect("mesh");
     (a.pop().expect("endpoint 0"), b.pop().expect("endpoint 1"))
 }
 

@@ -1,10 +1,9 @@
 //! Substrate microbenchmarks: the building blocks' raw performance
-//! (event queue, processor-sharing resource, lock-free ring, notification
-//! matcher).
+//! (event queue, processor-sharing resource, lock-free ring).
 
 use dcuda_bench::harness::bench;
 use dcuda_des::{EventQueue, PsResource, SimTime};
-use dcuda_queues::{channel, Notification, NotificationMatcher, Query};
+use dcuda_queues::channel;
 
 fn bench_event_queue() {
     bench("des/event_queue_push_pop_1k", || {
@@ -64,30 +63,8 @@ fn bench_ring() {
     });
 }
 
-fn bench_matcher() {
-    bench("queues/match_100_with_compaction", || {
-        let (mut tx, rx) = channel(256);
-        for i in 0..100u32 {
-            tx.try_send(Notification {
-                win: 0,
-                source: i % 8,
-                tag: i % 3,
-            })
-            .unwrap();
-        }
-        let mut m = NotificationMatcher::new(rx);
-        let q = Query {
-            win: 0,
-            source: dcuda_queues::ANY,
-            tag: 1,
-        };
-        m.try_match(q, 16).map(|v| v.len())
-    });
-}
-
 fn main() {
     bench_event_queue();
     bench_ps();
     bench_ring();
-    bench_matcher();
 }

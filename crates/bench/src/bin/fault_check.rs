@@ -22,10 +22,7 @@ use dcuda_bench::par_map;
 use dcuda_core::SystemSpec;
 use dcuda_fabric::FaultSpec;
 use dcuda_net::wire::WireMsg;
-use dcuda_net::{
-    shm_supported, MeshOpts, NetConfig, NetEndpoint, NetFaults, SocketPlane, Transport,
-};
-use std::net::TcpListener;
+use dcuda_net::{shm_supported, NetConfig, NetEndpoint, NetFaults, SocketPlane, Transport};
 use std::time::{Duration, Instant};
 
 const DEFAULT_PROFILES: &str = "drop,dup,reorder,brownout,stall,lossy";
@@ -49,43 +46,18 @@ struct Cell {
     ranks_per_node: u32,
 }
 
-/// Establish a two-process-shaped mesh in this process (partner on a
-/// helper thread); `shm_dir` switches the pair onto the shared-memory
-/// plane via equal host fingerprints.
+/// One endpoint per side of a loopback mesh under `faults`; `shm_dir`
+/// switches the pair onto the shared-memory plane.
 fn mesh_pair(
     faults: Option<NetFaults>,
     shm_dir: Option<&std::path::Path>,
 ) -> (NetEndpoint, NetEndpoint) {
-    let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addrs = vec![
-        l0.local_addr().expect("addr").to_string(),
-        l1.local_addr().expect("addr").to_string(),
-    ];
-    let hosts = if shm_dir.is_some() {
-        vec!["soak-host".to_string(), "soak-host".to_string()]
-    } else {
-        Vec::new()
-    };
-    let dir = shm_dir.map(std::path::Path::to_path_buf);
     let config = NetConfig {
         faults,
         ..NetConfig::default()
     };
-    let opts = |my_proc, listener| MeshOpts {
-        my_proc,
-        procs: 2,
-        devices_per_proc: 1,
-        peer_addrs: addrs.clone(),
-        peer_hosts: hosts.clone(),
-        shm_dir: dir.clone(),
-        listener,
-        config: config.clone(),
-    };
-    let o1 = opts(1, l1);
-    let t = std::thread::spawn(move || SocketPlane::establish(o1).expect("establish proc 1"));
-    let mut a = SocketPlane::establish(opts(0, l0)).expect("establish proc 0");
-    let mut b = t.join().expect("partner thread");
+    let dir = shm_dir.map(std::path::Path::to_path_buf);
+    let [mut a, mut b] = SocketPlane::loopback_pair(config, dir).expect("mesh");
     (a.pop().expect("endpoint 0"), b.pop().expect("endpoint 1"))
 }
 

@@ -20,12 +20,12 @@
 //! per-node [`Arena`](crate::window::Arena) memory, so baseline results can be compared bit-wise
 //! against dCUDA results.
 
+use crate::barrier::barrier_exit_times;
 use crate::spec::SystemSpec;
 use crate::types::Topology;
 use dcuda_des::{SimDuration, SimTime};
 use dcuda_device::{BlockCharge, BlockSlot, Device, LaunchConfig};
 use dcuda_fabric::{Network, NodeId, TransferPath};
-use dcuda_mpi::collective::barrier_exit_times;
 
 /// One two-sided message of an exchange phase.
 #[derive(Debug, Clone, Copy)]
@@ -192,11 +192,10 @@ impl MpiCudaSim {
 
     /// Run a host-level barrier (MPI_Barrier over all nodes).
     pub fn barrier_phase(&mut self) {
-        let netspec = self.net.spec().clone();
-        let hop =
-            move |_bytes: u64| netspec.overhead + netspec.latency + SimDuration::from_nanos(100);
+        let netspec = self.net.spec();
+        let hop = netspec.overhead + netspec.latency + SimDuration::from_nanos(100);
         let entry = self.t.clone();
-        let exits = barrier_exit_times(&entry, &hop);
+        let exits = barrier_exit_times(&entry, hop);
         for (n, &x) in exits.iter().enumerate() {
             self.exchange_time[n] += x.since(entry[n]);
             self.t[n] = x;

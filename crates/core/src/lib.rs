@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+pub mod barrier;
 pub mod baseline;
 pub mod kernel;
 pub mod pool;

@@ -24,6 +24,7 @@
 //! loops through the host (paper §III-A: "we go even one step further and
 //! loop device local notifications through the host as well").
 
+use crate::barrier::barrier_exit_times;
 use crate::kernel::{NotifyMode, RankCtx, RankKernel, RmaKind, RmaOp, Segment, Suspend};
 use crate::pool::PayloadPool;
 use crate::report::RunReport;
@@ -33,7 +34,6 @@ use crate::window::{Arena, WindowSpec};
 use dcuda_des::{EventQueue, FifoResource, SimDuration, SimTime, Slab, SlotKey, SplitMix64, Timer};
 use dcuda_device::{BlockCharge, BlockSlot, Device, LaunchConfig};
 use dcuda_fabric::{FaultSpec, Network, NodeId, PacketKind, PcieLink, RetrySpec, TransferPath};
-use dcuda_mpi::collective::barrier_exit_times;
 use dcuda_queues::{DepthStats, IndexedMatcher, Notification, Query, ANY};
 use dcuda_trace::metrics::{overlap_efficiency, IntervalSet};
 use dcuda_trace::{TraceSummary, Tracer, Track};
@@ -1723,14 +1723,12 @@ impl ClusterSim {
             .iter()
             .map(|t| t.expect("all nodes entered"))
             .collect();
-        let netspec = self.net.spec().clone();
-        let meta = self.spec.host.meta_bytes;
-        let hop = move |bytes: u64| {
-            netspec.overhead
-                + netspec.latency
-                + SimDuration::from_secs_f64((bytes + meta) as f64 / netspec.host_bandwidth)
-        };
-        let exits = barrier_exit_times(&entries, &hop);
+        // One barrier signal: an empty message, meta-information only.
+        let netspec = self.net.spec();
+        let hop = netspec.overhead
+            + netspec.latency
+            + SimDuration::from_secs_f64(self.spec.host.meta_bytes as f64 / netspec.host_bandwidth);
+        let exits = barrier_exit_times(&entries, hop);
         for node in 0..self.topo.nodes {
             let exit = exits[node as usize];
             for local in 0..self.topo.ranks_per_node {

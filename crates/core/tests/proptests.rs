@@ -1,8 +1,11 @@
-//! Property-based tests for window layouts and the topology algebra.
+//! Property-based tests for window layouts, the topology algebra and the
+//! barrier timing model.
 
+use dcuda_core::barrier::barrier_exit_times;
 use dcuda_core::types::{Rank, Topology};
 use dcuda_core::window::{Arena, WindowSpec};
 use dcuda_des::check::{forall, Gen};
+use dcuda_des::{SimDuration, SimTime};
 
 fn topo(g: &mut Gen) -> Topology {
     Topology {
@@ -89,6 +92,31 @@ fn arena_views_consistent() {
         let f = dcuda_core::window::f64_slice(a.bytes());
         for (i, &w) in words.iter().enumerate() {
             assert_eq!(f[i].to_bits(), w);
+        }
+    });
+}
+
+/// A barrier never releases anyone before the last entrant, and every
+/// exit is at or after the participant's own entry.
+#[test]
+fn barrier_is_a_barrier() {
+    forall("barrier_is_a_barrier", 256, |g| {
+        let entry: Vec<SimTime> = (0..g.usize_in(1, 20))
+            .map(|_| SimTime::from_ps(g.u64_below(10_000) * 1_000_000))
+            .collect();
+        let exits = barrier_exit_times(&entry, SimDuration::from_micros(2));
+        let max_entry = *entry.iter().max().unwrap();
+        for (e, x) in entry.iter().zip(&exits) {
+            assert!(x >= e);
+            if entry.len() > 1 {
+                assert!(*x >= max_entry, "exit {x} before last entry {max_entry}");
+            }
+        }
+        // Bounded: at most ceil(log2 n) rounds of hops beyond the max entry.
+        let rounds = (usize::BITS - (entry.len() - 1).leading_zeros()).max(1);
+        let bound = max_entry + SimDuration::from_micros(3 * rounds as u64);
+        for x in &exits {
+            assert!(*x <= bound);
         }
     });
 }

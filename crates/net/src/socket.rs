@@ -627,6 +627,46 @@ impl PlaneShared {
 pub struct SocketPlane;
 
 impl SocketPlane {
+    /// Test support, not part of the launch path: a two-process-shaped mesh
+    /// hosted entirely by the calling process, one device per "process", the
+    /// partner side established on a helper thread. This is how tests,
+    /// benches and soaks put a real tcp or shm plane under the two halves of
+    /// a world. With `shm_dir` set both sides
+    /// advertise the same host fingerprint and negotiate the shared-memory
+    /// plane through pair files in that directory; otherwise loopback tcp.
+    #[doc(hidden)]
+    pub fn loopback_pair(
+        config: NetConfig,
+        shm_dir: Option<PathBuf>,
+    ) -> Result<[Vec<NetEndpoint>; 2], NetError> {
+        let l0 = TcpListener::bind("127.0.0.1:0")?;
+        let l1 = TcpListener::bind("127.0.0.1:0")?;
+        let peer_addrs = vec![l0.local_addr()?.to_string(), l1.local_addr()?.to_string()];
+        let peer_hosts = match shm_dir {
+            Some(_) => vec!["loopback-pair".to_string(); 2],
+            None => Vec::new(),
+        };
+        let opts = |my_proc, listener| MeshOpts {
+            my_proc,
+            procs: 2,
+            devices_per_proc: 1,
+            peer_addrs: peer_addrs.clone(),
+            peer_hosts: peer_hosts.clone(),
+            shm_dir: shm_dir.clone(),
+            listener,
+            config: config.clone(),
+        };
+        let o1 = opts(1, l1);
+        let partner = std::thread::spawn(move || SocketPlane::establish(o1));
+        // Both sides give up at the handshake deadline, so the join returns
+        // even when this side's establish failed.
+        let e0 = SocketPlane::establish(opts(0, l0));
+        let e1 = partner
+            .join()
+            .map_err(|_| NetError::Io("partner establish panicked".into()))?;
+        Ok([e0?, e1?])
+    }
+
     /// Join the mesh and return one endpoint per local device, index-aligned
     /// (endpoint `i` is world device `my_proc * devices_per_proc + i`).
     ///
@@ -1665,43 +1705,12 @@ mod tests {
     use super::*;
 
     fn mesh_pair(faults: Option<NetFaults>) -> (Vec<NetEndpoint>, Vec<NetEndpoint>) {
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addrs = vec![
-            l0.local_addr().unwrap().to_string(),
-            l1.local_addr().unwrap().to_string(),
-        ];
-        let cfg = NetConfig {
+        let config = NetConfig {
             faults,
             ..NetConfig::default()
         };
-        let addrs2 = addrs.clone();
-        let cfg2 = cfg.clone();
-        let t = std::thread::spawn(move || {
-            SocketPlane::establish(MeshOpts {
-                my_proc: 1,
-                procs: 2,
-                devices_per_proc: 1,
-                peer_addrs: addrs2,
-                peer_hosts: vec![],
-                shm_dir: None,
-                listener: l1,
-                config: cfg2,
-            })
-            .unwrap()
-        });
-        let a = SocketPlane::establish(MeshOpts {
-            my_proc: 0,
-            procs: 2,
-            devices_per_proc: 1,
-            peer_addrs: addrs,
-            peer_hosts: vec![],
-            shm_dir: None,
-            listener: l0,
-            config: cfg,
-        })
-        .unwrap();
-        (a, t.join().unwrap())
+        let [a, b] = SocketPlane::loopback_pair(config, None).unwrap();
+        (a, b)
     }
 
     /// Receive on `ep`, pumping both sides the way the runtime's host

@@ -41,9 +41,8 @@ pub const CREDIT_BATCH: u32 = 16;
 
 /// A semantic message of the inter-host plane.
 ///
-/// `Deliver.seq` is the *host-protocol* sequence number used by the
-/// runtime's fault plan for exactly-once delivery (dedup at the receiving
-/// host); it is independent of the connection-level [`Frame::seq`].
+/// `Deliver.seq` is a spare wire slot the runtime writes as 0: ordering and
+/// exactly-once delivery are the connection-level [`Frame::seq`]'s job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
     /// Deliver a put (payload + optional notification) to a rank local to
@@ -61,7 +60,7 @@ pub enum WireMsg {
         tag: u32,
         /// Enqueue a notification at the target (false: silent put).
         notify: bool,
-        /// Host-protocol sequence number (fault-plan dedup; 0 when healthy).
+        /// Spare slot, always 0 (kept for wire-format stability).
         seq: u64,
         /// Origin device (acks return here).
         origin_device: u32,

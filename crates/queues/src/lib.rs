@@ -13,9 +13,10 @@
 //!
 //! [`channel`] implements exactly that protocol with Rust atomics (the PCIe
 //! write becomes a release store; the credit refresh becomes an acquire load
-//! of the tail). [`NotificationMatcher`] implements the device-side
+//! of the tail). [`match_in_order`] is the reference for the device-side
 //! notification matching with (window, rank, tag) wildcards, in-order
-//! matching and queue compaction (paper §III-C "Notification Matching").
+//! matching and queue compaction (paper §III-C "Notification Matching");
+//! [`IndexedMatcher`] serves the same semantics at O(matches) host cost.
 //!
 //! These structures are used for real by the native threaded runtime
 //! (`dcuda-rt`); the discrete-event simulation models their *timing* (one
@@ -38,6 +39,6 @@ pub use dedup::{DedupWindow, RetryDecision, RetryPolicy, RetryTimer, DEDUP_WINDO
 pub use depth::DepthStats;
 pub use handoff::{handoff, handoff_on, HandoffReceiver, HandoffSender};
 pub use indexed::IndexedMatcher;
-pub use notify::{match_in_order, Notification, NotificationMatcher, Query, ANY};
+pub use notify::{match_in_order, Notification, Query, ANY};
 pub use plat::{PlatAtomicU64, PlatCell, Platform, StdPlatform};
 pub use spsc::{channel, channel_on, Receiver, RecvError, Sender, TrySendError};

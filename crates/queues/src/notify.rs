@@ -9,7 +9,6 @@
 //! exactly the behaviour of the paper's eight-thread shuffle-reduction
 //! matcher, minus the hardware.
 
-use crate::spsc::Receiver;
 use std::collections::VecDeque;
 
 /// Wildcard value usable in any [`Query`] position (`DCUDA_ANY_SOURCE`,
@@ -100,192 +99,4 @@ pub fn match_in_order(
     }
     *pending = keep;
     Some((matched, scanned))
-}
-
-/// Consumer-side matcher over a notification ring.
-///
-/// Owns the ring's receive endpoint plus the buffer of notifications that
-/// arrived but did not match past queries. Matching is served by the
-/// [`IndexedMatcher`](crate::IndexedMatcher) — O(matches) host cost — while
-/// `scanned_total` still reports the *modeled* linear-scan work, exactly as
-/// the paper's re-scanning matcher would incur it.
-pub struct NotificationMatcher {
-    rx: Receiver<Notification>,
-    pending: crate::IndexedMatcher,
-    /// Notifications matched over the matcher's lifetime.
-    pub matched_total: u64,
-    /// Notifications scanned (including mismatches re-buffered) — the
-    /// paper's matching cost is proportional to this.
-    pub scanned_total: u64,
-}
-
-impl NotificationMatcher {
-    /// Wrap the receive endpoint of a notification ring.
-    pub fn new(rx: Receiver<Notification>) -> Self {
-        NotificationMatcher {
-            rx,
-            pending: crate::IndexedMatcher::new(),
-            matched_total: 0,
-            scanned_total: 0,
-        }
-    }
-
-    /// Pull everything currently published in the ring into the local
-    /// buffer. Returns how many were drained.
-    pub fn drain_ring(&mut self) -> usize {
-        let mut n = 0;
-        while let Ok(notif) = self.rx.try_recv() {
-            self.pending.insert(notif);
-            n += 1;
-        }
-        n
-    }
-
-    /// Test for `count` notifications matching `query`
-    /// (`dcuda_test_notifications`). If at least `count` matches are
-    /// buffered, removes exactly the first `count` of them (in arrival
-    /// order), compacts the rest, and returns them. Otherwise consumes
-    /// nothing and returns `None`.
-    pub fn try_match(&mut self, query: Query, count: usize) -> Option<Vec<Notification>> {
-        self.drain_ring();
-        match self.pending.try_match(query, count) {
-            Some((matched, scanned)) => {
-                self.scanned_total += scanned as u64;
-                self.matched_total += matched.len() as u64;
-                Some(matched)
-            }
-            None => {
-                // The scan work accrues even when the match fails (the
-                // paper's matcher re-reads the queue on every poll).
-                self.scanned_total += self.pending.failed_scan_cost() as u64;
-                None
-            }
-        }
-    }
-
-    /// Number of notifications buffered but not yet matched.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spsc::channel;
-
-    fn notif(win: u32, source: u32, tag: u32) -> Notification {
-        Notification { win, source, tag }
-    }
-
-    fn setup(notifs: &[Notification]) -> NotificationMatcher {
-        let (mut tx, rx) = channel(64);
-        for &n in notifs {
-            tx.try_send(n).unwrap();
-        }
-        // Keep the sender alive past setup by leaking into the matcher's
-        // tests? Dropping is fine: buffered entries remain readable.
-        std::mem::forget(tx);
-        NotificationMatcher::new(rx)
-    }
-
-    #[test]
-    fn exact_match_consumes() {
-        let mut m = setup(&[notif(1, 2, 3)]);
-        let got = m.try_match(
-            Query {
-                win: 1,
-                source: 2,
-                tag: 3,
-            },
-            1,
-        );
-        assert_eq!(got.unwrap(), vec![notif(1, 2, 3)]);
-        assert_eq!(m.pending_len(), 0);
-        assert_eq!(m.matched_total, 1);
-    }
-
-    #[test]
-    fn insufficient_matches_consume_nothing() {
-        let mut m = setup(&[notif(1, 2, 3)]);
-        let got = m.try_match(Query::WILDCARD, 2);
-        assert!(got.is_none());
-        assert_eq!(m.pending_len(), 1, "nothing consumed on failure");
-    }
-
-    #[test]
-    fn wildcard_source_matches_any() {
-        let mut m = setup(&[notif(1, 5, 3), notif(1, 9, 3)]);
-        let q = Query {
-            win: 1,
-            source: ANY,
-            tag: 3,
-        };
-        let got = m.try_match(q, 2).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].source, 5, "arrival order preserved");
-        assert_eq!(got[1].source, 9);
-    }
-
-    #[test]
-    fn mismatches_are_compacted_in_order() {
-        let mut m = setup(&[
-            notif(1, 0, 7), // mismatch (tag)
-            notif(1, 0, 9), // match
-            notif(2, 0, 9), // mismatch (win)
-            notif(1, 1, 9), // match
-            notif(1, 2, 9), // would match but beyond count
-        ]);
-        let q = Query {
-            win: 1,
-            source: ANY,
-            tag: 9,
-        };
-        let got = m.try_match(q, 2).unwrap();
-        assert_eq!(got, vec![notif(1, 0, 9), notif(1, 1, 9)]);
-        // Compaction keeps the rest in arrival order.
-        assert_eq!(m.pending_len(), 3);
-        let rest = m.try_match(Query::WILDCARD, 3).unwrap();
-        assert_eq!(rest, vec![notif(1, 0, 7), notif(2, 0, 9), notif(1, 2, 9)]);
-    }
-
-    #[test]
-    fn zero_count_always_succeeds() {
-        let mut m = setup(&[]);
-        assert_eq!(m.try_match(Query::WILDCARD, 0), Some(Vec::new()));
-    }
-
-    #[test]
-    fn matching_across_multiple_queries() {
-        // The stencil pattern: wait for left+right neighbors by tag.
-        let mut m = setup(&[notif(0, 3, 42), notif(0, 5, 42)]);
-        let q = Query {
-            win: 0,
-            source: ANY,
-            tag: 42,
-        };
-        assert!(m.try_match(q, 2).is_some());
-        assert!(m.try_match(q, 1).is_none(), "queue drained");
-    }
-
-    #[test]
-    fn drain_picks_up_late_arrivals() {
-        let (mut tx, rx) = channel(8);
-        let mut m = NotificationMatcher::new(rx);
-        assert!(m.try_match(Query::WILDCARD, 1).is_none());
-        tx.try_send(notif(0, 0, 0)).unwrap();
-        assert!(m.try_match(Query::WILDCARD, 1).is_some());
-    }
-
-    #[test]
-    fn scanned_counter_tracks_work() {
-        let mut m = setup(&[notif(9, 9, 9), notif(1, 1, 1)]);
-        let q = Query {
-            win: 1,
-            source: 1,
-            tag: 1,
-        };
-        m.try_match(q, 1).unwrap();
-        assert_eq!(m.scanned_total, 2, "scanned the mismatch then the match");
-    }
 }

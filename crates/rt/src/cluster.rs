@@ -9,7 +9,7 @@
 
 use crate::coll::CollStats;
 use crate::ctx::RtCtx;
-use crate::host::{FlushHistoryHandle, Host, HostFaults, ProgressSource, SharedHost};
+use crate::host::{FlushHistory, Host, HostOutcome, SharedHost};
 use crate::msg::{Cmd, Delivery};
 use crate::types::RtError;
 use dcuda_net::{InProcessPlane, NetStats, Transport};
@@ -37,9 +37,8 @@ pub const DEFAULT_COLL_SCRATCH: usize = 64 * 1024;
 /// [`ClusterPart`]; more workers than local devices never helps).
 pub const MAX_PROGRESS_THREADS: u32 = 64;
 
-/// Who drives a host engine's matching, retransmit-timer and transport
-/// work (the asynchronous progress engine, ROADMAP open item 2 — the
-/// analogue of NCCL/NVSHMEM proxy threads).
+/// Who drives a host engine's routing and transport work (the asynchronous
+/// progress engine — the analogue of NCCL/NVSHMEM proxy threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
     /// The host loop is the only driver — the pre-engine behaviour,
@@ -47,11 +46,11 @@ pub enum ProgressMode {
     #[default]
     Inline,
     /// A pool of `n` dedicated progress threads co-drives every host
-    /// engine of this [`ClusterPart`]: workers drain transport frames,
-    /// run notification matching and fire retransmit timers whenever a
-    /// host loop is busy elsewhere, work-stealing across the part's
-    /// devices (worker `i` homes devices `d` with `d % n == i` and steals
-    /// the rest opportunistically).
+    /// engine of this [`ClusterPart`]: workers drain transport frames and
+    /// pump deferred transport work (transport retransmits included)
+    /// whenever a host loop is busy elsewhere, work-stealing across the
+    /// part's devices (worker `i` homes devices `d` with `d % n == i` and
+    /// steals the rest opportunistically).
     Threads(u32),
 }
 
@@ -69,8 +68,6 @@ pub struct RtConfig {
     pub windows: Vec<usize>,
     /// Ring capacity for the command/delivery queues (power of two).
     pub ring_capacity: usize,
-    /// Deterministic fault plan for the inter-host plane (`None` = healthy).
-    pub faults: Option<RtFaultPlan>,
     /// Bytes of hidden per-rank scratch reserved for the collective engine
     /// (staging for in-flight reduction chunks). Collectives whose schedule
     /// needs more fail with `CollError::ScratchTooSmall`; size via
@@ -94,32 +91,6 @@ pub struct RtConfig {
     pub host_busy_spin: u64,
 }
 
-/// Seeded fault injection for the threaded runtime's MPI plane: inter-host
-/// `Deliver` messages are dropped (and retransmitted with the same sequence
-/// number) or duplicated at the origin host; receivers dedup per origin so
-/// notification delivery stays exactly-once. Each host derives its own
-/// [`dcuda_des::SplitMix64`] stream from `seed`, so the *injection decisions*
-/// replay exactly even though thread interleaving does not.
-#[derive(Debug, Clone, Copy)]
-pub struct RtFaultPlan {
-    /// Seed for the per-host fault streams.
-    pub seed: u64,
-    /// Per-message probability the first copy is dropped.
-    pub drop_p: f64,
-    /// Per-message probability a duplicate copy is sent.
-    pub dup_p: f64,
-}
-
-impl Default for RtFaultPlan {
-    fn default() -> Self {
-        RtFaultPlan {
-            seed: 1,
-            drop_p: 0.01,
-            dup_p: 0.005,
-        }
-    }
-}
-
 impl Default for RtConfig {
     fn default() -> Self {
         RtConfig {
@@ -127,7 +98,6 @@ impl Default for RtConfig {
             ranks_per_device: 4,
             windows: vec![4096],
             ring_capacity: 64,
-            faults: None,
             coll_scratch: DEFAULT_COLL_SCRATCH,
             races: None,
             progress: ProgressMode::Inline,
@@ -197,13 +167,6 @@ impl RtConfig {
                 self.ring_capacity
             ));
         }
-        if let Some(f) = &self.faults {
-            for (name, p) in [("drop_p", f.drop_p), ("dup_p", f.dup_p)] {
-                if !(0.0..1.0).contains(&p) {
-                    return fail(format!("fault {name} {p} outside [0, 1)"));
-                }
-            }
-        }
         if let ProgressMode::Threads(n) = self.progress {
             if n == 0 {
                 return fail("progress thread pool of zero workers (use Inline)".into());
@@ -213,12 +176,6 @@ impl RtConfig {
                     "{n} progress threads exceed the {MAX_PROGRESS_THREADS}-thread cap"
                 ));
             }
-        }
-        if self.races.is_some() && self.faults.is_some() {
-            // Retransmission reorders deliveries within a channel, breaking
-            // the in-order-per-channel assumption the detector's channel
-            // edges rest on.
-            return fail("race detection requires a healthy plane (no fault injection)".into());
         }
         Ok(())
     }
@@ -258,12 +215,6 @@ impl RtConfigBuilder {
     /// Command/delivery ring capacity (power of two).
     pub fn ring_capacity(mut self, cap: usize) -> Self {
         self.cfg.ring_capacity = cap;
-        self
-    }
-
-    /// Enable seeded fault injection on the inter-host plane.
-    pub fn faults(mut self, plan: RtFaultPlan) -> Self {
-        self.cfg.faults = Some(plan);
         self
     }
 
@@ -310,9 +261,10 @@ pub struct RtReport {
     pub matched: u64,
     /// Barrier collectives completed (world-wide rounds).
     pub barriers: u64,
-    /// Inter-host messages retransmitted after an injected drop.
+    /// Always 0: the runtime has no reliability layer of its own. Transport
+    /// retransmits are reported in `net.net_retries`.
     pub retries: u64,
-    /// Duplicate inter-host messages suppressed by receiver-side dedup.
+    /// Always 0, as `retries`; see `net.net_dups_suppressed`.
     pub dups_suppressed: u64,
     /// Collective-engine statistics, aggregated over all ranks. The
     /// schedule-determined fields (`puts`, `bytes`, `chunks`) must agree
@@ -430,7 +382,7 @@ pub fn try_run_cluster_verified(
 fn progress_worker(
     idx: u32,
     nworkers: u32,
-    mut engines: Vec<SharedHost>,
+    engines: Vec<SharedHost>,
     abort: &AtomicBool,
     first_error: &Mutex<Option<RtError>>,
     traced: bool,
@@ -506,6 +458,33 @@ fn record_first(slot: &Mutex<Option<RtError>>, err: RtError) {
     }
 }
 
+/// How every host thread ends, whichever progress mode drove it: hand back
+/// the outcome, or record the root cause once and raise the abort flag so
+/// ranks spinning on deliveries or flush acks bail with `Aborted` and the
+/// scope join completes. (`Aborted` itself is never a root cause: it means
+/// the host observed a failure raised elsewhere.)
+fn host_thread_exit(
+    device: u32,
+    res: std::thread::Result<Result<HostOutcome, RtError>>,
+    abort: &AtomicBool,
+    first_error: &Mutex<Option<RtError>>,
+) -> Option<HostOutcome> {
+    match res {
+        Ok(Ok(out)) => return Some(out),
+        Ok(Err(RtError::Aborted)) => {}
+        Ok(Err(e)) => record_first(first_error, e),
+        Err(p) => record_first(
+            first_error,
+            RtError::HostPanicked {
+                device,
+                message: panic_text(p),
+            },
+        ),
+    }
+    abort.store(true, Ordering::Release);
+    None
+}
+
 fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
@@ -529,7 +508,7 @@ pub struct ClusterPart {
 /// Run one process's slice of a multi-process cluster.
 ///
 /// `cfg` describes the *whole* world (every process passes the identical
-/// configuration — rank numbering, barrier rounds and fault streams depend
+/// configuration — rank numbering and barrier rounds depend
 /// on it). `programs` covers only the local ranks, in device-major order,
 /// and `planes` supplies one [`Transport`] endpoint per local device,
 /// index-aligned with `part.first_device`. Returns this process's share of
@@ -647,7 +626,7 @@ fn run_part_inner(
             let flush_done = Arc::new(AtomicU64::new(0));
             cmd_rx.push(host_cmd_rx);
             delivery_tx.push(host_del_tx);
-            flush.push(FlushHistoryHandle::new(flush_done.clone()));
+            flush.push(FlushHistory::new(flush_done.clone()));
             let ctx = RtCtx {
                 rank: device * cfg.ranks_per_device + local,
                 world,
@@ -704,15 +683,11 @@ fn run_part_inner(
                 .next()
                 .ok_or_else(|| RtError::InvalidConfig("fewer endpoints than devices".into()))?,
             finished_global: finished_global.clone(),
-            finished_local: 0,
             finished_remote: 0,
             abort: abort.clone(),
             flush,
             puts_routed: 0,
             notifications_sent: 0,
-            faults: cfg
-                .faults
-                .map(|f| HostFaults::new(f.seed, f.drop_p, f.dup_p, device, cfg.devices)),
             counters: verified.then(Box::default),
             busy_spin: cfg.host_busy_spin,
             progress_frames: 0,
@@ -738,50 +713,19 @@ fn run_part_inner(
                     let first_error = first_error.clone();
                     host_handles.push(s.spawn(move || {
                         let device = host.device;
-                        match std::panic::catch_unwind(AssertUnwindSafe(move || host.run())) {
-                            Ok(Ok(out)) => Some(out),
-                            Ok(Err(e)) => {
-                                // Transport failure (or the host observing an
-                                // abort raised elsewhere): record the root
-                                // cause once and raise the flag so every
-                                // blocked thread unwinds.
-                                if !matches!(e, RtError::Aborted) {
-                                    record_first(&first_error, e);
-                                }
-                                abort.store(true, Ordering::Release);
-                                None
-                            }
-                            Err(p) => {
-                                // First-wins abort: ranks spinning on
-                                // deliveries or flush acks observe the flag
-                                // and bail with `Aborted` so the scope join
-                                // completes.
-                                record_first(
-                                    &first_error,
-                                    RtError::HostPanicked {
-                                        device,
-                                        message: panic_text(p),
-                                    },
-                                );
-                                abort.store(true, Ordering::Release);
-                                None
-                            }
-                        }
+                        let res = std::panic::catch_unwind(AssertUnwindSafe(move || host.run()));
+                        host_thread_exit(device, res, &abort, &first_error)
                     }));
                 }
             }
             ProgressMode::Threads(nworkers) => {
-                let engines: Vec<SharedHost> = hosts.into_iter().map(SharedHost::new).collect();
-                for eng in &engines {
+                let mut engines = Vec::new();
+                for host in hosts {
                     let abort = abort.clone();
                     let first_error = first_error.clone();
-                    let eng = eng.clone();
-                    // No engine is contended yet; read the device id for
-                    // diagnostics before the loop starts.
-                    let device = match eng.engine.lock() {
-                        Ok(g) => g.device,
-                        Err(p) => p.into_inner().device,
-                    };
+                    let device = host.device;
+                    let eng = SharedHost::new(host);
+                    engines.push(eng.clone());
                     host_handles.push(s.spawn(move || {
                         let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
                             eng.run_host_loop(&abort)
@@ -789,27 +733,7 @@ fn run_part_inner(
                         // Raised success or failure alike: workers must stop
                         // driving an engine whose loop has exited.
                         eng.done.store(true, Ordering::Release);
-                        match res {
-                            Ok(Ok(out)) => Some(out),
-                            Ok(Err(e)) => {
-                                if !matches!(e, RtError::Aborted) {
-                                    record_first(&first_error, e);
-                                }
-                                abort.store(true, Ordering::Release);
-                                None
-                            }
-                            Err(p) => {
-                                record_first(
-                                    &first_error,
-                                    RtError::HostPanicked {
-                                        device,
-                                        message: panic_text(p),
-                                    },
-                                );
-                                abort.store(true, Ordering::Release);
-                                None
-                            }
-                        }
+                        host_thread_exit(device, res, &abort, &first_error)
                     }));
                 }
                 for w in 0..nworkers {
@@ -889,10 +813,8 @@ fn run_part_inner(
         for h in host_handles {
             match h.join() {
                 Ok(Some(out)) => {
-                    report.puts += out.stats.puts;
-                    report.notifications += out.stats.notifications;
-                    report.retries += out.stats.retries;
-                    report.dups_suppressed += out.stats.dups_suppressed;
+                    report.puts += out.puts;
+                    report.notifications += out.notifications;
                     report.net.absorb(out.net);
                     trace.absorb(out.net_trace);
                     if let Some(shard) = out.counters {

@@ -272,7 +272,7 @@ impl RtCtx {
     ) -> Result<usize, RtError> {
         let idx = self.user_win_index(win)?;
         let window_len = self.windows[idx].len();
-        if off + len > window_len {
+        if off.checked_add(len).is_none_or(|end| end > window_len) {
             return Err(RtError::RangeOutOfBounds {
                 win,
                 offset: off,
@@ -466,6 +466,11 @@ impl RtCtx {
             return Err(RtError::ReservedTag { tag });
         }
         let idx = self.user_win_range(win, src_off, len)?;
+        // Windows have the same layout on every rank, so a destination range
+        // that does not fit here does not fit at the target either: fail at
+        // the origin, which issued the bad put, instead of in the target's
+        // delivery drain.
+        self.user_win_range(win, dst_off, len)?;
         let data = self.windows[idx][src_off..src_off + len].to_vec();
         // The snapshot's clock must be stashed before the command leaves,
         // or the target could match the notification first.

@@ -8,13 +8,16 @@
 //! received from remote processes; the final-drain argument relies on every
 //! transport delivering per-connection FIFO, so a host's `Deliver`s always
 //! precede its `Finished` broadcasts at the receiver.
+//!
+//! Reliability is the transport's contract too (FIFO *and* exactly once,
+//! whatever faults are injected below it): the host is a plain protocol
+//! engine with one code path — an inter-host put is one `plane.send`.
 
 use crate::coll::COLL_TAG_BIT;
 use crate::msg::{Cmd, Delivery};
 use crate::types::RtError;
-use dcuda_des::SplitMix64;
 use dcuda_net::{NetError, NetStats, Transport, WireMsg};
-use dcuda_queues::{DedupWindow, Notification, Receiver, Sender, TrySendError, DEDUP_WINDOW};
+use dcuda_queues::{Notification, Receiver, Sender, TrySendError};
 use dcuda_trace::Tracer;
 use dcuda_verify::ShardCounters;
 use std::collections::{BinaryHeap, VecDeque};
@@ -25,14 +28,14 @@ use std::sync::Arc;
 /// rank only as a consecutive prefix ("the flush identifier of the last
 /// processed remote memory access operation whose predecessors are done as
 /// well", paper §III-B).
-struct FlushHistory {
+pub(crate) struct FlushHistory {
     frontier: u64,
     completed: BinaryHeap<std::cmp::Reverse<u64>>,
     publish: Arc<AtomicU64>,
 }
 
 impl FlushHistory {
-    fn new(publish: Arc<AtomicU64>) -> Self {
+    pub fn new(publish: Arc<AtomicU64>) -> Self {
         FlushHistory {
             frontier: 0,
             completed: BinaryHeap::new(),
@@ -61,60 +64,12 @@ impl FlushHistory {
     }
 }
 
-/// Per-host fault-injection state: a seeded origin-side packet mangler plus
-/// receiver-side dedup windows (one per origin host).
-///
-/// "Dropping" a `Deliver` means the first copy never reaches the wire and the
-/// message parks in [`retransmit`](Self::retransmit); it is resent — with the
-/// *same* sequence number — on a later progress-loop pass, and always before
-/// any local `Finish` is counted, which preserves the quiescence argument in
-/// [`Host::run`]. Duplication sends two copies back-to-back; the receiver's
-/// window suppresses the echo before it can double-deliver or double-ack.
-pub(crate) struct HostFaults {
-    rng: SplitMix64,
-    drop_p: f64,
-    dup_p: f64,
-    /// Next outbound sequence number per destination device.
-    next_seq: Vec<u64>,
-    /// Dropped `Deliver`s awaiting retransmission: (peer, seq, message).
-    retransmit: VecDeque<(u32, u64, WireMsg)>,
-    /// Inbound dedup window per origin device.
-    dedup: Vec<DedupWindow>,
-    /// Retransmissions performed.
-    retries: u64,
-}
-
-impl HostFaults {
-    pub fn new(seed: u64, drop_p: f64, dup_p: f64, device: u32, devices: u32) -> Self {
-        // Distinct deterministic stream per host.
-        let stream = seed ^ 0xA24B_AED4_963E_E407u64.wrapping_mul(u64::from(device) + 1);
-        HostFaults {
-            rng: SplitMix64::new(stream),
-            drop_p,
-            dup_p,
-            next_seq: vec![0; devices as usize],
-            retransmit: VecDeque::new(),
-            dedup: (0..devices).map(|_| DedupWindow::new()).collect(),
-            retries: 0,
-        }
-    }
-
-    fn dups_suppressed(&self) -> u64 {
-        self.dedup.iter().map(DedupWindow::suppressed).sum()
-    }
-}
-
-/// Statistics one host thread hands back after quiescence.
-pub(crate) struct HostStats {
-    pub puts: u64,
-    pub notifications: u64,
-    pub retries: u64,
-    pub dups_suppressed: u64,
-}
-
 /// Everything a host thread returns on clean shutdown.
 pub(crate) struct HostOutcome {
-    pub stats: HostStats,
+    /// User-level puts routed.
+    pub puts: u64,
+    /// User-level notifications handed to target ranks.
+    pub notifications: u64,
     pub net: NetStats,
     pub net_trace: Tracer,
     pub counters: Option<Box<ShardCounters>>,
@@ -135,18 +90,15 @@ pub(crate) struct Host {
     pub plane: Box<dyn Transport>,
     /// Count of finished ranks in *this process*.
     pub finished_global: Arc<AtomicU32>,
-    pub finished_local: u32,
     /// Ranks on remote processes announced finished via the plane.
     pub finished_remote: u32,
     /// Cluster-wide first-failure flag; the host bails out when set.
     pub abort: Arc<AtomicBool>,
     /// Flush bookkeeping per local rank.
-    pub flush: Vec<FlushHistoryHandle>,
+    pub flush: Vec<FlushHistory>,
     /// Statistics.
     pub puts_routed: u64,
     pub notifications_sent: u64,
-    /// Fault-injection state (`None` on a healthy fabric).
-    pub faults: Option<HostFaults>,
     /// Invariant-counter shard (verified runs only). The host accounts the
     /// fabric side of conservation: a notification counts as *delivered*
     /// when it enters the target rank's delivery ring and as *dropped* when
@@ -164,32 +116,6 @@ pub(crate) struct Host {
     /// Passes in which a worker progressed this host while it was homed on
     /// a different worker (folded into [`NetStats::steals`]).
     pub steals: u64,
-}
-
-/// The seam between *who drives progress* and the engine state. A host's
-/// matching, retransmit-timer and transport work is one `progress_pass`;
-/// in [`ProgressMode::Inline`](crate::cluster::ProgressMode) the host loop
-/// itself is the only driver (and the pass is byte-identical to the
-/// pre-seam loop body), while `ProgressMode::Threads(n)` adds pool workers
-/// that drive the same pass through [`SharedHost`] whenever the host loop
-/// is busy elsewhere.
-pub(crate) trait ProgressSource {
-    /// Run one matching/retransmit/transport pass. `Ok(true)` if any work
-    /// was done; `Ok(false)` when the pass found nothing to do or the
-    /// engine is momentarily owned by another driver.
-    ///
-    /// `stealing` marks a pass driven by a worker the engine is *not*
-    /// homed on (pure accounting; inline drivers always pass `false`).
-    fn progress_pass(&mut self, stealing: bool) -> Result<bool, RtError>;
-}
-
-/// Public wrapper so `cluster` can construct histories.
-pub(crate) struct FlushHistoryHandle(FlushHistory);
-
-impl FlushHistoryHandle {
-    pub fn new(publish: Arc<AtomicU64>) -> Self {
-        FlushHistoryHandle(FlushHistory::new(publish))
-    }
 }
 
 fn net_err(e: NetError) -> RtError {
@@ -288,69 +214,39 @@ impl Host {
                             notify,
                         };
                         self.deliver_local(dst_local, delivery);
-                        self.flush[local as usize].0.complete(flush_id);
+                        self.flush[local as usize].complete(flush_id);
                     }
                     None => {
+                        // Inter-host: one send. Ordering, loss recovery and
+                        // dedup are the transport's job (`seq` is a spare
+                        // wire slot, written as 0).
                         let peer = self.device_of(dst);
-                        let dst_local = dst % self.ranks_per_device;
-                        let origin_device = self.device;
-                        let make_msg = move |seq: u64| WireMsg::Deliver {
-                            dst_local,
-                            win,
-                            dst_off: dst_off as u64,
-                            source: rank,
-                            tag,
-                            notify,
-                            seq,
-                            origin_device,
-                            origin_local: local,
-                            flush_id,
-                            data,
-                        };
-                        match self.faults.as_mut() {
-                            None => {
-                                self.plane.send(peer, make_msg(0)).map_err(net_err)?;
-                            }
-                            Some(f) => {
-                                let seq = f.next_seq[peer as usize];
-                                f.next_seq[peer as usize] += 1;
-                                // A parked retransmit must never age past the
-                                // receiver's replay window, or dedup would
-                                // eat the only surviving copy.
-                                let must_drain = f.retransmit.iter().any(|&(p, s, _)| {
-                                    p == peer && seq.saturating_sub(s) >= DEDUP_WINDOW / 2
-                                });
-                                if must_drain {
-                                    self.flush_retransmits()?;
-                                }
-                                let msg = make_msg(seq);
-                                let f = match self.faults.as_mut() {
-                                    Some(f) => f,
-                                    None => return Ok(()),
-                                };
-                                if f.rng.next_f64() < f.drop_p {
-                                    // First copy lost in flight: park it for
-                                    // a same-seq retransmission.
-                                    f.retransmit.push_back((peer, seq, msg));
-                                } else {
-                                    if f.rng.next_f64() < f.dup_p {
-                                        self.plane.send(peer, msg.clone()).map_err(net_err)?;
-                                    }
-                                    self.plane.send(peer, msg).map_err(net_err)?;
-                                }
-                            }
-                        }
+                        self.plane
+                            .send(
+                                peer,
+                                WireMsg::Deliver {
+                                    dst_local: dst % self.ranks_per_device,
+                                    win,
+                                    dst_off: dst_off as u64,
+                                    source: rank,
+                                    tag,
+                                    notify,
+                                    seq: 0,
+                                    origin_device: self.device,
+                                    origin_local: local,
+                                    flush_id,
+                                    data,
+                                },
+                            )
+                            .map_err(net_err)?;
                     }
                 }
             }
             Cmd::Finish => {
-                // Flush parked retransmits *before* the finish is counted or
-                // announced: the quiescence drain in `run` relies on every
-                // inter-host `Deliver` happening-before the matching finish
-                // becomes observable (counter increment locally, `Finished`
-                // message remotely — FIFO per connection).
-                self.flush_retransmits()?;
-                self.finished_local += 1;
+                // Every `Deliver` this rank caused was sent above, before the
+                // finish becomes observable (counter increment locally,
+                // `Finished` message remotely — FIFO per connection): the
+                // quiescence drain in `try_finish` relies on that order.
                 self.finished_global.fetch_add(1, Ordering::AcqRel);
                 for d in self.plane.remote_devices() {
                     self.plane
@@ -377,19 +273,12 @@ impl Host {
                 source,
                 tag,
                 notify,
-                seq,
+                seq: _,
                 origin_device,
                 origin_local,
                 flush_id,
                 data,
             } => {
-                if let Some(f) = self.faults.as_mut() {
-                    if !f.dedup[origin_device as usize].accept(seq) {
-                        // Duplicate copy: no second delivery, no second ack
-                        // (a double-complete would corrupt flush ordering).
-                        return Ok(());
-                    }
-                }
                 let delivery = Delivery {
                     notif: Notification { win, source, tag },
                     win,
@@ -412,7 +301,7 @@ impl Host {
                 origin_local,
                 flush_id,
             } => {
-                self.flush[origin_local as usize].0.complete(flush_id);
+                self.flush[origin_local as usize].complete(flush_id);
             }
             WireMsg::Finished { device: _, ranks } => {
                 self.finished_remote += ranks;
@@ -421,33 +310,13 @@ impl Host {
         Ok(())
     }
 
-    /// Resend every parked (dropped) `Deliver` with its original sequence
-    /// number. Returns whether anything was sent.
-    fn flush_retransmits(&mut self) -> Result<bool, RtError> {
-        let mut any = false;
-        loop {
-            let item = match self.faults.as_mut() {
-                Some(f) => f.retransmit.pop_front(),
-                None => None,
-            };
-            let Some((peer, _, msg)) = item else { break };
-            if let Some(f) = self.faults.as_mut() {
-                f.retries += 1;
-            }
-            self.plane.send(peer, msg).map_err(net_err)?;
-            any = true;
-        }
-        Ok(any)
-    }
-
-    /// One full host pass: drain the local command rings, fire parked
-    /// retransmit timers, drain and match the inter-host plane, and drive
+    /// One full host pass — the whole engine, whoever drives it: drain the
+    /// local command rings, drain and route the inter-host plane, and drive
     /// deferred transport work. `Ok(true)` if anything moved.
     ///
     /// `off_thread` marks a pass driven by a progress-pool worker instead
     /// of the owning host loop; the only difference is accounting (plane
-    /// messages drained count toward [`NetStats::progress_frames`]), so an
-    /// inline-mode run is byte-identical to the pre-seam loop body.
+    /// messages drained count toward [`NetStats::progress_frames`]).
     fn pass(&mut self, off_thread: bool) -> Result<bool, RtError> {
         let mut progress = false;
         for local in 0..self.ranks_per_device {
@@ -458,7 +327,6 @@ impl Host {
             }
             self.pump_backlog(local);
         }
-        progress |= self.flush_retransmits()?;
         while let Some(msg) = self.plane.try_recv().map_err(net_err)? {
             progress = true;
             self.progress_frames += u64::from(off_thread);
@@ -525,12 +393,6 @@ impl Host {
                 }
             }
         }
-        let stats = HostStats {
-            puts: self.puts_routed,
-            notifications: self.notifications_sent,
-            retries: self.faults.as_ref().map_or(0, |f| f.retries),
-            dups_suppressed: self.faults.as_ref().map_or(0, HostFaults::dups_suppressed),
-        };
         let mut net = self.plane.stats();
         // Off-thread drains and steals are engine-side counts the plane
         // never sees; fold them into the transport report here (both zero
@@ -538,7 +400,8 @@ impl Host {
         net.progress_frames += self.progress_frames;
         net.steals += self.steals;
         Ok(Some(HostOutcome {
-            stats,
+            puts: self.puts_routed,
+            notifications: self.notifications_sent,
             net,
             net_trace: self.plane.take_tracer(),
             counters: self.counters.take(),
@@ -556,8 +419,7 @@ impl Host {
                 return Err(RtError::Aborted);
             }
             burn(self.busy_spin);
-            let progress = ProgressSource::progress_pass(&mut self, false)?;
-            if !progress {
+            if !self.pass(false)? {
                 if let Some(out) = self.try_finish()? {
                     return Ok(out);
                 }
@@ -567,31 +429,17 @@ impl Host {
     }
 }
 
-impl ProgressSource for Host {
-    fn progress_pass(&mut self, _stealing: bool) -> Result<bool, RtError> {
-        self.pass(false)
-    }
-}
-
 /// A host engine shared between its (busy) host loop and the progress
 /// pool: the loop and every worker drive the same [`Host`] through a
 /// mutex, workers with `try_lock` so a momentarily-owned engine is skipped
 /// instead of blocked on (the skip is what makes work-stealing across a
 /// part's ranks cheap).
+#[derive(Clone)]
 pub(crate) struct SharedHost {
     pub engine: Arc<std::sync::Mutex<Host>>,
     /// Raised once the host loop produced its outcome (or failed): workers
     /// stop driving the engine.
     pub done: Arc<AtomicBool>,
-}
-
-impl Clone for SharedHost {
-    fn clone(&self) -> Self {
-        SharedHost {
-            engine: Arc::clone(&self.engine),
-            done: Arc::clone(&self.done),
-        }
-    }
 }
 
 impl SharedHost {
@@ -638,10 +486,12 @@ impl SharedHost {
             std::thread::yield_now();
         }
     }
-}
 
-impl ProgressSource for SharedHost {
-    fn progress_pass(&mut self, stealing: bool) -> Result<bool, RtError> {
+    /// The pool-worker side: one pass if the engine is free. `Ok(false)`
+    /// when the pass found nothing to do, the host loop already exited, or
+    /// the engine is momentarily owned by another driver. `stealing` marks
+    /// a worker the engine is *not* homed on (pure accounting).
+    pub fn progress_pass(&self, stealing: bool) -> Result<bool, RtError> {
         if self.done.load(Ordering::Acquire) {
             return Ok(false);
         }

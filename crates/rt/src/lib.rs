@@ -26,12 +26,13 @@ pub mod coll;
 pub mod ctx;
 pub mod host;
 pub mod msg;
+pub mod programs;
 pub mod types;
 
 pub use cluster::{
     run_cluster, run_cluster_traced, try_run_cluster, try_run_cluster_job, try_run_cluster_part,
     try_run_cluster_verified, CancelToken, ClusterPart, ProgressMode, RtConfig, RtConfigBuilder,
-    RtFaultPlan, RtReport, DEFAULT_COLL_SCRATCH, MAX_PROGRESS_THREADS, MAX_WINDOW_BYTES, MAX_WORLD,
+    RtReport, DEFAULT_COLL_SCRATCH, MAX_PROGRESS_THREADS, MAX_WINDOW_BYTES, MAX_WORLD,
 };
 pub use coll::{CollCtx, CollStats, COLL_TAG_BIT};
 pub use ctx::RtCtx;
@@ -46,7 +47,7 @@ pub use types::{Rank, RtError, RtQuery, Tag, WindowId};
 /// One-stop imports for writing rank programs: the context, the typed
 /// identifiers, the collective extension trait and the plan vocabulary.
 pub mod prelude {
-    pub use crate::cluster::{ProgressMode, RtConfig, RtConfigBuilder, RtFaultPlan, RtReport};
+    pub use crate::cluster::{ProgressMode, RtConfig, RtConfigBuilder, RtReport};
     pub use crate::coll::{CollCtx, CollStats};
     pub use crate::ctx::RtCtx;
     pub use crate::types::{Rank, RtError, RtQuery, Tag, WindowId};

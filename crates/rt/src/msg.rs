@@ -28,9 +28,8 @@ pub enum Cmd {
 }
 
 /// A delivery from the host to a rank (host → device ring): payload plus the
-/// notification that announces it. `Clone` exists for the fault plan's
-/// duplicate injection; the healthy path never copies payloads.
-#[derive(Debug, Clone)]
+/// notification that announces it.
+#[derive(Debug)]
 pub struct Delivery {
     /// The notification (window, source, tag).
     pub notif: Notification,

@@ -1,48 +1,26 @@
-//! The job-program registry: named, deterministic rank programs.
+//! The job-program registry: names for the reference rank programs.
 //!
 //! A [`JobSpec`] crosses the control plane as text, so its program is a
-//! name into this registry rather than a closure. Every program is fully
-//! determined by `(seed, world, iters, payload)` and publishes a per-rank
-//! FNV-1a checksum through an `AtomicU64` cell; [`fold_checksums`] combines
-//! them order-independently (rank-salted wrapping sum), exactly the
-//! conformance idiom of the root crate's workloads — which is what lets the
-//! storm suite compare a job run on the shared scheduler byte-for-byte
-//! against the same spec run alone on a fresh cluster.
+//! name into this registry rather than a closure. The programs themselves
+//! are [`dcuda_rt::programs`] — the same definitions `dcuda-launch`'s
+//! conformance workloads run — fully determined by `(seed, world, iters,
+//! payload)`, which is what lets the storm suite compare a job run on the
+//! shared scheduler byte-for-byte against the same spec run alone on a
+//! fresh cluster.
 
 use crate::{JobProgram, JobSpec};
 use dcuda_rt::cluster::RankProgram;
-use dcuda_rt::{
-    allreduce_scratch_bytes, CollAlgo, CollCtx, CollPlan, Dtype, Rank, ReduceOp, RtCtx, RtQuery,
-    Tag, WindowId,
-};
+use dcuda_rt::programs::{self, Params, FNV_OFFSET};
+use dcuda_rt::{allreduce_scratch_bytes, CollAlgo, CollPlan, Dtype, ReduceOp, RtCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// FNV-1a offset/prime (the same constants the conformance workloads use).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
-
-fn salt(rank: u32, sum: u64) -> u64 {
-    fnv_u64(fnv_u64(FNV_OFFSET, u64::from(rank)), sum)
-}
 
 /// Window layout of a spec's program: ring-family programs stage in
 /// `[0, payload)` and receive in `[payload, 2*payload)`; allreduce reduces
 /// one `u64`-aligned buffer in place.
 pub fn windows(spec: &JobSpec) -> Vec<usize> {
     match spec.program {
-        JobProgram::Allreduce => vec![coll_len(spec)],
+        JobProgram::Allreduce => vec![programs::lanes_len(spec.payload)],
         _ => vec![spec.payload.max(1) * 2],
     }
 }
@@ -51,32 +29,35 @@ pub fn windows(spec: &JobSpec) -> Vec<usize> {
 /// plenty; only allreduce sizes it explicitly).
 pub fn coll_scratch(spec: &JobSpec) -> usize {
     match spec.program {
-        JobProgram::Allreduce => {
-            allreduce_scratch_bytes(CollAlgo::Ring, coll_len(spec), 8, spec.ranks())
-        }
+        JobProgram::Allreduce => allreduce_scratch_bytes(
+            CollAlgo::Ring,
+            programs::lanes_len(spec.payload),
+            8,
+            spec.ranks(),
+        ),
         _ => 0,
     }
-}
-
-fn coll_len(spec: &JobSpec) -> usize {
-    spec.payload.max(8).div_ceil(8) * 8
 }
 
 /// Build one program per world rank, each paired with the cell its
 /// checksum lands in on completion.
 pub fn build(spec: &JobSpec) -> Vec<(RankProgram, Arc<AtomicU64>)> {
-    let world = spec.ranks();
-    (0..world)
+    let program = spec.program;
+    let p = Params {
+        seed: spec.seed,
+        iters: spec.iters,
+        payload: spec.payload.max(1),
+    };
+    (0..spec.ranks())
         .map(|_| {
-            let spec = spec.clone();
             let cell = Arc::new(AtomicU64::new(0));
             let out = cell.clone();
             let program: RankProgram = Box::new(move |ctx: &mut RtCtx| {
-                let sum = match spec.program {
-                    JobProgram::Ring => run_ring(ctx, &spec, None),
-                    JobProgram::PingPong => run_pingpong(ctx, &spec),
-                    JobProgram::Allreduce => run_allreduce(ctx, &spec),
-                    JobProgram::Poison { at_iter } => run_ring(ctx, &spec, Some(at_iter)),
+                let sum = match program {
+                    JobProgram::Ring => programs::ring(ctx, p, None),
+                    JobProgram::PingPong => programs::pingpong(ctx, p),
+                    JobProgram::Allreduce => run_allreduce(ctx, p),
+                    JobProgram::Poison { at_iter } => programs::ring(ctx, p, Some(at_iter)),
                 };
                 out.store(sum, Ordering::Release);
             });
@@ -85,107 +66,19 @@ pub fn build(spec: &JobSpec) -> Vec<(RankProgram, Arc<AtomicU64>)> {
         .collect()
 }
 
-/// Fold per-rank checksum cells into the job checksum: an order-independent
-/// wrapping sum of rank-salted values (partition- and backend-independent).
+/// Fold per-rank checksum cells into the job checksum.
 pub fn fold_checksums(cells: &[Arc<AtomicU64>]) -> u64 {
-    cells.iter().enumerate().fold(0u64, |acc, (rank, cell)| {
-        acc.wrapping_add(salt(rank as u32, cell.load(Ordering::Acquire)))
-    })
+    programs::fold_checksums(
+        cells
+            .iter()
+            .enumerate()
+            .map(|(rank, cell)| (rank as u32, cell.load(Ordering::Acquire))),
+    )
 }
 
-/// Fill the staging region with bytes derived from (seed, rank, iter,
-/// position) — the deterministic stand-in for the compute phase.
-fn fill_staging(ctx: &mut RtCtx, seed: u64, iter: u32, payload: usize) {
-    let rank = ctx.rank().0;
-    let w = ctx.win_mut_at(WindowId(0), 0, payload);
-    let mut h = fnv_u64(
-        fnv_u64(fnv_u64(FNV_OFFSET, seed), u64::from(rank)),
-        u64::from(iter),
-    );
-    for (i, slot) in w.iter_mut().enumerate() {
-        h = fnv_u64(h, i as u64);
-        *slot = (h >> 24) as u8;
-    }
-}
-
-fn run_ring(ctx: &mut RtCtx, spec: &JobSpec, poison_at: Option<u32>) -> u64 {
-    let payload = spec.payload.max(1);
-    let world = ctx.world_size();
-    let rank = ctx.rank().0;
-    let mut sum = FNV_OFFSET;
-    for iter in 0..spec.iters {
-        if poison_at == Some(iter) && rank == 0 {
-            panic!("poisoned at iteration {iter}");
-        }
-        fill_staging(ctx, spec.seed, iter, payload);
-        if world > 1 {
-            ctx.ring_shift(WindowId(0), payload, 0, payload);
-            let w = ctx.win_at(WindowId(0), payload, payload);
-            sum = fnv_bytes(sum, w);
-            ctx.ring_release();
-        } else {
-            // Degenerate single-rank world: checksum the staging fill so
-            // the job still produces deterministic work.
-            let w = ctx.win_at(WindowId(0), 0, payload);
-            sum = fnv_bytes(sum, w);
-        }
-        if iter % 8 == 7 {
-            ctx.flush();
-        }
-    }
-    if rank == 0 {
-        if let Some(at) = poison_at {
-            if at >= spec.iters {
-                // A poison job must die even if its trigger is past the
-                // final round — the isolation suite relies on it.
-                panic!("poisoned after final iteration {at}");
-            }
-        }
-    }
-    ctx.flush();
-    if world > 1 {
-        ctx.barrier();
-    }
-    sum
-}
-
-fn run_pingpong(ctx: &mut RtCtx, spec: &JobSpec) -> u64 {
-    let payload = spec.payload.max(1);
-    let world = ctx.world_size();
-    let rank = ctx.rank().0;
-    let partner = if rank.is_multiple_of(2) {
-        rank + 1
-    } else {
-        rank - 1
-    };
-    let mut sum = FNV_OFFSET;
-    if partner >= world {
-        // Odd world: the unpaired last rank sits the game out.
-        return sum;
-    }
-    for iter in 0..spec.iters {
-        fill_staging(ctx, spec.seed, iter, payload);
-        let q = RtQuery::exact(WindowId(0), Rank(partner), Tag(iter));
-        if rank.is_multiple_of(2) {
-            ctx.put_notify(WindowId(0), Rank(partner), payload, 0, payload, Tag(iter));
-            ctx.wait_notifications(q, 1);
-            sum = fnv_bytes(sum, ctx.win_at(WindowId(0), payload, payload));
-        } else {
-            ctx.wait_notifications(q, 1);
-            // Read before replying: the reply licenses the partner's next
-            // overwrite of this inbox.
-            sum = fnv_bytes(sum, ctx.win_at(WindowId(0), payload, payload));
-            ctx.put_notify(WindowId(0), Rank(partner), payload, 0, payload, Tag(iter));
-        }
-    }
-    ctx.flush();
-    sum
-}
-
-fn run_allreduce(ctx: &mut RtCtx, spec: &JobSpec) -> u64 {
-    let len = coll_len(spec);
-    let win = WindowId(0);
-    let mut sum = FNV_OFFSET;
+/// Chunked ring allreduce over `u64` lanes, a world barrier per round.
+fn run_allreduce(ctx: &mut RtCtx, p: Params) -> u64 {
+    let len = programs::lanes_len(p.payload);
     let plan = CollPlan::builder()
         .algo(CollAlgo::Ring)
         .chunk_bytes(64)
@@ -193,21 +86,9 @@ fn run_allreduce(ctx: &mut RtCtx, spec: &JobSpec) -> u64 {
         .dtype(Dtype::U64)
         .build()
         .expect("valid coll plan");
-    for iter in 0..spec.iters {
-        // Fill the reduction buffer with seed/rank/iter-determined lanes.
-        let rank = ctx.rank().0;
-        let w = ctx.win_mut_at(win, 0, len);
-        let mut h = fnv_u64(
-            fnv_u64(fnv_u64(FNV_OFFSET, spec.seed), u64::from(rank)),
-            u64::from(iter),
-        );
-        for (i, lane) in w.chunks_exact_mut(8).enumerate() {
-            h = fnv_u64(h, i as u64);
-            // Keep lanes small so the sum never wraps differently per run.
-            lane.copy_from_slice(&(h >> 32).to_le_bytes());
-        }
-        ctx.allreduce(win, 0, len, &plan);
-        sum = fnv_bytes(sum, &ctx.win(win)[..len]);
+    let mut sum = FNV_OFFSET;
+    for iter in 0..p.iters {
+        sum = programs::allreduce_step(ctx, &plan, len, p.seed, iter, sum);
         ctx.barrier();
     }
     ctx.flush();

@@ -41,10 +41,6 @@ pub struct JobCounters {
     pub matched: u64,
     /// Barrier rounds completed.
     pub barriers: u64,
-    /// Retransmissions after injected drops.
-    pub retries: u64,
-    /// Duplicates suppressed by receiver dedup.
-    pub dups_suppressed: u64,
 }
 
 impl From<&RtReport> for JobCounters {
@@ -54,8 +50,6 @@ impl From<&RtReport> for JobCounters {
             notifications: r.notifications,
             matched: r.matched,
             barriers: r.barriers,
-            retries: r.retries,
-            dups_suppressed: r.dups_suppressed,
         }
     }
 }

@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 fn result_kv(r: &JobResult) -> String {
     let mut line = format!(
         "state=done id={} name={} end={} checksum={:016x} puts={} notifications={} matched={} \
-         barriers={} retries={} dups={} wait_ms={:.3} run_ms={:.3}",
+         barriers={} wait_ms={:.3} run_ms={:.3}",
         r.id,
         r.name,
         r.end.name(),
@@ -44,8 +44,6 @@ fn result_kv(r: &JobResult) -> String {
         r.counters.notifications,
         r.counters.matched,
         r.counters.barriers,
-        r.counters.retries,
-        r.counters.dups_suppressed,
         r.wait_ms,
         r.run_ms,
     );
@@ -108,8 +106,6 @@ fn parse_result_kv(line: &str) -> Result<JobResult, String> {
             "notifications" => r.counters.notifications = num(v)?,
             "matched" => r.counters.matched = num(v)?,
             "barriers" => r.counters.barriers = num(v)?,
-            "retries" => r.counters.retries = num(v)?,
-            "dups" => r.counters.dups_suppressed = num(v)?,
             "wait_ms" => r.wait_ms = flt(v)?,
             "run_ms" => r.run_ms = flt(v)?,
             other => return Err(format!("unknown result key {other:?}")),
@@ -444,8 +440,6 @@ mod tests {
                 notifications: 2,
                 matched: 3,
                 barriers: 4,
-                retries: 5,
-                dups_suppressed: 6,
             },
             error: None,
             wait_ms: 1.5,

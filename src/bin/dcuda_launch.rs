@@ -239,8 +239,6 @@ fn report_json(
         .field("notifications", Json::from(report.notifications))
         .field("matched", Json::from(report.matched))
         .field("barriers", Json::from(report.barriers))
-        .field("retries", Json::from(report.retries))
-        .field("dups_suppressed", Json::from(report.dups_suppressed))
         .field("races", Json::from(report.races.len() as u64))
         .field("coll_puts", Json::from(report.coll.puts))
         .field("coll_bytes", Json::from(report.coll.bytes))
@@ -279,7 +277,7 @@ fn run_inprocess(args: &Args) -> Result<(), String> {
         std::fs::write(path, dcuda_trace::chrome::to_chrome_json(&tracer))
             .map_err(|e| format!("writing {path}: {e}"))?;
     }
-    let checksum = WorkloadSpec::fold_checksums(
+    let checksum = dcuda_rt::programs::fold_checksums(
         cells
             .iter()
             .enumerate()
@@ -362,8 +360,6 @@ fn run_coordinator(args: &Args) -> Result<(), String> {
         total.notifications += get("notifications")?;
         total.matched += get("matched")?;
         total.barriers = total.barriers.max(get("barriers")?);
-        total.retries += get("retries")?;
-        total.dups_suppressed += get("dups_suppressed")?;
         total.coll.puts += get("coll_puts")?;
         total.coll.bytes += get("coll_bytes")?;
         total.coll.chunks += get("coll_chunks")?;
@@ -518,7 +514,7 @@ fn worker_run(
         std::fs::write(&per_proc, dcuda_trace::chrome::to_chrome_json(&tracer))
             .map_err(|e| format!("writing {per_proc}: {e}"))?;
     }
-    let partial = WorkloadSpec::fold_checksums(
+    let partial = dcuda_rt::programs::fold_checksums(
         cells
             .iter()
             .enumerate()
@@ -533,8 +529,6 @@ fn worker_run(
         .field("notifications", Json::from(report.notifications))
         .field("matched", Json::from(report.matched))
         .field("barriers", Json::from(report.barriers))
-        .field("retries", Json::from(report.retries))
-        .field("dups_suppressed", Json::from(report.dups_suppressed))
         .field("coll_puts", Json::from(report.coll.puts))
         .field("coll_bytes", Json::from(report.coll.bytes))
         .field("coll_chunks", Json::from(report.coll.chunks))

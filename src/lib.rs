@@ -8,7 +8,6 @@
 //! * [`des`] — discrete-event simulation kernel,
 //! * [`fabric`] — interconnect (InfiniBand-like) and PCIe models,
 //! * [`device`] — GPU device model (SMs, occupancy, memory system),
-//! * [`mpi`] — MPI subset over the fabric,
 //! * [`queues`] — real lock-free host–device queue implementations,
 //! * [`core`] — the dCUDA programming model and runtime (the paper's
 //!   contribution),
@@ -17,7 +16,8 @@
 //! * [`apps`] — mini-applications and microbenchmarks from the evaluation.
 //!
 //! [`workloads`] holds the backend-conformance programs the `dcuda-launch`
-//! binary runs identically on the in-process and multi-process transports.
+//! binary runs identically on the in-process and multi-process transports
+//! (thin adapters over the shared definitions in `rt::programs`).
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every evaluation figure.
@@ -30,7 +30,6 @@ pub use dcuda_core as core;
 pub use dcuda_des as des;
 pub use dcuda_device as device;
 pub use dcuda_fabric as fabric;
-pub use dcuda_mpi as mpi;
 pub use dcuda_net as net;
 pub use dcuda_queues as queues;
 pub use dcuda_rt as rt;

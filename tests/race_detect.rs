@@ -11,10 +11,9 @@
 //!   an `RtError::Race`.
 
 use dcuda::des::check::forall;
-use dcuda::net::{MeshOpts, NetConfig, SocketPlane, Transport};
+use dcuda::net::{NetConfig, SocketPlane, Transport};
 use dcuda::rt::{ClusterPart, RaceMode, RtConfig, RtError, RtReport};
 use dcuda::workloads::{Workload, WorkloadSpec};
-use std::net::TcpListener;
 
 fn config(devices: u32, rpd: u32, spec: &WorkloadSpec, mode: RaceMode) -> RtConfig {
     let world = devices * rpd;
@@ -49,35 +48,10 @@ type Plane = Vec<Box<dyn Transport>>;
 /// What one half of the split world returns.
 type HalfResult = Result<RtReport, RtError>;
 
-/// Establish a two-proc loopback mesh (one device per proc) in this
-/// process. With `shm_dir` set the halves advertise matching host
-/// fingerprints and negotiate the shared-memory plane; otherwise tcp.
+/// A two-proc loopback mesh (one device per proc) hosted by this process;
+/// with `shm_dir` set the halves negotiate the shared-memory plane.
 fn loopback_mesh(shm_dir: Option<std::path::PathBuf>) -> (Plane, Plane) {
-    let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addrs = vec![
-        l0.local_addr().expect("addr").to_string(),
-        l1.local_addr().expect("addr").to_string(),
-    ];
-    let hosts = if shm_dir.is_some() {
-        vec!["race-detect-host".to_string(); 2]
-    } else {
-        Vec::new()
-    };
-    let opts = |my_proc, listener| MeshOpts {
-        my_proc,
-        procs: 2,
-        devices_per_proc: 1,
-        peer_addrs: addrs.clone(),
-        peer_hosts: hosts.clone(),
-        shm_dir: shm_dir.clone(),
-        listener,
-        config: NetConfig::default(),
-    };
-    let o1 = opts(1, l1);
-    let t = std::thread::spawn(move || SocketPlane::establish(o1).expect("establish proc 1"));
-    let e0 = SocketPlane::establish(opts(0, l0)).expect("establish proc 0");
-    let e1 = t.join().expect("partner establish");
+    let [e0, e1] = SocketPlane::loopback_pair(NetConfig::default(), shm_dir).expect("mesh");
     (boxed(e0), boxed(e1))
 }
 
