@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod launch;
+mod link;
 pub mod poll;
 pub mod shm;
 pub mod socket;
@@ -33,7 +34,8 @@ pub mod transport;
 pub mod wire;
 
 pub use launch::LaunchError;
+pub use link::NetFaults;
 pub use shm::shm_supported;
-pub use socket::{MeshOpts, NetConfig, NetEndpoint, NetFaults, SocketPlane};
+pub use socket::{MeshOpts, NetConfig, NetEndpoint, SocketPlane};
 pub use transport::{InProcessEndpoint, InProcessPlane, NetError, NetStats, PlaneKind, Transport};
 pub use wire::{CodecError, Frame, FrameKind, WireMsg, EAGER_MAX};

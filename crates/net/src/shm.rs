@@ -6,14 +6,16 @@
 //! creates a file holding two [`dcuda_queues::bytering`] regions (one per
 //! direction), both sides `mmap` it `MAP_SHARED`, and messages move as
 //! single `memcpy`s through the mapping. The ring protocol — the pad/wrap
-//! offset math ([`dcuda_queues::bytering::plan_record`]) and the
-//! Release/Acquire publication pairing — is exactly the design the
-//! `dcuda-verify` suite model-checks; this module instantiates it over the
-//! shared mapping with real atomics.
+//! offset math and the Release/Acquire publication pairing — is not
+//! restated here: this module only supplies the mapping as the
+//! [`RingStore`] of `dcuda-queues`' producer and consumer, the very code
+//! the `dcuda-verify` suite model-checks. The attacher unlinks the file as
+//! soon as both sides hold their mappings, so a killed world leaves no ring
+//! behind.
 //!
 //! # Copy discipline
 //!
-//! * *Eager* messages (encoding ≤ `eager_max`) are written **directly into
+//! * *Eager* messages (encoding ≤ [`EAGER_MAX`]) are written **directly into
 //!   the ring** as one record: header bytes + payload bytes, one payload
 //!   copy on the way in, one on the way out.
 //! * *Rendezvous-class* messages (larger) are chunked: a `JumboFirst`
@@ -24,11 +26,11 @@
 //!
 //! # Faults and ordering
 //!
-//! Records carry a dense per-direction sequence number, so the socket
-//! plane's exactly-once discipline applies unchanged: `NetFaults` drops
-//! withhold a message for a later retransmission pass and duplicates write
-//! the record (or whole jumbo chain) twice; the receiver releases messages
-//! strictly in sequence from a reorder buffer and suppresses duplicates.
+//! Records carry a dense per-direction sequence number and run the same
+//! exactly-once discipline as the socket plane (`crate::link`): a
+//! `NetFaults` drop withholds a message for a later retransmission pass, a
+//! duplicate writes the record (or whole jumbo chain) twice; the receiver
+//! releases messages strictly in sequence and suppresses repeats.
 //!
 //! # Liveness
 //!
@@ -36,20 +38,17 @@
 //! probes the peer with `kill(pid, 0)` so a crashed neighbor surfaces as
 //! `peer_gone` exactly like a socket EOF.
 
-use crate::socket::{AtomicStats, NetFaults};
+use crate::link::{LinkRx, LinkTx, NetFaults};
+use crate::socket::{lock, AtomicStats};
 use crate::transport::NetError;
-use crate::wire::{MsgHeader, WireMsg};
-use dcuda_des::SplitMix64;
-use dcuda_queues::bytering::{plan_record, record_bytes, PAD_MARKER, REC_LEN_BYTES};
-use std::collections::{BTreeMap, VecDeque};
+use crate::wire::{MsgHeader, WireMsg, EAGER_MAX, SHM_RING_BYTES};
+use dcuda_queues::bytering::{fits, ByteRingConsumer, ByteRingProducer, RingStore};
+use std::collections::VecDeque;
 use std::fs::OpenOptions;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Per-direction ring capacity (bytes) used by the launcher.
-pub const DEFAULT_RING_BYTES: usize = 1 << 20;
 
 /// Payload bytes per `JumboMore` record.
 const JUMBO_CHUNK: usize = 64 << 10;
@@ -74,12 +73,18 @@ const KIND_JUMBO_MORE: u8 = 2;
 /// `[u8 kind][u32 dst_device][u64 seq]`.
 const REC_MSG_HDR: usize = 13;
 
-fn file_len(cap: usize) -> u64 {
-    (FILE_HDR + 2 * (RING_HDR + cap)) as u64
-}
+// Every record this module writes (a whole eager message, a jumbo header, a
+// jumbo chunk) must satisfy the ring's cap/2 placement bound.
+const _: () = assert!(
+    SHM_RING_BYTES.is_multiple_of(4)
+        && fits(SHM_RING_BYTES, REC_MSG_HDR + JUMBO_CHUNK)
+        && fits(SHM_RING_BYTES, REC_MSG_HDR + EAGER_MAX)
+);
 
-fn ring_base(which: usize, cap: usize) -> usize {
-    FILE_HDR + which * (RING_HDR + cap)
+const FILE_LEN: usize = FILE_HDR + 2 * (RING_HDR + SHM_RING_BYTES);
+
+fn ring_base(which: usize) -> usize {
+    FILE_HDR + which * (RING_HDR + SHM_RING_BYTES)
 }
 
 // --- raw mapping ---------------------------------------------------------
@@ -161,25 +166,6 @@ impl Mapping {
         // access from the peer process by construction.
         unsafe { &*(self.ptr.add(off) as *const AtomicU64) }
     }
-
-    /// Copy `src` into the mapping at `off`.
-    ///
-    /// Safety contract (not the Rust kind — a protocol one): the caller
-    /// must own `[off, off+len)` per the ring grant discipline.
-    fn write(&self, off: usize, src: &[u8]) {
-        debug_assert!(off + src.len() <= self.len);
-        // Safety: in-bounds; exclusivity per the SPSC grant.
-        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(off), src.len()) };
-    }
-
-    /// Borrow `[off, off+len)` of the mapping. The slice is only valid
-    /// while the ring's tail has not been advanced past it.
-    fn slice(&self, off: usize, len: usize) -> &[u8] {
-        debug_assert!(off + len <= self.len);
-        // Safety: in-bounds; the producer will not overwrite the range
-        // until the consumer publishes a tail beyond it.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(off), len) }
-    }
 }
 
 impl Drop for Mapping {
@@ -192,108 +178,53 @@ impl Drop for Mapping {
     }
 }
 
-// --- mapped ring endpoints ----------------------------------------------
+// --- the mapping as ring storage ----------------------------------------
 
-/// Producer view of one direction ring inside the mapping. Mirrors
-/// `dcuda_queues::bytering::ByteRingProducer` over the shared region,
-/// reusing its placement planner so the protocol has one implementation
-/// of the tricky wrap/pad math.
-struct MappedProducer {
+/// One direction ring inside the mapping: head at `base`, tail a cache line
+/// later, [`SHM_RING_BYTES`] region bytes from `base + RING_HDR`.
+struct MappedRing {
+    map: Arc<Mapping>,
     base: usize,
-    cap: usize,
-    head: u64,
-    tail_cache: u64,
 }
 
-impl MappedProducer {
-    /// Push one record whose body is the concatenation of `parts`, without
-    /// staging them in an intermediate buffer. Returns false on full ring.
-    fn try_push_parts(&mut self, map: &Mapping, parts: &[&[u8]]) -> bool {
-        let body_len: usize = parts.iter().map(|p| p.len()).sum();
-        let need = record_bytes(body_len);
-        if need > self.cap / 2 {
-            return false;
-        }
-        let grant = match plan_record(self.head, self.tail_cache, self.cap, need) {
-            Some(g) => g,
-            None => {
-                self.tail_cache = map.atomic(self.base + 64).load(Ordering::Acquire);
-                match plan_record(self.head, self.tail_cache, self.cap, need) {
-                    Some(g) => g,
-                    None => return false,
-                }
-            }
-        };
-        let data_base = self.base + RING_HDR;
-        if grant.pad > 0 {
-            let at = (self.head % self.cap as u64) as usize;
-            map.write(data_base + at, &PAD_MARKER.to_le_bytes());
-        }
-        let mut off = data_base + grant.offset;
-        map.write(off, &(body_len as u32).to_le_bytes());
-        off += REC_LEN_BYTES;
-        for p in parts {
-            map.write(off, p);
-            off += p.len();
-        }
-        self.head += grant.advance;
-        // Publish: pairs with the consumer's Acquire head load.
-        map.atomic(self.base).store(self.head, Ordering::Release);
-        true
+impl RingStore for MappedRing {
+    type Atomic = AtomicU64;
+
+    fn capacity(&self) -> usize {
+        SHM_RING_BYTES
     }
-}
 
-/// Consumer view of one direction ring inside the mapping.
-struct MappedConsumer {
-    base: usize,
-    cap: usize,
-    tail: u64,
-    head_cache: u64,
-}
+    fn head(&self) -> &AtomicU64 {
+        self.map.atomic(self.base)
+    }
 
-impl MappedConsumer {
-    /// Pop the next record and hand its body to `f` as a borrowed slice
-    /// (zero staging); the record is consumed when `f` returns.
-    fn try_pop_with<R>(&mut self, map: &Mapping, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        loop {
-            if self.head_cache == self.tail {
-                self.head_cache = map.atomic(self.base).load(Ordering::Acquire);
-                if self.head_cache == self.tail {
-                    return None;
-                }
-            }
-            let data_base = self.base + RING_HDR;
-            let at = (self.tail % self.cap as u64) as usize;
-            let mut lw = [0u8; REC_LEN_BYTES];
-            lw.copy_from_slice(map.slice(data_base + at, REC_LEN_BYTES));
-            let len_word = u32::from_le_bytes(lw);
-            if len_word == PAD_MARKER {
-                self.tail += (self.cap - at) as u64;
-                map.atomic(self.base + 64)
-                    .store(self.tail, Ordering::Release);
-                continue;
-            }
-            let len = len_word as usize;
-            let r = f(map.slice(data_base + at + REC_LEN_BYTES, len));
-            self.tail += record_bytes(len) as u64;
-            // License the producer to overwrite the consumed bytes.
-            map.atomic(self.base + 64)
-                .store(self.tail, Ordering::Release);
-            return Some(r);
+    fn tail(&self) -> &AtomicU64 {
+        self.map.atomic(self.base + 64)
+    }
+
+    unsafe fn write(&self, off: usize, src: &[u8]) {
+        debug_assert!(off + src.len() <= SHM_RING_BYTES);
+        // SAFETY: the ring lies inside the mapping and the caller stays
+        // inside the ring; exclusivity per its SPSC grant.
+        unsafe {
+            let dst = self.map.ptr.add(self.base + RING_HDR + off);
+            std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len());
         }
+    }
+
+    unsafe fn read<R>(&mut self, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        debug_assert!(off + len <= SHM_RING_BYTES);
+        // SAFETY: in bounds as above; the producer will not overwrite the
+        // range until the consumer publishes a tail beyond it, which the
+        // caller does only after `f` returns.
+        let body = unsafe {
+            std::slice::from_raw_parts(self.map.ptr.add(self.base + RING_HDR + off), len)
+        };
+        f(body)
     }
 }
 
 // --- send side -----------------------------------------------------------
-
-enum SendState {
-    /// Whole-record (eager) message.
-    Whole,
-    /// Jumbo chain: header record not yet written.
-    JumboFirst,
-    /// Jumbo chain: header written, `usize` payload bytes shipped.
-    JumboData(usize),
-}
 
 struct OutMsg {
     seq: u64,
@@ -303,24 +234,91 @@ struct OutMsg {
     /// Payload bytes; never re-staged — each byte is memcpy'd once, into
     /// the ring.
     data: Vec<u8>,
-    state: SendState,
+    /// Eager: header and payload travel as one record. Otherwise a jumbo
+    /// chain: a header record, then the payload in chunks.
+    whole: bool,
+    /// Records of the current transmission already in the ring.
+    written: usize,
     /// Fault-injected duplicate transmissions still owed.
     extra_copies: u8,
 }
 
+impl OutMsg {
+    /// Kind and body parts of the `k`-th record of this message's chain;
+    /// `None` past its end.
+    fn record(&self, k: usize) -> Option<(u8, [&[u8]; 2])> {
+        match (self.whole, k) {
+            (true, 0) => Some((KIND_WHOLE, [&self.head, &self.data])),
+            (true, _) => None,
+            (false, 0) => Some((KIND_JUMBO_FIRST, [&self.head, &[]])),
+            (false, k) => {
+                let chunk = self.data.chunks(JUMBO_CHUNK).nth(k - 1)?;
+                Some((KIND_JUMBO_MORE, [chunk, &[]]))
+            }
+        }
+    }
+}
+
 struct ShmTx {
-    prod: MappedProducer,
-    next_seq: u64,
+    prod: ByteRingProducer<MappedRing>,
+    /// Sequencing, fault rolls and the retransmit park.
+    link: LinkTx<OutMsg>,
     /// Messages waiting for ring space, in order.
     queue: VecDeque<OutMsg>,
-    /// Fault-dropped messages: withheld for at least one full service pass
-    /// (so later sequence numbers overtake them on the ring), then
-    /// retransmitted.
-    delayed_new: Vec<OutMsg>,
-    delayed_ready: Vec<OutMsg>,
-    rng: Option<SplitMix64>,
-    drop_p: f64,
-    dup_p: f64,
+}
+
+impl ShmTx {
+    /// Drive the send backlog (retransmissions + queued messages). Returns
+    /// true if any record hit the ring.
+    fn service(&mut self, stats: &AtomicStats) -> bool {
+        let mut moved = false;
+        // Retransmissions re-enter the queue behind fresher sequence
+        // numbers, exercising the receiver's reorder path.
+        let due = self.link.due_retransmits(stats);
+        self.queue.extend(due);
+        while let Some(front) = self.queue.front_mut() {
+            let (complete, wrote) = Self::write_step(&mut self.prod, front, stats);
+            moved |= wrote;
+            if !complete {
+                break;
+            }
+            if front.extra_copies > 0 {
+                // Fault-injected duplicate: replay the whole record (or
+                // jumbo chain) under the same sequence number.
+                front.extra_copies -= 1;
+                front.written = 0;
+            } else {
+                self.queue.pop_front();
+            }
+        }
+        moved
+    }
+
+    /// Push as many of `m`'s remaining records as fit; returns
+    /// (complete, wrote_anything).
+    fn write_step(
+        prod: &mut ByteRingProducer<MappedRing>,
+        m: &mut OutMsg,
+        stats: &AtomicStats,
+    ) -> (bool, bool) {
+        let before = m.written;
+        while let Some((kind, [a, b])) = m.record(m.written) {
+            let hdr = rec_msg_hdr(kind, m.dst_device, m.seq);
+            if !prod.try_push_parts(&[&hdr, a, b]) {
+                return (false, m.written > before);
+            }
+            let bytes = (REC_MSG_HDR + a.len() + b.len()) as u64;
+            stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+            stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+            stats.shm_bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+            m.written += 1;
+        }
+        if !m.data.is_empty() {
+            // The whole payload crossed into the mapping exactly once.
+            stats.copies_tx.fetch_add(1, Ordering::Relaxed);
+        }
+        (true, true)
+    }
 }
 
 // --- receive side --------------------------------------------------------
@@ -333,37 +331,19 @@ struct JumboRx {
 }
 
 struct ShmRx {
-    cons: MappedConsumer,
-    expected: u64,
-    reorder: BTreeMap<u64, (u32, WireMsg)>,
+    cons: ByteRingConsumer<MappedRing>,
+    /// Release frontier, reorder buffer and duplicate verdict; a message
+    /// is slotted with its destination device.
+    link: LinkRx<(u32, WireMsg)>,
     jumbo: Option<JumboRx>,
 }
 
 // --- the connection ------------------------------------------------------
 
-/// Options for joining one shm pair link.
-pub(crate) struct ShmOpts<'a> {
-    /// Directory holding the pair files (same filesystem for both sides).
-    pub dir: &'a Path,
-    /// This process's index.
-    pub my_proc: u32,
-    /// The peer process's index.
-    pub peer_proc: u32,
-    /// Per-direction ring capacity in bytes.
-    pub ring_bytes: usize,
-    /// Eager/rendezvous threshold (encoded bytes), as on the socket plane.
-    pub eager_max: usize,
-    /// Optional fault injection, identical semantics to the socket plane.
-    pub faults: Option<NetFaults>,
-    /// Attach deadline.
-    pub deadline: Instant,
-}
-
 /// One same-host peer link over a shared mapping.
 pub(crate) struct ShmConn {
     peer_proc: u32,
-    map: Mapping,
-    eager_max: usize,
+    map: Arc<Mapping>,
     tx: Mutex<ShmTx>,
     rx: Mutex<ShmRx>,
     peer_pid_off: usize,
@@ -371,24 +351,21 @@ pub(crate) struct ShmConn {
 }
 
 impl ShmConn {
-    /// Create (lower index) or attach (higher index) the pair mapping and
-    /// return the link. Both sides must pass identical `ring_bytes`.
-    pub(crate) fn connect(opts: ShmOpts<'_>) -> Result<ShmConn, NetError> {
-        let ShmOpts {
-            dir,
-            my_proc,
-            peer_proc,
-            ring_bytes,
-            eager_max,
-            faults,
-            deadline,
-        } = opts;
-        let cap = dcuda_queues::bytering::round_up4(ring_bytes.max(4 * JUMBO_CHUNK));
+    /// Create (lower index) or attach (higher index) the `my_proc`–
+    /// `peer_proc` pair mapping in `dir` (one filesystem for both sides)
+    /// and return the link; attaching gives up at `deadline`. `faults` has
+    /// the socket plane's semantics.
+    pub(crate) fn connect(
+        dir: &Path,
+        my_proc: u32,
+        peer_proc: u32,
+        faults: Option<NetFaults>,
+        deadline: Instant,
+    ) -> Result<ShmConn, NetError> {
         let lo = my_proc.min(peer_proc);
         let hi = my_proc.max(peer_proc);
         let path = dir.join(format!("pair_{lo}_{hi}.ring"));
         let creator = my_proc == lo;
-        let total = file_len(cap) as usize;
         let map = if creator {
             let file = OpenOptions::new()
                 .read(true)
@@ -396,10 +373,11 @@ impl ShmConn {
                 .create_new(true)
                 .open(&path)
                 .map_err(|e| NetError::Io(format!("create {}: {e}", path.display())))?;
-            file.set_len(total as u64)
+            file.set_len(FILE_LEN as u64)
                 .map_err(|e| NetError::Io(format!("size {}: {e}", path.display())))?;
-            let map = Mapping::of_file(&file, total).map_err(|e| NetError::Io(e.to_string()))?;
-            map.atomic(OFF_CAP).store(cap as u64, Ordering::Relaxed);
+            let map = Mapping::of_file(&file, FILE_LEN).map_err(|e| NetError::Io(e.to_string()))?;
+            map.atomic(OFF_CAP)
+                .store(SHM_RING_BYTES as u64, Ordering::Relaxed);
             map.atomic(OFF_PID_LO)
                 .store(u64::from(std::process::id()), Ordering::Relaxed);
             // Ready flag last: the attacher spins on it and must observe
@@ -410,8 +388,8 @@ impl ShmConn {
             let map = loop {
                 let file = OpenOptions::new().read(true).write(true).open(&path);
                 if let Ok(file) = file {
-                    if file.metadata().map(|m| m.len()).unwrap_or(0) == total as u64 {
-                        break Mapping::of_file(&file, total)
+                    if file.metadata().map(|m| m.len()).unwrap_or(0) == FILE_LEN as u64 {
+                        break Mapping::of_file(&file, FILE_LEN)
                             .map_err(|e| NetError::Io(e.to_string()))?;
                     }
                 }
@@ -432,7 +410,7 @@ impl ShmConn {
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
-            if map.atomic(OFF_CAP).load(Ordering::Relaxed) != cap as u64 {
+            if map.atomic(OFF_CAP).load(Ordering::Relaxed) != SHM_RING_BYTES as u64 {
                 return Err(NetError::Io(format!(
                     "shm ring capacity mismatch in {}",
                     path.display()
@@ -440,47 +418,30 @@ impl ShmConn {
             }
             map.atomic(OFF_PID_HI)
                 .store(u64::from(std::process::id()), Ordering::Release);
+            // Both sides hold their mappings now; the name has done its job.
+            // Unlinking here, not at teardown, is what keeps a SIGKILLed
+            // world from leaking the file.
+            std::fs::remove_file(&path)
+                .map_err(|e| NetError::Io(format!("unlink {}: {e}", path.display())))?;
             map
+        };
+        let map = Arc::new(map);
+        let ring = |which| MappedRing {
+            map: Arc::clone(&map),
+            base: ring_base(which),
         };
         // Ring 0 carries lo→hi, ring 1 carries hi→lo.
         let (tx_ring, rx_ring) = if creator { (0, 1) } else { (1, 0) };
-        let (rng, drop_p, dup_p) = match faults {
-            Some(f) => {
-                let key = f
-                    .seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add((u64::from(my_proc) << 32) | u64::from(peer_proc));
-                (Some(SplitMix64::new(key)), f.drop_p, f.dup_p)
-            }
-            None => (None, 0.0, 0.0),
-        };
         Ok(ShmConn {
             peer_proc,
-            eager_max,
             tx: Mutex::new(ShmTx {
-                prod: MappedProducer {
-                    base: ring_base(tx_ring, cap),
-                    cap,
-                    head: 0,
-                    tail_cache: 0,
-                },
-                next_seq: 0,
+                prod: ByteRingProducer::new(ring(tx_ring)),
+                link: LinkTx::new(faults, my_proc, peer_proc),
                 queue: VecDeque::new(),
-                delayed_new: Vec::new(),
-                delayed_ready: Vec::new(),
-                rng,
-                drop_p,
-                dup_p,
             }),
             rx: Mutex::new(ShmRx {
-                cons: MappedConsumer {
-                    base: ring_base(rx_ring, cap),
-                    cap,
-                    tail: 0,
-                    head_cache: 0,
-                },
-                expected: 0,
-                reorder: BTreeMap::new(),
+                cons: ByteRingConsumer::new(ring(rx_ring)),
+                link: LinkRx::new(),
                 jumbo: None,
             }),
             peer_pid_off: if creator { OFF_PID_HI } else { OFF_PID_LO },
@@ -494,165 +455,37 @@ impl ShmConn {
         self.peer_proc
     }
 
-    fn lock_tx(&self) -> std::sync::MutexGuard<'_, ShmTx> {
-        match self.tx.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    fn lock_rx(&self) -> std::sync::MutexGuard<'_, ShmRx> {
-        match self.rx.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
     /// Queue a message and push as much of the ring backlog as fits.
     pub(crate) fn send(&self, dst_device: u32, msg: WireMsg, stats: &AtomicStats) {
         let (head, data) = msg.into_parts();
-        let mut tx = self.lock_tx();
-        let seq = tx.next_seq;
-        tx.next_seq += 1;
-        let whole = head.len() + data.len() <= self.eager_max;
+        let mut tx = lock(&self.tx);
+        let seq = tx.link.assign_seq();
+        let whole = head.len() + data.len() <= EAGER_MAX;
         if whole {
             stats.eager_msgs.fetch_add(1, Ordering::Relaxed);
         } else {
             stats.rndz_msgs.fetch_add(1, Ordering::Relaxed);
         }
         stats.shm_msgs.fetch_add(1, Ordering::Relaxed);
-        let mut out = OutMsg {
+        let out = OutMsg {
             seq,
             dst_device,
             head,
             data,
-            state: if whole {
-                SendState::Whole
-            } else {
-                SendState::JumboFirst
-            },
+            whole,
+            written: 0,
             extra_copies: 0,
         };
-        let mut dropped = false;
-        let (drop_p, dup_p) = (tx.drop_p, tx.dup_p);
-        if let Some(rng) = tx.rng.as_mut() {
-            if rng.next_f64() < drop_p {
-                dropped = true;
-            } else if rng.next_f64() < dup_p {
-                out.extra_copies = 1;
-            }
-        }
-        if dropped {
-            tx.delayed_new.push(out);
-        } else {
+        if let Some((mut out, copies)) = tx.link.first_transmission(out) {
+            out.extra_copies = copies - 1;
             tx.queue.push_back(out);
         }
-        self.service_locked(&mut tx, stats);
+        tx.service(stats);
     }
 
-    /// Drive the send backlog (retransmissions + queued messages). Returns
-    /// true if any record hit the ring.
+    /// Drive the send backlog; true if any record hit the ring.
     pub(crate) fn service(&self, stats: &AtomicStats) -> bool {
-        let mut tx = self.lock_tx();
-        self.service_locked(&mut tx, stats)
-    }
-
-    fn service_locked(&self, tx: &mut ShmTx, stats: &AtomicStats) -> bool {
-        let mut moved = false;
-        // Retransmit messages dropped at least one pass ago; they re-enter
-        // the queue behind fresher sequence numbers, exercising the
-        // receiver's reorder path exactly like a socket retransmission.
-        if !tx.delayed_ready.is_empty() {
-            for m in tx.delayed_ready.drain(..) {
-                stats.net_retries.fetch_add(1, Ordering::Relaxed);
-                tx.queue.push_back(m);
-            }
-        }
-        if !tx.delayed_new.is_empty() {
-            let mut staged = std::mem::take(&mut tx.delayed_new);
-            tx.delayed_ready.append(&mut staged);
-        }
-        while let Some(front) = tx.queue.front_mut() {
-            let (complete, wrote) = Self::write_step(&self.map, &mut tx.prod, front, stats);
-            moved |= wrote;
-            if !complete {
-                break;
-            }
-            let front = match tx.queue.front_mut() {
-                Some(f) => f,
-                None => break,
-            };
-            if front.extra_copies > 0 {
-                // Fault-injected duplicate: replay the whole record (or
-                // jumbo chain) under the same sequence number.
-                front.extra_copies -= 1;
-                front.state = match front.state {
-                    SendState::Whole => SendState::Whole,
-                    _ => SendState::JumboFirst,
-                };
-                continue;
-            }
-            tx.queue.pop_front();
-        }
-        moved
-    }
-
-    /// Advance one message's transfer; returns (complete, wrote_anything).
-    fn write_step(
-        map: &Mapping,
-        prod: &mut MappedProducer,
-        m: &mut OutMsg,
-        stats: &AtomicStats,
-    ) -> (bool, bool) {
-        let mut wrote = false;
-        loop {
-            match m.state {
-                SendState::Whole => {
-                    let hdr = rec_msg_hdr(KIND_WHOLE, m.dst_device, m.seq);
-                    if !prod.try_push_parts(map, &[&hdr, &m.head, &m.data]) {
-                        return (false, wrote);
-                    }
-                    let bytes = (REC_MSG_HDR + m.head.len() + m.data.len()) as u64;
-                    stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-                    stats.shm_bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-                    if !m.data.is_empty() {
-                        stats.copies_tx.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return (true, true);
-                }
-                SendState::JumboFirst => {
-                    let hdr = rec_msg_hdr(KIND_JUMBO_FIRST, m.dst_device, m.seq);
-                    if !prod.try_push_parts(map, &[&hdr, &m.head]) {
-                        return (false, wrote);
-                    }
-                    let bytes = (REC_MSG_HDR + m.head.len()) as u64;
-                    stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-                    stats.shm_bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-                    wrote = true;
-                    m.state = SendState::JumboData(0);
-                }
-                SendState::JumboData(off) => {
-                    if off == m.data.len() {
-                        // Whole payload shipped: one copy into the mapping.
-                        stats.copies_tx.fetch_add(1, Ordering::Relaxed);
-                        return (true, true);
-                    }
-                    let chunk = JUMBO_CHUNK.min(m.data.len() - off);
-                    let hdr = rec_msg_hdr(KIND_JUMBO_MORE, m.dst_device, m.seq);
-                    if !prod.try_push_parts(map, &[&hdr, &m.data[off..off + chunk]]) {
-                        return (false, wrote);
-                    }
-                    let bytes = (REC_MSG_HDR + chunk) as u64;
-                    stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-                    stats.shm_bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-                    wrote = true;
-                    m.state = SendState::JumboData(off + chunk);
-                }
-            }
-        }
+        lock(&self.tx).service(stats)
     }
 
     /// Drain inbound records, routing complete in-order messages through
@@ -662,13 +495,14 @@ impl ShmConn {
         stats: &AtomicStats,
         mut route: impl FnMut(u32, WireMsg),
     ) -> Result<bool, NetError> {
-        let mut rx = self.lock_rx();
+        let mut rx = lock(&self.rx);
         let mut consumed = false;
         loop {
             let rx = &mut *rx;
             let parsed = rx
                 .cons
-                .try_pop_with(&self.map, |body| parse_record(body, &mut rx.jumbo, stats));
+                .try_pop_with(|body| parse_record(body, &mut rx.jumbo, stats))
+                .map_err(|e| NetError::Io(format!("shm peer {}: {e:?}", self.peer_proc)))?;
             let done = match parsed {
                 None => break,
                 Some(r) => r?,
@@ -676,13 +510,10 @@ impl ShmConn {
             consumed = true;
             stats.frames_recv.fetch_add(1, Ordering::Relaxed);
             if let Some((seq, dst_device, msg)) = done {
-                if seq < rx.expected || rx.reorder.contains_key(&seq) {
-                    stats.net_dups_suppressed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    rx.reorder.insert(seq, (dst_device, msg));
-                    while let Some((dst, msg)) = rx.reorder.remove(&rx.expected) {
+                if rx.link.admit(seq, stats) {
+                    rx.link.fill(seq, (dst_device, msg));
+                    while let Some((dst, msg)) = rx.link.pop_ready() {
                         route(dst, msg);
-                        rx.expected += 1;
                     }
                 }
             }
@@ -692,16 +523,13 @@ impl ShmConn {
 
     /// Is the send backlog fully flushed into the ring?
     pub(crate) fn tx_idle(&self) -> bool {
-        let tx = self.lock_tx();
-        tx.queue.is_empty() && tx.delayed_new.is_empty() && tx.delayed_ready.is_empty()
+        let tx = lock(&self.tx);
+        tx.queue.is_empty() && tx.link.idle()
     }
 
     /// Probe the peer process (rate-limited): false once it has exited.
     pub(crate) fn peer_alive(&self) -> bool {
-        let mut g = match self.liveness.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut g = lock(&self.liveness);
         let (ref mut last, ref mut alive) = *g;
         if !*alive {
             return false;
@@ -829,61 +657,27 @@ mod tests {
 
     fn pair(dir: &Path, faults: Option<NetFaults>) -> (ShmConn, ShmConn) {
         let deadline = Instant::now() + Duration::from_secs(10);
-        let mk = |my, peer| {
-            ShmConn::connect(ShmOpts {
-                dir,
-                my_proc: my,
-                peer_proc: peer,
-                ring_bytes: DEFAULT_RING_BYTES,
-                eager_max: crate::wire::EAGER_MAX,
-                faults,
-                deadline,
-            })
+        let connect = move |dir: &Path, my_proc, peer_proc| {
+            ShmConn::connect(dir, my_proc, peer_proc, faults, deadline).unwrap()
         };
         let dir2 = dir.to_path_buf();
-        let faults2 = faults;
-        let t = std::thread::spawn(move || {
-            ShmConn::connect(ShmOpts {
-                dir: &dir2,
-                my_proc: 1,
-                peer_proc: 0,
-                ring_bytes: DEFAULT_RING_BYTES,
-                eager_max: crate::wire::EAGER_MAX,
-                faults: faults2,
-                deadline,
-            })
-            .unwrap()
-        });
-        let a = mk(0, 1).unwrap();
+        let t = std::thread::spawn(move || connect(&dir2, 1, 0));
+        let a = connect(dir, 0, 1);
         (a, t.join().unwrap())
     }
 
     fn deliver(data: Vec<u8>) -> WireMsg {
-        WireMsg::Deliver {
-            dst_local: 0,
-            win: 0,
-            dst_off: 0,
-            source: 1,
-            tag: 9,
-            notify: true,
-            seq: 0,
-            origin_device: 0,
-            origin_local: 0,
-            flush_id: 1,
-            data,
-        }
-    }
-
-    fn drain_one(conn: &ShmConn, stats: &AtomicStats) -> Option<WireMsg> {
-        let mut got = None;
-        conn.drain(stats, |_dst, msg| got = Some(msg)).unwrap();
-        got
+        crate::socket::tests::deliver(0, data)
     }
 
     #[test]
     fn eager_and_jumbo_roundtrip_with_single_copies() {
         let dir = temp_dir();
         let (a, b) = pair(&dir, None);
+        // Both sides hold their mappings: the pair file is already unlinked,
+        // so nothing is left to leak however the world ends — and traffic
+        // flows regardless.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "ring file");
         let stats_a = AtomicStats::default();
         let stats_b = AtomicStats::default();
         let small = deliver(vec![1, 2, 3]);
@@ -948,7 +742,8 @@ mod tests {
             assert!(fifo_ok, "FIFO broken near {expect}");
             assert!(Instant::now() < deadline, "timed out at {expect}");
         }
-        assert!(drain_one(&b, &stats_b).is_none(), "duplicates delivered");
+        b.drain(&stats_b, |_, msg| panic!("duplicate delivered: {msg:?}"))
+            .unwrap();
         assert!(
             stats_a.net_retries.load(Ordering::Relaxed) > 0,
             "drops must retransmit"
@@ -956,6 +751,28 @@ mod tests {
         assert!(
             stats_b.net_dups_suppressed.load(Ordering::Relaxed) > 0,
             "dups must be suppressed"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_length_word_is_a_typed_error() {
+        let dir = temp_dir();
+        let (a, b) = pair(&dir, None);
+        let stats = AtomicStats::default();
+        a.send(1, deliver(vec![1, 2, 3]), &stats);
+        // A peer gone bad overwrites the published record's length word
+        // (ring 0 carries 0→1; its first record sits at region offset 0).
+        let ring = MappedRing {
+            map: Arc::clone(&b.map),
+            base: ring_base(0),
+        };
+        // SAFETY: in bounds; racing nobody, `a` and `b` are both idle.
+        unsafe { ring.write(0, &0x7fff_fff0u32.to_le_bytes()) };
+        let err = b.drain(&stats, |_, _| panic!("nothing to deliver"));
+        assert!(
+            matches!(&err, Err(NetError::Io(e)) if e.contains("RingCorrupt")),
+            "{err:?}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -9,29 +9,26 @@
 //! Mechanics, per connection:
 //!
 //! * **Sequencing** — data-class frames ([`FrameKind::Data`] and
-//!   [`FrameKind::RndzRequest`]) are numbered densely from 0. The reader
-//!   releases messages to the host layer strictly in sequence order,
-//!   buffering out-of-order arrivals; that one mechanism yields FIFO
-//!   delivery, duplicate suppression and loss recovery (see
-//!   [`crate::wire::Frame`]).
-//! * **Credits** — a sender may have at most `initial_credits` unreturned
+//!   [`FrameKind::RndzRequest`]) are numbered densely from 0 and released
+//!   to the host layer strictly in that order: the exactly-once discipline
+//!   of `crate::link`, which this plane shares with the shm rings.
+//! * **Credits** — a sender may have at most [`INITIAL_CREDITS`] unreturned
 //!   data-class frames outstanding; the receiver returns credits in batches
 //!   of [`CREDIT_BATCH`] fresh frames. Credit-stalled frames queue in send
 //!   order and drain when returns arrive.
-//! * **Eager/rendezvous** — messages whose encoding fits `eager_max` ship
+//! * **Eager/rendezvous** — messages whose encoding fits [`EAGER_MAX`] ship
 //!   inline; larger ones send a [`FrameKind::RndzRequest`] carrying the
 //!   declared size, and the payload follows as [`FrameKind::RndzData`] only
 //!   after the receiver grants [`FrameKind::RndzReady`]. The rendezvous
 //!   transfer keeps its request's sequence number, so later eager sends
 //!   cannot overtake it.
 //! * **Coalescing** — outgoing frames accumulate in a per-connection write
-//!   buffer flushed when it crosses `coalesce_limit` or on `pump()`, so a
+//!   buffer flushed when it crosses [`COALESCE_LIMIT`] or on `pump()`, so a
 //!   burst of small puts becomes one `write(2)`.
 //! * **Fault injection** — an optional [`NetFaults`] layer drops or
 //!   duplicates first transmissions of data-class frames *at the byte
-//!   stream*, deterministically from a seed. Drops are retransmitted on the
-//!   next pump (exercising the receiver's reorder path); duplicates are
-//!   suppressed by the sequence frontier.
+//!   stream*, deterministically from a seed (the roll, the retransmit park
+//!   and the duplicate verdict are `crate::link`'s).
 //! * **Reactor** — one `dcuda-net-rx` thread progresses *every* TCP
 //!   connection of the plane: the streams run nonblocking, a
 //!   [`crate::poll`] shim sleeps until any of them has bytes (or the
@@ -46,17 +43,17 @@
 //! that is benign (the whole world already finished) or fatal, via
 //! [`Transport::peer_gone`].
 
+use crate::link::{LinkRx, LinkTx, NetFaults};
 use crate::poll::{self, Interest, PollShim, Readiness, Waker};
-use crate::shm::{shm_supported, ShmConn, ShmOpts, DEFAULT_RING_BYTES};
+use crate::shm::{shm_supported, ShmConn};
 use crate::transport::{NetError, NetStats, PlaneKind, Transport};
 use crate::wire::{
     parse_u32_payload, u32_payload, CodecError, Frame, FrameHeader, FrameKind, MsgHeader, WireMsg,
-    CREDIT_BATCH, EAGER_MAX, FRAME_HEADER_BYTES, INITIAL_CREDITS,
+    COALESCE_LIMIT, CREDIT_BATCH, EAGER_MAX, FRAME_HEADER_BYTES, INITIAL_CREDITS, VECTORED_MIN,
 };
-use dcuda_des::SplitMix64;
 use dcuda_queues::{handoff, HandoffReceiver, HandoffSender, TrySendError};
 use dcuda_trace::{Tracer, Track};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -64,50 +61,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Socket-layer fault injection rates (derived from a
-/// `dcuda_fabric::FaultSpec` by the launcher).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetFaults {
-    /// Seed for the per-connection decision streams.
-    pub seed: u64,
-    /// Probability a data-class frame's first transmission is dropped.
-    pub drop_p: f64,
-    /// Probability a data-class frame's first transmission is duplicated.
-    pub dup_p: f64,
-}
-
-/// Socket transport tuning knobs.
-#[derive(Debug, Clone)]
+/// What a launch may set on its transport; every tuning value is a
+/// constant in [`crate::wire`].
+#[derive(Debug, Clone, Default)]
 pub struct NetConfig {
-    /// Messages whose encoding fits this many bytes ship eagerly.
-    pub eager_max: usize,
-    /// Flush the per-connection write buffer when it crosses this size.
-    pub coalesce_limit: usize,
-    /// Payloads at least this large skip the coalescing buffer and ship as
-    /// their own iovec in a vectored write (single payload copy).
-    pub vectored_min: usize,
-    /// Initial per-connection send credits.
-    pub initial_credits: u32,
-    /// Per-direction shared-memory ring capacity for same-host peers.
-    pub shm_ring_bytes: usize,
-    /// Optional byte-stream fault injection.
+    /// Optional link-level fault injection (tcp and shm alike).
     pub faults: Option<NetFaults>,
     /// Record net send/recv/flush instants on [`Track::Net`].
     pub traced: bool,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            eager_max: EAGER_MAX,
-            coalesce_limit: 8192,
-            vectored_min: 1024,
-            initial_credits: INITIAL_CREDITS,
-            shm_ring_bytes: DEFAULT_RING_BYTES,
-            faults: None,
-            traced: false,
-        }
-    }
 }
 
 /// Everything `SocketPlane::establish` needs to join the mesh.
@@ -190,6 +151,13 @@ impl AtomicStats {
     }
 }
 
+/// Lock `m`, shrugging off poisoning: every critical section in this crate
+/// leaves the guarded state valid at each step, so a panicked holder (a
+/// dying host thread) must not wedge the links its peers still drive.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// An outbound frame kept in parts — frame header fields, encoded message
 /// header, payload — until the bytes hit the socket, so the payload is
 /// never re-staged on the way out.
@@ -247,18 +215,12 @@ struct ConnTx {
     big: Vec<BigOut>,
     /// First transmissions waiting for credits, in send order.
     pending: VecDeque<OutFrame>,
-    /// Fault-dropped frames awaiting retransmission (credit already paid).
-    parked: VecDeque<OutFrame>,
+    /// Sequencing, fault rolls and the retransmit park of data-class
+    /// frames (a parked frame has already paid its credit).
+    link: LinkTx<OutFrame>,
     credits: u32,
-    next_seq: u64,
     /// Rendezvous payloads parked until the receiver grants the transfer.
     rndz_parked: HashMap<u64, ParkedRndz>,
-    /// Payloads at least this large ship as their own iovec.
-    vectored_min: usize,
-    /// Fault decision stream (first transmissions of data-class frames).
-    rng: Option<SplitMix64>,
-    drop_p: f64,
-    dup_p: f64,
     /// Set on EOF/write failure; all further sends are silently dropped
     /// (mirroring the in-process "send to exited peer" semantics).
     closed: bool,
@@ -266,16 +228,15 @@ struct ConnTx {
 
 impl ConnTx {
     /// Queue a message for this connection (eager or rendezvous by size).
-    fn enqueue(&mut self, dst_device: u32, msg: WireMsg, eager_max: usize, stats: &AtomicStats) {
+    fn enqueue(&mut self, dst_device: u32, msg: WireMsg, stats: &AtomicStats) {
         if self.closed {
             return;
         }
         let (head, data) = msg.into_parts();
         let encoded_len = head.len() + data.len();
         let data: Arc<[u8]> = data.into();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if encoded_len <= eager_max {
+        let seq = self.link.assign_seq();
+        if encoded_len <= EAGER_MAX {
             stats.eager_msgs.fetch_add(1, Ordering::Relaxed);
             self.pending.push_back(OutFrame {
                 kind: FrameKind::Data,
@@ -297,26 +258,12 @@ impl ConnTx {
         }
     }
 
-    /// Stage one frame for the wire, applying fault rolls on first
-    /// transmissions. Short frames coalesce into `wbuf`; payloads of at
-    /// least `vectored_min` bytes become their own iovec so the kernel
-    /// write is the only payload copy.
-    fn emit(&mut self, frame: OutFrame, fresh: bool, stats: &AtomicStats) {
-        let mut copies = 1u64;
-        if fresh && frame.kind.consumes_credit() {
-            if let Some(rng) = self.rng.as_mut() {
-                if rng.next_f64() < self.drop_p {
-                    // Dropped at the wire: park for retransmission on the
-                    // next service pass. The receiver stalls (buffering any
-                    // later frames out of order) until the retransmit lands.
-                    self.parked.push_back(frame);
-                    return;
-                }
-                if rng.next_f64() < self.dup_p {
-                    copies = 2;
-                }
-            }
-        }
+    /// Stage `copies` of one frame for the wire (2 = an injected
+    /// duplicate). Short frames coalesce into `wbuf`; payloads of at least
+    /// [`VECTORED_MIN`] bytes become their own iovec so the kernel write is
+    /// the only payload copy.
+    fn emit(&mut self, frame: OutFrame, copies: u8, stats: &AtomicStats) {
+        let copies = u64::from(copies);
         let fh = FrameHeader {
             kind: frame.kind,
             dst_device: frame.dst_device,
@@ -324,7 +271,7 @@ impl ConnTx {
             payload_len: frame.payload_len(),
         };
         for _ in 0..copies {
-            if frame.data.len() < self.vectored_min {
+            if frame.data.len() < VECTORED_MIN {
                 // Short-frame fallback: coalesce (payload staged once here,
                 // then written: two copy events when it carries data).
                 fh.encode_into(&mut self.wbuf);
@@ -358,36 +305,33 @@ impl ConnTx {
     /// write stage, then flush if forced, over the coalescing limit, or
     /// holding any vectored payload. Returns true if any bytes moved
     /// toward the socket.
-    fn service(
-        &mut self,
-        force_flush: bool,
-        coalesce_limit: usize,
-        stats: &AtomicStats,
-    ) -> (bool, Option<NetError>) {
+    fn service(&mut self, force_flush: bool, stats: &AtomicStats) -> (bool, Option<NetError>) {
         if self.closed {
             return (false, None);
         }
         let mut moved = false;
         // Retransmissions first: their sequence numbers gate the receiver.
-        while let Some(f) = self.parked.pop_front() {
-            stats.net_retries.fetch_add(1, Ordering::Relaxed);
-            self.emit(f, false, stats);
+        for f in self.link.due_retransmits(stats) {
+            self.emit(f, 1, stats);
             moved = true;
         }
-        while let Some(front) = self.pending.front() {
-            if front.kind.consumes_credit() {
-                if self.credits == 0 {
-                    break;
-                }
-                self.credits -= 1;
+        // `pending` holds first transmissions of data-class frames only:
+        // each pays a credit and takes the link's fault roll. A frame
+        // dropped at the wire stalls the receiver (buffering any later
+        // frames out of order) until its retransmit lands.
+        while self.credits > 0 {
+            let Some(f) = self.pending.pop_front() else {
+                break;
+            };
+            debug_assert!(f.kind.consumes_credit());
+            self.credits -= 1;
+            if let Some((f, copies)) = self.link.first_transmission(f) {
+                self.emit(f, copies, stats);
             }
-            if let Some(f) = self.pending.pop_front() {
-                self.emit(f, true, stats);
-                moved = true;
-            }
+            moved = true;
         }
         let staged = !self.wbuf.is_empty() || !self.big.is_empty();
-        if staged && (force_flush || self.wbuf.len() >= coalesce_limit || !self.big.is_empty()) {
+        if staged && (force_flush || self.wbuf.len() >= COALESCE_LIMIT || !self.big.is_empty()) {
             if let Err(e) = self.flush(stats) {
                 return (moved, Some(e));
             }
@@ -424,7 +368,7 @@ impl ConnTx {
             || (self.wbuf.is_empty()
                 && self.big.is_empty()
                 && self.pending.is_empty()
-                && self.parked.is_empty()
+                && self.link.idle()
                 && self.rndz_parked.is_empty())
     }
 }
@@ -529,8 +473,6 @@ struct PlaneShared {
     error: Mutex<Option<NetError>>,
     /// First peer process observed gone (EOF / reset / write failure).
     peer_gone: Mutex<Option<u32>>,
-    eager_max: usize,
-    coalesce_limit: usize,
     /// Reactor doorbell (`None` when the mesh has no TCP links and no
     /// reactor was spawned).
     waker: Option<Waker>,
@@ -547,40 +489,16 @@ impl PlaneShared {
     }
 
     fn set_error(&self, e: NetError) {
-        let mut g = match self.error.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        g.get_or_insert(e);
+        lock(&self.error).get_or_insert(e);
     }
 
     fn set_peer_gone(&self, proc: u32) {
-        let mut g = match self.peer_gone.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        g.get_or_insert(proc);
-    }
-
-    fn lock_tx<'a>(&self, conn: &'a ConnShared) -> std::sync::MutexGuard<'a, ConnTx> {
-        match conn.tx.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    fn tcp_conn(&self, proc: u32) -> Option<&Arc<ConnShared>> {
-        match self.conns.get(proc as usize) {
-            Some(Some(PeerLink::Tcp(c))) => Some(c),
-            _ => None,
-        }
+        lock(&self.peer_gone).get_or_insert(proc);
     }
 
     /// Service one connection's send side; record failures.
     fn service_conn(&self, conn: &ConnShared, force: bool) -> bool {
-        let mut tx = self.lock_tx(conn);
-        let (moved, err) = tx.service(force, self.coalesce_limit, &self.stats);
-        drop(tx);
+        let (moved, err) = lock(&conn.tx).service(force, &self.stats);
         if err.is_some() {
             // A write failure means the peer vanished; the host decides if
             // the world was already quiescent.
@@ -589,23 +507,36 @@ impl PlaneShared {
         moved
     }
 
+    /// Index of world device `dst_device` among this process's devices;
+    /// a frame addressed elsewhere is a fatal routing error.
+    fn local_index(&self, dst_device: u32) -> Option<usize> {
+        let idx = dst_device.wrapping_sub(self.first_local_device());
+        if idx >= self.devices_per_proc {
+            self.set_error(NetError::Io(format!(
+                "frame routed to device {dst_device}, not local to process {}",
+                self.my_proc
+            )));
+            return None;
+        }
+        Some(idx as usize)
+    }
+
     /// Route one inbound message to its local device inbox.
     fn route_local(&self, dst_device: u32, msg: WireMsg) {
-        let base = self.first_local_device();
-        let idx = dst_device.wrapping_sub(base) as usize;
-        match self.local_tx.get(idx) {
+        if let Some(idx) = self.local_index(dst_device) {
             // A closed inbox means that host already exited (its ranks
             // finished); late messages are moot.
-            Some(tx) => {
-                let _ = tx.send(msg);
-            }
-            None => {
-                self.set_error(NetError::Io(format!(
-                    "frame routed to device {dst_device}, not local to process {}",
-                    self.my_proc
-                )));
-            }
+            let _ = self.local_tx[idx].send(msg);
         }
+    }
+
+    /// The plane each peer process negotiated.
+    fn planes(&self) -> Vec<(u32, PlaneKind)> {
+        self.conns
+            .iter()
+            .enumerate()
+            .filter_map(|(j, l)| l.as_ref().map(|l| (j as u32, l.kind())))
+            .collect()
     }
 
     /// Drain every shm link's inbound ring into the local inboxes.
@@ -720,13 +651,7 @@ impl SocketPlane {
             }
             let stream = dial(addr, deadline)?;
             stream.set_nodelay(true)?;
-            let hello = Frame {
-                kind: FrameKind::Hello,
-                dst_device: 0,
-                seq: 0,
-                payload: u32_payload(my_proc),
-            };
-            (&stream).write_all(&hello.encode())?;
+            write_hello(&stream, my_proc)?;
             streams[j] = Some(stream);
         }
         listener.set_nonblocking(true)?;
@@ -773,19 +698,6 @@ impl SocketPlane {
         for (j, slot) in streams.iter_mut().enumerate() {
             let Some(stream) = slot.take() else { continue };
             let write_half = stream.try_clone()?;
-            let (rng, drop_p, dup_p) = match &config.faults {
-                Some(f) => {
-                    // Per-direction stream: the (sender, receiver) pair
-                    // keys the fork so both directions inject independently
-                    // but reproducibly.
-                    let key = f
-                        .seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add((u64::from(my_proc) << 32) | j as u64);
-                    (Some(SplitMix64::new(key)), f.drop_p, f.dup_p)
-                }
-                None => (None, 0.0, 0.0),
-            };
             conns[j] = Some(PeerLink::Tcp(Arc::new(ConnShared {
                 peer_proc: j as u32,
                 tx: Mutex::new(ConnTx {
@@ -794,14 +706,9 @@ impl SocketPlane {
                     wbuf_frames: 0,
                     big: Vec::new(),
                     pending: VecDeque::new(),
-                    parked: VecDeque::new(),
-                    credits: config.initial_credits,
-                    next_seq: 0,
+                    link: LinkTx::new(config.faults, my_proc, j as u32),
+                    credits: INITIAL_CREDITS,
                     rndz_parked: HashMap::new(),
-                    vectored_min: config.vectored_min,
-                    rng,
-                    drop_p,
-                    dup_p,
                     closed: false,
                 }),
             })));
@@ -812,15 +719,7 @@ impl SocketPlane {
                 if !use_shm(j) {
                     continue;
                 }
-                let conn = ShmConn::connect(ShmOpts {
-                    dir,
-                    my_proc,
-                    peer_proc: j,
-                    ring_bytes: config.shm_ring_bytes,
-                    eager_max: config.eager_max,
-                    faults: config.faults,
-                    deadline,
-                })?;
+                let conn = ShmConn::connect(dir, my_proc, j, config.faults, deadline)?;
                 conns[j as usize] = Some(PeerLink::Shm(Arc::new(conn)));
             }
         }
@@ -845,8 +744,6 @@ impl SocketPlane {
             stats: AtomicStats::default(),
             error: Mutex::new(None),
             peer_gone: Mutex::new(None),
-            eager_max: config.eager_max,
-            coalesce_limit: config.coalesce_limit,
             waker,
             shutdown: AtomicBool::new(false),
             endpoints_alive: AtomicU64::new(u64::from(devices_per_proc)),
@@ -860,7 +757,7 @@ impl SocketPlane {
                 // description goes nonblocking for the reactor (the write
                 // half keeps blocking semantics via `write_all_nb`).
                 stream.set_nonblocking(true)?;
-                let Some(conn) = shared.tcp_conn(j as u32) else {
+                let Some(PeerLink::Tcp(conn)) = &shared.conns[j] else {
                     continue;
                 };
                 rx_conns.push(ConnRx {
@@ -868,8 +765,7 @@ impl SocketPlane {
                     stream,
                     conn: Arc::clone(conn),
                     phase: RxPhase::fresh_header(),
-                    expected: 0,
-                    reorder: BTreeMap::new(),
+                    link: LinkRx::new(),
                     fresh_since_credit: 0,
                     dead: false,
                 });
@@ -902,15 +798,9 @@ impl SocketPlane {
         if config.traced {
             // Record the negotiated plane per peer as trace metadata (the
             // launcher also reports it in the world JSON).
-            let planes: Vec<(u32, PlaneKind)> = shared
-                .conns
-                .iter()
-                .enumerate()
-                .filter_map(|(j, l)| l.as_ref().map(|l| (j as u32, l.kind())))
-                .collect();
             if let Some(ep0) = endpoints.first_mut() {
                 let device = ep0.device;
-                for (k, (proc, kind)) in planes.into_iter().enumerate() {
+                for (k, (proc, kind)) in shared.planes().into_iter().enumerate() {
                     ep0.tracer.instant(
                         Track::Net(device),
                         "plane",
@@ -944,6 +834,17 @@ fn dial(addr: &str, deadline: Instant) -> Result<TcpStream, NetError> {
     }
 }
 
+/// Open a dialed connection: announce which process is calling.
+fn write_hello(mut stream: &TcpStream, my_proc: u32) -> std::io::Result<()> {
+    let hello = Frame {
+        kind: FrameKind::Hello,
+        dst_device: 0,
+        seq: 0,
+        payload: u32_payload(my_proc),
+    };
+    stream.write_all(&hello.encode())
+}
+
 fn read_hello(mut stream: &TcpStream) -> Result<u32, NetError> {
     match Frame::read_from(&mut stream) {
         Ok(Some(f)) if f.kind == FrameKind::Hello => Ok(parse_u32_payload(&f.payload)?),
@@ -957,14 +858,6 @@ fn read_hello(mut stream: &TcpStream) -> Result<u32, NetError> {
 }
 
 // --- receive path --------------------------------------------------------
-
-/// A sequence slot in the receive reorder buffer.
-enum Slot {
-    /// Message decoded and ready to release in order.
-    Ready(u32, WireMsg),
-    /// Rendezvous request seen; payload not yet arrived.
-    AwaitData,
-}
 
 /// Classify a reader-side io failure: corrupt streams are fatal, anything
 /// else means the peer process died.
@@ -981,15 +874,6 @@ fn reader_fail(shared: &PlaneShared, peer: u32, e: std::io::Error) {
     }
 }
 
-/// What to do once a skipped payload has drained off the stream.
-#[derive(Clone, Copy)]
-enum AfterSkip {
-    Nothing,
-    /// A [`FrameKind::RndzReady`] grant arrived: emit the transfer parked
-    /// under this sequence number.
-    Grant(u64),
-}
-
 /// Nonblocking decode state of one connection — where a frame split at an
 /// arbitrary byte boundary resumes on the next poll round.
 enum RxPhase {
@@ -998,8 +882,13 @@ enum RxPhase {
         buf: [u8; FRAME_HEADER_BYTES],
         got: usize,
     },
-    /// Discarding a payload (duplicate frame, hello, rendezvous grant).
-    Skip { remaining: usize, after: AfterSkip },
+    /// Discarding a payload (duplicate frame, hello, rendezvous grant);
+    /// a [`FrameKind::RndzReady`] grant then emits the transfer parked
+    /// under sequence number `grant`.
+    Skip {
+        remaining: usize,
+        grant: Option<u64>,
+    },
     /// Accumulating a small control payload (credit return, rendezvous
     /// request declaration).
     Ctl {
@@ -1041,9 +930,9 @@ struct ConnRx {
     stream: TcpStream,
     conn: Arc<ConnShared>,
     phase: RxPhase,
-    /// Next sequence number to release (dense frontier).
-    expected: u64,
-    reorder: BTreeMap<u64, Slot>,
+    /// Release frontier, reorder buffer and duplicate verdict; a message
+    /// is slotted with its destination device.
+    link: LinkRx<(u32, WireMsg)>,
     fresh_since_credit: u32,
     /// EOF or failure observed; the reactor stops polling this stream.
     dead: bool,
@@ -1091,18 +980,12 @@ fn ring_deliver(
     dst_device: u32,
     msg: WireMsg,
 ) {
-    let base = shared.first_local_device();
-    let idx = dst_device.wrapping_sub(base) as usize;
-    let Some(ring) = rings.get_mut(idx) else {
-        shared.set_error(NetError::Io(format!(
-            "frame routed to device {dst_device}, not local to process {}",
-            shared.my_proc
-        )));
+    let Some(idx) = shared.local_index(dst_device) else {
         return;
     };
     let mut msg = msg;
     loop {
-        match ring.try_send(msg) {
+        match rings[idx].try_send(msg) {
             Ok(()) => return,
             Err(TrySendError::Full(back)) => {
                 msg = back;
@@ -1121,20 +1004,17 @@ fn release_and_credit(
     rings: &mut [HandoffSender<WireMsg>],
     fresh: u32,
 ) {
-    while let Some(Slot::Ready(_, _)) = c.reorder.get(&c.expected) {
-        if let Some(Slot::Ready(dst_device, msg)) = c.reorder.remove(&c.expected) {
-            ring_deliver(shared, rings, dst_device, msg);
-        }
-        c.expected += 1;
+    while let Some((dst_device, msg)) = c.link.pop_ready() {
+        ring_deliver(shared, rings, dst_device, msg);
     }
     c.fresh_since_credit += fresh;
     if c.fresh_since_credit >= CREDIT_BATCH {
         let n = c.fresh_since_credit;
         c.fresh_since_credit = 0;
-        let mut tx = shared.lock_tx(&c.conn);
+        let mut tx = lock(&c.conn.tx);
         tx.emit(
             OutFrame::ctl(FrameKind::Credit, 0, 0, u32_payload(n)),
-            false,
+            1,
             &shared.stats,
         );
         if tx.flush(&shared.stats).is_err() {
@@ -1144,13 +1024,13 @@ fn release_and_credit(
     }
 }
 
-/// Decide the decode phase for a freshly parsed frame header, applying the
-/// duplicate check for data-class frames (their payloads are discarded
-/// without decoding).
+/// Decide the decode phase for a freshly parsed frame header. Data-class
+/// frames the link does not admit are duplicates: their payloads are
+/// discarded without decoding.
 fn begin_frame(shared: &PlaneShared, c: &mut ConnRx, head: FrameHeader) -> RxPhase {
-    let skip = |after| RxPhase::Skip {
+    let skip = |grant| RxPhase::Skip {
         remaining: head.payload_len,
-        after,
+        grant,
     };
     let msg_prefix = || RxPhase::MsgPrefix {
         take: head.payload_len.min(WireMsg::HEADER_MAX),
@@ -1158,44 +1038,21 @@ fn begin_frame(shared: &PlaneShared, c: &mut ConnRx, head: FrameHeader) -> RxPha
         buf: [0u8; WireMsg::HEADER_MAX],
         got: 0,
     };
-    let dup = || {
-        shared
-            .stats
-            .net_dups_suppressed
-            .fetch_add(1, Ordering::Relaxed);
-        skip(AfterSkip::Nothing)
+    let ctl = || RxPhase::Ctl {
+        buf: vec![0u8; head.payload_len],
+        head,
+        got: 0,
     };
     match head.kind {
         // Late hello: tolerated, carries nothing of interest.
-        FrameKind::Hello => skip(AfterSkip::Nothing),
-        FrameKind::Credit => RxPhase::Ctl {
-            buf: vec![0u8; head.payload_len],
-            head,
-            got: 0,
-        },
-        FrameKind::RndzReady => skip(AfterSkip::Grant(head.seq)),
-        FrameKind::Data => {
-            if head.seq < c.expected || c.reorder.contains_key(&head.seq) {
-                dup()
-            } else {
-                msg_prefix()
-            }
-        }
-        FrameKind::RndzRequest => {
-            if head.seq < c.expected || c.reorder.contains_key(&head.seq) {
-                dup()
-            } else {
-                RxPhase::Ctl {
-                    buf: vec![0u8; head.payload_len],
-                    head,
-                    got: 0,
-                }
-            }
-        }
-        FrameKind::RndzData => match c.reorder.get(&head.seq) {
-            Some(Slot::AwaitData) => msg_prefix(),
-            _ => dup(),
-        },
+        FrameKind::Hello => skip(None),
+        FrameKind::Credit => ctl(),
+        FrameKind::RndzReady => skip(Some(head.seq)),
+        FrameKind::Data if c.link.admit(head.seq, &shared.stats) => msg_prefix(),
+        FrameKind::RndzRequest if c.link.admit(head.seq, &shared.stats) => ctl(),
+        // The payload of a slot its request reserved (and counted).
+        FrameKind::RndzData if c.link.admit_payload(head.seq, &shared.stats) => msg_prefix(),
+        FrameKind::Data | FrameKind::RndzRequest | FrameKind::RndzData => skip(None),
     }
 }
 
@@ -1210,29 +1067,17 @@ fn complete_msg(
     data: Vec<u8>,
 ) -> std::io::Result<()> {
     if mh.data_len > 0 {
-        stats_copies_rx(shared);
+        shared.stats.copies_rx.fetch_add(1, Ordering::Relaxed);
     }
     let msg = mh.into_msg(data).map_err(invalid)?;
-    let fresh = match head.kind {
-        FrameKind::Data => {
-            c.reorder
-                .insert(head.seq, Slot::Ready(head.dst_device, msg));
-            shared.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
-            1
-        }
-        // RndzData fills the slot reserved (and counted) at request time.
-        _ => {
-            c.reorder
-                .insert(head.seq, Slot::Ready(head.dst_device, msg));
-            0
-        }
-    };
-    release_and_credit(shared, c, rings, fresh);
+    c.link.fill(head.seq, (head.dst_device, msg));
+    // RndzData fills the slot reserved (and counted) at request time.
+    let fresh = head.kind == FrameKind::Data;
+    if fresh {
+        shared.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
+    }
+    release_and_credit(shared, c, rings, u32::from(fresh));
     Ok(())
-}
-
-fn stats_copies_rx(shared: &PlaneShared) {
-    shared.stats.copies_rx.fetch_add(1, Ordering::Relaxed);
 }
 
 /// One state-machine step: satisfy the current phase's byte needs and run
@@ -1269,7 +1114,7 @@ fn advance_conn(
         }
         RxPhase::Skip {
             mut remaining,
-            after,
+            grant,
         } => {
             let mut scratch = [0u8; 4096];
             while remaining > 0 {
@@ -1279,17 +1124,17 @@ fn advance_conn(
                     Ok(n) => remaining -= n,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        c.phase = RxPhase::Skip { remaining, after };
+                        c.phase = RxPhase::Skip { remaining, grant };
                         return Ok(false);
                     }
                     Err(e) => return Err(e),
                 }
             }
-            if let AfterSkip::Grant(seq) = after {
-                let mut tx = shared.lock_tx(&c.conn);
+            if let Some(seq) = grant {
+                let mut tx = lock(&c.conn.tx);
                 if let Some((dst_device, mhead, data)) = tx.rndz_parked.remove(&seq) {
                     // The granted transfer flows through the vectored path
-                    // (rendezvous payloads exceed `vectored_min`), so the
+                    // (rendezvous payloads exceed `VECTORED_MIN`), so the
                     // kernel write is its only send-side copy.
                     tx.emit(
                         OutFrame {
@@ -1299,7 +1144,7 @@ fn advance_conn(
                             head: mhead,
                             data,
                         },
-                        false,
+                        1,
                         &shared.stats,
                     );
                     if tx.flush(&shared.stats).is_err() {
@@ -1326,7 +1171,7 @@ fn advance_conn(
                 let n = parse_u32_payload(&buf).map_err(invalid)?;
                 if head.kind == FrameKind::Credit {
                     {
-                        let mut tx = shared.lock_tx(&c.conn);
+                        let mut tx = lock(&c.conn.tx);
                         tx.credits += n;
                     }
                     // Returned credits may unblock queued sends right now.
@@ -1336,13 +1181,13 @@ fn advance_conn(
                     // RndzRequest: reserve the slot and grant the transfer
                     // immediately (control frames bypass credits and
                     // coalescing: the sender is waiting).
-                    c.reorder.insert(head.seq, Slot::AwaitData);
+                    c.link.reserve(head.seq);
                     shared.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
                     {
-                        let mut tx = shared.lock_tx(&c.conn);
+                        let mut tx = lock(&c.conn.tx);
                         tx.emit(
                             OutFrame::ctl(FrameKind::RndzReady, 0, head.seq, Vec::new()),
-                            false,
+                            1,
                             &shared.stats,
                         );
                         if tx.flush(&shared.stats).is_err() {
@@ -1507,15 +1352,11 @@ impl NetEndpoint {
         self.clock += 1;
         self.clock
     }
-
-    fn proc_of(&self, device: u32) -> u32 {
-        device / self.shared.devices_per_proc
-    }
 }
 
 impl Transport for NetEndpoint {
     fn send(&mut self, peer: u32, msg: WireMsg) -> Result<(), NetError> {
-        let peer_proc = self.proc_of(peer);
+        let peer_proc = peer / self.shared.devices_per_proc;
         if peer_proc == self.shared.my_proc {
             // Local loopback: same-process devices talk through the inbox
             // channels directly, exactly like the in-process backend.
@@ -1540,7 +1381,7 @@ impl Transport for NetEndpoint {
             let ts = self.tick();
             let (path, bytes) = match &msg {
                 WireMsg::Deliver { data, .. } => {
-                    if data.len() <= self.shared.eager_max {
+                    if data.len() <= EAGER_MAX {
                         ("eager", data.len() as u64)
                     } else {
                         ("rndz", data.len() as u64)
@@ -1561,16 +1402,10 @@ impl Transport for NetEndpoint {
         }
         match &self.shared.conns[peer_proc as usize] {
             Some(PeerLink::Tcp(conn)) => {
-                let conn = Arc::clone(conn);
-                {
-                    let mut tx = self.shared.lock_tx(&conn);
-                    tx.enqueue(peer, msg, self.shared.eager_max, &self.shared.stats);
-                }
-                self.shared.service_conn(&conn, false);
+                lock(&conn.tx).enqueue(peer, msg, &self.shared.stats);
+                self.shared.service_conn(conn, false);
             }
-            Some(PeerLink::Shm(conn)) => {
-                conn.send(peer, msg, &self.shared.stats);
-            }
+            Some(PeerLink::Shm(conn)) => conn.send(peer, msg, &self.shared.stats),
             None => unreachable!("checked above"),
         }
         Ok(())
@@ -1599,16 +1434,10 @@ impl Transport for NetEndpoint {
                 }
                 Ok(Some(msg))
             }
-            None => {
-                let g = match self.shared.error.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                match g.as_ref() {
-                    Some(e) => Err(e.clone()),
-                    None => Ok(None),
-                }
-            }
+            None => match lock(&self.shared.error).as_ref() {
+                Some(e) => Err(e.clone()),
+                None => Ok(None),
+            },
         }
     }
 
@@ -1631,7 +1460,7 @@ impl Transport for NetEndpoint {
 
     fn idle(&self) -> bool {
         self.shared.conns.iter().flatten().all(|link| match link {
-            PeerLink::Tcp(c) => self.shared.lock_tx(c).idle(),
+            PeerLink::Tcp(c) => lock(&c.tx).idle(),
             PeerLink::Shm(c) => c.tx_idle(),
         })
     }
@@ -1645,10 +1474,7 @@ impl Transport for NetEndpoint {
     }
 
     fn peer_gone(&self) -> Option<u32> {
-        let recorded = match self.shared.peer_gone.lock() {
-            Ok(g) => *g,
-            Err(p) => *p.into_inner(),
-        };
+        let recorded = *lock(&self.shared.peer_gone);
         if recorded.is_some() {
             return recorded;
         }
@@ -1673,12 +1499,7 @@ impl Transport for NetEndpoint {
     }
 
     fn peer_planes(&self) -> Vec<(u32, PlaneKind)> {
-        self.shared
-            .conns
-            .iter()
-            .enumerate()
-            .filter_map(|(j, l)| l.as_ref().map(|l| (j as u32, l.kind())))
-            .collect()
+        self.shared.planes()
     }
 
     fn take_tracer(&mut self) -> Tracer {
@@ -1701,16 +1522,18 @@ impl Drop for NetEndpoint {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn mesh_pair(faults: Option<NetFaults>) -> (Vec<NetEndpoint>, Vec<NetEndpoint>) {
+    /// The two endpoints of a loopback mesh (tcp, or shm through `shm_dir`).
+    fn mesh_pair(faults: Option<NetFaults>, shm_dir: Option<PathBuf>) -> [NetEndpoint; 2] {
         let config = NetConfig {
             faults,
             ..NetConfig::default()
         };
-        let [a, b] = SocketPlane::loopback_pair(config, None).unwrap();
-        (a, b)
+        SocketPlane::loopback_pair(config, shm_dir)
+            .unwrap()
+            .map(|mut eps| eps.pop().unwrap())
     }
 
     /// Receive on `ep`, pumping both sides the way the runtime's host
@@ -1728,7 +1551,33 @@ mod tests {
         }
     }
 
-    fn deliver(dst_local: u32, data: Vec<u8>) -> WireMsg {
+    /// Process 0 of a two-process mesh whose peer is a thread that completes
+    /// the handshake as process 1 and then runs `script` on its socket.
+    fn mesh_with_fake_peer(
+        script: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (NetEndpoint, std::thread::JoinHandle<()>) {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = l0.local_addr().unwrap().to_string();
+        let fake = std::thread::spawn(move || {
+            let s = TcpStream::connect(addr).unwrap();
+            write_hello(&s, 1).unwrap();
+            script(s);
+        });
+        let mut a = SocketPlane::establish(MeshOpts {
+            my_proc: 0,
+            procs: 2,
+            devices_per_proc: 1,
+            peer_addrs: vec!["unused".into(), "unused".into()],
+            peer_hosts: vec![],
+            shm_dir: None,
+            listener: l0,
+            config: NetConfig::default(),
+        })
+        .unwrap();
+        (a.pop().unwrap(), fake)
+    }
+
+    pub(crate) fn deliver(dst_local: u32, data: Vec<u8>) -> WireMsg {
         WireMsg::Deliver {
             dst_local,
             win: 0,
@@ -1746,9 +1595,7 @@ mod tests {
 
     #[test]
     fn two_process_mesh_roundtrip_eager_and_rndz() {
-        let (mut a, mut b) = mesh_pair(None);
-        let mut a0 = a.pop().unwrap();
-        let mut b0 = b.pop().unwrap();
+        let [mut a0, mut b0] = mesh_pair(None, None);
         // Eager (small), then rendezvous (large), then a control message:
         // FIFO order must hold even across the eager/rendezvous boundary.
         let small = deliver(0, vec![1, 2, 3]);
@@ -1794,13 +1641,12 @@ mod tests {
 
     #[test]
     fn lossy_stream_preserves_fifo_exactly_once() {
-        let (mut a, mut b) = mesh_pair(Some(NetFaults {
+        let lossy = NetFaults {
             seed: 7,
             drop_p: 0.25,
             dup_p: 0.25,
-        }));
-        let mut a0 = a.pop().unwrap();
-        let mut b0 = b.pop().unwrap();
+        };
+        let [mut a0, mut b0] = mesh_pair(Some(lossy), None);
         let n = 300u32;
         for i in 0..n {
             a0.send(1, deliver(0, i.to_le_bytes().to_vec())).unwrap();
@@ -1837,32 +1683,9 @@ mod tests {
         // A fake peer process that completes the mesh handshake and then
         // dies (drops its socket). The surviving plane must surface
         // peer_gone instead of hanging or erroring mid-read.
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = l0.local_addr().unwrap().to_string();
-        let fake = std::thread::spawn(move || {
-            let s = TcpStream::connect(addr).unwrap();
-            let hello = Frame {
-                kind: FrameKind::Hello,
-                dst_device: 0,
-                seq: 0,
-                payload: u32_payload(1),
-            };
-            (&s).write_all(&hello.encode()).unwrap();
-            // Socket closes when `s` drops: simulated process death.
-        });
-        let mut a = SocketPlane::establish(MeshOpts {
-            my_proc: 0,
-            procs: 2,
-            devices_per_proc: 1,
-            peer_addrs: vec!["unused".into(), "unused".into()],
-            peer_hosts: vec![],
-            shm_dir: None,
-            listener: l0,
-            config: NetConfig::default(),
-        })
-        .unwrap();
+        // Socket closes when the fake drops it: simulated process death.
+        let (mut a0, fake) = mesh_with_fake_peer(drop);
         fake.join().unwrap();
-        let mut a0 = a.pop().unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while a0.peer_gone().is_none() {
             a0.pump().unwrap();
@@ -1881,9 +1704,7 @@ mod tests {
 
     #[test]
     fn tcp_rendezvous_is_single_copy_each_direction() {
-        let (mut a, mut b) = mesh_pair(None);
-        let mut a0 = a.pop().unwrap();
-        let mut b0 = b.pop().unwrap();
+        let [mut a0, mut b0] = mesh_pair(None, None);
         let n = 8u32;
         for i in 0..n {
             a0.send(1, deliver(0, vec![i as u8; EAGER_MAX * 4]))
@@ -1915,19 +1736,9 @@ mod tests {
         // A fake peer that completes the handshake, then dribbles an
         // encoded Data frame one byte at a time. The reactor must resume
         // the partial frame across poll rounds and deliver it intact.
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = l0.local_addr().unwrap().to_string();
         let msg = deliver(0, vec![42u8; 97]);
         let wire_msg = msg.clone();
-        let fake = std::thread::spawn(move || {
-            let s = TcpStream::connect(addr).unwrap();
-            let hello = Frame {
-                kind: FrameKind::Hello,
-                dst_device: 0,
-                seq: 0,
-                payload: u32_payload(1),
-            };
-            (&s).write_all(&hello.encode()).unwrap();
+        let (mut a0, fake) = mesh_with_fake_peer(move |s| {
             let (head, data) = wire_msg.into_parts();
             let mut payload = head;
             payload.extend_from_slice(&data);
@@ -1945,18 +1756,6 @@ mod tests {
             let mut sink = [0u8; 64];
             let _ = (&s).read(&mut sink);
         });
-        let mut a = SocketPlane::establish(MeshOpts {
-            my_proc: 0,
-            procs: 2,
-            devices_per_proc: 1,
-            peer_addrs: vec!["unused".into(), "unused".into()],
-            peer_hosts: vec![],
-            shm_dir: None,
-            listener: l0,
-            config: NetConfig::default(),
-        })
-        .unwrap();
-        let mut a0 = a.pop().unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         let got = loop {
             if let Some(m) = a0.try_recv().unwrap() {
@@ -1967,7 +1766,6 @@ mod tests {
         };
         assert_eq!(got, msg);
         drop(a0);
-        drop(a);
         fake.join().unwrap();
     }
 
@@ -1976,31 +1774,7 @@ mod tests {
     fn same_host_mesh_negotiates_shm_plane() {
         let dir = std::env::temp_dir().join(format!("dcuda-shm-mesh-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addrs = vec![
-            l0.local_addr().unwrap().to_string(),
-            l1.local_addr().unwrap().to_string(),
-        ];
-        let hosts = vec!["hostA".to_string(), "hostA".to_string()];
-        let mk = |my_proc, listener, addrs, hosts, dir: PathBuf| MeshOpts {
-            my_proc,
-            procs: 2,
-            devices_per_proc: 1,
-            peer_addrs: addrs,
-            peer_hosts: hosts,
-            shm_dir: Some(dir),
-            listener,
-            config: NetConfig::default(),
-        };
-        let (addrs2, hosts2, dir2) = (addrs.clone(), hosts.clone(), dir.clone());
-        let t = std::thread::spawn(move || {
-            SocketPlane::establish(mk(1, l1, addrs2, hosts2, dir2)).unwrap()
-        });
-        let mut a = SocketPlane::establish(mk(0, l0, addrs, hosts, dir.clone())).unwrap();
-        let mut b = t.join().unwrap();
-        let mut a0 = a.pop().unwrap();
-        let mut b0 = b.pop().unwrap();
+        let [mut a0, mut b0] = mesh_pair(None, Some(dir.clone()));
         assert_eq!(a0.peer_planes(), vec![(1, PlaneKind::Shm)]);
         assert_eq!(b0.peer_planes(), vec![(0, PlaneKind::Shm)]);
         // Same contract as the socket mesh: FIFO across the eager/rndz

@@ -39,6 +39,17 @@ pub const INITIAL_CREDITS: u32 = 64;
 /// sees a return.
 pub const CREDIT_BATCH: u32 = 16;
 
+/// The tcp plane flushes a connection's coalescing write buffer once it
+/// holds this many bytes (or on `pump()`).
+pub const COALESCE_LIMIT: usize = 8192;
+
+/// Tcp payloads at least this large skip the coalescing buffer and ship as
+/// their own iovec in a vectored write (single payload copy).
+pub const VECTORED_MIN: usize = 1024;
+
+/// Per-direction capacity of a same-host shared-memory ring.
+pub const SHM_RING_BYTES: usize = 1 << 20;
+
 /// A semantic message of the inter-host plane.
 ///
 /// `Deliver.seq` is a spare wire slot the runtime writes as 0: ordering and

@@ -1,12 +1,12 @@
 //! SPSC *byte* ring: variable-length records over a contiguous region.
 //!
-//! This is the ring design behind the shared-memory transport plane
-//! (`dcuda-net`'s `ShmPlane` instantiates it over an `mmap`ed file shared
-//! by two processes). Like the slot ring in `spsc.rs` it is written
-//! against the [`Platform`](crate::plat::Platform) abstraction, so
-//! `dcuda-verify` model-checks the *same protocol* — the index math, the
-//! pad/wrap discipline and the Release/Acquire publication pairing — that
-//! the mapped plane ships.
+//! This is the ring behind the shared-memory transport plane: the
+//! producer and consumer are generic over a [`RingStore`] — where the two
+//! frontier counters and the bytes live — and `dcuda-net` instantiates them
+//! over an `mmap`ed file shared by two processes, while `dcuda-verify`
+//! instantiates the *same code* over [`CellStore`] on its model-checking
+//! [`Platform`]. The index math, the pad/wrap
+//! discipline and the Release/Acquire publication pairing exist once.
 //!
 //! # Protocol
 //!
@@ -75,10 +75,9 @@ pub struct Grant {
 /// [`record_bytes`]) given the producer frontier `head`, the consumer
 /// frontier `tail` and the region capacity `cap` (a multiple of 4).
 /// Returns `None` when the ring lacks space — the caller retries after
-/// refreshing `tail`. This pure function is shared verbatim by the
-/// model-checked in-memory ring below and the mapped shm ring, so the
-/// trickiest part of the protocol — the wrap/pad offset math — has a
-/// single implementation.
+/// refreshing `tail`. Kept a pure function so the trickiest part of the
+/// protocol — the wrap/pad offset math — is unit-testable at every
+/// head/tail geometry.
 pub fn plan_record(head: u64, tail: u64, cap: usize, record_bytes: usize) -> Option<Grant> {
     debug_assert_eq!(cap % 4, 0, "ring capacity must be 4-aligned");
     debug_assert_eq!(record_bytes % 4, 0, "record sizes are 4-aligned");
@@ -106,6 +105,53 @@ pub fn plan_record(head: u64, tail: u64, cap: usize, record_bytes: usize) -> Opt
     })
 }
 
+/// One endpoint's handle on the memory a ring lives in: the two monotonic
+/// frontier counters and the byte region between them. The producer and
+/// consumer below are generic over it, so the record protocol has a single
+/// body whether the ring lives in process memory ([`CellStore`], which
+/// `dcuda-verify` instantiates on its model-checking platform) or in a file
+/// mapped by two processes (`dcuda-net`'s shm plane).
+pub trait RingStore {
+    /// Counter type of the two frontiers.
+    type Atomic: PlatAtomicU64;
+
+    /// Region size in bytes (a multiple of 4, at least 8).
+    fn capacity(&self) -> usize;
+
+    /// Bytes ever published (written by the producer only).
+    fn head(&self) -> &Self::Atomic;
+
+    /// Bytes ever consumed (written by the consumer only).
+    fn tail(&self) -> &Self::Atomic;
+
+    /// Copy `src` into the region at byte offset `off`.
+    ///
+    /// # Safety
+    /// `[off, off + src.len())` must lie inside the region and belong to
+    /// the caller under the SPSC grant discipline: between the consumer
+    /// frontier it Acquire-observed and its own unpublished head.
+    unsafe fn write(&self, off: usize, src: &[u8]);
+
+    /// Hand the region bytes `[off, off + len)` to `f`.
+    ///
+    /// # Safety
+    /// The range must lie inside the region and below a producer frontier
+    /// the caller Acquire-observed, and not yet be released by a tail
+    /// store; each byte is read at most once per publication.
+    unsafe fn read<R>(&mut self, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R;
+}
+
+/// The consumer found a length word no producer of this protocol writes
+/// (only possible when a foreign writer shares the region, as on the mapped
+/// shm plane). The ring stays parked on the bad record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingCorrupt {
+    /// Region offset of the offending length word.
+    pub offset: usize,
+    /// The value found there.
+    pub len_word: u32,
+}
+
 struct Shared<P: Platform> {
     head: P::AtomicU64,
     tail: P::AtomicU64,
@@ -120,16 +166,61 @@ struct Shared<P: Platform> {
 unsafe impl<P: Platform> Sync for Shared<P> {}
 unsafe impl<P: Platform> Send for Shared<P> {}
 
-/// Producer endpoint of [`byte_ring_on`].
-pub struct ByteRingProducer<P: Platform> {
+/// In-process [`RingStore`]: platform atomics and one platform cell per
+/// byte, shared by the two endpoints of [`byte_ring_on`].
+pub struct CellStore<P: Platform> {
     shared: Arc<Shared<P>>,
+    /// Consumer-side staging: cells cannot be borrowed as a slice, so a
+    /// record is moved out of them into this reused buffer.
+    scratch: Vec<u8>,
+}
+
+impl<P: Platform> RingStore for CellStore<P> {
+    type Atomic = P::AtomicU64;
+
+    fn capacity(&self) -> usize {
+        self.shared.cells.len()
+    }
+
+    fn head(&self) -> &P::AtomicU64 {
+        &self.shared.head
+    }
+
+    fn tail(&self) -> &P::AtomicU64 {
+        &self.shared.tail
+    }
+
+    unsafe fn write(&self, off: usize, src: &[u8]) {
+        for (cell, &b) in self.shared.cells[off..off + src.len()].iter().zip(src) {
+            // Safety: the caller owns the range, and the value a cell held
+            // was moved out by the consumer before it Release-published
+            // the tail the producer read.
+            unsafe { cell.write(b) };
+        }
+    }
+
+    unsafe fn read<R>(&mut self, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.scratch.clear();
+        let cells = &self.shared.cells[off..off + len];
+        // Safety: a matching write happened-before (the range lies below
+        // the Acquire-observed head), and the tail frontier only moves past
+        // a record after this single read of each of its bytes.
+        self.scratch
+            .extend(cells.iter().map(|cell| unsafe { cell.read() }));
+        f(&self.scratch)
+    }
+}
+
+/// Producer endpoint of a byte ring over the storage `S`.
+pub struct ByteRingProducer<S: RingStore> {
+    store: S,
     head: u64,
     tail_cache: u64,
 }
 
-/// Consumer endpoint of [`byte_ring_on`].
-pub struct ByteRingConsumer<P: Platform> {
-    shared: Arc<Shared<P>>,
+/// Consumer endpoint of a byte ring over the storage `S`.
+pub struct ByteRingConsumer<S: RingStore> {
+    store: S,
     tail: u64,
     head_cache: u64,
 }
@@ -137,7 +228,12 @@ pub struct ByteRingConsumer<P: Platform> {
 /// Create a byte ring of `cap` bytes (rounded up to a multiple of 4) on
 /// platform `P`. Production code uses real atomics; the verify suite
 /// instantiates the identical code on its model-checking platform.
-pub fn byte_ring_on<P: Platform>(cap: usize) -> (ByteRingProducer<P>, ByteRingConsumer<P>) {
+pub fn byte_ring_on<P: Platform>(
+    cap: usize,
+) -> (
+    ByteRingProducer<CellStore<P>>,
+    ByteRingConsumer<CellStore<P>>,
+) {
     let cap = round_up4(cap.max(REC_LEN_BYTES + 4));
     let cells = (0..cap).map(|_| P::Cell::<u8>::empty()).collect();
     let shared = Arc::new(Shared::<P> {
@@ -145,31 +241,40 @@ pub fn byte_ring_on<P: Platform>(cap: usize) -> (ByteRingProducer<P>, ByteRingCo
         tail: P::AtomicU64::new(0),
         cells,
     });
+    let store = |shared| CellStore {
+        shared,
+        scratch: Vec::new(),
+    };
     (
-        ByteRingProducer {
-            shared: Arc::clone(&shared),
-            head: 0,
-            tail_cache: 0,
-        },
-        ByteRingConsumer {
-            shared,
-            tail: 0,
-            head_cache: 0,
-        },
+        ByteRingProducer::new(store(Arc::clone(&shared))),
+        ByteRingConsumer::new(store(shared)),
     )
 }
 
-impl<P: Platform> ByteRingProducer<P> {
-    /// Ring capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.shared.cells.len()
+impl<S: RingStore> ByteRingProducer<S> {
+    /// Producer of a ring nothing has been published to yet (both
+    /// frontiers in `store` are 0).
+    pub fn new(store: S) -> Self {
+        ByteRingProducer {
+            store,
+            head: 0,
+            tail_cache: 0,
+        }
     }
 
     /// Try to push one record; `false` means the ring is full (retry after
     /// the consumer drains). `body` must satisfy [`fits`] for this ring.
     pub fn try_push(&mut self, body: &[u8]) -> bool {
-        let cap = self.shared.cells.len();
-        let need = record_bytes(body.len());
+        self.try_push_parts(&[body])
+    }
+
+    /// [`try_push`](Self::try_push) of a record whose body is the
+    /// concatenation of `parts`, each copied straight into the region (no
+    /// staging buffer).
+    pub fn try_push_parts(&mut self, parts: &[&[u8]]) -> bool {
+        let cap = self.store.capacity();
+        let body_len: usize = parts.iter().map(|p| p.len()).sum();
+        let need = record_bytes(body_len);
         if need > cap / 2 {
             return false;
         }
@@ -179,79 +284,119 @@ impl<P: Platform> ByteRingProducer<P> {
                 // Stale view of the consumer: refresh and retry once. The
                 // Acquire pairs with the consumer's Release tail store and
                 // licenses us to overwrite the bytes it has consumed.
-                self.tail_cache = self.shared.tail.load(Acquire);
+                self.tail_cache = self.store.tail().load(Acquire);
                 match plan_record(self.head, self.tail_cache, cap, need) {
                     Some(g) => g,
                     None => return false,
                 }
             }
         };
-        if grant.pad > 0 {
-            let at = (self.head % cap as u64) as usize;
-            self.write_bytes(at, &PAD_MARKER.to_le_bytes());
+        // Safety: `plan_record` granted this endpoint exclusive ownership
+        // of every range written below (each lies between the consumer
+        // frontier and the edge of the region).
+        unsafe {
+            if grant.pad > 0 {
+                let at = (self.head % cap as u64) as usize;
+                self.store.write(at, &PAD_MARKER.to_le_bytes());
+            }
+            self.store
+                .write(grant.offset, &(body_len as u32).to_le_bytes());
+            let mut off = grant.offset + REC_LEN_BYTES;
+            for p in parts {
+                self.store.write(off, p);
+                off += p.len();
+            }
         }
-        self.write_bytes(grant.offset, &(body.len() as u32).to_le_bytes());
-        self.write_bytes(grant.offset + REC_LEN_BYTES, body);
         self.head += grant.advance;
         // Publish: every byte of the record happens-before the consumer's
         // Acquire load of the new head.
-        self.shared.head.store(self.head, Release);
+        self.store.head().store(self.head, Release);
         true
-    }
-
-    fn write_bytes(&self, offset: usize, src: &[u8]) {
-        for (i, &b) in src.iter().enumerate() {
-            // Safety: `plan_record` granted us exclusive ownership of this
-            // range (it lies between the consumer frontier and the edge of
-            // the region), and the value a cell held was moved out by the
-            // consumer before it Release-published the tail we read.
-            unsafe { self.shared.cells[offset + i].write(b) };
-        }
     }
 }
 
-impl<P: Platform> ByteRingConsumer<P> {
-    /// Pop the next record body, or `None` if the ring is empty.
+impl<S: RingStore> ByteRingConsumer<S> {
+    /// Consumer of a ring nothing has been consumed from yet.
+    pub fn new(store: S) -> Self {
+        ByteRingConsumer {
+            store,
+            tail: 0,
+            head_cache: 0,
+        }
+    }
+
+    /// Pop the next record body, or `None` if the ring is empty. (A
+    /// [`RingCorrupt`] ring also reads as empty; in-process rings have no
+    /// foreign writer that could corrupt one.)
     pub fn try_pop(&mut self) -> Option<Vec<u8>> {
-        let cap = self.shared.cells.len();
+        self.try_pop_with(|body| body.to_vec()).unwrap_or(None)
+    }
+
+    /// Pop the next record and hand its body to `f` as a slice of the
+    /// region where the storage allows it (no staging); the record is
+    /// consumed when `f` returns. `Ok(None)` means the ring is empty.
+    pub fn try_pop_with<R>(
+        &mut self,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, RingCorrupt> {
+        let cap = self.store.capacity();
         loop {
             if self.head_cache == self.tail {
                 // Pairs with the producer's Release head store: once we
                 // observe the new head, the record bytes are visible.
-                self.head_cache = self.shared.head.load(Acquire);
+                self.head_cache = self.store.head().load(Acquire);
                 if self.head_cache == self.tail {
-                    return None;
+                    return Ok(None);
                 }
             }
             let at = (self.tail % cap as u64) as usize;
-            let mut lw = [0u8; REC_LEN_BYTES];
-            self.read_bytes(at, &mut lw);
-            let len_word = u32::from_le_bytes(lw);
+            // Safety: `head != tail` and positions are 4-aligned, so the
+            // length word at `at` is in bounds and published.
+            let len_word = unsafe {
+                self.store.read(at, REC_LEN_BYTES, |b| {
+                    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+                })
+            };
+            let corrupt = RingCorrupt {
+                offset: at,
+                len_word,
+            };
+            // The length word is input from the other endpoint — another
+            // process on a mapped ring. Trust nothing the producer above
+            // could not have written: a frontier beyond the occupancy
+            // invariant, a record past the cap/2 bound, the region edge or
+            // the published bytes, a pad with no record behind it.
+            let published = match self.head_cache.checked_sub(self.tail) {
+                Some(n) if n <= cap as u64 => n as usize,
+                _ => return Err(corrupt),
+            };
             if len_word == PAD_MARKER {
                 // Skip the unused edge; a record is guaranteed to follow
                 // at offset 0 (the producer publishes pad + record as one
                 // head advance).
+                if at == 0 || cap - at >= published {
+                    return Err(corrupt);
+                }
                 self.tail += (cap - at) as u64;
-                self.shared.tail.store(self.tail, Release);
+                self.store.tail().store(self.tail, Release);
                 continue;
             }
+            // (`len` is bounded first so the rounding cannot overflow.)
             let len = len_word as usize;
-            let mut body = vec![0u8; len];
-            self.read_bytes(at + REC_LEN_BYTES, &mut body);
-            self.tail += record_bytes(len) as u64;
+            if len > published {
+                return Err(corrupt);
+            }
+            let need = record_bytes(len);
+            if need > cap / 2 || need > cap - at || need > published {
+                return Err(corrupt);
+            }
+            // Safety: the record lies inside the region (checked above) and
+            // below the Acquire-observed head.
+            let r = unsafe { self.store.read(at + REC_LEN_BYTES, len, f) };
+            self.tail += need as u64;
             // License the producer to overwrite the consumed bytes.
-            self.shared.tail.store(self.tail, Release);
-            return Some(body);
-        }
-    }
-
-    fn read_bytes(&self, offset: usize, dst: &mut [u8]) {
-        for (i, b) in dst.iter_mut().enumerate() {
-            // Safety: the range lies below the Acquire-observed head, so a
-            // matching write happened-before this read, and each byte of a
-            // record is read exactly once (the tail frontier only moves
-            // past a record after it is fully read).
-            *b = unsafe { self.shared.cells[offset + i].read() };
+            self.store.tail().store(self.tail, Release);
+            return Ok(Some(r));
         }
     }
 }
@@ -261,7 +406,9 @@ mod tests {
     use super::*;
     use crate::plat::StdPlatform;
 
-    fn ring(cap: usize) -> (ByteRingProducer<StdPlatform>, ByteRingConsumer<StdPlatform>) {
+    type Store = CellStore<StdPlatform>;
+
+    fn ring(cap: usize) -> (ByteRingProducer<Store>, ByteRingConsumer<Store>) {
         byte_ring_on::<StdPlatform>(cap)
     }
 
@@ -332,6 +479,30 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn hostile_length_words_are_typed_errors() {
+        // (length word, published bytes): a record longer than cap/2, one
+        // that claims more than was published, a pad at offset 0.
+        for (len_word, head) in [(1 << 20, 8u64), (20, 8), (PAD_MARKER, 8)] {
+            let (tx, mut rx) = ring(64);
+            // Safety: nothing else touches the fresh ring.
+            unsafe { tx.store.write(0, &u32::to_le_bytes(len_word)) };
+            tx.store.head().store(head, Release);
+            let want = RingCorrupt {
+                offset: 0,
+                len_word,
+            };
+            assert_eq!(rx.try_pop_with(|_| ()), Err(want));
+            assert_eq!(rx.try_pop_with(|_| ()), Err(want), "stays parked");
+            assert_eq!(rx.try_pop(), None);
+        }
+        // A frontier beyond the occupancy invariant.
+        let (tx, mut rx) = ring(64);
+        unsafe { tx.store.write(0, &4u32.to_le_bytes()) };
+        tx.store.head().store(1 << 40, Release);
+        assert!(rx.try_pop_with(|_| ()).is_err());
     }
 
     #[test]

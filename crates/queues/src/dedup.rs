@@ -1,20 +1,11 @@
-//! Reliable-delivery primitives: receiver-side duplicate suppression and the
-//! origin-side retry state machine.
+//! Receiver-side duplicate suppression over per-origin sequence numbers.
 //!
-//! These are the protocol-agnostic halves of the self-healing RMA layer.
 //! Senders stamp every message with a per-origin sequence number; a
 //! [`DedupWindow`] at the receiver accepts each sequence number exactly once
 //! (an anti-replay sliding window, RFC 4302 style), which keeps notification
 //! delivery exactly-once when the fabric duplicates or retransmits packets.
-//! A [`RetryTimer`] tracks one in-flight transfer at the origin: every
-//! timeout yields a capped-exponential backoff (and, periodically, a path
-//! demotion), every acknowledgement is idempotent, and a hard attempt cap
-//! turns silent livelock into a loud failure.
-//!
-//! Both types are plain sequential state machines — the surrounding runtime
-//! (host thread, simulator event loop) provides the clock and the transport.
-//! `dcuda-verify` model-checks their concurrent composition (timeout racing
-//! ack, duplicate acks, retry after demotion).
+//! It is a plain sequential state machine — the embedding event loop
+//! provides the clock and the transport.
 
 /// Size of the replay window in sequence numbers.
 pub const DEDUP_WINDOW: u64 = 64;
@@ -86,123 +77,6 @@ impl DedupWindow {
     }
 }
 
-/// Retry parameters in abstract clock ticks (the embedding runtime decides
-/// what a tick is — the simulator uses its ack-timeout, the threaded runtime
-/// uses poll iterations).
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Backoff after the first timeout.
-    pub base_ticks: u64,
-    /// Upper bound on the exponential backoff.
-    pub cap_ticks: u64,
-    /// Timeouts between successive path demotions.
-    pub demote_after: u32,
-    /// Maximum delivery attempts before giving up loudly.
-    pub max_attempts: u32,
-    /// Deepest reachable demotion level.
-    pub max_level: u8,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base_ticks: 1,
-            cap_ticks: 16,
-            demote_after: 3,
-            max_attempts: 30,
-            max_level: 2,
-        }
-    }
-}
-
-/// What the origin should do after a timeout fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryDecision {
-    /// Retransmit after `backoff_ticks`; `demote` asks the origin to step
-    /// the link one level down the path ladder first.
-    Resend {
-        /// Capped-exponential backoff before the retransmit.
-        backoff_ticks: u64,
-        /// Step the path ladder down before resending.
-        demote: bool,
-    },
-    /// The attempt cap is exhausted — abort loudly, never spin silently.
-    GiveUp,
-    /// The ack won the race with the timer; no retransmit needed.
-    AlreadyAcked,
-}
-
-/// Origin-side state for one in-flight sequence-numbered transfer.
-#[derive(Debug, Clone)]
-pub struct RetryTimer {
-    policy: RetryPolicy,
-    attempts: u32,
-    level: u8,
-    acked: bool,
-}
-
-impl RetryTimer {
-    /// Fresh timer for a transfer whose first copy was just sent.
-    pub fn new(policy: RetryPolicy) -> Self {
-        RetryTimer {
-            policy,
-            attempts: 1,
-            level: 0,
-            acked: false,
-        }
-    }
-
-    /// The timeout for the current attempt expired.
-    pub fn on_timeout(&mut self) -> RetryDecision {
-        if self.acked {
-            return RetryDecision::AlreadyAcked;
-        }
-        if self.attempts >= self.policy.max_attempts {
-            return RetryDecision::GiveUp;
-        }
-        self.attempts += 1;
-        let timeouts = self.attempts - 1;
-        let demote = self.policy.demote_after > 0
-            && timeouts.is_multiple_of(self.policy.demote_after)
-            && self.level < self.policy.max_level;
-        if demote {
-            self.level += 1;
-        }
-        let shift = timeouts.saturating_sub(1).min(20);
-        let backoff = (self.policy.base_ticks << shift).min(self.policy.cap_ticks);
-        RetryDecision::Resend {
-            backoff_ticks: backoff,
-            demote,
-        }
-    }
-
-    /// An acknowledgement arrived. Returns `true` only for the first ack;
-    /// duplicate acks are absorbed.
-    pub fn on_ack(&mut self) -> bool {
-        if self.acked {
-            false
-        } else {
-            self.acked = true;
-            true
-        }
-    }
-
-    /// Whether the transfer has been acknowledged.
-    pub fn acked(&self) -> bool {
-        self.acked
-    }
-
-    /// Delivery attempts so far (the original send counts as one).
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    /// Current demotion level requested by this timer.
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,43 +117,5 @@ mod tests {
         assert!(w.accept(DEDUP_WINDOW + 5));
         assert!(w.accept(5), "exactly at distance DEDUP_WINDOW");
         assert!(!w.accept(4), "one past the window");
-    }
-
-    #[test]
-    fn retry_backs_off_demotes_and_gives_up() {
-        let mut t = RetryTimer::new(RetryPolicy {
-            base_ticks: 2,
-            cap_ticks: 8,
-            demote_after: 2,
-            max_attempts: 6,
-            max_level: 2,
-        });
-        let mut backoffs = vec![];
-        let mut demotions = 0;
-        loop {
-            match t.on_timeout() {
-                RetryDecision::Resend {
-                    backoff_ticks,
-                    demote,
-                } => {
-                    backoffs.push(backoff_ticks);
-                    demotions += u32::from(demote);
-                }
-                RetryDecision::GiveUp => break,
-                RetryDecision::AlreadyAcked => unreachable!(),
-            }
-        }
-        assert_eq!(backoffs, vec![2, 4, 8, 8, 8], "capped exponential");
-        assert_eq!(demotions, 2, "demoted at the 2nd and 4th timeout");
-        assert_eq!(t.level(), 2);
-        assert_eq!(t.attempts(), 6);
-    }
-
-    #[test]
-    fn ack_is_idempotent_and_stops_retries() {
-        let mut t = RetryTimer::new(RetryPolicy::default());
-        assert!(t.on_ack(), "first ack completes");
-        assert!(!t.on_ack(), "duplicate ack absorbed");
-        assert_eq!(t.on_timeout(), RetryDecision::AlreadyAcked);
     }
 }

@@ -35,7 +35,7 @@ pub mod plat;
 pub mod spsc;
 
 pub use bytering::{byte_ring_on, ByteRingConsumer, ByteRingProducer};
-pub use dedup::{DedupWindow, RetryDecision, RetryPolicy, RetryTimer, DEDUP_WINDOW};
+pub use dedup::{DedupWindow, DEDUP_WINDOW};
 pub use depth::DepthStats;
 pub use handoff::{handoff, handoff_on, HandoffReceiver, HandoffSender};
 pub use indexed::IndexedMatcher;

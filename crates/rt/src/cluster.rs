@@ -708,13 +708,15 @@ fn run_part_inner(
         let mut progress_handles = Vec::new();
         match cfg.progress {
             ProgressMode::Inline => {
-                for host in hosts {
+                for mut host in hosts {
                     let abort = abort.clone();
                     let first_error = first_error.clone();
                     host_handles.push(s.spawn(move || {
-                        let device = host.device;
-                        let res = std::panic::catch_unwind(AssertUnwindSafe(move || host.run()));
-                        host_thread_exit(device, res, &abort, &first_error)
+                        let res = std::panic::catch_unwind(AssertUnwindSafe(|| host.run()));
+                        // `host` (and with it the rank-facing rings) outlives
+                        // this call: a failure is on record as the root cause
+                        // before any rank can see a disconnected ring.
+                        host_thread_exit(host.device, res, &abort, &first_error)
                     }));
                 }
             }

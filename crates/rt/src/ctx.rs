@@ -178,11 +178,12 @@ impl RtCtx {
         dst_off: usize,
         len: usize,
         notify_tag: Option<u32>,
-        label: &str,
+        label: impl FnOnce() -> String,
     ) -> Result<(), RtError> {
         let Some(h) = self.races.clone() else {
             return Ok(());
         };
+        let label = &label();
         let found = h.with(|d| {
             d.put(
                 self.rank,
@@ -482,10 +483,12 @@ impl RtCtx {
             dst_off,
             len,
             notify.then_some(tag.0),
-            &if notify {
-                format!("put_notify[{tag}]")
-            } else {
-                "put".to_string()
+            || {
+                if notify {
+                    format!("put_notify[{tag}]")
+                } else {
+                    "put".to_string()
+                }
             },
         )?;
         self.flush_sent += 1;
@@ -811,7 +814,7 @@ impl RtCtx {
             dst_off,
             len,
             Some(tag),
-            &format!("coll[step {}]", tag & !COLL_TAG_BIT),
+            || format!("coll[step {}]", tag & !COLL_TAG_BIT),
         )?;
         self.flush_sent += 1;
         let flush_id = self.flush_sent;

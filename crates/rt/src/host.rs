@@ -265,6 +265,18 @@ impl Host {
     }
 
     fn handle_peer(&mut self, msg: WireMsg) -> Result<(), RtError> {
+        // Rank indices arrive off the wire: bound them before indexing.
+        let local_rank = |what: &str, local: u32| {
+            if local < self.ranks_per_device {
+                return Ok(local);
+            }
+            Err(RtError::Transport {
+                detail: format!(
+                    "device {}: {what} names local rank {local} of {}",
+                    self.device, self.ranks_per_device
+                ),
+            })
+        };
         match msg {
             WireMsg::Deliver {
                 dst_local,
@@ -286,7 +298,7 @@ impl Host {
                     data,
                     notify,
                 };
-                self.deliver_local(dst_local, delivery);
+                self.deliver_local(local_rank("Deliver", dst_local)?, delivery);
                 self.plane
                     .send(
                         origin_device,
@@ -301,7 +313,7 @@ impl Host {
                 origin_local,
                 flush_id,
             } => {
-                self.flush[origin_local as usize].complete(flush_id);
+                self.flush[local_rank("Ack", origin_local)? as usize].complete(flush_id);
             }
             WireMsg::Finished { device: _, ranks } => {
                 self.finished_remote += ranks;
@@ -412,7 +424,7 @@ impl Host {
     /// Returns statistics, plane-level counters and the invariant-counter
     /// shard (verified runs only) after world quiescence, or the first
     /// transport/abort failure.
-    pub fn run(mut self) -> Result<HostOutcome, RtError> {
+    pub fn run(&mut self) -> Result<HostOutcome, RtError> {
         loop {
             if self.abort.load(Ordering::Acquire) {
                 // Another thread failed first; unwind so the scope joins.

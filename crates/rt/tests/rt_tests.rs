@@ -709,6 +709,48 @@ fn lossy_transport_keeps_exactly_once_with_progress_pool_and_race_detection() {
 }
 
 #[test]
+fn hostile_rank_indices_off_the_wire_are_typed_errors() {
+    // The half of a world whose peer speaks nonsense: one message naming a
+    // local rank this device does not have. The host must refuse it, not
+    // index out of bounds (`HostPanicked`).
+    use dcuda_net::{InProcessPlane, WireMsg};
+    use dcuda_rt::{try_run_cluster_part, ClusterPart, Transport};
+    let deliver = WireMsg::Deliver {
+        dst_local: 2,
+        win: 0,
+        dst_off: 0,
+        source: 3,
+        tag: 0,
+        notify: true,
+        seq: 0,
+        origin_device: 1,
+        origin_local: 0,
+        flush_id: 1,
+        data: vec![0; 8],
+    };
+    let ack = WireMsg::Ack {
+        origin_local: u32::MAX,
+        flush_id: 1,
+    };
+    for (what, msg) in [("Deliver", deliver), ("Ack", ack)] {
+        let part = ClusterPart {
+            first_device: 0,
+            local_devices: 1,
+        };
+        let programs: Vec<dcuda_rt::cluster::RankProgram> =
+            vec![Box::new(|_| {}), Box::new(|_| {})];
+        let mut planes = InProcessPlane::new_world(2);
+        let mut peer = planes.pop().expect("device 1");
+        peer.send(0, msg).expect("plane send");
+        let plane: Vec<Box<dyn Transport>> = vec![Box::new(planes.pop().expect("device 0"))];
+        match try_run_cluster_part(&cfg(2, 2), part, programs, plane, false) {
+            Err(RtError::Transport { detail }) => assert!(detail.contains(what), "{detail}"),
+            other => panic!("{what}: expected a transport error, got {:?}", other.err()),
+        }
+    }
+}
+
+#[test]
 fn zero_progress_threads_rejected() {
     use dcuda_rt::ProgressMode;
     let bad = RtConfig {

@@ -1,10 +1,12 @@
 //! Model checking for the shared-mapping SPSC *byte* ring — the record
-//! protocol `dcuda-net`'s shm plane runs over an `mmap`ed file. The
-//! checker drives the production `byte_ring_on` code on [`VPlatform`], so
-//! every length-word/body cell access and both monotonic frontier atomics
-//! go through the virtual scheduler: the pad/wrap placement math and the
-//! Release-publish / Acquire-observe pairing are explored exactly as the
-//! mapped plane ships them.
+//! protocol `dcuda-net`'s shm plane runs over an `mmap`ed file. The plane
+//! has no ring code of its own: it hands its mapping to `dcuda-queues`'
+//! producer and consumer as their `RingStore`, and this suite drives those
+//! same two bodies — through the `try_push_parts` / `try_pop_with` entry
+//! points the plane calls — over `CellStore` on [`VPlatform`]. Every
+//! length-word/body cell access and both monotonic frontier atomics go
+//! through the virtual scheduler, so the pad/wrap placement math and the
+//! Release-publish / Acquire-observe pairing are explored as shipped.
 
 use dcuda_queues::byte_ring_on;
 use dcuda_queues::bytering::{plan_record, record_bytes};
@@ -21,19 +23,18 @@ fn mk_byte_ring_handoff(cap: usize, msgs: u8) -> impl Fn() -> Vec<ModelThread> {
         let (mut tx, mut rx) = byte_ring_on::<VPlatform>(cap);
         let producer: ModelThread = Box::new(move || {
             for i in 0..msgs {
-                let body = [i + 1; 4];
-                while !tx.try_push(&body) {
+                let half = [i + 1; 2];
+                while !tx.try_push_parts(&[&half, &half]) {
                     dcuda_verify::vyield();
                 }
             }
         });
         let consumer: ModelThread = Box::new(move || {
             for i in 0..msgs {
-                loop {
-                    if let Some(body) = rx.try_pop() {
-                        assert_eq!(body, [i + 1; 4], "record {i} torn or out of order");
-                        break;
-                    }
+                let check = |body: &[u8]| {
+                    assert_eq!(body, [i + 1; 4], "record {i} torn or out of order");
+                };
+                while rx.try_pop_with(check).expect("well-formed ring").is_none() {
                     dcuda_verify::vyield();
                 }
             }

@@ -463,7 +463,6 @@ fn worker_run(
     let config = NetConfig {
         faults: net_faults(args)?,
         traced,
-        ..NetConfig::default()
     };
     let endpoints = SocketPlane::establish(MeshOpts {
         my_proc: index,
