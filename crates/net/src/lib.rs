@@ -27,7 +27,6 @@
 
 pub mod launch;
 mod link;
-pub mod poll;
 pub mod shm;
 pub mod socket;
 pub mod transport;

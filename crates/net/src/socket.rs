@@ -29,14 +29,14 @@
 //!   duplicates first transmissions of data-class frames *at the byte
 //!   stream*, deterministically from a seed (the roll, the retransmit park
 //!   and the duplicate verdict are `crate::link`'s).
-//! * **Reactor** — one `dcuda-net-rx` thread progresses *every* TCP
-//!   connection of the plane: the streams run nonblocking, a
-//!   [`crate::poll`] shim sleeps until any of them has bytes (or the
-//!   doorbell rings for teardown), and a per-connection state machine
-//!   ([`RxPhase`]) resumes frames split at arbitrary byte boundaries.
-//!   Completed messages reach each host rank over a model-checked SPSC
-//!   handoff ring ([`dcuda_queues::handoff`]); same-process loopback and
-//!   shm traffic keep their mpsc inbox.
+//! * **Progress** — the plane owns no thread. The streams run nonblocking
+//!   and only [`Transport::try_recv`] and [`Transport::pump`] move bytes:
+//!   receive advances a per-connection state machine ([`RxPhase`]) that
+//!   resumes frames split at arbitrary byte boundaries and releases
+//!   completed messages into the per-device inbox that loopback and shm
+//!   traffic use too; a flush the kernel will not take whole remembers its
+//!   byte offset and resumes on the next call. Nothing waits on a socket
+//!   after the mesh handshake.
 //!
 //! Failure model: a connection EOF or write failure marks the peer process
 //! gone. The transport itself keeps running — the *host* decides whether
@@ -44,21 +44,19 @@
 //! [`Transport::peer_gone`].
 
 use crate::link::{LinkRx, LinkTx, NetFaults};
-use crate::poll::{self, Interest, PollShim, Readiness, Waker};
 use crate::shm::{shm_supported, ShmConn};
 use crate::transport::{NetError, NetStats, PlaneKind, Transport};
 use crate::wire::{
     parse_u32_payload, u32_payload, CodecError, Frame, FrameHeader, FrameKind, MsgHeader, WireMsg,
     COALESCE_LIMIT, CREDIT_BATCH, EAGER_MAX, FRAME_HEADER_BYTES, INITIAL_CREDITS, VECTORED_MIN,
 };
-use dcuda_queues::{handoff, HandoffReceiver, HandoffSender, TrySendError};
 use dcuda_trace::{Tracer, Track};
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 /// What a launch may set on its transport; every tuning value is a
@@ -99,14 +97,9 @@ pub struct MeshOpts {
 
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Slots per device in the reactor→host handoff ring. Deep enough that a
-/// burst of small puts never stalls the reactor; a full ring (host far
-/// behind) degrades to a yield-spin, applying natural backpressure.
-const HANDOFF_RING_SLOTS: usize = 1024;
-
-/// Reactor poll timeout: a safety heartbeat so shutdown and dead-conn
-/// bookkeeping never wait on traffic (readiness itself wakes immediately).
-const REACTOR_TICK_MS: i32 = 200;
+/// Messages one receive pass may release per connection before it returns
+/// to its caller, so a fast peer cannot starve the local command rings.
+const RX_RELEASE_CAP: usize = 64;
 
 // --- plane-wide shared state --------------------------------------------
 
@@ -202,8 +195,9 @@ struct BigOut {
 type ParkedRndz = (u32, Vec<u8>, Arc<[u8]>);
 
 /// Send half of one process-pair connection. Shared (behind a mutex)
-/// between the local host threads and the connection's reader thread,
-/// which writes credit returns and rendezvous grants back on it.
+/// between the local host threads' sends and whoever drives the
+/// connection's receive machine, which writes credit returns and
+/// rendezvous grants back on it.
 struct ConnTx {
     stream: TcpStream,
     /// Coalescing write buffer for short frames (encoded bytes).
@@ -213,6 +207,9 @@ struct ConnTx {
     /// Large frames staged for the next vectored write, in emit order
     /// relative to `wbuf` via their watermark.
     big: Vec<BigOut>,
+    /// Bytes of the staged stream (`wbuf` with `big` interleaved) the
+    /// kernel already took: where a flush that met `WouldBlock` resumes.
+    flushed: usize,
     /// First transmissions waiting for credits, in send order.
     pending: VecDeque<OutFrame>,
     /// Sequencing, fault rolls and the retransmit park of data-class
@@ -331,38 +328,56 @@ impl ConnTx {
             moved = true;
         }
         let staged = !self.wbuf.is_empty() || !self.big.is_empty();
-        if staged && (force_flush || self.wbuf.len() >= COALESCE_LIMIT || !self.big.is_empty()) {
-            if let Err(e) = self.flush(stats) {
-                return (moved, Some(e));
+        let due = force_flush
+            || self.flushed > 0
+            || self.wbuf.len() >= COALESCE_LIMIT
+            || !self.big.is_empty();
+        if staged && due {
+            match self.flush(stats) {
+                Ok(wrote) => moved |= wrote,
+                Err(e) => return (moved, Some(e)),
             }
-            moved = true;
         }
         (moved, None)
     }
 
-    fn flush(&mut self, stats: &AtomicStats) -> Result<(), NetError> {
+    /// Write what the kernel takes of the staged stream and return whether
+    /// any byte moved. On `WouldBlock` the offset reached is kept and the
+    /// next call resumes there; frames emitted meanwhile append behind it
+    /// (the stream is append-only, so the offset stays valid).
+    fn flush(&mut self, stats: &AtomicStats) -> Result<bool, NetError> {
         if self.wbuf.is_empty() && self.big.is_empty() {
-            return Ok(());
+            return Ok(false);
         }
-        if self.wbuf_frames > 1 {
-            stats.coalesced_flushes.fetch_add(1, Ordering::Relaxed);
-        }
-        let r = if self.big.is_empty() {
-            write_all_nb(&mut self.stream, &self.wbuf)
-        } else {
-            stats.vectored_writes.fetch_add(1, Ordering::Relaxed);
-            write_vectored_all(&mut self.stream, &self.wbuf, &self.big)
+        let from = self.flushed;
+        let done = match write_staged(&mut self.stream, &self.wbuf, &self.big, from) {
+            Ok((at, false)) => {
+                self.flushed = at;
+                return Ok(at > from);
+            }
+            Ok(_) => {
+                if self.wbuf_frames > 1 {
+                    stats.coalesced_flushes.fetch_add(1, Ordering::Relaxed);
+                }
+                if !self.big.is_empty() {
+                    stats.vectored_writes.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(true)
+            }
+            Err(e) => {
+                self.closed = true;
+                Err(NetError::Io(e.to_string()))
+            }
         };
+        // Written out or failed: the stage is spent either way.
         self.wbuf.clear();
         self.big.clear();
         self.wbuf_frames = 0;
-        if let Err(e) = r {
-            self.closed = true;
-            return Err(NetError::Io(e.to_string()));
-        }
-        Ok(())
+        self.flushed = 0;
+        done
     }
 
+    /// Nothing queued, parked or staged; unflushed bytes count as staged.
     fn idle(&self) -> bool {
         self.closed
             || (self.wbuf.is_empty()
@@ -373,37 +388,17 @@ impl ConnTx {
     }
 }
 
-/// `write_all` with blocking semantics on a nonblocking socket: partial
-/// writes resume where they left off, `EINTR` retries, and `WouldBlock`
-/// parks on `poll(2)` until the kernel buffer drains. (The streams are
-/// nonblocking for the reactor's sake — `O_NONBLOCK` lives on the shared
-/// file description — but the send path keeps its synchronous contract.
-/// `std`'s own `write_all` would lose the byte position on `WouldBlock`.)
-fn write_all_nb(stream: &mut TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
-    while !buf.is_empty() {
-        match stream.write(buf) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "write made no progress",
-                ))
-            }
-            Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                poll::wait_writable(stream)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// One `writev` pass over the interleaving of the coalescing buffer and
-/// the staged large payloads, preserving emit order, with a continuation
-/// loop for partial writes (and the same blocking-on-nonblocking contract
-/// as [`write_all_nb`]).
-fn write_vectored_all(stream: &mut TcpStream, wbuf: &[u8], big: &[BigOut]) -> std::io::Result<()> {
+/// One nonblocking pass over the staged stream — the coalescing buffer with
+/// the large payloads interleaved at their watermarks, in emit order — from
+/// byte offset `skip`, retrying `EINTR` and partial writes until the kernel
+/// stops taking bytes. Returns the offset reached and whether that is the
+/// end of the stream.
+fn write_staged(
+    stream: &mut TcpStream,
+    wbuf: &[u8],
+    big: &[BigOut],
+    skip: usize,
+) -> std::io::Result<(usize, bool)> {
     let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(big.len() * 2 + 1);
     let mut pos = 0usize;
     for b in big {
@@ -420,28 +415,34 @@ fn write_vectored_all(stream: &mut TcpStream, wbuf: &[u8], big: &[BigOut]) -> st
         slices.push(IoSlice::new(&wbuf[pos..]));
     }
     let mut bufs = &mut slices[..];
+    IoSlice::advance_slices(&mut bufs, skip);
+    let mut at = skip;
     while !bufs.is_empty() {
         match stream.write_vectored(bufs) {
             Ok(0) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::WriteZero,
-                    "vectored write made no progress",
+                    "write made no progress",
                 ))
             }
-            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                poll::wait_writable(stream)?;
+            Ok(n) => {
+                at += n;
+                IoSlice::advance_slices(&mut bufs, n);
             }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok((at, false)),
             Err(e) => return Err(e),
         }
     }
-    Ok(())
+    Ok((at, true))
 }
 
 struct ConnShared {
     peer_proc: u32,
     tx: Mutex<ConnTx>,
+    /// Taken with `try_lock` by whichever caller drives receive; the
+    /// holder may take `tx` (credit returns, grants), never the reverse.
+    rx: Mutex<ConnRx>,
 }
 
 /// A peer-pair link: TCP mesh connection or same-host shared-memory rings.
@@ -466,21 +467,14 @@ struct PlaneShared {
     devices_per_proc: u32,
     /// Peer links indexed by peer process (None at `my_proc`).
     conns: Vec<Option<PeerLink>>,
-    /// Inbox senders for local devices (loopback + reader routing).
+    /// Inbox senders for local devices (loopback and every link's
+    /// released messages).
     local_tx: Vec<mpsc::Sender<WireMsg>>,
     stats: AtomicStats,
     /// First fatal transport error (corrupt stream, protocol violation).
     error: Mutex<Option<NetError>>,
     /// First peer process observed gone (EOF / reset / write failure).
     peer_gone: Mutex<Option<u32>>,
-    /// Reactor doorbell (`None` when the mesh has no TCP links and no
-    /// reactor was spawned).
-    waker: Option<Waker>,
-    /// Raised by the last endpoint's drop; the reactor exits on observing
-    /// it, so no receive thread outlives the plane.
-    shutdown: AtomicBool,
-    /// Live endpoint count; reaching zero raises `shutdown`.
-    endpoints_alive: AtomicU64,
 }
 
 impl PlaneShared {
@@ -552,6 +546,24 @@ impl PlaneShared {
         }
         consumed
     }
+
+    /// Advance every tcp connection's receive machine until it would block
+    /// (or hits its release cap), routing released messages into the local
+    /// inboxes. A connection another caller is driving is skipped.
+    fn drain_tcp(&self) -> bool {
+        let mut moved = false;
+        for link in self.conns.iter().flatten() {
+            if let PeerLink::Tcp(conn) = link {
+                let mut rx = match conn.rx.try_lock() {
+                    Ok(rx) => rx,
+                    Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                    Err(TryLockError::WouldBlock) => continue,
+                };
+                moved |= pump_conn(self, conn, &mut rx);
+            }
+        }
+        moved
+    }
 }
 
 /// The multi-process backend: builds the TCP mesh and hands out endpoints.
@@ -559,10 +571,9 @@ pub struct SocketPlane;
 
 impl SocketPlane {
     /// Test support, not part of the launch path: a two-process-shaped mesh
-    /// hosted entirely by the calling process, one device per "process", the
-    /// partner side established on a helper thread. This is how tests,
-    /// benches and soaks put a real tcp or shm plane under the two halves of
-    /// a world. With `shm_dir` set both sides
+    /// hosted entirely by the calling process, one device per "process".
+    /// This is how tests, benches and soaks put a real tcp or shm plane
+    /// under the two halves of a world. With `shm_dir` set both sides
     /// advertise the same host fingerprint and negotiate the shared-memory
     /// plane through pair files in that directory; otherwise loopback tcp.
     #[doc(hidden)]
@@ -573,6 +584,7 @@ impl SocketPlane {
         let l0 = TcpListener::bind("127.0.0.1:0")?;
         let l1 = TcpListener::bind("127.0.0.1:0")?;
         let peer_addrs = vec![l0.local_addr()?.to_string(), l1.local_addr()?.to_string()];
+        let shm = shm_dir.is_some() && shm_supported();
         let peer_hosts = match shm_dir {
             Some(_) => vec!["loopback-pair".to_string(); 2],
             None => Vec::new(),
@@ -587,15 +599,17 @@ impl SocketPlane {
             listener,
             config: config.clone(),
         };
-        let o1 = opts(1, l1);
-        let partner = std::thread::spawn(move || SocketPlane::establish(o1));
-        // Both sides give up at the handshake deadline, so the join returns
-        // even when this side's establish failed.
-        let e0 = SocketPlane::establish(opts(0, l0));
-        let e1 = partner
-            .join()
-            .map_err(|_| NetError::Io("partner establish panicked".into()))?;
-        Ok([e0?, e1?])
+        // One thread suffices: the half that goes first finishes its side of
+        // the handshake alone — on shm the ring creator (process 0), on tcp
+        // the dialer (process 1, whose connect lands in the bound
+        // listener's backlog).
+        if shm {
+            let e0 = SocketPlane::establish(opts(0, l0))?;
+            Ok([e0, SocketPlane::establish(opts(1, l1))?])
+        } else {
+            let e1 = SocketPlane::establish(opts(1, l1))?;
+            Ok([SocketPlane::establish(opts(0, l0))?, e1])
+        }
     }
 
     /// Join the mesh and return one endpoint per local device, index-aligned
@@ -687,32 +701,35 @@ impl SocketPlane {
         let (local_tx, inboxes): (Vec<_>, Vec<_>) = (0..devices_per_proc)
             .map(|_| mpsc::channel::<WireMsg>())
             .unzip();
-        // Reactor→host handoff rings, one per local device. Loopback and
-        // shm delivery keep the mpsc inboxes (they have multiple
-        // producers); the rings carry exactly the reactor's traffic.
-        let (ring_tx, ring_rx): (Vec<_>, Vec<_>) = (0..devices_per_proc)
-            .map(|_| handoff::<WireMsg>(HANDOFF_RING_SLOTS))
-            .unzip();
 
         let mut conns: Vec<Option<PeerLink>> = (0..procs).map(|_| None).collect();
-        for (j, slot) in streams.iter_mut().enumerate() {
-            let Some(stream) = slot.take() else { continue };
-            let write_half = stream.try_clone()?;
+        for (j, stream) in streams.into_iter().enumerate() {
+            let Some(stream) = stream else { continue };
+            // Handshake I/O is done: from here nothing waits on this socket
+            // (the flag lives on the file description both halves share).
+            stream.set_nonblocking(true)?;
             conns[j] = Some(PeerLink::Tcp(Arc::new(ConnShared {
                 peer_proc: j as u32,
                 tx: Mutex::new(ConnTx {
-                    stream: write_half,
+                    stream: stream.try_clone()?,
                     wbuf: Vec::new(),
                     wbuf_frames: 0,
                     big: Vec::new(),
+                    flushed: 0,
                     pending: VecDeque::new(),
                     link: LinkTx::new(config.faults, my_proc, j as u32),
                     credits: INITIAL_CREDITS,
                     rndz_parked: HashMap::new(),
                     closed: false,
                 }),
+                rx: Mutex::new(ConnRx {
+                    stream,
+                    phase: RxPhase::fresh_header(),
+                    link: LinkRx::new(),
+                    fresh_since_credit: 0,
+                    dead: false,
+                }),
             })));
-            *slot = Some(stream);
         }
         if let Some(dir) = shm_dir.as_deref() {
             for j in 0..procs {
@@ -724,17 +741,6 @@ impl SocketPlane {
             }
         }
 
-        // One reactor progresses every TCP connection; the doorbell lets
-        // endpoint teardown (and, in principle, parked sends) interrupt
-        // its poll.
-        let has_tcp = streams.iter().any(|s| s.is_some());
-        let (shim, waker) = if has_tcp {
-            let (s, w) = PollShim::new()?;
-            (Some(s), Some(w))
-        } else {
-            (None, None)
-        };
-
         let shared = Arc::new(PlaneShared {
             my_proc,
             procs,
@@ -744,48 +750,15 @@ impl SocketPlane {
             stats: AtomicStats::default(),
             error: Mutex::new(None),
             peer_gone: Mutex::new(None),
-            waker,
-            shutdown: AtomicBool::new(false),
-            endpoints_alive: AtomicU64::new(u64::from(devices_per_proc)),
         });
-
-        if let Some(shim) = shim {
-            let mut rx_conns = Vec::new();
-            for (j, slot) in streams.into_iter().enumerate() {
-                let Some(stream) = slot else { continue };
-                // Handshake I/O is done; from here the shared file
-                // description goes nonblocking for the reactor (the write
-                // half keeps blocking semantics via `write_all_nb`).
-                stream.set_nonblocking(true)?;
-                let Some(PeerLink::Tcp(conn)) = &shared.conns[j] else {
-                    continue;
-                };
-                rx_conns.push(ConnRx {
-                    peer: j as u32,
-                    stream,
-                    conn: Arc::clone(conn),
-                    phase: RxPhase::fresh_header(),
-                    link: LinkRx::new(),
-                    fresh_since_credit: 0,
-                    dead: false,
-                });
-            }
-            let shared2 = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("dcuda-net-rx".into())
-                .spawn(move || reactor_loop(shared2, rx_conns, ring_tx, shim))
-                .map_err(|e| NetError::Io(e.to_string()))?;
-        }
 
         let mut endpoints: Vec<NetEndpoint> = inboxes
             .into_iter()
-            .zip(ring_rx)
             .enumerate()
-            .map(|(i, (inbox, ring))| NetEndpoint {
+            .map(|(i, inbox)| NetEndpoint {
                 device: my_proc * devices_per_proc + i as u32,
                 shared: Arc::clone(&shared),
                 inbox,
-                ring,
                 tracer: if config.traced {
                     Tracer::enabled()
                 } else {
@@ -859,23 +832,26 @@ fn read_hello(mut stream: &TcpStream) -> Result<u32, NetError> {
 
 // --- receive path --------------------------------------------------------
 
-/// Classify a reader-side io failure: corrupt streams are fatal, anything
-/// else means the peer process died.
+/// Classify a receive-side failure: a broken stream (anything carrying a
+/// [`CodecError`], or other invalid data) is the plane's fatal error; any
+/// failure but invalid data also means the peer process is gone.
 fn reader_fail(shared: &PlaneShared, peer: u32, e: std::io::Error) {
-    if e.kind() == std::io::ErrorKind::InvalidData {
-        let err = e
-            .get_ref()
-            .and_then(|inner| inner.downcast_ref::<CodecError>())
-            .map(|c| NetError::Codec(c.clone()))
-            .unwrap_or_else(|| NetError::Io(e.to_string()));
-        shared.set_error(err);
-    } else {
+    let invalid = e.kind() == std::io::ErrorKind::InvalidData;
+    match e
+        .get_ref()
+        .and_then(|inner| inner.downcast_ref::<CodecError>())
+    {
+        Some(c) => shared.set_error(NetError::Codec(c.clone())),
+        None if invalid => shared.set_error(NetError::Io(e.to_string())),
+        None => {}
+    }
+    if !invalid {
         shared.set_peer_gone(peer);
     }
 }
 
 /// Nonblocking decode state of one connection — where a frame split at an
-/// arbitrary byte boundary resumes on the next poll round.
+/// arbitrary byte boundary resumes on the next receive pass.
 enum RxPhase {
     /// Accumulating the fixed-size frame header.
     Header {
@@ -889,11 +865,11 @@ enum RxPhase {
         remaining: usize,
         grant: Option<u64>,
     },
-    /// Accumulating a small control payload (credit return, rendezvous
-    /// request declaration).
+    /// Accumulating the four-byte payload of a control frame (credit
+    /// return, rendezvous request declaration).
     Ctl {
         head: FrameHeader,
-        buf: Vec<u8>,
+        buf: [u8; 4],
         got: usize,
     },
     /// Accumulating the ≤[`WireMsg::HEADER_MAX`]-byte message prefix of a
@@ -905,8 +881,8 @@ enum RxPhase {
         take: usize,
     },
     /// Streaming the remaining payload **straight into its final delivery
-    /// buffer** across however many poll rounds it takes — one
-    /// receive-side copy, same as the old blocking path.
+    /// buffer** across however many passes it takes — one receive-side
+    /// copy.
     MsgData {
         head: FrameHeader,
         mh: MsgHeader,
@@ -924,17 +900,15 @@ impl RxPhase {
     }
 }
 
-/// Reactor-side state of one TCP connection.
+/// Receive half of one process-pair connection.
 struct ConnRx {
-    peer: u32,
     stream: TcpStream,
-    conn: Arc<ConnShared>,
     phase: RxPhase,
     /// Release frontier, reorder buffer and duplicate verdict; a message
     /// is slotted with its destination device.
     link: LinkRx<(u32, WireMsg)>,
     fresh_since_credit: u32,
-    /// EOF or failure observed; the reactor stops polling this stream.
+    /// EOF or failure observed; the stream is not read again.
     dead: bool,
 }
 
@@ -970,64 +944,48 @@ fn invalid(e: CodecError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e)
 }
 
-/// Push one released message into its device's handoff ring. A full ring
-/// yield-spins (backpressure from a host far behind); a disconnected ring
-/// means that host already exited and late messages are moot, mirroring
-/// the closed-mpsc semantics of the loopback path.
-fn ring_deliver(
-    shared: &PlaneShared,
-    rings: &mut [HandoffSender<WireMsg>],
-    dst_device: u32,
-    msg: WireMsg,
-) {
-    let Some(idx) = shared.local_index(dst_device) else {
-        return;
-    };
-    let mut msg = msg;
-    loop {
-        match rings[idx].try_send(msg) {
-            Ok(()) => return,
-            Err(TrySendError::Full(back)) => {
-                msg = back;
-                std::thread::yield_now();
-            }
-            Err(TrySendError::Disconnected(_)) => return,
-        }
+/// Stage one control frame on the connection's send half and write what
+/// the kernel takes now (the peer is waiting on it; `pump` finishes a
+/// flush that blocks).
+fn reply(shared: &PlaneShared, conn: &ConnShared, frame: OutFrame) {
+    let mut tx = lock(&conn.tx);
+    tx.emit(frame, 1, &shared.stats);
+    if tx.flush(&shared.stats).is_err() {
+        drop(tx);
+        shared.set_peer_gone(conn.peer_proc);
     }
 }
 
-/// Per-frame epilogue: release ready messages in strict sequence order and
-/// return credits in batches of fresh data-class frames.
+/// Per-frame epilogue: release ready messages in strict sequence order
+/// into the device inboxes (counted in `released`) and return credits in
+/// batches of fresh data-class frames.
 fn release_and_credit(
     shared: &PlaneShared,
+    conn: &ConnShared,
     c: &mut ConnRx,
-    rings: &mut [HandoffSender<WireMsg>],
+    released: &mut usize,
     fresh: u32,
 ) {
     while let Some((dst_device, msg)) = c.link.pop_ready() {
-        ring_deliver(shared, rings, dst_device, msg);
+        shared.route_local(dst_device, msg);
+        *released += 1;
     }
     c.fresh_since_credit += fresh;
     if c.fresh_since_credit >= CREDIT_BATCH {
-        let n = c.fresh_since_credit;
-        c.fresh_since_credit = 0;
-        let mut tx = lock(&c.conn.tx);
-        tx.emit(
+        let n = std::mem::take(&mut c.fresh_since_credit);
+        reply(
+            shared,
+            conn,
             OutFrame::ctl(FrameKind::Credit, 0, 0, u32_payload(n)),
-            1,
-            &shared.stats,
         );
-        if tx.flush(&shared.stats).is_err() {
-            drop(tx);
-            shared.set_peer_gone(c.peer);
-        }
     }
 }
 
 /// Decide the decode phase for a freshly parsed frame header. Data-class
 /// frames the link does not admit are duplicates: their payloads are
-/// discarded without decoding.
-fn begin_frame(shared: &PlaneShared, c: &mut ConnRx, head: FrameHeader) -> RxPhase {
+/// discarded without decoding. A control frame declaring anything but its
+/// four-byte payload is rejected before a byte of it is buffered.
+fn begin_frame(shared: &PlaneShared, c: &ConnRx, head: FrameHeader) -> std::io::Result<RxPhase> {
     let skip = |grant| RxPhase::Skip {
         remaining: head.payload_len,
         grant,
@@ -1038,30 +996,38 @@ fn begin_frame(shared: &PlaneShared, c: &mut ConnRx, head: FrameHeader) -> RxPha
         buf: [0u8; WireMsg::HEADER_MAX],
         got: 0,
     };
-    let ctl = || RxPhase::Ctl {
-        buf: vec![0u8; head.payload_len],
-        head,
-        got: 0,
+    let ctl = || {
+        if head.payload_len != 4 {
+            return Err(invalid(CodecError::TrailingBytes {
+                extra: head.payload_len.abs_diff(4),
+            }));
+        }
+        Ok(RxPhase::Ctl {
+            head,
+            buf: [0u8; 4],
+            got: 0,
+        })
     };
-    match head.kind {
+    Ok(match head.kind {
         // Late hello: tolerated, carries nothing of interest.
         FrameKind::Hello => skip(None),
-        FrameKind::Credit => ctl(),
+        FrameKind::Credit => ctl()?,
         FrameKind::RndzReady => skip(Some(head.seq)),
         FrameKind::Data if c.link.admit(head.seq, &shared.stats) => msg_prefix(),
-        FrameKind::RndzRequest if c.link.admit(head.seq, &shared.stats) => ctl(),
+        FrameKind::RndzRequest if c.link.admit(head.seq, &shared.stats) => ctl()?,
         // The payload of a slot its request reserved (and counted).
         FrameKind::RndzData if c.link.admit_payload(head.seq, &shared.stats) => msg_prefix(),
         FrameKind::Data | FrameKind::RndzRequest | FrameKind::RndzData => skip(None),
-    }
+    })
 }
 
 /// A decoded data-class payload is complete: slot it into the reorder
 /// buffer and run the frame epilogue.
 fn complete_msg(
     shared: &PlaneShared,
+    conn: &ConnShared,
     c: &mut ConnRx,
-    rings: &mut [HandoffSender<WireMsg>],
+    released: &mut usize,
     head: FrameHeader,
     mh: MsgHeader,
     data: Vec<u8>,
@@ -1076,7 +1042,7 @@ fn complete_msg(
     if fresh {
         shared.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
     }
-    release_and_credit(shared, c, rings, u32::from(fresh));
+    release_and_credit(shared, conn, c, released, u32::from(fresh));
     Ok(())
 }
 
@@ -1085,8 +1051,9 @@ fn complete_msg(
 /// `Ok(false)` = would block or the connection just died cleanly.
 fn advance_conn(
     shared: &PlaneShared,
+    conn: &ConnShared,
     c: &mut ConnRx,
-    rings: &mut [HandoffSender<WireMsg>],
+    released: &mut usize,
 ) -> std::io::Result<bool> {
     let phase = std::mem::replace(&mut c.phase, RxPhase::fresh_header());
     match phase {
@@ -1100,14 +1067,14 @@ fn advance_conn(
                     // Clean EOF at a frame boundary: the peer process
                     // exited. Benign iff the world already finished — the
                     // host decides.
-                    shared.set_peer_gone(c.peer);
+                    shared.set_peer_gone(conn.peer_proc);
                     c.dead = true;
                     Ok(false)
                 }
                 Fill::Eof => Err(eof_mid_frame(FRAME_HEADER_BYTES - got)),
                 Fill::Done => {
                     let head = FrameHeader::parse(&buf).map_err(invalid)?;
-                    c.phase = begin_frame(shared, c, head);
+                    c.phase = begin_frame(shared, c, head)?;
                     Ok(true)
                 }
             }
@@ -1131,30 +1098,25 @@ fn advance_conn(
                 }
             }
             if let Some(seq) = grant {
-                let mut tx = lock(&c.conn.tx);
-                if let Some((dst_device, mhead, data)) = tx.rndz_parked.remove(&seq) {
+                let parked = lock(&conn.tx).rndz_parked.remove(&seq);
+                if let Some((dst_device, head, data)) = parked {
                     // The granted transfer flows through the vectored path
                     // (rendezvous payloads exceed `VECTORED_MIN`), so the
                     // kernel write is its only send-side copy.
-                    tx.emit(
+                    reply(
+                        shared,
+                        conn,
                         OutFrame {
                             kind: FrameKind::RndzData,
                             dst_device,
                             seq,
-                            head: mhead,
+                            head,
                             data,
                         },
-                        1,
-                        &shared.stats,
                     );
-                    if tx.flush(&shared.stats).is_err() {
-                        drop(tx);
-                        shared.set_peer_gone(c.peer);
-                        return Ok(true);
-                    }
                 }
             }
-            release_and_credit(shared, c, rings, 0);
+            release_and_credit(shared, conn, c, released, 0);
             Ok(true)
         }
         RxPhase::Ctl {
@@ -1168,34 +1130,39 @@ fn advance_conn(
             }
             Fill::Eof => Err(eof_mid_frame(buf.len() - got)),
             Fill::Done => {
-                let n = parse_u32_payload(&buf).map_err(invalid)?;
+                let n = u32::from_le_bytes(buf);
                 if head.kind == FrameKind::Credit {
                     {
-                        let mut tx = lock(&c.conn.tx);
-                        tx.credits += n;
+                        let mut tx = lock(&conn.tx);
+                        // Credits only come back for frames this side sent.
+                        match tx.credits.checked_add(n) {
+                            Some(sum) if sum <= INITIAL_CREDITS => tx.credits = sum,
+                            _ => {
+                                return Err(std::io::Error::new(
+                                    std::io::ErrorKind::InvalidData,
+                                    format!(
+                                        "peer returned {n} credits with {} of {INITIAL_CREDITS} outstanding",
+                                        INITIAL_CREDITS - tx.credits
+                                    ),
+                                ))
+                            }
+                        }
                     }
                     // Returned credits may unblock queued sends right now.
-                    shared.service_conn(&c.conn, true);
-                    release_and_credit(shared, c, rings, 0);
+                    shared.service_conn(conn, true);
+                    release_and_credit(shared, conn, c, released, 0);
                 } else {
                     // RndzRequest: reserve the slot and grant the transfer
                     // immediately (control frames bypass credits and
                     // coalescing: the sender is waiting).
                     c.link.reserve(head.seq);
                     shared.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
-                    {
-                        let mut tx = lock(&c.conn.tx);
-                        tx.emit(
-                            OutFrame::ctl(FrameKind::RndzReady, 0, head.seq, Vec::new()),
-                            1,
-                            &shared.stats,
-                        );
-                        if tx.flush(&shared.stats).is_err() {
-                            drop(tx);
-                            shared.set_peer_gone(c.peer);
-                        }
-                    }
-                    release_and_credit(shared, c, rings, 1);
+                    reply(
+                        shared,
+                        conn,
+                        OutFrame::ctl(FrameKind::RndzReady, 0, head.seq, Vec::new()),
+                    );
+                    release_and_credit(shared, conn, c, released, 1);
                 }
                 Ok(true)
             }
@@ -1227,7 +1194,7 @@ fn advance_conn(
                 let spill = take - mh.consumed;
                 data[..spill].copy_from_slice(&buf[mh.consumed..take]);
                 if spill == data.len() {
-                    complete_msg(shared, c, rings, head, mh, data)?;
+                    complete_msg(shared, conn, c, released, head, mh, data)?;
                 } else {
                     c.phase = RxPhase::MsgData {
                         head,
@@ -1256,69 +1223,30 @@ fn advance_conn(
             }
             Fill::Eof => Err(eof_mid_frame(data.len() - got)),
             Fill::Done => {
-                complete_msg(shared, c, rings, head, mh, data)?;
+                complete_msg(shared, conn, c, released, head, mh, data)?;
                 Ok(true)
             }
         },
     }
 }
 
-/// Progress one connection's receive machine until it would block. Marks
-/// the connection dead on EOF or failure (the reactor stops polling it).
-fn pump_conn(shared: &PlaneShared, c: &mut ConnRx, rings: &mut [HandoffSender<WireMsg>]) {
-    while !c.dead {
-        match advance_conn(shared, c, rings) {
-            Ok(true) => {}
-            Ok(false) => return,
+/// Progress one connection's receive machine until it would block or has
+/// released [`RX_RELEASE_CAP`] messages; true if it advanced at all. Marks
+/// the connection dead on EOF or failure.
+fn pump_conn(shared: &PlaneShared, conn: &ConnShared, c: &mut ConnRx) -> bool {
+    let mut moved = false;
+    let mut released = 0;
+    while !c.dead && released < RX_RELEASE_CAP {
+        match advance_conn(shared, conn, c, &mut released) {
+            Ok(true) => moved = true,
+            Ok(false) => break,
             Err(e) => {
-                reader_fail(shared, c.peer, e);
+                reader_fail(shared, conn.peer_proc, e);
                 c.dead = true;
             }
         }
     }
-}
-
-/// The reactor: one thread progresses every TCP connection of the plane.
-/// Sleeps on `poll(2)` until a stream has bytes, the doorbell rings, or
-/// the safety tick elapses; exits when the last endpoint drops.
-fn reactor_loop(
-    shared: Arc<PlaneShared>,
-    mut conns: Vec<ConnRx>,
-    mut rings: Vec<HandoffSender<WireMsg>>,
-    mut shim: PollShim,
-) {
-    let mut ready: Vec<Readiness> = Vec::new();
-    while !shared.shutdown.load(Ordering::Acquire) {
-        let live: Vec<usize> = conns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.dead)
-            .map(|(i, _)| i)
-            .collect();
-        {
-            let streams: Vec<(&TcpStream, Interest)> = live
-                .iter()
-                .map(|&i| {
-                    (
-                        &conns[i].stream,
-                        Interest {
-                            read: true,
-                            write: false,
-                        },
-                    )
-                })
-                .collect();
-            if let Err(e) = shim.wait(&streams, &mut ready, REACTOR_TICK_MS) {
-                shared.set_error(NetError::Io(format!("reactor poll: {e}")));
-                return;
-            }
-        }
-        for (k, &i) in live.iter().enumerate() {
-            if ready.get(k).is_some_and(|r| r.readable) {
-                pump_conn(&shared, &mut conns[i], &mut rings);
-            }
-        }
-    }
+    moved
 }
 
 // --- the endpoint --------------------------------------------------------
@@ -1327,10 +1255,9 @@ fn reactor_loop(
 pub struct NetEndpoint {
     device: u32,
     shared: Arc<PlaneShared>,
+    /// Everything addressed to this device: loopback sends and the
+    /// messages any endpoint's receive pass released from a tcp or shm link.
     inbox: mpsc::Receiver<WireMsg>,
-    /// Reactor→host SPSC handoff ring: completed TCP frames for this
-    /// device (loopback and shm messages arrive on `inbox`).
-    ring: HandoffReceiver<WireMsg>,
     tracer: Tracer,
     /// Exactly one endpoint per plane reports the plane-wide [`NetStats`]
     /// (the others return zeros), so summing endpoint stats never double
@@ -1412,15 +1339,13 @@ impl Transport for NetEndpoint {
     }
 
     fn try_recv(&mut self) -> Result<Option<WireMsg>, NetError> {
-        // Shm links have no reader thread; drain their rings inline (any
-        // endpoint may do it — routing goes through the shared inboxes).
-        self.shared.drain_shm();
-        // Reactor handoff ring first (empty or reactor-gone falls through
-        // to the loopback/shm inbox).
-        let msg = match self.ring.try_recv() {
-            Ok(m) => Some(m),
-            Err(_) => self.inbox.try_recv().ok(),
-        };
+        // What is already routed goes first; only an empty inbox is worth a
+        // receive pass over the links (any endpoint may run it — routing
+        // goes through the shared inboxes).
+        let mut msg = self.inbox.try_recv().ok();
+        if msg.is_none() && (self.shared.drain_shm() | self.shared.drain_tcp()) {
+            msg = self.inbox.try_recv().ok();
+        }
         match msg {
             Some(msg) => {
                 if self.tracer.is_enabled() {
@@ -1449,7 +1374,9 @@ impl Transport for NetEndpoint {
                 PeerLink::Shm(conn) => moved |= conn.service(&self.shared.stats),
             }
         }
-        moved |= self.shared.drain_shm();
+        // Receive rides along: a caller that only ever sends still has to
+        // see its credit returns and rendezvous grants.
+        moved |= self.shared.drain_shm() | self.shared.drain_tcp();
         if moved && self.tracer.is_enabled() {
             let ts = self.tick();
             self.tracer
@@ -1507,23 +1434,10 @@ impl Transport for NetEndpoint {
     }
 }
 
-impl Drop for NetEndpoint {
-    fn drop(&mut self) {
-        // The last endpoint's drop retires the reactor: raise the shutdown
-        // flag and ring its doorbell so it exits instead of lingering on a
-        // blocked read the way the per-connection reader threads used to.
-        if self.shared.endpoints_alive.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.shared.shutdown.store(true, Ordering::Release);
-            if let Some(w) = &self.shared.waker {
-                w.wake();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::wire::MAX_FRAME_PAYLOAD;
 
     /// The two endpoints of a loopback mesh (tcp, or shm through `shm_dir`).
     fn mesh_pair(faults: Option<NetFaults>, shm_dir: Option<PathBuf>) -> [NetEndpoint; 2] {
@@ -1732,10 +1646,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn reactor_resumes_frames_trickled_byte_by_byte() {
+    fn receive_machine_resumes_frames_trickled_byte_by_byte() {
         // A fake peer that completes the handshake, then dribbles an
-        // encoded Data frame one byte at a time. The reactor must resume
-        // the partial frame across poll rounds and deliver it intact.
+        // encoded Data frame one byte at a time. The receive machine must
+        // resume the partial frame across `try_recv` calls and deliver it
+        // intact.
         let msg = deliver(0, vec![42u8; 97]);
         let wire_msg = msg.clone();
         let (mut a0, fake) = mesh_with_fake_peer(move |s| {
@@ -1767,6 +1682,102 @@ pub(crate) mod tests {
         assert_eq!(got, msg);
         drop(a0);
         fake.join().unwrap();
+    }
+
+    #[test]
+    fn bidirectional_bulk_from_one_thread_cannot_deadlock() {
+        // 32 MiB posted in *each* direction before anyone reads, then one
+        // thread pumps both ends: far more than the socket buffers hold,
+        // so any write that waited for the peer to read would wait forever.
+        let [mut a0, mut b0] = mesh_pair(None, None);
+        let n = 32u8;
+        for i in 0..n {
+            a0.send(1, deliver(0, vec![i; 1 << 20])).unwrap();
+            b0.send(0, deliver(0, vec![!i; 1 << 20])).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let (mut got_a, mut got_b) = (0u8, 0u8);
+        while got_a < n || got_b < n || !(a0.idle() && b0.idle()) {
+            a0.pump().unwrap();
+            b0.pump().unwrap();
+            for (ep, got, flip) in [(&mut a0, &mut got_a, true), (&mut b0, &mut got_b, false)] {
+                while let Some(msg) = ep.try_recv().unwrap() {
+                    let WireMsg::Deliver { data, .. } = msg else {
+                        panic!("unexpected message {msg:?}");
+                    };
+                    let want = if flip { !*got } else { *got };
+                    assert!(data.len() == 1 << 20 && data.iter().all(|&b| b == want));
+                    *got += 1;
+                }
+            }
+            assert!(Instant::now() < deadline, "bulk exchange wedged");
+        }
+    }
+
+    /// `try_recv` on a plane whose peer wrote `bytes` after the handshake
+    /// and then closed: polled until it yields an error.
+    fn recv_error_after(bytes: Vec<u8>) -> NetError {
+        let (mut a0, fake) = mesh_with_fake_peer(move |s| (&s).write_all(&bytes).unwrap());
+        fake.join().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match a0.try_recv() {
+                Ok(None) => {}
+                Ok(Some(msg)) => panic!("hostile bytes delivered {msg:?}"),
+                Err(e) => return e,
+            }
+            assert!(Instant::now() < deadline, "hostile bytes never surfaced");
+            std::thread::yield_now();
+        }
+    }
+
+    fn frame(kind: FrameKind, seq: u64, payload: Vec<u8>) -> Vec<u8> {
+        Frame {
+            kind,
+            dst_device: 0,
+            seq,
+            payload,
+        }
+        .encode()
+    }
+
+    #[test]
+    fn hostile_frames_are_typed_errors() {
+        // A credit return declaring a 64 MiB payload: rejected on its
+        // header, before the (never sent) payload is buffered.
+        let mut huge = frame(FrameKind::Credit, 0, Vec::new());
+        let len_at = FRAME_HEADER_BYTES - 4;
+        huge[len_at..].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32).to_le_bytes());
+        assert_eq!(
+            recv_error_after(huge),
+            NetError::Codec(CodecError::TrailingBytes {
+                extra: MAX_FRAME_PAYLOAD - 4
+            })
+        );
+        // Credits nobody spent.
+        match recv_error_after(frame(FrameKind::Credit, 0, u32_payload(u32::MAX))) {
+            NetError::Io(detail) => assert!(detail.contains("credits"), "{detail}"),
+            other => panic!("unexpected error {other:?}"),
+        }
+        let mut bad_magic = frame(FrameKind::Data, 0, vec![0; 8]);
+        bad_magic[0] ^= 0xff;
+        assert!(matches!(
+            recv_error_after(bad_magic),
+            NetError::Codec(CodecError::BadMagic { .. })
+        ));
+        let mut bad_kind = frame(FrameKind::Data, 0, vec![0; 8]);
+        bad_kind[4] = 0xee;
+        assert_eq!(
+            recv_error_after(bad_kind),
+            NetError::Codec(CodecError::BadKind { kind: 0xee })
+        );
+        // EOF mid-frame: the header promises 8 payload bytes, 3 arrive.
+        let mut cut = frame(FrameKind::Data, 0, vec![0; 8]);
+        cut.truncate(FRAME_HEADER_BYTES + 3);
+        assert!(matches!(
+            recv_error_after(cut),
+            NetError::Codec(CodecError::Truncated { .. })
+        ));
     }
 
     #[cfg(unix)]

@@ -12,6 +12,9 @@
 //!   are partitioned across OS processes connected by a TCP mesh, with the
 //!   length-prefixed [`crate::wire`] codec, credit-based flow control,
 //!   eager/rendezvous payload selection and small-message coalescing.
+//!
+//! No plane owns a thread: [`Transport::try_recv`] and [`Transport::pump`]
+//! are the only points at which bytes move, for every link kind.
 
 use crate::wire::{CodecError, WireMsg};
 use dcuda_trace::Tracer;
@@ -148,17 +151,24 @@ impl PlaneKind {
 ///   received there in send order;
 /// * `send` to a device whose process already exited is a silent no-op
 ///   (matching the mpsc semantics the runtime shuts down with);
-/// * `try_recv` never blocks; `pump` drives deferred work (coalescing
-///   flushes, credit-stalled and retransmit queues) and must be called
-///   regularly from the owning host's progress loop.
+/// * `try_recv` and `pump` are the only progress points: a plane owns no
+///   thread, so nothing moves between calls. Neither blocks. `try_recv`
+///   drives receive progress when nothing is queued for this device;
+///   `pump` drives deferred sends (coalescing flushes, credit-stalled and
+///   retransmit queues, writes the kernel took only part of) *and*
+///   receive, so a caller that only sends still sees its credit returns.
+///   Both must be called regularly by whoever drives the owning host
+///   engine, one caller at a time per endpoint.
 pub trait Transport: Send {
     /// Send `msg` to device `peer` (any world device, including local ones).
     fn send(&mut self, peer: u32, msg: WireMsg) -> Result<(), NetError>;
 
-    /// Receive the next message addressed to this device, if any.
+    /// Receive the next message addressed to this device, if any (driving
+    /// receive progress first when none is queued).
     fn try_recv(&mut self) -> Result<Option<WireMsg>, NetError>;
 
-    /// Drive deferred sends. Returns `true` if anything was flushed.
+    /// Drive deferred sends and receive progress. Returns `true` if
+    /// anything moved in either direction.
     fn pump(&mut self) -> Result<bool, NetError>;
 
     /// No deferred work pending (safe to consider this endpoint quiescent).

@@ -651,8 +651,8 @@ impl FrameHeader {
     }
 
     /// Validate and decode an already-buffered header — the nonblocking
-    /// reactor accumulates [`FRAME_HEADER_BYTES`] across partial reads and
-    /// parses here; [`FrameHeader::read_from`] is the blocking wrapper.
+    /// receive machine accumulates [`FRAME_HEADER_BYTES`] across partial
+    /// reads and parses here; [`FrameHeader::read_from`] is the blocking wrapper.
     pub fn parse(header: &[u8; FRAME_HEADER_BYTES]) -> Result<FrameHeader, CodecError> {
         let mut c = Cursor::new(header);
         let magic = c.u32()?;

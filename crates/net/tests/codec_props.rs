@@ -162,7 +162,7 @@ impl std::io::Read for TrickleReader<'_> {
 
 #[test]
 fn frame_split_at_every_byte_boundary_still_decodes() {
-    // The regression the reactor conversion guards against: a frame
+    // What the nonblocking receive machine depends on: a frame
     // arriving in arbitrary fragments must decode identically however the
     // byte stream is carved up.
     let frame = Frame {

@@ -358,12 +358,21 @@ impl Host {
         let done = self.finished_global.load(Ordering::Acquire) + self.finished_remote;
         if done != world {
             if let Some(proc) = self.plane.peer_gone() {
-                // A worker process died before the world finished: fail
-                // loudly instead of spinning on messages that will never
-                // arrive.
-                return Err(RtError::Transport {
-                    detail: format!("peer process {proc} died before quiescence"),
-                });
+                // The transport records a peer's exit after routing its last
+                // messages, so what is still queued may be the `Finished`
+                // that completes the world. Only a gone peer with nothing
+                // left to say died early: fail loudly instead of spinning
+                // on messages that will never arrive.
+                let mut handled = false;
+                while let Some(msg) = self.plane.try_recv().map_err(net_err)? {
+                    handled = true;
+                    self.handle_peer(msg)?;
+                }
+                if !handled {
+                    return Err(RtError::Transport {
+                        detail: format!("peer process {proc} died before quiescence"),
+                    });
+                }
             }
             return Ok(None);
         }

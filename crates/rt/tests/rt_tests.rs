@@ -751,6 +751,63 @@ fn hostile_rank_indices_off_the_wire_are_typed_errors() {
 }
 
 #[test]
+fn finished_queued_behind_a_peer_exit_is_not_a_dead_peer() {
+    // A peer that finished and exited: the plane already reports it gone
+    // while its last `Finished` is still queued. That is a clean run.
+    use dcuda_net::{NetError, WireMsg};
+    use dcuda_rt::{try_run_cluster_part, ClusterPart, Transport};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Device 0's endpoint of a two-device world. The peer exits once it
+    /// has this side's `Finished`; its own is handed over only after
+    /// `peer_gone` was consulted.
+    struct ExitedPeer {
+        finished_sent: bool,
+        gone_seen: AtomicBool,
+        queued: Vec<WireMsg>,
+    }
+    impl Transport for ExitedPeer {
+        fn send(&mut self, _peer: u32, msg: WireMsg) -> Result<(), NetError> {
+            self.finished_sent |= matches!(msg, WireMsg::Finished { .. });
+            Ok(())
+        }
+        fn try_recv(&mut self) -> Result<Option<WireMsg>, NetError> {
+            if !self.gone_seen.load(Ordering::Relaxed) {
+                return Ok(None);
+            }
+            Ok(self.queued.pop())
+        }
+        fn pump(&mut self) -> Result<bool, NetError> {
+            Ok(false)
+        }
+        fn remote_devices(&self) -> Vec<u32> {
+            vec![1]
+        }
+        fn peer_gone(&self) -> Option<u32> {
+            self.finished_sent.then(|| {
+                self.gone_seen.store(true, Ordering::Relaxed);
+                1
+            })
+        }
+    }
+
+    let part = ClusterPart {
+        first_device: 0,
+        local_devices: 1,
+    };
+    let programs: Vec<dcuda_rt::cluster::RankProgram> = vec![Box::new(|_| {})];
+    let plane: Vec<Box<dyn Transport>> = vec![Box::new(ExitedPeer {
+        finished_sent: false,
+        gone_seen: AtomicBool::new(false),
+        queued: vec![WireMsg::Finished {
+            device: 1,
+            ranks: 1,
+        }],
+    })];
+    try_run_cluster_part(&cfg(2, 1), part, programs, plane, false).expect("clean run");
+}
+
+#[test]
 fn zero_progress_threads_rejected() {
     use dcuda_rt::ProgressMode;
     let bad = RtConfig {

@@ -1,35 +1,12 @@
-//! The job-table state machine and its concurrent terminal-state cell.
+//! The job-table state machine.
 //!
 //! A job moves `submitted → queued → running → {completed, failed,
-//! cancelled}`. The queued-side transitions are serialized under the
-//! scheduler's table mutex ([`TableState::advance`] makes them explicit and
-//! rejects illegal moves), but the *terminal* transition is genuinely
-//! concurrent: the job's runner thread publishes the outcome while control
-//! threads may be cancelling or draining at the same instant. [`JobCell`]
-//! is that handoff, written against [`dcuda_queues::plat::Platform`] — the
-//! same seam the SPSC ring and handoff doorbell use — so the verify crate's
-//! bounded model checker drives the *shipped* cancel-vs-complete and
-//! fail-vs-drain protocols, not a copy (see `crates/verify/tests/
-//! job_model.rs`).
-//!
-//! The protocol is single-writer per word, like the paper's queue design:
-//!
-//! * `outcome` — written exactly once, by the runner, with Release; every
-//!   observer (status, wait, drain) Acquire-loads it. The runner checks the
-//!   cancel flag immediately before publishing, so cancel-vs-complete is
-//!   arbitrated by the runner alone and the table never holds two verdicts.
-//! * `cancel` — written only by controllers (idempotent set). A controller
-//!   that finds `outcome` already terminal learns its cancel lost the race
-//!   ([`CancelVerdict::AlreadyDone`]); one that finds it still running gets
-//!   [`CancelVerdict::Requested`] and the runner's eventual publication is
-//!   authoritative.
-//! * `token` — a payload word (the job's checksum) published *before* the
-//!   outcome store; the Release/Acquire pair on `outcome` is what makes it
-//!   safe to read. Demoting that Release is exactly the bug the model
-//!   checker's mutation test must catch as a data race.
-
-use dcuda_queues::plat::{PlatAtomicU64, PlatCell, Platform, StdPlatform};
-use std::sync::atomic::Ordering;
+//! cancelled}`. Every transition happens under the scheduler's table mutex;
+//! [`TableState::advance`] makes them explicit and rejects illegal moves.
+//! Cancel-vs-complete is arbitrated by the job's runner: a controller raises
+//! the job's `CancelToken` ([`CancelVerdict::Requested`]) and the runner,
+//! which observes the token at its cancellation points, records whichever
+//! end it reached.
 
 /// Terminal outcome of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,23 +29,6 @@ impl JobEnd {
             JobEnd::Cancelled => "cancelled",
         }
     }
-
-    fn code(self) -> u64 {
-        match self {
-            JobEnd::Completed => 1,
-            JobEnd::Failed => 2,
-            JobEnd::Cancelled => 3,
-        }
-    }
-
-    fn from_code(code: u64) -> Option<JobEnd> {
-        match code {
-            1 => Some(JobEnd::Completed),
-            2 => Some(JobEnd::Failed),
-            3 => Some(JobEnd::Cancelled),
-            _ => None,
-        }
-    }
 }
 
 /// What a controller's cancel request achieved.
@@ -83,90 +43,8 @@ pub enum CancelVerdict {
     AlreadyDone(JobEnd),
 }
 
-/// The concurrent terminal-state cell of one job-table row.
-///
-/// Generic over the queue crate's [`Platform`] so the identical protocol
-/// runs on real atomics in production ([`StdPlatform`]) and on the verify
-/// crate's shimmed atomics under the bounded model checker.
-pub struct JobCell<P: Platform = StdPlatform> {
-    outcome: P::AtomicU64,
-    cancel: P::AtomicU64,
-    token: P::Cell<u64>,
-}
-
-// SAFETY: mirrors the queue crate's ring. `outcome`/`cancel` are atomics;
-// the `token` cell is written exactly once by the runner before the Release
-// store of `outcome` and read only after an Acquire load observes a
-// terminal outcome, so all access is ordered by that pair. The verify
-// platform's types are driven by a single-threaded virtual scheduler.
-unsafe impl<P: Platform> Send for JobCell<P> {}
-unsafe impl<P: Platform> Sync for JobCell<P> {}
-
-impl<P: Platform> Default for JobCell<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: Platform> JobCell<P> {
-    /// A live (running) cell: no outcome, no cancel request.
-    pub fn new() -> Self {
-        JobCell {
-            outcome: P::AtomicU64::new(0),
-            cancel: P::AtomicU64::new(0),
-            token: P::Cell::empty(),
-        }
-    }
-
-    /// Runner only, exactly once: publish the payload token (the job's
-    /// checksum) and then the terminal outcome. The Release store on
-    /// `outcome` is the publication edge every reader synchronizes with.
-    pub fn publish(&self, end: JobEnd, token: u64) {
-        debug_assert!(
-            self.outcome.load(Ordering::Acquire) == 0,
-            "job outcome published twice"
-        );
-        // SAFETY: single writer (the runner), before the Release store that
-        // licenses any reader.
-        unsafe { self.token.write(token) };
-        self.outcome.store(end.code(), Ordering::Release);
-    }
-
-    /// Observe the terminal outcome, if published (`None` = still live).
-    pub fn poll(&self) -> Option<JobEnd> {
-        JobEnd::from_code(self.outcome.load(Ordering::Acquire))
-    }
-
-    /// Runner-side cancellation point: has any controller requested cancel?
-    pub fn cancel_requested(&self) -> bool {
-        self.cancel.load(Ordering::Acquire) != 0
-    }
-
-    /// Controller: request cancellation. Sets the flag (idempotent), then
-    /// reports whether the job was already terminal. `Requested` does *not*
-    /// guarantee the job ends `Cancelled` — the runner arbitrates.
-    pub fn request_cancel(&self) -> CancelVerdict {
-        self.cancel.store(1, Ordering::Release);
-        match self.poll() {
-            None => CancelVerdict::Requested,
-            Some(end) => CancelVerdict::AlreadyDone(end),
-        }
-    }
-
-    /// Read the published payload token.
-    ///
-    /// # Safety
-    /// [`poll`](Self::poll) must have returned `Some` on this thread (or a
-    /// happens-before equivalent), and callers must serialize among
-    /// themselves — the scheduler reads it once under its table mutex.
-    pub unsafe fn take_token(&self) -> u64 {
-        self.token.read()
-    }
-}
-
-/// Queue-side lifecycle of a job-table row, serialized under the table
-/// mutex. The terminal edge out of `Running` is decided by [`JobCell`];
-/// this enum records the decision for table bookkeeping.
+/// Lifecycle of a job-table row, serialized under the table mutex. The
+/// terminal edge out of `Running` is the runner's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableState {
     /// Admitted into the queue, waiting for capacity.
@@ -200,34 +78,6 @@ impl TableState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn std_cell_round_trips() {
-        let cell: JobCell = JobCell::new();
-        assert_eq!(cell.poll(), None);
-        assert!(!cell.cancel_requested());
-        cell.publish(JobEnd::Completed, 0xDEAD_BEEF);
-        assert_eq!(cell.poll(), Some(JobEnd::Completed));
-        assert_eq!(unsafe { cell.take_token() }, 0xDEAD_BEEF);
-        assert_eq!(
-            cell.request_cancel(),
-            CancelVerdict::AlreadyDone(JobEnd::Completed)
-        );
-    }
-
-    #[test]
-    fn cancel_before_publish_is_requested() {
-        let cell: JobCell = JobCell::new();
-        assert_eq!(cell.request_cancel(), CancelVerdict::Requested);
-        assert!(cell.cancel_requested());
-        let end = if cell.cancel_requested() {
-            JobEnd::Cancelled
-        } else {
-            JobEnd::Completed
-        };
-        cell.publish(end, 0);
-        assert_eq!(cell.poll(), Some(JobEnd::Cancelled));
-    }
 
     #[test]
     fn table_transitions() {

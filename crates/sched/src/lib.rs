@@ -38,7 +38,7 @@ pub mod scheduler;
 pub mod server;
 
 pub use dcuda_core::SchedStats;
-pub use jobstate::{CancelVerdict, JobCell, JobEnd, TableState};
+pub use jobstate::{CancelVerdict, JobEnd, TableState};
 pub use ledger::{AdmissionQueue, Lease, Ledger, QueuedJob};
 pub use scheduler::{run_solo, JobCounters, JobResult, JobStatus, Scheduler};
 pub use server::{serve, spawn_server, CtrlClient, ServerHandle};

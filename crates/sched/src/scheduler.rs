@@ -10,14 +10,12 @@
 //! races tears down only its own world, publishes a `Failed` outcome and
 //! frees its lease while neighbors run on.
 //!
-//! Terminal outcomes are published through the model-checked
-//! [`JobCell`](crate::jobstate::JobCell) (detail under the table mutex,
-//! then the checksum token + outcome word through the cell's
-//! Release/Acquire pair), so the cancel-vs-complete and fail-vs-drain
-//! races resolved here are the ones `crates/verify/tests/job_model.rs`
-//! exhausts under the bounded model checker.
+//! A job's terminal outcome — table state, report and checksum — is written
+//! once by its runner under the table mutex; cancel, status, wait and drain
+//! read it under the same mutex, which is the whole cancel-vs-complete and
+//! fail-vs-drain arbitration.
 
-use crate::jobstate::{CancelVerdict, JobCell, JobEnd, TableState};
+use crate::jobstate::{CancelVerdict, JobEnd, TableState};
 use crate::ledger::{AdmissionQueue, Lease, Ledger, QueuedJob};
 use crate::programs;
 use crate::{JobSpec, SchedError, SchedLimits};
@@ -93,13 +91,12 @@ pub enum JobStatus {
 struct Job {
     spec: JobSpec,
     table: TableState,
-    cell: Arc<JobCell>,
     cancel: CancelToken,
     lease: Option<Lease>,
     submitted: Instant,
     started: Option<Instant>,
+    /// The terminal report; `Some` exactly when `table` is `Done`.
     result: Option<JobResult>,
-    token_taken: bool,
 }
 
 struct State {
@@ -218,13 +215,11 @@ impl Scheduler {
                 Job {
                     spec,
                     table: TableState::Queued,
-                    cell: Arc::new(JobCell::new()),
                     cancel: CancelToken::new(),
                     lease: None,
                     submitted: Instant::now(),
                     started: None,
                     result: None,
-                    token_taken: false,
                 },
             );
             st.stats.queue_depth = st.queue.len() as u64;
@@ -238,16 +233,15 @@ impl Scheduler {
 
     /// Where is this job?
     pub fn status(&self, id: u64) -> Result<JobStatus, SchedError> {
-        let mut st = lock(&self.shared);
-        let position = st.queue.position(id);
-        let job = st.jobs.get_mut(&id).ok_or(SchedError::NoSuchJob(id))?;
+        let st = lock(&self.shared);
+        let job = st.jobs.get(&id).ok_or(SchedError::NoSuchJob(id))?;
         Ok(match job.table {
             TableState::Queued => JobStatus::Queued {
-                position: position.unwrap_or(0),
+                position: st.queue.position(id).unwrap_or(0),
             },
             TableState::Running => JobStatus::Running,
             TableState::Done(_) => {
-                JobStatus::Done(finalize_result(job).expect("Done job has a published result"))
+                JobStatus::Done(job.result.clone().expect("a done job has its report"))
             }
         })
     }
@@ -256,9 +250,9 @@ impl Scheduler {
     pub fn wait(&self, id: u64) -> Result<JobResult, SchedError> {
         let mut st = lock(&self.shared);
         loop {
-            let job = st.jobs.get_mut(&id).ok_or(SchedError::NoSuchJob(id))?;
-            if let Some(result) = finalize_result(job) {
-                return Ok(result);
+            let job = st.jobs.get(&id).ok_or(SchedError::NoSuchJob(id))?;
+            if let Some(result) = &job.result {
+                return Ok(result.clone());
             }
             st = match self.shared.cv.wait(st) {
                 Ok(g) => g,
@@ -303,7 +297,6 @@ impl Scheduler {
                     wait_ms,
                     run_ms: 0.0,
                 });
-                job.cell.publish(JobEnd::Cancelled, 0);
                 st.stats.cancelled += 1;
                 st.stats.queue_depth = st.queue.len() as u64;
                 self.shared.cv.notify_all();
@@ -311,7 +304,7 @@ impl Scheduler {
             }
             TableState::Running => {
                 job.cancel.cancel();
-                Ok(job.cell.request_cancel())
+                Ok(CancelVerdict::Requested)
             }
             TableState::Done(end) => Ok(CancelVerdict::AlreadyDone(end)),
         }
@@ -432,15 +425,12 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             id,
             name: job.spec.name.clone(),
             end,
-            // Filled from the cell token by the first reader — the checksum
-            // travels through the model-checked publication protocol.
-            checksum: 0,
+            checksum,
             counters,
             error,
             wait_ms: started.duration_since(job.submitted).as_secs_f64() * 1e3,
             run_ms: now.duration_since(started).as_secs_f64() * 1e3,
         });
-        job.cell.publish(end, checksum);
         st.stats.running -= 1;
         st.stats.slots_busy = st.ledger.slots_busy();
         match end {
@@ -451,23 +441,6 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         shared.cv.notify_all();
     }
     admit(shared);
-}
-
-/// Under the table mutex: if the job is terminal, read its checksum token
-/// out of the publication cell (once) and return the completed report.
-fn finalize_result(job: &mut Job) -> Option<JobResult> {
-    let end = job.cell.poll()?;
-    if !job.token_taken {
-        // SAFETY: poll() observed the terminal publication, and the table
-        // mutex serializes every reader; the token is read exactly once.
-        let token = unsafe { job.cell.take_token() };
-        job.token_taken = true;
-        if let Some(r) = job.result.as_mut() {
-            debug_assert_eq!(r.end, end, "cell and table disagree on the outcome");
-            r.checksum = token;
-        }
-    }
-    job.result.clone()
 }
 
 /// Run a spec alone on a fresh, dedicated cluster — the golden the
