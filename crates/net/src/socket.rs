@@ -34,9 +34,16 @@
 //!   receive advances a per-connection state machine ([`RxPhase`]) that
 //!   resumes frames split at arbitrary byte boundaries and releases
 //!   completed messages into the per-device inbox that loopback and shm
-//!   traffic use too; a flush the kernel will not take whole remembers its
-//!   byte offset and resumes on the next call. Nothing waits on a socket
-//!   after the mesh handshake.
+//!   traffic use too (no pass runs while a local inbox is
+//!   [`INBOX_HIGH_WATER`] deep: a slow host's backlog waits in the socket,
+//!   where credits stall the sender); a flush the kernel will not take
+//!   whole drops what went out and resumes behind it on the next call.
+//!   Nothing waits on a socket after the mesh handshake.
+//! * **Close** — dropping an endpoint closes the sockets as they are,
+//!   which resets a connection that still holds unread bytes. A host that
+//!   finished cleanly steps [`Transport::close`] first: send halves shut
+//!   down behind their last staged byte, receive halves read to the
+//!   peer's FIN, so neither side's last frames can be lost to a reset.
 //!
 //! Failure model: a connection EOF or write failure marks the peer process
 //! gone. The transport itself keeps running — the *host* decides whether
@@ -53,9 +60,9 @@ use crate::wire::{
 use dcuda_trace::{Tracer, Track};
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -100,6 +107,12 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 /// Messages one receive pass may release per connection before it returns
 /// to its caller, so a fast peer cannot starve the local command rings.
 const RX_RELEASE_CAP: usize = 64;
+
+/// Unpopped messages in any one local inbox at which receive passes stop
+/// taking bytes off the links: the backlog of a slow host then stays in the
+/// socket buffers and shm rings, where credits and ring space push back on
+/// the sender, instead of growing in this process's memory.
+const INBOX_HIGH_WATER: isize = 1024;
 
 // --- plane-wide shared state --------------------------------------------
 
@@ -207,9 +220,13 @@ struct ConnTx {
     /// Large frames staged for the next vectored write, in emit order
     /// relative to `wbuf` via their watermark.
     big: Vec<BigOut>,
-    /// Bytes of the staged stream (`wbuf` with `big` interleaved) the
-    /// kernel already took: where a flush that met `WouldBlock` resumes.
+    /// Bytes at the head of the staged stream (`wbuf` with `big`
+    /// interleaved) the kernel already took: where a flush that met
+    /// `WouldBlock` resumes. Whole written frames are dropped from the
+    /// stage, so this only ever points into the first staged piece.
     flushed: usize,
+    /// A vectored payload was staged since the last completed flush.
+    vectored: bool,
     /// First transmissions waiting for credits, in send order.
     pending: VecDeque<OutFrame>,
     /// Sequencing, fault rolls and the retransmit park of data-class
@@ -286,6 +303,7 @@ impl ConnTx {
                     head: hb,
                     data: Arc::clone(&frame.data),
                 });
+                self.vectored = true;
                 // The vectored kernel write is the single payload copy.
                 stats.copies_tx.fetch_add(1, Ordering::Relaxed);
             }
@@ -328,10 +346,7 @@ impl ConnTx {
             moved = true;
         }
         let staged = !self.wbuf.is_empty() || !self.big.is_empty();
-        let due = force_flush
-            || self.flushed > 0
-            || self.wbuf.len() >= COALESCE_LIMIT
-            || !self.big.is_empty();
+        let due = force_flush || self.wbuf.len() >= COALESCE_LIMIT || !self.big.is_empty();
         if staged && due {
             match self.flush(stats) {
                 Ok(wrote) => moved |= wrote,
@@ -342,9 +357,9 @@ impl ConnTx {
     }
 
     /// Write what the kernel takes of the staged stream and return whether
-    /// any byte moved. On `WouldBlock` the offset reached is kept and the
-    /// next call resumes there; frames emitted meanwhile append behind it
-    /// (the stream is append-only, so the offset stays valid).
+    /// any byte moved. On `WouldBlock` what was written is dropped from the
+    /// stage and the next call resumes behind it; frames emitted meanwhile
+    /// append at the end (the stream is append-only).
     fn flush(&mut self, stats: &AtomicStats) -> Result<bool, NetError> {
         if self.wbuf.is_empty() && self.big.is_empty() {
             return Ok(false);
@@ -352,14 +367,14 @@ impl ConnTx {
         let from = self.flushed;
         let done = match write_staged(&mut self.stream, &self.wbuf, &self.big, from) {
             Ok((at, false)) => {
-                self.flushed = at;
+                self.compact(at);
                 return Ok(at > from);
             }
             Ok(_) => {
                 if self.wbuf_frames > 1 {
                     stats.coalesced_flushes.fetch_add(1, Ordering::Relaxed);
                 }
-                if !self.big.is_empty() {
+                if self.vectored {
                     stats.vectored_writes.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(true)
@@ -374,7 +389,33 @@ impl ConnTx {
         self.big.clear();
         self.wbuf_frames = 0;
         self.flushed = 0;
+        self.vectored = false;
         done
+    }
+
+    /// Drop the first `at` bytes of the staged stream, all of them written:
+    /// large frames that went out whole release their payloads, the written
+    /// prefix of `wbuf` is cut and the watermarks are rebased, and `flushed`
+    /// keeps only the offset into a large frame the kernel took part of.
+    fn compact(&mut self, at: usize) {
+        let (mut left, mut cut, mut whole) = (at, 0, 0);
+        for b in &self.big {
+            let frame = b.wmark - cut + b.head.len() + b.data.len();
+            if left < frame {
+                break;
+            }
+            left -= frame;
+            cut = b.wmark;
+            whole += 1;
+        }
+        self.big.drain(..whole);
+        let next = self.big.first().map_or(self.wbuf.len(), |b| b.wmark);
+        let short = left.min(next - cut);
+        self.wbuf.drain(..cut + short);
+        for b in &mut self.big {
+            b.wmark -= cut + short;
+        }
+        self.flushed = left - short;
     }
 
     /// Nothing queued, parked or staged; unflushed bytes count as staged.
@@ -470,6 +511,11 @@ struct PlaneShared {
     /// Inbox senders for local devices (loopback and every link's
     /// released messages).
     local_tx: Vec<mpsc::Sender<WireMsg>>,
+    /// Messages sent into each local inbox and not yet popped (a pop may
+    /// be counted before its push, hence signed).
+    inbox_depth: Vec<AtomicIsize>,
+    /// Local endpoints that began an orderly close.
+    closing: AtomicU32,
     stats: AtomicStats,
     /// First fatal transport error (corrupt stream, protocol violation).
     error: Mutex<Option<NetError>>,
@@ -518,9 +564,16 @@ impl PlaneShared {
     /// Route one inbound message to its local device inbox.
     fn route_local(&self, dst_device: u32, msg: WireMsg) {
         if let Some(idx) = self.local_index(dst_device) {
-            // A closed inbox means that host already exited (its ranks
-            // finished); late messages are moot.
-            let _ = self.local_tx[idx].send(msg);
+            self.push_local(idx, msg);
+        }
+    }
+
+    fn push_local(&self, idx: usize, msg: WireMsg) {
+        self.inbox_depth[idx].fetch_add(1, Ordering::Relaxed);
+        // A closed inbox means that host already exited (its ranks
+        // finished); late messages are moot.
+        if self.local_tx[idx].send(msg).is_err() {
+            self.inbox_depth[idx].fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -533,36 +586,80 @@ impl PlaneShared {
             .collect()
     }
 
-    /// Drain every shm link's inbound ring into the local inboxes.
-    fn drain_shm(&self) -> bool {
-        let mut consumed = false;
+    /// One receive pass over every link, shm and tcp alike; true if any
+    /// moved. Skipped while a local inbox is over [`INBOX_HIGH_WATER`]
+    /// (every host pass empties its inbox, so the gate reopens; what an
+    /// exited host left unpopped is at most the few messages that raced
+    /// its last pass).
+    fn drain_links(&self) -> bool {
+        let backlogged = |d: &AtomicIsize| d.load(Ordering::Relaxed) >= INBOX_HIGH_WATER;
+        if self.inbox_depth.iter().any(backlogged) {
+            return false;
+        }
+        let mut moved = false;
         for link in self.conns.iter().flatten() {
-            if let PeerLink::Shm(conn) = link {
-                match conn.drain(&self.stats, |dst, msg| self.route_local(dst, msg)) {
-                    Ok(c) => consumed |= c,
-                    Err(e) => self.set_error(e),
+            match link {
+                // Drain the inbound ring into the local inboxes.
+                PeerLink::Shm(conn) => {
+                    match conn.drain(&self.stats, |dst, msg| self.route_local(dst, msg)) {
+                        Ok(c) => moved |= c,
+                        Err(e) => self.set_error(e),
+                    }
+                }
+                // Advance the receive machine until it would block (or hits
+                // its release cap); a connection another caller is driving
+                // is skipped.
+                PeerLink::Tcp(conn) => {
+                    if let Some(mut rx) = try_lock(&conn.rx) {
+                        moved |= pump_conn(self, conn, &mut rx);
+                    }
                 }
             }
         }
-        consumed
+        moved
     }
 
-    /// Advance every tcp connection's receive machine until it would block
-    /// (or hits its release cap), routing released messages into the local
-    /// inboxes. A connection another caller is driving is skipped.
-    fn drain_tcp(&self) -> bool {
-        let mut moved = false;
+    /// One step of the orderly close of every tcp link (shm has nothing to
+    /// close: the mapped rings outlive either process). The send half is
+    /// shut down once what is staged on it went out — the peer reads this
+    /// side's last frames, then a FIN — while the receive half keeps being
+    /// read and discarded; true once every peer's FIN (or failure) was seen,
+    /// so no socket is left holding unread bytes when it is dropped.
+    fn close_links(&self) -> bool {
+        let mut done = true;
         for link in self.conns.iter().flatten() {
-            if let PeerLink::Tcp(conn) = link {
-                let mut rx = match conn.rx.try_lock() {
-                    Ok(rx) => rx,
-                    Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                    Err(TryLockError::WouldBlock) => continue,
-                };
-                moved |= pump_conn(self, conn, &mut rx);
+            let PeerLink::Tcp(conn) = link else { continue };
+            {
+                let mut tx = lock(&conn.tx);
+                if !tx.closed {
+                    tx.service(true, &self.stats);
+                }
+                if !tx.closed && tx.idle() {
+                    // From here sends to this peer are dropped, as they
+                    // are for a peer that exited.
+                    let _ = tx.stream.shutdown(Shutdown::Write);
+                    tx.closed = true;
+                }
+                done &= tx.closed;
+            }
+            match try_lock(&conn.rx) {
+                Some(mut rx) => {
+                    pump_conn(self, conn, &mut rx);
+                    done &= rx.dead;
+                }
+                None => done = false,
             }
         }
-        moved
+        done
+    }
+}
+
+/// `try_lock`, shrugging off poisoning like [`lock`]; `None` if held.
+fn try_lock<T>(m: &Mutex<T>) -> Option<std::sync::MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
@@ -716,6 +813,7 @@ impl SocketPlane {
                     wbuf_frames: 0,
                     big: Vec::new(),
                     flushed: 0,
+                    vectored: false,
                     pending: VecDeque::new(),
                     link: LinkTx::new(config.faults, my_proc, j as u32),
                     credits: INITIAL_CREDITS,
@@ -747,6 +845,8 @@ impl SocketPlane {
             devices_per_proc,
             conns,
             local_tx,
+            inbox_depth: (0..devices_per_proc).map(|_| AtomicIsize::new(0)).collect(),
+            closing: AtomicU32::new(0),
             stats: AtomicStats::default(),
             error: Mutex::new(None),
             peer_gone: Mutex::new(None),
@@ -766,6 +866,7 @@ impl SocketPlane {
                 },
                 primary: i == 0,
                 clock: 0,
+                closing: false,
             })
             .collect();
         if config.traced {
@@ -949,6 +1050,9 @@ fn invalid(e: CodecError) -> std::io::Error {
 /// flush that blocks).
 fn reply(shared: &PlaneShared, conn: &ConnShared, frame: OutFrame) {
     let mut tx = lock(&conn.tx);
+    if tx.closed {
+        return;
+    }
     tx.emit(frame, 1, &shared.stats);
     if tx.flush(&shared.stats).is_err() {
         drop(tx);
@@ -997,9 +1101,14 @@ fn begin_frame(shared: &PlaneShared, c: &ConnRx, head: FrameHeader) -> std::io::
         got: 0,
     };
     let ctl = || {
-        if head.payload_len != 4 {
+        if head.payload_len < 4 {
+            return Err(invalid(CodecError::Truncated {
+                needed: 4 - head.payload_len,
+            }));
+        }
+        if head.payload_len > 4 {
             return Err(invalid(CodecError::TrailingBytes {
-                extra: head.payload_len.abs_diff(4),
+                extra: head.payload_len - 4,
             }));
         }
         Ok(RxPhase::Ctl {
@@ -1267,6 +1376,8 @@ pub struct NetEndpoint {
     /// has no simulated clock; the trace contract allows per-track
     /// sequence numbers).
     clock: u64,
+    /// This endpoint began its orderly close.
+    closing: bool,
 }
 
 impl NetEndpoint {
@@ -1279,6 +1390,14 @@ impl NetEndpoint {
         self.clock += 1;
         self.clock
     }
+
+    /// Pop this device's inbox.
+    fn pop(&mut self) -> Option<WireMsg> {
+        let msg = self.inbox.try_recv().ok()?;
+        let idx = (self.device - self.shared.first_local_device()) as usize;
+        self.shared.inbox_depth[idx].fetch_sub(1, Ordering::Relaxed);
+        Some(msg)
+    }
 }
 
 impl Transport for NetEndpoint {
@@ -1288,8 +1407,8 @@ impl Transport for NetEndpoint {
             // Local loopback: same-process devices talk through the inbox
             // channels directly, exactly like the in-process backend.
             let idx = (peer - self.shared.first_local_device()) as usize;
-            if let Some(tx) = self.shared.local_tx.get(idx) {
-                let _ = tx.send(msg);
+            if idx < self.shared.local_tx.len() {
+                self.shared.push_local(idx, msg);
             }
             return Ok(());
         }
@@ -1342,9 +1461,9 @@ impl Transport for NetEndpoint {
         // What is already routed goes first; only an empty inbox is worth a
         // receive pass over the links (any endpoint may run it — routing
         // goes through the shared inboxes).
-        let mut msg = self.inbox.try_recv().ok();
-        if msg.is_none() && (self.shared.drain_shm() | self.shared.drain_tcp()) {
-            msg = self.inbox.try_recv().ok();
+        let mut msg = self.pop();
+        if msg.is_none() && self.shared.drain_links() {
+            msg = self.pop();
         }
         match msg {
             Some(msg) => {
@@ -1376,7 +1495,7 @@ impl Transport for NetEndpoint {
         }
         // Receive rides along: a caller that only ever sends still has to
         // see its credit returns and rendezvous grants.
-        moved |= self.shared.drain_shm() | self.shared.drain_tcp();
+        moved |= self.shared.drain_links();
         if moved && self.tracer.is_enabled() {
             let ts = self.tick();
             self.tracer
@@ -1427,6 +1546,16 @@ impl Transport for NetEndpoint {
 
     fn peer_planes(&self) -> Vec<(u32, PlaneKind)> {
         self.shared.planes()
+    }
+
+    fn close(&mut self) -> bool {
+        if !std::mem::replace(&mut self.closing, true) {
+            self.shared.closing.fetch_add(1, Ordering::AcqRel);
+        }
+        // The links are the whole process's: a sibling host still running
+        // may still have to send on them.
+        self.shared.closing.load(Ordering::Acquire) == self.shared.devices_per_proc
+            && self.shared.close_links()
     }
 
     fn take_tracer(&mut self) -> Tracer {
@@ -1714,6 +1843,162 @@ pub(crate) mod tests {
         }
     }
 
+    /// The send half of `ep`'s only tcp connection.
+    fn conn_tx(ep: &NetEndpoint) -> std::sync::MutexGuard<'_, ConnTx> {
+        match ep.shared.conns.iter().flatten().next() {
+            Some(PeerLink::Tcp(conn)) => lock(&conn.tx),
+            _ => panic!("no tcp link"),
+        }
+    }
+
+    /// The unwritten rest of a connection's staged stream, flattened.
+    fn staged_rest(tx: &ConnTx) -> Vec<u8> {
+        let (mut out, mut pos) = (Vec::new(), 0);
+        for b in &tx.big {
+            out.extend_from_slice(&tx.wbuf[pos..b.wmark]);
+            out.extend_from_slice(&b.head);
+            out.extend_from_slice(&b.data);
+            pos = b.wmark;
+        }
+        out.extend_from_slice(&tx.wbuf[pos..]);
+        out.split_off(tx.flushed)
+    }
+
+    #[test]
+    fn partial_flush_drops_what_was_written_at_every_offset() {
+        // Stage short and large frames interleaved (one large frame at the
+        // very front, two back to back) and cut the stream at every byte:
+        // what is left must be exactly the unwritten suffix, with `flushed`
+        // pointing only into a leading large frame.
+        let [a0, _b0] = mesh_pair(None, None);
+        let stage = |tx: &mut ConnTx| {
+            tx.wbuf.clear();
+            tx.big.clear();
+            tx.flushed = 0;
+            let mut byte = 0u8;
+            let mut next = |n: usize| -> Vec<u8> {
+                (0..n)
+                    .map(|_| {
+                        byte = byte.wrapping_add(1);
+                        byte
+                    })
+                    .collect()
+            };
+            for (short, large) in [(0, 9), (5, 7), (0, 4), (3, 0)] {
+                tx.wbuf.extend_from_slice(&next(short));
+                if large > 0 {
+                    tx.big.push(BigOut {
+                        wmark: tx.wbuf.len(),
+                        head: next(2),
+                        data: next(large).into(),
+                    });
+                }
+            }
+        };
+        let mut tx = conn_tx(&a0);
+        stage(&mut tx);
+        let all = staged_rest(&tx);
+        assert_eq!(all.len(), 8 + 3 * 2 + 20);
+        for at in 0..all.len() {
+            stage(&mut tx);
+            tx.compact(at);
+            assert_eq!(staged_rest(&tx), all[at..], "cut at {at}");
+            let into_large = tx
+                .big
+                .first()
+                .is_some_and(|b| b.wmark == 0 && tx.flushed < b.head.len() + b.data.len());
+            assert!(tx.flushed == 0 || into_large, "cut at {at}");
+            // A second partial write resumes from the compacted stage.
+            let more = (all.len() - at) / 2;
+            let resume = tx.flushed;
+            tx.compact(resume + more);
+            assert_eq!(staged_rest(&tx), all[at + more..], "cut at {at}+{more}");
+        }
+        tx.wbuf.clear();
+        tx.big.clear();
+        tx.flushed = 0;
+    }
+
+    #[test]
+    fn a_host_that_does_not_pop_backpressures_the_links() {
+        // b0 pumps but never receives: its inbox must stop growing at the
+        // high-water mark (plus one pass's release cap) and the rest wait
+        // in the socket, where credits stall the sender. Nothing is lost.
+        let [mut a0, mut b0] = mesh_pair(None, None);
+        let n = 3 * INBOX_HIGH_WATER as u32;
+        for i in 0..n {
+            a0.send(1, deliver(0, i.to_le_bytes().to_vec())).unwrap();
+        }
+        for _ in 0..2000 {
+            a0.pump().unwrap();
+            b0.pump().unwrap();
+            let depth = b0.shared.inbox_depth[0].load(Ordering::Relaxed);
+            assert!(depth < INBOX_HIGH_WATER + RX_RELEASE_CAP as isize);
+        }
+        assert!(
+            !a0.idle(),
+            "the sender ran ahead of a receiver that never popped"
+        );
+        for i in 0..n {
+            match recv_blocking(&mut b0, &mut a0) {
+                WireMsg::Deliver { data, .. } => assert_eq!(data, i.to_le_bytes().to_vec()),
+                other => panic!("unexpected message {other:?}"),
+            }
+        }
+        assert_eq!(b0.shared.inbox_depth[0].load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn orderly_close_leaves_no_unread_bytes_to_reset_the_peer() {
+        // Frames from the peer land after this side's last pass and are
+        // never received. Dropping the endpoint with them unread would
+        // reset the connection (the peer's read fails, and on a real link
+        // this side's unsent tail is discarded); after `close` the peer
+        // reads this side's last message and a clean EOF.
+        let (go, wait_go) = mpsc::channel();
+        let (told, peer) = mpsc::channel();
+        let (mut a0, fake) = mesh_with_fake_peer(move |s| {
+            wait_go.recv().unwrap();
+            for seq in 0..3 {
+                let (mut payload, data) = deliver(0, vec![seq as u8; 64]).into_parts();
+                payload.extend_from_slice(&data);
+                (&s).write_all(&frame(FrameKind::Data, seq, payload))
+                    .unwrap();
+            }
+            told.send(Ok(Vec::new())).unwrap();
+            let mut got = Vec::new();
+            told.send((&s).read_to_end(&mut got).map(|_| got)).unwrap();
+        });
+        let last = WireMsg::Finished {
+            device: 0,
+            ranks: 1,
+        };
+        a0.send(1, last.clone()).unwrap();
+        a0.pump().unwrap();
+        go.send(()).unwrap();
+        peer.recv().unwrap().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !a0.close() {
+            assert!(Instant::now() < deadline, "close never completed");
+            std::thread::yield_now();
+        }
+        // Closed: further sends are dropped like sends to an exited peer.
+        a0.send(1, last.clone()).unwrap();
+        assert!(a0.idle());
+        drop(a0);
+        fake.join().unwrap();
+        let got = peer.recv().unwrap().expect("peer read was reset");
+        let (head, data) = last.into_parts();
+        assert!(data.is_empty());
+        let sent = Frame {
+            kind: FrameKind::Data,
+            dst_device: 1,
+            seq: 0,
+            payload: head,
+        };
+        assert_eq!(got, sent.encode());
+    }
+
     /// `try_recv` on a plane whose peer wrote `bytes` after the handshake
     /// and then closed: polled until it yields an error.
     fn recv_error_after(bytes: Vec<u8>) -> NetError {
@@ -1753,6 +2038,11 @@ pub(crate) mod tests {
             NetError::Codec(CodecError::TrailingBytes {
                 extra: MAX_FRAME_PAYLOAD - 4
             })
+        );
+        // ... and one declaring none of its four bytes.
+        assert_eq!(
+            recv_error_after(frame(FrameKind::Credit, 0, Vec::new())),
+            NetError::Codec(CodecError::Truncated { needed: 4 })
         );
         // Credits nobody spent.
         match recv_error_after(frame(FrameKind::Credit, 0, u32_payload(u32::MAX))) {

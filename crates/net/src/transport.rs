@@ -14,7 +14,8 @@
 //!   eager/rendezvous payload selection and small-message coalescing.
 //!
 //! No plane owns a thread: [`Transport::try_recv`] and [`Transport::pump`]
-//! are the only points at which bytes move, for every link kind.
+//! are the only points at which bytes move, for every link kind (and, once
+//! the world is done, [`Transport::close`]).
 
 use crate::wire::{CodecError, WireMsg};
 use dcuda_trace::Tracer;
@@ -158,7 +159,8 @@ impl PlaneKind {
 ///   retransmit queues, writes the kernel took only part of) *and*
 ///   receive, so a caller that only sends still sees its credit returns.
 ///   Both must be called regularly by whoever drives the owning host
-///   engine, one caller at a time per endpoint.
+///   engine, one caller at a time per endpoint. `close` is the same kind
+///   of step for the end of a clean run.
 pub trait Transport: Send {
     /// Send `msg` to device `peer` (any world device, including local ones).
     fn send(&mut self, peer: u32, msg: WireMsg) -> Result<(), NetError>;
@@ -197,6 +199,17 @@ pub trait Transport: Send {
     /// `(peer_proc, kind)` pairs (empty for single-process planes).
     fn peer_planes(&self) -> Vec<(u32, PlaneKind)> {
         Vec::new()
+    }
+
+    /// One nonblocking step of the orderly close, for a host whose world is
+    /// quiescent: stop sending, keep reading, and report `true` once every
+    /// peer process has closed its side too (a socket link sends its FIN
+    /// when all endpoints of the process have called this and its staged
+    /// bytes are out). A host calls it until `true`, or a deadline of its
+    /// own, before dropping the endpoint; dropping without it is the abrupt
+    /// close a failed run wants. Planes with nothing to close say `true`.
+    fn close(&mut self) -> bool {
+        true
     }
 
     /// Surrender the endpoint's trace recorder (net send/recv/coalesce

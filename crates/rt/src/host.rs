@@ -23,6 +23,12 @@ use dcuda_verify::ShardCounters;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// How long a finished host keeps reading for its peers' side of the
+/// orderly close before it drops its endpoint anyway (a peer that hangs
+/// after quiescence must not hang this process too).
+const CLOSE_LINGER: Duration = Duration::from_secs(2);
 
 /// Per-local-rank flush bookkeeping: completed ids become visible to the
 /// rank only as a consecutive prefix ("the flush identifier of the last
@@ -429,6 +435,21 @@ impl Host {
         }))
     }
 
+    /// Close this endpoint's side of the plane in order after a clean
+    /// finish: keep reading until every peer process closed too, so no
+    /// socket is dropped holding unread bytes (which would reset the
+    /// connection under this side's last frames). Bounded by
+    /// [`CLOSE_LINGER`]; an abort ends it at once.
+    fn close_plane(&mut self) {
+        let deadline = Instant::now() + CLOSE_LINGER;
+        while !self.plane.close()
+            && !self.abort.load(Ordering::Acquire)
+            && Instant::now() < deadline
+        {
+            std::thread::yield_now();
+        }
+    }
+
     /// Main progress loop (inline mode: this host loop is the only driver).
     /// Returns statistics, plane-level counters and the invariant-counter
     /// shard (verified runs only) after world quiescence, or the first
@@ -442,6 +463,7 @@ impl Host {
             burn(self.busy_spin);
             if !self.pass(false)? {
                 if let Some(out) = self.try_finish()? {
+                    self.close_plane();
                     return Ok(out);
                 }
                 std::thread::yield_now();
@@ -496,6 +518,7 @@ impl SharedHost {
                 let progress = h.pass(false)?;
                 if !progress {
                     if let Some(out) = h.try_finish()? {
+                        h.close_plane();
                         return Ok(out);
                     }
                 }
