@@ -6,19 +6,21 @@
 //! message *encodes* but how fast it *moves* — and how many times its
 //! payload bytes are copied on the way.
 //!
-//! Cells: {mpsc, shm, tcp} × {eager 512 B, rendezvous 16 KiB} one-way
-//! message streams between two endpoints of a real two-process-shaped
+//! Cells: {mpsc, shm, tcp} × {eager-class 512 B, large-class ("rndz")
+//! 16 KiB} one-way message streams between two endpoints of a real two-process-shaped
 //! mesh (both endpoints live in this process; the tcp pair crosses a
 //! loopback socket, the shm pair a mapped ring file, the mpsc pair the
 //! in-process channel plane). Copy counters from [`NetStats`] are asserted
-//! per cell — tcp rendezvous must be single-copy each direction (vectored
-//! iovec write out, window read in), the shm plane single-copy both paths
-//! — so the bench doubles as the acceptance gate for the fast path.
+//! per cell — a large tcp message must be single-copy each direction
+//! (vectored iovec write out, streamed read in), the shm plane single-copy
+//! both paths — so the bench doubles as the acceptance gate for the fast
+//! path.
 //!
 //! `--json PATH` writes a `{"transport": [{"row", "value"}...]}` document;
 //! `xtask bench-diff` checks the rows named in `BENCH_baseline.json`
-//! against `min_value`/`max_value` bounds (floors on the shm/tcp speed
-//! ratio, ceilings on copies per message).
+//! against `min_value`/`max_value` bounds (absolute floors on the shm
+//! plane's messages per second, ceilings on copies per message; the shm/tcp
+//! ratios are printed and recorded, not gated — a faster tcp lowers them).
 
 use dcuda_bench::harness::bench;
 use dcuda_bench::json::Json;
@@ -65,8 +67,9 @@ fn stream<A: Transport, B: Transport>(a: &mut A, b: &mut B, payload: &[u8], msgs
     let deadline = Instant::now() + Duration::from_secs(60);
     for i in 0..msgs {
         a.send(1, template.clone()).expect("send");
-        // Drain in windows so credit flow never parks the sender for long
-        // and the coalescing path still gets multi-frame flushes.
+        // Drain in windows so the receiver keeps pace with the sender (the
+        // socket buffer or ring never fills) and the coalescing path still
+        // gets multi-frame flushes.
         if i % 32 == 31 {
             a.pump().expect("pump sender");
             while let Some(m) = b.try_recv().expect("recv") {
@@ -140,7 +143,7 @@ fn main() {
         .cloned();
 
     println!(
-        "Ablation: transport planes, {EAGER_MSGS} x {EAGER_PAYLOAD} B eager / {RNDZ_MSGS} x {RNDZ_PAYLOAD} B rendezvous per round"
+        "Ablation: transport planes, {EAGER_MSGS} x {EAGER_PAYLOAD} B eager / {RNDZ_MSGS} x {RNDZ_PAYLOAD} B large (rndz) per round"
     );
     let mut cells: Vec<Cell> = Vec::new();
 
@@ -226,8 +229,8 @@ fn main() {
             c.copies_tx_per_msg.unwrap_or(9.0),
             c.copies_rx_per_msg.unwrap_or(9.0),
         );
-        assert!(tx <= 1.0, "tcp rendezvous takes {tx} payload copies out");
-        assert!(rx <= 1.0, "tcp rendezvous takes {rx} payload copies in");
+        assert!(tx <= 1.0, "large tcp message: {tx} payload copies out");
+        assert!(rx <= 1.0, "large tcp message: {rx} payload copies in");
     }
     for prefix in ["shm/eager", "shm/rndz"] {
         if let Some(c) = cell(prefix) {

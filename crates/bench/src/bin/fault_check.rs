@@ -61,7 +61,7 @@ fn mesh_pair(
     (a.pop().expect("endpoint 0"), b.pop().expect("endpoint 1"))
 }
 
-/// Stream `msgs` sequence-tagged messages (alternating eager/rendezvous
+/// Stream `msgs` sequence-tagged messages (alternating eager-class/large
 /// sizes) over a lossy endpoint pair and return
 /// `(injected_events, error)` — FIFO exactly-once is asserted inline.
 fn lossy_stream(a: &mut NetEndpoint, b: &mut NetEndpoint, msgs: u64) -> Result<u64, String> {
@@ -83,7 +83,8 @@ fn lossy_stream(a: &mut NetEndpoint, b: &mut NetEndpoint, msgs: u64) -> Result<u
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut expect = 0u64;
     for i in 0..msgs {
-        // Odd messages ride the rendezvous/jumbo path, even ones eager.
+        // Odd messages ride the large-message path (one vectored tcp frame,
+        // a jumbo chain on shm), even ones eager.
         let len = if i % 2 == 0 { 256 } else { 8 << 10 };
         let mut data = vec![(i % 251) as u8; len];
         data[..8].copy_from_slice(&i.to_le_bytes());

@@ -10,13 +10,14 @@
 //!   original shared-memory path as [`InProcessPlane`];
 //! * [`wire`] — the length-prefixed codec: semantic [`WireMsg`]s (put
 //!   deliveries, flush acks, barrier tokens, finish announcements) inside
-//!   connection-level [`Frame`]s carrying sequence numbers, credit-based
-//!   flow control, and the eager/rendezvous handshake — the same
-//!   mechanisms the paper's runtime uses on its PCIe command queues,
-//!   applied to a socket;
+//!   connection-level [`Frame`]s carrying the sequence numbers of the
+//!   exactly-once link discipline (flow control is the byte stream's own:
+//!   the credits of the paper's PCIe command queues live in
+//!   `dcuda-queues`, not on a socket);
 //! * [`SocketPlane`] — the `MultiProcess` backend: a TCP mesh between the
-//!   worker processes of a launch, with small-message coalescing and
-//!   deterministic byte-stream fault injection ([`NetFaults`]);
+//!   worker processes of a launch, with small-message coalescing,
+//!   single-copy vectored writes of large payloads and deterministic
+//!   byte-stream fault injection ([`NetFaults`]);
 //! * [`launch`] — the coordinator/worker handshake and child-process
 //!   reaping used by the `dcuda-launch` binary and `xtask launch`.
 //!

@@ -115,9 +115,8 @@ impl<F> LinkTx<F> {
 pub(crate) struct LinkRx<M> {
     /// Next sequence number to release.
     expected: u64,
-    /// Out-of-order arrivals; `None` is a slot reserved by an announcement
-    /// whose payload has not arrived yet (tcp rendezvous).
-    slots: BTreeMap<u64, Option<M>>,
+    /// Out-of-order arrivals, waiting for the frontier to reach them.
+    slots: BTreeMap<u64, M>,
 }
 
 impl<M> LinkRx<M> {
@@ -128,49 +127,27 @@ impl<M> LinkRx<M> {
         }
     }
 
-    fn verdict(fresh: bool, stats: &AtomicStats) -> bool {
+    /// First sight of sequence number `seq`? A repeat — below the frontier
+    /// or already slotted — is counted in `net_dups_suppressed` and must be
+    /// discarded by the caller.
+    pub(crate) fn admit(&self, seq: u64, stats: &AtomicStats) -> bool {
+        let fresh = seq >= self.expected && !self.slots.contains_key(&seq);
         if !fresh {
             stats.net_dups_suppressed.fetch_add(1, Ordering::Relaxed);
         }
         fresh
     }
 
-    /// First sight of sequence number `seq`? A repeat — below the frontier
-    /// or already slotted — is counted in `net_dups_suppressed` and must be
-    /// discarded by the caller.
-    pub(crate) fn admit(&self, seq: u64, stats: &AtomicStats) -> bool {
-        Self::verdict(
-            seq >= self.expected && !self.slots.contains_key(&seq),
-            stats,
-        )
-    }
-
-    /// Is `seq` a reserved slot still waiting for its payload? Anything
-    /// else is a repeat, counted like [`admit`](Self::admit)'s.
-    pub(crate) fn admit_payload(&self, seq: u64, stats: &AtomicStats) -> bool {
-        Self::verdict(matches!(self.slots.get(&seq), Some(None)), stats)
-    }
-
-    /// Hold `seq`'s place in the release order until [`fill`](Self::fill).
-    pub(crate) fn reserve(&mut self, seq: u64) {
-        self.slots.insert(seq, None);
-    }
-
     /// Slot an admitted arrival.
     pub(crate) fn fill(&mut self, seq: u64, msg: M) {
-        self.slots.insert(seq, Some(msg));
+        self.slots.insert(seq, msg);
     }
 
     /// Release the next arrival in sequence order, if it is here.
     pub(crate) fn pop_ready(&mut self) -> Option<M> {
-        match self.slots.get(&self.expected) {
-            Some(Some(_)) => {
-                let msg = self.slots.remove(&self.expected).flatten();
-                self.expected += 1;
-                msg
-            }
-            _ => None,
-        }
+        let msg = self.slots.remove(&self.expected)?;
+        self.expected += 1;
+        Some(msg)
     }
 }
 
@@ -239,24 +216,5 @@ mod tests {
             assert_eq!(count(&stats.net_retries), drops);
             assert_eq!(count(&stats.net_dups_suppressed), dups);
         });
-    }
-
-    #[test]
-    fn reserved_slot_holds_the_frontier_until_filled() {
-        let stats = AtomicStats::default();
-        let mut rx = LinkRx::<&str>::new();
-        assert!(rx.admit(0, &stats));
-        rx.reserve(0);
-        assert!(!rx.admit(0, &stats), "repeated announcement");
-        assert!(rx.admit(1, &stats));
-        rx.fill(1, "eager");
-        assert_eq!(rx.pop_ready(), None, "the reservation gates seq 1");
-        assert!(rx.admit_payload(0, &stats));
-        rx.fill(0, "rendezvous");
-        assert!(!rx.admit_payload(0, &stats), "repeated payload");
-        assert_eq!(rx.pop_ready(), Some("rendezvous"));
-        assert_eq!(rx.pop_ready(), Some("eager"));
-        assert!(!rx.admit_payload(0, &stats), "released long ago");
-        assert_eq!(stats.net_dups_suppressed.load(Ordering::Relaxed), 3);
     }
 }

@@ -18,7 +18,7 @@
 //! * *Eager* messages (encoding ≤ [`EAGER_MAX`]) are written **directly into
 //!   the ring** as one record: header bytes + payload bytes, one payload
 //!   copy on the way in, one on the way out.
-//! * *Rendezvous-class* messages (larger) are chunked: a `JumboFirst`
+//! * *Large-class* messages (longer, counted in `rndz_msgs`) are chunked: a `JumboFirst`
 //!   record carries the message header, then `JumboMore` records carry the
 //!   payload window-to-window — each payload byte crosses the mapping with
 //!   a single `memcpy` per direction, reassembled straight into the final
@@ -41,7 +41,7 @@
 use crate::link::{LinkRx, LinkTx, NetFaults};
 use crate::socket::{lock, AtomicStats};
 use crate::transport::NetError;
-use crate::wire::{MsgHeader, WireMsg, EAGER_MAX, SHM_RING_BYTES};
+use crate::wire::{is_eager, MsgHeader, WireMsg, EAGER_MAX, SHM_RING_BYTES};
 use dcuda_queues::bytering::{fits, ByteRingConsumer, ByteRingProducer, RingStore};
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
@@ -460,19 +460,15 @@ impl ShmConn {
         let (head, data) = msg.into_parts();
         let mut tx = lock(&self.tx);
         let seq = tx.link.assign_seq();
-        let whole = head.len() + data.len() <= EAGER_MAX;
-        if whole {
-            stats.eager_msgs.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.rndz_msgs.fetch_add(1, Ordering::Relaxed);
-        }
+        let encoded_len = head.len() + data.len();
+        stats.count_class(encoded_len);
         stats.shm_msgs.fetch_add(1, Ordering::Relaxed);
         let out = OutMsg {
             seq,
             dst_device,
             head,
             data,
-            whole,
+            whole: is_eager(encoded_len),
             written: 0,
             extra_copies: 0,
         };

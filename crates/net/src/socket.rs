@@ -6,39 +6,37 @@
 //! [`Transport`]; the runtime's host threads
 //! cannot tell them apart from the in-process backend.
 //!
-//! Mechanics, per connection:
+//! A tcp link is what a shm link is: a sequenced, fault-injectable stream
+//! of [`FrameKind::Data`] frames, one per message whatever its size, whose
+//! only flow control is the medium's own — the kernel's socket buffers here,
+//! ring space there. No credit window and no handshake before a large
+//! payload are layered on what TCP already provides. Per connection:
 //!
-//! * **Sequencing** — data-class frames ([`FrameKind::Data`] and
-//!   [`FrameKind::RndzRequest`]) are numbered densely from 0 and released
-//!   to the host layer strictly in that order: the exactly-once discipline
-//!   of `crate::link`, which this plane shares with the shm rings.
-//! * **Credits** — a sender may have at most [`INITIAL_CREDITS`] unreturned
-//!   data-class frames outstanding; the receiver returns credits in batches
-//!   of [`CREDIT_BATCH`] fresh frames. Credit-stalled frames queue in send
-//!   order and drain when returns arrive.
-//! * **Eager/rendezvous** — messages whose encoding fits [`EAGER_MAX`] ship
-//!   inline; larger ones send a [`FrameKind::RndzRequest`] carrying the
-//!   declared size, and the payload follows as [`FrameKind::RndzData`] only
-//!   after the receiver grants [`FrameKind::RndzReady`]. The rendezvous
-//!   transfer keeps its request's sequence number, so later eager sends
-//!   cannot overtake it.
-//! * **Coalescing** — outgoing frames accumulate in a per-connection write
-//!   buffer flushed when it crosses [`COALESCE_LIMIT`] or on `pump()`, so a
-//!   burst of small puts becomes one `write(2)`.
+//! * **Sequencing** — frames are numbered densely from 0 and released to
+//!   the host layer strictly in that order: the exactly-once discipline of
+//!   `crate::link`, which this plane shares with the shm rings.
+//! * **Coalescing and the vectored write** — short frames accumulate in a
+//!   per-connection write buffer flushed when it crosses [`COALESCE_LIMIT`]
+//!   or on `pump()`, so a burst of small puts becomes one `write(2)`; a
+//!   payload of at least [`VECTORED_MIN`] bytes is never staged — it rides
+//!   as its own iovec, the kernel write its only send-side copy. (The
+//!   `eager_msgs`/`rndz_msgs` counters are size classes by encoded length,
+//!   as on shm; both classes ship the moment they are sent.)
 //! * **Fault injection** — an optional [`NetFaults`] layer drops or
-//!   duplicates first transmissions of data-class frames *at the byte
-//!   stream*, deterministically from a seed (the roll, the retransmit park
-//!   and the duplicate verdict are `crate::link`'s).
-//! * **Progress** — the plane owns no thread. The streams run nonblocking
-//!   and only [`Transport::try_recv`] and [`Transport::pump`] move bytes:
-//!   receive advances a per-connection state machine ([`RxPhase`]) that
-//!   resumes frames split at arbitrary byte boundaries and releases
-//!   completed messages into the per-device inbox that loopback and shm
-//!   traffic use too (no pass runs while a local inbox is
-//!   [`INBOX_HIGH_WATER`] deep: a slow host's backlog waits in the socket,
-//!   where credits stall the sender); a flush the kernel will not take
-//!   whole drops what went out and resumes behind it on the next call.
-//!   Nothing waits on a socket after the mesh handshake.
+//!   duplicates first transmissions *at the byte stream*, deterministically
+//!   from a seed (the roll, the retransmit park and the duplicate verdict
+//!   are `crate::link`'s).
+//! * **Progress** — the plane owns no thread. The streams run nonblocking;
+//!   [`Transport::try_recv`] moves inbound bytes, [`Transport::pump`]
+//!   outbound ones. Receive advances a per-connection state machine
+//!   (`RxPhase`) that resumes frames split at arbitrary byte boundaries
+//!   and releases completed messages into the per-device inbox that
+//!   loopback and shm traffic use too (no pass runs while a local inbox is
+//!   `INBOX_HIGH_WATER` deep: a slow host's backlog waits in the socket
+//!   buffers, and behind them in the sender's stage). **Receive never
+//!   writes**: the two halves of a connection share no lock. A flush the
+//!   kernel will not take whole drops what went out and resumes behind it
+//!   on the next call. Nothing waits on a socket after the mesh handshake.
 //! * **Close** — dropping an endpoint closes the sockets as they are,
 //!   which resets a connection that still holds unread bytes. A host that
 //!   finished cleanly steps [`Transport::close`] first: send halves shut
@@ -47,18 +45,18 @@
 //!
 //! Failure model: a connection EOF or write failure marks the peer process
 //! gone. The transport itself keeps running — the *host* decides whether
-//! that is benign (the whole world already finished) or fatal, via
-//! [`Transport::peer_gone`].
+//! that is benign (every rank of that process already finished) or fatal,
+//! via [`Transport::gone_peers`].
 
 use crate::link::{LinkRx, LinkTx, NetFaults};
 use crate::shm::{shm_supported, ShmConn};
 use crate::transport::{NetError, NetStats, PlaneKind, Transport};
 use crate::wire::{
-    parse_u32_payload, u32_payload, CodecError, Frame, FrameHeader, FrameKind, MsgHeader, WireMsg,
-    COALESCE_LIMIT, CREDIT_BATCH, EAGER_MAX, FRAME_HEADER_BYTES, INITIAL_CREDITS, VECTORED_MIN,
+    is_eager, parse_u32_payload, u32_payload, CodecError, Frame, FrameHeader, FrameKind, MsgHeader,
+    WireMsg, COALESCE_LIMIT, FRAME_HEADER_BYTES, VECTORED_MIN,
 };
 use dcuda_trace::{Tracer, Track};
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeSet;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -110,8 +108,8 @@ const RX_RELEASE_CAP: usize = 64;
 
 /// Unpopped messages in any one local inbox at which receive passes stop
 /// taking bytes off the links: the backlog of a slow host then stays in the
-/// socket buffers and shm rings, where credits and ring space push back on
-/// the sender, instead of growing in this process's memory.
+/// socket buffers and shm rings, whose filling up pushes back on the sender,
+/// instead of growing in this process's memory.
 const INBOX_HIGH_WATER: isize = 1024;
 
 // --- plane-wide shared state --------------------------------------------
@@ -135,6 +133,16 @@ pub(crate) struct AtomicStats {
 }
 
 impl AtomicStats {
+    /// Count one sent message of `encoded_len` bytes in its size class.
+    pub(crate) fn count_class(&self, encoded_len: usize) {
+        let class = if is_eager(encoded_len) {
+            &self.eager_msgs
+        } else {
+            &self.rndz_msgs
+        };
+        class.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn snapshot(&self) -> NetStats {
         NetStats {
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
@@ -164,35 +172,17 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// An outbound frame kept in parts — frame header fields, encoded message
-/// header, payload — until the bytes hit the socket, so the payload is
-/// never re-staged on the way out.
+/// An outbound data frame kept in parts — frame header fields, encoded
+/// message header, payload — until the bytes hit the socket, so the payload
+/// is never re-staged on the way out.
 struct OutFrame {
-    kind: FrameKind,
     dst_device: u32,
     seq: u64,
-    /// Frame payload prefix: the encoded message header, or the entire
-    /// payload for control frames.
+    /// Frame payload prefix: the encoded message header.
     head: Vec<u8>,
-    /// Payload bytes appended after `head`. Shared so fault duplication
-    /// and rendezvous parking never copy the payload.
+    /// Payload bytes appended after `head`. Shared so a fault-injected
+    /// duplicate never copies the payload.
     data: Arc<[u8]>,
-}
-
-impl OutFrame {
-    fn ctl(kind: FrameKind, dst_device: u32, seq: u64, head: Vec<u8>) -> OutFrame {
-        OutFrame {
-            kind,
-            dst_device,
-            seq,
-            head,
-            data: Arc::from([]),
-        }
-    }
-
-    fn payload_len(&self) -> usize {
-        self.head.len() + self.data.len()
-    }
 }
 
 /// A large frame staged for a vectored write: its header bytes (frame
@@ -204,13 +194,8 @@ struct BigOut {
     data: Arc<[u8]>,
 }
 
-/// A parked rendezvous transfer: `(dst_device, encoded header, payload)`.
-type ParkedRndz = (u32, Vec<u8>, Arc<[u8]>);
-
-/// Send half of one process-pair connection. Shared (behind a mutex)
-/// between the local host threads' sends and whoever drives the
-/// connection's receive machine, which writes credit returns and
-/// rendezvous grants back on it.
+/// Send half of one process-pair connection, shared (behind a mutex) by
+/// the local host threads that send on it.
 struct ConnTx {
     stream: TcpStream,
     /// Coalescing write buffer for short frames (encoded bytes).
@@ -227,48 +212,33 @@ struct ConnTx {
     flushed: usize,
     /// A vectored payload was staged since the last completed flush.
     vectored: bool,
-    /// First transmissions waiting for credits, in send order.
-    pending: VecDeque<OutFrame>,
-    /// Sequencing, fault rolls and the retransmit park of data-class
-    /// frames (a parked frame has already paid its credit).
+    /// Sequencing, fault rolls and the retransmit park.
     link: LinkTx<OutFrame>,
-    credits: u32,
-    /// Rendezvous payloads parked until the receiver grants the transfer.
-    rndz_parked: HashMap<u64, ParkedRndz>,
     /// Set on EOF/write failure; all further sends are silently dropped
     /// (mirroring the in-process "send to exited peer" semantics).
     closed: bool,
 }
 
 impl ConnTx {
-    /// Queue a message for this connection (eager or rendezvous by size).
+    /// Sequence a message and stage its frame (unless the link's fault roll
+    /// drops this first transmission), whatever its size: a frame the socket
+    /// buffer has no room for waits in the stage, not behind a protocol.
     fn enqueue(&mut self, dst_device: u32, msg: WireMsg, stats: &AtomicStats) {
         if self.closed {
             return;
         }
         let (head, data) = msg.into_parts();
-        let encoded_len = head.len() + data.len();
-        let data: Arc<[u8]> = data.into();
-        let seq = self.link.assign_seq();
-        if encoded_len <= EAGER_MAX {
-            stats.eager_msgs.fetch_add(1, Ordering::Relaxed);
-            self.pending.push_back(OutFrame {
-                kind: FrameKind::Data,
-                dst_device,
-                seq,
-                head,
-                data,
-            });
-        } else {
-            stats.rndz_msgs.fetch_add(1, Ordering::Relaxed);
-            let declared = encoded_len as u32;
-            self.rndz_parked.insert(seq, (dst_device, head, data));
-            self.pending.push_back(OutFrame::ctl(
-                FrameKind::RndzRequest,
-                dst_device,
-                seq,
-                u32_payload(declared),
-            ));
+        stats.count_class(head.len() + data.len());
+        let frame = OutFrame {
+            dst_device,
+            seq: self.link.assign_seq(),
+            head,
+            data: data.into(),
+        };
+        // A frame dropped at the wire stalls the receiver (buffering any
+        // later frames out of order) until its retransmit lands.
+        if let Some((frame, copies)) = self.link.first_transmission(frame) {
+            self.emit(frame, copies, stats);
         }
     }
 
@@ -279,10 +249,10 @@ impl ConnTx {
     fn emit(&mut self, frame: OutFrame, copies: u8, stats: &AtomicStats) {
         let copies = u64::from(copies);
         let fh = FrameHeader {
-            kind: frame.kind,
+            kind: FrameKind::Data,
             dst_device: frame.dst_device,
             seq: frame.seq,
-            payload_len: frame.payload_len(),
+            payload_len: frame.head.len() + frame.data.len(),
         };
         for _ in 0..copies {
             if frame.data.len() < VECTORED_MIN {
@@ -316,10 +286,9 @@ impl ConnTx {
         );
     }
 
-    /// Drain retransmissions and credit-eligible pending frames into the
-    /// write stage, then flush if forced, over the coalescing limit, or
-    /// holding any vectored payload. Returns true if any bytes moved
-    /// toward the socket.
+    /// Stage the retransmissions that are due, then flush if forced, over
+    /// the coalescing limit, or holding any vectored payload. Returns true
+    /// if any bytes moved toward the socket.
     fn service(&mut self, force_flush: bool, stats: &AtomicStats) -> (bool, Option<NetError>) {
         if self.closed {
             return (false, None);
@@ -328,21 +297,6 @@ impl ConnTx {
         // Retransmissions first: their sequence numbers gate the receiver.
         for f in self.link.due_retransmits(stats) {
             self.emit(f, 1, stats);
-            moved = true;
-        }
-        // `pending` holds first transmissions of data-class frames only:
-        // each pays a credit and takes the link's fault roll. A frame
-        // dropped at the wire stalls the receiver (buffering any later
-        // frames out of order) until its retransmit lands.
-        while self.credits > 0 {
-            let Some(f) = self.pending.pop_front() else {
-                break;
-            };
-            debug_assert!(f.kind.consumes_credit());
-            self.credits -= 1;
-            if let Some((f, copies)) = self.link.first_transmission(f) {
-                self.emit(f, copies, stats);
-            }
             moved = true;
         }
         let staged = !self.wbuf.is_empty() || !self.big.is_empty();
@@ -418,14 +372,9 @@ impl ConnTx {
         self.flushed = left - short;
     }
 
-    /// Nothing queued, parked or staged; unflushed bytes count as staged.
+    /// Nothing parked or staged; unflushed bytes count as staged.
     fn idle(&self) -> bool {
-        self.closed
-            || (self.wbuf.is_empty()
-                && self.big.is_empty()
-                && self.pending.is_empty()
-                && self.link.idle()
-                && self.rndz_parked.is_empty())
+        self.closed || (self.wbuf.is_empty() && self.big.is_empty() && self.link.idle())
     }
 }
 
@@ -478,11 +427,12 @@ fn write_staged(
     Ok((at, true))
 }
 
+/// The two halves of a connection are independent: nothing that runs under
+/// one lock takes the other (receive never writes, send never reads).
 struct ConnShared {
     peer_proc: u32,
     tx: Mutex<ConnTx>,
-    /// Taken with `try_lock` by whichever caller drives receive; the
-    /// holder may take `tx` (credit returns, grants), never the reverse.
+    /// Taken with `try_lock` by whichever caller drives receive.
     rx: Mutex<ConnRx>,
 }
 
@@ -519,8 +469,8 @@ struct PlaneShared {
     stats: AtomicStats,
     /// First fatal transport error (corrupt stream, protocol violation).
     error: Mutex<Option<NetError>>,
-    /// First peer process observed gone (EOF / reset / write failure).
-    peer_gone: Mutex<Option<u32>>,
+    /// Peer processes observed gone (EOF / reset / write failure).
+    peer_gone: Mutex<BTreeSet<u32>>,
 }
 
 impl PlaneShared {
@@ -533,7 +483,7 @@ impl PlaneShared {
     }
 
     fn set_peer_gone(&self, proc: u32) {
-        lock(&self.peer_gone).get_or_insert(proc);
+        lock(&self.peer_gone).insert(proc);
     }
 
     /// Service one connection's send side; record failures.
@@ -611,7 +561,7 @@ impl PlaneShared {
                 // is skipped.
                 PeerLink::Tcp(conn) => {
                     if let Some(mut rx) = try_lock(&conn.rx) {
-                        moved |= pump_conn(self, conn, &mut rx);
+                        moved |= pump_conn(self, conn.peer_proc, &mut rx);
                     }
                 }
             }
@@ -644,7 +594,7 @@ impl PlaneShared {
             }
             match try_lock(&conn.rx) {
                 Some(mut rx) => {
-                    pump_conn(self, conn, &mut rx);
+                    pump_conn(self, conn.peer_proc, &mut rx);
                     done &= rx.dead;
                 }
                 None => done = false,
@@ -814,17 +764,13 @@ impl SocketPlane {
                     big: Vec::new(),
                     flushed: 0,
                     vectored: false,
-                    pending: VecDeque::new(),
                     link: LinkTx::new(config.faults, my_proc, j as u32),
-                    credits: INITIAL_CREDITS,
-                    rndz_parked: HashMap::new(),
                     closed: false,
                 }),
                 rx: Mutex::new(ConnRx {
                     stream,
                     phase: RxPhase::fresh_header(),
                     link: LinkRx::new(),
-                    fresh_since_credit: 0,
                     dead: false,
                 }),
             })));
@@ -849,7 +795,7 @@ impl SocketPlane {
             closing: AtomicU32::new(0),
             stats: AtomicStats::default(),
             error: Mutex::new(None),
-            peer_gone: Mutex::new(None),
+            peer_gone: Mutex::new(BTreeSet::new()),
         });
 
         let mut endpoints: Vec<NetEndpoint> = inboxes
@@ -959,22 +905,10 @@ enum RxPhase {
         buf: [u8; FRAME_HEADER_BYTES],
         got: usize,
     },
-    /// Discarding a payload (duplicate frame, hello, rendezvous grant);
-    /// a [`FrameKind::RndzReady`] grant then emits the transfer parked
-    /// under sequence number `grant`.
-    Skip {
-        remaining: usize,
-        grant: Option<u64>,
-    },
-    /// Accumulating the four-byte payload of a control frame (credit
-    /// return, rendezvous request declaration).
-    Ctl {
-        head: FrameHeader,
-        buf: [u8; 4],
-        got: usize,
-    },
+    /// Discarding the payload of a duplicate frame or a late hello.
+    Skip { remaining: usize },
     /// Accumulating the ≤[`WireMsg::HEADER_MAX`]-byte message prefix of a
-    /// data-class frame.
+    /// data frame.
     MsgPrefix {
         head: FrameHeader,
         buf: [u8; WireMsg::HEADER_MAX],
@@ -1008,7 +942,6 @@ struct ConnRx {
     /// Release frontier, reorder buffer and duplicate verdict; a message
     /// is slotted with its destination device.
     link: LinkRx<(u32, WireMsg)>,
-    fresh_since_credit: u32,
     /// EOF or failure observed; the stream is not read again.
     dead: bool,
 }
@@ -1045,96 +978,11 @@ fn invalid(e: CodecError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e)
 }
 
-/// Stage one control frame on the connection's send half and write what
-/// the kernel takes now (the peer is waiting on it; `pump` finishes a
-/// flush that blocks).
-fn reply(shared: &PlaneShared, conn: &ConnShared, frame: OutFrame) {
-    let mut tx = lock(&conn.tx);
-    if tx.closed {
-        return;
-    }
-    tx.emit(frame, 1, &shared.stats);
-    if tx.flush(&shared.stats).is_err() {
-        drop(tx);
-        shared.set_peer_gone(conn.peer_proc);
-    }
-}
-
-/// Per-frame epilogue: release ready messages in strict sequence order
-/// into the device inboxes (counted in `released`) and return credits in
-/// batches of fresh data-class frames.
-fn release_and_credit(
-    shared: &PlaneShared,
-    conn: &ConnShared,
-    c: &mut ConnRx,
-    released: &mut usize,
-    fresh: u32,
-) {
-    while let Some((dst_device, msg)) = c.link.pop_ready() {
-        shared.route_local(dst_device, msg);
-        *released += 1;
-    }
-    c.fresh_since_credit += fresh;
-    if c.fresh_since_credit >= CREDIT_BATCH {
-        let n = std::mem::take(&mut c.fresh_since_credit);
-        reply(
-            shared,
-            conn,
-            OutFrame::ctl(FrameKind::Credit, 0, 0, u32_payload(n)),
-        );
-    }
-}
-
-/// Decide the decode phase for a freshly parsed frame header. Data-class
-/// frames the link does not admit are duplicates: their payloads are
-/// discarded without decoding. A control frame declaring anything but its
-/// four-byte payload is rejected before a byte of it is buffered.
-fn begin_frame(shared: &PlaneShared, c: &ConnRx, head: FrameHeader) -> std::io::Result<RxPhase> {
-    let skip = |grant| RxPhase::Skip {
-        remaining: head.payload_len,
-        grant,
-    };
-    let msg_prefix = || RxPhase::MsgPrefix {
-        take: head.payload_len.min(WireMsg::HEADER_MAX),
-        head,
-        buf: [0u8; WireMsg::HEADER_MAX],
-        got: 0,
-    };
-    let ctl = || {
-        if head.payload_len < 4 {
-            return Err(invalid(CodecError::Truncated {
-                needed: 4 - head.payload_len,
-            }));
-        }
-        if head.payload_len > 4 {
-            return Err(invalid(CodecError::TrailingBytes {
-                extra: head.payload_len - 4,
-            }));
-        }
-        Ok(RxPhase::Ctl {
-            head,
-            buf: [0u8; 4],
-            got: 0,
-        })
-    };
-    Ok(match head.kind {
-        // Late hello: tolerated, carries nothing of interest.
-        FrameKind::Hello => skip(None),
-        FrameKind::Credit => ctl()?,
-        FrameKind::RndzReady => skip(Some(head.seq)),
-        FrameKind::Data if c.link.admit(head.seq, &shared.stats) => msg_prefix(),
-        FrameKind::RndzRequest if c.link.admit(head.seq, &shared.stats) => ctl()?,
-        // The payload of a slot its request reserved (and counted).
-        FrameKind::RndzData if c.link.admit_payload(head.seq, &shared.stats) => msg_prefix(),
-        FrameKind::Data | FrameKind::RndzRequest | FrameKind::RndzData => skip(None),
-    })
-}
-
-/// A decoded data-class payload is complete: slot it into the reorder
-/// buffer and run the frame epilogue.
+/// A decoded payload is complete: slot it into the reorder buffer and
+/// release what is ready, in strict sequence order, into the device inboxes
+/// (counted in `released`).
 fn complete_msg(
     shared: &PlaneShared,
-    conn: &ConnShared,
     c: &mut ConnRx,
     released: &mut usize,
     head: FrameHeader,
@@ -1146,21 +994,21 @@ fn complete_msg(
     }
     let msg = mh.into_msg(data).map_err(invalid)?;
     c.link.fill(head.seq, (head.dst_device, msg));
-    // RndzData fills the slot reserved (and counted) at request time.
-    let fresh = head.kind == FrameKind::Data;
-    if fresh {
-        shared.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
+    shared.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
+    while let Some((dst_device, msg)) = c.link.pop_ready() {
+        shared.route_local(dst_device, msg);
+        *released += 1;
     }
-    release_and_credit(shared, conn, c, released, u32::from(fresh));
     Ok(())
 }
 
 /// One state-machine step: satisfy the current phase's byte needs and run
 /// its completion actions. `Ok(true)` = progressed (call again);
-/// `Ok(false)` = would block or the connection just died cleanly.
+/// `Ok(false)` = would block or the connection just died cleanly. Reads
+/// only: nothing here, or below it, touches the connection's send half.
 fn advance_conn(
     shared: &PlaneShared,
-    conn: &ConnShared,
+    peer_proc: u32,
     c: &mut ConnRx,
     released: &mut usize,
 ) -> std::io::Result<bool> {
@@ -1174,24 +1022,38 @@ fn advance_conn(
                 }
                 Fill::Eof if got == 0 => {
                     // Clean EOF at a frame boundary: the peer process
-                    // exited. Benign iff the world already finished — the
+                    // exited. Benign iff its ranks had all finished — the
                     // host decides.
-                    shared.set_peer_gone(conn.peer_proc);
+                    shared.set_peer_gone(peer_proc);
                     c.dead = true;
                     Ok(false)
                 }
                 Fill::Eof => Err(eof_mid_frame(FRAME_HEADER_BYTES - got)),
                 Fill::Done => {
+                    // An unknown kind byte (the retired control frames
+                    // included) fails here, before any payload is read.
                     let head = FrameHeader::parse(&buf).map_err(invalid)?;
-                    c.phase = begin_frame(shared, c, head)?;
+                    c.phase = match head.kind {
+                        FrameKind::Data if c.link.admit(head.seq, &shared.stats) => {
+                            RxPhase::MsgPrefix {
+                                take: head.payload_len.min(WireMsg::HEADER_MAX),
+                                head,
+                                buf: [0u8; WireMsg::HEADER_MAX],
+                                got: 0,
+                            }
+                        }
+                        // A data frame the link does not admit is a
+                        // duplicate: discarded undecoded, like a late hello
+                        // (tolerated, carries nothing).
+                        FrameKind::Data | FrameKind::Hello => RxPhase::Skip {
+                            remaining: head.payload_len,
+                        },
+                    };
                     Ok(true)
                 }
             }
         }
-        RxPhase::Skip {
-            mut remaining,
-            grant,
-        } => {
+        RxPhase::Skip { mut remaining } => {
             let mut scratch = [0u8; 4096];
             while remaining > 0 {
                 let take = remaining.min(scratch.len());
@@ -1200,82 +1062,14 @@ fn advance_conn(
                     Ok(n) => remaining -= n,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        c.phase = RxPhase::Skip { remaining, grant };
+                        c.phase = RxPhase::Skip { remaining };
                         return Ok(false);
                     }
                     Err(e) => return Err(e),
                 }
             }
-            if let Some(seq) = grant {
-                let parked = lock(&conn.tx).rndz_parked.remove(&seq);
-                if let Some((dst_device, head, data)) = parked {
-                    // The granted transfer flows through the vectored path
-                    // (rendezvous payloads exceed `VECTORED_MIN`), so the
-                    // kernel write is its only send-side copy.
-                    reply(
-                        shared,
-                        conn,
-                        OutFrame {
-                            kind: FrameKind::RndzData,
-                            dst_device,
-                            seq,
-                            head,
-                            data,
-                        },
-                    );
-                }
-            }
-            release_and_credit(shared, conn, c, released, 0);
             Ok(true)
         }
-        RxPhase::Ctl {
-            head,
-            mut buf,
-            mut got,
-        } => match fill_nb(&mut c.stream, &mut buf, &mut got)? {
-            Fill::Blocked => {
-                c.phase = RxPhase::Ctl { head, buf, got };
-                Ok(false)
-            }
-            Fill::Eof => Err(eof_mid_frame(buf.len() - got)),
-            Fill::Done => {
-                let n = u32::from_le_bytes(buf);
-                if head.kind == FrameKind::Credit {
-                    {
-                        let mut tx = lock(&conn.tx);
-                        // Credits only come back for frames this side sent.
-                        match tx.credits.checked_add(n) {
-                            Some(sum) if sum <= INITIAL_CREDITS => tx.credits = sum,
-                            _ => {
-                                return Err(std::io::Error::new(
-                                    std::io::ErrorKind::InvalidData,
-                                    format!(
-                                        "peer returned {n} credits with {} of {INITIAL_CREDITS} outstanding",
-                                        INITIAL_CREDITS - tx.credits
-                                    ),
-                                ))
-                            }
-                        }
-                    }
-                    // Returned credits may unblock queued sends right now.
-                    shared.service_conn(conn, true);
-                    release_and_credit(shared, conn, c, released, 0);
-                } else {
-                    // RndzRequest: reserve the slot and grant the transfer
-                    // immediately (control frames bypass credits and
-                    // coalescing: the sender is waiting).
-                    c.link.reserve(head.seq);
-                    shared.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
-                    reply(
-                        shared,
-                        conn,
-                        OutFrame::ctl(FrameKind::RndzReady, 0, head.seq, Vec::new()),
-                    );
-                    release_and_credit(shared, conn, c, released, 1);
-                }
-                Ok(true)
-            }
-        },
         RxPhase::MsgPrefix {
             head,
             mut buf,
@@ -1303,7 +1097,7 @@ fn advance_conn(
                 let spill = take - mh.consumed;
                 data[..spill].copy_from_slice(&buf[mh.consumed..take]);
                 if spill == data.len() {
-                    complete_msg(shared, conn, c, released, head, mh, data)?;
+                    complete_msg(shared, c, released, head, mh, data)?;
                 } else {
                     c.phase = RxPhase::MsgData {
                         head,
@@ -1332,7 +1126,7 @@ fn advance_conn(
             }
             Fill::Eof => Err(eof_mid_frame(data.len() - got)),
             Fill::Done => {
-                complete_msg(shared, conn, c, released, head, mh, data)?;
+                complete_msg(shared, c, released, head, mh, data)?;
                 Ok(true)
             }
         },
@@ -1342,15 +1136,15 @@ fn advance_conn(
 /// Progress one connection's receive machine until it would block or has
 /// released [`RX_RELEASE_CAP`] messages; true if it advanced at all. Marks
 /// the connection dead on EOF or failure.
-fn pump_conn(shared: &PlaneShared, conn: &ConnShared, c: &mut ConnRx) -> bool {
+fn pump_conn(shared: &PlaneShared, peer_proc: u32, c: &mut ConnRx) -> bool {
     let mut moved = false;
     let mut released = 0;
     while !c.dead && released < RX_RELEASE_CAP {
-        match advance_conn(shared, conn, c, &mut released) {
+        match advance_conn(shared, peer_proc, c, &mut released) {
             Ok(true) => moved = true,
             Ok(false) => break,
             Err(e) => {
-                reader_fail(shared, conn.peer_proc, e);
+                reader_fail(shared, peer_proc, e);
                 c.dead = true;
             }
         }
@@ -1427,11 +1221,11 @@ impl Transport for NetEndpoint {
             let ts = self.tick();
             let (path, bytes) = match &msg {
                 WireMsg::Deliver { data, .. } => {
-                    if data.len() <= EAGER_MAX {
-                        ("eager", data.len() as u64)
-                    } else {
-                        ("rndz", data.len() as u64)
-                    }
+                    // The class the counters will put it in.
+                    let mut head = Vec::new();
+                    msg.encode_header_into(&mut head);
+                    let eager = is_eager(head.len() + data.len());
+                    (if eager { "eager" } else { "rndz" }, data.len() as u64)
                 }
                 _ => ("ctl", 0),
             };
@@ -1493,9 +1287,6 @@ impl Transport for NetEndpoint {
                 PeerLink::Shm(conn) => moved |= conn.service(&self.shared.stats),
             }
         }
-        // Receive rides along: a caller that only ever sends still has to
-        // see its credit returns and rendezvous grants.
-        moved |= self.shared.drain_links();
         if moved && self.tracer.is_enabled() {
             let ts = self.tick();
             self.tracer
@@ -1520,20 +1311,19 @@ impl Transport for NetEndpoint {
     }
 
     fn peer_gone(&self) -> Option<u32> {
-        let recorded = *lock(&self.shared.peer_gone);
-        if recorded.is_some() {
-            return recorded;
-        }
+        self.gone_peers().first().copied()
+    }
+
+    fn gone_peers(&self) -> Vec<u32> {
         // Shm links have no socket to EOF; probe peer liveness instead.
         for link in self.shared.conns.iter().flatten() {
             if let PeerLink::Shm(conn) = link {
                 if !conn.peer_alive() {
                     self.shared.set_peer_gone(conn.peer_proc());
-                    return Some(conn.peer_proc());
                 }
             }
         }
-        None
+        lock(&self.shared.peer_gone).iter().copied().collect()
     }
 
     fn stats(&self) -> NetStats {
@@ -1566,7 +1356,7 @@ impl Transport for NetEndpoint {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::wire::MAX_FRAME_PAYLOAD;
+    use crate::wire::{EAGER_MAX, MAX_FRAME_PAYLOAD};
 
     /// The two endpoints of a loopback mesh (tcp, or shm through `shm_dir`).
     fn mesh_pair(faults: Option<NetFaults>, shm_dir: Option<PathBuf>) -> [NetEndpoint; 2] {
@@ -1580,7 +1370,7 @@ pub(crate) mod tests {
     }
 
     /// Receive on `ep`, pumping both sides the way the runtime's host
-    /// progress loops do (send-side coalescing flushes on pump).
+    /// progress loops do (coalescing flushes and retransmits go out on pump).
     fn recv_blocking(ep: &mut NetEndpoint, other: &mut NetEndpoint) -> WireMsg {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -1639,8 +1429,8 @@ pub(crate) mod tests {
     #[test]
     fn two_process_mesh_roundtrip_eager_and_rndz() {
         let [mut a0, mut b0] = mesh_pair(None, None);
-        // Eager (small), then rendezvous (large), then a control message:
-        // FIFO order must hold even across the eager/rendezvous boundary.
+        // Eager-class, then large-class, then a control message: FIFO order
+        // must hold across the size-class boundary.
         let small = deliver(0, vec![1, 2, 3]);
         let large = deliver(0, vec![7u8; EAGER_MAX * 4]);
         a0.send(1, small.clone()).unwrap();
@@ -1731,11 +1521,11 @@ pub(crate) mod tests {
         fake.join().unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while a0.peer_gone().is_none() {
-            a0.pump().unwrap();
+            assert_eq!(a0.try_recv().unwrap(), None);
             assert!(Instant::now() < deadline, "EOF never surfaced");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(a0.peer_gone(), Some(1));
+        assert_eq!(a0.gone_peers(), vec![1]);
         // Sends to the dead peer are silently dropped, like mpsc; whether
         // they surface a peer_gone (not an error) depends on kernel buffer
         // timing, so just assert they never fail hard.
@@ -1746,7 +1536,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn tcp_rendezvous_is_single_copy_each_direction() {
+    fn tcp_large_messages_are_single_copy_each_direction() {
         let [mut a0, mut b0] = mesh_pair(None, None);
         let n = 8u32;
         for i in 0..n {
@@ -1767,10 +1557,11 @@ pub(crate) mod tests {
         let sent = a0.stats();
         let recvd = b0.stats();
         assert_eq!(sent.rndz_msgs, u64::from(n));
-        // The acceptance criterion: at most one payload copy per direction
-        // for every rendezvous transfer, proven by the counters.
-        assert_eq!(sent.copies_tx, u64::from(n), "tx copies per rndz payload");
-        assert_eq!(recvd.copies_rx, u64::from(n), "rx copies per rndz payload");
+        // The acceptance criterion: one payload copy per direction and one
+        // frame for every large-class message, proven by the counters.
+        assert_eq!(sent.copies_tx, u64::from(n), "tx copies per large payload");
+        assert_eq!(recvd.copies_rx, u64::from(n), "rx copies per large payload");
+        assert_eq!(sent.frames_sent, u64::from(n), "frames per large message");
         assert!(sent.vectored_writes >= u64::from(n));
     }
 
@@ -1919,19 +1710,34 @@ pub(crate) mod tests {
         tx.flushed = 0;
     }
 
+    /// The receive half of `ep`'s only tcp connection.
+    fn conn_rx(ep: &NetEndpoint) -> std::sync::MutexGuard<'_, ConnRx> {
+        match ep.shared.conns.iter().flatten().next() {
+            Some(PeerLink::Tcp(conn)) => lock(&conn.rx),
+            _ => panic!("no tcp link"),
+        }
+    }
+
     #[test]
     fn a_host_that_does_not_pop_backpressures_the_links() {
-        // b0 pumps but never receives: its inbox must stop growing at the
-        // high-water mark (plus one pass's release cap) and the rest wait
-        // in the socket, where credits stall the sender. Nothing is lost.
+        // 48 MiB toward a process that drives its links but whose host never
+        // pops: the inbox must stop growing at the high-water mark (plus one
+        // pass's release cap), the socket buffers fill behind it, and the
+        // sender holds the rest staged. Nothing is lost or reordered once
+        // the host pops.
         let [mut a0, mut b0] = mesh_pair(None, None);
         let n = 3 * INBOX_HIGH_WATER as u32;
+        let payload = |i: u32| {
+            let mut data = vec![0u8; 16 << 10];
+            data[..4].copy_from_slice(&i.to_le_bytes());
+            data
+        };
         for i in 0..n {
-            a0.send(1, deliver(0, i.to_le_bytes().to_vec())).unwrap();
+            a0.send(1, deliver(0, payload(i))).unwrap();
         }
         for _ in 0..2000 {
             a0.pump().unwrap();
-            b0.pump().unwrap();
+            b0.shared.drain_links();
             let depth = b0.shared.inbox_depth[0].load(Ordering::Relaxed);
             assert!(depth < INBOX_HIGH_WATER + RX_RELEASE_CAP as isize);
         }
@@ -1941,11 +1747,44 @@ pub(crate) mod tests {
         );
         for i in 0..n {
             match recv_blocking(&mut b0, &mut a0) {
-                WireMsg::Deliver { data, .. } => assert_eq!(data, i.to_le_bytes().to_vec()),
+                WireMsg::Deliver { data, .. } => assert_eq!(data, payload(i)),
                 other => panic!("unexpected message {other:?}"),
             }
         }
         assert_eq!(b0.shared.inbox_depth[0].load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn lossy_stream_keeps_the_reorder_buffer_shallow() {
+        // Every send is a service pass of its connection, and a dropped
+        // frame goes back out on the pass after the one that dropped it: on
+        // an in-order stream only what was sent in between overtakes it, so
+        // however long the burst the receiver buffers next to nothing (no
+        // window has to bound it).
+        let lossy = NetFaults {
+            seed: 7,
+            drop_p: 0.25,
+            dup_p: 0.25,
+        };
+        let [mut a0, b0] = mesh_pair(Some(lossy), None);
+        let n = 1000;
+        for i in 0..n as u32 {
+            a0.send(1, deliver(0, i.to_le_bytes().to_vec())).unwrap();
+        }
+        let mut rx = conn_rx(&b0);
+        let (mut released, mut deepest) = (0, 0);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while released < n {
+            a0.pump().unwrap();
+            while advance_conn(&b0.shared, 0, &mut rx, &mut released).unwrap() {
+                // Admitted and not yet released = held back behind a gap.
+                let admitted = b0.shared.stats.frames_recv.load(Ordering::Relaxed);
+                deepest = deepest.max(admitted as usize - released);
+            }
+            assert!(Instant::now() < deadline, "stalled at {released} of {n}");
+        }
+        assert!(a0.stats().net_retries > 0, "nothing was dropped");
+        assert!((1..=2).contains(&deepest), "reorder depth {deepest}");
     }
 
     #[test]
@@ -2028,26 +1867,18 @@ pub(crate) mod tests {
 
     #[test]
     fn hostile_frames_are_typed_errors() {
-        // A credit return declaring a 64 MiB payload: rejected on its
-        // header, before the (never sent) payload is buffered.
-        let mut huge = frame(FrameKind::Credit, 0, Vec::new());
-        let len_at = FRAME_HEADER_BYTES - 4;
-        huge[len_at..].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32).to_le_bytes());
-        assert_eq!(
-            recv_error_after(huge),
-            NetError::Codec(CodecError::TrailingBytes {
-                extra: MAX_FRAME_PAYLOAD - 4
-            })
-        );
-        // ... and one declaring none of its four bytes.
-        assert_eq!(
-            recv_error_after(frame(FrameKind::Credit, 0, Vec::new())),
-            NetError::Codec(CodecError::Truncated { needed: 4 })
-        );
-        // Credits nobody spent.
-        match recv_error_after(frame(FrameKind::Credit, 0, u32_payload(u32::MAX))) {
-            NetError::Io(detail) => assert!(detail.contains("credits"), "{detail}"),
-            other => panic!("unexpected error {other:?}"),
+        // The kind bytes of the retired credit and rendezvous frames, each
+        // declaring a 64 MiB payload: rejected on the header, before a byte
+        // of the (never sent) payload is buffered or waited for.
+        for kind in 2..=5u8 {
+            let mut retired = frame(FrameKind::Data, 0, Vec::new());
+            retired[4] = kind;
+            let len_at = FRAME_HEADER_BYTES - 4;
+            retired[len_at..].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32).to_le_bytes());
+            assert_eq!(
+                recv_error_after(retired),
+                NetError::Codec(CodecError::BadKind { kind })
+            );
         }
         let mut bad_magic = frame(FrameKind::Data, 0, vec![0; 8]);
         bad_magic[0] ^= 0xff;

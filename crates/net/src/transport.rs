@@ -9,13 +9,14 @@
 //!   lives in one OS process and the plane is a set of `std::sync::mpsc`
 //!   channels. Zero configuration, zero copies beyond the channel send.
 //! * [`crate::socket::SocketPlane`] — the multi-process backend: devices
-//!   are partitioned across OS processes connected by a TCP mesh, with the
-//!   length-prefixed [`crate::wire`] codec, credit-based flow control,
-//!   eager/rendezvous payload selection and small-message coalescing.
+//!   are partitioned across OS processes connected by a TCP mesh (or
+//!   same-host shared-memory rings), with the length-prefixed
+//!   [`crate::wire`] codec, small-message coalescing and single-copy
+//!   streaming of large payloads; flow control is the medium's own.
 //!
-//! No plane owns a thread: [`Transport::try_recv`] and [`Transport::pump`]
-//! are the only points at which bytes move, for every link kind (and, once
-//! the world is done, [`Transport::close`]).
+//! No plane owns a thread: [`Transport::try_recv`] (inbound) and
+//! [`Transport::pump`] (outbound) are the only points at which bytes move,
+//! for every link kind (and, once the world is done, [`Transport::close`]).
 
 use crate::wire::{CodecError, WireMsg};
 use dcuda_trace::Tracer;
@@ -70,9 +71,11 @@ pub struct NetStats {
     pub frames_recv: u64,
     /// Bytes written (headers + payloads).
     pub bytes_sent: u64,
-    /// Messages shipped eagerly (payload inline).
+    /// Eager-class messages sent (whole encoding within `EAGER_MAX`).
     pub eager_msgs: u64,
-    /// Messages that took the rendezvous path.
+    /// Large-class messages sent (the name is MPI's "rendezvous" class;
+    /// there is no handshake): streamed, never staged — one vectored frame
+    /// on tcp, a record chain on shm.
     pub rndz_msgs: u64,
     /// Socket writes that flushed more than one coalesced frame.
     pub coalesced_flushes: u64,
@@ -155,12 +158,12 @@ impl PlaneKind {
 /// * `try_recv` and `pump` are the only progress points: a plane owns no
 ///   thread, so nothing moves between calls. Neither blocks. `try_recv`
 ///   drives receive progress when nothing is queued for this device;
-///   `pump` drives deferred sends (coalescing flushes, credit-stalled and
-///   retransmit queues, writes the kernel took only part of) *and*
-///   receive, so a caller that only sends still sees its credit returns.
-///   Both must be called regularly by whoever drives the owning host
-///   engine, one caller at a time per endpoint. `close` is the same kind
-///   of step for the end of a clean run.
+///   `pump` drives deferred sends (coalescing flushes, retransmit queues,
+///   writes the socket or ring took only part of) and reads nothing — no
+///   send ever waits on something the peer sends back. Both must be called
+///   regularly by whoever drives the owning host engine, one caller at a
+///   time per endpoint. `close` is the same kind of step for the end of a
+///   clean run.
 pub trait Transport: Send {
     /// Send `msg` to device `peer` (any world device, including local ones).
     fn send(&mut self, peer: u32, msg: WireMsg) -> Result<(), NetError>;
@@ -169,8 +172,8 @@ pub trait Transport: Send {
     /// receive progress first when none is queued).
     fn try_recv(&mut self) -> Result<Option<WireMsg>, NetError>;
 
-    /// Drive deferred sends and receive progress. Returns `true` if
-    /// anything moved in either direction.
+    /// Drive deferred sends. Returns `true` if anything moved toward a
+    /// peer.
     fn pump(&mut self) -> Result<bool, NetError>;
 
     /// No deferred work pending (safe to consider this endpoint quiescent).
@@ -184,10 +187,16 @@ pub trait Transport: Send {
         Vec::new()
     }
 
-    /// A peer process that vanished before quiescence, if any (rendered
-    /// for diagnostics).
+    /// A peer process that vanished, if any: the first one noticed.
     fn peer_gone(&self) -> Option<u32> {
         None
+    }
+
+    /// Every peer process that vanished so far. Whether that is benign is
+    /// the host's call: a process all of whose ranks had announced their
+    /// finish simply left first.
+    fn gone_peers(&self) -> Vec<u32> {
+        self.peer_gone().into_iter().collect()
     }
 
     /// Endpoint statistics (zero for in-process planes).

@@ -9,9 +9,11 @@
 //!   across OS processes.
 //! * [`Frame`] — the *connection* layer: a fixed header (magic, kind,
 //!   destination device, connection sequence number, payload length)
-//!   followed by the payload bytes. Frames carry encoded `WireMsg`s (kind
-//!   [`FrameKind::Data`]), the credit-based flow-control returns, and the
-//!   eager/rendezvous control handshake.
+//!   followed by the payload bytes. After the mesh handshake
+//!   ([`FrameKind::Hello`]) a connection carries one kind of frame only:
+//!   [`FrameKind::Data`], one encoded `WireMsg` each, whatever its size.
+//!   Flow control is left to the byte stream underneath; the kind bytes of
+//!   the retired credit and rendezvous frames (2–5) are decode errors.
 //!
 //! Every decoder returns a typed [`CodecError`] on malformed input — a
 //! corrupt or truncated byte stream must surface as an error value, never a
@@ -26,18 +28,18 @@ pub const FRAME_MAGIC: u32 = 0x314E_4364;
 /// the reader to allocate gigabytes or block forever.
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 
-/// Payloads up to this many bytes ship *eagerly* (inline in the data
-/// frame); larger transfers use the rendezvous handshake
-/// (request → ready → data), mirroring MPI's eager/rendezvous split.
+/// Size-class boundary: a message whose encoding (header included) is at
+/// most this many bytes is *eager*-class, a longer one large-class (the
+/// `rndz_msgs` counter, after MPI's eager/rendezvous split). Both ship at
+/// once on every plane; the class decides whether a shm message is one ring
+/// record or a streamed chain, and is reported per message.
 pub const EAGER_MAX: usize = 2048;
 
-/// Initial per-connection send credits (data-class frames in flight).
-pub const INITIAL_CREDITS: u32 = 64;
-
-/// The receiver returns credits in batches of this many fresh frames.
-/// Must divide [`INITIAL_CREDITS`] so a stalled sender always eventually
-/// sees a return.
-pub const CREDIT_BATCH: u32 = 16;
+/// The one size classifier, for the counters of both planes and the trace:
+/// is a message of `encoded_len` bytes (header + payload) eager-class?
+pub(crate) fn is_eager(encoded_len: usize) -> bool {
+    encoded_len <= EAGER_MAX
+}
 
 /// The tcp plane flushes a connection's coalescing write buffer once it
 /// holds this many bytes (or on `pump()`).
@@ -459,18 +461,8 @@ impl MsgHeader {
 pub enum FrameKind {
     /// Connection handshake: payload = origin process index (u32).
     Hello,
-    /// An eagerly shipped [`WireMsg`] (payload = encoded message).
+    /// One [`WireMsg`] of any size (payload = encoded message).
     Data,
-    /// Flow-control credit return: payload = credit count (u32).
-    Credit,
-    /// Rendezvous request: a large message is ready at `seq`; payload =
-    /// declared payload length (u32). The receiver reserves the slot and
-    /// answers [`FrameKind::RndzReady`].
-    RndzRequest,
-    /// Rendezvous grant: send the payload for `seq` now.
-    RndzReady,
-    /// Rendezvous payload: the full encoded [`WireMsg`] for `seq`.
-    RndzData,
 }
 
 impl FrameKind {
@@ -478,10 +470,6 @@ impl FrameKind {
         match self {
             FrameKind::Hello => 0,
             FrameKind::Data => 1,
-            FrameKind::Credit => 2,
-            FrameKind::RndzRequest => 3,
-            FrameKind::RndzReady => 4,
-            FrameKind::RndzData => 5,
         }
     }
 
@@ -489,20 +477,9 @@ impl FrameKind {
         Ok(match v {
             0 => FrameKind::Hello,
             1 => FrameKind::Data,
-            2 => FrameKind::Credit,
-            3 => FrameKind::RndzRequest,
-            4 => FrameKind::RndzReady,
-            5 => FrameKind::RndzData,
+            // 2–5 were the credit return and the three rendezvous frames.
             kind => return Err(CodecError::BadKind { kind }),
         })
-    }
-
-    /// Does this frame consume a flow-control credit? Exactly the frames
-    /// that open a new connection sequence number: retransmissions,
-    /// rendezvous grants and payloads ride on the credit their sequence
-    /// number already paid.
-    pub fn consumes_credit(self) -> bool {
-        matches!(self, FrameKind::Data | FrameKind::RndzRequest)
     }
 }
 
@@ -511,22 +488,20 @@ pub const FRAME_HEADER_BYTES: usize = 4 + 1 + 4 + 8 + 4;
 
 /// A connection-level frame.
 ///
-/// `seq` is the per-connection sequence number: data-class frames
-/// ([`FrameKind::Data`] / [`FrameKind::RndzRequest`]) are numbered densely
-/// from 0 per (sender process → receiver process) connection, and the
-/// receiver releases messages to the host layer strictly in `seq` order.
-/// That single mechanism provides FIFO delivery (a rendezvous transfer
-/// cannot be overtaken by later eager sends), duplicate suppression (a
-/// `seq` below the release frontier is dropped) and loss recovery (the
-/// stream stalls until the sender's retransmission fills the gap).
+/// `seq` is the per-connection sequence number: [`FrameKind::Data`] frames
+/// are numbered densely from 0 per (sender process → receiver process)
+/// connection, and the receiver releases messages to the host layer
+/// strictly in `seq` order. That single mechanism provides FIFO delivery,
+/// duplicate suppression (a `seq` below the release frontier is dropped)
+/// and loss recovery (the stream stalls until the sender's retransmission
+/// fills the gap).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Frame kind.
     pub kind: FrameKind,
     /// Destination device (world device id; routing key on arrival).
     pub dst_device: u32,
-    /// Connection sequence number (data-class frames) or the referenced
-    /// sequence number (rendezvous control); 0 for Hello/Credit.
+    /// Connection sequence number; 0 for Hello.
     pub seq: u64,
     /// Payload bytes.
     pub payload: Vec<u8>,
@@ -701,7 +676,7 @@ fn codec_io(e: CodecError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e)
 }
 
-/// Encode a `u32` payload (credit counts, hello indices, declared lengths).
+/// Encode a `u32` payload (the hello's process index).
 pub fn u32_payload(v: u32) -> Vec<u8> {
     v.to_le_bytes().to_vec()
 }

@@ -35,14 +35,7 @@ fn arb_msg(g: &mut Gen) -> WireMsg {
 }
 
 fn arb_frame(g: &mut Gen) -> Frame {
-    let kind = *g.choose(&[
-        FrameKind::Hello,
-        FrameKind::Data,
-        FrameKind::Credit,
-        FrameKind::RndzRequest,
-        FrameKind::RndzReady,
-        FrameKind::RndzData,
-    ]);
+    let kind = *g.choose(&[FrameKind::Hello, FrameKind::Data]);
     Frame {
         kind,
         dst_device: g.u32_below(1 << 12),
@@ -268,7 +261,7 @@ fn oversize_length_is_rejected_without_allocation() {
 #[test]
 fn bad_magic_is_a_desync_error() {
     let frame = Frame {
-        kind: FrameKind::Credit,
+        kind: FrameKind::Hello,
         dst_device: 0,
         seq: 0,
         payload: u32_payload(16),

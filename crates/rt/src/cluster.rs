@@ -683,7 +683,7 @@ fn run_part_inner(
                 .next()
                 .ok_or_else(|| RtError::InvalidConfig("fewer endpoints than devices".into()))?,
             finished_global: finished_global.clone(),
-            finished_remote: 0,
+            finished_remote: vec![0; cfg.devices as usize],
             abort: abort.clone(),
             flush,
             puts_routed: 0,

@@ -5,9 +5,11 @@
 //! progress loop runs over the in-process shared-memory plane and over
 //! `dcuda-net`'s multi-process socket mesh. World quiescence combines the
 //! process-local `finished_global` counter with `Finished` announcements
-//! received from remote processes; the final-drain argument relies on every
-//! transport delivering per-connection FIFO, so a host's `Deliver`s always
-//! precede its `Finished` broadcasts at the receiver.
+//! received from remote processes, counted per origin device so that a peer
+//! which finished and left is told from one that died; the final-drain
+//! argument relies on every transport delivering per-connection FIFO, so a
+//! host's `Deliver`s always precede its `Finished` broadcasts at the
+//! receiver.
 //!
 //! Reliability is the transport's contract too (FIFO *and* exactly once,
 //! whatever faults are injected below it): the host is a plain protocol
@@ -96,8 +98,9 @@ pub(crate) struct Host {
     pub plane: Box<dyn Transport>,
     /// Count of finished ranks in *this process*.
     pub finished_global: Arc<AtomicU32>,
-    /// Ranks on remote processes announced finished via the plane.
-    pub finished_remote: u32,
+    /// Ranks announced finished via the plane, per origin device (all
+    /// zero at this process's own devices).
+    pub finished_remote: Vec<u32>,
     /// Cluster-wide first-failure flag; the host bails out when set.
     pub abort: Arc<AtomicBool>,
     /// Flush bookkeeping per local rank.
@@ -321,8 +324,16 @@ impl Host {
             } => {
                 self.flush[local_rank("Ack", origin_local)? as usize].complete(flush_id);
             }
-            WireMsg::Finished { device: _, ranks } => {
-                self.finished_remote += ranks;
+            WireMsg::Finished { device, ranks } => {
+                let Some(announced) = self.finished_remote.get_mut(device as usize) else {
+                    return Err(RtError::Transport {
+                        detail: format!(
+                            "device {}: Finished names device {device} of {}",
+                            self.device, self.devices
+                        ),
+                    });
+                };
+                *announced += ranks;
             }
         }
         Ok(())
@@ -350,8 +361,8 @@ impl Host {
             self.progress_frames += u64::from(off_thread);
             self.handle_peer(msg)?;
         }
-        // Drive deferred transport work (coalesced flushes, credit- and
-        // rendezvous-stalled sends, socket-level retransmits).
+        // Drive deferred transport work (coalesced flushes, writes the
+        // socket or ring had no room for, link-level retransmits).
         progress |= self.plane.pump().map_err(net_err)?;
         Ok(progress)
     }
@@ -361,31 +372,47 @@ impl Host {
     /// is drained; `Ok(None)` means keep looping.
     fn try_finish(&mut self) -> Result<Option<HostOutcome>, RtError> {
         let world = self.devices * self.ranks_per_device;
-        let done = self.finished_global.load(Ordering::Acquire) + self.finished_remote;
+        let done =
+            self.finished_global.load(Ordering::Acquire) + self.finished_remote.iter().sum::<u32>();
         if done != world {
-            if let Some(proc) = self.plane.peer_gone() {
+            let gone = self.plane.gone_peers();
+            if !gone.is_empty() {
                 // The transport records a peer's exit after routing its last
-                // messages, so what is still queued may be the `Finished`
-                // that completes the world. Only a gone peer with nothing
-                // left to say died early: fail loudly instead of spinning
-                // on messages that will never arrive.
+                // messages, so what is still queued may be a `Finished` of
+                // that very peer: count it before judging anyone.
                 let mut handled = false;
                 while let Some(msg) = self.plane.try_recv().map_err(net_err)? {
                     handled = true;
                     self.handle_peer(msg)?;
                 }
+                // With nothing left to say, a gone process whose devices
+                // announced every rank merely finished ahead of the peers
+                // this host still waits for. One that did not died early:
+                // fail loudly instead of spinning on messages that will
+                // never arrive.
+                let per_proc =
+                    (self.devices as usize).saturating_sub(self.plane.remote_devices().len());
+                let died_early = |proc: u32| {
+                    let announced = self.finished_remote.iter();
+                    announced
+                        .skip(proc as usize * per_proc)
+                        .take(per_proc)
+                        .any(|&ranks| ranks < self.ranks_per_device)
+                };
                 if !handled {
-                    return Err(RtError::Transport {
-                        detail: format!("peer process {proc} died before quiescence"),
-                    });
+                    if let Some(proc) = gone.into_iter().find(|&p| died_early(p)) {
+                        return Err(RtError::Transport {
+                            detail: format!("peer process {proc} died before quiescence"),
+                        });
+                    }
                 }
             }
             return Ok(None);
         }
         if !self.plane.idle() {
-            // Quiescent protocol but bytes still queued (e.g. a
-            // rendezvous payload awaiting its grant): keep
-            // pumping, never exit with undelivered sends.
+            // Quiescent protocol but bytes still queued (a large payload
+            // the socket buffer has not taken yet): keep pumping, never
+            // exit with undelivered sends.
             return Ok(None);
         }
         // All ranks everywhere are done and nothing is pending.

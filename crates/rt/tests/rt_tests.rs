@@ -750,61 +750,113 @@ fn hostile_rank_indices_off_the_wire_are_typed_errors() {
     }
 }
 
-#[test]
-fn finished_queued_behind_a_peer_exit_is_not_a_dead_peer() {
-    // A peer that finished and exited: the plane already reports it gone
-    // while its last `Finished` is still queued. That is a clean run.
-    use dcuda_net::{NetError, WireMsg};
+use dcuda_net::{NetError, WireMsg};
+use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Device 0's endpoint in a world of single-device processes, scripted.
+/// Process 1 is reported gone from the moment this side's `Finished` went
+/// out; `early` messages arrive before that, `late` ones only once the host
+/// has consulted the gone list `late_after` times.
+struct ScriptedPlane {
+    remote: Vec<u32>,
+    early: Vec<WireMsg>,
+    late: Vec<WireMsg>,
+    late_after: u32,
+    finished_sent: bool,
+    consulted: AtomicU32,
+}
+
+impl dcuda_rt::Transport for ScriptedPlane {
+    fn send(&mut self, _peer: u32, msg: WireMsg) -> Result<(), NetError> {
+        self.finished_sent |= matches!(msg, WireMsg::Finished { .. });
+        Ok(())
+    }
+    fn try_recv(&mut self) -> Result<Option<WireMsg>, NetError> {
+        if let Some(msg) = self.early.pop() {
+            return Ok(Some(msg));
+        }
+        let consulted = self.consulted.load(Ordering::Relaxed);
+        Ok((consulted >= self.late_after)
+            .then(|| self.late.pop())
+            .flatten())
+    }
+    fn pump(&mut self) -> Result<bool, NetError> {
+        Ok(false)
+    }
+    fn remote_devices(&self) -> Vec<u32> {
+        self.remote.clone()
+    }
+    // `gone_peers` keeps its default: this, as a list.
+    fn peer_gone(&self) -> Option<u32> {
+        self.finished_sent.then(|| {
+            self.consulted.fetch_add(1, Ordering::Relaxed);
+            1
+        })
+    }
+}
+
+/// Run device 0 (one rank, an empty program) of a `devices`-process world
+/// against the script.
+fn run_scripted(
+    devices: u32,
+    early: Vec<WireMsg>,
+    late: Vec<WireMsg>,
+    late_after: u32,
+) -> Result<(), RtError> {
     use dcuda_rt::{try_run_cluster_part, ClusterPart, Transport};
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// Device 0's endpoint of a two-device world. The peer exits once it
-    /// has this side's `Finished`; its own is handed over only after
-    /// `peer_gone` was consulted.
-    struct ExitedPeer {
-        finished_sent: bool,
-        gone_seen: AtomicBool,
-        queued: Vec<WireMsg>,
-    }
-    impl Transport for ExitedPeer {
-        fn send(&mut self, _peer: u32, msg: WireMsg) -> Result<(), NetError> {
-            self.finished_sent |= matches!(msg, WireMsg::Finished { .. });
-            Ok(())
-        }
-        fn try_recv(&mut self) -> Result<Option<WireMsg>, NetError> {
-            if !self.gone_seen.load(Ordering::Relaxed) {
-                return Ok(None);
-            }
-            Ok(self.queued.pop())
-        }
-        fn pump(&mut self) -> Result<bool, NetError> {
-            Ok(false)
-        }
-        fn remote_devices(&self) -> Vec<u32> {
-            vec![1]
-        }
-        fn peer_gone(&self) -> Option<u32> {
-            self.finished_sent.then(|| {
-                self.gone_seen.store(true, Ordering::Relaxed);
-                1
-            })
-        }
-    }
-
     let part = ClusterPart {
         first_device: 0,
         local_devices: 1,
     };
     let programs: Vec<dcuda_rt::cluster::RankProgram> = vec![Box::new(|_| {})];
-    let plane: Vec<Box<dyn Transport>> = vec![Box::new(ExitedPeer {
+    let plane: Vec<Box<dyn Transport>> = vec![Box::new(ScriptedPlane {
+        remote: (1..devices).collect(),
+        early,
+        late,
+        late_after,
         finished_sent: false,
-        gone_seen: AtomicBool::new(false),
-        queued: vec![WireMsg::Finished {
-            device: 1,
-            ranks: 1,
-        }],
+        consulted: AtomicU32::new(0),
     })];
-    try_run_cluster_part(&cfg(2, 1), part, programs, plane, false).expect("clean run");
+    try_run_cluster_part(&cfg(devices, 1), part, programs, plane, false).map(|_| ())
+}
+
+fn finished(device: u32) -> WireMsg {
+    WireMsg::Finished { device, ranks: 1 }
+}
+
+#[test]
+fn finished_queued_behind_a_peer_exit_is_not_a_dead_peer() {
+    // A peer that finished and exited: the plane already reports it gone
+    // while its last `Finished` is still queued. That is a clean run.
+    run_scripted(2, vec![], vec![finished(1)], 1).expect("clean run");
+}
+
+#[test]
+fn a_finished_peers_exit_is_not_mistaken_for_a_slower_peers_death() {
+    // Three processes: process 1 announced its rank and left while process
+    // 2's `Finished` is still on its way. The host is one `Finished` short
+    // and sees a gone peer with nothing queued — yet nobody died.
+    run_scripted(3, vec![finished(1)], vec![finished(2)], 2).expect("clean run");
+}
+
+#[test]
+fn a_peer_gone_with_ranks_unannounced_is_a_transport_error() {
+    // Process 1 vanished without announcing its rank; process 2 finishing
+    // does not excuse it.
+    match run_scripted(3, vec![finished(2)], vec![], 1) {
+        Err(RtError::Transport { detail }) => {
+            assert!(detail.contains("peer process 1 died"), "{detail}")
+        }
+        other => panic!("expected a transport error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_finished_naming_no_device_of_the_world_is_a_transport_error() {
+    match run_scripted(2, vec![finished(2)], vec![], 1) {
+        Err(RtError::Transport { detail }) => assert!(detail.contains("Finished"), "{detail}"),
+        other => panic!("expected a transport error, got {other:?}"),
+    }
 }
 
 #[test]

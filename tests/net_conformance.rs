@@ -8,7 +8,7 @@
 //!
 //! The quick tier keeps `cargo test` fast (inprocess vs tcp);
 //! `DCUDA_FULL_TESTS=1` (set in CI) grows the worlds, pushes payloads past
-//! the eager/rendezvous threshold, and adds the shm-plane column of the
+//! the eager size class (`EAGER_MAX`), and adds the shm-plane column of the
 //! matrix plus the plane-parametrized orphan-cleanup run.
 
 use dcuda::bench::json::Json;
@@ -162,10 +162,10 @@ fn tier_planes() -> &'static [&'static str] {
 }
 
 /// Golden conformance: the pingpong microbenchmark (paper Figure 6 shape).
-/// Full tier pushes the payload past EAGER_MAX so rendezvous is exercised.
+/// Full tier pushes the payload past EAGER_MAX so the large class is exercised.
 #[test]
 fn conformance_pingpong_backends_agree() {
-    if full_tier("pingpong rendezvous-scale world") {
+    if full_tier("pingpong large-message world") {
         assert_backends_agree("pingpong", 20, 4096, 8, tier_planes());
     } else {
         assert_backends_agree("pingpong", 5, 512, 4, tier_planes());
@@ -316,7 +316,7 @@ fn assert_progress_pool_matches_inline(workload: &str, iters: u32, payload: usiz
 }
 
 /// The progress-pool column of the conformance matrix (quick: in-process +
-/// tcp on a small halo exchange; full: bigger worlds, rendezvous payloads,
+/// tcp on a small halo exchange; full: bigger worlds, large-class payloads,
 /// the shm plane and a chunked collective). The overlap workload is the
 /// golden shape here because its halo exchange crosses devices — pingpong
 /// pairs adjacent same-device ranks, which would leave the plane (and the
