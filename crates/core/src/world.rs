@@ -1968,22 +1968,20 @@ impl ClusterSim {
             self.spec.device.notification_match_cost.as_secs_f64() * self.spec.device.sm_flops;
         let st = &mut self.ranks[rank as usize];
         debug_assert_eq!(st.status, Status::Waiting);
-        match st.pending.try_match(st.query, st.want as usize) {
-            Some((matched, scanned)) => {
+        let (monitor, races) = (&mut self.monitor, &mut self.races);
+        let hit = st.pending.try_match_with(st.query, st.want as usize, |n| {
+            if let Some(m) = monitor.as_mut() {
+                m.matched(rank, *n, 1);
+            }
+            if let Some(d) = races.as_mut() {
+                d.matched(rank, n.source, n.win, n.tag);
+            }
+        });
+        match hit {
+            Some(scanned) => {
                 self.notifications_scanned += scanned as u64;
                 st.match_backlog_flops += scanned as f64 * match_flops_per_scan;
-                debug_assert_eq!(matched.len(), st.want as usize);
                 st.suspend = None;
-                if let Some(m) = self.monitor.as_mut() {
-                    for n in &matched {
-                        m.matched(rank, *n, 1);
-                    }
-                }
-                if let Some(d) = self.races.as_mut() {
-                    for n in &matched {
-                        d.matched(rank, n.source, n.win, n.tag);
-                    }
-                }
                 self.set_status(rank, Status::Ready, now);
                 let wake = if poll {
                     now + self.spec.device.notification_poll_interval

@@ -16,7 +16,8 @@
 //! of the tail). [`match_in_order`] is the reference for the device-side
 //! notification matching with (window, rank, tag) wildcards, in-order
 //! matching and queue compaction (paper §III-C "Notification Matching");
-//! [`IndexedMatcher`] serves the same semantics at O(matches) host cost.
+//! [`IndexedMatcher`] serves the same semantics at O(matches) cost and is
+//! the pending list both drivers run.
 //!
 //! These structures are used for real by the native threaded runtime
 //! (`dcuda-rt`); the discrete-event simulation models their *timing* (one

@@ -210,7 +210,15 @@ fn check_equivalence(g: &mut Gen, max_batch: usize, steps: usize, max_count: usi
         let q = query(g);
         let count = g.usize_below(max_count + 1);
         let expected = match_in_order(&mut spec, q, count);
-        let got = indexed.try_match(q, count);
+        // Either form: the collected one, or the visitor it is built on.
+        let got = if g.bool() {
+            indexed.try_match(q, count)
+        } else {
+            let mut seen = Vec::new();
+            indexed
+                .try_match_with(q, count, |n| seen.push(*n))
+                .map(|scanned| (seen, scanned))
+        };
         match (&expected, &got) {
             (Some((em, es)), Some((gm, gs))) => {
                 assert_eq!(gm, em, "matched notifications and order");
@@ -317,5 +325,18 @@ fn indexed_matcher_survives_compaction_churn() {
             );
         }
         assert!(indexed.is_empty());
+    });
+}
+
+/// Entries die through one mask while still chained in the others: a long
+/// schedule whose inserts and matches roughly balance, so the slab crosses
+/// the compaction threshold over and over while `query` rotates through
+/// all eight masks on a small key domain. Every step must still equal
+/// `match_in_order`, whether the walk unlinked tombstones, emptied a chain
+/// (key removal) or compacted the slab.
+#[test]
+fn indexed_matcher_unlinks_tombstones_across_masks() {
+    forall("indexed_matcher_unlinks_tombstones_across_masks", 96, |g| {
+        check_equivalence(g, 2, 600, 3);
     });
 }

@@ -13,7 +13,7 @@ use crate::host::{FlushHistory, Host, HostOutcome, SharedHost};
 use crate::msg::{Cmd, Delivery};
 use crate::types::RtError;
 use dcuda_net::{InProcessPlane, NetStats, Transport};
-use dcuda_queues::{channel, ANY};
+use dcuda_queues::{channel, IndexedMatcher, ANY};
 use dcuda_trace::{Tracer, Track};
 use dcuda_verify::{
     reconcile_shards, RaceHandle, RaceMode, RaceReport, ShardCounters, VerifyReport,
@@ -645,8 +645,8 @@ fn run_part_inner(
                 user_windows: cfg.windows.len(),
                 cmd: ctx_cmd_tx,
                 delivery: ctx_del_rx,
-                pending: VecDeque::new(),
-                pending_internal: VecDeque::new(),
+                pending: IndexedMatcher::new(),
+                pending_internal: IndexedMatcher::new(),
                 coll_tx: Default::default(),
                 coll_rx: Default::default(),
                 coll: CollStats::default(),

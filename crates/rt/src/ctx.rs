@@ -4,11 +4,11 @@ use crate::coll::{CollStats, COLL_TAG_BIT};
 use crate::msg::{Cmd, Delivery};
 use crate::types::{Rank, RtError, RtQuery, Tag, WindowId};
 use dcuda_queues::{
-    match_in_order, Notification, Query, Receiver, RecvError, Sender, TrySendError,
+    IndexedMatcher, Notification, Query, Receiver, RecvError, Sender, TrySendError,
 };
 use dcuda_trace::{Tracer, Track};
 use dcuda_verify::{RaceHandle, RaceReport, ShardCounters};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,10 +36,11 @@ pub struct RtCtx {
     /// Delivery ring from the block manager.
     pub(crate) delivery: Receiver<Delivery>,
     /// Buffered notifications not yet matched.
-    pub(crate) pending: VecDeque<Notification>,
-    /// Collective-engine notifications (tag bit 31 set), buffered apart so
-    /// user queries — wildcards included — can never observe them.
-    pub(crate) pending_internal: VecDeque<Notification>,
+    pub(crate) pending: IndexedMatcher,
+    /// Collective-engine notifications (tag bit 31 set), buffered in a
+    /// matcher of their own so user queries — wildcards included — can
+    /// never observe them.
+    pub(crate) pending_internal: IndexedMatcher,
     /// Per-destination send sequence numbers for collective tags.
     pub(crate) coll_tx: HashMap<u32, u32>,
     /// Per-source expected receive sequence numbers for collective tags.
@@ -202,14 +203,10 @@ impl RtCtx {
         Self::race_verdict(h.strict(), found)
     }
 
-    /// Join the origin's notification-borne clock for each matched entry.
-    fn race_matched(&self, matched: &[Notification]) {
-        if let Some(h) = &self.races {
-            h.with(|d| {
-                for n in matched {
-                    d.matched(self.rank, n.source, n.win, n.tag);
-                }
-            });
+    /// Join the origin's notification-borne clock for a matched entry.
+    fn race_matched(races: &Option<RaceHandle>, rank: u32, n: &Notification) {
+        if let Some(h) = races {
+            h.with(|d| d.matched(rank, n.source, n.win, n.tag));
         }
     }
 
@@ -542,20 +539,24 @@ impl RtCtx {
                         .windows
                         .get_mut(win.index())
                         .ok_or(RtError::NoSuchWindow { win, count })?;
-                    if d.dst_off + d.data.len() > w.len() {
-                        return Err(RtError::RangeOutOfBounds {
+                    // `dst_off` may come off the wire: no unchecked sum.
+                    let window_len = w.len();
+                    let dst = d
+                        .dst_off
+                        .checked_add(d.data.len())
+                        .and_then(|end| w.get_mut(d.dst_off..end))
+                        .ok_or(RtError::RangeOutOfBounds {
                             win,
                             offset: d.dst_off,
                             len: d.data.len(),
-                            window_len: w.len(),
-                        });
-                    }
-                    w[d.dst_off..d.dst_off + d.data.len()].copy_from_slice(&d.data);
+                            window_len,
+                        })?;
+                    dst.copy_from_slice(&d.data);
                     if d.notify {
                         if d.notif.tag & COLL_TAG_BIT != 0 {
-                            self.pending_internal.push_back(d.notif);
+                            self.pending_internal.insert(d.notif);
                         } else {
-                            self.pending.push_back(d.notif);
+                            self.pending.insert(d.notif);
                         }
                     }
                 }
@@ -592,19 +593,17 @@ impl RtCtx {
     }
 
     fn match_pending(&mut self, query: Query, count: usize) -> Result<bool, RtError> {
-        match match_in_order(&mut self.pending, query, count) {
-            Some((m, _)) => {
-                self.matched += m.len() as u64;
-                if let Some(c) = self.counters.as_mut() {
-                    for n in &m {
-                        c.note_matched(self.rank, *n, 1);
-                    }
-                }
-                self.race_matched(&m);
-                Ok(true)
+        let (rank, counters, races) = (self.rank, &mut self.counters, &self.races);
+        let hit = self.pending.try_match_with(query, count, |n| {
+            if let Some(c) = counters.as_mut() {
+                c.note_matched(rank, *n, 1);
             }
-            None => Ok(false),
+            Self::race_matched(races, rank, n);
+        });
+        if hit.is_some() {
+            self.matched += count as u64;
         }
+        Ok(hit.is_some())
     }
 
     /// `dcuda_wait_notifications`: block until `count` notifications
@@ -850,8 +849,11 @@ impl RtCtx {
         self.drain_deliveries()?;
         let mut hidden = true;
         loop {
-            if let Some((m, _)) = match_in_order(&mut self.pending_internal, query, 1) {
-                self.race_matched(&m);
+            let (rank, races) = (self.rank, &self.races);
+            let hit = self
+                .pending_internal
+                .try_match_with(query, 1, |n| Self::race_matched(races, rank, n));
+            if hit.is_some() {
                 break;
             }
             hidden = false;

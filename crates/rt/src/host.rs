@@ -303,7 +303,9 @@ impl Host {
                 let delivery = Delivery {
                     notif: Notification { win, source, tag },
                     win,
-                    dst_off: dst_off as usize,
+                    // An offset no window of this process can hold stays
+                    // one: the target rank's drain refuses it by range.
+                    dst_off: usize::try_from(dst_off).unwrap_or(usize::MAX),
                     data,
                     notify,
                 };

@@ -251,7 +251,7 @@ impl fmt::Display for RtError {
             } => write!(
                 f,
                 "range {offset}..{} exceeds {win} of {window_len} bytes",
-                offset + len
+                offset.saturating_add(*len)
             ),
             RtError::WildcardNotAllowed { position } => {
                 write!(f, "wildcard not allowed as {position}")

@@ -803,12 +803,23 @@ fn run_scripted(
     late: Vec<WireMsg>,
     late_after: u32,
 ) -> Result<(), RtError> {
+    run_scripted_program(devices, early, late, late_after, Box::new(|_| {}))
+}
+
+/// As [`run_scripted`], with device 0's one rank running `program`.
+fn run_scripted_program(
+    devices: u32,
+    early: Vec<WireMsg>,
+    late: Vec<WireMsg>,
+    late_after: u32,
+    program: dcuda_rt::cluster::RankProgram,
+) -> Result<(), RtError> {
     use dcuda_rt::{try_run_cluster_part, ClusterPart, Transport};
     let part = ClusterPart {
         first_device: 0,
         local_devices: 1,
     };
-    let programs: Vec<dcuda_rt::cluster::RankProgram> = vec![Box::new(|_| {})];
+    let programs = vec![program];
     let plane: Vec<Box<dyn Transport>> = vec![Box::new(ScriptedPlane {
         remote: (1..devices).collect(),
         early,
@@ -860,6 +871,45 @@ fn a_finished_naming_no_device_of_the_world_is_a_transport_error() {
 }
 
 #[test]
+fn a_deliver_whose_offset_overflows_is_a_typed_range_error_at_the_rank() {
+    // `dst_off` is a u64 off the wire. Added to the payload length it
+    // wraps: an unchecked sum passes the bounds test in release and panics
+    // on the slice (and overflow-panics in debug). The waiting rank must
+    // get the range error as a value; the world then ends cleanly.
+    let deliver = WireMsg::Deliver {
+        dst_local: 0,
+        win: 0,
+        dst_off: u64::MAX,
+        source: 1,
+        tag: 5,
+        notify: true,
+        seq: 0,
+        origin_device: 1,
+        origin_local: 0,
+        flush_id: 1,
+        data: vec![0xAB; 8],
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let program: dcuda_rt::cluster::RankProgram = Box::new(move |ctx| {
+        let got = ctx.try_wait_notifications(RtQuery::exact(W0, Rank(1), Tag(5)), 1);
+        tx.send(got).expect("test is listening");
+    });
+    run_scripted_program(2, vec![deliver], vec![finished(1)], 1, program)
+        .expect("the rank handled its error; nothing panicked");
+    match rx.recv().expect("rank reported") {
+        Err(
+            e @ RtError::RangeOutOfBounds {
+                win: W0,
+                offset: usize::MAX,
+                len: 8,
+                window_len: 4096,
+            },
+        ) => assert!(e.to_string().contains("exceeds"), "{e}"),
+        other => panic!("expected a range error, got {other:?}"),
+    }
+}
+
+#[test]
 fn zero_progress_threads_rejected() {
     use dcuda_rt::ProgressMode;
     let bad = RtConfig {
@@ -883,4 +933,142 @@ fn oversized_progress_pool_rejected() {
         try_run_cluster(&bad, vec![]),
         Err(RtError::InvalidConfig(_))
     ));
+}
+
+/// Tier-1-sized `fanin_backlog`: two senders park 256 notifications on
+/// rank 0, which matches them away in a seeded order through every query
+/// shape the matcher indexes differently, interleaved so entries die
+/// through one mask while chained in another.
+#[test]
+fn fanin_backlog_matches_in_any_order_through_every_query_shape() {
+    use dcuda_des::SplitMix64;
+    const PER_SENDER: u32 = 128;
+    const DONE: u32 = 1 << 20;
+    // Tag classes, each consumed by one query shape.
+    const EXACT: std::ops::Range<u32> = 0..48; // (s, t) x1, per sender
+    const ANY_SOURCE: std::ops::Range<u32> = 48..80; // (any, t) x1, twice
+    const PAIRS: std::ops::Range<u32> = 80..96; // (any, t) x2
+    const ANY_TAG_TAKEN: usize = 20; // of the 32 left per sender, (s, any) x1
+    let slot = |s: u32, t: u32| ((s - 1) * PER_SENDER + t) as usize;
+    let byte = |s: u32, t: u32| (s * 37 + t) as u8;
+
+    let mut plan: Vec<(RtQuery, usize)> = Vec::new();
+    for t in EXACT {
+        plan.extend([1, 2].map(|s| (RtQuery::exact(W0, Rank(s), Tag(t)), 1)));
+    }
+    for t in ANY_SOURCE {
+        plan.extend([(RtQuery::exact(W0, Rank::ANY, Tag(t)), 1); 2]);
+    }
+    for t in PAIRS {
+        plan.push((RtQuery::exact(W0, Rank::ANY, Tag(t)), 2));
+    }
+    let mut rng = SplitMix64::new(0xFA17);
+    for i in (1..plan.len()).rev() {
+        plan.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+
+    let mut programs: Vec<dcuda_rt::cluster::RankProgram> = vec![Box::new(move |ctx| {
+        for s in [1, 2] {
+            ctx.wait_notifications(RtQuery::exact(W0, Rank(s), Tag(DONE)), 1);
+        }
+        for s in [1, 2] {
+            for t in 0..PER_SENDER {
+                assert_eq!(ctx.win(W0)[slot(s, t)], byte(s, t), "payload ({s}, {t})");
+            }
+        }
+        // Absent keys, and a present key asked for once too often, find
+        // nothing and consume nothing.
+        assert!(!ctx.test_notifications(RtQuery::exact(W0, Rank(1), Tag(999)), 1));
+        assert!(!ctx.test_notifications(RtQuery::exact(W0, Rank(3), Tag::ANY), 1));
+        assert!(!ctx.test_notifications(RtQuery::exact(W0, Rank(1), Tag(3)), 2));
+        assert!(!ctx.test_notifications(RtQuery::WILDCARD, 2 * PER_SENDER as usize + 1));
+        for (i, &(q, count)) in plan.iter().enumerate() {
+            assert!(ctx.test_notifications(q, count), "step {i}: {q:?} x{count}");
+        }
+        // Only the last tag class is left: 32 per sender.
+        for s in [1, 2] {
+            for _ in 0..ANY_TAG_TAKEN {
+                assert!(ctx.test_notifications(RtQuery::exact(W0, Rank(s), Tag::ANY), 1));
+            }
+        }
+        let residual = 2 * (32 - ANY_TAG_TAKEN);
+        assert!(!ctx.test_notifications(RtQuery::WILDCARD, residual + 1));
+        assert!(ctx.test_notifications(RtQuery::WILDCARD, residual));
+        assert!(!ctx.test_notifications(RtQuery::WILDCARD, 1));
+    })];
+    programs.extend([1u32, 2].map(|s| {
+        Box::new(move |ctx: &mut dcuda_rt::RtCtx| {
+            for t in 0..PER_SENDER {
+                ctx.win_mut(W0)[0] = byte(s, t);
+                ctx.put_notify(W0, Rank(0), slot(s, t), 0, 1, Tag(t));
+            }
+            ctx.put_notify(W0, Rank(0), 0, 0, 0, Tag(DONE));
+            ctx.flush();
+        }) as dcuda_rt::cluster::RankProgram
+    }));
+    let report = run_cluster(&cfg(1, 3), programs);
+    assert_eq!(report.notifications, 2 * u64::from(PER_SENDER) + 2);
+    assert_eq!(report.matched, report.notifications);
+}
+
+/// Collective notifications live in a matcher of their own: while one is
+/// demonstrably buffered at a rank — and while the other ranks' allreduce
+/// is in flight towards it — no user query observes it, neither all
+/// wildcards nor an exact query that spells out the reserved tag.
+#[test]
+fn user_queries_never_observe_collective_notifications() {
+    use dcuda_rt::{CollCtx, CollPlan, COLL_TAG_BIT};
+    let plan = CollPlan::builder().chunk_bytes(64).build().unwrap();
+    let world = 3u32;
+    // Layout: [0..8) shift inbox, [8..16) shift staging, [16..80) allreduce.
+    let marker = |r: u32| (0xC011_0000u64 + u64::from(r)).to_le_bytes();
+    let mut programs: Vec<dcuda_rt::cluster::RankProgram> = Vec::new();
+    for r in 0..world {
+        programs.push(Box::new(move |ctx| {
+            ctx.win_mut_at(W0, 8, 8).copy_from_slice(&marker(r));
+            ctx.win_mut_at(W0, 16, 64).fill(1);
+            if r == 0 {
+                // A ring shift lands its payload in the user window under a
+                // reserved tag, payload and notification in one drain step:
+                // once rank 2's marker is readable, its notification is
+                // buffered here.
+                while ctx.win_at(W0, 0, 8) != marker(2) {
+                    assert!(!ctx.test_notifications(RtQuery::WILDCARD, 1));
+                    std::thread::yield_now();
+                }
+                for tag in [Tag::ANY, Tag(COLL_TAG_BIT), Tag(COLL_TAG_BIT | 1)] {
+                    assert!(!ctx.test_notifications(RtQuery::exact(W0, Rank(2), tag), 1));
+                    let any_win = RtQuery::exact(WindowId::ANY, Rank::ANY, tag);
+                    assert!(!ctx.test_notifications(any_win, 1));
+                }
+            }
+            ctx.ring_shift(W0, 0, 8, 8);
+            ctx.ring_release();
+            if r == 0 {
+                // Ranks 1 and 2 are in the allreduce by now or about to be;
+                // their barrier round and first chunks head this way.
+                for _ in 0..2000 {
+                    assert!(!ctx.test_notifications(RtQuery::WILDCARD, 1));
+                    std::thread::yield_now();
+                }
+            }
+            ctx.allreduce(W0, 16, 64, &plan);
+            // u64 sums of 0x0101..01 over three ranks: no byte carries.
+            assert!(ctx.win_at(W0, 16, 64).iter().all(|&b| b == 3));
+            // User traffic is still seen, and is all that is seen.
+            if r == 1 {
+                ctx.put_notify(W0, Rank(0), 0, 8, 8, Tag(5));
+                ctx.flush();
+            }
+            if r == 0 {
+                ctx.wait_notifications(RtQuery::WILDCARD, 1);
+                assert_eq!(ctx.win_at(W0, 0, 8), marker(1));
+                assert!(!ctx.test_notifications(RtQuery::WILDCARD, 1));
+            }
+            ctx.barrier();
+        }));
+    }
+    let report = run_cluster(&cfg(1, 3), programs);
+    assert_eq!((report.puts, report.matched), (1, 1));
+    assert!(report.coll.puts > 0);
 }

@@ -12,8 +12,7 @@
 use crate::sched::{vyield, FailureKind, Model, ModelThread, Outcome};
 use crate::shim::VPlatform;
 use dcuda_queues::spsc::{RecvError, TrySendError};
-use dcuda_queues::{channel_on, match_in_order, Notification, Query, ANY};
-use std::collections::VecDeque;
+use dcuda_queues::{channel_on, IndexedMatcher, Notification, Query, ANY};
 
 /// Producer/consumer handoff of `msgs` messages over a capacity-`cap`
 /// production ring: checks publication ordering, slot exclusivity and
@@ -110,10 +109,11 @@ pub fn mk_relay(msgs: u64) -> impl Fn() -> Vec<ModelThread> {
 }
 
 /// Notification pipeline: `Notification` values flow through the production
-/// ring into the consumer's pending queue, which is matched with
-/// `match_in_order` — the paper's compacting matcher — using a wildcard
-/// query interleaved with the drain. Checks conservation (every sent
-/// notification is matched exactly once) across all interleavings.
+/// ring into the consumer's pending list — the [`IndexedMatcher`] both
+/// drivers ship — which is matched with a wildcard query interleaved with
+/// the drain. Checks conservation (every sent notification is matched
+/// exactly once) and the paper's in-order-with-compaction result across all
+/// interleavings.
 pub fn mk_notify_pipeline() -> impl Fn() -> Vec<ModelThread> {
     move || {
         let (mut tx, mut rx) = channel_on::<Notification, VPlatform>(4);
@@ -145,7 +145,7 @@ pub fn mk_notify_pipeline() -> impl Fn() -> Vec<ModelThread> {
             }
         });
         let consumer: ModelThread = Box::new(move || {
-            let mut pending: VecDeque<Notification> = VecDeque::new();
+            let mut pending = IndexedMatcher::new();
             let tag1 = Query {
                 win: ANY,
                 source: 0,
@@ -157,19 +157,19 @@ pub fn mk_notify_pipeline() -> impl Fn() -> Vec<ModelThread> {
             // the tag-0 entry sitting between its matches.
             while tag1_matched < 2 || tag0_matched < 1 {
                 match rx.try_recv() {
-                    Ok(n) => pending.push_back(n),
+                    Ok(n) => pending.insert(n),
                     Err(RecvError::Empty) => vyield(),
                     Err(RecvError::Disconnected) => panic!("producer died early"),
                 }
                 if tag1_matched < 2 {
-                    if let Some((got, _scanned)) = match_in_order(&mut pending, tag1, 2) {
+                    if let Some((got, _scanned)) = pending.try_match(tag1, 2) {
                         assert_eq!(got.len(), 2);
                         assert!(got.iter().all(|n| n.tag == 1));
                         tag1_matched = 2;
                     }
                 }
                 if tag1_matched == 2 && tag0_matched < 1 {
-                    if let Some((got, _)) = match_in_order(&mut pending, Query::WILDCARD, 1) {
+                    if let Some((got, _)) = pending.try_match(Query::WILDCARD, 1) {
                         assert_eq!(got[0].tag, 0, "residual after compaction must be tag 0");
                         tag0_matched = 1;
                     }

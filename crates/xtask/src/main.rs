@@ -45,6 +45,12 @@ use std::process::ExitCode;
 ///    single seam the happens-before race detector instruments; indexing
 ///    the backing store directly anywhere else opens an unobserved access
 ///    path and silently breaks race detection.
+/// R5 `one-matcher`: no `match_in_order(` call outside
+///    `crates/queues/src/notify.rs` (its definition), `tests/` directories,
+///    `#[cfg(test)]` modules and `crates/bench/benches/ablation_matcher.rs`.
+///    The linear matcher is the executable specification the property
+///    suites and the ablation compare `IndexedMatcher` against; production
+///    code — simulator, runtime, model-checked corpus — has one matcher.
 ///
 /// An escape hatch comment `// xtask: allow` on the offending line skips
 /// all rules for that line.
@@ -407,6 +413,33 @@ fn lint() -> ExitCode {
                     if raw_shims.iter().any(|s| line.contains(s)) {
                         findings.push(finding(&file, lineno, "no-raw-shims", line));
                     }
+                }
+            }
+        }
+    }
+
+    // R5 targets: every Rust source of the workspace that is not a test.
+    // The pattern is assembled so this file does not contain it.
+    let linear_matcher_call = ["match_in", "_order("].concat();
+    let matcher_users = [
+        Path::new("crates/queues/src/notify.rs"),
+        Path::new("crates/bench/benches/ablation_matcher.rs"),
+    ];
+    for dir in ["crates", "src", "examples"] {
+        for file in rust_files(&root.join(dir)) {
+            let rel = file.strip_prefix(&root).unwrap_or(&file);
+            if rel.components().any(|c| c.as_os_str() == "tests") || matcher_users.contains(&rel) {
+                continue;
+            }
+            let Ok(text) = std::fs::read_to_string(&file) else {
+                continue;
+            };
+            for (lineno, line) in non_test_lines(&text) {
+                if line.contains("xtask: allow") || is_comment(line) {
+                    continue;
+                }
+                if line.contains(&linear_matcher_call) {
+                    findings.push(finding(&file, lineno, "one-matcher", line));
                 }
             }
         }
