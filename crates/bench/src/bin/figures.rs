@@ -1,7 +1,7 @@
 //! Regenerate the dCUDA paper's evaluation figures as printed series.
 //!
 //! ```text
-//! figures [--fig 6|7|8|9|10|11|ablations|faults|coll|busyhost|all[,..]] [--full]
+//! figures [--fig 6|7|8|9|10|11|ablations|faults|all[,..]] [--full]
 //!         [--serial] [--json [PATH]] [--trace PATH] [--verify]
 //!         [--faults PROFILE]
 //! ```
@@ -29,8 +29,8 @@ use dcuda_apps::micro::overlap::{OverlapPoint, Workload};
 use dcuda_bench::json::Json;
 use dcuda_bench::{
     ablation_bcast_put, ablation_match_cost, ablation_occupancy, ablation_staging,
-    ablation_vertical_levels, fig10, fig11, fig6, fig7_8, fig9, fig_busyhost, fig_coll, fig_faults,
-    fig_jobstorm, set_serial, Effort, ScalingRow,
+    ablation_vertical_levels, fig10, fig11, fig6, fig7_8, fig9, fig_faults, set_serial, Effort,
+    ScalingRow,
 };
 use dcuda_core::SystemSpec;
 use dcuda_fabric::FaultSpec;
@@ -79,7 +79,7 @@ fn overlap_json(points: &[OverlapPoint]) -> Json {
     )
 }
 
-const USAGE: &str = "usage: figures [--fig 6|7|8|9|10|11|ablations|faults|coll|busyhost|jobstorm|all[,..]] [--full] [--serial] [--json [PATH]] [--trace PATH] [--verify [race]] [--faults PROFILE]";
+const USAGE: &str = "usage: figures [--fig 6|7|8|9|10|11|ablations|faults|all[,..]] [--full] [--serial] [--json [PATH]] [--trace PATH] [--verify [race]] [--faults PROFILE]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -90,7 +90,7 @@ fn main() {
     } else {
         Effort::Quick
     };
-    if args.iter().any(|a| a == "--serial") || std::env::var_os("DCUDA_FIGURES_SERIAL").is_some() {
+    if args.iter().any(|a| a == "--serial") {
         set_serial(true);
     }
     let verify_pos = args.iter().position(|a| a == "--verify");
@@ -149,20 +149,7 @@ fn main() {
         }
         None => "all".to_string(),
     };
-    const FIGS: [&str; 12] = [
-        "6",
-        "7",
-        "8",
-        "9",
-        "10",
-        "11",
-        "ablations",
-        "faults",
-        "coll",
-        "busyhost",
-        "jobstorm",
-        "all",
-    ];
+    const FIGS: [&str; 9] = ["6", "7", "8", "9", "10", "11", "ablations", "faults", "all"];
     let selected: Vec<&str> = which.split(',').map(str::trim).collect();
     for part in &selected {
         if !FIGS.contains(part) {
@@ -480,118 +467,6 @@ fn main() {
                             .collect(),
                     ),
                 ),
-        );
-    }
-
-    if all || selected.contains(&"coll") {
-        println!(
-            "\n== Collectives: chunked ring allreduce on the threaded runtime (hidden fraction = chunk waits already satisfied when first polled) =="
-        );
-        println!(
-            "{:>10} {:>7} {:>12} {:>8} {:>12} {:>14}",
-            "backend", "ranks", "wall [ms]", "hidden", "coll puts", "coll bytes"
-        );
-        let rows = fig_coll(effort);
-        for r in &rows {
-            println!(
-                "{:>10} {:>7} {:>12.1} {:>8.2} {:>12} {:>14}",
-                r.backend, r.ranks, r.wall_ms, r.hidden_frac, r.coll_puts, r.coll_bytes
-            );
-        }
-        out = out.field(
-            "coll",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj()
-                            .field("backend", Json::str(r.backend))
-                            .field("ranks", Json::from(r.ranks))
-                            .field("wall_ms", Json::from(r.wall_ms))
-                            .field("hidden_frac", Json::from(r.hidden_frac))
-                            .field("coll_puts", Json::from(r.coll_puts))
-                            .field("coll_bytes", Json::from(r.coll_bytes))
-                    })
-                    .collect(),
-            ),
-        );
-    }
-
-    if all || selected.contains(&"busyhost") {
-        println!(
-            "\n== Busy host: latency-ladder wall time vs host busy-work, inline engine vs progress pool =="
-        );
-        println!(
-            "{:>10} {:>12} {:>12} {:>16} {:>8}",
-            "mode", "busy spin", "wall [ms]", "progress frames", "steals"
-        );
-        let fig = fig_busyhost(effort);
-        for r in &fig.rows {
-            println!(
-                "{:>10} {:>12} {:>12.1} {:>16} {:>8}",
-                r.mode, r.busy_spin, r.wall_ms, r.progress_frames, r.steals
-            );
-        }
-        println!(
-            "  recovered overlap at peak busy: threads1 {:.2}, threads2 {:.2}",
-            fig.recovered_threads1, fig.recovered_threads2
-        );
-        out = out.field(
-            "busyhost",
-            Json::obj()
-                .field(
-                    "rows",
-                    Json::Arr(
-                        fig.rows
-                            .iter()
-                            .map(|r| {
-                                Json::obj()
-                                    .field("mode", Json::str(r.mode))
-                                    .field("busy_spin", Json::from(r.busy_spin))
-                                    .field("wall_ms", Json::from(r.wall_ms))
-                                    .field("progress_frames", Json::from(r.progress_frames))
-                                    .field("steals", Json::from(r.steals))
-                            })
-                            .collect(),
-                    ),
-                )
-                .field("recovered_threads1", Json::from(fig.recovered_threads1))
-                .field("recovered_threads2", Json::from(fig.recovered_threads2)),
-        );
-    }
-
-    if all || selected.contains(&"jobstorm") {
-        println!(
-            "\n== Job storm: multi-tenant scheduler throughput and completion-latency tail =="
-        );
-        let fig = fig_jobstorm(effort);
-        println!(
-            "  {} jobs in {:.1} ms: {:.0} jobs/s, p50 {:.2} ms, p99 {:.2} ms, \
-             utilization {:.2}, peak queue {}",
-            fig.jobs,
-            fig.wall_ms,
-            fig.jobs_per_sec,
-            fig.p50_ms,
-            fig.p99_ms,
-            fig.util_frac,
-            fig.peak_queue_depth
-        );
-        assert_eq!(
-            fig.completed, fig.jobs,
-            "storm lost jobs: {} of {} completed, {} failed",
-            fig.completed, fig.jobs, fig.failed
-        );
-        out = out.field(
-            "jobstorm",
-            Json::obj()
-                .field("jobs", Json::from(fig.jobs))
-                .field("completed", Json::from(fig.completed))
-                .field("failed", Json::from(fig.failed))
-                .field("wall_ms", Json::from(fig.wall_ms))
-                .field("jobs_per_sec", Json::from(fig.jobs_per_sec))
-                .field("p50_ms", Json::from(fig.p50_ms))
-                .field("p99_ms", Json::from(fig.p99_ms))
-                .field("util_frac", Json::from(fig.util_frac))
-                .field("peak_queue_depth", Json::from(fig.peak_queue_depth)),
         );
     }
 

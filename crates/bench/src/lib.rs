@@ -1,10 +1,11 @@
 //! Figure regeneration for the dCUDA paper's evaluation (§IV).
 //!
-//! Each `figN` function reproduces the corresponding figure's data series;
-//! the `figures` binary prints them (and emits `BENCH_figures.json` with
-//! `--json`), and the benches under `benches/` time representative
-//! configurations on the in-house [`harness`]. The paper's evaluation
+//! Each `figN` function reproduces the corresponding figure's data series
+//! on the deterministic simulator; the `figures` binary prints them (and
+//! emits `BENCH_figures.json` with `--json`). The paper's evaluation
 //! contains no result tables — Figures 6–11 are the complete set.
+//! Wall-clock measurement of the threaded runtime, transports, collectives
+//! and scheduler lives in the repo benchmark (`benchmark/`) alone.
 //!
 //! Every row is an independent, deterministic simulation, so the fig
 //! functions fan rows out over [`par_map`] — the simulated series are
@@ -13,7 +14,6 @@
 
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod json;
 pub mod par;
 
@@ -412,307 +412,6 @@ pub fn ablation_match_cost(spec: &SystemSpec) -> Vec<(f64, f64)> {
     })
 }
 
-/// One row of the collective-overlap figure: a chunked ring allreduce on
-/// the *threaded* runtime (real OS threads, not the simulator), measured on
-/// one backend at one world size.
-pub struct CollRow {
-    /// `"inprocess"` (channel plane) or `"socket"` (loopback TCP mesh).
-    pub backend: &'static str,
-    /// World size (ranks).
-    pub ranks: u32,
-    /// Wall-clock for the whole run (ms). Real time — informational, not
-    /// regression-gated.
-    pub wall_ms: f64,
-    /// Fraction of chunk waits whose notification had already arrived when
-    /// first polled (the chunk pipeline hid the transfer behind the
-    /// previous chunk's reduction).
-    pub hidden_frac: f64,
-    /// Internal collective puts routed.
-    pub coll_puts: u64,
-    /// Internal collective payload bytes.
-    pub coll_bytes: u64,
-}
-
-/// Per-rank reduction buffer of the coll figure (u64 sums).
-const COLL_WIN: usize = 64 * 1024;
-/// Chunk size of the pipelined allreduce.
-const COLL_CHUNK: usize = 2 * 1024;
-
-fn coll_programs(first: u32, count: u32, iters: u32) -> Vec<dcuda_rt::cluster::RankProgram> {
-    use dcuda_rt::{CollAlgo, CollCtx, CollPlan, Dtype, ReduceOp, WindowId};
-    (first..first + count)
-        .map(|r| {
-            let program: dcuda_rt::cluster::RankProgram = Box::new(move |ctx| {
-                let plan = CollPlan::builder()
-                    .algo(CollAlgo::Ring)
-                    .chunk_bytes(COLL_CHUNK)
-                    .op(ReduceOp::Sum)
-                    .dtype(Dtype::U64)
-                    .build()
-                    .expect("valid coll plan");
-                for iter in 0..iters {
-                    let w = ctx.win_mut(WindowId(0));
-                    for (i, cell) in w.chunks_exact_mut(8).enumerate() {
-                        let v = (u64::from(r) << 32) ^ (u64::from(iter) << 16) ^ i as u64;
-                        cell.copy_from_slice(&v.to_le_bytes());
-                    }
-                    ctx.allreduce(WindowId(0), 0, COLL_WIN, &plan);
-                }
-            });
-            program
-        })
-        .collect()
-}
-
-fn coll_config(devices: u32, rpd: u32) -> dcuda_rt::RtConfig {
-    use dcuda_rt::{allreduce_scratch_bytes, CollAlgo};
-    dcuda_rt::RtConfig::builder()
-        .devices(devices)
-        .ranks_per_device(rpd)
-        .windows(vec![COLL_WIN])
-        .coll_scratch(allreduce_scratch_bytes(
-            CollAlgo::Ring,
-            COLL_WIN,
-            8,
-            devices * rpd,
-        ))
-        .build()
-        .expect("valid coll config")
-}
-
-/// The collective-overlap figure: chunked ring allreduce at the paper's
-/// rank scales (52/104/208 = 4/8/16 devices x 13 ranks) on the in-process
-/// channel plane and on a loopback socket mesh (two process-shaped halves
-/// living on threads of this process). Reports the hidden-wait fraction —
-/// how much of the notified-RMA chunk traffic the pipeline overlapped with
-/// local reductions.
-pub fn fig_coll(effort: Effort) -> Vec<CollRow> {
-    use dcuda_net::{MeshOpts, NetConfig, SocketPlane, Transport};
-    use std::net::TcpListener;
-    let iters = match effort {
-        Effort::Quick => 4,
-        Effort::Full => 16,
-    };
-    let mut rows = Vec::new();
-    for devices in [4u32, 8, 16] {
-        let rpd = 13;
-        let world = devices * rpd;
-        let cfg = coll_config(devices, rpd);
-
-        let start = std::time::Instant::now();
-        let report =
-            dcuda_rt::try_run_cluster(&cfg, coll_programs(0, world, iters)).expect("inprocess run");
-        rows.push(CollRow {
-            backend: "inprocess",
-            ranks: world,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            hidden_frac: report.coll.hidden_fraction().unwrap_or(0.0),
-            coll_puts: report.coll.puts,
-            coll_bytes: report.coll.bytes,
-        });
-
-        // Socket backend: a two-process-shaped loopback mesh, each half
-        // running its device slice on a helper thread of this process.
-        let half = devices / 2;
-        let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addrs = vec![
-            l0.local_addr().expect("addr").to_string(),
-            l1.local_addr().expect("addr").to_string(),
-        ];
-        let opts = |my_proc, listener| MeshOpts {
-            my_proc,
-            procs: 2,
-            devices_per_proc: half,
-            peer_addrs: addrs.clone(),
-            peer_hosts: Vec::new(),
-            shm_dir: None,
-            listener,
-            config: NetConfig::default(),
-        };
-        let o1 = opts(1, l1);
-        let t = std::thread::spawn(move || SocketPlane::establish(o1).expect("establish proc 1"));
-        let e0 = SocketPlane::establish(opts(0, l0)).expect("establish proc 0");
-        let e1 = t.join().expect("partner establish");
-        let boxed = |eps: Vec<dcuda_net::NetEndpoint>| -> Vec<Box<dyn Transport>> {
-            eps.into_iter()
-                .map(|ep| Box::new(ep) as Box<dyn Transport>)
-                .collect()
-        };
-        let part = move |first| dcuda_rt::ClusterPart {
-            first_device: first,
-            local_devices: half,
-        };
-        let start = std::time::Instant::now();
-        let cfg1 = cfg.clone();
-        let planes1 = boxed(e1);
-        let t = std::thread::spawn(move || {
-            dcuda_rt::try_run_cluster_part(
-                &cfg1,
-                part(half),
-                coll_programs(half * 13, half * 13, iters),
-                planes1,
-                false,
-            )
-            .expect("socket part 1")
-        });
-        let (r0, _) = dcuda_rt::try_run_cluster_part(
-            &cfg,
-            part(0),
-            coll_programs(0, half * 13, iters),
-            boxed(e0),
-            false,
-        )
-        .expect("socket part 0");
-        let (r1, _) = t.join().expect("socket part thread");
-        let hidden = r0.coll.hidden_waits + r1.coll.hidden_waits;
-        let blocked = r0.coll.blocked_waits + r1.coll.blocked_waits;
-        rows.push(CollRow {
-            backend: "socket",
-            ranks: world,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            hidden_frac: if hidden + blocked > 0 {
-                hidden as f64 / (hidden + blocked) as f64
-            } else {
-                0.0
-            },
-            coll_puts: r0.coll.puts + r1.coll.puts,
-            coll_bytes: r0.coll.bytes + r1.coll.bytes,
-        });
-    }
-    rows
-}
-
-/// One measurement of the busy-host progress figure: a latency-laddered
-/// ping-pong on the *threaded* runtime, with the host loop forced to burn
-/// `busy_spin` iterations of synthetic work between progress passes.
-pub struct BusyHostRow {
-    /// `"inline"`, `"threads1"` or `"threads2"` — the progress engine.
-    pub mode: &'static str,
-    /// Host busy-work per loop iteration (burn iterations; 0 = idle host).
-    pub busy_spin: u64,
-    /// Wall-clock for the whole run (ms). Real time.
-    pub wall_ms: f64,
-    /// Transport messages drained by progress-pool workers (0 for inline).
-    pub progress_frames: u64,
-    /// Progress passes a worker made on an engine homed to another worker.
-    pub steals: u64,
-}
-
-/// The busy-host figure: the measurement series plus the headline
-/// recovered-overlap fractions the bench regression gates on.
-pub struct BusyHostFig {
-    /// One row per (mode, busy level).
-    pub rows: Vec<BusyHostRow>,
-    /// `(t_inline(busy) - t_threads1(busy)) / (t_inline(busy) - t_inline(0))`
-    /// at the highest busy level: the share of the overlap the busy host
-    /// lost that one progress thread wins back.
-    pub recovered_threads1: f64,
-    /// As above for the two-worker pool.
-    pub recovered_threads2: f64,
-}
-
-/// Burn iterations at the figure's highest busy level — large enough that
-/// the inline engine's lost overlap dwarfs scheduler noise.
-const BUSYHOST_SPIN: u64 = 60_000;
-
-/// Latency ladder: sequential cross-device round trips, so every hop is
-/// gated on a host progress pass and a busy host stalls the whole chain.
-fn busyhost_programs(iters: u32) -> Vec<dcuda_rt::cluster::RankProgram> {
-    use dcuda_rt::{Rank, RtQuery, Tag, WindowId};
-    const W0: WindowId = WindowId(0);
-    (0..4u32)
-        .map(|r| {
-            let partner = r ^ 2;
-            let program: dcuda_rt::cluster::RankProgram = Box::new(move |ctx| {
-                for i in 0..iters {
-                    if r < 2 {
-                        ctx.put_notify(W0, Rank(partner), 0, 0, 64, Tag(i));
-                        ctx.flush();
-                        ctx.wait_notifications(RtQuery::exact(W0, Rank(partner), Tag(i)), 1);
-                    } else {
-                        ctx.wait_notifications(RtQuery::exact(W0, Rank(partner), Tag(i)), 1);
-                        ctx.put_notify(W0, Rank(partner), 0, 0, 64, Tag(i));
-                        ctx.flush();
-                    }
-                }
-            });
-            program
-        })
-        .collect()
-}
-
-fn busyhost_row(
-    mode: &'static str,
-    progress: dcuda_rt::ProgressMode,
-    busy_spin: u64,
-    iters: u32,
-) -> BusyHostRow {
-    let cfg = dcuda_rt::RtConfig::builder()
-        .devices(2)
-        .ranks_per_device(2)
-        .windows(vec![4096])
-        .progress(progress)
-        .host_busy_spin(busy_spin)
-        .build()
-        .expect("valid busyhost config");
-    let start = std::time::Instant::now();
-    let report = dcuda_rt::try_run_cluster(&cfg, busyhost_programs(iters)).expect("busyhost run");
-    BusyHostRow {
-        mode,
-        busy_spin,
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        progress_frames: report.net.progress_frames,
-        steals: report.net.steals,
-    }
-}
-
-/// The busy-host progress figure: wall time of a cross-device latency
-/// ladder as the host loop gets busier, for the inline engine vs one- and
-/// two-worker progress pools. The paper's premise is that overlap only
-/// exists if *something* makes progress while the host is busy; this
-/// figure measures how much of the overlap a busy inline host loses and
-/// how much of it the asynchronous progress engine recovers.
-///
-/// Runs strictly sequentially — the rows are wall-clock measurements and
-/// must not compete for cores.
-pub fn fig_busyhost(effort: Effort) -> BusyHostFig {
-    use dcuda_rt::ProgressMode;
-    let iters = match effort {
-        Effort::Quick => 150,
-        Effort::Full => 400,
-    };
-    let spins: &[u64] = match effort {
-        Effort::Quick => &[0, BUSYHOST_SPIN],
-        Effort::Full => &[0, BUSYHOST_SPIN / 4, BUSYHOST_SPIN / 2, BUSYHOST_SPIN],
-    };
-    let modes = [
-        ("inline", ProgressMode::Inline),
-        ("threads1", ProgressMode::Threads(1)),
-        ("threads2", ProgressMode::Threads(2)),
-    ];
-    let mut rows = Vec::new();
-    for &(name, mode) in &modes {
-        for &spin in spins {
-            rows.push(busyhost_row(name, mode, spin, iters));
-        }
-    }
-    let wall = |mode: &str, spin: u64| -> f64 {
-        rows.iter()
-            .find(|r| r.mode == mode && r.busy_spin == spin)
-            .map(|r| r.wall_ms)
-            .unwrap_or(f64::NAN)
-    };
-    let top = *spins.last().expect("busy levels nonempty");
-    let lost = wall("inline", top) - wall("inline", 0);
-    let recovered = |mode: &str| ((wall("inline", top) - wall(mode, top)) / lost).max(0.0);
-    BusyHostFig {
-        recovered_threads1: recovered("threads1"),
-        recovered_threads2: recovered("threads2"),
-        rows,
-    }
-}
-
 /// Run the representative traced simulation behind `figures --trace`: a
 /// reduced Figure 7/8-style overlap workload with cluster-wide tracing
 /// enabled. With `faults` set, the fabric injects that profile so the
@@ -731,92 +430,4 @@ pub fn trace_run(
     let (report, tracer) = overlap::run_traced(spec, &cfg, faults);
     let json = dcuda_trace::chrome::to_chrome_json(&tracer);
     (json, report.trace.expect("tracing was enabled"))
-}
-
-/// The jobstorm figure: scheduler throughput and completion-latency tails
-/// under a storm of small jobs (see [`fig_jobstorm`]).
-#[derive(Debug, Clone)]
-pub struct JobStormFig {
-    /// Jobs submitted to the shared scheduler.
-    pub jobs: u64,
-    /// Jobs that completed cleanly.
-    pub completed: u64,
-    /// Jobs that failed (must be 0 — the storm population is fault-free).
-    pub failed: u64,
-    /// Wall clock of the whole storm (ms). Real time.
-    pub wall_ms: f64,
-    /// Sustained throughput: `jobs / wall`.
-    pub jobs_per_sec: f64,
-    /// Median completion latency (submit → terminal), ms.
-    pub p50_ms: f64,
-    /// 99th-percentile completion latency, ms.
-    pub p99_ms: f64,
-    /// Mean slot utilization over the storm (`busy-slot time / (wall ×
-    /// slots)`).
-    pub util_frac: f64,
-    /// Deepest the admission queue got.
-    pub peak_queue_depth: u64,
-}
-
-/// The jobstorm figure behind `figures --fig jobstorm` and
-/// `ablation_sched`: submit a storm of small fault-free jobs to one shared
-/// [`dcuda_sched::Scheduler`] as fast as the control path accepts them,
-/// wait for all of them, and report jobs/sec throughput plus the p50/p99
-/// completion-latency tail. The storm population is seeded and mixed
-/// (ring and pingpong gangs of 2–4 ranks on 1–2 devices) so admission,
-/// gang placement, backfill and per-job teardown all churn; quotas are
-/// sized so nothing rejects.
-///
-/// Runs strictly sequentially — the rows are wall-clock measurements.
-pub fn fig_jobstorm(effort: Effort) -> JobStormFig {
-    use dcuda_sched::{JobProgram, JobSpec, SchedLimits, Scheduler};
-    let jobs: u64 = match effort {
-        Effort::Quick => 200,
-        Effort::Full => 1000,
-    };
-    let sched = Scheduler::new(4, 4, SchedLimits::default());
-    let mut rng = dcuda_des::SplitMix64::new(0x1057_0201_6DC0_DA00);
-    let start = std::time::Instant::now();
-    let ids: Vec<u64> = (0..jobs)
-        .map(|i| {
-            let program = if rng.next_below(4) == 0 {
-                JobProgram::PingPong
-            } else {
-                JobProgram::Ring
-            };
-            let mut spec = JobSpec::small(format!("storm-{i}"), program);
-            spec.devices = 1 + (rng.next_below(2) as u32);
-            spec.ranks_per_device = 1 + (rng.next_below(2) as u32);
-            spec.iters = 2;
-            spec.payload = 64;
-            spec.seed = rng.next_u64();
-            sched.submit(spec).expect("storm spec within quotas")
-        })
-        .collect();
-    let mut latencies: Vec<f64> = ids
-        .iter()
-        .map(|id| {
-            let r = sched.wait(*id).expect("storm job exists");
-            r.wait_ms + r.run_ms
-        })
-        .collect();
-    let stats = sched.drain();
-    let wall = start.elapsed();
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f64 {
-        let at = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[at]
-    };
-    JobStormFig {
-        jobs,
-        completed: stats.completed,
-        failed: stats.failed,
-        wall_ms,
-        jobs_per_sec: jobs as f64 / wall.as_secs_f64(),
-        p50_ms: pct(0.50),
-        p99_ms: pct(0.99),
-        util_frac: stats.utilization(wall.as_nanos()),
-        peak_queue_depth: stats.peak_queue_depth,
-    }
 }

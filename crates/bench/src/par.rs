@@ -7,8 +7,8 @@
 //! `std::thread::scope` — no dependency, no unsafe, no shared state beyond
 //! an index counter.
 //!
-//! `--serial` (or `DCUDA_FIGURES_SERIAL=1`) forces sequential execution;
-//! comparing its output against the parallel run is the determinism check.
+//! `figures --serial` forces sequential execution; comparing its output
+//! against the parallel run is the determinism check.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;

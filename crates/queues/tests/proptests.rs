@@ -293,6 +293,61 @@ fn indexed_matcher_equals_linear_spec_208_ranks() {
     });
 }
 
+/// The cluster-scale slow path, deterministically: a backlog parked under
+/// a tag no query asks for (one straggler per rank; depth 1664 is 8 nodes x
+/// 208 ranks buffered at one waiter) while each of 200 waits consumes 8
+/// fresh arrivals. The indexed matcher must charge exactly the linear
+/// matcher's modeled scans per wait — it moves host time only — and leave
+/// the backlog untouched.
+#[test]
+fn indexed_matcher_scans_like_linear_past_parked_backlog() {
+    const WAITS: u32 = 200;
+    const BATCH: usize = 8;
+    let query = Query {
+        win: 0,
+        source: ANY,
+        tag: 1,
+    };
+    for depth in [0u32, 64, 256, 1664] {
+        let mut spec: VecDeque<Notification> = VecDeque::new();
+        let mut indexed = IndexedMatcher::new();
+        for i in 0..depth {
+            let n = Notification {
+                win: 0,
+                source: i % 208,
+                tag: 0,
+            };
+            spec.push_back(n);
+            indexed.insert(n);
+        }
+        let (mut linear_scans, mut indexed_scans) = (0usize, 0usize);
+        for wait in 0..WAITS {
+            for j in 0..BATCH {
+                let n = Notification {
+                    win: 0,
+                    source: (wait * BATCH as u32 + j as u32) % 208,
+                    tag: 1,
+                };
+                spec.push_back(n);
+                indexed.insert(n);
+            }
+            let (em, es) = match_in_order(&mut spec, query, BATCH).expect("batch is buffered");
+            let (gm, gs) = indexed.try_match(query, BATCH).expect("batch is buffered");
+            assert_eq!(gm, em, "depth {depth} wait {wait}: matches diverge");
+            assert_eq!(gs, es, "depth {depth} wait {wait}: modeled scans diverge");
+            linear_scans += es;
+            indexed_scans += gs;
+        }
+        assert_eq!(indexed_scans, linear_scans, "depth {depth}");
+        assert_eq!(spec.len(), depth as usize, "linear backlog preserved");
+        assert_eq!(indexed.len(), depth as usize, "indexed backlog preserved");
+        assert_eq!(
+            indexed.pending_in_order(),
+            spec.iter().copied().collect::<Vec<_>>()
+        );
+    }
+}
+
 /// Tombstone compaction never changes observable state: after heavy
 /// matching (most entries removed), the residual still agrees.
 #[test]

@@ -16,8 +16,8 @@
 //! awaited, so while chunk *k* is being reduced locally, chunks *k+1..* are
 //! in flight. A chunk wait whose notification has already arrived at first
 //! poll counts as *hidden* (the transfer was fully overlapped by compute);
-//! one that has to spin counts as *blocked*. The chunked/unchunked hidden
-//! fraction is what the `coll` figure and `ablation_coll` gate on.
+//! one that has to spin counts as *blocked*. The hidden fraction is what
+//! the repo benchmark's `coll.hidden_frac` row reports and CI gates on.
 //!
 //! Incoming data never lands in live buffers: each schedule step/round has
 //! its own disjoint slot in a hidden per-rank scratch window (appended
@@ -25,7 +25,7 @@
 //! peer running several steps ahead can never clobber bytes that are still
 //! being reduced. [`dcuda_coll::allreduce_scratch_bytes`] is the sizing
 //! contract; undersized scratch surfaces as
-//! [`CollError::ScratchTooSmall`](dcuda_coll::CollError::ScratchTooSmall).
+//! [`CollError::ScratchTooSmall`].
 
 use crate::ctx::RtCtx;
 use crate::types::{Rank, RtError, WindowId};

@@ -30,7 +30,7 @@
 pub mod chrome;
 pub mod metrics;
 
-pub use metrics::{coll_overlap_summary, CollOverlapSummary, IntervalSet, TraceSummary};
+pub use metrics::{IntervalSet, TraceSummary};
 
 /// A timeline in the cluster-wide trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -1,9 +1,7 @@
 //! Post-run metric aggregation: interval algebra, overlap efficiency, and
 //! the [`TraceSummary`] surfaced through `RunReport`/`RtReport`.
 
-use crate::{ArgValue, Span};
 use dcuda_des::stats::LatencyHistogram;
-use dcuda_des::SimDuration;
 
 /// A set of disjoint, sorted half-open intervals `[start, end)` in
 //  picoseconds of simulated time.
@@ -175,67 +173,6 @@ impl Default for TraceSummary {
     }
 }
 
-/// Aggregated view of the collective engine's per-chunk overlap spans
-/// (`coll_wait` / `coll_reduce`), the evidence behind the chunked-pipeline
-/// claim: a chunk wait whose notification had already arrived when first
-/// polled was *hidden* behind the preceding chunk's local reduction.
-#[derive(Debug, Clone, Default)]
-pub struct CollOverlapSummary {
-    /// Chunk waits observed in total.
-    pub chunk_waits: u64,
-    /// Chunk waits that were fully hidden (notification pre-arrived).
-    pub hidden: u64,
-    /// Chunk waits that had to block for the notification.
-    pub blocked: u64,
-    /// Histogram of chunk-wait span durations. For the threaded runtime the
-    /// "picoseconds" are per-rank logical ticks — bucket shape, not absolute
-    /// latency, is the meaningful signal there.
-    pub wait_hist: LatencyHistogram,
-    /// Local reduction spans observed.
-    pub reduces: u64,
-    /// Bytes reduced across all `coll_reduce` spans.
-    pub reduce_bytes: u64,
-}
-
-impl CollOverlapSummary {
-    /// Fraction of chunk waits that were hidden (`None` without samples).
-    pub fn hidden_fraction(&self) -> Option<f64> {
-        (self.chunk_waits > 0).then(|| self.hidden as f64 / self.chunk_waits as f64)
-    }
-}
-
-/// Scan a cluster trace for the collective engine's spans and fold them
-/// into a [`CollOverlapSummary`].
-pub fn coll_overlap_summary(spans: &[Span]) -> CollOverlapSummary {
-    let mut s = CollOverlapSummary::default();
-    let arg_u64 = |span: &Span, key: &str| {
-        span.args.iter().find_map(|(k, v)| match v {
-            ArgValue::U64(n) if *k == key => Some(*n),
-            _ => None,
-        })
-    };
-    for span in spans {
-        match span.name {
-            "coll_wait" => {
-                s.chunk_waits += 1;
-                if arg_u64(span, "hidden") == Some(1) {
-                    s.hidden += 1;
-                } else {
-                    s.blocked += 1;
-                }
-                s.wait_hist
-                    .record(SimDuration::from_ps(span.end_ps - span.start_ps));
-            }
-            "coll_reduce" => {
-                s.reduces += 1;
-                s.reduce_bytes += arg_u64(span, "bytes").unwrap_or(0);
-            }
-            _ => {}
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,43 +238,5 @@ mod tests {
         let mut waits = vec![IntervalSet::new()];
         let mut computes = vec![set(&[(0, 4)])];
         assert_eq!(overlap_efficiency(&mut waits, &mut computes, &[0]), None);
-    }
-
-    fn coll_span(name: &'static str, start: u64, end: u64, args: &[(&'static str, u64)]) -> Span {
-        Span {
-            track: crate::Track::Rank(0),
-            name,
-            start_ps: start,
-            end_ps: end,
-            args: args.iter().map(|&(k, v)| (k, ArgValue::U64(v))).collect(),
-        }
-    }
-
-    #[test]
-    fn coll_summary_splits_hidden_and_blocked() {
-        let spans = vec![
-            coll_span("coll_wait", 0, 10, &[("hidden", 1)]),
-            coll_span("coll_wait", 10, 30, &[("hidden", 0)]),
-            coll_span("coll_wait", 30, 35, &[("hidden", 1)]),
-            coll_span("coll_reduce", 35, 40, &[("bytes", 512)]),
-            coll_span("coll_reduce", 40, 44, &[("bytes", 256)]),
-            coll_span("compute", 44, 90, &[]),
-        ];
-        let s = coll_overlap_summary(&spans);
-        assert_eq!(s.chunk_waits, 3);
-        assert_eq!(s.hidden, 2);
-        assert_eq!(s.blocked, 1);
-        assert_eq!(s.wait_hist.summary().count(), 3);
-        assert_eq!(s.reduces, 2);
-        assert_eq!(s.reduce_bytes, 768);
-        let f = s.hidden_fraction().unwrap();
-        assert!((f - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coll_summary_empty_trace() {
-        let s = coll_overlap_summary(&[]);
-        assert_eq!(s.chunk_waits, 0);
-        assert_eq!(s.hidden_fraction(), None);
     }
 }

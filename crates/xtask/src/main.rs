@@ -5,15 +5,15 @@
 //!   rustc/clippy cannot express (see `LINT RULES` below). Deliberately
 //!   simple — line-oriented with a brace-tracking skip for `#[cfg(test)]`
 //!   modules — and wired into the CI `lint` job.
-//! * `bench-diff BASELINE CURRENT... [--tol FRAC]` — compare a baseline
-//!   against one or more current JSON files (their figures are unioned):
-//!   Figures 6–8 from `figures --json` diff row by row within a drift
-//!   tolerance (default ±10%), and the bounded figures (`transport` from
-//!   `ablation_transport --json`, `coll` from `ablation_coll --json`)
-//!   gate against absolute `min_value`/`max_value` bounds declared in the
-//!   baseline (speed-ratio floors, copies-per-message ceilings,
-//!   hidden-fraction floors). Wired into the CI `bench-regression` job;
-//!   see EXPERIMENTS.md for re-baselining.
+//! * `bench-diff BASELINE FIGURES [WORKLOAD.json...] [--tol FRAC]` — the
+//!   CI `bench-regression` gate. Figures 6–8 from `figures --json` diff
+//!   row by row against the baseline within a drift tolerance (default
+//!   ±10%; the simulator is deterministic). Each `WORKLOAD.json` is the
+//!   last line of a traced repo-benchmark run (`benchmark --workload
+//!   WORKLOAD --trace 1`): it must read `"correct": true, "failed": 0`,
+//!   and its per-layer rows are held to the baseline's `bounds` — one
+//!   form, `{workload, row, min_value | max_value}`. See EXPERIMENTS.md
+//!   for re-baselining.
 //! * `launch [ARGS...]` — build and run the `dcuda-launch` binary in
 //!   release mode, forwarding all arguments (see `dcuda-launch --help`
 //!   and EXPERIMENTS.md for recipes). `cargo run -p xtask -- launch
@@ -46,11 +46,11 @@ use std::process::ExitCode;
 ///    the backing store directly anywhere else opens an unobserved access
 ///    path and silently breaks race detection.
 /// R5 `one-matcher`: no `match_in_order(` call outside
-///    `crates/queues/src/notify.rs` (its definition), `tests/` directories,
-///    `#[cfg(test)]` modules and `crates/bench/benches/ablation_matcher.rs`.
-///    The linear matcher is the executable specification the property
-///    suites and the ablation compare `IndexedMatcher` against; production
-///    code — simulator, runtime, model-checked corpus — has one matcher.
+///    `crates/queues/src/notify.rs` (its definition), `tests/` directories
+///    and `#[cfg(test)]` modules. The linear matcher is the executable
+///    specification the property suites compare `IndexedMatcher` against;
+///    production code — simulator, runtime, model-checked corpus — has one
+///    matcher.
 ///
 /// An escape hatch comment `// xtask: allow` on the offending line skips
 /// all rules for that line.
@@ -62,7 +62,7 @@ fn main() -> ExitCode {
         Some("launch") => launch(args.collect()),
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint\n       cargo run -p xtask -- bench-diff BASELINE CURRENT [--tol FRAC]\n       cargo run -p xtask -- launch [DCUDA-LAUNCH ARGS]\n  (got {:?})",
+                "usage: cargo run -p xtask -- lint\n       cargo run -p xtask -- bench-diff BASELINE FIGURES [WORKLOAD.json...] [--tol FRAC]\n       cargo run -p xtask -- launch [DCUDA-LAUNCH ARGS]\n  (got {:?})",
                 other.unwrap_or("<none>")
             );
             ExitCode::from(2)
@@ -92,6 +92,8 @@ const DIFF_PLAN: &[(&str, &[&str], &[&str])] = &[
 ];
 
 fn bench_diff(args: Vec<String>) -> ExitCode {
+    const USAGE: &str =
+        "usage: cargo run -p xtask -- bench-diff BASELINE FIGURES [WORKLOAD.json...] [--tol FRAC]";
     let mut paths = Vec::new();
     let mut tol = 0.10f64;
     let mut it = args.into_iter();
@@ -108,39 +110,44 @@ fn bench_diff(args: Vec<String>) -> ExitCode {
             paths.push(a);
         }
     }
-    let [baseline_path, current_paths @ ..] = paths.as_slice() else {
-        eprintln!("usage: cargo run -p xtask -- bench-diff BASELINE CURRENT... [--tol FRAC]");
+    let [baseline_path, figures_path, ledger_paths @ ..] = paths.as_slice() else {
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    if current_paths.is_empty() {
-        eprintln!("usage: cargo run -p xtask -- bench-diff BASELINE CURRENT... [--tol FRAC]");
-        return ExitCode::from(2);
-    }
     let load = |path: &str| -> Result<Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         Json::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
-    let baseline = match load(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
+    let (baseline, figures) = match (load(baseline_path), load(figures_path)) {
+        (Ok(b), Ok(f)) => (b, f),
+        (Err(e), _) | (_, Err(e)) => {
             eprintln!("xtask bench-diff: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // Union the current files: each figure is looked up in the first file
-    // that carries it, so `figures --json` and `ablation_transport --json`
-    // outputs can be diffed against one baseline in a single invocation.
-    let mut currents = Vec::new();
-    for path in current_paths {
-        match load(path) {
-            Ok(c) => currents.push(c),
+    // Each ledger file is the last line of one traced benchmark run
+    // (`benchmark --workload W --trace 1`), named after its workload.
+    let mut ledgers: Vec<(String, Json)> = Vec::new();
+    for path in ledger_paths {
+        let workload = Path::new(path)
+            .file_stem()
+            .map(|s| s.to_string_lossy().into_owned())
+            .unwrap_or_default();
+        let doc = match load(path) {
+            Ok(d) => d,
             Err(e) => {
                 eprintln!("xtask bench-diff: {e}");
                 return ExitCode::FAILURE;
             }
+        };
+        let clean = matches!(doc.get("correct"), Some(Json::Bool(true)))
+            && doc.get("failed").and_then(Json::as_u64) == Some(0);
+        if !clean {
+            eprintln!("xtask bench-diff: {path}: the {workload} run is not \"correct\": true with \"failed\": 0");
+            return ExitCode::FAILURE;
         }
+        ledgers.push((workload, doc));
     }
-    let current_fig = |fig: &str| -> Option<&Json> { currents.iter().find_map(|c| c.get(fig)) };
 
     // A row's identity within its figure: the concatenated label values.
     let row_label = |row: &Json, keys: &[&str]| -> String {
@@ -163,7 +170,7 @@ fn bench_diff(args: Vec<String>) -> ExitCode {
     for &(fig, label_keys, value_keys) in DIFF_PLAN {
         let (Some(base_rows), Some(cur_rows)) = (
             baseline.get(fig).and_then(Json::as_arr),
-            current_fig(fig).and_then(Json::as_arr),
+            figures.get(fig).and_then(Json::as_arr),
         ) else {
             eprintln!("xtask bench-diff: figure {fig:?} missing from one side — regenerate both files with `figures --fig 6,7,8 --json`");
             return ExitCode::FAILURE;
@@ -219,79 +226,59 @@ fn bench_diff(args: Vec<String>) -> ExitCode {
             }
         }
     }
-    // The ablation figures gate on absolute bounds, not drift: the
-    // baseline declares floors (`min_value` — e.g. shm must beat tcp 3x on
-    // same-host eager traffic, chunked allreduce must hide half its chunk
-    // waits) and ceilings (`max_value` — e.g. at most one payload copy per
-    // rendezvous message per direction). Current rows without a baseline
-    // bound are informational and pass silently; a bounds figure absent
-    // from the baseline is skipped entirely.
-    //
-    // `figures --json` may emit a same-named figure table (e.g. "coll"),
-    // so bounds figures are looked up by shape: only an array whose every
-    // entry carries a "row" label is the ablation output.
-    let current_bounds = |fig: &str| -> Option<&[Json]> {
-        currents.iter().find_map(|c| {
-            c.get(fig)
-                .and_then(Json::as_arr)
-                .filter(|rows| rows.iter().all(|r| r.get("row").is_some()))
-        })
-    };
-    for (fig, bench_name) in [
-        ("transport", "ablation_transport"),
-        ("coll", "ablation_coll"),
-        ("progress", "ablation_progress"),
-        ("sched", "ablation_sched"),
-    ] {
-        let Some(bounds) = baseline.get(fig).and_then(Json::as_arr) else {
-            continue;
+    // Ledger rows gate on absolute bounds, not drift: wall-clock rows are
+    // noisy, so the baseline declares floors (`min_value`) and ceilings
+    // (`max_value`) per (workload, row) instead of a reference value.
+    let bounds = baseline.get("bounds").and_then(Json::as_arr).unwrap_or(&[]);
+    if !bounds.is_empty() {
+        println!(
+            "\n{:<14} {:<30} {:>14} {:>14}  verdict",
+            "workload", "row", "bound", "current"
+        );
+    }
+    for bound in bounds {
+        let field = |k: &str| bound.get(k).and_then(Json::as_str);
+        let (Some(workload), Some(row)) = (field("workload"), field("row")) else {
+            eprintln!("xtask bench-diff: bound {bound} lacks a workload or row");
+            return ExitCode::FAILURE;
         };
-        let Some(cur_rows) = current_bounds(fig) else {
+        let Some((_, ledger)) = ledgers.iter().find(|(w, _)| w == workload) else {
             eprintln!(
-                "xtask bench-diff: baseline has {fig} bounds but no current file carries the figure — run `cargo bench -p dcuda-bench --bench {bench_name} -- --json PATH`"
+                "xtask bench-diff: baseline bounds {workload} but no {workload}.json was given — save the last line of `benchmark --workload {workload} --trace 1` there"
             );
             return ExitCode::FAILURE;
         };
-        for bound in bounds {
-            let Some(row) = bound.get("row").and_then(Json::as_str) else {
-                eprintln!("xtask bench-diff: {fig} bound lacks a row label");
-                return ExitCode::FAILURE;
-            };
-            let value = cur_rows
-                .iter()
-                .find(|r| r.get("row").and_then(Json::as_str) == Some(row))
-                .and_then(|r| r.get("value"))
-                .and_then(Json::as_f64);
-            let Some(value) = value else {
-                eprintln!("xtask bench-diff: {fig} row {row:?} missing from current output");
-                return ExitCode::FAILURE;
-            };
-            let min = bound.get("min_value").and_then(Json::as_f64);
-            let max = bound.get("max_value").and_then(Json::as_f64);
-            if min.is_none() && max.is_none() {
-                eprintln!("xtask bench-diff: {fig} bound {row:?} declares no min_value/max_value");
+        let value = ledger
+            .get("metrics")
+            .and_then(|m| m.get(row))
+            .and_then(|m| m.get("value"))
+            .and_then(Json::as_f64);
+        let Some(value) = value else {
+            eprintln!("xtask bench-diff: {workload} ledger has no row {row:?}");
+            return ExitCode::FAILURE;
+        };
+        let min = bound.get("min_value").and_then(Json::as_f64);
+        let max = bound.get("max_value").and_then(Json::as_f64);
+        let (bound_str, ok) = match (min, max) {
+            (Some(m), None) => (format!(">= {m:.4}"), value >= m),
+            (None, Some(m)) => (format!("<= {m:.4}"), value <= m),
+            _ => {
+                eprintln!("xtask bench-diff: bound {workload}/{row} must declare exactly one of min_value/max_value");
                 return ExitCode::FAILURE;
             }
-            let ok = min.is_none_or(|m| value >= m) && max.is_none_or(|m| value <= m);
-            compared += 1;
-            if !ok {
-                regressions += 1;
-            }
-            let bound_str = match (min, max) {
-                (Some(m), None) => format!(">= {m:.4}"),
-                (None, Some(m)) => format!("<= {m:.4}"),
-                (Some(lo), Some(hi)) => format!("{lo:.4}..{hi:.4}"),
-                (None, None) => unreachable!(),
-            };
-            println!(
-                "{:<6} {:<34} {:>14} {:>12.4}  {}",
-                &fig[..fig.len().min(6)],
-                row,
-                bound_str,
-                value,
-                if ok { "ok" } else { "REGRESSION" }
-            );
+        };
+        compared += 1;
+        if !ok {
+            regressions += 1;
         }
+        println!(
+            "{:<14} {:<30} {:>14} {:>14.4}  {}",
+            workload,
+            row,
+            bound_str,
+            value,
+            if ok { "ok" } else { "REGRESSION" }
+        );
     }
 
     println!(
@@ -421,14 +408,11 @@ fn lint() -> ExitCode {
     // R5 targets: every Rust source of the workspace that is not a test.
     // The pattern is assembled so this file does not contain it.
     let linear_matcher_call = ["match_in", "_order("].concat();
-    let matcher_users = [
-        Path::new("crates/queues/src/notify.rs"),
-        Path::new("crates/bench/benches/ablation_matcher.rs"),
-    ];
+    let matcher_home = Path::new("crates/queues/src/notify.rs");
     for dir in ["crates", "src", "examples"] {
         for file in rust_files(&root.join(dir)) {
             let rel = file.strip_prefix(&root).unwrap_or(&file);
-            if rel.components().any(|c| c.as_os_str() == "tests") || matcher_users.contains(&rel) {
+            if rel.components().any(|c| c.as_os_str() == "tests") || rel == matcher_home {
                 continue;
             }
             let Ok(text) = std::fs::read_to_string(&file) else {

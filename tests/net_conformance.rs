@@ -261,8 +261,9 @@ fn conformance_coll_survives_lossy_plane() {
 /// in-process backend and on every multi-process plane of the tier — the
 /// pool moves progress passes onto other threads, it never changes what
 /// the protocol does. Each threaded run must also prove the pool actually
-/// ran (frames drained off-thread), so the comparison cannot pass
-/// vacuously with the workers asleep.
+/// ran (frames drained off-thread; on the in-process backend, passes stolen
+/// across engines), so the comparison cannot pass vacuously with the
+/// workers asleep.
 fn assert_progress_pool_matches_inline(workload: &str, iters: u32, payload: usize, rpd: u32) {
     let iters = iters.to_string();
     let payload = payload.to_string();
@@ -312,6 +313,16 @@ fn assert_progress_pool_matches_inline(workload: &str, iters: u32, payload: usiz
             "{workload} [{label}]: progress pool drained no frames off-thread \
              — the byte-identical comparison is vacuous"
         );
+        // Stealing needs two engines in one pool: the in-process world has
+        // both devices in one part, while a multi-process part here holds
+        // one device, whose second worker only races the first for its lock.
+        if label == "--backend inprocess" {
+            assert!(
+                net_counter(&threaded, "steals") > 0,
+                "{workload} [{label}]: no pool worker progressed an engine \
+                 homed on another — the work-stealing half of the pool never ran"
+            );
+        }
     }
 }
 
