@@ -9,7 +9,7 @@
 
 use crate::coll::CollStats;
 use crate::ctx::RtCtx;
-use crate::host::{FlushHistory, Host, HostOutcome, SharedHost};
+use crate::host::{FlushHistory, Host, SharedHost};
 use crate::msg::{Cmd, Delivery};
 use crate::types::RtError;
 use dcuda_net::{InProcessPlane, NetStats, Transport};
@@ -41,8 +41,14 @@ pub const MAX_PROGRESS_THREADS: u32 = 64;
 /// progress engine — the analogue of NCCL/NVSHMEM proxy threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
-    /// The host loop is the only driver — the pre-engine behaviour,
-    /// byte-identical protocol counters and delivery order.
+    /// No dedicated progress threads: each device's host loop drives its
+    /// engine, with byte-identical protocol counters and delivery order. In
+    /// a world run whole in one process ([`try_run_cluster`] and its
+    /// traced, verified and job-scoped forms) a rank that would wait also
+    /// runs a pass of its own device's engine whenever no other thread owns
+    /// it, so a notified put no longer waits for two host threads to be
+    /// scheduled. Parts run over a socket mesh ([`try_run_cluster_part`])
+    /// leave the host loop as the only driver.
     #[default]
     Inline,
     /// A pool of `n` dedicated progress threads co-drives every host
@@ -81,9 +87,9 @@ pub struct RtConfig {
     /// false races, so race detection is only sound when the whole world
     /// shares one process (in-process loopback meshes included).
     pub races: Option<RaceHandle>,
-    /// Progress engine: who drives the host engines' matching/transport
-    /// work ([`ProgressMode::Inline`] = the host loops alone, exactly the
-    /// pre-engine behaviour).
+    /// Progress engine: who drives the host engines' routing/transport
+    /// work besides the host loops ([`ProgressMode::Inline`] = no pool;
+    /// in a whole in-process world the waiting ranks help, see there).
     pub progress: ProgressMode,
     /// Iterations of deterministic spin work each host loop burns between
     /// progress passes, emulating a host busy with application work (the
@@ -458,17 +464,19 @@ fn record_first(slot: &Mutex<Option<RtError>>, err: RtError) {
     }
 }
 
-/// How every host thread ends, whichever progress mode drove it: hand back
-/// the outcome, or record the root cause once and raise the abort flag so
-/// ranks spinning on deliveries or flush acks bail with `Aborted` and the
-/// scope join completes. (`Aborted` itself is never a root cause: it means
-/// the host observed a failure raised elsewhere.)
-fn host_thread_exit(
+/// How every drive of a device's engine ends when it is charged to the
+/// engine — the host thread's whole run, whichever progress mode drove it,
+/// and each pass a waiting rank runs: hand back the value, or record the
+/// root cause once as that device's host failure and raise the abort flag
+/// so ranks spinning on deliveries or flush acks bail with `Aborted` and
+/// the scope join completes. (`Aborted` itself is never a root cause: it
+/// means the host observed a failure raised elsewhere.)
+pub(crate) fn engine_result<T>(
     device: u32,
-    res: std::thread::Result<Result<HostOutcome, RtError>>,
+    res: std::thread::Result<Result<T, RtError>>,
     abort: &AtomicBool,
     first_error: &Mutex<Option<RtError>>,
-) -> Option<HostOutcome> {
+) -> Option<T> {
     match res {
         Ok(Ok(out)) => return Some(out),
         Ok(Err(RtError::Aborted)) => {}
@@ -536,6 +544,7 @@ pub fn try_run_cluster_part(
         part.local_devices,
         programs,
         planes,
+        false,
         traced,
         false,
         None,
@@ -561,12 +570,16 @@ fn run_inner(
         cfg.devices,
         programs,
         planes,
+        true,
         traced,
         verified,
         cancel,
     )
 }
 
+/// `in_process`: `planes` are the in-process plane of a whole world, so
+/// under [`ProgressMode::Inline`] waiting ranks drive their own device's
+/// engine (see [`SharedHost`]); socket parts keep the host loop alone.
 #[allow(clippy::too_many_arguments)]
 fn run_part_inner(
     cfg: &RtConfig,
@@ -574,6 +587,7 @@ fn run_part_inner(
     local_devices: u32,
     programs: Vec<RankProgram>,
     planes: Vec<Box<dyn Transport>>,
+    in_process: bool,
     traced: bool,
     verified: bool,
     cancel: Option<Arc<AtomicBool>>,
@@ -611,12 +625,18 @@ fn run_part_inner(
     let abort = cancel.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
     let first_error: Arc<Mutex<Option<RtError>>> = Arc::new(Mutex::new(None));
 
+    // Engines a thread other than the host loop may drive: the pool's, or
+    // each device's own waiting ranks'. The rest run `Host::run` alone.
+    let rank_driven = in_process && cfg.progress == ProgressMode::Inline;
+    let shared = rank_driven || matches!(cfg.progress, ProgressMode::Threads(_));
     let mut hosts = Vec::new();
+    let mut engines = Vec::new();
     let mut rank_parts: Vec<(RtCtx, RankProgram)> = Vec::new();
     let mut programs = programs.into_iter();
     let mut planes = planes.into_iter();
 
     for device in first_device..first_device + local_devices {
+        let first_local = rank_parts.len();
         let mut cmd_rx = Vec::new();
         let mut delivery_tx = Vec::new();
         let mut flush = Vec::new();
@@ -661,6 +681,8 @@ fn run_part_inner(
                 },
                 clock: 0,
                 abort: abort.clone(),
+                engine: None,
+                first_error: first_error.clone(),
                 counters: verified.then(Box::default),
                 last_flush_seen: 0,
                 races: cfg.races.clone(),
@@ -672,7 +694,7 @@ fn run_part_inner(
             })?;
             rank_parts.push((ctx, program));
         }
-        hosts.push(Host {
+        let host = Host {
             device,
             devices: cfg.devices,
             ranks_per_device: cfg.ranks_per_device,
@@ -692,7 +714,18 @@ fn run_part_inner(
             busy_spin: cfg.host_busy_spin,
             progress_frames: 0,
             steals: 0,
-        });
+        };
+        if shared {
+            let engine = SharedHost::new(host);
+            if rank_driven {
+                for (ctx, _) in &mut rank_parts[first_local..] {
+                    ctx.engine = Some(engine.clone());
+                }
+            }
+            engines.push(engine);
+        } else {
+            hosts.push(host);
+        }
     }
 
     let mut report = RtReport::default();
@@ -706,46 +739,35 @@ fn run_part_inner(
     std::thread::scope(|s| {
         let mut host_handles = Vec::new();
         let mut progress_handles = Vec::new();
-        match cfg.progress {
-            ProgressMode::Inline => {
-                for mut host in hosts {
-                    let abort = abort.clone();
-                    let first_error = first_error.clone();
-                    host_handles.push(s.spawn(move || {
-                        let res = std::panic::catch_unwind(AssertUnwindSafe(|| host.run()));
-                        // `host` (and with it the rank-facing rings) outlives
-                        // this call: a failure is on record as the root cause
-                        // before any rank can see a disconnected ring.
-                        host_thread_exit(host.device, res, &abort, &first_error)
-                    }));
-                }
-            }
-            ProgressMode::Threads(nworkers) => {
-                let mut engines = Vec::new();
-                for host in hosts {
-                    let abort = abort.clone();
-                    let first_error = first_error.clone();
-                    let device = host.device;
-                    let eng = SharedHost::new(host);
-                    engines.push(eng.clone());
-                    host_handles.push(s.spawn(move || {
-                        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            eng.run_host_loop(&abort)
-                        }));
-                        // Raised success or failure alike: workers must stop
-                        // driving an engine whose loop has exited.
-                        eng.done.store(true, Ordering::Release);
-                        host_thread_exit(device, res, &abort, &first_error)
-                    }));
-                }
-                for w in 0..nworkers {
-                    let engines = engines.clone();
-                    let abort = abort.clone();
-                    let first_error = first_error.clone();
-                    progress_handles.push(s.spawn(move || {
-                        progress_worker(w, nworkers, engines, &abort, &first_error, traced)
-                    }));
-                }
+        for mut host in hosts {
+            let abort = abort.clone();
+            let first_error = first_error.clone();
+            host_handles.push(s.spawn(move || {
+                let res = std::panic::catch_unwind(AssertUnwindSafe(|| host.run()));
+                // `host` (and with it the rank-facing rings) outlives
+                // this call: a failure is on record as the root cause
+                // before any rank can see a disconnected ring.
+                engine_result(host.device, res, &abort, &first_error)
+            }));
+        }
+        for (device, eng) in (first_device..).zip(&engines) {
+            let (eng, abort, first_error) = (eng.clone(), abort.clone(), first_error.clone());
+            host_handles.push(s.spawn(move || {
+                let res = std::panic::catch_unwind(AssertUnwindSafe(|| eng.run_host_loop(&abort)));
+                // Raised success or failure alike: workers and ranks must
+                // stop driving an engine whose loop has exited.
+                eng.done.store(true, Ordering::Release);
+                engine_result(device, res, &abort, &first_error)
+            }));
+        }
+        if let ProgressMode::Threads(nworkers) = cfg.progress {
+            for w in 0..nworkers {
+                let engines = engines.clone();
+                let abort = abort.clone();
+                let first_error = first_error.clone();
+                progress_handles.push(s.spawn(move || {
+                    progress_worker(w, nworkers, engines, &abort, &first_error, traced)
+                }));
             }
         }
         let mut rank_handles = Vec::new();

@@ -1,6 +1,15 @@
 //! The per-rank blocking API.
+//!
+//! Every blocking call — a full command ring, `wait_notifications`,
+//! `flush` and the collective engine's internal wait — loops on
+//! `RtCtx::wait_step`, which drives the rank's own device engine where
+//! the world allows it and yields otherwise. xtask lint R6
+//! (`one-wait-helper`) rejects any other `yield_now` in this file, so a
+//! new wait loop cannot skip rank-driven progress.
 
+use crate::cluster::engine_result;
 use crate::coll::{CollStats, COLL_TAG_BIT};
+use crate::host::SharedHost;
 use crate::msg::{Cmd, Delivery};
 use crate::types::{Rank, RtError, RtQuery, Tag, WindowId};
 use dcuda_queues::{
@@ -9,8 +18,9 @@ use dcuda_queues::{
 use dcuda_trace::{Tracer, Track};
 use dcuda_verify::{RaceHandle, RaceReport, ShardCounters};
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The device-side library handle of one rank (paper: the `dcuda_context`).
 ///
@@ -66,6 +76,15 @@ pub struct RtCtx {
     /// blocking loops observe it and return [`RtError::Aborted`] so the
     /// cluster join completes instead of hanging.
     pub(crate) abort: Arc<AtomicBool>,
+    /// This rank's device engine, which [`wait_step`](Self::wait_step)
+    /// drives instead of only yielding (`Some` only in a whole world on the
+    /// in-process plane under [`ProgressMode::Inline`]).
+    ///
+    /// [`ProgressMode::Inline`]: crate::ProgressMode::Inline
+    pub(crate) engine: Option<SharedHost>,
+    /// The cluster's first-failure slot: an engine error met in a
+    /// rank-driven pass is recorded here as the device's host failure.
+    pub(crate) first_error: Arc<Mutex<Option<RtError>>>,
     /// Invariant-counter shard (verified runs only; `None` keeps the
     /// unverified hot path free of bookkeeping).
     pub(crate) counters: Option<Box<ShardCounters>>,
@@ -354,6 +373,26 @@ impl RtCtx {
         self.abort.load(Ordering::Acquire)
     }
 
+    /// One turn of every wait loop in this file (xtask lint R6 keeps
+    /// `yield_now` here alone). With a device engine, run one pass of it
+    /// if no other thread owns it; a pass that moved anything returns at
+    /// once so the caller polls again. Yield only when the engine was
+    /// owned elsewhere or had nothing to do. An engine failure is the
+    /// device's, never this rank's: it is recorded as the host failure and
+    /// the rank unwinds with [`RtError::Aborted`].
+    fn wait_step(&mut self) -> Result<(), RtError> {
+        if let Some(engine) = &self.engine {
+            let res = std::panic::catch_unwind(AssertUnwindSafe(|| engine.rank_pass()));
+            match engine_result(self.device, res, &self.abort, &self.first_error) {
+                Some(true) => return Ok(()),
+                Some(false) => {}
+                None => return Err(RtError::Aborted),
+            }
+        }
+        std::thread::yield_now();
+        Ok(())
+    }
+
     fn send_cmd(&mut self, mut cmd: Cmd) -> Result<(), RtError> {
         loop {
             match self.cmd.try_send(cmd) {
@@ -371,7 +410,7 @@ impl RtCtx {
                         return Err(RtError::Aborted);
                     }
                     cmd = c;
-                    std::thread::yield_now();
+                    self.wait_step()?;
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     return Err(RtError::Disconnected {
@@ -627,7 +666,7 @@ impl RtCtx {
                 return Err(RtError::Aborted);
             }
             self.tick();
-            std::thread::yield_now();
+            self.wait_step()?;
         }
         let end = self.tick();
         self.tracer.span(
@@ -673,7 +712,7 @@ impl RtCtx {
             }
             self.drain_deliveries()?;
             self.tick();
-            std::thread::yield_now();
+            self.wait_step()?;
         }
         if let Some(h) = &self.races {
             // Every effect this rank issued has landed: its channel
@@ -861,7 +900,7 @@ impl RtCtx {
                 return Err(RtError::Aborted);
             }
             self.tick();
-            std::thread::yield_now();
+            self.wait_step()?;
             self.drain_deliveries()?;
         }
         if metered {

@@ -1,5 +1,8 @@
 //! The per-device host thread: event handler plus block managers
-//! (paper Figure 4), executed by a single worker as in §III-A.
+//! (paper Figure 4), executed by a single worker as in §III-A. The engine
+//! is one state machine (`Host::pass`); besides its own loop it may be
+//! driven, one pass at a time, by a progress pool or by the device's
+//! waiting ranks (`SharedHost`).
 //!
 //! The host is written against the [`Transport`] trait only: the same
 //! progress loop runs over the in-process shared-memory plane and over
@@ -479,10 +482,13 @@ impl Host {
         }
     }
 
-    /// Main progress loop (inline mode: this host loop is the only driver).
+    /// Main progress loop of a socket part under [`ProgressMode::Inline`],
+    /// where this loop is the engine's only driver.
     /// Returns statistics, plane-level counters and the invariant-counter
     /// shard (verified runs only) after world quiescence, or the first
     /// transport/abort failure.
+    ///
+    /// [`ProgressMode::Inline`]: crate::ProgressMode::Inline
     pub fn run(&mut self) -> Result<HostOutcome, RtError> {
         loop {
             if self.abort.load(Ordering::Acquire) {
@@ -501,16 +507,29 @@ impl Host {
     }
 }
 
-/// A host engine shared between its (busy) host loop and the progress
-/// pool: the loop and every worker drive the same [`Host`] through a
-/// mutex, workers with `try_lock` so a momentarily-owned engine is skipped
-/// instead of blocked on (the skip is what makes work-stealing across a
-/// part's ranks cheap).
+/// A host engine shared between its host loop and whoever else may drive
+/// it: the progress pool under [`ProgressMode::Threads`], or — in a world
+/// run whole in one process on the in-process plane under
+/// [`ProgressMode::Inline`] — the device's own ranks, each of which runs a
+/// pass whenever it would otherwise wait (caller-driven progress). Every
+/// driver passes the same [`Host`] through a mutex; all but the host loop
+/// use `try_lock`, so a momentarily-owned engine is skipped instead of
+/// blocked on (it is already being progressed, and the skip is what makes
+/// work-stealing cheap).
+///
+/// The host loop stays the only thread that runs `try_finish` and
+/// `close_plane`, and it keeps messages moving while no rank waits.
+/// Socket parts never hand their engine to ranks: a rank doing socket and
+/// ring syscalls on its own core, against the host loop's lock, doubled
+/// the tcp round trip.
+///
+/// [`ProgressMode::Threads`]: crate::ProgressMode::Threads
+/// [`ProgressMode::Inline`]: crate::ProgressMode::Inline
 #[derive(Clone)]
 pub(crate) struct SharedHost {
     pub engine: Arc<std::sync::Mutex<Host>>,
     /// Raised once the host loop produced its outcome (or failed): workers
-    /// stop driving the engine.
+    /// and ranks stop driving the engine.
     pub done: Arc<AtomicBool>,
 }
 
@@ -536,7 +555,10 @@ impl SharedHost {
     /// The host-loop side of a shared engine: identical protocol to
     /// [`Host::run`], but the engine lock is dropped — and the artificial
     /// busy-work burnt — *between* passes, which is exactly the window the
-    /// progress pool exploits.
+    /// other drivers exploit. Unlike `Host::run` it yields after every
+    /// pass, not only after an idle one: that hands the core to the
+    /// drivers it shares with (yielding only when idle measured no faster
+    /// round trip and a slower one-worker busy-host ladder).
     pub fn run_host_loop(&self, abort: &AtomicBool) -> Result<HostOutcome, RtError> {
         loop {
             if abort.load(Ordering::Acquire) {
@@ -554,17 +576,19 @@ impl SharedHost {
                 h.busy_spin
             };
             // The busy-host emulation: the loop is away doing "application
-            // work" while the engine is unlocked and the pool progresses it.
+            // work" while the engine is unlocked and the others progress it.
             burn(busy);
             std::thread::yield_now();
         }
     }
 
-    /// The pool-worker side: one pass if the engine is free. `Ok(false)`
-    /// when the pass found nothing to do, the host loop already exited, or
-    /// the engine is momentarily owned by another driver. `stealing` marks
-    /// a worker the engine is *not* homed on (pure accounting).
-    pub fn progress_pass(&self, stealing: bool) -> Result<bool, RtError> {
+    /// One pass of `drive` if the engine is free. `Ok(false)` when the pass
+    /// found nothing to do, the host loop already exited, or the engine is
+    /// momentarily owned by another driver.
+    fn try_drive(
+        &self,
+        drive: impl FnOnce(&mut Host) -> Result<bool, RtError>,
+    ) -> Result<bool, RtError> {
         if self.done.load(Ordering::Acquire) {
             return Ok(false);
         }
@@ -573,9 +597,25 @@ impl SharedHost {
             Err(std::sync::TryLockError::WouldBlock) => return Ok(false),
             Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
         };
-        let progress = h.pass(true)?;
-        h.steals += u64::from(progress && stealing);
-        Ok(progress)
+        drive(&mut h)
+    }
+
+    /// The pool-worker side: one off-thread pass if the engine is free.
+    /// `stealing` marks a worker the engine is *not* homed on (pure
+    /// accounting).
+    pub fn progress_pass(&self, stealing: bool) -> Result<bool, RtError> {
+        self.try_drive(|h| {
+            let progress = h.pass(true)?;
+            h.steals += u64::from(progress && stealing);
+            Ok(progress)
+        })
+    }
+
+    /// The waiting-rank side: one pass if the engine is free, accounted as
+    /// the host's own (`pass(false)`), so `progress_frames` and `steals`
+    /// keep counting only the pool.
+    pub fn rank_pass(&self) -> Result<bool, RtError> {
+        self.try_drive(|h| h.pass(false))
     }
 }
 

@@ -9,6 +9,10 @@
 //! * every device has a host thread playing the **event handler / block
 //!   manager** role of paper Figure 4, connected to its ranks through the
 //!   real sequence-numbered, credit-controlled rings of [`dcuda_queues`];
+//!   in a world run whole in one process a rank that would wait runs that
+//!   engine itself when it is free (caller-driven progress,
+//!   [`ProgressMode::Inline`]), so no message waits for a host thread to
+//!   be scheduled;
 //! * hosts exchange inter-device traffic over channels (the MPI layer).
 //!
 //! Notifications carry their payload; a rank applies pending deliveries to

@@ -635,6 +635,80 @@ fn progress_threads_match_inline_protocol_counters() {
 }
 
 #[test]
+fn inline_busy_host_does_not_stall_waiting_ranks() {
+    // In a world run whole in one process under `Inline`, a waiting rank
+    // drives its own device's engine: a host loop away burning "application
+    // work" between passes stalls nobody. Every rank-side wait is covered —
+    // `wait_notifications` (ping-pong), `flush`, the collective engine's
+    // internal wait (barrier, allreduce) and, through the two-slot rings,
+    // the wait on a full command ring. The world's wall time still holds at
+    // least one burn (the host's final quiescence pass runs after it); if
+    // any wait depended on the host loop, each round trip would too.
+    use dcuda_rt::cluster::RankProgram;
+    use dcuda_rt::{allreduce_scratch_bytes, CollAlgo, CollCtx, CollPlan, Dtype, ReduceOp};
+    use std::time::{Duration, Instant};
+    const ROUND_TRIPS: u32 = 50;
+    const BYTES: usize = 4096;
+    // About 25 ms per burn in a release build, longer unoptimised.
+    const BUSY: u64 = 30_000_000;
+    let cfg = RtConfig::builder()
+        .devices(2)
+        .ranks_per_device(2)
+        .windows(vec![BYTES])
+        .ring_capacity(2)
+        .coll_scratch(allreduce_scratch_bytes(CollAlgo::Ring, BYTES, 8, 4))
+        .host_busy_spin(BUSY)
+        .build()
+        .unwrap();
+    let plan = CollPlan::builder()
+        .algo(CollAlgo::Ring)
+        .chunk_bytes(256)
+        .op(ReduceOp::Sum)
+        .dtype(Dtype::U64)
+        .build()
+        .unwrap();
+    let (tx, rx) = std::sync::mpsc::channel::<Duration>();
+    let programs: Vec<RankProgram> = (0..4u32)
+        .map(|r| {
+            let tx = tx.clone();
+            Box::new(move |ctx: &mut dcuda_rt::RtCtx| {
+                let t = Instant::now();
+                // Ranks 0/1 live on device 0, 2/3 on device 1.
+                let partner = Rank(r ^ 2);
+                for i in 0..ROUND_TRIPS {
+                    let q = RtQuery::exact(W0, partner, Tag(i));
+                    if r < 2 {
+                        ctx.put_notify(W0, partner, 0, 0, 8, Tag(i));
+                        ctx.wait_notifications(q, 1);
+                    } else {
+                        ctx.wait_notifications(q, 1);
+                        ctx.put_notify(W0, partner, 0, 0, 8, Tag(i));
+                    }
+                }
+                ctx.flush();
+                ctx.barrier();
+                for w in ctx.win_mut(W0).chunks_exact_mut(8) {
+                    w.copy_from_slice(&u64::from(r + 1).to_le_bytes());
+                }
+                ctx.allreduce(W0, 0, BYTES, &plan);
+                let sum = (1..=4u64).sum::<u64>().to_le_bytes();
+                assert!(ctx.win(W0).chunks_exact(8).all(|w| w == sum));
+                tx.send(t.elapsed()).unwrap();
+            }) as RankProgram
+        })
+        .collect();
+    let t = Instant::now();
+    let report = run_cluster(&cfg, programs);
+    let wall = t.elapsed();
+    let slowest = rx.iter().take(4).max().unwrap();
+    assert_eq!(report.puts, 4 * u64::from(ROUND_TRIPS));
+    assert!(
+        slowest < wall / 2,
+        "slowest rank took {slowest:?} of a {wall:?} world: its waits queued behind the busy host loop"
+    );
+}
+
+#[test]
 fn lossy_transport_keeps_exactly_once_with_progress_pool_and_race_detection() {
     // Faults are a transport concern: on a mesh that drops and duplicates
     // frames the runtime still delivers every notification exactly once,

@@ -2,7 +2,10 @@
 //!
 //! Three tasks:
 //! * `lint` — a line-based source pass enforcing repo rules that
-//!   rustc/clippy cannot express (see `LINT RULES` below). Deliberately
+//!   rustc/clippy cannot express (see `LINT RULES` below: R1 no unwraps
+//!   in runtime/queue code, R2 no raw shims, R3 no relaxed SPSC orderings,
+//!   R4 window memory only through `ctx.rs`, R5 one matcher, R6 one
+//!   rank-side wait helper). Deliberately
 //!   simple — line-oriented with a brace-tracking skip for `#[cfg(test)]`
 //!   modules — and wired into the CI `lint` job.
 //! * `bench-diff BASELINE FIGURES [WORKLOAD.json...] [--tol FRAC]` — the
@@ -51,6 +54,11 @@ use std::process::ExitCode;
 ///    specification the property suites compare `IndexedMatcher` against;
 ///    production code — simulator, runtime, model-checked corpus — has one
 ///    matcher.
+/// R6 `one-wait-helper`: no `yield_now(` in `crates/rt/src/ctx.rs` non-test
+///    code outside the body of `fn wait_step(`. Every rank-side wait loop
+///    turns through that helper, which drives the rank's own device engine
+///    before it yields; a loop that yields by itself would wait on the host
+///    thread alone and silently lose rank-driven progress.
 ///
 /// An escape hatch comment `// xtask: allow` on the offending line skips
 /// all rules for that line.
@@ -426,6 +434,33 @@ fn lint() -> ExitCode {
                     findings.push(finding(&file, lineno, "one-matcher", line));
                 }
             }
+        }
+    }
+
+    // R6 target: the rank-side blocking API. The helper's body is
+    // brace-tracked from its signature line.
+    let ctx_rs = root.join("crates/rt/src/ctx.rs");
+    let Ok(text) = std::fs::read_to_string(&ctx_rs) else {
+        eprintln!("xtask lint: cannot read {}", ctx_rs.display());
+        return ExitCode::FAILURE;
+    };
+    let mut depth: i64 = 0;
+    let mut helper_depth: Option<i64> = None;
+    for (lineno, line) in non_test_lines(&text) {
+        if helper_depth.is_none() && line.contains("fn wait_step(") {
+            helper_depth = Some(depth);
+        }
+        let in_helper = helper_depth.is_some();
+        depth += line.matches('{').count() as i64 - line.matches('}').count() as i64;
+        if helper_depth.is_some_and(|d| depth <= d) && line.contains('}') {
+            helper_depth = None;
+        }
+        if !in_helper
+            && line.contains("yield_now(")
+            && !line.contains("xtask: allow")
+            && !is_comment(line)
+        {
+            findings.push(finding(&ctx_rs, lineno, "one-wait-helper", line));
         }
     }
 
