@@ -180,9 +180,9 @@ struct OutFrame {
     seq: u64,
     /// Frame payload prefix: the encoded message header.
     head: Vec<u8>,
-    /// Payload bytes appended after `head`. Shared so a fault-injected
-    /// duplicate never copies the payload.
-    data: Arc<[u8]>,
+    /// Payload bytes appended after `head`: the caller's buffer itself,
+    /// shared so a fault-injected duplicate never copies the payload.
+    data: Arc<Vec<u8>>,
 }
 
 /// A large frame staged for a vectored write: its header bytes (frame
@@ -191,7 +191,7 @@ struct OutFrame {
 struct BigOut {
     wmark: usize,
     head: Vec<u8>,
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
 }
 
 /// Send half of one process-pair connection, shared (behind a mutex) by
@@ -233,7 +233,7 @@ impl ConnTx {
             dst_device,
             seq: self.link.assign_seq(),
             head,
-            data: data.into(),
+            data: Arc::new(data),
         };
         // A frame dropped at the wire stalls the receiver (buffering any
         // later frames out of order) until its retransmit lands.
@@ -1563,6 +1563,21 @@ pub(crate) mod tests {
         assert_eq!(recvd.copies_rx, u64::from(n), "rx copies per large payload");
         assert_eq!(sent.frames_sent, u64::from(n), "frames per large message");
         assert!(sent.vectored_writes >= u64::from(n));
+    }
+
+    #[test]
+    fn a_staged_large_payload_is_the_callers_buffer() {
+        // `copies_tx` counts the kernel write as the only tx copy of a
+        // large payload, so staging must keep the caller's allocation.
+        let [a0, _b0] = mesh_pair(None, None);
+        let data = vec![7u8; VECTORED_MIN];
+        let ptr = data.as_ptr();
+        let mut tx = conn_tx(&a0);
+        tx.enqueue(1, deliver(0, data), &a0.shared.stats);
+        assert_eq!(tx.big.len(), 1);
+        assert_eq!(tx.big[0].data.as_ptr(), ptr, "payload copied while staging");
+        tx.wbuf.clear();
+        tx.big.clear();
     }
 
     #[test]

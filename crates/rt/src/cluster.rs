@@ -11,6 +11,7 @@ use crate::coll::CollStats;
 use crate::ctx::RtCtx;
 use crate::host::{FlushHistory, Host, SharedHost};
 use crate::msg::{Cmd, Delivery};
+use crate::pool::Threads;
 use crate::types::RtError;
 use dcuda_net::{InProcessPlane, NetStats, Transport};
 use dcuda_queues::{channel, IndexedMatcher, ANY};
@@ -27,7 +28,8 @@ use std::sync::{Arc, Mutex};
 /// oversized layouts exhaust memory before any useful work happens).
 pub const MAX_WINDOW_BYTES: usize = 1 << 30;
 
-/// Upper bound on the world size (every rank is an OS thread).
+/// Upper bound on the world size (every rank is an OS thread, fresh or
+/// reused from the pool).
 pub const MAX_WORLD: u32 = 4096;
 
 /// Default size of the hidden per-rank collective scratch window.
@@ -345,6 +347,13 @@ pub fn try_run_cluster(cfg: &RtConfig, programs: Vec<RankProgram>) -> Result<RtR
 /// leaves the `Ok` report intact. Any genuine failure recorded before the
 /// join — `RankPanicked`, `Transport`, a strict-mode race — still wins as
 /// the root cause.
+///
+/// Unlike every other entry point, a job-scoped world runs its host-loop,
+/// progress-worker and rank threads on parked workers of one process-wide
+/// thread pool instead of spawning fresh ones: a job server
+/// launches a short world per job, and creating and tearing down its
+/// threads cost about as much as the run. Rank programs therefore must not
+/// leave thread-local state behind.
 pub fn try_run_cluster_job(
     cfg: &RtConfig,
     programs: Vec<RankProgram>,
@@ -469,7 +478,7 @@ fn record_first(slot: &Mutex<Option<RtError>>, err: RtError) {
 /// and each pass a waiting rank runs: hand back the value, or record the
 /// root cause once as that device's host failure and raise the abort flag
 /// so ranks spinning on deliveries or flush acks bail with `Aborted` and
-/// the scope join completes. (`Aborted` itself is never a root cause: it
+/// the world's join completes. (`Aborted` itself is never a root cause: it
 /// means the host observed a failure raised elsewhere.)
 pub(crate) fn engine_result<T>(
     device: u32,
@@ -580,6 +589,8 @@ fn run_inner(
 /// `in_process`: `planes` are the in-process plane of a whole world, so
 /// under [`ProgressMode::Inline`] waiting ranks drive their own device's
 /// engine (see [`SharedHost`]); socket parts keep the host loop alone.
+/// `cancel` is set only for a job-scoped run ([`try_run_cluster_job`]): it
+/// becomes the abort flag, and the world's threads come from the pool.
 #[allow(clippy::too_many_arguments)]
 fn run_part_inner(
     cfg: &RtConfig,
@@ -622,6 +633,11 @@ fn run_part_inner(
     // so teardown is the established first-error unwind with no error
     // recorded — surfaced as `Cancelled` after the join below.
     let cancellable = cancel.is_some();
+    let threads = if cancellable {
+        Threads::Pooled
+    } else {
+        Threads::Fresh
+    };
     let abort = cancel.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
     let first_error: Arc<Mutex<Option<RtError>>> = Arc::new(Mutex::new(None));
 
@@ -736,137 +752,140 @@ fn run_part_inner(
     };
     let mut barrier_rounds = 0u64;
     let mut shards: Vec<ShardCounters> = Vec::new();
-    std::thread::scope(|s| {
-        let mut host_handles = Vec::new();
-        let mut progress_handles = Vec::new();
-        for mut host in hosts {
+    let mut host_handles = Vec::new();
+    let mut progress_handles = Vec::new();
+    for mut host in hosts {
+        let abort = abort.clone();
+        let first_error = first_error.clone();
+        host_handles.push(threads.spawn(move || {
+            let res = std::panic::catch_unwind(AssertUnwindSafe(|| host.run()));
+            // `host` (and with it the rank-facing rings) outlives
+            // this call: a failure is on record as the root cause
+            // before any rank can see a disconnected ring.
+            engine_result(host.device, res, &abort, &first_error)
+        }));
+    }
+    for (device, eng) in (first_device..).zip(&engines) {
+        let (eng, abort, first_error) = (eng.clone(), abort.clone(), first_error.clone());
+        host_handles.push(threads.spawn(move || {
+            let res = std::panic::catch_unwind(AssertUnwindSafe(|| eng.run_host_loop(&abort)));
+            // Raised success or failure alike: workers and ranks must
+            // stop driving an engine whose loop has exited.
+            eng.done.store(true, Ordering::Release);
+            engine_result(device, res, &abort, &first_error)
+        }));
+    }
+    if let ProgressMode::Threads(nworkers) = cfg.progress {
+        for w in 0..nworkers {
+            let engines = engines.clone();
             let abort = abort.clone();
             let first_error = first_error.clone();
-            host_handles.push(s.spawn(move || {
-                let res = std::panic::catch_unwind(AssertUnwindSafe(|| host.run()));
-                // `host` (and with it the rank-facing rings) outlives
-                // this call: a failure is on record as the root cause
-                // before any rank can see a disconnected ring.
-                engine_result(host.device, res, &abort, &first_error)
+            progress_handles.push(threads.spawn(move || {
+                progress_worker(w, nworkers, engines, &abort, &first_error, traced)
             }));
         }
-        for (device, eng) in (first_device..).zip(&engines) {
-            let (eng, abort, first_error) = (eng.clone(), abort.clone(), first_error.clone());
-            host_handles.push(s.spawn(move || {
-                let res = std::panic::catch_unwind(AssertUnwindSafe(|| eng.run_host_loop(&abort)));
-                // Raised success or failure alike: workers and ranks must
-                // stop driving an engine whose loop has exited.
-                eng.done.store(true, Ordering::Release);
-                engine_result(device, res, &abort, &first_error)
-            }));
-        }
-        if let ProgressMode::Threads(nworkers) = cfg.progress {
-            for w in 0..nworkers {
-                let engines = engines.clone();
-                let abort = abort.clone();
-                let first_error = first_error.clone();
-                progress_handles.push(s.spawn(move || {
-                    progress_worker(w, nworkers, engines, &abort, &first_error, traced)
-                }));
-            }
-        }
-        let mut rank_handles = Vec::new();
-        for (mut ctx, program) in rank_parts {
-            let abort = abort.clone();
-            let first_error = first_error.clone();
-            let finished_global = finished_global.clone();
-            rank_handles.push(s.spawn(move || {
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut ctx)));
-                let finish = match outcome {
-                    Ok(()) => ctx.finish(),
-                    Err(p) => {
-                        record_first(
-                            &first_error,
-                            RtError::RankPanicked {
-                                rank: ctx.rank,
-                                message: panic_text(p),
-                            },
-                        );
-                        Err(RtError::Aborted)
-                    }
-                };
-                if let Err(e) = finish {
-                    // The host never sees our Finish command: count this
-                    // rank finished directly so every host's quiescence
-                    // check still reaches the world count, and flag the
-                    // abort so blocked peers unwind too.
-                    if !matches!(e, RtError::Aborted) {
-                        record_first(&first_error, e);
-                    }
-                    abort.store(true, Ordering::Release);
-                    finished_global.fetch_add(1, Ordering::AcqRel);
-                }
-                (
-                    ctx.matched,
-                    ctx.barriers_entered,
-                    ctx.coll,
-                    std::mem::take(&mut ctx.tracer),
-                    ctx.counters.take(),
-                )
-            }));
-        }
-        for h in rank_handles {
-            match h.join() {
-                Ok((matched, barriers, coll, tracer, shard)) => {
-                    report.matched += matched;
-                    barrier_rounds = barrier_rounds.max(barriers);
-                    report.coll.absorb(coll);
-                    trace.absorb(tracer);
-                    if let Some(shard) = shard {
-                        shards.push(*shard);
-                    }
-                }
+    }
+    let mut rank_handles = Vec::new();
+    for (mut ctx, program) in rank_parts {
+        let abort = abort.clone();
+        let first_error = first_error.clone();
+        let finished_global = finished_global.clone();
+        rank_handles.push(threads.spawn(move || {
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut ctx)));
+            let finish = match outcome {
+                Ok(()) => ctx.finish(),
+                // A blocking call that saw the abort flag unwinds by
+                // panicking: that is the teardown, not a root cause (the
+                // flag is raised only after the root cause is on record,
+                // or by a cancel, which must surface as `Cancelled`).
+                Err(_) if abort.load(Ordering::Acquire) => Err(RtError::Aborted),
                 Err(p) => {
-                    // Unreachable in practice (the closure catches program
-                    // panics), but never poison the whole join over it.
                     record_first(
                         &first_error,
                         RtError::RankPanicked {
-                            rank: u32::MAX,
+                            rank: ctx.rank,
                             message: panic_text(p),
                         },
                     );
+                    Err(RtError::Aborted)
+                }
+            };
+            if let Err(e) = finish {
+                // The host never sees our Finish command: count this
+                // rank finished directly so every host's quiescence
+                // check still reaches the world count, and flag the
+                // abort so blocked peers unwind too.
+                if !matches!(e, RtError::Aborted) {
+                    record_first(&first_error, e);
+                }
+                abort.store(true, Ordering::Release);
+                finished_global.fetch_add(1, Ordering::AcqRel);
+            }
+            (
+                ctx.matched,
+                ctx.barriers_entered,
+                ctx.coll,
+                std::mem::take(&mut ctx.tracer),
+                ctx.counters.take(),
+            )
+        }));
+    }
+    for h in rank_handles {
+        match h.join() {
+            Ok((matched, barriers, coll, tracer, shard)) => {
+                report.matched += matched;
+                barrier_rounds = barrier_rounds.max(barriers);
+                report.coll.absorb(coll);
+                trace.absorb(tracer);
+                if let Some(shard) = shard {
+                    shards.push(*shard);
                 }
             }
-        }
-        for h in host_handles {
-            match h.join() {
-                Ok(Some(out)) => {
-                    report.puts += out.puts;
-                    report.notifications += out.notifications;
-                    report.net.absorb(out.net);
-                    trace.absorb(out.net_trace);
-                    if let Some(shard) = out.counters {
-                        shards.push(*shard);
-                    }
-                }
-                Ok(None) => {}
-                Err(p) => {
-                    record_first(
-                        &first_error,
-                        RtError::HostPanicked {
-                            device: u32::MAX,
-                            message: panic_text(p),
-                        },
-                    );
-                }
+            Err(p) => {
+                // Unreachable in practice (the closure catches program
+                // panics), but never poison the whole join over it.
+                record_first(
+                    &first_error,
+                    RtError::RankPanicked {
+                        rank: u32::MAX,
+                        message: panic_text(p),
+                    },
+                );
             }
         }
-        for h in progress_handles {
-            // Workers exit on their own once every engine's loop has (all
-            // `done` flags raised) or the abort flag lands; they surface
-            // errors through `first_error`, so the join only collects their
-            // timelines.
-            if let Ok(t) = h.join() {
-                trace.absorb(t);
+    }
+    for h in host_handles {
+        match h.join() {
+            Ok(Some(out)) => {
+                report.puts += out.puts;
+                report.notifications += out.notifications;
+                report.net.absorb(out.net);
+                trace.absorb(out.net_trace);
+                if let Some(shard) = out.counters {
+                    shards.push(*shard);
+                }
+            }
+            Ok(None) => {}
+            Err(p) => {
+                record_first(
+                    &first_error,
+                    RtError::HostPanicked {
+                        device: u32::MAX,
+                        message: panic_text(p),
+                    },
+                );
             }
         }
-    });
+    }
+    for h in progress_handles {
+        // Workers exit on their own once every engine's loop has (all
+        // `done` flags raised) or the abort flag lands; they surface
+        // errors through `first_error`, so the join only collects their
+        // timelines.
+        if let Ok(t) = h.join() {
+            trace.absorb(t);
+        }
+    }
     let first = {
         let mut g = match first_error.lock() {
             Ok(g) => g,

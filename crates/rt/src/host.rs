@@ -492,7 +492,7 @@ impl Host {
     pub fn run(&mut self) -> Result<HostOutcome, RtError> {
         loop {
             if self.abort.load(Ordering::Acquire) {
-                // Another thread failed first; unwind so the scope joins.
+                // Another thread failed first; unwind so the world joins.
                 return Err(RtError::Aborted);
             }
             burn(self.busy_spin);

@@ -30,6 +30,7 @@ pub mod coll;
 pub mod ctx;
 pub mod host;
 pub mod msg;
+mod pool;
 pub mod programs;
 pub mod types;
 

@@ -3,9 +3,12 @@
 //! queues.
 
 use dcuda_rt::{
-    run_cluster, run_cluster_traced, try_run_cluster, Rank, RtConfig, RtError, RtQuery, Tag,
-    WindowId,
+    run_cluster, run_cluster_traced, try_run_cluster, try_run_cluster_job, CancelToken, Rank,
+    RtConfig, RtError, RtQuery, Tag, WindowId,
 };
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 fn cfg(devices: u32, ranks: u32) -> RtConfig {
     RtConfig {
@@ -1145,4 +1148,104 @@ fn user_queries_never_observe_collective_notifications() {
     let report = run_cluster(&cfg(1, 3), programs);
     assert_eq!((report.puts, report.matched), (1, 1));
     assert!(report.coll.puts > 0);
+}
+
+/// Serializes the tests that count job-world threads: every job-scoped
+/// world of this process draws on the same thread pool.
+static POOL_USERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// A 2×2 ring round in which every rank records the thread it runs on.
+fn recording_ring(ids: &Arc<Mutex<Vec<ThreadId>>>) -> Vec<dcuda_rt::cluster::RankProgram> {
+    (0..4u32)
+        .map(|r| {
+            let ids = ids.clone();
+            Box::new(move |ctx: &mut dcuda_rt::RtCtx| {
+                ids.lock().unwrap().push(std::thread::current().id());
+                ctx.put_notify(W0, Rank((r + 1) % 4), 0, 0, 1, Tag(1));
+                ctx.wait_notifications(RtQuery::exact(W0, Rank((r + 3) % 4), Tag(1)), 1);
+            }) as dcuda_rt::cluster::RankProgram
+        })
+        .collect()
+}
+
+fn distinct(ids: &Mutex<Vec<ThreadId>>) -> usize {
+    ids.lock().unwrap().iter().collect::<HashSet<_>>().len()
+}
+
+/// Job worlds run on at most one world's worth of pooled threads (2 host
+/// loops + 4 ranks) plus slack; a thread per rank per world would be 200.
+const REUSED_BOUND: usize = 8;
+
+#[test]
+fn job_worlds_reuse_threads() {
+    let _serial = POOL_USERS.lock().unwrap_or_else(|p| p.into_inner());
+    let ids = Arc::new(Mutex::new(Vec::new()));
+    for _ in 0..50 {
+        try_run_cluster_job(&cfg(2, 2), recording_ring(&ids), &CancelToken::new()).unwrap();
+    }
+    assert_eq!(ids.lock().unwrap().len(), 200);
+    let n = distinct(&ids);
+    assert!(
+        n <= REUSED_BOUND,
+        "50 job worlds ran their ranks on {n} threads"
+    );
+
+    // One-shot worlds keep spawning: every rank of every run is fresh.
+    let ids = Arc::new(Mutex::new(Vec::new()));
+    for _ in 0..10 {
+        try_run_cluster(&cfg(2, 2), recording_ring(&ids)).unwrap();
+    }
+    assert_eq!(distinct(&ids), 40);
+}
+
+#[test]
+fn job_worlds_recover_from_a_rank_panic_and_a_cancel() {
+    let _serial = POOL_USERS.lock().unwrap_or_else(|p| p.into_inner());
+    let ids = Arc::new(Mutex::new(Vec::new()));
+
+    let mut programs = recording_ring(&ids);
+    programs[1] = Box::new(|_| panic!("rank 1 dies"));
+    match try_run_cluster_job(&cfg(2, 2), programs, &CancelToken::new()) {
+        Err(RtError::RankPanicked { rank: 1, .. }) => {}
+        other => panic!("expected rank 1 to panic, got {other:?}"),
+    }
+
+    // Every rank waits for a notification nobody sends; only the cancel,
+    // raised once all four are inside the world, ends the run.
+    let cancel = CancelToken::new();
+    let (started, all_started) = std::sync::mpsc::channel();
+    let programs = (0..4)
+        .map(|_| {
+            let started = started.clone();
+            Box::new(move |ctx: &mut dcuda_rt::RtCtx| {
+                started.send(()).unwrap();
+                ctx.try_wait_notifications(RtQuery::exact(W0, Rank::ANY, Tag(77)), 1)
+                    .ok();
+            }) as dcuda_rt::cluster::RankProgram
+        })
+        .collect();
+    let canceller = {
+        let cancel = cancel.clone();
+        std::thread::spawn(move || {
+            for _ in 0..4 {
+                all_started.recv().unwrap();
+            }
+            cancel.cancel();
+        })
+    };
+    match try_run_cluster_job(&cfg(2, 2), programs, &cancel) {
+        Err(RtError::Cancelled) => {}
+        other => panic!("expected a cancelled run, got {other:?}"),
+    }
+    canceller.join().unwrap();
+
+    ids.lock().unwrap().clear();
+    for _ in 0..20 {
+        try_run_cluster_job(&cfg(2, 2), recording_ring(&ids), &CancelToken::new()).unwrap();
+    }
+    let n = distinct(&ids);
+    assert!(
+        n <= REUSED_BOUND,
+        "20 job worlds after the failures ran on {n} threads"
+    );
 }

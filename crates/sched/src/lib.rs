@@ -16,7 +16,9 @@
 //! * **Fault isolation per job** — every admitted job runs as its own
 //!   cluster world via [`dcuda_rt::try_run_cluster_job`] with its own
 //!   abort flag, so one job's `RankPanicked`/`RtError::Race` tears down
-//!   only that job and frees its lease while neighbors run on.
+//!   only that job and frees its lease while neighbors run on. The world's
+//!   host and rank threads are reused workers of the runtime's thread
+//!   pool; only the job's runner is a new thread.
 //! * **A control plane on the launch codec** — [`server`] speaks
 //!   `submit`/`status`/`cancel`/`drain` verbs as length-prefixed blobs
 //!   (`dcuda_net::launch`), returning per-job reports plus an aggregate

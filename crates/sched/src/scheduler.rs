@@ -8,7 +8,9 @@
 //! via [`dcuda_rt::try_run_cluster_job`] — its own abort flag, its own
 //! windows — which is the fault-isolation boundary: a job that panics or
 //! races tears down only its own world, publishes a `Failed` outcome and
-//! frees its lease while neighbors run on.
+//! frees its lease while neighbors run on. The world's host and rank
+//! threads are parked workers of the runtime's thread pool, not threads
+//! spawned per job.
 //!
 //! A job's terminal outcome — table state, report and checksum — is written
 //! once by its runner under the table mutex; cancel, status, wait and drain
@@ -376,7 +378,11 @@ fn admit(shared: &Arc<Shared>) {
         let shared = shared.clone();
         // One runner thread per admitted job: it blocks inside the job's
         // own cluster world until that world joins, then books the outcome
-        // and drives the next admission pass.
+        // and drives the next admission pass. The world's threads come from
+        // the runtime's pool; the runner itself is spawned fresh, because a
+        // process that stops creating threads altogether makes its next
+        // fresh-thread worlds (`run_solo`) measurably slower to launch
+        // (DESIGN.md §18, "Thread lifecycle").
         std::thread::Builder::new()
             .name(format!("dcuda-job-{id}"))
             .spawn(move || run_job(&shared, id))
