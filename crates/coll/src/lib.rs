@@ -296,17 +296,21 @@ impl CollPlanBuilder {
     }
 }
 
+/// One typed elementwise pass: `f` runs once per element pair, so the
+/// operator is chosen once per call rather than once per element.
 macro_rules! reduce_typed {
     ($acc:expr, $src:expr, $op:expr, $ty:ty, $size:literal, $sum:expr) => {{
-        for (a, s) in $acc.chunks_exact_mut($size).zip($src.chunks_exact($size)) {
-            let av = <$ty>::from_le_bytes(a.try_into().unwrap());
-            let sv = <$ty>::from_le_bytes(s.try_into().unwrap());
-            let r: $ty = match $op {
-                ReduceOp::Sum => $sum(av, sv),
-                ReduceOp::Min => av.min(sv),
-                ReduceOp::Max => av.max(sv),
-            };
-            a.copy_from_slice(&r.to_le_bytes());
+        fn apply(acc: &mut [u8], src: &[u8], f: impl Fn($ty, $ty) -> $ty) {
+            for (a, s) in acc.chunks_exact_mut($size).zip(src.chunks_exact($size)) {
+                let av = <$ty>::from_le_bytes(a.try_into().unwrap());
+                let sv = <$ty>::from_le_bytes(s.try_into().unwrap());
+                a.copy_from_slice(&f(av, sv).to_le_bytes());
+            }
+        }
+        match $op {
+            ReduceOp::Sum => apply($acc, $src, $sum),
+            ReduceOp::Min => apply($acc, $src, <$ty>::min),
+            ReduceOp::Max => apply($acc, $src, <$ty>::max),
         }
     }};
 }
@@ -560,6 +564,68 @@ mod tests {
         let mut acc = 1.5f64.to_le_bytes().to_vec();
         reduce_into(&mut acc, &0.25f64.to_le_bytes(), ReduceOp::Sum, Dtype::F64).unwrap();
         assert_eq!(acc, 1.75f64.to_le_bytes());
+    }
+
+    /// The kernel as a per-element specification: the operator is matched
+    /// for every element.
+    fn reduce_reference(acc: &[u8], src: &[u8], op: ReduceOp, dtype: Dtype) -> Vec<u8> {
+        macro_rules! elem {
+            ($a:expr, $s:expr, $ty:ty, $sum:expr) => {{
+                let a = <$ty>::from_le_bytes($a.try_into().unwrap());
+                let s = <$ty>::from_le_bytes($s.try_into().unwrap());
+                let r: $ty = match op {
+                    ReduceOp::Sum => $sum(a, s),
+                    ReduceOp::Min => a.min(s),
+                    ReduceOp::Max => a.max(s),
+                };
+                r.to_le_bytes().to_vec()
+            }};
+        }
+        let n = dtype.size();
+        acc.chunks_exact(n)
+            .zip(src.chunks_exact(n))
+            .flat_map(|(a, s)| match dtype {
+                Dtype::U32 => elem!(a, s, u32, u32::wrapping_add),
+                Dtype::U64 => elem!(a, s, u64, u64::wrapping_add),
+                Dtype::I32 => elem!(a, s, i32, i32::wrapping_add),
+                Dtype::F64 => elem!(a, s, f64, |a: f64, b: f64| a + b),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reduce_kernel_matches_per_element_reference() {
+        use dcuda_des::check::{forall, Gen};
+        const SPECIALS: [f64; 8] = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0,
+            f64::MAX,
+        ];
+        let element = |g: &mut Gen, dtype: Dtype| -> Vec<u8> {
+            match dtype {
+                Dtype::F64 => match g.usize_below(3) {
+                    0 => g.choose(&SPECIALS).to_le_bytes().to_vec(),
+                    1 => g.f64_in(-1e6, 1e6).to_le_bytes().to_vec(),
+                    _ => g.u64().to_le_bytes().to_vec(),
+                },
+                _ => g.u64().to_le_bytes()[..dtype.size()].to_vec(),
+            }
+        };
+        forall("reduce_kernel_matches_per_element_reference", 512, |g| {
+            let dtype = *g.choose(&[Dtype::U32, Dtype::U64, Dtype::I32, Dtype::F64]);
+            let op = *g.choose(&[ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max]);
+            let len = g.usize_below(64);
+            let mut acc: Vec<u8> = (0..len).flat_map(|_| element(g, dtype)).collect();
+            let src: Vec<u8> = (0..len).flat_map(|_| element(g, dtype)).collect();
+            let want = reduce_reference(&acc, &src, op, dtype);
+            reduce_into(&mut acc, &src, op, dtype).unwrap();
+            assert_eq!(acc, want, "{op:?} over {dtype:?}");
+        });
     }
 
     #[test]

@@ -948,6 +948,13 @@ impl ClusterSim {
     /// Advance a node's device, turning completed work into `RankWork`
     /// events, and rearm its timer.
     fn pump_device(&mut self, node: u32, now: SimTime) {
+        self.drain_device(node, now);
+        self.rearm_device(node);
+    }
+
+    /// Advance a node's device to `now` and turn completed work into
+    /// `RankWork` events, leaving its timer to the caller.
+    fn drain_device(&mut self, node: u32, now: SimTime) {
         let dev = &mut self.devices[node as usize];
         self.completed_buf.clear();
         dev.advance_to(now, &mut self.completed_buf);
@@ -959,7 +966,6 @@ impl ClusterSim {
                 .expect("device completion for unknown work");
             self.queue.schedule_at(now, Ev::RankWork { rank });
         }
-        self.rearm_device(node);
     }
 
     fn rearm_device(&mut self, node: u32) {
@@ -995,8 +1001,9 @@ impl ClusterSim {
                     let node = self.topo.node_of(Rank(rank));
                     let local = self.topo.local_of(Rank(rank));
                     let tag = self.work.insert(rank).to_bits();
-                    // Bring the device up to date, then add the new work.
-                    self.pump_device(node, now);
+                    // Bring the device up to date, add the new work, then
+                    // arm the timer once for the new active set.
+                    self.drain_device(node, now);
                     self.devices[node as usize].submit_block_work(BlockSlot(local), c, tag);
                     self.rearm_device(node);
                     return;

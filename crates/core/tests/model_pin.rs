@@ -1,0 +1,169 @@
+//! Bit-exact pins of the modelled outputs. The device model, the host
+//! pipeline and the fabric are deterministic, so a host-side speed-up of the
+//! simulator must leave every instant unchanged to the picosecond. Each
+//! shape pins `end_time` in ps and an FNV-1a digest over every rank's
+//! finish instant in ps. Any drift in the per-job service arithmetic, even
+//! a different rounding order, moves them; a change to the cost model on
+//! purpose re-records them.
+
+use dcuda_core::types::Topology;
+use dcuda_core::{
+    ClusterSim, Rank, RankCtx, RankKernel, RunReport, Suspend, SystemSpec, WinId, WindowSpec,
+};
+use dcuda_device::BlockCharge;
+
+const HALO: usize = 1024;
+/// Compute iterations per exchange (Figs. 7 and 8 at x = 64).
+const WORK_ITERS: f64 = 64.0;
+
+/// `(end_time in ps, FNV-1a over rank_finish in ps)`.
+fn pin(report: &RunReport) -> (u64, u64) {
+    let digest = report
+        .rank_finish
+        .iter()
+        .flat_map(|t| t.as_ps().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    (report.end_time.as_ps(), digest)
+}
+
+/// One compute step, then notified puts into both chain neighbours' halo
+/// slots (window layout `[own | from-left | from-right]`).
+struct ChainHalo {
+    charge: BlockCharge,
+    left: Option<Rank>,
+    right: Option<Rank>,
+    exchanges: u32,
+    done: u32,
+}
+
+impl RankKernel for ChainHalo {
+    fn resume(&mut self, ctx: &mut RankCtx<'_>) -> Suspend {
+        if self.done >= self.exchanges {
+            return Suspend::Finished;
+        }
+        self.done += 1;
+        ctx.charge(self.charge);
+        let mut expected = 0;
+        if let Some(l) = self.left {
+            ctx.put_notify(WinId(0), l, 2 * HALO, 0, HALO, 1);
+            expected += 1;
+        }
+        if let Some(r) = self.right {
+            ctx.put_notify(WinId(0), r, HALO, 0, HALO, 1);
+            expected += 1;
+        }
+        Suspend::WaitNotifications {
+            win: Some(WinId(0)),
+            source: None,
+            tag: Some(1),
+            count: expected,
+        }
+    }
+}
+
+/// 2 nodes x 104 ranks (8 blocks per SM), 5 exchanges.
+fn chain_halo(charge: BlockCharge) -> RunReport {
+    let topo = Topology {
+        nodes: 2,
+        ranks_per_node: 104,
+    };
+    let world = topo.world_size();
+    let kernels: Vec<Box<dyn RankKernel>> = topo
+        .ranks()
+        .map(|r| {
+            Box::new(ChainHalo {
+                charge,
+                left: (r.0 > 0).then(|| Rank(r.0 - 1)),
+                right: (r.0 + 1 < world).then(|| Rank(r.0 + 1)),
+                exchanges: 5,
+                done: 0,
+            }) as Box<dyn RankKernel>
+        })
+        .collect();
+    let window = WindowSpec::uniform(&topo, 3 * HALO);
+    ClusterSim::new(SystemSpec::greina(), topo, vec![window], kernels).run()
+}
+
+/// One side of a put ping-pong: the initiator puts first, the responder
+/// answers every put it receives.
+struct PingPong {
+    peer: Rank,
+    bytes: usize,
+    initiator: bool,
+    iters: u32,
+    done: u32,
+    reply_due: bool,
+}
+
+impl RankKernel for PingPong {
+    fn resume(&mut self, ctx: &mut RankCtx<'_>) -> Suspend {
+        if self.done >= self.iters {
+            return Suspend::Finished;
+        }
+        if self.initiator || self.reply_due {
+            ctx.put_notify(WinId(0), self.peer, 0, 0, self.bytes, 1);
+            self.done += 1;
+            if !self.initiator && self.done >= self.iters {
+                return Suspend::Finished;
+            }
+        }
+        self.reply_due = true;
+        Suspend::WaitNotifications {
+            win: Some(WinId(0)),
+            source: Some(self.peer),
+            tag: Some(1),
+            count: 1,
+        }
+    }
+}
+
+/// Fig. 6, distributed placement: one rank on each of two nodes.
+fn distributed_pingpong(bytes: usize) -> RunReport {
+    let topo = Topology {
+        nodes: 2,
+        ranks_per_node: 1,
+    };
+    let kernels: Vec<Box<dyn RankKernel>> = (0..2)
+        .map(|r| {
+            Box::new(PingPong {
+                peer: Rank(1 - r),
+                bytes,
+                initiator: r == 0,
+                iters: 20,
+                done: 0,
+                reply_due: false,
+            }) as Box<dyn RankKernel>
+        })
+        .collect();
+    let window = WindowSpec::uniform(&topo, bytes.max(8));
+    ClusterSim::new(SystemSpec::greina(), topo, vec![window], kernels).run()
+}
+
+/// Newton work between ring halos: every SM runs eight uncapped jobs.
+#[test]
+fn sim_overlap_halo_is_pinned() {
+    let report = chain_halo(BlockCharge::flops(128.0 * 16.0 * WORK_ITERS));
+    assert_eq!(pin(&report), (344_378_270, 7_847_132_373_934_159_964));
+}
+
+/// Fig. 8's copy work: per-block capped jobs on the memory interface.
+#[test]
+fn fig8_copy_is_pinned() {
+    let report = chain_halo(BlockCharge::mem(2.0 * HALO as f64 * WORK_ITERS));
+    assert_eq!(pin(&report), (534_202_380, 12_224_945_028_383_171_389));
+}
+
+/// Fig. 6's distributed ping-pong, for an empty and a 64 KiB packet.
+#[test]
+fn fig6_distributed_pingpong_is_pinned() {
+    assert_eq!(
+        pin(&distributed_pingpong(1)),
+        (750_613_320, 139_246_100_164_450_635)
+    );
+    assert_eq!(
+        pin(&distributed_pingpong(64 << 10)),
+        (909_884_440, 17_652_084_182_923_208_469)
+    );
+}

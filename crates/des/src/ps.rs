@@ -55,6 +55,13 @@ pub struct PsResource {
     jobs: Slab<Job>,
     last_update: SimTime,
     rates_dirty: bool,
+    /// Live jobs with a finite cap. While none is live every job runs at
+    /// `rate / n` — the water level the first water-filling round yields —
+    /// so per-job rates are neither filled nor read.
+    capped: usize,
+    /// [`next_completion`](Self::next_completion)'s answer, cached until a
+    /// submit, a cancel, or an advance that serves or completes a job.
+    next: Option<Option<SimTime>>,
     /// Total service units delivered (for utilization statistics).
     delivered: f64,
     /// Completion epsilon in service units (~2 ps of full-rate service).
@@ -78,6 +85,8 @@ impl PsResource {
             jobs: Slab::new(),
             last_update: SimTime::ZERO,
             rates_dirty: false,
+            capped: 0,
+            next: Some(None),
             delivered: 0.0,
             eps: rate * 2e-12,
             scratch: Vec::new(),
@@ -101,6 +110,12 @@ impl PsResource {
     #[inline]
     pub fn delivered(&self) -> f64 {
         self.delivered
+    }
+
+    /// The equal share every job gets while no job is capped.
+    #[inline]
+    fn level(&self) -> f64 {
+        self.rate / self.jobs.len() as f64
     }
 
     /// Recompute per-job service rates by water-filling.
@@ -139,34 +154,56 @@ impl PsResource {
 
     /// Advance the resource to `now`, serving active jobs at their
     /// water-filled rates, and append `(job, tag)` for every job that
-    /// completes (remaining demand reaches zero) to `completed`.
+    /// completes (remaining demand reaches zero) to `completed`, in slot
+    /// order.
+    ///
+    /// While no job is capped, the same pass also caches the next
+    /// completion: every survivor runs at one level, and correctly rounded
+    /// division by a positive constant is monotonic, so the least remaining
+    /// demand over the level *is* the least per-job quotient.
     pub fn advance_to(&mut self, now: SimTime, completed: &mut Vec<(PsJobId, u64)>) {
         debug_assert!(now >= self.last_update, "PsResource time went backwards");
-        self.refill_rates();
-        if !self.jobs.is_empty() {
-            let dt = now.since(self.last_update).as_secs_f64();
+        let dt = now.since(self.last_update).as_secs_f64();
+        self.last_update = now;
+        if self.jobs.is_empty() {
+            return;
+        }
+        let uncapped = self.capped == 0;
+        if !uncapped {
+            self.refill_rates();
+        }
+        let level = self.level();
+        let eps = self.eps;
+        let first = completed.len();
+        let mut least = f64::INFINITY;
+        for (k, job) in self.jobs.iter_mut() {
             if dt > 0.0 {
-                for (_, job) in self.jobs.iter_mut() {
-                    let served = (dt * job.rate).min(job.remaining);
-                    job.remaining -= served;
-                    self.delivered += served;
-                }
+                let rate = if uncapped { level } else { job.rate };
+                let served = (dt * rate).min(job.remaining);
+                job.remaining -= served;
+                self.delivered += served;
+            }
+            if job.remaining <= eps {
+                completed.push((PsJobId(k), job.tag));
+            } else {
+                least = least.min(job.remaining);
             }
         }
-        self.last_update = now;
-        // Collect completions deterministically in slot order.
-        let done: Vec<(SlotKey, u64)> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.remaining <= self.eps)
-            .map(|(k, j)| (k, j.tag))
-            .collect();
-        if !done.is_empty() {
+        for &(id, _) in &completed[first..] {
+            let job = self.jobs.remove(id.0).expect("completing a live job");
+            self.capped -= usize::from(job.cap.is_finite());
+        }
+        let any_done = completed.len() > first;
+        if any_done {
             self.rates_dirty = true;
         }
-        for (k, tag) in done {
-            self.jobs.remove(k);
-            completed.push((PsJobId(k), tag));
+        if uncapped {
+            self.next = Some(
+                (!self.jobs.is_empty())
+                    .then(|| now + SimDuration::from_secs_f64(least / self.level())),
+            );
+        } else if dt > 0.0 || any_done {
+            self.next = None;
         }
     }
 
@@ -188,6 +225,8 @@ impl PsResource {
         );
         assert!(cap > 0.0, "PsResource cap must be positive, got {cap}");
         self.rates_dirty = true;
+        self.next = None;
+        self.capped += usize::from(cap.is_finite());
         PsJobId(self.jobs.insert(Job {
             remaining: demand,
             cap,
@@ -199,11 +238,11 @@ impl PsResource {
     /// Cancel a job (e.g. a block killed mid-kernel). Returns the remaining
     /// demand if the job was live.
     pub fn cancel(&mut self, id: PsJobId) -> Option<f64> {
-        let r = self.jobs.remove(id.0).map(|j| j.remaining);
-        if r.is_some() {
-            self.rates_dirty = true;
-        }
-        r
+        let job = self.jobs.remove(id.0)?;
+        self.rates_dirty = true;
+        self.next = None;
+        self.capped -= usize::from(job.cap.is_finite());
+        Some(job.remaining)
     }
 
     /// Remaining demand of a live job.
@@ -214,23 +253,36 @@ impl PsResource {
     /// The instant at which the next job will complete under the current
     /// active set, or `None` if idle. Always `>= last_update`.
     pub fn next_completion(&mut self) -> Option<SimTime> {
-        self.refill_rates();
-        if self.jobs.is_empty() {
-            return None;
+        if let Some(next) = self.next {
+            return next;
         }
-        let secs = self
-            .jobs
-            .iter()
-            .map(|(_, j)| {
-                if j.rate > 0.0 {
-                    j.remaining.max(0.0) / j.rate
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .fold(f64::INFINITY, f64::min);
-        debug_assert!(secs.is_finite(), "active PS job with zero rate");
-        Some(self.last_update + SimDuration::from_secs_f64(secs))
+        let next = if self.jobs.is_empty() {
+            None
+        } else if self.capped == 0 {
+            let least = self
+                .jobs
+                .iter()
+                .map(|(_, j)| j.remaining.max(0.0))
+                .fold(f64::INFINITY, f64::min);
+            Some(self.last_update + SimDuration::from_secs_f64(least / self.level()))
+        } else {
+            self.refill_rates();
+            let secs = self
+                .jobs
+                .iter()
+                .map(|(_, j)| {
+                    if j.rate > 0.0 {
+                        j.remaining.max(0.0) / j.rate
+                    } else {
+                        f64::INFINITY
+                    }
+                })
+                .fold(f64::INFINITY, f64::min);
+            debug_assert!(secs.is_finite(), "active PS job with zero rate");
+            Some(self.last_update + SimDuration::from_secs_f64(secs))
+        };
+        self.next = Some(next);
+        next
     }
 }
 

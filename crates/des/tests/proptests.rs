@@ -3,7 +3,7 @@
 
 use dcuda_des::check::forall;
 use dcuda_des::stats::Summary;
-use dcuda_des::{EventQueue, PsResource, SimDuration, SimTime, Slab};
+use dcuda_des::{EventQueue, PsJobId, PsResource, SimDuration, SimTime, Slab, SlotKey};
 
 /// Events always pop in non-decreasing time order, FIFO among ties, and
 /// none are lost.
@@ -134,6 +134,229 @@ fn ps_caps_respected() {
         // No completion can happen before 1 s (cap-bound) and before
         // total/rate (resource-bound, for the smallest job).
         assert!(first >= SimTime::ZERO + SimDuration::from_secs_f64(1.0 - 1e-9));
+    });
+}
+
+/// `PsResource` without the uncapped fast path or the cached next
+/// completion: every query refills the rates and divides per job. Kept as the executable specification the differential
+/// test below holds the incremental resource to.
+struct OraclePs {
+    rate: f64,
+    jobs: Slab<OracleJob>,
+    last_update: SimTime,
+    rates_dirty: bool,
+    delivered: f64,
+    eps: f64,
+}
+
+struct OracleJob {
+    remaining: f64,
+    cap: f64,
+    rate: f64,
+    tag: u64,
+}
+
+impl OraclePs {
+    fn new(rate: f64) -> Self {
+        OraclePs {
+            rate,
+            jobs: Slab::new(),
+            last_update: SimTime::ZERO,
+            rates_dirty: false,
+            delivered: 0.0,
+            eps: rate * 2e-12,
+        }
+    }
+
+    fn refill_rates(&mut self) {
+        if !self.rates_dirty {
+            return;
+        }
+        self.rates_dirty = false;
+        let n = self.jobs.len();
+        if n == 0 {
+            return;
+        }
+        let mut caps: Vec<f64> = self.jobs.iter().map(|(_, j)| j.cap.max(0.0)).collect();
+        caps.sort_unstable_by(|a, b| a.total_cmp(b));
+        let mut remaining_rate = self.rate;
+        let mut remaining_jobs = n;
+        let mut level = f64::INFINITY;
+        for &cap in &caps {
+            let fair = remaining_rate / remaining_jobs as f64;
+            if cap <= fair {
+                remaining_rate -= cap;
+                remaining_jobs -= 1;
+            } else {
+                level = fair;
+                break;
+            }
+        }
+        for (_, job) in self.jobs.iter_mut() {
+            job.rate = job.cap.min(level);
+        }
+    }
+
+    fn advance_to(&mut self, now: SimTime, completed: &mut Vec<(SlotKey, u64)>) {
+        self.refill_rates();
+        if !self.jobs.is_empty() {
+            let dt = now.since(self.last_update).as_secs_f64();
+            if dt > 0.0 {
+                for (_, job) in self.jobs.iter_mut() {
+                    let served = (dt * job.rate).min(job.remaining);
+                    job.remaining -= served;
+                    self.delivered += served;
+                }
+            }
+        }
+        self.last_update = now;
+        let done: Vec<(SlotKey, u64)> = self
+            .jobs
+            .iter()
+            .filter(|(_, j)| j.remaining <= self.eps)
+            .map(|(k, j)| (k, j.tag))
+            .collect();
+        if !done.is_empty() {
+            self.rates_dirty = true;
+        }
+        for (k, tag) in done {
+            self.jobs.remove(k);
+            completed.push((k, tag));
+        }
+    }
+
+    fn submit_capped(&mut self, demand: f64, cap: f64, tag: u64) -> SlotKey {
+        self.rates_dirty = true;
+        self.jobs.insert(OracleJob {
+            remaining: demand,
+            cap,
+            rate: 0.0,
+            tag,
+        })
+    }
+
+    fn cancel(&mut self, id: SlotKey) -> Option<f64> {
+        let r = self.jobs.remove(id).map(|j| j.remaining);
+        if r.is_some() {
+            self.rates_dirty = true;
+        }
+        r
+    }
+
+    fn remaining(&self, id: SlotKey) -> Option<f64> {
+        self.jobs.get(id).map(|j| j.remaining)
+    }
+
+    fn next_completion(&mut self) -> Option<SimTime> {
+        self.refill_rates();
+        if self.jobs.is_empty() {
+            return None;
+        }
+        let secs = self
+            .jobs
+            .iter()
+            .map(|(_, j)| {
+                if j.rate > 0.0 {
+                    j.remaining.max(0.0) / j.rate
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .fold(f64::INFINITY, f64::min);
+        Some(self.last_update + SimDuration::from_secs_f64(secs))
+    }
+}
+
+/// The incremental `PsResource` (uncapped fast path, cached next
+/// completion fused into the advance pass, caller-buffered completions)
+/// is indistinguishable from the oracle: the same completion instants in
+/// ps, the same tags in the same order, bitwise-equal `delivered` and
+/// per-job remaining demand, over seeded mixes of uncapped, capped and
+/// zero-demand submits, cancels, and advances to the predicted next
+/// completion, to the current instant again, and to random later instants.
+#[test]
+fn ps_matches_pre_cache_oracle() {
+    forall("ps_matches_pre_cache_oracle", 512, |g| {
+        let rate = *g.choose(&[1e6, 240e9, 1.37e12]);
+        // Half the cases stay uncapped throughout: the SM's fast path.
+        let mixed = g.bool();
+        let caps = [rate / 300.0, rate / 100.0, rate / 7.0, rate * 2.0];
+        let mut fast = PsResource::new(rate);
+        let mut spec = OraclePs::new(rate);
+        let mut live: Vec<(PsJobId, SlotKey)> = Vec::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut now = SimTime::ZERO;
+        let mut tag = 0u64;
+        let mut step = |fast: &mut PsResource,
+                        spec: &mut OraclePs,
+                        live: &mut Vec<(PsJobId, SlotKey)>,
+                        t: SimTime| {
+            got.clear();
+            want.clear();
+            fast.advance_to(t, &mut got);
+            spec.advance_to(t, &mut want);
+            assert!(
+                got.iter().map(|&(_, t)| t).eq(want.iter().map(|&(_, t)| t)),
+                "completion order at {t}"
+            );
+            live.retain(|&(id, _)| got.iter().all(|&(done, _)| done != id));
+            assert_eq!(fast.delivered().to_bits(), spec.delivered.to_bits());
+        };
+        for _ in 0..g.usize_in(1, 150) {
+            match g.usize_below(10) {
+                0..=3 => {
+                    let demand = match g.usize_below(6) {
+                        0 => 0.0,
+                        _ => rate * g.f64_in(1e-9, 1e-5),
+                    };
+                    let cap = if mixed && g.bool() {
+                        *g.choose(&caps)
+                    } else {
+                        f64::INFINITY
+                    };
+                    tag += 1;
+                    let a = fast.submit_capped(demand, cap, tag);
+                    let b = spec.submit_capped(demand, cap, tag);
+                    live.push((a, b));
+                }
+                4 if !live.is_empty() => {
+                    let (a, b) = live.swap_remove(g.usize_below(live.len()));
+                    let (ra, rb) = (fast.cancel(a), spec.cancel(b));
+                    assert_eq!(ra.map(f64::to_bits), rb.map(f64::to_bits));
+                }
+                5..=6 => {
+                    let (a, b) = (fast.next_completion(), spec.next_completion());
+                    assert_eq!(a, b, "predicted completion");
+                    if let Some(t) = a {
+                        now = t;
+                        step(&mut fast, &mut spec, &mut live, now);
+                    }
+                }
+                7 => step(&mut fast, &mut spec, &mut live, now),
+                _ => {
+                    now += SimDuration::from_secs_f64(g.f64_in(0.0, 2e-5));
+                    step(&mut fast, &mut spec, &mut live, now);
+                }
+            }
+            if g.bool() {
+                assert_eq!(fast.next_completion(), spec.next_completion());
+            }
+            for &(a, b) in &live {
+                assert_eq!(
+                    fast.remaining(a).map(f64::to_bits),
+                    spec.remaining(b).map(f64::to_bits)
+                );
+            }
+        }
+        // Drain: every remaining job completes at the instant both predict.
+        let mut guard = 0;
+        while let Some(t) = fast.next_completion() {
+            assert_eq!(Some(t), spec.next_completion());
+            step(&mut fast, &mut spec, &mut live, t);
+            guard += 1;
+            assert!(guard < 10_000, "drain did not converge");
+        }
+        assert!(live.is_empty() && spec.next_completion().is_none());
     });
 }
 
