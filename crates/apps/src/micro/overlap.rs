@@ -160,43 +160,6 @@ pub fn run(spec: &SystemSpec, cfg: &OverlapConfig) -> f64 {
     elapsed(cfg.exchanges) - setup
 }
 
-/// Run one configuration on a faulted fabric; returns execution time in
-/// milliseconds (setup subtracted, same methodology as [`run`]) together
-/// with the faulted run's [`dcuda_core::RunReport`], whose retry/dedup
-/// counters describe what the resilience protocol had to do.
-pub fn run_faulted(
-    spec: &SystemSpec,
-    cfg: &OverlapConfig,
-    faults: &dcuda_fabric::FaultSpec,
-) -> (f64, dcuda_core::RunReport) {
-    let topo = Topology {
-        nodes: cfg.nodes,
-        ranks_per_node: cfg.ranks_per_node,
-    };
-    let win = WindowSpec::uniform(&topo, 3 * cfg.halo_bytes);
-    let build = |exchanges: u32| -> ClusterSim {
-        let kernels: Vec<Box<dyn RankKernel>> = topo
-            .ranks()
-            .map(|r| {
-                let mut c = cfg.clone();
-                c.exchanges = exchanges;
-                Box::new(OverlapKernel {
-                    left: (r.0 > 0).then(|| Rank(r.0 - 1)),
-                    right: (r.0 + 1 < topo.world_size()).then(|| Rank(r.0 + 1)),
-                    cfg: c,
-                    exchange: 0,
-                }) as Box<dyn RankKernel>
-            })
-            .collect();
-        let mut sim = ClusterSim::new(spec.clone(), topo, vec![win.clone()], kernels);
-        sim.enable_faults(faults.clone());
-        sim
-    };
-    let setup = build(0).run().elapsed().as_millis_f64();
-    let report = build(cfg.exchanges).run();
-    (report.elapsed().as_millis_f64() - setup, report)
-}
-
 /// Run one configuration with cluster-wide tracing enabled; returns the full
 /// [`dcuda_core::RunReport`] (whose `trace` field holds the aggregates) and
 /// the raw event [`dcuda_core::Tracer`] for export. No setup subtraction —
@@ -204,7 +167,6 @@ pub fn run_faulted(
 pub fn run_traced(
     spec: &SystemSpec,
     cfg: &OverlapConfig,
-    faults: Option<&dcuda_fabric::FaultSpec>,
 ) -> (dcuda_core::RunReport, dcuda_core::Tracer) {
     let topo = Topology {
         nodes: cfg.nodes,
@@ -224,9 +186,6 @@ pub fn run_traced(
         .collect();
     let mut sim = ClusterSim::new(spec.clone(), topo, vec![win], kernels);
     sim.enable_tracing();
-    if let Some(f) = faults {
-        sim.enable_faults(f.clone());
-    }
     let report = sim.run();
     (report, sim.take_trace())
 }

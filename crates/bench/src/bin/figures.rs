@@ -1,9 +1,8 @@
 //! Regenerate the dCUDA paper's evaluation figures as printed series.
 //!
 //! ```text
-//! figures [--fig 6|7|8|9|10|11|ablations|faults|all[,..]] [--full]
-//!         [--serial] [--json [PATH]] [--trace PATH] [--verify]
-//!         [--faults PROFILE]
+//! figures [--fig 6|7|8|9|10|11|ablations|all[,..]] [--full]
+//!         [--serial] [--json [PATH]] [--trace PATH] [--verify [race]]
 //! ```
 //!
 //! Default: all figures at `--quick` effort, rows fanned out over all
@@ -18,22 +17,17 @@
 //! `dcuda-verify` invariant monitor to every simulation: the run aborts
 //! loudly on any conservation/delivery violation, and the printed series
 //! are byte-identical to a verify-off run (the monitor observes, it never
-//! schedules). `--fig` accepts a comma list (`--fig 6,7,8`).
-//!
-//! `--fig faults` renders the overlap-under-faults figure; `--faults
-//! PROFILE` selects its fault profile (default `lossy` — see
-//! `dcuda_fabric::FaultSpec::parse` for the `name[@seed][,key=val...]`
-//! grammar, e.g. `drop@7,drop=0.02`).
+//! schedules). `--verify race` adds the happens-before race detector and
+//! exits 1 if any simulation raced. `--fig` accepts a comma list
+//! (`--fig 6,7,8`).
 
 use dcuda_apps::micro::overlap::{OverlapPoint, Workload};
 use dcuda_bench::json::Json;
 use dcuda_bench::{
     ablation_bcast_put, ablation_match_cost, ablation_occupancy, ablation_staging,
-    ablation_vertical_levels, fig10, fig11, fig6, fig7_8, fig9, fig_faults, set_serial, Effort,
-    ScalingRow,
+    ablation_vertical_levels, fig10, fig11, fig6, fig7_8, fig9, set_serial, Effort, ScalingRow,
 };
 use dcuda_core::SystemSpec;
-use dcuda_fabric::FaultSpec;
 
 fn print_scaling(name: &str, rows: &[ScalingRow]) {
     println!("\n== {name} ==");
@@ -79,7 +73,7 @@ fn overlap_json(points: &[OverlapPoint]) -> Json {
     )
 }
 
-const USAGE: &str = "usage: figures [--fig 6|7|8|9|10|11|ablations|faults|all[,..]] [--full] [--serial] [--json [PATH]] [--trace PATH] [--verify [race]] [--faults PROFILE]";
+const USAGE: &str = "usage: figures [--fig 6|7|8|9|10|11|ablations|all[,..]] [--full] [--serial] [--json [PATH]] [--trace PATH] [--verify [race]]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -149,7 +143,7 @@ fn main() {
         }
         None => "all".to_string(),
     };
-    const FIGS: [&str; 9] = ["6", "7", "8", "9", "10", "11", "ablations", "faults", "all"];
+    const FIGS: [&str; 8] = ["6", "7", "8", "9", "10", "11", "ablations", "all"];
     let selected: Vec<&str> = which.split(',').map(str::trim).collect();
     for part in &selected {
         if !FIGS.contains(part) {
@@ -158,37 +152,10 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if verify_race && (selected.contains(&"faults") || selected.contains(&"all")) {
-        // The detector's channel edges assume FIFO delivery; retries break
-        // that, so the faulted figure cannot run under race detection.
-        eprintln!("figures: --verify race is incompatible with the faults figure; pick --fig without faults/all");
-        std::process::exit(2);
-    }
-    let fault_profile: String = match args.iter().position(|a| a == "--faults") {
-        Some(i) => match args.get(i + 1).filter(|p| !p.starts_with("--")) {
-            Some(p) => {
-                value_slots.push(i + 1);
-                p.clone()
-            }
-            None => {
-                eprintln!("figures: --faults needs a PROFILE (e.g. lossy, drop@7,drop=0.02)");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        },
-        None => "lossy".to_string(),
-    };
-    let fault_spec = match FaultSpec::parse(&fault_profile) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("figures: bad --faults profile: {e}");
-            std::process::exit(2);
-        }
-    };
     for (i, a) in args.iter().enumerate() {
         if !value_slots.contains(&i)
             && ![
-                "--fig", "--full", "--serial", "--json", "--trace", "--verify", "--faults",
+                "--fig", "--full", "--serial", "--json", "--trace", "--verify",
             ]
             .contains(&a.as_str())
         {
@@ -409,67 +376,6 @@ fn main() {
                 ),
         );
     }
-    if all || selected.contains(&"faults") {
-        println!(
-            "\n== Overlap under faults: Newton overlap vs fault intensity (profile {fault_profile:?}) =="
-        );
-        println!(
-            "{:>7} {:>12} {:>12} {:>13} {:>8} {:>7} {:>9} {:>7} {:>9} {:>8}",
-            "factor",
-            "full [ms]",
-            "comp [ms]",
-            "exch [ms]",
-            "overlap",
-            "drops",
-            "retries",
-            "dups",
-            "deduped",
-            "demoted"
-        );
-        let rows = fig_faults(&spec, &fault_spec, effort);
-        for r in &rows {
-            println!(
-                "{:>7.2} {:>12.3} {:>12.3} {:>13.3} {:>8.2} {:>7} {:>9} {:>7} {:>9} {:>8}",
-                r.factor,
-                r.full_ms,
-                r.compute_ms,
-                r.exchange_ms,
-                r.overlap_efficiency,
-                r.fault_drops,
-                r.retries,
-                r.fault_dups,
-                r.dups_suppressed,
-                r.demotions
-            );
-        }
-        out = out.field(
-            "faults",
-            Json::obj()
-                .field("profile", Json::str(fault_profile.clone()))
-                .field(
-                    "rows",
-                    Json::Arr(
-                        rows.iter()
-                            .map(|r| {
-                                Json::obj()
-                                    .field("factor", Json::from(r.factor))
-                                    .field("full_ms", Json::from(r.full_ms))
-                                    .field("compute_ms", Json::from(r.compute_ms))
-                                    .field("exchange_ms", Json::from(r.exchange_ms))
-                                    .field("overlap_efficiency", Json::from(r.overlap_efficiency))
-                                    .field("fault_drops", Json::from(r.fault_drops))
-                                    .field("fault_dups", Json::from(r.fault_dups))
-                                    .field("retries", Json::from(r.retries))
-                                    .field("timeouts", Json::from(r.timeouts))
-                                    .field("dups_suppressed", Json::from(r.dups_suppressed))
-                                    .field("demotions", Json::from(r.demotions))
-                            })
-                            .collect(),
-                    ),
-                ),
-        );
-    }
-
     if let Some(path) = &trace_path {
         // One traced run of the figure's representative workload (Copy for
         // the bandwidth-bound Figure 8, Newton otherwise).
@@ -478,11 +384,7 @@ fn main() {
         } else {
             Workload::Newton
         };
-        // When the faults figure is selected, trace under the same fault
-        // profile so the timeline shows fault_drop/fault_dup/retry/demote
-        // instants alongside the rank spans.
-        let traced_faults = (all || selected.contains(&"faults")).then_some(&fault_spec);
-        let (chrome_json, summary) = dcuda_bench::trace_run(&spec, workload, traced_faults);
+        let (chrome_json, summary) = dcuda_bench::trace_run(&spec, workload);
         if let Err(e) = std::fs::write(path, &chrome_json) {
             eprintln!("figures: cannot write trace {path}: {e}");
             std::process::exit(1);

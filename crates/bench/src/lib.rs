@@ -144,106 +144,6 @@ pub fn fig7_8(spec: &SystemSpec, workload: Workload, effort: Effort) -> Vec<Over
         .collect()
 }
 
-/// One row of the "overlap under faults" figure: the Figure-7 overlap
-/// experiment repeated on a fabric running `factor` times the base fault
-/// profile, with the resilience protocol's work alongside the timing.
-#[derive(Debug, Clone)]
-pub struct FaultRow {
-    /// Multiplier applied to the profile's drop/duplication probabilities
-    /// (0 = healthy fabric).
-    pub factor: f64,
-    /// Compute & exchange (ms) on the faulted fabric.
-    pub full_ms: f64,
-    /// Compute only (ms) — fault-free by construction.
-    pub compute_ms: f64,
-    /// Halo exchange only (ms) on the faulted fabric.
-    pub exchange_ms: f64,
-    /// Overlap efficiency (1 = perfect) on the faulted fabric.
-    pub overlap_efficiency: f64,
-    /// Packets the fault layer dropped (full run).
-    pub fault_drops: u64,
-    /// Duplicate packets the fault layer injected (full run).
-    pub fault_dups: u64,
-    /// Protocol retransmissions (full run).
-    pub retries: u64,
-    /// Ack-timeout expirations (full run).
-    pub timeouts: u64,
-    /// Duplicates suppressed by receiver-side dedup (full run).
-    pub dups_suppressed: u64,
-    /// Path demotions taken (full run).
-    pub demotions: u64,
-}
-
-/// The "overlap under faults" figure: sweep fault intensity from a healthy
-/// fabric to 4x the given profile and measure how much latency hiding
-/// survives while the resilience protocol retries, dedups, and demotes.
-/// Base shape matches [`fig7_8`]'s Newton series at a smaller cluster (the
-/// protocol work, not the scale, is under study).
-pub fn fig_faults(
-    spec: &SystemSpec,
-    profile: &dcuda_fabric::FaultSpec,
-    effort: Effort,
-) -> Vec<FaultRow> {
-    let factors: &[f64] = match effort {
-        Effort::Quick => &[0.0, 1.0, 4.0],
-        Effort::Full => &[0.0, 0.25, 0.5, 1.0, 2.0, 4.0],
-    };
-    let (nodes, rpn) = (2, 104);
-    let work_iters = 256;
-    let base = |iters| {
-        let mut c = overlap::OverlapConfig::paper(Workload::Newton, iters, effort.exchanges());
-        c.nodes = nodes;
-        c.ranks_per_node = rpn;
-        c
-    };
-    // Compute-only is fabric-independent: one healthy run covers every row.
-    let compute_ms = {
-        let mut c = base(work_iters);
-        c.enable_exchange = false;
-        overlap::run(spec, &c)
-    };
-    enum Job {
-        Full(f64),
-        Exchange(f64),
-    }
-    let mut jobs = Vec::new();
-    for &f in factors {
-        jobs.push(Job::Full(f));
-        jobs.push(Job::Exchange(f));
-    }
-    let results = par_map(jobs, |job| match job {
-        Job::Full(f) => overlap::run_faulted(spec, &base(work_iters), &profile.scaled(f)),
-        Job::Exchange(f) => {
-            let mut c = base(0);
-            c.enable_compute = false;
-            overlap::run_faulted(spec, &c, &profile.scaled(f))
-        }
-    });
-    factors
-        .iter()
-        .enumerate()
-        .map(|(i, &factor)| {
-            let (full_ms, ref report) = results[2 * i];
-            let (exchange_ms, _) = results[2 * i + 1];
-            let max = full_ms.min(compute_ms.max(exchange_ms));
-            let sum = compute_ms + exchange_ms;
-            FaultRow {
-                factor,
-                full_ms,
-                compute_ms,
-                exchange_ms,
-                overlap_efficiency: (sum - full_ms) / (sum - max),
-                fault_drops: report.fault_drops,
-                fault_dups: report.fault_dups,
-                retries: report.retries,
-                timeouts: report.timeouts,
-                dups_suppressed: report.dups_suppressed,
-                demotions: report.demotions,
-            }
-        })
-        .collect()
-}
-
 /// One weak-scaling point of Figures 9–11.
 pub struct ScalingRow {
     /// Node count.
@@ -414,20 +314,13 @@ pub fn ablation_match_cost(spec: &SystemSpec) -> Vec<(f64, f64)> {
 
 /// Run the representative traced simulation behind `figures --trace`: a
 /// reduced Figure 7/8-style overlap workload with cluster-wide tracing
-/// enabled. With `faults` set, the fabric injects that profile so the
-/// timeline carries `fault_drop` / `fault_dup` / `retry` / `demote`
-/// instants next to the rank spans. Returns the Chrome-trace JSON document
-/// and the trace aggregates (wait histograms, occupancy, overlap
-/// efficiency).
-pub fn trace_run(
-    spec: &SystemSpec,
-    workload: Workload,
-    faults: Option<&dcuda_fabric::FaultSpec>,
-) -> (String, dcuda_core::TraceSummary) {
+/// enabled. Returns the Chrome-trace JSON document and the trace aggregates
+/// (wait histograms, occupancy, overlap efficiency).
+pub fn trace_run(spec: &SystemSpec, workload: Workload) -> (String, dcuda_core::TraceSummary) {
     let mut cfg = overlap::OverlapConfig::paper(workload, 64, 10);
     cfg.nodes = 2;
     cfg.ranks_per_node = 26;
-    let (report, tracer) = overlap::run_traced(spec, &cfg, faults);
+    let (report, tracer) = overlap::run_traced(spec, &cfg);
     let json = dcuda_trace::chrome::to_chrome_json(&tracer);
     (json, report.trace.expect("tracing was enabled"))
 }

@@ -44,20 +44,6 @@ pub struct RunReport {
     pub pool_acquires: u64,
     /// Pool acquires served without allocating.
     pub pool_hits: u64,
-    /// Packets the fault layer dropped in flight (0 on a healthy fabric).
-    pub fault_drops: u64,
-    /// Duplicate packet copies the fault layer injected.
-    pub fault_dups: u64,
-    /// Protocol packets retransmitted after an ack timeout.
-    pub retries: u64,
-    /// Ack-timeout expirations that triggered a retransmission.
-    pub timeouts: u64,
-    /// Duplicate packets/acks suppressed by receiver-side dedup.
-    pub dups_suppressed: u64,
-    /// Link demotions taken down the adaptive path ladder.
-    pub demotions: u64,
-    /// Packets rerouted around a demoted link via a relay node.
-    pub reroutes: u64,
     /// Trace-derived aggregates (wait histograms, occupancy, overlap
     /// efficiency). `None` unless tracing was enabled before the run.
     pub trace: Option<TraceSummary>,

@@ -31,9 +31,9 @@ use crate::report::RunReport;
 use crate::spec::SystemSpec;
 use crate::types::{Rank, Topology};
 use crate::window::{Arena, WindowSpec};
-use dcuda_des::{EventQueue, FifoResource, SimDuration, SimTime, Slab, SlotKey, SplitMix64, Timer};
+use dcuda_des::{EventQueue, FifoResource, SimDuration, SimTime, Slab, SlotKey, Timer};
 use dcuda_device::{BlockCharge, BlockSlot, Device, LaunchConfig};
-use dcuda_fabric::{FaultSpec, Network, NodeId, PacketKind, PcieLink, RetrySpec, TransferPath};
+use dcuda_fabric::{Network, NodeId, PcieLink, TransferPath};
 use dcuda_queues::{DepthStats, IndexedMatcher, Notification, Query, ANY};
 use dcuda_trace::metrics::{overlap_efficiency, IntervalSet};
 use dcuda_trace::{TraceSummary, Tracer, Track};
@@ -113,30 +113,7 @@ struct Transfer {
     /// First monitor token minted for this transfer's notification fan-out
     /// (0 when unmonitored or the op does not notify).
     notif_token: u64,
-    /// Reliable-protocol state (meaningful only on faulted runs): delivery
-    /// attempt currently armed (the original send counts as 1).
-    attempt: u32,
-    /// A copy of the meta packet has arrived at the target (put-side dedup).
-    meta_arrived: bool,
-    /// The origin received the target's acknowledgement (puts).
-    acked: bool,
 }
-
-/// Reliable-delivery protocol state, present exactly when fault injection is
-/// enabled (healthy runs never consult it, keeping them byte-identical to
-/// the pre-fault runtime).
-struct Resilience {
-    retry: RetrySpec,
-    /// Deterministic jitter stream for retry backoff (forked from the fault
-    /// seed, consumed in event order).
-    rng: SplitMix64,
-    retries: u64,
-    timeouts: u64,
-    dups_suppressed: u64,
-}
-
-/// Modeled size of an acknowledgement packet.
-const ACK_BYTES: u64 = 16;
 
 /// Host-side work items (everything the per-node worker thread does).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,16 +199,6 @@ enum Ev {
     NetDataArrive {
         xfer: u64,
     },
-    /// Ack-timeout check for an in-flight transfer (faulted runs only).
-    /// `attempt` guards against stale timers from earlier attempts.
-    RetryCheck {
-        xfer: u64,
-        attempt: u32,
-    },
-    /// The target's acknowledgement reached the origin (faulted puts only).
-    AckArrive {
-        xfer: u64,
-    },
     NotifDeliver {
         rank: u32,
         notif: Notification,
@@ -297,10 +264,6 @@ pub struct ClusterSim {
     /// [`enable_race_detection`](Self::enable_race_detection) ran).
     /// Observational like the monitor; races land in `RunReport::races`.
     races: Option<RaceDetector>,
-    /// Reliable-delivery protocol state (attached together with the fault
-    /// layer by [`enable_faults`](Self::enable_faults); `None` on healthy
-    /// runs, which then execute the exact pre-fault code paths).
-    resil: Option<Resilience>,
     /// Instant each rank entered its current [`Status`] (trace span start).
     status_since: Vec<SimTime>,
     // Scratch.
@@ -388,7 +351,6 @@ impl ClusterSim {
                 .then(|| InvariantMonitor::new(topo.world_size())),
             races: crate::verify_mode::races_enabled()
                 .then(|| RaceDetector::new(topo.world_size())),
-            resil: None,
             status_since: vec![SimTime::ZERO; topo.world_size() as usize],
             completed_buf: Vec::new(),
         }
@@ -430,90 +392,9 @@ impl ClusterSim {
     /// issues, notification matches, flushes and barriers — never kernel
     /// timing — and every racy pair it finds lands in `RunReport::races`.
     pub fn enable_race_detection(&mut self) {
-        assert!(
-            self.resil.is_none(),
-            "race detection requires a healthy network (its channel edges \
-             rest on FIFO delivery, which retries break)"
-        );
         if self.races.is_none() {
             self.races = Some(RaceDetector::new(self.topo.world_size()));
         }
-    }
-
-    /// Attach a fault-injection profile and arm the reliable-delivery
-    /// protocol. Call before [`run`](Self::run). Distributed transfers then
-    /// become sequence-tracked with ack timeouts, capped-exponential
-    /// jittered retries, receiver-side duplicate suppression and adaptive
-    /// path demotion; the same `spec.seed` replays the run byte-for-byte.
-    pub fn enable_faults(&mut self, spec: FaultSpec) {
-        assert!(
-            self.races.is_none(),
-            "fault injection and race detection are mutually exclusive \
-             (the detector's channel edges assume FIFO delivery)"
-        );
-        let retry = spec.retry.clone();
-        let rng = SplitMix64::new(spec.seed ^ 0xD15E_A5ED_5EED_5EED);
-        self.net.enable_faults(spec);
-        self.resil = Some(Resilience {
-            retry,
-            rng,
-            retries: 0,
-            timeouts: 0,
-            dups_suppressed: 0,
-        });
-    }
-
-    /// Count one duplicate suppressed by receiver-side dedup.
-    fn note_dup_suppressed(&mut self) {
-        if let Some(r) = self.resil.as_mut() {
-            r.dups_suppressed += 1;
-        }
-    }
-
-    /// Send one protocol packet through the faultable fabric and schedule an
-    /// arrival event for every surviving copy (fault/retry instants go to
-    /// the sender's NIC track). Returns the egress-free instant of the
-    /// primary copy. Only called on faulted runs.
-    fn send_resilient(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        kind: PacketKind,
-        xfer: u64,
-    ) -> SimTime {
-        let sent = self.net.send_faultable(now, src, dst, bytes, kind);
-        let mk = |at: SimTime| match kind {
-            PacketKind::Meta => (at, Ev::NetMetaArrive { xfer }),
-            PacketKind::Data => (at, Ev::NetDataArrive { xfer }),
-            PacketKind::Ack => (at, Ev::AckArrive { xfer }),
-        };
-        if let Some(at) = sent.arrival {
-            let (at, ev) = mk(at);
-            self.queue.schedule_at(at, ev);
-        }
-        if let Some(at) = sent.dup_arrival {
-            let (at, ev) = mk(at);
-            self.queue.schedule_at(at, ev);
-            if self.tracer.is_enabled() {
-                self.tracer.instant(
-                    Track::NetLink(src.0),
-                    "fault_dup",
-                    now.as_ps(),
-                    vec![("dst", u64::from(dst.0).into()), ("bytes", bytes.into())],
-                );
-            }
-        }
-        if sent.dropped && self.tracer.is_enabled() {
-            self.tracer.instant(
-                Track::NetLink(src.0),
-                "fault_drop",
-                now.as_ps(),
-                vec![("dst", u64::from(dst.0).into()), ("bytes", bytes.into())],
-            );
-        }
-        sent.egress_free
     }
 
     /// Mint a monitor token for one notification headed to `target`
@@ -666,7 +547,6 @@ impl ClusterSim {
             .map(|d| d.reports().to_vec())
             .unwrap_or_default();
         crate::verify_mode::note_races(races.len() as u64);
-        let fstats = self.net.fault_stats();
         RunReport {
             end_time,
             rank_finish: self.ranks.iter().map(|s| s.finish).collect(),
@@ -687,13 +567,6 @@ impl ClusterSim {
             peak_pending_notifications: self.peak_pending_notifications as u64,
             pool_acquires: self.pool.acquires(),
             pool_hits: self.pool.hits(),
-            fault_drops: fstats.drops,
-            fault_dups: fstats.dups,
-            retries: self.resil.as_ref().map_or(0, |r| r.retries),
-            timeouts: self.resil.as_ref().map_or(0, |r| r.timeouts),
-            dups_suppressed: self.resil.as_ref().map_or(0, |r| r.dups_suppressed),
-            demotions: fstats.demotions,
-            reroutes: fstats.reroutes,
             trace,
             verify,
             races,
@@ -820,94 +693,36 @@ impl ClusterSim {
             }
             Ev::HostDone { node, item } => self.host_done(node, item, now),
             Ev::NetMetaArrive { xfer } => {
-                let key = SlotKey::from_bits(xfer);
-                // On faulted runs, late or duplicate copies of the meta
-                // packet may land after the first one (or after the whole
-                // transfer retired); the receiver keeps delivery exactly-once
-                // by suppressing them — and re-acks completed puts, since a
-                // retransmitted meta means the origin missed the ack.
-                enum MetaAction {
-                    Forward(u32),
-                    Suppress { reack: Option<(NodeId, NodeId)> },
-                }
-                let action = match self.transfers.get_mut(key) {
-                    Some(tr) => {
-                        let dup = tr.op.kind == RmaKind::Put && tr.meta_arrived;
-                        if !dup {
-                            if tr.op.kind == RmaKind::Put {
-                                tr.meta_arrived = true;
-                            }
-                            // For a get, the "meta" travels origin -> holder.
-                            MetaAction::Forward(self.topo.node_of(tr.op.partner))
-                        } else {
-                            let reack = tr.completion_submitted.then(|| {
-                                (
-                                    NodeId(self.topo.node_of(tr.op.partner)),
-                                    NodeId(self.topo.node_of(tr.origin)),
-                                )
-                            });
-                            MetaAction::Suppress { reack }
-                        }
-                    }
-                    None => {
-                        assert!(self.resil.is_some(), "meta for unknown transfer");
-                        MetaAction::Suppress { reack: None }
-                    }
-                };
-                match action {
-                    MetaAction::Forward(target_node) => {
-                        self.queue.schedule_at(
-                            now + self.spec.host.poll_delay,
-                            Ev::HostNotice {
-                                node: target_node,
-                                item: HostItem::MetaAtTarget { xfer },
-                            },
-                        );
-                    }
-                    MetaAction::Suppress { reack } => {
-                        self.note_dup_suppressed();
-                        if let Some((target_node, origin_node)) = reack {
-                            self.send_resilient(
-                                now,
-                                target_node,
-                                origin_node,
-                                ACK_BYTES,
-                                PacketKind::Ack,
-                                xfer,
-                            );
-                        }
-                    }
-                }
+                // For a get, the "meta" travels origin -> holder.
+                let tr = self
+                    .transfers
+                    .get(SlotKey::from_bits(xfer))
+                    .expect("meta for unknown transfer");
+                let target_node = self.topo.node_of(tr.op.partner);
+                self.queue.schedule_at(
+                    now + self.spec.host.poll_delay,
+                    Ev::HostNotice {
+                        node: target_node,
+                        item: HostItem::MetaAtTarget { xfer },
+                    },
+                );
             }
             Ev::NetDataArrive { xfer } => {
                 let key = SlotKey::from_bits(xfer);
-                match self.transfers.get(key) {
-                    None => {
-                        // Copy for an already-retired transfer (faulted runs).
-                        assert!(self.resil.is_some(), "data for unknown transfer");
-                        self.note_dup_suppressed();
-                        return;
-                    }
-                    Some(tr) if tr.data_ready.is_some() => {
-                        // Duplicate copy: the payload landed exactly once
-                        // already (impossible on healthy runs).
-                        debug_assert!(self.resil.is_some());
-                        self.note_dup_suppressed();
-                        return;
-                    }
-                    Some(_) => {}
-                }
+                // The fabric is reliable: each transfer's payload arrives
+                // exactly once, while the transfer is live.
+                let landed = self
+                    .transfers
+                    .get(key)
+                    .expect("data for unknown transfer")
+                    .data_ready;
+                assert!(landed.is_none(), "second data copy for one transfer");
                 // Land the payload in destination memory.
                 self.land_payload(key);
-                let tr = self
-                    .transfers
-                    .get_mut(key)
-                    .expect("data for unknown transfer");
+                let tr = self.transfers.get_mut(key).expect("live transfer");
                 tr.data_ready = Some(now);
                 self.maybe_complete(key, now);
             }
-            Ev::RetryCheck { xfer, attempt } => self.retry_check(xfer, attempt, now),
-            Ev::AckArrive { xfer } => self.ack_arrive(xfer, now),
             Ev::NotifDeliver { rank, notif, token } => {
                 self.deliver_notification(rank, notif, token, now)
             }
@@ -1385,9 +1200,6 @@ impl ClusterSim {
                 data_ready: None,
                 completion_submitted: false,
                 notif_token,
-                attempt: 1,
-                meta_arrived: false,
-                acked: false,
             })
             .to_bits();
         let visible = self.pcie[node as usize].post_txn(now, self.spec.host.meta_bytes);
@@ -1411,39 +1223,6 @@ impl ClusterSim {
                 };
                 let origin_node = NodeId(node);
                 let partner_node = NodeId(self.topo.node_of(op.partner));
-                if self.resil.is_some() {
-                    // Reliable protocol: both packets go through the fault
-                    // layer and an ack-timeout timer is armed once the last
-                    // one clears the NIC. The flush window stays open until
-                    // the target's ack (puts) or the data return (gets).
-                    let meta_free = self.send_resilient(
-                        now,
-                        origin_node,
-                        partner_node,
-                        self.spec.host.meta_bytes,
-                        PacketKind::Meta,
-                        xfer,
-                    );
-                    let free = match op.kind {
-                        RmaKind::Put => self
-                            .send_resilient(
-                                now,
-                                origin_node,
-                                partner_node,
-                                op.len as u64,
-                                PacketKind::Data,
-                                xfer,
-                            )
-                            .max(meta_free),
-                        RmaKind::Get => meta_free,
-                    };
-                    if let Some(r) = self.resil.as_mut() {
-                        let timeout = r.retry.backoff(1, &mut r.rng);
-                        self.queue
-                            .schedule_at(free + timeout, Ev::RetryCheck { xfer, attempt: 1 });
-                    }
-                    return;
-                }
                 // Meta information to the partner's event handler.
                 let meta = self.net.send(
                     now,
@@ -1516,14 +1295,9 @@ impl ClusterSim {
             }
             HostItem::MetaAtTarget { xfer } => {
                 let key = SlotKey::from_bits(xfer);
-                let Some((op, origin)) = self.transfers.get(key).map(|tr| (tr.op, tr.origin))
-                else {
-                    // The transfer retired between arrival and host
-                    // processing — only possible for retransmitted get
-                    // requests on faulted runs.
-                    assert!(self.resil.is_some(), "meta for unknown transfer");
-                    self.note_dup_suppressed();
-                    return;
+                let (op, origin) = {
+                    let tr = self.transfers.get(key).expect("meta for unknown transfer");
+                    (tr.op, tr.origin)
                 };
                 match op.kind {
                     RmaKind::Put => {
@@ -1532,64 +1306,19 @@ impl ClusterSim {
                         self.maybe_complete(key, now);
                     }
                     RmaKind::Get => {
-                        // We are on the data-holder node.
-                        let holder_node = NodeId(node);
-                        let origin_node = NodeId(self.topo.node_of(origin));
-                        let repeat = {
-                            let tr = self.transfers.get_mut(key).expect("live transfer");
-                            let repeat = tr.meta_ready.is_some();
-                            if !repeat {
-                                tr.meta_ready = Some(now);
-                            }
-                            repeat
-                        };
-                        if repeat {
-                            // Retransmitted request (faulted runs): the
-                            // origin is still missing the data exactly when
-                            // it has not landed yet — re-serve it from the
-                            // original snapshot.
-                            self.note_dup_suppressed();
-                            let need = self
-                                .transfers
-                                .get(key)
-                                .is_some_and(|tr| tr.data_ready.is_none());
-                            if need {
-                                self.send_resilient(
-                                    now,
-                                    holder_node,
-                                    origin_node,
-                                    op.len as u64,
-                                    PacketKind::Data,
-                                    xfer,
-                                );
-                                if let Some(r) = self.resil.as_mut() {
-                                    r.retries += 1;
-                                }
-                            }
-                            return;
-                        }
-                        // First request: snapshot and send the data back to
-                        // the origin.
+                        // We are on the data-holder node: snapshot and send
+                        // the data back to the origin.
                         let remote = self.remote_span(&op);
                         let mut payload = self.pool.acquire(op.len);
                         payload.extend_from_slice(
                             &self.arenas[node as usize][op.win.index()].bytes()[remote],
                         );
-                        {
-                            let tr = self.transfers.get_mut(key).expect("live transfer");
-                            tr.payload = payload;
-                        }
-                        if self.resil.is_some() {
-                            self.send_resilient(
-                                now,
-                                holder_node,
-                                origin_node,
-                                op.len as u64,
-                                PacketKind::Data,
-                                xfer,
-                            );
-                            return;
-                        }
+                        let tr = self.transfers.get_mut(key).expect("live transfer");
+                        assert!(tr.meta_ready.is_none(), "second get request");
+                        tr.meta_ready = Some(now);
+                        tr.payload = payload;
+                        let holder_node = NodeId(node);
+                        let origin_node = NodeId(self.topo.node_of(origin));
                         let path = self
                             .net
                             .device_path(holder_node, origin_node, op.len as u64);
@@ -1602,24 +1331,10 @@ impl ClusterSim {
                 }
             }
             HostItem::Complete { xfer } => {
-                let key = SlotKey::from_bits(xfer);
-                // On faulted runs a completed put stays resident until the
-                // origin's ack retires it (late duplicate packets must still
-                // find it for dedup, and a lost ack means the target has to
-                // re-ack on the next retransmit); everything else retires
-                // here as before.
-                let faulted_put = self.resil.is_some()
-                    && self
-                        .transfers
-                        .get(key)
-                        .is_some_and(|tr| tr.op.kind == RmaKind::Put);
-                let (op, origin, notif_token) = if faulted_put {
-                    let tr = self.transfers.get(key).expect("live transfer");
-                    (tr.op, tr.origin, tr.notif_token)
-                } else {
+                let (op, origin, notif_token) = {
                     let tr = self
                         .transfers
-                        .remove(key)
+                        .remove(SlotKey::from_bits(xfer))
                         .expect("complete unknown transfer");
                     (tr.op, tr.origin, tr.notif_token)
                 };
@@ -1657,19 +1372,6 @@ impl ClusterSim {
                                     );
                                 }
                             }
-                        }
-                        if faulted_put {
-                            // Acknowledge end-to-end delivery to the origin.
-                            let target_node = NodeId(node);
-                            let origin_node = NodeId(self.topo.node_of(origin));
-                            self.send_resilient(
-                                now,
-                                target_node,
-                                origin_node,
-                                ACK_BYTES,
-                                PacketKind::Ack,
-                                xfer,
-                            );
                         }
                     }
                     RmaKind::Get => {
@@ -1814,132 +1516,6 @@ impl ClusterSim {
                 },
             },
         );
-    }
-
-    /// Ack-timeout timer fired for an in-flight transfer (faulted runs
-    /// only). A missing transfer means it completed and retired; a stale
-    /// `attempt` means a newer timer superseded this one.
-    fn retry_check(&mut self, xfer: u64, attempt: u32, now: SimTime) {
-        let key = SlotKey::from_bits(xfer);
-        let Some(tr) = self.transfers.get(key) else {
-            return;
-        };
-        if tr.attempt != attempt {
-            return;
-        }
-        let done = match tr.op.kind {
-            RmaKind::Put => tr.acked,
-            RmaKind::Get => tr.data_ready.is_some() || tr.completion_submitted,
-        };
-        if done {
-            return;
-        }
-        let (op, origin) = (tr.op, tr.origin);
-        let origin_node = NodeId(self.topo.node_of(origin));
-        let remote_node = NodeId(self.topo.node_of(op.partner));
-        let (max_attempts, next) = match self.resil.as_ref() {
-            Some(r) => (r.retry.max_attempts, attempt + 1),
-            None => return,
-        };
-        if attempt >= max_attempts {
-            panic!(
-                "dcuda-faults: {:?} transfer from rank {} to {:?} exceeded {} delivery \
-                 attempts — link {} -> {} is unrecoverable under the active fault profile",
-                op.kind, origin.0, op.partner, max_attempts, origin_node.0, remote_node.0
-            );
-        }
-        // A timeout is evidence of loss: feed the link-health tracker, which
-        // steps the link down the path ladder once enough accumulate.
-        if let Some(level) = self.net.report_timeout(origin_node, remote_node) {
-            if self.tracer.is_enabled() {
-                self.tracer.instant(
-                    Track::NetLink(origin_node.0),
-                    "demote",
-                    now.as_ps(),
-                    vec![
-                        ("dst", u64::from(remote_node.0).into()),
-                        ("level", u64::from(level).into()),
-                    ],
-                );
-            }
-        }
-        {
-            let tr = self.transfers.get_mut(key).expect("live transfer");
-            tr.attempt = next;
-        }
-        if self.tracer.is_enabled() {
-            self.tracer.instant(
-                Track::Rank(origin.0),
-                "retry",
-                now.as_ps(),
-                vec![
-                    ("attempt", u64::from(next).into()),
-                    ("partner", u64::from(op.partner.0).into()),
-                ],
-            );
-        }
-        // Retransmit: puts resend meta + data (receiver-side dedup absorbs
-        // whatever already arrived), gets re-issue the request.
-        let meta_bytes = self.spec.host.meta_bytes;
-        let mut resent = 1u64;
-        let meta_free = self.send_resilient(
-            now,
-            origin_node,
-            remote_node,
-            meta_bytes,
-            PacketKind::Meta,
-            xfer,
-        );
-        let free = match op.kind {
-            RmaKind::Put => {
-                resent += 1;
-                let data_free = self.send_resilient(
-                    now,
-                    origin_node,
-                    remote_node,
-                    op.len as u64,
-                    PacketKind::Data,
-                    xfer,
-                );
-                data_free.max(meta_free)
-            }
-            RmaKind::Get => meta_free,
-        };
-        let backoff = match self.resil.as_mut() {
-            Some(r) => {
-                r.timeouts += 1;
-                r.retries += resent;
-                r.retry.backoff(next, &mut r.rng)
-            }
-            None => return,
-        };
-        self.queue.schedule_at(
-            free + backoff,
-            Ev::RetryCheck {
-                xfer,
-                attempt: next,
-            },
-        );
-    }
-
-    /// The target's acknowledgement reached the origin: the put is complete
-    /// end-to-end, so the transfer retires and the flush window advances.
-    /// Duplicate acks find the slot empty (generation-checked keys) and are
-    /// absorbed.
-    fn ack_arrive(&mut self, xfer: u64, now: SimTime) {
-        let key = SlotKey::from_bits(xfer);
-        let Some(tr) = self.transfers.get_mut(key) else {
-            self.note_dup_suppressed();
-            return;
-        };
-        debug_assert!(!tr.acked, "acked transfers retire immediately");
-        tr.acked = true;
-        let origin = tr.origin;
-        self.transfers.remove(key);
-        // Under the reliable protocol "send buffer reusable" strengthens to
-        // "delivery confirmed": flush completes only at the ack.
-        self.queue
-            .schedule_at(now, Ev::OriginFree { rank: origin.0 });
     }
 
     /// A notification became visible in a rank's device-side queue.

@@ -4,7 +4,8 @@
 //! shape pins `end_time` in ps and an FNV-1a digest over every rank's
 //! finish instant in ps. Any drift in the per-job service arithmetic, even
 //! a different rounding order, moves them; a change to the cost model on
-//! purpose re-records them.
+//! purpose re-records them. Each shape also pins the run's counters, so an
+//! event the healthy path gains or loses shows even when no instant moves.
 
 use dcuda_core::types::Topology;
 use dcuda_core::{
@@ -26,6 +27,20 @@ fn pin(report: &RunReport) -> (u64, u64) {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
     (report.end_time.as_ps(), digest)
+}
+
+/// `[events, net_messages, net_staged, net_bytes, rma_ops, notifications,
+/// peak_event_queue]`.
+fn counters(report: &RunReport) -> [u64; 7] {
+    [
+        report.events,
+        report.net_messages,
+        report.net_staged,
+        report.net_bytes,
+        report.rma_ops,
+        report.notifications,
+        report.peak_event_queue,
+    ]
 }
 
 /// One compute step, then notified puts into both chain neighbours' halo
@@ -146,6 +161,10 @@ fn distributed_pingpong(bytes: usize) -> RunReport {
 fn sim_overlap_halo_is_pinned() {
     let report = chain_halo(BlockCharge::flops(128.0 * 16.0 * WORK_ITERS));
     assert_eq!(pin(&report), (344_378_270, 7_847_132_373_934_159_964));
+    assert_eq!(
+        counters(&report),
+        [21_123, 20, 0, 10_720, 2_070, 2_070, 418]
+    );
 }
 
 /// Fig. 8's copy work: per-block capped jobs on the memory interface.
@@ -153,17 +172,19 @@ fn sim_overlap_halo_is_pinned() {
 fn fig8_copy_is_pinned() {
     let report = chain_halo(BlockCharge::mem(2.0 * HALO as f64 * WORK_ITERS));
     assert_eq!(pin(&report), (534_202_380, 12_224_945_028_383_171_389));
+    assert_eq!(
+        counters(&report),
+        [21_638, 20, 0, 10_720, 2_070, 2_070, 418]
+    );
 }
 
 /// Fig. 6's distributed ping-pong, for an empty and a 64 KiB packet.
 #[test]
 fn fig6_distributed_pingpong_is_pinned() {
-    assert_eq!(
-        pin(&distributed_pingpong(1)),
-        (750_613_320, 139_246_100_164_450_635)
-    );
-    assert_eq!(
-        pin(&distributed_pingpong(64 << 10)),
-        (909_884_440, 17_652_084_182_923_208_469)
-    );
+    let empty = distributed_pingpong(1);
+    assert_eq!(pin(&empty), (750_613_320, 139_246_100_164_450_635));
+    assert_eq!(counters(&empty), [522, 80, 0, 1_960, 40, 40, 3]);
+    let staged = distributed_pingpong(64 << 10);
+    assert_eq!(pin(&staged), (909_884_440, 17_652_084_182_923_208_469));
+    assert_eq!(counters(&staged), [522, 80, 40, 2_623_360, 40, 40, 3]);
 }

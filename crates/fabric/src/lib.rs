@@ -12,24 +12,19 @@
 //!   bandwidth — paper §IV-C).
 //! * [`PcieSpec`] / [`PcieLink`] — the host–device link used for queue
 //!   transactions (single-transaction enqueues, paper §III-C) and DMA copies.
-//! * [`FaultSpec`] / [`FaultLayer`] — deterministic, seed-reproducible fault
-//!   injection (drop/duplicate/reorder, latency spikes, bandwidth brownouts,
-//!   NIC stalls, permanent link death) plus per-link health tracking that
-//!   drives the adaptive path-demotion ladder.
 //!
 //! All models are *time functions*: they mutate internal contention state and
 //! return delivery instants; the caller schedules the corresponding events.
+//! Like the paper's MPI over InfiniBand, the fabric is reliable and ordered:
+//! it has no fault model. Fault injection for real traffic belongs to the
+//! transport (`dcuda-net`'s `NetFaults`).
 
 #![warn(missing_docs)]
 
-pub mod faults;
 pub mod network;
 pub mod pcie;
 pub mod spec;
 
-pub use faults::{
-    storm_victims, FaultLayer, FaultSpec, FaultStats, KillLink, PacketFate, RetrySpec, StreamRates,
-};
-pub use network::{Delivery, FaultedSend, MsgRecord, Network, NodeId, PacketKind, TransferPath};
+pub use network::{Delivery, MsgRecord, Network, NodeId, TransferPath};
 pub use pcie::{PcieLink, PcieOp, PcieRecord};
 pub use spec::{NetworkSpec, PcieSpec};

@@ -8,7 +8,6 @@
 //! (egress-only LogGP); the evaluation workloads are halo exchanges and tree
 //! collectives where egress is the bottleneck.
 
-use crate::faults::{FaultLayer, FaultSpec, FaultStats, PacketFate};
 use crate::spec::NetworkSpec;
 use dcuda_des::stats::Counter;
 use dcuda_des::{FifoResource, SimDuration, SimTime};
@@ -83,35 +82,6 @@ pub struct Delivery {
     pub arrival: SimTime,
 }
 
-/// What kind of packet a faultable send carries; selects bandwidth class and
-/// whether path demotion applies.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PacketKind {
-    /// Control metadata (notification descriptors, get requests).
-    Meta,
-    /// The RMA payload itself.
-    Data,
-    /// Protocol acknowledgement.
-    Ack,
-}
-
-/// Timing outcome of one faultable injection.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultedSend {
-    /// Instant the sender's NIC releases the (first copy of the) message.
-    pub egress_free: SimTime,
-    /// Delivery instant of the primary copy; `None` if it was dropped.
-    pub arrival: Option<SimTime>,
-    /// Delivery instant of an injected duplicate copy, if any.
-    pub dup_arrival: Option<SimTime>,
-    /// Path the payload took (after any demotion).
-    pub path: TransferPath,
-    /// Relay node used when the link was demoted to rerouted staging.
-    pub relay: Option<NodeId>,
-    /// Whether the primary copy was dropped in flight.
-    pub dropped: bool,
-}
-
 /// Per-node NIC state.
 struct Nic {
     egress: FifoResource,
@@ -129,9 +99,6 @@ pub struct Network {
     /// Message lifecycle log; `None` (the default) records nothing, so the
     /// hook in [`send`](Self::send) costs one branch.
     log: Option<Vec<MsgRecord>>,
-    /// Fault-injection engine; `None` (the default) keeps every code path
-    /// byte-identical to the healthy fabric.
-    faults: Option<FaultLayer>,
 }
 
 impl Network {
@@ -148,34 +115,7 @@ impl Network {
             messages: Counter::default(),
             staged_messages: Counter::default(),
             log: None,
-            faults: None,
         }
-    }
-
-    /// Attach a fault-injection profile. Must be called before traffic flows;
-    /// a faulted fabric routes packets through
-    /// [`send_faultable`](Self::send_faultable).
-    pub fn enable_faults(&mut self, spec: FaultSpec) {
-        let nodes = self.nics.len();
-        self.faults = Some(FaultLayer::new(spec, nodes));
-    }
-
-    /// The fault layer, if one is attached.
-    pub fn faults(&self) -> Option<&FaultLayer> {
-        self.faults.as_ref()
-    }
-
-    /// Injection counters (all zero when faults are disabled).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
-    }
-
-    /// Report an ack timeout on `src -> dst` to the fault layer's link-health
-    /// tracker. Returns the new demotion level when the link was demoted.
-    pub fn report_timeout(&mut self, src: NodeId, dst: NodeId) -> Option<u8> {
-        self.faults
-            .as_mut()
-            .and_then(|f| f.report_timeout(src, dst))
     }
 
     /// Start collecting per-message lifecycle records.
@@ -228,32 +168,6 @@ impl Network {
         bytes: u64,
         path: TransferPath,
     ) -> Delivery {
-        self.send_inner(
-            now,
-            src,
-            dst,
-            bytes,
-            path,
-            SimDuration::ZERO,
-            1.0,
-            SimDuration::ZERO,
-        )
-    }
-
-    /// Shared injection path: `send` calls it unperturbed; `send_faultable`
-    /// feeds NIC stalls, brownout bandwidth factors and delivery delays in.
-    #[allow(clippy::too_many_arguments)]
-    fn send_inner(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        path: TransferPath,
-        stall: SimDuration,
-        bandwidth_factor: f64,
-        extra_delay: SimDuration,
-    ) -> Delivery {
         self.messages.inc();
         if path == TransferPath::Loopback || src == dst {
             assert!(
@@ -291,15 +205,14 @@ impl Network {
             TransferPath::Loopback => unreachable!(),
         };
 
-        let serialization = stall
-            + self.spec.overhead
-            + SimDuration::from_secs_f64(bytes as f64 / (bandwidth * bandwidth_factor));
+        let serialization =
+            self.spec.overhead + SimDuration::from_secs_f64(bytes as f64 / bandwidth);
         let nic = &mut self.nics[src.index()];
         nic.bytes_sent += bytes;
         let (_, egress_done) = nic.egress.submit(now, serialization);
         let d = Delivery {
             egress_free: egress_done,
-            arrival: egress_done + self.spec.latency + extra_latency + extra_delay,
+            arrival: egress_done + self.spec.latency + extra_latency,
         };
         if let Some(log) = &mut self.log {
             log.push(MsgRecord {
@@ -316,147 +229,6 @@ impl Network {
             });
         }
         d
-    }
-
-    /// Inject a packet through the fault layer.
-    ///
-    /// Chooses the path from the packet kind and the link's demotion level
-    /// (data follows the staging policy at level 0, is forced through host
-    /// staging at level 1, and is rerouted through a relay node at level 2;
-    /// control packets ride host-to-host), rolls the packet's fate on the
-    /// link's random stream, and returns delivery instants for the surviving
-    /// copies. With no fault layer attached this degrades to a plain
-    /// [`send`](Self::send).
-    ///
-    /// Dropped packets still occupy the sender NIC (they are lost in the
-    /// wire, not refused), and injected duplicates are serialized right
-    /// behind the primary copy. Rerouted packets roll their fate on the
-    /// first-hop link and count one extra message per hop.
-    pub fn send_faultable(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        kind: PacketKind,
-    ) -> FaultedSend {
-        if self.faults.is_none() || src == dst {
-            let path = if src == dst {
-                TransferPath::Loopback
-            } else if kind == PacketKind::Data {
-                self.device_path(src, dst, bytes)
-            } else {
-                TransferPath::HostToHost
-            };
-            let d = self.send(now, src, dst, bytes, path);
-            return FaultedSend {
-                egress_free: d.egress_free,
-                arrival: Some(d.arrival),
-                dup_arrival: None,
-                path,
-                relay: None,
-                dropped: false,
-            };
-        }
-        let (level, relay) = match self.faults.as_ref() {
-            Some(f) => {
-                let level = f.level(src, dst);
-                let relay = if level >= 2 {
-                    f.relay_for(src, dst)
-                } else {
-                    None
-                };
-                (level, relay)
-            }
-            None => (0, None),
-        };
-        let path = match kind {
-            PacketKind::Data if level == 0 => self.device_path(src, dst, bytes),
-            PacketKind::Data => TransferPath::HostStaged,
-            PacketKind::Meta | PacketKind::Ack => TransferPath::HostToHost,
-        };
-        let fate_dst = relay.unwrap_or(dst);
-        let fate = match self.faults.as_mut() {
-            Some(f) => f.fate(now, src, fate_dst),
-            None => PacketFate::clean(),
-        };
-        let (egress_free, primary, duplicate) = match relay {
-            None => {
-                let d = self.send_inner(
-                    now,
-                    src,
-                    dst,
-                    bytes,
-                    path,
-                    fate.stall,
-                    fate.bandwidth_factor,
-                    fate.delay,
-                );
-                let dup = fate.duplicated.then(|| {
-                    self.send_inner(
-                        now,
-                        src,
-                        dst,
-                        bytes,
-                        path,
-                        SimDuration::ZERO,
-                        fate.bandwidth_factor,
-                        SimDuration::ZERO,
-                    )
-                    .arrival
-                });
-                (d.egress_free, d.arrival, dup)
-            }
-            Some(via) => {
-                // Two-hop detour around the sick link; the relay's NIC pays
-                // for the second hop.
-                let h1 = self.send_inner(
-                    now,
-                    src,
-                    via,
-                    bytes,
-                    path,
-                    fate.stall,
-                    fate.bandwidth_factor,
-                    fate.delay,
-                );
-                let h2 = self.send_inner(
-                    h1.arrival,
-                    via,
-                    dst,
-                    bytes,
-                    path,
-                    SimDuration::ZERO,
-                    1.0,
-                    SimDuration::ZERO,
-                );
-                if let Some(f) = self.faults.as_mut() {
-                    f.stats.reroutes += 1;
-                }
-                let dup = fate.duplicated.then(|| {
-                    self.send_inner(
-                        h1.arrival,
-                        via,
-                        dst,
-                        bytes,
-                        path,
-                        SimDuration::ZERO,
-                        1.0,
-                        SimDuration::ZERO,
-                    )
-                    .arrival
-                });
-                (h1.egress_free, h2.arrival, dup)
-            }
-        };
-        FaultedSend {
-            egress_free,
-            arrival: (!fate.dropped).then_some(primary),
-            dup_arrival: duplicate,
-            path,
-            relay,
-            dropped: fate.dropped,
-        }
     }
 
     /// Total bytes injected by `node`.
@@ -623,83 +395,6 @@ mod tests {
             SimTime::ZERO + NetworkSpec::greina().loopback_latency
         );
         assert_eq!(d.egress_free, SimTime::ZERO);
-    }
-
-    #[test]
-    fn faultless_send_faultable_matches_plain_send() {
-        let mut a = net(2);
-        let mut b = net(2);
-        let f = a.send_faultable(SimTime::ZERO, NodeId(0), NodeId(1), 4096, PacketKind::Data);
-        let d = b.send(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            4096,
-            TransferPath::DeviceDirect,
-        );
-        assert_eq!(f.arrival, Some(d.arrival));
-        assert_eq!(f.egress_free, d.egress_free);
-        assert_eq!(f.path, TransferPath::DeviceDirect);
-        assert!(f.dup_arrival.is_none() && !f.dropped);
-    }
-
-    #[test]
-    fn dead_link_drops_but_still_charges_the_nic() {
-        let mut n = net(2);
-        n.enable_faults(crate::faults::FaultSpec {
-            kill_link: Some(crate::faults::KillLink {
-                src: 0,
-                dst: 1,
-                at: SimDuration::ZERO,
-            }),
-            ..crate::faults::FaultSpec::default()
-        });
-        let f = n.send_faultable(SimTime::ZERO, NodeId(0), NodeId(1), 4096, PacketKind::Data);
-        assert!(f.dropped && f.arrival.is_none());
-        assert!(
-            f.egress_free > SimTime::ZERO,
-            "serialization still happened"
-        );
-        assert_eq!(n.fault_stats().drops, 1);
-    }
-
-    #[test]
-    fn demoted_link_reroutes_through_relay() {
-        let mut n = net(3);
-        n.enable_faults(crate::faults::FaultSpec::lossy(5));
-        // Push the 0->1 link to level 2.
-        for _ in 0..6 {
-            n.report_timeout(NodeId(0), NodeId(1));
-        }
-        let f = n.send_faultable(SimTime::ZERO, NodeId(0), NodeId(1), 4096, PacketKind::Data);
-        assert_eq!(f.relay, Some(NodeId(2)));
-        assert_eq!(f.path, TransferPath::HostStaged);
-        assert_eq!(n.fault_stats().reroutes, 1);
-        assert_eq!(n.fault_stats().demotions, 2);
-        // The detour costs two serializations + two wire latencies.
-        let direct = net(3)
-            .send(
-                SimTime::ZERO,
-                NodeId(0),
-                NodeId(1),
-                4096,
-                TransferPath::HostStaged,
-            )
-            .arrival;
-        assert!(f.arrival.is_none() || f.arrival.is_some_and(|a| a > direct));
-    }
-
-    #[test]
-    fn duplicate_yields_two_arrivals() {
-        let mut n = net(2);
-        n.enable_faults(crate::faults::FaultSpec {
-            dup_p: 1.0,
-            ..crate::faults::FaultSpec::default()
-        });
-        let f = n.send_faultable(SimTime::ZERO, NodeId(0), NodeId(1), 1024, PacketKind::Data);
-        let (a, d) = (f.arrival.unwrap(), f.dup_arrival.unwrap());
-        assert!(d >= a, "dup copy serializes behind the primary");
-        assert_eq!(n.fault_stats().dups, 1);
     }
 
     #[test]

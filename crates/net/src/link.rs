@@ -23,8 +23,8 @@ use dcuda_des::SplitMix64;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
 
-/// Link-level fault injection rates (derived from a
-/// `dcuda_fabric::FaultSpec` by the launcher).
+/// Link-level fault injection rates (what `dcuda-launch --faults` sets; see
+/// [`NetFaults::parse`] for the profile grammar).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetFaults {
     /// Seed for the per-direction decision streams.
@@ -33,6 +33,73 @@ pub struct NetFaults {
     pub drop_p: f64,
     /// Probability a sequenced item's first transmission is duplicated.
     pub dup_p: f64,
+}
+
+/// The accepted profile grammar, quoted by every parse error.
+const GRAMMAR: &str = "expected PRESET[@SEED][,drop=P][,dup=P][,seed=N] with PRESET one of \
+                       healthy, drop, dup, lossy and each P a probability in [0, 1]";
+
+impl NetFaults {
+    /// Parse a fault profile: `PRESET[@SEED][,drop=P][,dup=P][,seed=N]`.
+    ///
+    /// Presets: `healthy` (no injection), `drop` (1 % drop), `dup` (0.5 %
+    /// duplicate) and `lossy` (both). The seed defaults to 1; the keys
+    /// override the preset. Example: `lossy@11,drop=0.02`. A probability
+    /// outside `[0, 1]` (NaN included) and any other preset or key are
+    /// errors that quote the grammar: a link only drops and duplicates, so
+    /// a latency-only class such as `stall` must not run as a healthy world.
+    pub fn parse(profile: &str) -> Result<NetFaults, String> {
+        let mut parts = profile.split(',');
+        let head = parts.next().unwrap_or("").trim();
+        let (name, seed) = match head.split_once('@') {
+            Some((name, seed)) => (name.trim(), Some(parse_seed(seed)?)),
+            None => (head, None),
+        };
+        let (drop_p, dup_p) = match name {
+            "healthy" => (0.0, 0.0),
+            "drop" => (0.01, 0.0),
+            "dup" => (0.0, 0.005),
+            "lossy" => (0.01, 0.005),
+            other => return Err(unsupported("preset", other)),
+        };
+        let mut faults = NetFaults {
+            seed: seed.unwrap_or(1),
+            drop_p,
+            dup_p,
+        };
+        for kv in parts {
+            let kv = kv.trim();
+            let (key, val) = kv
+                .split_once('=')
+                .ok_or_else(|| format!("fault profile: {kv:?} is not key=value; {GRAMMAR}"))?;
+            match key.trim() {
+                "drop" => faults.drop_p = parse_probability(key, val)?,
+                "dup" => faults.dup_p = parse_probability(key, val)?,
+                "seed" => faults.seed = parse_seed(val)?,
+                other => return Err(unsupported("key", other)),
+            }
+        }
+        Ok(faults)
+    }
+}
+
+fn unsupported(what: &str, name: &str) -> String {
+    format!("fault profile: unknown {what} {name:?}; {GRAMMAR}")
+}
+
+fn parse_seed(val: &str) -> Result<u64, String> {
+    val.trim()
+        .parse()
+        .map_err(|_| format!("fault profile: bad seed {val:?}; {GRAMMAR}"))
+}
+
+fn parse_probability(key: &str, val: &str) -> Result<f64, String> {
+    match val.trim().parse::<f64>() {
+        Ok(p) if (0.0..=1.0).contains(&p) => Ok(p),
+        _ => Err(format!(
+            "fault profile: {key}={val:?} is not a probability; {GRAMMAR}"
+        )),
+    }
 }
 
 /// Send half of a link: sequence assignment, the fault roll, and the
@@ -155,6 +222,68 @@ impl<M> LinkRx<M> {
 mod tests {
     use super::*;
     use dcuda_des::check::forall;
+
+    fn faults(seed: u64, drop_p: f64, dup_p: f64) -> NetFaults {
+        NetFaults {
+            seed,
+            drop_p,
+            dup_p,
+        }
+    }
+
+    #[test]
+    fn parse_accepts_presets_seeds_and_overrides() {
+        for (profile, want) in [
+            ("healthy", faults(1, 0.0, 0.0)),
+            ("healthy@4", faults(4, 0.0, 0.0)),
+            ("drop", faults(1, 0.01, 0.0)),
+            ("drop@7", faults(7, 0.01, 0.0)),
+            ("dup", faults(1, 0.0, 0.005)),
+            ("dup@3", faults(3, 0.0, 0.005)),
+            ("lossy", faults(1, 0.01, 0.005)),
+            // The `net_conformance` lossy cells run exactly this.
+            ("lossy@11", faults(11, 0.01, 0.005)),
+            ("lossy@2,drop=0.1,dup=0.05", faults(2, 0.1, 0.05)),
+            ("healthy,drop=0,dup=1", faults(1, 0.0, 1.0)),
+            ("drop,drop=1.0", faults(1, 1.0, 0.0)),
+            ("dup@5,seed=9", faults(9, 0.0, 0.005)),
+            (" lossy @ 8 , dup = 0.25 ", faults(8, 0.01, 0.25)),
+        ] {
+            assert_eq!(NetFaults::parse(profile), Ok(want), "{profile:?}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_what_a_link_cannot_inject() {
+        for profile in [
+            // Probabilities outside [0, 1], NaN included.
+            "lossy,drop=NaN",
+            "lossy,dup=nan",
+            "lossy,drop=-0.5",
+            "lossy,dup=1.5",
+            "lossy,drop=inf",
+            "lossy,drop=",
+            // Latency-only presets and keys.
+            "stall",
+            "brownout@2",
+            "linkdeath",
+            "reorder",
+            "lossy,reorder=0.1",
+            "lossy,spike=0.5",
+            "healthy,timeout_us=80",
+            "healthy,kill=0-1@50",
+            // Unknown presets and keys, and malformed parts.
+            "",
+            "nonsense",
+            "lossy,bogus=1",
+            "lossy,drop",
+            "lossy@x",
+            "lossy,seed=-1",
+        ] {
+            let err = NetFaults::parse(profile).expect_err(profile);
+            assert!(err.contains(GRAMMAR), "{profile:?}: {err}");
+        }
+    }
 
     /// Any seeded schedule of drops, duplicates and overtaking delivers
     /// every sequence number exactly once, in order, suppressing exactly

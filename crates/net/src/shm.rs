@@ -705,50 +705,56 @@ mod tests {
 
     #[test]
     fn lossy_shm_stream_preserves_fifo_exactly_once() {
-        let dir = temp_dir();
-        let (a, b) = pair(
-            &dir,
-            Some(NetFaults {
-                seed: 11,
-                drop_p: 0.25,
-                dup_p: 0.25,
-            }),
-        );
-        let stats_a = AtomicStats::default();
-        let stats_b = AtomicStats::default();
-        let n = 300u32;
-        for i in 0..n {
-            a.send(1, deliver(i.to_le_bytes().to_vec()), &stats_a);
-        }
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let mut expect = 0u32;
-        while expect < n {
-            a.service(&stats_a);
-            let mut fifo_ok = true;
-            b.drain(&stats_b, |_dst, msg| match msg {
-                WireMsg::Deliver { data, .. } => {
-                    if data != expect.to_le_bytes().to_vec() {
-                        fifo_ok = false;
+        use crate::socket::tests::lossy_payload;
+        for seed in [11, 12, 13] {
+            let dir = temp_dir();
+            let (a, b) = pair(
+                &dir,
+                Some(NetFaults {
+                    seed,
+                    drop_p: 0.25,
+                    dup_p: 0.25,
+                }),
+            );
+            let stats_a = AtomicStats::default();
+            let stats_b = AtomicStats::default();
+            let n = 300u32;
+            for i in 0..n {
+                a.send(1, deliver(lossy_payload(i)), &stats_a);
+            }
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let mut expect = 0u32;
+            while expect < n {
+                a.service(&stats_a);
+                let mut fifo_ok = true;
+                b.drain(&stats_b, |_dst, msg| match msg {
+                    WireMsg::Deliver { data, .. } => {
+                        if data != lossy_payload(expect) {
+                            fifo_ok = false;
+                        }
+                        expect += 1;
                     }
-                    expect += 1;
-                }
-                other => panic!("unexpected {other:?}"),
-            })
-            .unwrap();
-            assert!(fifo_ok, "FIFO broken near {expect}");
-            assert!(Instant::now() < deadline, "timed out at {expect}");
+                    other => panic!("unexpected {other:?}"),
+                })
+                .unwrap();
+                assert!(fifo_ok, "seed {seed}: FIFO broken near {expect}");
+                assert!(
+                    Instant::now() < deadline,
+                    "seed {seed}: timed out at {expect}"
+                );
+            }
+            b.drain(&stats_b, |_, msg| panic!("duplicate delivered: {msg:?}"))
+                .unwrap();
+            assert!(
+                stats_a.net_retries.load(Ordering::Relaxed) > 0,
+                "seed {seed}: drops must retransmit"
+            );
+            assert!(
+                stats_b.net_dups_suppressed.load(Ordering::Relaxed) > 0,
+                "seed {seed}: dups must be suppressed"
+            );
+            std::fs::remove_dir_all(&dir).ok();
         }
-        b.drain(&stats_b, |_, msg| panic!("duplicate delivered: {msg:?}"))
-            .unwrap();
-        assert!(
-            stats_a.net_retries.load(Ordering::Relaxed) > 0,
-            "drops must retransmit"
-        );
-        assert!(
-            stats_b.net_dups_suppressed.load(Ordering::Relaxed) > 0,
-            "dups must be suppressed"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

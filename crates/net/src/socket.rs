@@ -1472,43 +1472,68 @@ pub(crate) mod tests {
         assert!(a0.peer_gone().is_none());
     }
 
+    /// The `i`-th message of a lossy soak: even ones eager (256 B), odd ones
+    /// 8 KiB, above [`EAGER_MAX`] (a vectored tcp frame, a jumbo chain on
+    /// shm). The index leads the payload, so FIFO and integrity are one
+    /// comparison.
+    pub(crate) fn lossy_payload(i: u32) -> Vec<u8> {
+        let len = if i.is_multiple_of(2) { 256 } else { 8 << 10 };
+        let mut data = vec![(i % 251) as u8; len];
+        data[..4].copy_from_slice(&i.to_le_bytes());
+        data
+    }
+
     #[test]
     fn lossy_stream_preserves_fifo_exactly_once() {
-        let lossy = NetFaults {
-            seed: 7,
-            drop_p: 0.25,
-            dup_p: 0.25,
-        };
-        let [mut a0, mut b0] = mesh_pair(Some(lossy), None);
-        let n = 300u32;
-        for i in 0..n {
-            a0.send(1, deliver(0, i.to_le_bytes().to_vec())).unwrap();
-        }
-        for i in 0..n {
-            let msg = recv_blocking(&mut b0, &mut a0);
+        fn expect_next(msg: WireMsg, next: &mut u32, seed: u64) {
             match msg {
                 WireMsg::Deliver { data, .. } => {
-                    assert_eq!(data, i.to_le_bytes().to_vec(), "FIFO broken at {i}");
+                    assert!(
+                        data == lossy_payload(*next),
+                        "seed {seed}: FIFO broken at {next}"
+                    );
+                    *next += 1;
                 }
                 other => panic!("unexpected message {other:?}"),
             }
         }
-        assert_eq!(b0.try_recv().unwrap(), None, "no duplicates delivered");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !a0.idle() {
-            a0.pump().unwrap();
-            assert!(Instant::now() < deadline, "sender never drained");
+        for seed in [7, 8, 9] {
+            let lossy = NetFaults {
+                seed,
+                drop_p: 0.25,
+                dup_p: 0.25,
+            };
+            let [mut a0, mut b0] = mesh_pair(Some(lossy), None);
+            let n = 300u32;
+            let mut next = 0u32;
+            for i in 0..n {
+                a0.send(1, deliver(0, lossy_payload(i))).unwrap();
+                a0.pump().unwrap();
+                b0.pump().unwrap();
+                while let Some(msg) = b0.try_recv().unwrap() {
+                    expect_next(msg, &mut next, seed);
+                }
+            }
+            while next < n {
+                expect_next(recv_blocking(&mut b0, &mut a0), &mut next, seed);
+            }
+            assert_eq!(b0.try_recv().unwrap(), None, "no duplicates delivered");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !a0.idle() {
+                a0.pump().unwrap();
+                assert!(Instant::now() < deadline, "sender never drained");
+            }
+            let sent = a0.stats();
+            let recvd = b0.stats();
+            assert!(
+                sent.net_retries > 0,
+                "seed {seed}: 25% drop over 300 sends must trigger retransmits"
+            );
+            assert!(
+                recvd.net_dups_suppressed > 0,
+                "seed {seed}: 25% dup over 300 sends must exercise suppression"
+            );
         }
-        let sent = a0.stats();
-        let recvd = b0.stats();
-        assert!(
-            sent.net_retries > 0,
-            "25% drop over 300 sends must trigger retransmits"
-        );
-        assert!(
-            recvd.net_dups_suppressed > 0,
-            "25% dup over 300 sends must exercise suppression"
-        );
     }
 
     #[test]

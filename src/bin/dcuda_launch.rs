@@ -25,7 +25,6 @@
 
 use dcuda::workloads::{Workload, WorkloadSpec};
 use dcuda_bench::json::Json;
-use dcuda_fabric::FaultSpec;
 use dcuda_net::{
     launch, MeshOpts, NetConfig, NetFaults, NetStats, PlaneKind, SocketPlane, Transport,
 };
@@ -46,7 +45,7 @@ struct Args {
     workload: Workload,
     iters: u32,
     payload: usize,
-    faults: Option<String>,
+    faults: Option<NetFaults>,
     race: String,
     progress: u32,
     host_busy: u64,
@@ -109,7 +108,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--workload" => args.workload = Workload::parse(val("--workload")?)?,
             "--iters" => args.iters = parse_num(val("--iters")?, "--iters")?,
             "--payload" => args.payload = parse_num(val("--payload")?, "--payload")?,
-            "--faults" => args.faults = Some(val("--faults")?.clone()),
+            "--faults" => args.faults = Some(NetFaults::parse(val("--faults")?)?),
             "--race" => args.race = val("--race")?.clone(),
             "--progress" => args.progress = parse_num(val("--progress")?, "--progress")?,
             "--host-busy" => args.host_busy = parse_num(val("--host-busy")?, "--host-busy")?,
@@ -181,18 +180,6 @@ fn cluster_config(args: &Args, spec: &WorkloadSpec) -> Result<RtConfig, String> 
         .host_busy_spin(args.host_busy)
         .build()
         .map_err(|e| e.to_string())
-}
-
-fn net_faults(args: &Args) -> Result<Option<NetFaults>, String> {
-    let Some(profile) = &args.faults else {
-        return Ok(None);
-    };
-    let spec = FaultSpec::parse(profile)?;
-    Ok(spec.stream_rates().map(|r| NetFaults {
-        seed: r.seed,
-        drop_p: r.drop_p,
-        dup_p: r.dup_p,
-    }))
 }
 
 /// The transport-plane counters nested under `net` in every report shape.
@@ -461,7 +448,8 @@ fn worker_run(
     let cfg = cluster_config(args, &spec)?;
     let traced = args.trace.is_some();
     let config = NetConfig {
-        faults: net_faults(args)?,
+        // A healthy profile injects nothing: run the plain link.
+        faults: args.faults.filter(|f| f.drop_p > 0.0 || f.dup_p > 0.0),
         traced,
     };
     let endpoints = SocketPlane::establish(MeshOpts {

@@ -11,7 +11,7 @@
 //! * **Storm vs solo** — a seeded storm of mixed jobs on the shared
 //!   scheduler, each compared field-for-field against its solo golden,
 //!   through both the direct API and the TCP control plane.
-//! * **Fault isolation** — `dcuda_fabric::storm_victims` picks seeded
+//! * **Fault isolation** — [`storm_victims`] picks seeded
 //!   victims that panic mid-stream (`poison:<iter>`); every victim must
 //!   fail typed, and every survivor's report must still match its golden
 //!   exactly, across seeds and on both planes.
@@ -21,11 +21,29 @@
 //!   cancel and drain never leak slots, windows or scratch.
 
 use dcuda::des::check::{forall, full_tier, Gen};
-use dcuda::fabric::storm_victims;
+use dcuda::des::SplitMix64;
 use dcuda::sched::{
     run_solo, spawn_server, CancelVerdict, JobEnd, JobProgram, JobResult, JobSpec, JobStatus,
     SchedError, SchedLimits, Scheduler,
 };
+
+/// Seed-deterministic victim selection: `kills` distinct indices out of
+/// `jobs` submissions, sorted ascending. The same seed always condemns the
+/// same jobs, so a reported failure replays exactly. Asking for more kills
+/// than jobs condemns every job.
+fn storm_victims(seed: u64, jobs: usize, kills: usize) -> Vec<usize> {
+    let mut rng = SplitMix64::new(seed ^ 0x5704_12D5_C0DE_D00D);
+    let mut victims: Vec<usize> = Vec::new();
+    let kills = kills.min(jobs);
+    while victims.len() < kills {
+        let v = rng.next_below(jobs as u64) as usize;
+        if !victims.contains(&v) {
+            victims.push(v);
+        }
+    }
+    victims.sort_unstable();
+    victims
+}
 
 /// The seeded storm population: program, gang shape, payload and data seed
 /// all derived from `(storm_seed, index)` so every run of a given seed
