@@ -31,7 +31,7 @@ use crate::report::RunReport;
 use crate::spec::SystemSpec;
 use crate::types::{Rank, Topology};
 use crate::window::{Arena, WindowSpec};
-use dcuda_des::{EventQueue, FifoResource, SimDuration, SimTime, Slab, SlotKey, Timer};
+use dcuda_des::{EventQueue, FifoResource, SimDuration, SimTime, Slab, SlotKey};
 use dcuda_device::{BlockCharge, BlockSlot, Device, LaunchConfig};
 use dcuda_fabric::{Network, NodeId, PcieLink, TransferPath};
 use dcuda_queues::{DepthStats, IndexedMatcher, Notification, Query, ANY};
@@ -181,9 +181,9 @@ enum Ev {
     RankWork {
         rank: u32,
     },
+    /// The device's next internal completion; armed in timer slot `node`.
     DeviceTick {
         node: u32,
-        gen: u64,
     },
     HostNotice {
         node: u32,
@@ -218,7 +218,6 @@ pub struct ClusterSim {
     topo: Topology,
     queue: EventQueue<Ev>,
     devices: Vec<Device>,
-    device_timers: Vec<Timer>,
     pcie: Vec<PcieLink>,
     host_worker: Vec<FifoResource>,
     net: Network,
@@ -268,6 +267,8 @@ pub struct ClusterSim {
     status_since: Vec<SimTime>,
     // Scratch.
     completed_buf: Vec<u64>,
+    /// Segment buffer lent to each kernel resume and drained back.
+    segments_buf: Vec<Segment>,
 }
 
 impl ClusterSim {
@@ -322,7 +323,6 @@ impl ClusterSim {
             topo,
             queue: EventQueue::new(),
             devices,
-            device_timers: (0..topo.nodes).map(|_| Timer::new()).collect(),
             pcie,
             host_worker,
             net,
@@ -353,6 +353,7 @@ impl ClusterSim {
                 .then(|| RaceDetector::new(topo.world_size())),
             status_since: vec![SimTime::ZERO; topo.world_size() as usize],
             completed_buf: Vec::new(),
+            segments_buf: Vec::new(),
         }
     }
 
@@ -669,12 +670,7 @@ impl ClusterSim {
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::RankWork { rank } => self.advance_rank(rank, now),
-            Ev::DeviceTick { node, gen } => {
-                if self.device_timers[node as usize].is_current(gen) {
-                    self.device_timers[node as usize].disarm();
-                    self.pump_device(node, now);
-                }
-            }
+            Ev::DeviceTick { node } => self.pump_device(node, now),
             Ev::HostNotice { node, item } => {
                 // The action occupies the single worker thread briefly
                 // (throughput limit) and completes after its pipeline
@@ -784,13 +780,9 @@ impl ClusterSim {
     }
 
     fn rearm_device(&mut self, node: u32) {
-        let timer = &mut self.device_timers[node as usize];
         match self.devices[node as usize].next_event() {
-            Some(t) => {
-                let gen = timer.rearm();
-                self.queue.schedule_at(t, Ev::DeviceTick { node, gen });
-            }
-            None => timer.disarm(),
+            Some(t) => self.queue.arm(node as usize, t, Ev::DeviceTick { node }),
+            None => self.queue.disarm(node as usize),
         }
     }
 
@@ -904,7 +896,7 @@ impl ClusterSim {
     fn call_kernel(&mut self, rank: u32, _now: SimTime) {
         let r = Rank(rank);
         let node = self.topo.node_of(r) as usize;
-        let mut segments = Vec::new();
+        let mut segments = std::mem::take(&mut self.segments_buf);
         let suspend = {
             // Split borrows: kernels and arenas are distinct fields.
             let ClusterSim {
@@ -931,7 +923,7 @@ impl ClusterSim {
             kernels[rank as usize].resume(&mut ctx)
         };
         debug_assert!(self.ranks[rank as usize].actions.is_empty());
-        for seg in segments {
+        for seg in segments.drain(..) {
             match seg {
                 Segment::Charge(c) => self.ranks[rank as usize]
                     .actions
@@ -953,6 +945,7 @@ impl ClusterSim {
                 }
             }
         }
+        self.segments_buf = segments;
         self.ranks[rank as usize].suspend = Some(suspend);
         self.set_status(rank, Status::Ready, _now);
     }

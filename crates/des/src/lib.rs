@@ -4,8 +4,8 @@
 //! execution-driven simulation of a GPU cluster:
 //!
 //! * [`SimTime`] / [`SimDuration`] — picosecond-resolution virtual time,
-//! * [`EventQueue`] — a stable (FIFO among equal timestamps) pending-event set,
-//! * [`Timer`] — generation-checked cancellable timers,
+//! * [`EventQueue`] — a stable (FIFO among equal timestamps) pending-event set
+//!   with re-armable timer slots,
 //! * [`PsResource`] — an egalitarian processor-sharing resource, the model we
 //!   use for streaming multiprocessors and memory interfaces (resident blocks
 //!   share SM throughput equally; a stalled block consumes none — this is the
@@ -28,7 +28,6 @@ pub mod rng;
 pub mod slab;
 pub mod stats;
 pub mod time;
-pub mod timer;
 
 pub use fifo::{FifoJobId, FifoResource};
 pub use ps::{PsJobId, PsResource};
@@ -36,4 +35,3 @@ pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use slab::{Slab, SlotKey};
 pub use time::{SimDuration, SimTime};
-pub use timer::Timer;

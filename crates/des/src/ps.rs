@@ -1,11 +1,12 @@
-//! Egalitarian processor-sharing (PS) resource with optional per-job rate
-//! caps.
+//! Egalitarian processor-sharing (PS) resource with an optional per-job
+//! rate cap.
 //!
-//! A PS resource serves all active jobs simultaneously. With no caps, each
-//! job receives an equal share of the total service rate; with caps, rates
-//! are assigned by *water-filling*: every job gets `min(cap, λ)` where the
-//! water level `λ` is chosen so the shares sum to the resource rate (or every
-//! job is at its cap and the resource is partially idle).
+//! A PS resource serves all active jobs simultaneously at one service level.
+//! Uncapped, each job receives an equal share of the total service rate;
+//! capped, every job gets `min(cap, λ)` by *water-filling*, where the water
+//! level `λ` is chosen so the shares sum to the resource rate (or every job
+//! is at its cap and the resource is partially idle). The cap belongs to the
+//! resource, not the job, so all live jobs always run at the same level.
 //!
 //! This is our model for:
 //! * a **streaming multiprocessor** executing resident blocks — equal-share
@@ -24,8 +25,8 @@
 //! 1. call [`PsResource::advance_to`] with the current time before any
 //!    mutation (submit/cancel) and at every completion event,
 //! 2. after any change to the active set, re-query
-//!    [`PsResource::next_completion`] and (re)schedule a generation-checked
-//!    timer for that instant (see [`crate::timer::Timer`]).
+//!    [`PsResource::next_completion`] and re-arm its timer slot for that
+//!    instant (see [`EventQueue::arm`](crate::EventQueue::arm)).
 //!
 //! Under that protocol, jobs complete exactly at the instants the resource
 //! predicts (modulo 1 ps rounding, absorbed by an epsilon).
@@ -40,56 +41,62 @@ pub struct PsJobId(SlotKey);
 struct Job {
     /// Remaining demand, in service units.
     remaining: f64,
-    /// Maximum service rate this job can absorb (units/s).
-    cap: f64,
-    /// Water-filled service rate under the current active set (units/s).
-    rate: f64,
     /// Caller-supplied tag returned on completion.
     tag: u64,
 }
 
-/// An egalitarian processor-sharing resource with per-job rate caps.
+/// An egalitarian processor-sharing resource with one per-job rate cap.
 pub struct PsResource {
     /// Service rate in units per second (e.g. FLOP/s or bytes/s).
     rate: f64,
+    /// Maximum service rate one job can absorb (units/s); infinite when
+    /// uncapped.
+    cap: f64,
     jobs: Slab<Job>,
     last_update: SimTime,
-    rates_dirty: bool,
-    /// Live jobs with a finite cap. While none is live every job runs at
-    /// `rate / n` — the water level the first water-filling round yields —
-    /// so per-job rates are neither filled nor read.
-    capped: usize,
+    /// `(n, level)`: the per-job service rate for `n` live jobs, cached
+    /// until the job count changes.
+    level: (usize, f64),
     /// [`next_completion`](Self::next_completion)'s answer, cached until a
-    /// submit, a cancel, or an advance that serves or completes a job.
+    /// submit, a cancel, or an advance.
     next: Option<Option<SimTime>>,
     /// Total service units delivered (for utilization statistics).
     delivered: f64,
     /// Completion epsilon in service units (~2 ps of full-rate service).
     eps: f64,
-    /// Scratch buffer for water-filling (kept to avoid reallocation).
-    scratch: Vec<f64>,
 }
 
 impl PsResource {
-    /// Create a resource with the given service rate (units per second).
+    /// Create an uncapped resource with the given service rate (units per
+    /// second).
     ///
     /// # Panics
     /// Panics if the rate is not strictly positive and finite.
     pub fn new(rate: f64) -> Self {
+        Self::capped(rate, f64::INFINITY)
+    }
+
+    /// Create a resource with the given service rate whose jobs can each
+    /// absorb at most `cap` units/s.
+    ///
+    /// # Panics
+    /// Panics if the rate is not strictly positive and finite, or the cap is
+    /// not strictly positive.
+    pub fn capped(rate: f64, cap: f64) -> Self {
         assert!(
             rate.is_finite() && rate > 0.0,
             "PsResource rate must be positive, got {rate}"
         );
+        assert!(cap > 0.0, "PsResource cap must be positive, got {cap}");
         PsResource {
             rate,
+            cap,
             jobs: Slab::new(),
             last_update: SimTime::ZERO,
-            rates_dirty: false,
-            capped: 0,
+            level: (0, 0.0),
             next: Some(None),
             delivered: 0.0,
             eps: rate * 2e-12,
-            scratch: Vec::new(),
         }
     }
 
@@ -112,55 +119,40 @@ impl PsResource {
         self.delivered
     }
 
-    /// The equal share every job gets while no job is capped.
-    #[inline]
-    fn level(&self) -> f64 {
-        self.rate / self.jobs.len() as f64
-    }
-
-    /// Recompute per-job service rates by water-filling.
-    fn refill_rates(&mut self) {
-        if !self.rates_dirty {
-            return;
-        }
-        self.rates_dirty = false;
+    /// The service rate every live job gets: water-filling over `n` equal
+    /// caps. The loop runs in full rather than as `min(cap, rate / n)`,
+    /// which differs in the last bit when `cap ≈ rate / n`.
+    fn level(&mut self) -> f64 {
         let n = self.jobs.len();
-        if n == 0 {
-            return;
-        }
-        // Collect caps ascending to find the water level.
-        self.scratch.clear();
-        self.scratch
-            .extend(self.jobs.iter().map(|(_, j)| j.cap.max(0.0)));
-        self.scratch.sort_unstable_by(|a, b| a.total_cmp(b));
-        let mut remaining_rate = self.rate;
-        let mut remaining_jobs = n;
-        let mut level = f64::INFINITY;
-        for &cap in &self.scratch {
-            let fair = remaining_rate / remaining_jobs as f64;
-            if cap <= fair {
-                // This job saturates at its cap; redistribute the leftovers.
-                remaining_rate -= cap;
-                remaining_jobs -= 1;
-            } else {
-                level = fair;
-                break;
+        if self.level.0 != n {
+            let mut remaining_rate = self.rate;
+            let mut remaining_jobs = n;
+            let mut level = f64::INFINITY;
+            for _ in 0..n {
+                let fair = remaining_rate / remaining_jobs as f64;
+                if self.cap <= fair {
+                    // This job saturates at its cap; redistribute the
+                    // leftovers.
+                    remaining_rate -= self.cap;
+                    remaining_jobs -= 1;
+                } else {
+                    level = fair;
+                    break;
+                }
             }
+            self.level = (n, self.cap.min(level));
         }
-        for (_, job) in self.jobs.iter_mut() {
-            job.rate = job.cap.min(level);
-        }
+        self.level.1
     }
 
-    /// Advance the resource to `now`, serving active jobs at their
-    /// water-filled rates, and append `(job, tag)` for every job that
-    /// completes (remaining demand reaches zero) to `completed`, in slot
-    /// order.
+    /// Advance the resource to `now`, serving active jobs at the service
+    /// level, and append `(job, tag)` for every job that completes
+    /// (remaining demand reaches zero) to `completed`, in slot order.
     ///
-    /// While no job is capped, the same pass also caches the next
-    /// completion: every survivor runs at one level, and correctly rounded
-    /// division by a positive constant is monotonic, so the least remaining
-    /// demand over the level *is* the least per-job quotient.
+    /// The same pass also caches the next completion: every survivor runs at
+    /// one level, and correctly rounded division by a positive constant is
+    /// monotonic, so the least remaining demand over the level *is* the
+    /// least per-job quotient.
     pub fn advance_to(&mut self, now: SimTime, completed: &mut Vec<(PsJobId, u64)>) {
         debug_assert!(now >= self.last_update, "PsResource time went backwards");
         let dt = now.since(self.last_update).as_secs_f64();
@@ -168,18 +160,13 @@ impl PsResource {
         if self.jobs.is_empty() {
             return;
         }
-        let uncapped = self.capped == 0;
-        if !uncapped {
-            self.refill_rates();
-        }
         let level = self.level();
         let eps = self.eps;
         let first = completed.len();
         let mut least = f64::INFINITY;
         for (k, job) in self.jobs.iter_mut() {
             if dt > 0.0 {
-                let rate = if uncapped { level } else { job.rate };
-                let served = (dt * rate).min(job.remaining);
+                let served = (dt * level).min(job.remaining);
                 job.remaining -= served;
                 self.delivered += served;
             }
@@ -190,47 +177,25 @@ impl PsResource {
             }
         }
         for &(id, _) in &completed[first..] {
-            let job = self.jobs.remove(id.0).expect("completing a live job");
-            self.capped -= usize::from(job.cap.is_finite());
+            self.jobs.remove(id.0).expect("completing a live job");
         }
-        let any_done = completed.len() > first;
-        if any_done {
-            self.rates_dirty = true;
-        }
-        if uncapped {
-            self.next = Some(
-                (!self.jobs.is_empty())
-                    .then(|| now + SimDuration::from_secs_f64(least / self.level())),
-            );
-        } else if dt > 0.0 || any_done {
-            self.next = None;
-        }
+        self.next = Some(
+            (!self.jobs.is_empty()).then(|| now + SimDuration::from_secs_f64(least / self.level())),
+        );
     }
 
-    /// Submit a job with `demand` service units and no rate cap. The caller
-    /// must have called [`advance_to`](Self::advance_to) for the current
-    /// instant first.
-    pub fn submit(&mut self, demand: f64, tag: u64) -> PsJobId {
-        self.submit_capped(demand, f64::INFINITY, tag)
-    }
-
-    /// Submit a job with `demand` service units and a maximum absorbable
-    /// rate of `cap` units/s.
+    /// Submit a job with `demand` service units. The caller must have called
+    /// [`advance_to`](Self::advance_to) for the current instant first.
     ///
     /// Zero-demand jobs are legal; they complete at the next `advance_to`.
-    pub fn submit_capped(&mut self, demand: f64, cap: f64, tag: u64) -> PsJobId {
+    pub fn submit(&mut self, demand: f64, tag: u64) -> PsJobId {
         assert!(
             demand.is_finite() && demand >= 0.0,
             "PsResource demand must be non-negative, got {demand}"
         );
-        assert!(cap > 0.0, "PsResource cap must be positive, got {cap}");
-        self.rates_dirty = true;
         self.next = None;
-        self.capped += usize::from(cap.is_finite());
         PsJobId(self.jobs.insert(Job {
             remaining: demand,
-            cap,
-            rate: 0.0,
             tag,
         }))
     }
@@ -239,9 +204,7 @@ impl PsResource {
     /// demand if the job was live.
     pub fn cancel(&mut self, id: PsJobId) -> Option<f64> {
         let job = self.jobs.remove(id.0)?;
-        self.rates_dirty = true;
         self.next = None;
-        self.capped -= usize::from(job.cap.is_finite());
         Some(job.remaining)
     }
 
@@ -256,31 +219,14 @@ impl PsResource {
         if let Some(next) = self.next {
             return next;
         }
-        let next = if self.jobs.is_empty() {
-            None
-        } else if self.capped == 0 {
+        let next = (!self.jobs.is_empty()).then(|| {
             let least = self
                 .jobs
                 .iter()
-                .map(|(_, j)| j.remaining.max(0.0))
+                .map(|(_, j)| j.remaining)
                 .fold(f64::INFINITY, f64::min);
-            Some(self.last_update + SimDuration::from_secs_f64(least / self.level()))
-        } else {
-            self.refill_rates();
-            let secs = self
-                .jobs
-                .iter()
-                .map(|(_, j)| {
-                    if j.rate > 0.0 {
-                        j.remaining.max(0.0) / j.rate
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(f64::INFINITY, f64::min);
-            debug_assert!(secs.is_finite(), "active PS job with zero rate");
-            Some(self.last_update + SimDuration::from_secs_f64(secs))
-        };
+            self.last_update + SimDuration::from_secs_f64(least / self.level())
+        });
         self.next = Some(next);
         next
     }
@@ -425,10 +371,10 @@ mod tests {
     fn single_capped_job_cannot_exceed_cap() {
         // A 240 GB/s memory interface, but one block caps at 1 GB/s — the
         // paper's "single block cannot saturate the memory interface".
-        let mut r = PsResource::new(240e9);
+        let mut r = PsResource::capped(240e9, 1e9);
         let mut done = Vec::new();
         r.advance_to(SimTime::ZERO, &mut done);
-        r.submit_capped(1e9, 1e9, 1); // 1 GB at 1 GB/s cap -> 1 s
+        r.submit(1e9, 1); // 1 GB at 1 GB/s cap -> 1 s
         let t = r.next_completion().unwrap();
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-9, "got {t}");
     }
@@ -437,11 +383,11 @@ mod tests {
     fn many_capped_jobs_saturate_resource() {
         // 240 blocks x 1 GB/s caps on a 120 GB/s resource: the resource, not
         // the caps, is the bottleneck; each job gets the 0.5 GB/s fair share.
-        let mut r = PsResource::new(120e9);
+        let mut r = PsResource::capped(120e9, 1e9);
         let mut done = Vec::new();
         r.advance_to(SimTime::ZERO, &mut done);
         for i in 0..240 {
-            r.submit_capped(0.5e9, 1e9, i);
+            r.submit(0.5e9, i);
         }
         let t = r.next_completion().unwrap();
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-9, "got {t}");
@@ -450,43 +396,12 @@ mod tests {
     }
 
     #[test]
-    fn water_filling_redistributes_capped_slack() {
-        // Rate 100; jobs: cap 10 and cap inf. The capped job gets 10, the
-        // other gets 90.
-        let mut r = PsResource::new(100.0);
-        let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        r.submit_capped(10.0, 10.0, 1); // 1 s at its cap
-        r.submit(90.0, 2); // 1 s at 90/s
-        let t = r.next_completion().unwrap();
-        assert!((t.as_secs_f64() - 1.0).abs() < 1e-9, "got {t}");
-        r.advance_to(t, &mut done);
-        assert_eq!(done.len(), 2, "both complete together");
-    }
-
-    #[test]
-    fn mixed_caps_water_level() {
-        // Rate 100; caps 10, 20, inf, inf -> level solves 10+20+2λ=100, λ=35.
-        let mut r = PsResource::new(100.0);
-        let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        r.submit_capped(10.0, 10.0, 1);
-        r.submit_capped(20.0, 20.0, 2);
-        r.submit_capped(35.0, f64::INFINITY, 3);
-        r.submit_capped(35.0, f64::INFINITY, 4);
-        let t = r.next_completion().unwrap();
-        assert!((t.as_secs_f64() - 1.0).abs() < 1e-9, "got {t}");
-        r.advance_to(t, &mut done);
-        assert_eq!(done.len(), 4);
-    }
-
-    #[test]
     fn cap_slack_leaves_resource_idle() {
         // One job with cap 10 on a rate-100 resource: utilization is 10%.
-        let mut r = PsResource::new(100.0);
+        let mut r = PsResource::capped(100.0, 10.0);
         let mut done = Vec::new();
         r.advance_to(SimTime::ZERO, &mut done);
-        r.submit_capped(20.0, 10.0, 1);
+        r.submit(20.0, 1);
         let t = r.next_completion().unwrap();
         assert!((t.as_secs_f64() - 2.0).abs() < 1e-9);
         r.advance_to(t, &mut done);

@@ -19,6 +19,15 @@
 //!   global FIFO-among-equal-times order exactly. The common
 //!   schedule-then-immediately-pop cycle is O(1) instead of two O(log n)
 //!   heap operations.
+//! * **Re-armable timer slots.** A resource whose next completion moves
+//!   every time its active set changes (a device's processor-sharing SMs)
+//!   owns one slot. [`EventQueue::arm`] replaces the slot's pending event
+//!   in place and [`EventQueue::disarm`] clears it, so a superseded
+//!   prediction never enters the heap. An arm takes a fresh sequence
+//!   number exactly as `schedule_at` does, and `pop` merges the slots with
+//!   the FIFO and the heap by `(time, seq)`: the surviving events pop in
+//!   the same order as if every arm had been scheduled and every
+//!   superseded one skipped on delivery.
 //!
 //! The FIFO can only hold entries stamped with the current time: `now` never
 //! decreases, so once the clock moves past an instant no new entry can join
@@ -44,6 +53,12 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     /// Events scheduled at exactly `now`, in scheduling order.
     now_fifo: VecDeque<(u64, E)>,
+    /// Timer slots: the armed event of each, keyed by `(time, seq)`.
+    timers: Vec<Option<(SimTime, u64, E)>>,
+    /// Index and key of the earliest armed slot.
+    next_timer: Option<(SimTime, u64, usize)>,
+    /// Number of armed timer slots.
+    armed: usize,
     now: SimTime,
     seq: u64,
     scheduled_total: u64,
@@ -59,6 +74,9 @@ impl<E> EventQueue<E> {
             arena: Vec::new(),
             free: Vec::new(),
             now_fifo: VecDeque::new(),
+            timers: Vec::new(),
+            next_timer: None,
+            armed: 0,
             now: SimTime::ZERO,
             seq: 0,
             scheduled_total: 0,
@@ -73,7 +91,7 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events scheduled over the queue's lifetime.
+    /// Number of events scheduled or armed over the queue's lifetime.
     #[inline]
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
@@ -91,16 +109,16 @@ impl<E> EventQueue<E> {
         self.peak_pending
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently pending, armed timer slots included.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len() + self.now_fifo.len()
+        self.heap.len() + self.now_fifo.len() + self.armed
     }
 
     /// True when no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.now_fifo.is_empty()
+        self.len() == 0
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -113,9 +131,7 @@ impl<E> EventQueue<E> {
             "EventQueue::schedule_at: scheduling into the past ({at:?} < {:?})",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.scheduled_total += 1;
+        let seq = self.next_seq();
         if at == self.now {
             self.fast_path_hits += 1;
             self.now_fifo.push_back((seq, event));
@@ -138,6 +154,56 @@ impl<E> EventQueue<E> {
         self.peak_pending = self.peak_pending.max(self.len());
     }
 
+    /// Take the next sequence number, counting one more scheduled event.
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        self.scheduled_total += 1;
+        seq
+    }
+
+    /// Arm timer slot `slot` with `event` at `at`, replacing the event the
+    /// slot held. The arm takes a fresh sequence number, so among equal
+    /// times it pops after everything scheduled or armed before it.
+    ///
+    /// # Panics
+    /// Panics if `at` is before the current time.
+    pub fn arm(&mut self, slot: usize, at: SimTime, event: E) {
+        assert!(
+            at >= self.now,
+            "EventQueue::arm: scheduling into the past ({at:?} < {:?})",
+            self.now
+        );
+        let seq = self.next_seq();
+        if slot >= self.timers.len() {
+            self.timers.resize_with(slot + 1, || None);
+        }
+        let old = self.timers[slot].replace((at, seq, event));
+        self.armed += usize::from(old.is_none());
+        self.refresh_next_timer();
+        self.peak_pending = self.peak_pending.max(self.len());
+    }
+
+    /// Clear timer slot `slot`; its pending event, if any, never pops.
+    pub fn disarm(&mut self, slot: usize) {
+        if let Some(timer) = self.timers.get_mut(slot) {
+            if timer.take().is_some() {
+                self.armed -= 1;
+                self.refresh_next_timer();
+            }
+        }
+    }
+
+    fn refresh_next_timer(&mut self) {
+        self.next_timer = self
+            .timers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| t.as_ref().map(|&(at, seq, _)| (at, seq, i)))
+            .min();
+    }
+
     /// Schedule `event` after a relative delay.
     #[inline]
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
@@ -146,27 +212,43 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.now_fifo.is_empty() {
+        let queued = if self.now_fifo.is_empty() {
             self.heap.peek().map(|&Reverse((t, _, _))| t)
         } else {
             // FIFO entries are stamped `now`, which no heap entry precedes.
             Some(self.now)
+        };
+        let timer = self.next_timer.map(|(t, _, _)| t);
+        match (queued, timer) {
+            (Some(q), Some(t)) => Some(q.min(t)),
+            (q, t) => q.or(t),
         }
     }
 
     /// Remove and return the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let fifo_seq = self.now_fifo.front().map(|&(seq, _)| seq);
-        let heap_key = self.heap.peek().map(|&Reverse(key)| key);
-        let take_fifo = match (fifo_seq, heap_key) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            // A heap entry can tie the FIFO's timestamp (scheduled for this
-            // instant before the clock reached it); the global sequence
-            // number arbitrates FIFO order across both stores.
-            (Some(fs), Some((ht, hs, _))) => (self.now, fs) < (ht, hs),
+        let fifo_key = self.now_fifo.front().map(|&(seq, _)| (self.now, seq));
+        let heap_key = self.heap.peek().map(|&Reverse((t, seq, _))| (t, seq));
+        // A heap entry can tie the FIFO's timestamp (scheduled for this
+        // instant before the clock reached it), and so can an armed slot;
+        // the global sequence number arbitrates FIFO order across all three
+        // stores.
+        let queued = match (fifo_key, heap_key) {
+            (None, None) => None,
+            (Some(f), None) => Some((f, true)),
+            (None, Some(h)) => Some((h, false)),
+            (Some(f), Some(h)) => Some(if f < h { (f, true) } else { (h, false) }),
         };
+        if let Some((t, seq, slot)) = self.next_timer {
+            if queued.is_none_or(|(q, _)| (t, seq) < q) {
+                let (_, _, event) = self.timers[slot].take().expect("next timer is armed");
+                self.armed -= 1;
+                self.refresh_next_timer();
+                self.now = t;
+                return Some((t, event));
+            }
+        }
+        let (_, take_fifo) = queued?;
         if take_fifo {
             let (_, event) = self.now_fifo.pop_front().expect("checked non-empty");
             Some((self.now, event))

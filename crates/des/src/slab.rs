@@ -5,6 +5,11 @@
 //! and no per-entity heap allocation. Generations catch use-after-free keys,
 //! which in a simulator otherwise manifest as silent cross-talk between
 //! unrelated transfers.
+//!
+//! An occupancy bitset makes iteration cost O(len + capacity / 64) instead
+//! of O(capacity): a slab that once held hundreds of entries and now holds
+//! a handful walks only the handful. Iteration order stays ascending slot
+//! order, which callers rely on for deterministic tie-breaking.
 
 /// Key into a [`Slab`]; invalidated when its slot is reused.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -14,6 +19,14 @@ pub struct SlotKey {
 }
 
 impl SlotKey {
+    #[inline]
+    fn new(index: usize, generation: u32) -> Self {
+        SlotKey {
+            index: index as u32,
+            generation,
+        }
+    }
+
     /// A key that never resolves (useful as a placeholder).
     pub const INVALID: SlotKey = SlotKey {
         index: u32::MAX,
@@ -56,6 +69,8 @@ enum Slot<T> {
 /// A slab with generation-checked keys.
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
+    /// Bit `i % 64` of word `i / 64` is set while slot `i` is occupied.
+    occupied: Vec<u64>,
     free_head: Option<u32>,
     len: usize,
 }
@@ -65,6 +80,7 @@ impl<T> Slab<T> {
     pub fn new() -> Self {
         Slab {
             slots: Vec::new(),
+            occupied: Vec::new(),
             free_head: None,
             len: 0,
         }
@@ -74,6 +90,7 @@ impl<T> Slab<T> {
     pub fn with_capacity(cap: usize) -> Self {
         Slab {
             slots: Vec::with_capacity(cap),
+            occupied: Vec::with_capacity(cap.div_ceil(64)),
             free_head: None,
             len: 0,
         }
@@ -94,7 +111,7 @@ impl<T> Slab<T> {
     /// Insert a value, returning its key.
     pub fn insert(&mut self, value: T) -> SlotKey {
         self.len += 1;
-        match self.free_head {
+        let key = match self.free_head {
             Some(idx) => {
                 let slot = &mut self.slots[idx as usize];
                 let generation = match *slot {
@@ -119,12 +136,17 @@ impl<T> Slab<T> {
                     generation: 0,
                     value,
                 });
+                if index % 64 == 0 {
+                    self.occupied.push(0);
+                }
                 SlotKey {
                     index,
                     generation: 0,
                 }
             }
-        }
+        };
+        self.occupied[key.index() / 64] |= 1 << (key.index % 64);
+        key
     }
 
     /// Remove and return the value for `key`, or `None` if stale/absent.
@@ -140,6 +162,7 @@ impl<T> Slab<T> {
                     },
                 );
                 self.free_head = Some(key.index);
+                self.occupied[key.index() / 64] &= !(1 << (key.index % 64));
                 self.len -= 1;
                 match old {
                     Slot::Occupied { value, .. } => Some(value),
@@ -173,33 +196,58 @@ impl<T> Slab<T> {
 
     /// Iterate over `(key, &value)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (SlotKey, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Occupied { generation, value } => Some((
-                SlotKey {
-                    index: i as u32,
-                    generation: *generation,
-                },
-                value,
-            )),
-            Slot::Free { .. } => None,
+        let slots = &self.slots;
+        LiveSlots::new(&self.occupied).map(move |i| match &slots[i] {
+            Slot::Occupied { generation, value } => (SlotKey::new(i, *generation), value),
+            Slot::Free { .. } => unreachable!("occupancy bit set on a free slot"),
         })
     }
 
     /// Iterate over `(key, &mut value)` pairs in slot order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (SlotKey, &mut T)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                Slot::Occupied { generation, value } => Some((
-                    SlotKey {
-                        index: i as u32,
-                        generation: *generation,
-                    },
-                    value,
-                )),
-                Slot::Free { .. } => None,
-            })
+        let mut slots = self.slots.iter_mut();
+        let mut next = 0;
+        LiveSlots::new(&self.occupied).map(move |i| {
+            // `nth` on a slice iterator skips the free run in O(1).
+            let slot = slots.nth(i - next).expect("occupancy bit past the end");
+            next = i + 1;
+            match slot {
+                Slot::Occupied { generation, value } => (SlotKey::new(i, *generation), value),
+                Slot::Free { .. } => unreachable!("occupancy bit set on a free slot"),
+            }
+        })
+    }
+}
+
+/// The indices of the set bits of an occupancy bitset, ascending.
+struct LiveSlots<'a> {
+    words: &'a [u64],
+    next_word: usize,
+    bits: u64,
+}
+
+impl<'a> LiveSlots<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        LiveSlots {
+            words,
+            next_word: 0,
+            bits: 0,
+        }
+    }
+}
+
+impl Iterator for LiveSlots<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.words.get(self.next_word)?;
+            self.next_word += 1;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((self.next_word - 1) * 64 + bit)
     }
 }
 

@@ -1,9 +1,10 @@
-//! Property-based tests for the simulation kernel: event ordering, PS
-//! conservation laws, slab soundness.
+//! Property-based tests for the simulation kernel: event ordering, timer
+//! slots, PS conservation laws, slab soundness.
 
-use dcuda_des::check::forall;
+use dcuda_des::check::{forall, Gen};
 use dcuda_des::stats::Summary;
 use dcuda_des::{EventQueue, PsJobId, PsResource, SimDuration, SimTime, Slab, SlotKey};
+use std::collections::BTreeMap;
 
 /// Events always pop in non-decreasing time order, FIFO among ties, and
 /// none are lost.
@@ -73,6 +74,99 @@ fn event_queue_total_order_interleaved() {
     });
 }
 
+/// The pre-slot timer pattern, kept as the oracle for timer slots: every
+/// arm schedules a fresh event stamped with the slot's generation, and a
+/// popped event whose generation has moved on (re-armed or disarmed since)
+/// is stale and skipped.
+struct GenerationTimers {
+    queue: EventQueue<(u64, Option<(usize, u64)>)>,
+    /// `(generation, armed)` per slot.
+    timers: Vec<(u64, bool)>,
+}
+
+impl GenerationTimers {
+    fn arm(&mut self, slot: usize, at: SimTime, payload: u64) {
+        let timer = &mut self.timers[slot];
+        *timer = (timer.0 + 1, true);
+        self.queue.schedule_at(at, (payload, Some((slot, timer.0))));
+    }
+
+    fn disarm(&mut self, slot: usize) {
+        let timer = &mut self.timers[slot];
+        *timer = (timer.0 + 1, false);
+    }
+
+    /// The next event that is not stale; a current tick disarms its slot.
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        while let Some((t, (payload, timer))) = self.queue.pop() {
+            match timer {
+                None => return Some((t, payload)),
+                Some((slot, gen)) if self.timers[slot] == (gen, true) => {
+                    self.timers[slot].1 = false;
+                    return Some((t, payload));
+                }
+                Some(_) => {}
+            }
+        }
+        None
+    }
+}
+
+/// Re-armable timer slots pop exactly what generation-checked timers
+/// deliver once their stale events are filtered out: the same `(time,
+/// payload)` sequence and the same `scheduled_total`, over seeded mixes of
+/// `schedule_at` (at `now` and later), arms on 1–3 slots (at `now` too),
+/// disarms and pops.
+#[test]
+fn timer_slots_match_generation_checked_timers() {
+    forall("timer_slots_match_generation_checked_timers", 512, |g| {
+        let slots = g.usize_in(1, 4);
+        let mut fast = EventQueue::new();
+        let mut spec = GenerationTimers {
+            queue: EventQueue::new(),
+            timers: vec![(0, false); slots],
+        };
+        let mut payload = 0u64;
+        let at = |g: &mut Gen, now: SimTime| match g.usize_below(3) {
+            0 => now,
+            _ => now + SimDuration::from_ps(1 + g.u64_below(50)),
+        };
+        for _ in 0..g.usize_in(1, 300) {
+            // A pop that finds only stale events still advances the
+            // oracle's clock past the slots' one.
+            let now = fast.now().max(spec.queue.now());
+            payload += 1;
+            match g.usize_below(10) {
+                0..=2 => {
+                    let t = at(g, now);
+                    fast.schedule_at(t, payload);
+                    spec.queue.schedule_at(t, (payload, None));
+                }
+                3..=5 => {
+                    let (slot, t) = (g.usize_below(slots), at(g, now));
+                    fast.arm(slot, t, payload);
+                    spec.arm(slot, t, payload);
+                }
+                6 => {
+                    let slot = g.usize_below(slots);
+                    fast.disarm(slot);
+                    spec.disarm(slot);
+                }
+                _ => assert_eq!(fast.pop(), spec.pop()),
+            }
+        }
+        loop {
+            let next = fast.pop();
+            assert_eq!(next, spec.pop());
+            if next.is_none() {
+                break;
+            }
+        }
+        assert!(fast.is_empty());
+        assert_eq!(fast.scheduled_total(), spec.queue.scheduled_total());
+    });
+}
+
 /// Processor sharing conserves work: total delivered equals total
 /// demand once all jobs complete, regardless of arrival pattern.
 #[test]
@@ -115,31 +209,34 @@ fn ps_conserves_work() {
     });
 }
 
-/// Capped PS never exceeds the resource rate nor any job's cap.
+/// Capped PS never serves a job faster than its cap nor the resource
+/// faster than its rate.
 #[test]
 fn ps_caps_respected() {
     forall("ps_caps_respected", 256, |g| {
-        let caps: Vec<f64> = (0..g.usize_in(1, 20))
-            .map(|_| g.f64_in(1.0, 100.0))
-            .collect();
+        let cap = g.f64_in(1.0, 100.0);
+        let n = g.usize_in(1, 20);
         let rate = 50.0;
-        let mut r = PsResource::new(rate);
+        let mut r = PsResource::capped(rate, cap);
         let mut done = Vec::new();
         r.advance_to(SimTime::ZERO, &mut done);
-        // All jobs of demand equal to their cap: each needs >= 1 s.
-        for (i, &c) in caps.iter().enumerate() {
-            r.submit_capped(c, c, i as u64);
+        // Every job of demand equal to the cap: each needs >= 1 s.
+        for i in 0..n {
+            r.submit(cap, i as u64);
         }
         let first = r.next_completion().unwrap();
-        // No completion can happen before 1 s (cap-bound) and before
-        // total/rate (resource-bound, for the smallest job).
-        assert!(first >= SimTime::ZERO + SimDuration::from_secs_f64(1.0 - 1e-9));
+        // No completion can happen before 1 s (cap-bound) nor before
+        // total/rate (resource-bound).
+        let bound = 1.0f64.max(n as f64 * cap / rate);
+        assert!(first >= SimTime::ZERO + SimDuration::from_secs_f64(bound * (1.0 - 1e-9)));
     });
 }
 
-/// `PsResource` without the uncapped fast path or the cached next
-/// completion: every query refills the rates and divides per job. Kept as the executable specification the differential
-/// test below holds the incremental resource to.
+/// `PsResource` as general per-job-cap water-filling, without the shared
+/// service level or the cached next completion: every query sorts the caps,
+/// refills the rates and divides per job. Kept as the executable
+/// specification the differential test below holds the incremental
+/// resource to.
 struct OraclePs {
     rate: f64,
     jobs: Slab<OracleJob>,
@@ -267,26 +364,50 @@ impl OraclePs {
     }
 }
 
-/// The incremental `PsResource` (uncapped fast path, cached next
+/// The incremental `PsResource` (one cached service level, cached next
 /// completion fused into the advance pass, caller-buffered completions)
-/// is indistinguishable from the oracle: the same completion instants in
-/// ps, the same tags in the same order, bitwise-equal `delivered` and
-/// per-job remaining demand, over seeded mixes of uncapped, capped and
-/// zero-demand submits, cancels, and advances to the predicted next
-/// completion, to the current instant again, and to random later instants.
+/// is indistinguishable from the oracle given the same cap on every
+/// submit: the same completion instants in ps, the same tags in the same
+/// order, bitwise-equal `delivered` and per-job remaining demand, over
+/// seeded mixes of plain and zero-demand submits, cancels, and advances to
+/// the predicted next completion, to the current instant again, and to
+/// random later instants. Half the cases are uncapped (an SM), half capped
+/// (the memory interface), including borderline caps of `rate / n` and one
+/// ulp either side for an `n` the case reaches, where `min(cap, rate / n)`
+/// and water-filling differ in the last bit.
 #[test]
 fn ps_matches_pre_cache_oracle() {
     forall("ps_matches_pre_cache_oracle", 512, |g| {
         let rate = *g.choose(&[1e6, 240e9, 1.37e12]);
-        // Half the cases stay uncapped throughout: the SM's fast path.
-        let mixed = g.bool();
-        let caps = [rate / 300.0, rate / 100.0, rate / 7.0, rate * 2.0];
-        let mut fast = PsResource::new(rate);
+        let mut warm = 0;
+        let cap = match g.usize_below(4) {
+            0 | 1 => f64::INFINITY,
+            2 => *g.choose(&[rate / 300.0, rate / 100.0, rate / 7.0, rate * 2.0]),
+            _ => {
+                warm = g.usize_in(2, 40);
+                let level = rate / warm as f64;
+                *g.choose(&[level.next_down(), level, level.next_up()])
+            }
+        };
+        let mut fast = PsResource::capped(rate, cap);
         let mut spec = OraclePs::new(rate);
         let mut live: Vec<(PsJobId, SlotKey)> = Vec::new();
         let (mut got, mut want) = (Vec::new(), Vec::new());
         let mut now = SimTime::ZERO;
         let mut tag = 0u64;
+        let mut submit = |g: &mut Gen,
+                          fast: &mut PsResource,
+                          spec: &mut OraclePs,
+                          live: &mut Vec<(PsJobId, SlotKey)>| {
+            let demand = match g.usize_below(6) {
+                0 => 0.0,
+                _ => rate * g.f64_in(1e-9, 1e-5),
+            };
+            tag += 1;
+            let a = fast.submit(demand, tag);
+            let b = spec.submit_capped(demand, cap, tag);
+            live.push((a, b));
+        };
         let mut step = |fast: &mut PsResource,
                         spec: &mut OraclePs,
                         live: &mut Vec<(PsJobId, SlotKey)>,
@@ -302,23 +423,13 @@ fn ps_matches_pre_cache_oracle() {
             live.retain(|&(id, _)| got.iter().all(|&(done, _)| done != id));
             assert_eq!(fast.delivered().to_bits(), spec.delivered.to_bits());
         };
+        // A borderline cap is only borderline at its `n`: reach it first.
+        for _ in 0..warm {
+            submit(g, &mut fast, &mut spec, &mut live);
+        }
         for _ in 0..g.usize_in(1, 150) {
             match g.usize_below(10) {
-                0..=3 => {
-                    let demand = match g.usize_below(6) {
-                        0 => 0.0,
-                        _ => rate * g.f64_in(1e-9, 1e-5),
-                    };
-                    let cap = if mixed && g.bool() {
-                        *g.choose(&caps)
-                    } else {
-                        f64::INFINITY
-                    };
-                    tag += 1;
-                    let a = fast.submit_capped(demand, cap, tag);
-                    let b = spec.submit_capped(demand, cap, tag);
-                    live.push((a, b));
-                }
+                0..=3 => submit(g, &mut fast, &mut spec, &mut live),
                 4 if !live.is_empty() => {
                     let (a, b) = live.swap_remove(g.usize_below(live.len()));
                     let (ra, rb) = (fast.cancel(a), spec.cancel(b));
@@ -383,6 +494,60 @@ fn slab_soundness() {
             }
         }
         assert_eq!(slab.len(), live.len());
+    });
+}
+
+/// `iter` yields exactly the live entries in ascending slot order (the
+/// order completion order and tie-breaks depend on), `iter_mut` writes
+/// land, and both stay right across LIFO slot reuse and a slab grown past
+/// 200 slots then drained to a few.
+#[test]
+fn slab_iterates_live_slots_in_order() {
+    type Oracle = BTreeMap<usize, (SlotKey, u64)>;
+    /// Insert (or remove a random live entry), then compare with the
+    /// oracle and sometimes write through `iter_mut`.
+    fn step(g: &mut Gen, slab: &mut Slab<u64>, oracle: &mut Oracle, insert: bool) {
+        if insert {
+            let value = g.u64();
+            let key = slab.insert(value);
+            assert!(oracle.insert(key.index(), (key, value)).is_none());
+        } else {
+            let index = *oracle.keys().nth(g.usize_below(oracle.len())).unwrap();
+            let (key, value) = oracle.remove(&index).unwrap();
+            assert_eq!(slab.remove(key), Some(value));
+        }
+        assert!(slab
+            .iter()
+            .map(|(k, &v)| (k, v))
+            .eq(oracle.values().copied()));
+        assert_eq!(slab.iter().count(), slab.len());
+        if g.usize_below(8) == 0 {
+            for (_, v) in slab.iter_mut() {
+                *v = v.wrapping_add(1);
+            }
+            for (k, v) in oracle.values_mut() {
+                *v = v.wrapping_add(1);
+                assert_eq!(slab.get(*k), Some(&*v));
+            }
+        }
+    }
+    forall("slab_iterates_live_slots_in_order", 256, |g| {
+        let (mut slab, mut oracle) = (Slab::new(), Oracle::new());
+        for _ in 0..g.usize_in(1, 80) {
+            let insert = oracle.is_empty() || g.bool();
+            step(g, &mut slab, &mut oracle, insert);
+        }
+        for _ in 0..200 {
+            step(g, &mut slab, &mut oracle, true);
+        }
+        let few = g.usize_in(1, 4);
+        while oracle.len() > few {
+            step(g, &mut slab, &mut oracle, false);
+        }
+        for _ in 0..g.usize_in(1, 80) {
+            let insert = oracle.is_empty() || g.bool();
+            step(g, &mut slab, &mut oracle, insert);
+        }
     });
 }
 

@@ -2,9 +2,8 @@
 //!
 //! The [`Device`] is a passive resource collection driven by the simulation
 //! world (see the driving protocol in [`dcuda_des::ps`]): the world submits
-//! block work, asks for the next internal completion instant, schedules a
-//! generation-checked timer for it, and calls [`Device::advance_to`] when the
-//! timer fires.
+//! block work, asks for the next internal completion instant, arms a timer
+//! slot for it, and calls [`Device::advance_to`] when the timer fires.
 
 use crate::charge::BlockCharge;
 use crate::occupancy::{occupancy, LaunchConfig};
@@ -60,7 +59,7 @@ impl Device {
         let sms = (0..spec.sm_count)
             .map(|_| PsResource::new(spec.sm_flops))
             .collect();
-        let memory = PsResource::new(spec.mem_bandwidth);
+        let memory = PsResource::capped(spec.mem_bandwidth, spec.block_mem_bandwidth);
         Device {
             resident_blocks: cfg.blocks,
             sms,
@@ -114,11 +113,7 @@ impl Device {
         }
         // Memory demand, capped at the per-block streaming limit.
         if charge.mem_bytes > 0.0 {
-            self.memory.submit_capped(
-                charge.mem_bytes,
-                self.spec.block_mem_bandwidth,
-                key.to_bits(),
-            );
+            self.memory.submit(charge.mem_bytes, key.to_bits());
             pending += 1;
         }
         self.works
