@@ -1,17 +1,21 @@
-//! Cluster assembly: spawn host and rank threads, wire the queues, run.
+//! Cluster assembly: wire the queues of a world, then run it on threads or
+//! as tasks.
 //!
-//! Two entry shapes exist. The classic [`try_run_cluster`] family runs the
-//! whole world in one process over an [`InProcessPlane`]. The
-//! [`try_run_cluster_part`] form runs a *contiguous slice of devices* with
-//! caller-supplied [`Transport`] endpoints — this is what each worker
-//! process of a `dcuda-launch` multi-process run executes, with the other
-//! devices reachable over the `dcuda-net` socket mesh.
+//! Three entry shapes exist. The classic [`try_run_cluster`] family runs the
+//! whole world in one process over an [`InProcessPlane`], a thread per rank
+//! and per device host loop. The [`try_run_cluster_part`] form runs a
+//! *contiguous slice of devices* with caller-supplied [`Transport`]
+//! endpoints — this is what each worker process of a `dcuda-launch`
+//! multi-process run executes, with the other devices reachable over the
+//! `dcuda-net` socket mesh. [`try_run_cluster_job`] runs a whole in-process
+//! world of [`RankTask`]s on the calling thread alone (the cooperative
+//! driver, [`crate::task`]). All three build their world with one builder.
 
 use crate::coll::CollStats;
 use crate::ctx::RtCtx;
 use crate::host::{FlushHistory, Host, SharedHost};
 use crate::msg::{Cmd, Delivery};
-use crate::pool::Threads;
+use crate::task::RankTask;
 use crate::types::RtError;
 use dcuda_net::{InProcessPlane, NetStats, Transport};
 use dcuda_queues::{channel, IndexedMatcher, ANY};
@@ -28,8 +32,8 @@ use std::sync::{Arc, Mutex};
 /// oversized layouts exhaust memory before any useful work happens).
 pub const MAX_WINDOW_BYTES: usize = 1 << 30;
 
-/// Upper bound on the world size (every rank is an OS thread, fresh or
-/// reused from the pool).
+/// Upper bound on the world size (outside a job world every rank is an OS
+/// thread).
 pub const MAX_WORLD: u32 = 4096;
 
 /// Default size of the hidden per-rank collective scratch window.
@@ -45,12 +49,14 @@ pub const MAX_PROGRESS_THREADS: u32 = 64;
 pub enum ProgressMode {
     /// No dedicated progress threads: each device's host loop drives its
     /// engine, with byte-identical protocol counters and delivery order. In
-    /// a world run whole in one process ([`try_run_cluster`] and its
-    /// traced, verified and job-scoped forms) a rank that would wait also
+    /// a world run whole in one process on threads ([`try_run_cluster`] and
+    /// its traced and verified forms) a rank that would wait also
     /// runs a pass of its own device's engine whenever no other thread owns
     /// it, so a notified put no longer waits for two host threads to be
     /// scheduled. Parts run over a socket mesh ([`try_run_cluster_part`])
-    /// leave the host loop as the only driver.
+    /// leave the host loop as the only driver. A job world
+    /// ([`try_run_cluster_job`]) has no host loops: its one driver thread
+    /// passes every engine once per sweep.
     #[default]
     Inline,
     /// A pool of `n` dedicated progress threads co-drives every host
@@ -68,9 +74,11 @@ pub enum ProgressMode {
 /// fields directly and let [`try_run_cluster`] validate at launch.
 #[derive(Debug, Clone)]
 pub struct RtConfig {
-    /// Number of devices (each with its own host thread).
+    /// Number of devices (each with its own host thread, except in a job
+    /// world).
     pub devices: u32,
-    /// Ranks per device (each its own thread — keep modest).
+    /// Ranks per device (each its own thread outside a job world — keep
+    /// modest).
     pub ranks_per_device: u32,
     /// Window sizes in bytes (same layout on every rank).
     pub windows: Vec<usize>,
@@ -292,15 +300,15 @@ pub struct RtReport {
 /// A rank program: a blocking closure over the rank's context.
 pub type RankProgram = Box<dyn FnOnce(&mut RtCtx) + Send>;
 
-/// Cooperative cancellation handle for a job-scoped cluster run.
+/// Cooperative cancellation handle for a job world.
 ///
 /// [`try_run_cluster_job`] wires the token into the run as its abort flag:
-/// [`cancel`](CancelToken::cancel) raises it, every rank and host thread
-/// observes it at its next blocking point and unwinds, and the run returns
-/// [`RtError::Cancelled`] once the join completes (unless some thread had
-/// already failed first — a real root cause always wins over a cancel).
-/// Cloning shares the same flag, so a scheduler can keep one half while the
-/// job runner holds the other.
+/// [`cancel`](CancelToken::cancel) raises it, the driver observes it at the
+/// start of its next sweep (a task stuck on a full command ring sees it
+/// too) and the run returns [`RtError::Cancelled`] — unless some rank or
+/// engine had already failed first: a real root cause always wins over a
+/// cancel. Cloning shares the same flag, so a scheduler can keep one half
+/// while the job runner holds the other.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -310,8 +318,8 @@ impl CancelToken {
         CancelToken(Arc::new(AtomicBool::new(false)))
     }
 
-    /// Raise the flag: every thread of the run this token was passed to
-    /// unwinds at its next blocking point. Idempotent.
+    /// Raise the flag: the run this token was passed to stops at its next
+    /// sweep. Idempotent.
     pub fn cancel(&self) {
         self.0.store(true, Ordering::Release);
     }
@@ -335,31 +343,70 @@ pub fn run_cluster(cfg: &RtConfig, programs: Vec<RankProgram>) -> RtReport {
 
 /// Fallible [`run_cluster`].
 pub fn try_run_cluster(cfg: &RtConfig, programs: Vec<RankProgram>) -> Result<RtReport, RtError> {
-    run_inner(cfg, programs, false, false, None).map(|(report, _, _)| report)
+    run_inner(cfg, programs, false, false).map(|(report, _, _)| report)
 }
 
-/// As [`try_run_cluster`], with an external [`CancelToken`] wired in as the
-/// run's abort flag — the job-scoped entry point the multi-tenant scheduler
-/// runs every admitted job through. Cancelling the token mid-run tears down
-/// *this* cluster only (each job is its own world with its own flag, so
-/// neighbors sharing the process are untouched) and the run returns
-/// [`RtError::Cancelled`]; a token cancelled only after the run completed
-/// leaves the `Ok` report intact. Any genuine failure recorded before the
-/// join — `RankPanicked`, `Transport`, a strict-mode race — still wins as
-/// the root cause.
+/// Run a job world: one [`RankTask`] per world rank, all on the calling
+/// thread, and return the statistics with every rank's checksum (in rank
+/// order). This is the entry point the multi-tenant scheduler runs every
+/// admitted job through.
 ///
-/// Unlike every other entry point, a job-scoped world runs its host-loop,
-/// progress-worker and rank threads on parked workers of one process-wide
-/// thread pool instead of spawning fresh ones: a job server
-/// launches a short world per job, and creating and tearing down its
-/// threads cost about as much as the run. Rank programs therefore must not
-/// leave thread-local state behind.
+/// The world is built in process like [`try_run_cluster`]'s, but no thread
+/// is spawned for it: the caller is the cooperative driver. Each sweep
+/// resumes the ready tasks in rank order, tests what the waiting ones wait
+/// for, and runs one pass of every device engine; the run ends when every
+/// task has finished and every engine reports quiescence. A task never
+/// blocks: it suspends with a [`Step`](crate::Step), and a blocking
+/// [`RtCtx`] call from inside it fails with [`RtError::BlockingInTask`].
+///
+/// * A sweep in which no task resumed and no engine moved anything is a
+///   fixed point — nothing else could ever move the world — so the run
+///   ends at once with [`RtError::Stalled`], naming the waiting ranks.
+/// * Cancelling `cancel` tears down *this* world only and the run returns
+///   [`RtError::Cancelled`]; a token cancelled only after the run
+///   completed leaves the `Ok` result intact. A genuine failure
+///   (`RankPanicked`, a task's own error, an engine failure) wins as the
+///   root cause.
+/// * A configuration this driver cannot honour is refused with
+///   [`RtError::InvalidConfig`] naming the field: race detection
+///   (`race_detect`), a progress pool (`progress`) and busy-host
+///   emulation (`host_busy_spin`) all assume threads.
 pub fn try_run_cluster_job(
     cfg: &RtConfig,
-    programs: Vec<RankProgram>,
+    tasks: Vec<Box<dyn RankTask>>,
     cancel: &CancelToken,
-) -> Result<RtReport, RtError> {
-    run_inner(cfg, programs, false, false, Some(cancel.0.clone())).map(|(report, _, _)| report)
+) -> Result<(RtReport, Vec<u64>), RtError> {
+    cfg.validate()?;
+    let refuse = |field: &str, why: &str| {
+        Err(RtError::InvalidConfig(format!(
+            "{field}: {why}; a job world runs on one thread"
+        )))
+    };
+    if cfg.races.is_some() {
+        return refuse("race_detect", "the race detector orders rank threads");
+    }
+    if let ProgressMode::Threads(_) = cfg.progress {
+        return refuse("progress", "a progress pool is a set of threads");
+    }
+    if cfg.host_busy_spin > 0 {
+        return refuse("host_busy_spin", "busy-host emulation needs host loops");
+    }
+    check_count("rank tasks", tasks.len(), cfg.world(), cfg.world())?;
+    let world = build_world(
+        cfg,
+        0,
+        cfg.devices,
+        in_process_planes(cfg.devices),
+        Wiring {
+            traced: false,
+            verified: false,
+            rank_driven: true,
+            shared: true,
+            cooperative: true,
+            abort: cancel.0.clone(),
+        },
+    )?;
+    crate::task::drive(world, tasks, cancel)
 }
 
 /// As [`try_run_cluster`], with per-rank tracing enabled: returns the merged
@@ -371,7 +418,7 @@ pub fn run_cluster_traced(
     cfg: &RtConfig,
     programs: Vec<RankProgram>,
 ) -> Result<(RtReport, Tracer), RtError> {
-    run_inner(cfg, programs, true, false, None).map(|(report, trace, _)| (report, trace))
+    run_inner(cfg, programs, true, false).map(|(report, trace, _)| (report, trace))
 }
 
 /// As [`try_run_cluster`], with the invariant monitor enabled: every rank
@@ -383,10 +430,9 @@ pub fn try_run_cluster_verified(
     cfg: &RtConfig,
     programs: Vec<RankProgram>,
 ) -> Result<(RtReport, VerifyReport), RtError> {
-    run_inner(cfg, programs, false, true, None)
+    run_inner(cfg, programs, false, true)
         .map(|(report, _, verify)| (report, verify.unwrap_or_default()))
 }
-
 /// One worker of the progress pool: sweeps every shared engine each round,
 /// home engines first (worker `w` of `n` homes engines `j` with
 /// `j % n == w`), then the rest — a pass that progresses a non-home engine
@@ -462,6 +508,14 @@ fn progress_worker(
     tracer
 }
 
+/// Take the recorded root cause of a failed run, if any.
+pub(crate) fn take_first(slot: &Mutex<Option<RtError>>) -> Option<RtError> {
+    match slot.lock() {
+        Ok(mut g) => g.take(),
+        Err(p) => p.into_inner().take(),
+    }
+}
+
 /// Record the first failure observed across the cluster's threads.
 fn record_first(slot: &Mutex<Option<RtError>>, err: RtError) {
     let mut g = match slot.lock() {
@@ -502,7 +556,7 @@ pub(crate) fn engine_result<T>(
     None
 }
 
-fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {
@@ -556,9 +610,15 @@ pub fn try_run_cluster_part(
         false,
         traced,
         false,
-        None,
     )
     .map(|(report, trace, _)| (report, trace))
+}
+
+fn in_process_planes(devices: u32) -> Vec<Box<dyn Transport>> {
+    InProcessPlane::new_world(devices)
+        .into_iter()
+        .map(|ep| Box::new(ep) as Box<dyn Transport>)
+        .collect()
 }
 
 fn run_inner(
@@ -566,93 +626,97 @@ fn run_inner(
     programs: Vec<RankProgram>,
     traced: bool,
     verified: bool,
-    cancel: Option<Arc<AtomicBool>>,
 ) -> Result<(RtReport, Tracer, Option<VerifyReport>), RtError> {
     cfg.validate()?;
-    let planes: Vec<Box<dyn Transport>> = InProcessPlane::new_world(cfg.devices)
-        .into_iter()
-        .map(|ep| Box::new(ep) as Box<dyn Transport>)
-        .collect();
     run_part_inner(
         cfg,
         0,
         cfg.devices,
         programs,
-        planes,
+        in_process_planes(cfg.devices),
         true,
         traced,
         verified,
-        cancel,
     )
 }
 
-/// `in_process`: `planes` are the in-process plane of a whole world, so
-/// under [`ProgressMode::Inline`] waiting ranks drive their own device's
-/// engine (see [`SharedHost`]); socket parts keep the host loop alone.
-/// `cancel` is set only for a job-scoped run ([`try_run_cluster_job`]): it
-/// becomes the abort flag, and the world's threads come from the pool.
-#[allow(clippy::too_many_arguments)]
-fn run_part_inner(
+/// `what` must number one per local rank.
+fn check_count(what: &str, n: usize, local_ranks: u32, world: u32) -> Result<(), RtError> {
+    if n != local_ranks as usize {
+        return Err(RtError::InvalidConfig(format!(
+            "{n} {what} for {local_ranks} local ranks (world of {world})"
+        )));
+    }
+    Ok(())
+}
+
+/// How [`build_world`] wires a world.
+struct Wiring {
+    traced: bool,
+    verified: bool,
+    /// Every rank holds its own device's engine and drives it instead of
+    /// waiting (rank-driven progress, see [`SharedHost`]).
+    rank_driven: bool,
+    /// Engines are shared between drivers (`rank_driven`, or a progress
+    /// pool); the rest are left to their own host loop.
+    shared: bool,
+    /// Ranks run as tasks under the cooperative driver.
+    cooperative: bool,
+    /// The world's first-failure flag (a job world's cancel token).
+    abort: Arc<AtomicBool>,
+}
+
+/// A world wired and ready to run: ranks, engines and the failure slots
+/// they share.
+pub(crate) struct World {
+    /// Rank contexts in world-rank order.
+    pub ranks: Vec<RtCtx>,
+    /// Engines only their own host loop drives.
+    pub hosts: Vec<Host>,
+    /// Engines more than one driver may pass, in device order.
+    pub engines: Vec<SharedHost>,
+    pub finished_global: Arc<AtomicU32>,
+    pub abort: Arc<AtomicBool>,
+    pub first_error: Arc<Mutex<Option<RtError>>>,
+}
+
+/// Wire devices `first_device .. first_device + local_devices` of `cfg`'s
+/// world: each rank's command and delivery rings, windows and context,
+/// and each device's engine on its plane endpoint.
+fn build_world(
     cfg: &RtConfig,
     first_device: u32,
     local_devices: u32,
-    programs: Vec<RankProgram>,
     planes: Vec<Box<dyn Transport>>,
-    in_process: bool,
-    traced: bool,
-    verified: bool,
-    cancel: Option<Arc<AtomicBool>>,
-) -> Result<(RtReport, Tracer, Option<VerifyReport>), RtError> {
-    let world = cfg.world();
-    let local_ranks = local_devices * cfg.ranks_per_device;
-    if programs.len() != local_ranks as usize {
-        return Err(RtError::InvalidConfig(format!(
-            "{} programs for {local_ranks} local ranks (world of {world})",
-            programs.len()
-        )));
-    }
+    wiring: Wiring,
+) -> Result<World, RtError> {
     if planes.len() != local_devices as usize {
         return Err(RtError::InvalidConfig(format!(
             "{} transport endpoints for {local_devices} local devices",
             planes.len()
         )));
     }
-    if verified && local_devices != cfg.devices {
-        return Err(RtError::InvalidConfig(
-            "invariant verification requires the whole world in one process".into(),
-        ));
-    }
+    let world = cfg.world();
     if let Some(h) = &cfg.races {
-        // Size the shared detector before any rank thread reports through
-        // it. Parts of a loopback mesh all resolve to the same world.
+        // Size the shared detector before any rank reports through it.
+        // Parts of a loopback mesh all resolve to the same world.
         h.init(world);
     }
+    let Wiring {
+        traced,
+        verified,
+        rank_driven,
+        shared,
+        cooperative,
+        abort,
+    } = wiring;
     let finished_global = Arc::new(AtomicU32::new(0));
-    // A job-scoped run shares its abort flag with the caller's CancelToken:
-    // cancelling raises exactly the flag every blocked thread already polls,
-    // so teardown is the established first-error unwind with no error
-    // recorded — surfaced as `Cancelled` after the join below.
-    let cancellable = cancel.is_some();
-    let threads = if cancellable {
-        Threads::Pooled
-    } else {
-        Threads::Fresh
-    };
-    let abort = cancel.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
     let first_error: Arc<Mutex<Option<RtError>>> = Arc::new(Mutex::new(None));
-
-    // Engines a thread other than the host loop may drive: the pool's, or
-    // each device's own waiting ranks'. The rest run `Host::run` alone.
-    let rank_driven = in_process && cfg.progress == ProgressMode::Inline;
-    let shared = rank_driven || matches!(cfg.progress, ProgressMode::Threads(_));
+    let mut ranks: Vec<RtCtx> = Vec::new();
     let mut hosts = Vec::new();
     let mut engines = Vec::new();
-    let mut rank_parts: Vec<(RtCtx, RankProgram)> = Vec::new();
-    let mut programs = programs.into_iter();
-    let mut planes = planes.into_iter();
-
-    for device in first_device..first_device + local_devices {
-        let first_local = rank_parts.len();
+    for (device, plane) in (first_device..).zip(planes) {
+        let first_local = ranks.len();
         let mut cmd_rx = Vec::new();
         let mut delivery_tx = Vec::new();
         let mut flush = Vec::new();
@@ -663,7 +727,7 @@ fn run_part_inner(
             cmd_rx.push(host_cmd_rx);
             delivery_tx.push(host_del_tx);
             flush.push(FlushHistory::new(flush_done.clone()));
-            let ctx = RtCtx {
+            ranks.push(RtCtx {
                 rank: device * cfg.ranks_per_device + local,
                 world,
                 device,
@@ -699,16 +763,11 @@ fn run_part_inner(
                 abort: abort.clone(),
                 engine: None,
                 first_error: first_error.clone(),
+                cooperative,
                 counters: verified.then(Box::default),
                 last_flush_seen: 0,
                 races: cfg.races.clone(),
-            };
-            // Count already validated against the topology above; treat a
-            // mismatch as the config error it would have to be.
-            let program = programs.next().ok_or_else(|| {
-                RtError::InvalidConfig("program list shorter than the validated world".into())
-            })?;
-            rank_parts.push((ctx, program));
+            });
         }
         let host = Host {
             device,
@@ -717,9 +776,7 @@ fn run_part_inner(
             cmd_rx,
             delivery_tx,
             delivery_backlog: (0..cfg.ranks_per_device).map(|_| VecDeque::new()).collect(),
-            plane: planes
-                .next()
-                .ok_or_else(|| RtError::InvalidConfig("fewer endpoints than devices".into()))?,
+            plane,
             finished_global: finished_global.clone(),
             finished_remote: vec![0; cfg.devices as usize],
             abort: abort.clone(),
@@ -734,7 +791,7 @@ fn run_part_inner(
         if shared {
             let engine = SharedHost::new(host);
             if rank_driven {
-                for (ctx, _) in &mut rank_parts[first_local..] {
+                for ctx in &mut ranks[first_local..] {
                     ctx.engine = Some(engine.clone());
                 }
             }
@@ -743,6 +800,69 @@ fn run_part_inner(
             hosts.push(host);
         }
     }
+    Ok(World {
+        ranks,
+        hosts,
+        engines,
+        finished_global,
+        abort,
+        first_error,
+    })
+}
+
+/// Run a wired world on threads: one per rank program, one per device host
+/// loop, and the progress pool if configured.
+///
+/// `in_process`: `planes` are the in-process plane of a whole world, so
+/// under [`ProgressMode::Inline`] waiting ranks drive their own device's
+/// engine (see [`SharedHost`]); socket parts keep the host loop alone.
+#[allow(clippy::too_many_arguments)]
+fn run_part_inner(
+    cfg: &RtConfig,
+    first_device: u32,
+    local_devices: u32,
+    programs: Vec<RankProgram>,
+    planes: Vec<Box<dyn Transport>>,
+    in_process: bool,
+    traced: bool,
+    verified: bool,
+) -> Result<(RtReport, Tracer, Option<VerifyReport>), RtError> {
+    let world = cfg.world();
+    check_count(
+        "programs",
+        programs.len(),
+        local_devices * cfg.ranks_per_device,
+        world,
+    )?;
+    if verified && local_devices != cfg.devices {
+        return Err(RtError::InvalidConfig(
+            "invariant verification requires the whole world in one process".into(),
+        ));
+    }
+    // Engines a thread other than the host loop may drive: the pool's, or
+    // each device's own waiting ranks'. The rest run `Host::run` alone.
+    let rank_driven = in_process && cfg.progress == ProgressMode::Inline;
+    let World {
+        ranks,
+        hosts,
+        engines,
+        finished_global,
+        abort,
+        first_error,
+    } = build_world(
+        cfg,
+        first_device,
+        local_devices,
+        planes,
+        Wiring {
+            traced,
+            verified,
+            rank_driven,
+            shared: rank_driven || matches!(cfg.progress, ProgressMode::Threads(_)),
+            cooperative: false,
+            abort: Arc::new(AtomicBool::new(false)),
+        },
+    )?;
 
     let mut report = RtReport::default();
     let mut trace = if traced {
@@ -757,7 +877,7 @@ fn run_part_inner(
     for mut host in hosts {
         let abort = abort.clone();
         let first_error = first_error.clone();
-        host_handles.push(threads.spawn(move || {
+        host_handles.push(std::thread::spawn(move || {
             let res = std::panic::catch_unwind(AssertUnwindSafe(|| host.run()));
             // `host` (and with it the rank-facing rings) outlives
             // this call: a failure is on record as the root cause
@@ -767,7 +887,7 @@ fn run_part_inner(
     }
     for (device, eng) in (first_device..).zip(&engines) {
         let (eng, abort, first_error) = (eng.clone(), abort.clone(), first_error.clone());
-        host_handles.push(threads.spawn(move || {
+        host_handles.push(std::thread::spawn(move || {
             let res = std::panic::catch_unwind(AssertUnwindSafe(|| eng.run_host_loop(&abort)));
             // Raised success or failure alike: workers and ranks must
             // stop driving an engine whose loop has exited.
@@ -780,24 +900,23 @@ fn run_part_inner(
             let engines = engines.clone();
             let abort = abort.clone();
             let first_error = first_error.clone();
-            progress_handles.push(threads.spawn(move || {
+            progress_handles.push(std::thread::spawn(move || {
                 progress_worker(w, nworkers, engines, &abort, &first_error, traced)
             }));
         }
     }
     let mut rank_handles = Vec::new();
-    for (mut ctx, program) in rank_parts {
+    for (mut ctx, program) in ranks.into_iter().zip(programs) {
         let abort = abort.clone();
         let first_error = first_error.clone();
         let finished_global = finished_global.clone();
-        rank_handles.push(threads.spawn(move || {
+        rank_handles.push(std::thread::spawn(move || {
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut ctx)));
             let finish = match outcome {
                 Ok(()) => ctx.finish(),
                 // A blocking call that saw the abort flag unwinds by
                 // panicking: that is the teardown, not a root cause (the
-                // flag is raised only after the root cause is on record,
-                // or by a cancel, which must surface as `Cancelled`).
+                // flag is raised only after the root cause is on record).
                 Err(_) if abort.load(Ordering::Acquire) => Err(RtError::Aborted),
                 Err(p) => {
                     record_first(
@@ -886,14 +1005,7 @@ fn run_part_inner(
             trace.absorb(t);
         }
     }
-    let first = {
-        let mut g = match first_error.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        g.take()
-    };
-    if let Some(err) = first {
+    if let Some(err) = take_first(&first_error) {
         // Strict-mode races reach this join as the rank panic or abort they
         // caused downstream (the panicking accessors stringify the typed
         // error). Surface the root cause — the first recorded race — as the
@@ -906,14 +1018,6 @@ fn run_part_inner(
             }
         }
         return Err(err);
-    }
-    if cancellable && abort.load(Ordering::Acquire) {
-        // The external token was raised and no thread recorded a failure:
-        // the teardown was the cancel itself. (A token raised only after
-        // every thread finished still lands here — the caller asked for the
-        // run to not complete, and `Cancelled` is the honest answer even
-        // when the unwind won the race against the last rank's exit.)
-        return Err(RtError::Cancelled);
     }
     report.barriers = barrier_rounds;
     if let Some(h) = &cfg.races {

@@ -1,14 +1,18 @@
-//! The per-rank blocking API.
+//! The per-rank API: blocking calls for rank threads, non-blocking tests
+//! for the cooperative driver of rank tasks.
 //!
 //! Every blocking call — a full command ring, `wait_notifications`,
 //! `flush` and the collective engine's internal wait — loops on
 //! `RtCtx::wait_step`, which drives the rank's own device engine where
 //! the world allows it and yields otherwise. xtask lint R6
 //! (`one-wait-helper`) rejects any other `yield_now` in this file, so a
-//! new wait loop cannot skip rank-driven progress.
+//! new wait loop cannot skip rank-driven progress. A rank task never waits
+//! here: the blocking calls refuse it with [`RtError::BlockingInTask`], and
+//! the only loop it can reach, a full command ring, is drained by the
+//! rank's own engine pass.
 
 use crate::cluster::engine_result;
-use crate::coll::{CollStats, COLL_TAG_BIT};
+use crate::coll::{CollStats, CollWait, Collective, COLL_TAG_BIT};
 use crate::host::SharedHost;
 use crate::msg::{Cmd, Delivery};
 use crate::types::{Rank, RtError, RtQuery, Tag, WindowId};
@@ -24,8 +28,12 @@ use std::sync::{Arc, Mutex};
 
 /// The device-side library handle of one rank (paper: the `dcuda_context`).
 ///
-/// All methods block the calling rank thread, exactly like the paper's
-/// device-side calls block the calling block. Every fallible entry point
+/// The blocking methods (`wait_notifications`, `flush`, `barrier` and the
+/// [`CollCtx`](crate::CollCtx) collectives) block the calling rank thread,
+/// exactly like the paper's device-side calls block the calling block. A
+/// [`RankTask`](crate::RankTask) suspends with a [`Step`](crate::Step)
+/// instead, and gets [`RtError::BlockingInTask`] from them. Every fallible
+/// entry point
 /// exists in two shapes: a panicking convenience (`put_notify`, `win`) and a
 /// `try_` variant returning [`RtError`] for callers that want to handle bad
 /// arguments or a torn-down runtime themselves.
@@ -85,6 +93,9 @@ pub struct RtCtx {
     /// The cluster's first-failure slot: an engine error met in a
     /// rank-driven pass is recorded here as the device's host failure.
     pub(crate) first_error: Arc<Mutex<Option<RtError>>>,
+    /// This rank runs as a task under the cooperative driver: every
+    /// blocking method fails with [`RtError::BlockingInTask`].
+    pub(crate) cooperative: bool,
     /// Invariant-counter shard (verified runs only; `None` keeps the
     /// unverified hot path free of bookkeeping).
     pub(crate) counters: Option<Box<ShardCounters>>,
@@ -373,19 +384,30 @@ impl RtCtx {
         self.abort.load(Ordering::Acquire)
     }
 
+    /// Refuse blocking method `call` inside a rank task: it would spin on
+    /// the thread that drives every rank of the world.
+    #[inline]
+    pub(crate) fn blocking(&self, call: &'static str) -> Result<(), RtError> {
+        if self.cooperative {
+            return Err(RtError::BlockingInTask { call });
+        }
+        Ok(())
+    }
+
     /// One turn of every wait loop in this file (xtask lint R6 keeps
     /// `yield_now` here alone). With a device engine, run one pass of it
-    /// if no other thread owns it; a pass that moved anything returns at
-    /// once so the caller polls again. Yield only when the engine was
-    /// owned elsewhere or had nothing to do. An engine failure is the
-    /// device's, never this rank's: it is recorded as the host failure and
-    /// the rank unwinds with [`RtError::Aborted`].
+    /// if no other thread owns it; a pass that routed new work returns at
+    /// once so the caller polls again. Yield when the engine was owned
+    /// elsewhere or had no work but refilling rings from their backlog
+    /// (the rank those deliveries are for must run). An engine failure is
+    /// the device's, never this rank's: it is recorded as the host failure
+    /// and the rank unwinds with [`RtError::Aborted`].
     fn wait_step(&mut self) -> Result<(), RtError> {
         if let Some(engine) = &self.engine {
             let res = std::panic::catch_unwind(AssertUnwindSafe(|| engine.rank_pass()));
             match engine_result(self.device, res, &self.abort, &self.first_error) {
-                Some(true) => return Ok(()),
-                Some(false) => {}
+                Some(pass) if pass.work => return Ok(()),
+                Some(_) => {}
                 None => return Err(RtError::Aborted),
             }
         }
@@ -568,7 +590,7 @@ impl RtCtx {
 
     /// Drain the delivery ring: land payloads in window memory and buffer
     /// notifications.
-    fn drain_deliveries(&mut self) -> Result<(), RtError> {
+    pub(crate) fn drain_deliveries(&mut self) -> Result<(), RtError> {
         loop {
             match self.delivery.try_recv() {
                 Ok(d) => {
@@ -660,6 +682,7 @@ impl RtCtx {
 
     /// Fallible [`wait_notifications`](Self::wait_notifications).
     pub fn try_wait_notifications(&mut self, query: RtQuery, count: usize) -> Result<(), RtError> {
+        self.blocking("wait_notifications")?;
         let start = self.tick();
         while !self.try_test_notifications(query, count)? {
             if self.aborted() {
@@ -693,32 +716,16 @@ impl RtCtx {
 
     /// Fallible [`flush`](Self::flush).
     pub fn try_flush(&mut self) -> Result<(), RtError> {
+        self.blocking("flush")?;
         let start = self.tick();
         let want = self.flush_sent;
-        loop {
-            let done = self.flush_done.load(Ordering::Acquire);
-            if self.counters.is_some() {
-                let prev = self.last_flush_seen;
-                if let Some(c) = self.counters.as_mut() {
-                    c.note_consumed(prev, done);
-                }
-                self.last_flush_seen = self.last_flush_seen.max(done);
-            }
-            if done >= want {
-                break;
-            }
+        while !self.flush_complete() {
             if self.aborted() {
                 return Err(RtError::Aborted);
             }
             self.drain_deliveries()?;
             self.tick();
             self.wait_step()?;
-        }
-        if let Some(h) = &self.races {
-            // Every effect this rank issued has landed: its channel
-            // sequences fold back into its clock ("send buffers reusable"
-            // implies remote completion on this runtime).
-            h.with(|d| d.flushed(self.rank));
         }
         let end = self.tick();
         self.tracer.span(
@@ -746,9 +753,10 @@ impl RtCtx {
     /// barrier on the collective engine (`ceil(log2(world))` rounds of
     /// zero-length notified puts) — no host-side barrier state exists.
     pub fn try_barrier(&mut self) -> Result<(), RtError> {
+        self.blocking("barrier")?;
         let start = self.tick();
-        self.barriers_entered += 1;
-        crate::coll::barrier_impl(self)?;
+        let barrier = Collective::barrier(self);
+        crate::coll::block_on(self, barrier)?;
         let end = self.tick();
         self.tracer
             .span(Track::Rank(self.rank), "barrier", start, end, vec![]);
@@ -757,6 +765,29 @@ impl RtCtx {
 
     pub(crate) fn finish(&mut self) -> Result<(), RtError> {
         self.send_cmd(Cmd::Finish)
+    }
+
+    /// Has every operation this rank issued completed? On `true` the race
+    /// detector folds them back into this rank's clock.
+    pub(crate) fn flush_complete(&mut self) -> bool {
+        let done = self.flush_done.load(Ordering::Acquire);
+        if self.counters.is_some() {
+            let prev = self.last_flush_seen;
+            if let Some(c) = self.counters.as_mut() {
+                c.note_consumed(prev, done);
+            }
+            self.last_flush_seen = self.last_flush_seen.max(done);
+        }
+        if done < self.flush_sent {
+            return false;
+        }
+        if let Some(h) = &self.races {
+            // Every effect this rank issued has landed: its channel
+            // sequences fold back into its clock ("send buffers reusable"
+            // implies remote completion on this runtime).
+            h.with(|d| d.flushed(self.rank));
+        }
+        true
     }
 
     // --- Collective-engine plumbing (crate-internal) --------------------
@@ -869,47 +900,34 @@ impl RtCtx {
         })
     }
 
-    /// Block until the collective notification (`source`, `tag`) arrives.
-    /// Returns `true` if it had already arrived at the first poll (the
-    /// transfer was hidden behind preceding local work); `metered` selects
-    /// whether that split is accounted in [`CollStats`] (data chunks yes,
-    /// pure synchronization no).
-    pub(crate) fn wait_internal(
-        &mut self,
-        source: u32,
-        tag: u32,
-        metered: bool,
-    ) -> Result<bool, RtError> {
+    /// Drain the delivery ring and match the collective notification
+    /// (`source`, `tag`) if it has arrived.
+    pub(crate) fn coll_test(&mut self, source: u32, tag: u32) -> Result<bool, RtError> {
+        self.drain_deliveries()?;
         let query = Query {
             win: u32::MAX,
             source,
             tag,
         };
-        self.drain_deliveries()?;
-        let mut hidden = true;
+        let (rank, races) = (self.rank, &self.races);
+        let hit = self
+            .pending_internal
+            .try_match_with(query, 1, |n| Self::race_matched(races, rank, n));
+        Ok(hit.is_some())
+    }
+
+    /// Block until the notification a [`Collective`] suspended on has been
+    /// matched, so that the collective can be polled again.
+    pub(crate) fn block_coll(&mut self, wait: CollWait) -> Result<(), RtError> {
         loop {
-            let (rank, races) = (self.rank, &self.races);
-            let hit = self
-                .pending_internal
-                .try_match_with(query, 1, |n| Self::race_matched(races, rank, n));
-            if hit.is_some() {
-                break;
-            }
-            hidden = false;
             if self.aborted() {
                 return Err(RtError::Aborted);
             }
             self.tick();
             self.wait_step()?;
-            self.drain_deliveries()?;
-        }
-        if metered {
-            if hidden {
-                self.coll.hidden_waits += 1;
-            } else {
-                self.coll.blocked_waits += 1;
+            if self.coll_test(wait.source, wait.tag)? {
+                return Ok(());
             }
         }
-        Ok(hidden)
     }
 }

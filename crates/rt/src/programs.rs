@@ -1,8 +1,9 @@
-//! The reference rank programs, defined once.
+//! The reference rank programs, defined once, as resumable tasks.
 //!
 //! `dcuda-launch`'s conformance workloads (`dcuda::workloads`) and the job
-//! registry of `dcuda-sched` run the same programs; both are thin adapters
-//! over the definitions here. Every program is fully determined by
+//! registry of `dcuda-sched` run the same programs: the scheduler's job
+//! worlds on the cooperative driver, everything else on rank threads
+//! through the thread-per-rank adapter ([`crate::task`]). Every program is fully determined by
 //! `(seed, world, iters, payload)` and returns an FNV-1a checksum of
 //! everything the rank received; [`fold_checksums`] combines the per-rank
 //! sums order-independently, so a world's checksum is the same however it is
@@ -11,9 +12,10 @@
 //! Window layout (window 0): `[0, payload)` is the staging buffer puts copy
 //! out of, `[payload, 2*payload)` the inbox the left/partner rank writes.
 
-use crate::coll::CollCtx;
+use crate::coll::{CollCtx, Collective};
 use crate::ctx::RtCtx;
-use crate::types::{Rank, RtQuery, Tag, WindowId};
+use crate::task::{RankTask, Step};
+use crate::types::{Rank, RtError, RtQuery, Tag, WindowId};
 use dcuda_coll::CollPlan;
 
 /// FNV-1a offset basis: the initial value of every checksum.
@@ -78,31 +80,89 @@ pub fn fill_staging(ctx: &mut RtCtx, seed: u64, iter: u32, payload: usize) {
 /// Even/odd rank pairs exchange the payload `iters` times (paper Figure 6
 /// shape): even ranks serve, odd ranks return. The unpaired last rank of an
 /// odd world sits the game out.
-pub fn pingpong(ctx: &mut RtCtx, p: Params) -> u64 {
-    let rank = ctx.rank().0;
-    let partner = rank ^ 1;
-    let mut sum = FNV_OFFSET;
-    if partner >= ctx.world_size() {
-        return sum;
+pub fn pingpong(p: Params) -> PingPong {
+    PingPong {
+        p,
+        iter: 0,
+        sum: FNV_OFFSET,
+        at: PingPongAt::Serve,
     }
-    for iter in 0..p.iters {
-        fill_staging(ctx, p.seed, iter, p.payload);
-        let q = RtQuery::exact(W0, Rank(partner), Tag(iter));
-        if rank.is_multiple_of(2) {
-            ctx.put_notify(W0, Rank(partner), p.payload, 0, p.payload, Tag(iter));
-            ctx.wait_notifications(q, 1);
-            sum = fnv_bytes(sum, ctx.win_at(W0, p.payload, p.payload));
-        } else {
-            ctx.wait_notifications(q, 1);
-            // Read *before* replying: the reply is the only thing telling
-            // the partner it may overwrite this inbox next iteration, so a
-            // read placed after it would race with that next put.
-            sum = fnv_bytes(sum, ctx.win_at(W0, p.payload, p.payload));
-            ctx.put_notify(W0, Rank(partner), p.payload, 0, p.payload, Tag(iter));
+}
+
+/// The [`pingpong`] task.
+#[derive(Debug)]
+pub struct PingPong {
+    p: Params,
+    iter: u32,
+    sum: u64,
+    at: PingPongAt,
+}
+
+#[derive(Debug)]
+enum PingPongAt {
+    /// Start iteration `iter` (or the final flush).
+    Serve,
+    /// The partner's payload of iteration `iter` has been matched.
+    Received,
+    /// The final flush completed.
+    Flushed,
+}
+
+impl RankTask for PingPong {
+    fn resume(&mut self, ctx: &mut RtCtx) -> Result<Step, RtError> {
+        let rank = ctx.rank().0;
+        let partner = rank ^ 1;
+        if partner >= ctx.world_size() {
+            return Ok(Step::Done(FNV_OFFSET));
+        }
+        let p = self.p;
+        loop {
+            match self.at {
+                PingPongAt::Serve if self.iter == p.iters => {
+                    self.at = PingPongAt::Flushed;
+                    return Ok(Step::Flush);
+                }
+                PingPongAt::Serve => {
+                    fill_staging(ctx, p.seed, self.iter, p.payload);
+                    if rank.is_multiple_of(2) {
+                        ctx.try_put_notify(
+                            W0,
+                            Rank(partner),
+                            p.payload,
+                            0,
+                            p.payload,
+                            Tag(self.iter),
+                        )?;
+                    }
+                    self.at = PingPongAt::Received;
+                    return Ok(Step::Wait {
+                        query: RtQuery::exact(W0, Rank(partner), Tag(self.iter)),
+                        count: 1,
+                    });
+                }
+                PingPongAt::Received => {
+                    // Odd ranks read *before* replying: the reply is the only
+                    // thing telling the partner it may overwrite this inbox
+                    // next iteration, so a read placed after it would race
+                    // with that next put.
+                    self.sum = fnv_bytes(self.sum, ctx.win_at(W0, p.payload, p.payload));
+                    if !rank.is_multiple_of(2) {
+                        ctx.try_put_notify(
+                            W0,
+                            Rank(partner),
+                            p.payload,
+                            0,
+                            p.payload,
+                            Tag(self.iter),
+                        )?;
+                    }
+                    self.iter += 1;
+                    self.at = PingPongAt::Serve;
+                }
+                PingPongAt::Flushed => return Ok(Step::Done(self.sum)),
+            }
         }
     }
-    ctx.flush();
-    sum
 }
 
 /// Ring halo exchange with a compute phase between shifts — the overlap
@@ -114,38 +174,112 @@ pub fn pingpong(ctx: &mut RtCtx, p: Params) -> u64 {
 /// `poison_at` is the scheduler's fault-isolation victim switch: rank 0
 /// panics at the start of that iteration, or after the last one if the
 /// trigger lies beyond it — a poisoned run never completes.
-pub fn ring(ctx: &mut RtCtx, p: Params, poison_at: Option<u32>) -> u64 {
-    let world = ctx.world_size();
-    let poison_iter = poison_at
-        .filter(|_| ctx.rank().0 == 0)
-        .map(|at| at.min(p.iters));
-    let mut sum = FNV_OFFSET;
-    for iter in 0..p.iters {
-        if poison_iter == Some(iter) {
-            panic!("poisoned at iteration {iter}");
-        }
-        fill_staging(ctx, p.seed, iter, p.payload);
-        if world > 1 {
-            ctx.ring_shift(W0, p.payload, 0, p.payload);
-            sum = fnv_bytes(sum, ctx.win_at(W0, p.payload, p.payload));
-            ctx.ring_release();
-        } else {
-            // Single-rank world: the shift would copy staging onto the
-            // inbox, so checksum the staging fill directly.
-            sum = fnv_bytes(sum, ctx.win_at(W0, 0, p.payload));
-        }
-        if iter % 8 == 7 {
-            ctx.flush();
+pub fn ring(p: Params, poison_at: Option<u32>) -> Ring {
+    Ring {
+        p,
+        poison_at,
+        iter: 0,
+        sum: FNV_OFFSET,
+        at: RingAt::Fill,
+    }
+}
+
+/// The [`ring`] task.
+#[derive(Debug)]
+pub struct Ring {
+    p: Params,
+    poison_at: Option<u32>,
+    iter: u32,
+    sum: u64,
+    at: RingAt,
+}
+
+#[derive(Debug)]
+enum RingAt {
+    /// Start iteration `iter` (or, past the last, the final flush).
+    Fill,
+    /// Shifting the staging region to the right neighbour.
+    Shift(Collective),
+    /// Releasing the inbox to the left neighbour.
+    Release(Collective),
+    /// The final flush completed.
+    Flushed,
+    /// In the closing world barrier.
+    Barrier(Collective),
+}
+
+impl Ring {
+    /// Close iteration `iter`: every eighth one ends in a flush.
+    fn next_iter(&mut self) -> Option<Step> {
+        let flush = self.iter % 8 == 7;
+        self.iter += 1;
+        self.at = RingAt::Fill;
+        flush.then_some(Step::Flush)
+    }
+}
+
+impl RankTask for Ring {
+    fn resume(&mut self, ctx: &mut RtCtx) -> Result<Step, RtError> {
+        let world = ctx.world_size();
+        let p = self.p;
+        loop {
+            match &mut self.at {
+                RingAt::Fill => {
+                    let poison_iter = self
+                        .poison_at
+                        .filter(|_| ctx.rank().0 == 0)
+                        .map(|at| at.min(p.iters));
+                    if poison_iter == Some(self.iter) {
+                        if self.iter < p.iters {
+                            panic!("poisoned at iteration {}", self.iter);
+                        }
+                        panic!("poisoned after the final iteration");
+                    }
+                    if self.iter == p.iters {
+                        self.at = RingAt::Flushed;
+                        return Ok(Step::Flush);
+                    }
+                    fill_staging(ctx, p.seed, self.iter, p.payload);
+                    if world > 1 {
+                        let shift = Collective::ring_shift(ctx, W0, p.payload, 0, p.payload)?;
+                        self.at = RingAt::Shift(shift);
+                    } else {
+                        // Single-rank world: the shift would copy staging
+                        // onto the inbox, so checksum the staging fill.
+                        self.sum = fnv_bytes(self.sum, ctx.win_at(W0, 0, p.payload));
+                        if let Some(step) = self.next_iter() {
+                            return Ok(step);
+                        }
+                    }
+                }
+                RingAt::Shift(shift) => {
+                    if let Some(wait) = shift.poll(ctx)? {
+                        return Ok(Step::Coll(wait));
+                    }
+                    self.sum = fnv_bytes(self.sum, ctx.win_at(W0, p.payload, p.payload));
+                    self.at = RingAt::Release(Collective::ring_release(ctx));
+                }
+                RingAt::Release(release) => {
+                    if let Some(wait) = release.poll(ctx)? {
+                        return Ok(Step::Coll(wait));
+                    }
+                    if let Some(step) = self.next_iter() {
+                        return Ok(step);
+                    }
+                }
+                RingAt::Flushed if world > 1 => {
+                    self.at = RingAt::Barrier(Collective::barrier(ctx));
+                }
+                RingAt::Flushed => return Ok(Step::Done(self.sum)),
+                RingAt::Barrier(barrier) => {
+                    if let Some(wait) = barrier.poll(ctx)? {
+                        return Ok(Step::Coll(wait));
+                    }
+                    return Ok(Step::Done(self.sum));
+                }
+            }
         }
     }
-    if poison_iter == Some(p.iters) {
-        panic!("poisoned after the final iteration");
-    }
-    ctx.flush();
-    if world > 1 {
-        ctx.barrier();
-    }
-    sum
 }
 
 /// Reduction-buffer length for a payload: at least one `u64` lane, aligned
@@ -165,8 +299,8 @@ pub fn fill_lanes(ctx: &mut RtCtx, len: usize, seed: u64, iter: u32) {
     }
 }
 
-/// One allreduce round: fill the lanes, reduce them in place under `plan`,
-/// and fold the result into `sum`.
+/// One allreduce round on the blocking API: fill the lanes, reduce them in
+/// place under `plan`, and fold the result into `sum`.
 pub fn allreduce_step(
     ctx: &mut RtCtx,
     plan: &CollPlan,

@@ -215,17 +215,31 @@ pub enum RtError {
     /// The cluster aborted because another thread failed first; this rank's
     /// blocking call was interrupted so the join could complete.
     Aborted,
-    /// The run was torn down by its external
-    /// [`CancelToken`](crate::cluster::CancelToken) before completing: every
-    /// thread unwound cleanly and no other failure was recorded. This is the
-    /// job-scoped teardown the scheduler's `cancel` verb relies on — a
-    /// cancelled job reports `Cancelled`, never a spurious protocol error.
+    /// The job world was torn down by its external
+    /// [`CancelToken`](crate::cluster::CancelToken) before completing, and no
+    /// other failure was recorded. This is the teardown the scheduler's
+    /// `cancel` verb relies on — a cancelled job reports `Cancelled`, never
+    /// a spurious protocol error.
     Cancelled,
     /// The inter-host transport failed (socket error, corrupt stream, or a
     /// peer process that died before the world quiesced).
     Transport {
         /// Rendered transport-level error.
         detail: String,
+    },
+    /// A rank task called a blocking method of [`RtCtx`](crate::RtCtx).
+    /// A task runs on its world's driver thread beside every other rank, so
+    /// it must suspend with a [`Step`](crate::Step) instead of waiting.
+    BlockingInTask {
+        /// The blocking method that was called.
+        call: &'static str,
+    },
+    /// A job world run by the cooperative driver reached a fixed point: in
+    /// one sweep no task resumed and no device engine moved anything, so
+    /// no later sweep could either.
+    Stalled {
+        /// Every rank still waiting, with what it waits for.
+        waiting: Vec<(u32, String)>,
     },
     /// The happens-before race detector found a data race and the run is in
     /// strict mode: the access completing the racy pair fails with the
@@ -271,6 +285,20 @@ impl fmt::Display for RtError {
             RtError::Aborted => write!(f, "execution aborted (another thread failed first)"),
             RtError::Cancelled => write!(f, "execution cancelled by its cancel token"),
             RtError::Transport { detail } => write!(f, "inter-host transport failed: {detail}"),
+            RtError::BlockingInTask { call } => {
+                write!(
+                    f,
+                    "blocking call `{call}` inside a rank task (suspend instead)"
+                )
+            }
+            RtError::Stalled { waiting } => {
+                write!(f, "job world stalled with no progress possible")?;
+                for (i, (rank, what)) in waiting.iter().enumerate() {
+                    let sep = if i == 0 { ":" } else { ";" };
+                    write!(f, "{sep} rank {rank} waits for {what}")?;
+                }
+                Ok(())
+            }
             RtError::Race(report) => write!(f, "{report}"),
         }
     }

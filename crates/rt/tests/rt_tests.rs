@@ -3,8 +3,9 @@
 //! queues.
 
 use dcuda_rt::{
-    run_cluster, run_cluster_traced, try_run_cluster, try_run_cluster_job, CancelToken, Rank,
-    RtConfig, RtError, RtQuery, Tag, WindowId,
+    run_cluster, run_cluster_traced, thread_per_rank, try_run_cluster, try_run_cluster_job,
+    CancelToken, CollCtx, CollPlan, ProgressMode, RaceMode, Rank, RankTask, RtConfig, RtCtx,
+    RtError, RtQuery, Step, Tag, WindowId,
 };
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -1150,90 +1151,122 @@ fn user_queries_never_observe_collective_notifications() {
     assert!(report.coll.puts > 0);
 }
 
-/// Serializes the tests that count job-world threads: every job-scoped
-/// world of this process draws on the same thread pool.
-static POOL_USERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// A rank task scripted by a closure over the rank's context and the
+/// number of earlier resumes.
+struct Script<F>(F, usize);
+
+impl<F> RankTask for Script<F>
+where
+    F: FnMut(&mut RtCtx, usize) -> Result<Step, RtError> + Send,
+{
+    fn resume(&mut self, ctx: &mut RtCtx) -> Result<Step, RtError> {
+        self.1 += 1;
+        (self.0)(ctx, self.1 - 1)
+    }
+}
+
+fn task<F>(f: F) -> Box<dyn RankTask>
+where
+    F: FnMut(&mut RtCtx, usize) -> Result<Step, RtError> + Send + 'static,
+{
+    Box::new(Script(f, 0))
+}
 
 /// A 2×2 ring round in which every rank records the thread it runs on.
-fn recording_ring(ids: &Arc<Mutex<Vec<ThreadId>>>) -> Vec<dcuda_rt::cluster::RankProgram> {
+fn recording_ring(ids: &Arc<Mutex<Vec<ThreadId>>>) -> Vec<Box<dyn RankTask>> {
     (0..4u32)
         .map(|r| {
             let ids = ids.clone();
-            Box::new(move |ctx: &mut dcuda_rt::RtCtx| {
+            task(move |ctx, resumes| {
                 ids.lock().unwrap().push(std::thread::current().id());
-                ctx.put_notify(W0, Rank((r + 1) % 4), 0, 0, 1, Tag(1));
-                ctx.wait_notifications(RtQuery::exact(W0, Rank((r + 3) % 4), Tag(1)), 1);
-            }) as dcuda_rt::cluster::RankProgram
+                if resumes > 0 {
+                    return Ok(Step::Done(u64::from(r)));
+                }
+                ctx.try_put_notify(W0, Rank((r + 1) % 4), 0, 0, 1, Tag(1))?;
+                Ok(Step::Wait {
+                    query: RtQuery::exact(W0, Rank((r + 3) % 4), Tag(1)),
+                    count: 1,
+                })
+            })
         })
         .collect()
 }
 
-fn distinct(ids: &Mutex<Vec<ThreadId>>) -> usize {
-    ids.lock().unwrap().iter().collect::<HashSet<_>>().len()
+fn job(tasks: Vec<Box<dyn RankTask>>) -> Result<(dcuda_rt::RtReport, Vec<u64>), RtError> {
+    try_run_cluster_job(&cfg(2, 2), tasks, &CancelToken::new())
 }
 
-/// Job worlds run on at most one world's worth of pooled threads (2 host
-/// loops + 4 ranks) plus slack; a thread per rank per world would be 200.
-const REUSED_BOUND: usize = 8;
-
+/// Every task of a job world runs on the thread that called
+/// `try_run_cluster_job`; the same tasks on `try_run_cluster` run on a new
+/// thread per rank.
 #[test]
-fn job_worlds_reuse_threads() {
-    let _serial = POOL_USERS.lock().unwrap_or_else(|p| p.into_inner());
+fn job_worlds_run_on_the_callers_thread() {
+    let me = std::thread::current().id();
     let ids = Arc::new(Mutex::new(Vec::new()));
     for _ in 0..50 {
-        try_run_cluster_job(&cfg(2, 2), recording_ring(&ids), &CancelToken::new()).unwrap();
+        let (report, sums) = job(recording_ring(&ids)).unwrap();
+        assert_eq!((report.puts, report.matched), (4, 4));
+        assert_eq!(sums, [0, 1, 2, 3]);
     }
-    assert_eq!(ids.lock().unwrap().len(), 200);
-    let n = distinct(&ids);
+    let ids = ids.lock().unwrap();
+    assert_eq!(ids.len(), 400, "two resumes per task");
     assert!(
-        n <= REUSED_BOUND,
-        "50 job worlds ran their ranks on {n} threads"
+        ids.iter().all(|&id| id == me),
+        "a job task ran off the caller"
     );
 
-    // One-shot worlds keep spawning: every rank of every run is fresh.
     let ids = Arc::new(Mutex::new(Vec::new()));
     for _ in 0..10 {
-        try_run_cluster(&cfg(2, 2), recording_ring(&ids)).unwrap();
+        let (programs, _): (Vec<_>, Vec<_>) =
+            thread_per_rank(recording_ring(&ids)).into_iter().unzip();
+        try_run_cluster(&cfg(2, 2), programs).unwrap();
     }
-    assert_eq!(distinct(&ids), 40);
+    let distinct = ids.lock().unwrap().iter().collect::<HashSet<_>>().len();
+    assert_eq!(distinct, 40);
 }
 
 #[test]
 fn job_worlds_recover_from_a_rank_panic_and_a_cancel() {
-    let _serial = POOL_USERS.lock().unwrap_or_else(|p| p.into_inner());
+    let me = std::thread::current().id();
     let ids = Arc::new(Mutex::new(Vec::new()));
 
-    let mut programs = recording_ring(&ids);
-    programs[1] = Box::new(|_| panic!("rank 1 dies"));
-    match try_run_cluster_job(&cfg(2, 2), programs, &CancelToken::new()) {
+    let mut tasks = recording_ring(&ids);
+    tasks[1] = task(|_, _| panic!("rank 1 dies"));
+    match job(tasks) {
         Err(RtError::RankPanicked { rank: 1, .. }) => {}
         other => panic!("expected rank 1 to panic, got {other:?}"),
     }
 
-    // Every rank waits for a notification nobody sends; only the cancel,
-    // raised once all four are inside the world, ends the run.
+    // Every rank puts to itself once, then flushes forever with nothing
+    // outstanding, so each step is satisfied at once. The ranks still take
+    // turns: only once all four have been resumed 100 times is the cancel
+    // raised, and only the cancel ends the run.
     let cancel = CancelToken::new();
-    let (started, all_started) = std::sync::mpsc::channel();
-    let programs = (0..4)
+    let (progress, all_progressed) = std::sync::mpsc::channel();
+    let tasks = (0..4)
         .map(|_| {
-            let started = started.clone();
-            Box::new(move |ctx: &mut dcuda_rt::RtCtx| {
-                started.send(()).unwrap();
-                ctx.try_wait_notifications(RtQuery::exact(W0, Rank::ANY, Tag(77)), 1)
-                    .ok();
-            }) as dcuda_rt::cluster::RankProgram
+            let progress = progress.clone();
+            task(move |ctx, resumes| {
+                if resumes == 0 {
+                    ctx.try_put(W0, ctx.rank(), 8, 0, 8)?;
+                }
+                if resumes == 100 {
+                    progress.send(()).unwrap();
+                }
+                Ok(Step::Flush)
+            })
         })
         .collect();
     let canceller = {
         let cancel = cancel.clone();
         std::thread::spawn(move || {
             for _ in 0..4 {
-                all_started.recv().unwrap();
+                all_progressed.recv().unwrap();
             }
             cancel.cancel();
         })
     };
-    match try_run_cluster_job(&cfg(2, 2), programs, &cancel) {
+    match try_run_cluster_job(&cfg(2, 2), tasks, &cancel) {
         Err(RtError::Cancelled) => {}
         other => panic!("expected a cancelled run, got {other:?}"),
     }
@@ -1241,11 +1274,122 @@ fn job_worlds_recover_from_a_rank_panic_and_a_cancel() {
 
     ids.lock().unwrap().clear();
     for _ in 0..20 {
-        try_run_cluster_job(&cfg(2, 2), recording_ring(&ids), &CancelToken::new()).unwrap();
+        job(recording_ring(&ids)).unwrap();
     }
-    let n = distinct(&ids);
-    assert!(
-        n <= REUSED_BOUND,
-        "20 job worlds after the failures ran on {n} threads"
+    let ids = ids.lock().unwrap();
+    assert_eq!(ids.len(), 160);
+    assert!(ids.iter().all(|&id| id == me));
+}
+
+#[test]
+fn job_worlds_refuse_what_one_thread_cannot_honour() {
+    let refused = |cfg: RtConfig, field: &str| {
+        let tasks = (0..cfg.world())
+            .map(|_| task(|_, _| Ok(Step::Done(0))))
+            .collect();
+        match try_run_cluster_job(&cfg, tasks, &CancelToken::new()) {
+            Err(RtError::InvalidConfig(msg)) => assert!(msg.starts_with(field), "{msg}"),
+            other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+        }
+    };
+    let base = || RtConfig::builder().devices(1).ranks_per_device(2);
+    refused(
+        base().race_detect(RaceMode::Observe).build().unwrap(),
+        "race_detect",
     );
+    refused(
+        base().progress(ProgressMode::Threads(1)).build().unwrap(),
+        "progress",
+    );
+    refused(base().host_busy_spin(10).build().unwrap(), "host_busy_spin");
+    let tasks = vec![task(|_, _| Ok(Step::Done(0)))];
+    assert!(matches!(
+        try_run_cluster_job(&cfg(1, 2), tasks, &CancelToken::new()),
+        Err(RtError::InvalidConfig(_))
+    ));
+}
+
+#[test]
+fn a_blocking_call_inside_a_task_is_a_typed_error() {
+    let plan = CollPlan::builder().build().unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let calls = seen.clone();
+    let tasks = vec![
+        task(move |ctx, _| {
+            let q = RtQuery::WILDCARD;
+            let mut calls = calls.lock().unwrap();
+            calls.push(ctx.try_wait_notifications(q, 1));
+            calls.push(ctx.try_flush());
+            calls.push(ctx.try_barrier());
+            calls.push(ctx.try_allreduce(W0, 0, 64, &plan));
+            calls.push(ctx.try_reduce_scatter(W0, 0, 64, &plan));
+            calls.push(ctx.try_all_gather(W0, 0, 64, &plan));
+            calls.push(ctx.try_broadcast(W0, 0, 64, Rank(0), &plan));
+            calls.push(ctx.try_ring_shift(W0, 64, 0, 64));
+            calls.push(ctx.try_ring_release());
+            Ok(Step::Done(0))
+        }),
+        task(|_, _| Ok(Step::Done(0))),
+    ];
+    try_run_cluster_job(&cfg(1, 2), tasks, &CancelToken::new()).unwrap();
+    let names: Vec<_> = seen
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|r| match r {
+            Err(RtError::BlockingInTask { call }) => *call,
+            other => panic!("expected BlockingInTask, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "wait_notifications",
+            "flush",
+            "barrier",
+            "allreduce",
+            "reduce_scatter",
+            "all_gather",
+            "broadcast",
+            "ring_shift",
+            "ring_release"
+        ]
+    );
+
+    // A task that lets the error escape ends its world with it.
+    let tasks = vec![
+        task(|ctx, _| {
+            ctx.try_flush()?;
+            Ok(Step::Done(0))
+        }),
+        task(|_, _| Ok(Step::Done(0))),
+    ];
+    assert_eq!(
+        try_run_cluster_job(&cfg(1, 2), tasks, &CancelToken::new()).unwrap_err(),
+        RtError::BlockingInTask { call: "flush" }
+    );
+}
+
+#[test]
+fn a_stalled_job_world_fails_fast() {
+    let q = RtQuery::exact(W0, Rank(3), Tag(77));
+    let tasks = (0..4)
+        .map(|r| {
+            task(move |_, resumes| match (r, resumes) {
+                (1, 0) => Ok(Step::Wait { query: q, count: 1 }),
+                _ => Ok(Step::Done(0)),
+            })
+        })
+        .collect();
+    let start = std::time::Instant::now();
+    let err = try_run_cluster_job(&cfg(2, 2), tasks, &CancelToken::new()).unwrap_err();
+    assert!(start.elapsed() < std::time::Duration::from_millis(100));
+    match &err {
+        RtError::Stalled { waiting } => {
+            assert_eq!(waiting.len(), 1);
+            assert_eq!(waiting[0].0, 1);
+            assert!(waiting[0].1.contains("rank 3, tag 77"), "{err}");
+        }
+        other => panic!("expected a stall, got {other:?}"),
+    }
 }

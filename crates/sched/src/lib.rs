@@ -15,10 +15,11 @@
 //!   typed, deterministic [`SchedError`]s.
 //! * **Fault isolation per job** — every admitted job runs as its own
 //!   cluster world via [`dcuda_rt::try_run_cluster_job`] with its own
-//!   abort flag, so one job's `RankPanicked`/`RtError::Race` tears down
-//!   only that job and frees its lease while neighbors run on. The world's
-//!   host and rank threads are reused workers of the runtime's thread
-//!   pool; only the job's runner is a new thread.
+//!   cancel flag, so one job's `RankPanicked` (or any other failure) tears
+//!   down only that job and frees its lease while neighbors run on. The
+//!   world has no threads of its own: its ranks are resumable
+//!   [`dcuda_rt::RankTask`]s, and the job's runner thread drives them and
+//!   the world's device engines.
 //! * **A control plane on the launch codec** — [`server`] speaks
 //!   `submit`/`status`/`cancel`/`drain` verbs as length-prefixed blobs
 //!   (`dcuda_net::launch`), returning per-job reports plus an aggregate
@@ -29,7 +30,8 @@
 //! `(seed, world, iters, payload)` and publishes the same rank-salted
 //! FNV checksums the conformance suite uses, which is what makes the
 //! storm-vs-solo byte-identity tests in `tests/sched_conformance.rs`
-//! possible.
+//! possible. [`run_solo`] runs the same tasks on rank threads, so those
+//! tests also check the cooperative driver against an independent one.
 
 #![warn(missing_docs)]
 

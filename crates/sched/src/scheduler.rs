@@ -5,12 +5,12 @@
 //! (a submit, a finished job) drives an admission pass that leases capacity
 //! to queued jobs FIFO-with-backfill and spawns one runner thread per
 //! admitted job. A runner executes its job as an independent cluster world
-//! via [`dcuda_rt::try_run_cluster_job`] — its own abort flag, its own
+//! via [`dcuda_rt::try_run_cluster_job`] — its own cancel flag, its own
 //! windows — which is the fault-isolation boundary: a job that panics or
-//! races tears down only its own world, publishes a `Failed` outcome and
-//! frees its lease while neighbors run on. The world's host and rank
-//! threads are parked workers of the runtime's thread pool, not threads
-//! spawned per job.
+//! fails tears down only its own world, publishes a `Failed` outcome and
+//! frees its lease while neighbors run on. The world has no threads of its
+//! own: its rank programs are resumable tasks, and the runner is the
+//! cooperative driver that runs them and the world's device engines.
 //!
 //! A job's terminal outcome — table state, report and checksum — is written
 //! once by its runner under the table mutex; cancel, status, wait and drain
@@ -22,8 +22,11 @@ use crate::ledger::{AdmissionQueue, Lease, Ledger, QueuedJob};
 use crate::programs;
 use crate::{JobSpec, SchedError, SchedLimits};
 use dcuda_core::SchedStats;
-use dcuda_rt::{try_run_cluster, try_run_cluster_job, CancelToken, RtError, RtReport};
+use dcuda_rt::{
+    thread_per_rank, try_run_cluster, try_run_cluster_job, CancelToken, RtError, RtReport,
+};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -376,13 +379,12 @@ fn admit(shared: &Arc<Shared>) {
     };
     for id in started {
         let shared = shared.clone();
-        // One runner thread per admitted job: it blocks inside the job's
-        // own cluster world until that world joins, then books the outcome
-        // and drives the next admission pass. The world's threads come from
-        // the runtime's pool; the runner itself is spawned fresh, because a
-        // process that stops creating threads altogether makes its next
-        // fresh-thread worlds (`run_solo`) measurably slower to launch
-        // (DESIGN.md §18, "Thread lifecycle").
+        // One runner thread per admitted job: it drives the job's world to
+        // its end, then books the outcome and drives the next admission
+        // pass. The world spawns no thread of its own; the runner is
+        // spawned fresh, because a process that stops creating threads
+        // altogether makes its next fresh-thread worlds (`run_solo`)
+        // measurably slower to launch (DESIGN.md §18, "Thread lifecycle").
         std::thread::Builder::new()
             .name(format!("dcuda-job-{id}"))
             .spawn(move || run_job(&shared, id))
@@ -397,16 +399,13 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         let job = &st.jobs[&id];
         (job.spec.clone(), job.cancel.clone())
     };
-    let built = programs::build(&spec);
-    let (ranks, cells): (Vec<_>, Vec<_>) = built.into_iter().unzip();
-    let outcome = match spec.rt_config() {
-        Ok(cfg) => try_run_cluster_job(&cfg, ranks, &cancel),
-        Err(e) => Err(e),
-    };
+    let outcome = spec
+        .rt_config()
+        .and_then(|cfg| try_run_cluster_job(&cfg, programs::tasks(&spec), &cancel));
     let (end, checksum, counters, error) = match outcome {
-        Ok(ref report) => (
+        Ok((ref report, ref sums)) => (
             JobEnd::Completed,
-            programs::fold_checksums(&cells),
+            programs::fold_checksums(sums),
             JobCounters::from(report),
             None,
         ),
@@ -450,7 +449,9 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
 }
 
 /// Run a spec alone on a fresh, dedicated cluster — the golden the
-/// conformance suite compares every scheduler-run job against.
+/// conformance suite compares every scheduler-run job against. Its ranks
+/// run the job's tasks on threads of their own ([`thread_per_rank`]), an
+/// independent check of the cooperative driver the scheduler uses.
 pub fn run_solo(spec: &JobSpec) -> Result<JobResult, SchedError> {
     spec.validate(&SchedLimits {
         // Solo goldens bypass the shared server's queue policy but keep the
@@ -458,15 +459,20 @@ pub fn run_solo(spec: &JobSpec) -> Result<JobResult, SchedError> {
         ..SchedLimits::default()
     })?;
     let cfg = spec.rt_config().map_err(SchedError::Rt)?;
-    let built = programs::build(spec);
-    let (ranks, cells): (Vec<_>, Vec<_>) = built.into_iter().unzip();
+    let (ranks, cells): (Vec<_>, Vec<_>) =
+        thread_per_rank(programs::tasks(spec)).into_iter().unzip();
     let start = Instant::now();
     match try_run_cluster(&cfg, ranks) {
         Ok(report) => Ok(JobResult {
             id: 0,
             name: spec.name.clone(),
             end: JobEnd::Completed,
-            checksum: programs::fold_checksums(&cells),
+            checksum: programs::fold_checksums(
+                &cells
+                    .iter()
+                    .map(|c| c.load(Ordering::Acquire))
+                    .collect::<Vec<_>>(),
+            ),
             counters: JobCounters::from(&report),
             error: None,
             wait_ms: 0.0,

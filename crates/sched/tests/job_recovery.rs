@@ -1,6 +1,5 @@
 //! A job server keeps serving after a job panics and a job is cancelled
-//! mid-run: the world threads those jobs used go back to the runtime's
-//! thread pool, and every later job still matches the same spec run alone.
+//! mid-run: every later job still matches the same spec run alone.
 
 use dcuda_rt::RtError;
 use dcuda_sched::{run_solo, JobEnd, JobProgram, JobSpec, JobStatus, SchedLimits, Scheduler};

@@ -9,17 +9,18 @@
 //! its slice; each rank folds everything it received into an order-
 //! independent checksum published through an `AtomicU64`.
 //!
-//! The pingpong, overlap and allreduce programs are the shared definitions
-//! of [`dcuda_rt::programs`] — the scheduler's job registry runs the very
-//! same ones — so this module only adds the launcher-specific variants
-//! (stencil, the full collective tour, the racy negative fixture).
+//! The pingpong and overlap programs are the shared task definitions of
+//! [`dcuda_rt::programs`], run here on rank threads — the scheduler's job
+//! registry runs the very same tasks — so this module only adds the
+//! launcher-specific variants (stencil, the full collective tour, the racy
+//! negative fixture).
 
 use dcuda_coll::segment_range;
 use dcuda_rt::cluster::RankProgram;
 use dcuda_rt::programs::{self, fill_lanes, fill_staging, fnv_bytes, Params, FNV_OFFSET};
 use dcuda_rt::{
-    allreduce_scratch_bytes, reduce_scatter_scratch_bytes, CollAlgo, CollCtx, CollPlan, Dtype,
-    Rank, ReduceOp, RtCtx, RtQuery, Tag, WindowId, DEFAULT_COLL_SCRATCH,
+    allreduce_scratch_bytes, reduce_scatter_scratch_bytes, run_blocking, CollAlgo, CollCtx,
+    CollPlan, Dtype, Rank, RankTask, ReduceOp, RtCtx, RtQuery, Tag, WindowId, DEFAULT_COLL_SCRATCH,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -155,8 +156,8 @@ impl WorkloadSpec {
                 let out = cell.clone();
                 let program: RankProgram = Box::new(move |ctx: &mut RtCtx| {
                     let sum = match spec.workload {
-                        Workload::PingPong => programs::pingpong(ctx, spec.params()),
-                        Workload::Overlap => programs::ring(ctx, spec.params(), None),
+                        Workload::PingPong => run_task(ctx, programs::pingpong(spec.params())),
+                        Workload::Overlap => run_task(ctx, programs::ring(spec.params(), None)),
                         Workload::Stencil => run_stencil(ctx, spec, world),
                         Workload::Coll => run_coll(ctx, spec, world),
                         Workload::Racey => run_racey(ctx, spec, world),
@@ -167,6 +168,12 @@ impl WorkloadSpec {
             })
             .collect()
     }
+}
+
+/// Run a shared task program on this rank thread.
+fn run_task(ctx: &mut RtCtx, mut task: impl RankTask) -> u64 {
+    let rank = ctx.rank().0;
+    run_blocking(ctx, &mut task).unwrap_or_else(|e| panic!("rank {rank}: {e}"))
 }
 
 fn run_coll(ctx: &mut RtCtx, spec: WorkloadSpec, world: u32) -> u64 {
