@@ -98,6 +98,9 @@ pub struct SchedStats {
     /// Time integral of `slots_busy` in nanosecond-slots — the numerator of
     /// device utilization (see [`SchedStats::utilization`]).
     pub busy_slot_nanos: u128,
+    /// Runner threads started. Runners are reused across jobs, so a busy
+    /// scheduler starts far fewer than it admits jobs.
+    pub runners_started: u64,
 }
 
 impl SchedStats {

@@ -87,7 +87,9 @@ pub struct RtConfig {
     /// Bytes of hidden per-rank scratch reserved for the collective engine
     /// (staging for in-flight reduction chunks). Collectives whose schedule
     /// needs more fail with `CollError::ScratchTooSmall`; size via
-    /// [`dcuda_coll::allreduce_scratch_bytes`].
+    /// [`dcuda_coll::allreduce_scratch_bytes`]. A rank allocates its
+    /// scratch, at this size, the first time data lands in it or is read
+    /// from it, so a rank that only runs barriers and user puts never does.
     pub coll_scratch: usize,
     /// Happens-before race detection over window memory (`None` = off; the
     /// hot path then carries a single pointer-null check, like tracing).
@@ -734,15 +736,16 @@ fn build_world(
                 local,
                 ranks_per_device: cfg.ranks_per_device,
                 // User windows in layout order, then the hidden collective
-                // scratch window at index `user_windows`.
+                // scratch window at index `user_windows`, empty until its
+                // first use.
                 windows: cfg
                     .windows
                     .iter()
-                    .copied()
-                    .chain(std::iter::once(cfg.coll_scratch))
-                    .map(|b| vec![0u8; b])
+                    .map(|&b| vec![0u8; b])
+                    .chain(std::iter::once(Vec::new()))
                     .collect(),
                 user_windows: cfg.windows.len(),
+                scratch_bytes: cfg.coll_scratch,
                 cmd: ctx_cmd_tx,
                 delivery: ctx_del_rx,
                 pending: IndexedMatcher::new(),

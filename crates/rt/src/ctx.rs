@@ -44,11 +44,14 @@ pub struct RtCtx {
     pub(crate) local: u32,
     pub(crate) ranks_per_device: u32,
     /// Rank-private window memory: the user-registered windows followed by
-    /// one hidden collective-scratch window at index `user_windows`.
+    /// one hidden collective-scratch window at index `user_windows`, which
+    /// stays empty until [`touch_scratch`](Self::touch_scratch).
     pub(crate) windows: Vec<Vec<u8>>,
     /// Number of user-visible windows (`windows.len() - 1`); indices at or
     /// beyond this are runtime-internal and hidden from the window API.
     pub(crate) user_windows: usize,
+    /// Configured size of the scratch window (`RtConfig::coll_scratch`).
+    pub(crate) scratch_bytes: usize,
     /// Command ring to the block manager.
     pub(crate) cmd: Sender<Cmd>,
     /// Delivery ring from the block manager.
@@ -595,6 +598,11 @@ impl RtCtx {
             match self.delivery.try_recv() {
                 Ok(d) => {
                     let win = WindowId(d.win);
+                    if win.index() == self.user_windows && !d.data.is_empty() {
+                        // A peer's chunk may land before this rank's first
+                        // collective touched its scratch.
+                        self.touch_scratch();
+                    }
                     let count = self.windows.len();
                     let w = self
                         .windows
@@ -798,10 +806,20 @@ impl RtCtx {
         self.user_windows
     }
 
-    /// Byte length of the hidden scratch window.
+    /// Byte length of the hidden scratch window, allocated or not.
     #[inline]
     pub(crate) fn scratch_len(&self) -> usize {
-        self.windows[self.user_windows].len()
+        self.scratch_bytes
+    }
+
+    /// Allocate the hidden scratch window, zeroed at its configured size,
+    /// unless it already is. Called before any byte of it is written or
+    /// read; zero-length puts (barrier rounds) never need it.
+    pub(crate) fn touch_scratch(&mut self) {
+        let scratch = &mut self.windows[self.user_windows];
+        if scratch.is_empty() {
+            *scratch = vec![0u8; self.scratch_bytes];
+        }
     }
 
     /// Reduce-accumulate `len` bytes of the hidden scratch window (at
@@ -821,6 +839,7 @@ impl RtCtx {
         let idx = self.user_win_range(win, dst, len)?;
         let scratch_idx = self.scratch_index();
         debug_assert!(scratch_off + len <= self.scratch_len());
+        self.touch_scratch();
         self.race_local_ref(
             scratch_idx as u32,
             scratch_off,
@@ -874,6 +893,9 @@ impl RtCtx {
         tag: u32,
     ) -> Result<(), RtError> {
         debug_assert!(tag & COLL_TAG_BIT != 0);
+        if src_win == self.scratch_index() && len > 0 {
+            self.touch_scratch();
+        }
         let data = self.windows[src_win][src_off..src_off + len].to_vec();
         self.race_put(
             dst,
@@ -929,5 +951,80 @@ impl RtCtx {
                 return Ok(());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::programs::{pingpong, ring, Params};
+    use crate::{
+        thread_per_rank, try_run_cluster, try_run_cluster_job, CancelToken, RankTask, RtConfig,
+        RtCtx, RtError, Step,
+    };
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Runs its tasks one after another, then counts its rank into
+    /// `allocated` if the hidden scratch window holds any memory.
+    struct ThenCheckScratch {
+        tasks: VecDeque<Box<dyn RankTask>>,
+        allocated: Arc<AtomicUsize>,
+    }
+
+    impl RankTask for ThenCheckScratch {
+        fn resume(&mut self, ctx: &mut RtCtx) -> Result<Step, RtError> {
+            while let Some(task) = self.tasks.front_mut() {
+                match task.resume(ctx)? {
+                    Step::Done(_) => drop(self.tasks.pop_front()),
+                    step => return Ok(step),
+                }
+            }
+            if ctx.windows[ctx.scratch_index()].capacity() > 0 {
+                self.allocated.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(Step::Done(0))
+        }
+    }
+
+    #[test]
+    fn barriers_and_puts_never_allocate_scratch() {
+        // Ring: collective shifts between user windows, zero-length
+        // release puts through the scratch window and a closing barrier;
+        // pingpong: point-to-point notified puts.
+        let cfg = RtConfig {
+            devices: 2,
+            ranks_per_device: 4,
+            windows: vec![128],
+            ..RtConfig::default()
+        };
+        let p = Params {
+            seed: 3,
+            iters: 9,
+            payload: 64,
+        };
+        let allocated = Arc::new(AtomicUsize::new(0));
+        let tasks = || -> Vec<Box<dyn RankTask>> {
+            (0..8)
+                .map(|_| -> Box<dyn RankTask> {
+                    Box::new(ThenCheckScratch {
+                        tasks: VecDeque::from([
+                            Box::new(ring(p, None)) as Box<dyn RankTask>,
+                            Box::new(pingpong(p)),
+                        ]),
+                        allocated: allocated.clone(),
+                    })
+                })
+                .collect()
+        };
+        let (programs, _): (Vec<_>, Vec<_>) = thread_per_rank(tasks()).into_iter().unzip();
+        let report = try_run_cluster(&cfg, programs).expect("threaded world");
+        assert!(report.barriers > 0 && report.puts > 0, "{report:?}");
+        try_run_cluster_job(&cfg, tasks(), &CancelToken::new()).expect("job world");
+        assert_eq!(
+            allocated.load(Ordering::Relaxed),
+            0,
+            "ranks that allocated scratch"
+        );
     }
 }

@@ -6,7 +6,9 @@ use dcuda_coll::{segment_range, serial_allreduce};
 use dcuda_des::check::full_tier;
 use dcuda_des::SplitMix64;
 use dcuda_rt::prelude::*;
-use dcuda_rt::{run_cluster, try_run_cluster};
+use dcuda_rt::programs::{fnv_bytes, FNV_OFFSET};
+use dcuda_rt::{run_cluster, thread_per_rank, try_run_cluster, try_run_cluster_job, CancelToken};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 const W0: WindowId = WindowId(0);
@@ -524,4 +526,72 @@ fn collectives_and_user_traffic_interleave_cleanly() {
     let report = run_cluster(&cfg(2, 2, 128), programs);
     assert_eq!(report.matched, u64::from(world));
     assert_eq!(report.puts, u64::from(world));
+}
+
+/// One ring allreduce of `LATE_ELEMS` `u64` lanes as a task, returning an
+/// FNV checksum of the result. Rank 0 sleeps 5 ms before it starts, so
+/// the chunks its peers send reach its scratch window, which a rank
+/// allocates on first use, before its own schedule touches it.
+struct LateRootAllreduce {
+    plan: CollPlan,
+    coll: Option<Collective>,
+}
+
+const LATE_ELEMS: usize = 512;
+
+impl RankTask for LateRootAllreduce {
+    fn resume(&mut self, ctx: &mut RtCtx) -> Result<Step, RtError> {
+        let len = LATE_ELEMS * 8;
+        if self.coll.is_none() {
+            if ctx.rank().0 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            let input = input_u64(ctx.rank().0, LATE_ELEMS);
+            ctx.win_mut(W0).copy_from_slice(&input);
+            self.coll = Some(Collective::allreduce(ctx, W0, 0, len, &self.plan)?);
+        }
+        let coll = self.coll.as_mut().expect("started above");
+        Ok(match coll.poll(ctx)? {
+            Some(wait) => Step::Coll(wait),
+            None => Step::Done(fnv_bytes(FNV_OFFSET, ctx.win(W0))),
+        })
+    }
+}
+
+#[test]
+fn scratch_allocated_on_first_delivery_reduces_exactly() {
+    let (devices, ranks) = (2, 2);
+    let world = devices * ranks;
+    let len = LATE_ELEMS * 8;
+    let plan = CollPlan::builder()
+        .algo(CollAlgo::Ring)
+        .chunk_bytes(256)
+        .op(ReduceOp::Sum)
+        .dtype(Dtype::U64)
+        .build()
+        .unwrap();
+    let mut config = cfg(devices, ranks, len);
+    config.coll_scratch = allreduce_scratch_bytes(CollAlgo::Ring, len, 256, world);
+    let tasks = || -> Vec<Box<dyn RankTask>> {
+        (0..world)
+            .map(|_| Box::new(LateRootAllreduce { plan, coll: None }) as Box<dyn RankTask>)
+            .collect()
+    };
+    let expected = fnv_bytes(
+        FNV_OFFSET,
+        &serial_expected(world, len, ReduceOp::Sum, Dtype::U64),
+    );
+
+    let (programs, cells): (Vec<_>, Vec<_>) = thread_per_rank(tasks()).into_iter().unzip();
+    try_run_cluster(&config, programs).expect("threaded world");
+    for (rank, cell) in cells.iter().enumerate() {
+        assert_eq!(
+            cell.load(Ordering::Acquire),
+            expected,
+            "threads, rank {rank}"
+        );
+    }
+
+    let (_, sums) = try_run_cluster_job(&config, tasks(), &CancelToken::new()).expect("job world");
+    assert_eq!(sums, vec![expected; world as usize], "job world");
 }

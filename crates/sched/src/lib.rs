@@ -18,8 +18,9 @@
 //!   cancel flag, so one job's `RankPanicked` (or any other failure) tears
 //!   down only that job and frees its lease while neighbors run on. The
 //!   world has no threads of its own: its ranks are resumable
-//!   [`dcuda_rt::RankTask`]s, and the job's runner thread drives them and
-//!   the world's device engines.
+//!   [`dcuda_rt::RankTask`]s, and a runner thread drives them and the
+//!   world's device engines. Runners are reused from job to job and exit
+//!   after [`scheduler::RUNNER_IDLE`] without work.
 //! * **A control plane on the launch codec** — [`server`] speaks
 //!   `submit`/`status`/`cancel`/`drain` verbs as length-prefixed blobs
 //!   (`dcuda_net::launch`), returning per-job reports plus an aggregate

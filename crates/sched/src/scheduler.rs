@@ -3,14 +3,22 @@
 //! One [`Scheduler`] owns the capacity ledger of a long-lived cluster and a
 //! job table. `submit` validates quotas and enqueues; every state change
 //! (a submit, a finished job) drives an admission pass that leases capacity
-//! to queued jobs FIFO-with-backfill and spawns one runner thread per
-//! admitted job. A runner executes its job as an independent cluster world
-//! via [`dcuda_rt::try_run_cluster_job`] — its own cancel flag, its own
+//! to queued jobs FIFO-with-backfill and puts the admitted ids on a ready
+//! queue. Runner threads take jobs from that queue one at a time and run
+//! each as an independent cluster world via
+//! [`dcuda_rt::try_run_cluster_job`] — its own cancel flag, its own
 //! windows — which is the fault-isolation boundary: a job that panics or
 //! fails tears down only its own world, publishes a `Failed` outcome and
-//! frees its lease while neighbors run on. The world has no threads of its
-//! own: its rank programs are resumable tasks, and the runner is the
-//! cooperative driver that runs them and the world's device engines.
+//! frees its lease while neighbors run on, and its runner takes the next
+//! job. The world has no threads of its own: its rank programs are
+//! resumable tasks, and the runner is the cooperative driver that runs them
+//! and the world's device engines.
+//!
+//! Runners are reused, not spawned per job: an admission pass wakes an idle
+//! runner per admitted job and spawns one only for the jobs no idle runner
+//! will take, so live runners never outnumber the jobs that ran at once.
+//! A runner that finds the ready queue empty for [`RUNNER_IDLE`] exits, so
+//! an idle scheduler holds no threads and needs no shutdown.
 //!
 //! A job's terminal outcome — table state, report and checksum — is written
 //! once by its runner under the table mutex; cancel, status, wait and drain
@@ -25,10 +33,15 @@ use dcuda_core::SchedStats;
 use dcuda_rt::{
     thread_per_rank, try_run_cluster, try_run_cluster_job, CancelToken, RtError, RtReport,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long a runner waits for the next admitted job before it exits.
+/// Longer than the gap between jobs of a busy scheduler, short enough
+/// that an idle one soon holds no threads.
+pub const RUNNER_IDLE: Duration = Duration::from_millis(50);
 
 /// Protocol counters of one job's run — the fields that must be
 /// byte-identical between a job run on the shared scheduler and the same
@@ -112,13 +125,21 @@ struct State {
     stats: SchedStats,
     draining: bool,
     last_busy_mark: Instant,
+    /// Admitted jobs no runner has taken yet, in admission order.
+    ready: VecDeque<u64>,
+    /// Runners that will look at the ready queue without being spawned:
+    /// those waiting on `Shared::work` and those spawned but not started.
+    idle_runners: usize,
 }
 
 struct Shared {
     limits: SchedLimits,
     created: Instant,
     state: Mutex<State>,
+    /// Signals job table changes (terminal outcomes, dequeues).
     cv: Condvar,
+    /// Signals idle runners that a job is ready.
+    work: Condvar,
 }
 
 /// A long-lived multi-tenant job server over one cluster's capacity.
@@ -164,8 +185,11 @@ impl Scheduler {
                     stats,
                     draining: false,
                     last_busy_mark: now,
+                    ready: VecDeque::new(),
+                    idle_runners: 0,
                 }),
                 cv: Condvar::new(),
+                work: Condvar::new(),
             }),
         }
     }
@@ -319,7 +343,7 @@ impl Scheduler {
     /// reach a terminal state, and return the final stats. The ledger is
     /// fully free afterwards — cancel and drain never leak slots, windows
     /// or scratch (windows live inside each job's cluster world and are
-    /// dropped when its runner joins).
+    /// dropped before its runner books the outcome).
     pub fn drain(&self) -> SchedStats {
         let mut st = lock(&self.shared);
         st.draining = true;
@@ -347,61 +371,105 @@ impl Scheduler {
     }
 }
 
-/// One admission pass: lease capacity to queued jobs (FIFO + bounded
-/// backfill) and spawn a runner thread per admitted job.
+/// One admission pass from outside a runner (a submit or a cancel).
 fn admit(shared: &Arc<Shared>) {
-    let started: Vec<u64> = {
+    let spawn = {
         let mut st = lock(shared);
-        let now = Instant::now();
-        mark_busy(&mut st, now);
-        let st = &mut *st;
-        let admitted = st.queue.admit_pass(&mut st.ledger);
-        let mut ids = Vec::with_capacity(admitted.len());
-        for (queued, lease) in admitted {
-            let job = st
-                .jobs
-                .get_mut(&queued.id)
-                .expect("queued job is in the table");
-            job.table = job
-                .table
-                .advance(TableState::Running)
-                .expect("queued -> running is legal");
-            job.lease = Some(lease);
-            job.started = Some(now);
-            st.stats.admitted += 1;
-            st.stats.running += 1;
-            ids.push(queued.id);
-        }
-        st.stats.queue_depth = st.queue.len() as u64;
-        st.stats.slots_busy = st.ledger.slots_busy();
-        st.stats.peak_slots_busy = st.stats.peak_slots_busy.max(st.stats.slots_busy);
-        ids
+        admit_locked(shared, &mut st, 0)
     };
-    for id in started {
+    spawn_runners(shared, spawn);
+}
+
+/// One admission pass: lease capacity to queued jobs (FIFO + bounded
+/// backfill) and put them on the ready queue. Wake an idle runner per
+/// admitted job and return how many runners to spawn: one per ready job
+/// that neither an idle runner nor one of the caller's `takers` (a runner
+/// about to take its next job) will run.
+fn admit_locked(shared: &Shared, st: &mut State, takers: usize) -> usize {
+    let now = Instant::now();
+    mark_busy(st, now);
+    let admitted = st.queue.admit_pass(&mut st.ledger);
+    let fresh = admitted.len();
+    for (queued, lease) in admitted {
+        let job = st
+            .jobs
+            .get_mut(&queued.id)
+            .expect("queued job is in the table");
+        job.table = job
+            .table
+            .advance(TableState::Running)
+            .expect("queued -> running is legal");
+        job.lease = Some(lease);
+        job.started = Some(now);
+        st.stats.admitted += 1;
+        st.stats.running += 1;
+        st.ready.push_back(queued.id);
+    }
+    st.stats.queue_depth = st.queue.len() as u64;
+    st.stats.slots_busy = st.ledger.slots_busy();
+    st.stats.peak_slots_busy = st.stats.peak_slots_busy.max(st.stats.slots_busy);
+    for _ in 0..fresh.min(st.idle_runners) {
+        shared.work.notify_one();
+    }
+    let spawn = st.ready.len().saturating_sub(st.idle_runners + takers);
+    st.idle_runners += spawn;
+    st.stats.runners_started += spawn as u64;
+    spawn
+}
+
+fn spawn_runners(shared: &Arc<Shared>, count: usize) {
+    for _ in 0..count {
         let shared = shared.clone();
-        // One runner thread per admitted job: it drives the job's world to
-        // its end, then books the outcome and drives the next admission
-        // pass. The world spawns no thread of its own; the runner is
-        // spawned fresh, because a process that stops creating threads
-        // altogether makes its next fresh-thread worlds (`run_solo`)
-        // measurably slower to launch (DESIGN.md §18, "Thread lifecycle").
         std::thread::Builder::new()
-            .name(format!("dcuda-job-{id}"))
-            .spawn(move || run_job(&shared, id))
+            .name("dcuda-sched-runner".into())
+            .spawn(move || runner(&shared))
             .expect("spawn job runner");
     }
 }
 
-/// Execute one admitted job to its terminal outcome.
-fn run_job(shared: &Arc<Shared>, id: u64) {
-    let (spec, cancel) = {
-        let st = lock(shared);
+/// A runner: run ready jobs one after another, each to its terminal
+/// outcome, and exit once none has been ready for [`RUNNER_IDLE`]. A
+/// failed or cancelled job ends inside `try_run_cluster_job`, so the
+/// runner carries on with the next one.
+fn runner(shared: &Arc<Shared>) {
+    let mut st = lock(shared);
+    // Started: counted idle from the spawn until here.
+    st.idle_runners -= 1;
+    loop {
+        if st.ready.is_empty() {
+            st.idle_runners += 1;
+            st = match shared
+                .work
+                .wait_timeout_while(st, RUNNER_IDLE, |st| st.ready.is_empty())
+            {
+                Ok((g, _)) => g,
+                Err(p) => p.into_inner().0,
+            };
+            st.idle_runners -= 1;
+        }
+        let Some(id) = st.ready.pop_front() else {
+            return;
+        };
         let job = &st.jobs[&id];
-        (job.spec.clone(), job.cancel.clone())
-    };
-    let outcome = spec
-        .rt_config()
-        .and_then(|cfg| try_run_cluster_job(&cfg, programs::tasks(&spec), &cancel));
+        let (spec, cancel) = (job.spec.clone(), job.cancel.clone());
+        drop(st);
+        let outcome = spec
+            .rt_config()
+            .and_then(|cfg| try_run_cluster_job(&cfg, programs::tasks(&spec), &cancel));
+        st = lock(shared);
+        book(shared, &mut st, id, outcome);
+        // This runner takes the next ready job itself.
+        let spawn = admit_locked(shared, &mut st, 1);
+        if spawn > 0 {
+            drop(st);
+            spawn_runners(shared, spawn);
+            st = lock(shared);
+        }
+    }
+}
+
+/// Book a job's terminal outcome: free its lease and publish its report.
+fn book(shared: &Shared, st: &mut State, id: u64, outcome: Result<(RtReport, Vec<u64>), RtError>) {
     let (end, checksum, counters, error) = match outcome {
         Ok((ref report, ref sums)) => (
             JobEnd::Completed,
@@ -412,40 +480,35 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         Err(RtError::Cancelled) => (JobEnd::Cancelled, 0, JobCounters::default(), None),
         Err(e) => (JobEnd::Failed, 0, JobCounters::default(), Some(e)),
     };
-    {
-        let mut st = lock(shared);
-        let now = Instant::now();
-        mark_busy(&mut st, now);
-        let st = &mut *st;
-        let job = st.jobs.get_mut(&id).expect("running job is in the table");
-        if let Some(lease) = job.lease.take() {
-            st.ledger.release(&lease);
-        }
-        job.table = job
-            .table
-            .advance(TableState::Done(end))
-            .expect("running -> done is legal");
-        let started = job.started.unwrap_or(job.submitted);
-        job.result = Some(JobResult {
-            id,
-            name: job.spec.name.clone(),
-            end,
-            checksum,
-            counters,
-            error,
-            wait_ms: started.duration_since(job.submitted).as_secs_f64() * 1e3,
-            run_ms: now.duration_since(started).as_secs_f64() * 1e3,
-        });
-        st.stats.running -= 1;
-        st.stats.slots_busy = st.ledger.slots_busy();
-        match end {
-            JobEnd::Completed => st.stats.completed += 1,
-            JobEnd::Failed => st.stats.failed += 1,
-            JobEnd::Cancelled => st.stats.cancelled += 1,
-        }
-        shared.cv.notify_all();
+    let now = Instant::now();
+    mark_busy(st, now);
+    let job = st.jobs.get_mut(&id).expect("running job is in the table");
+    if let Some(lease) = job.lease.take() {
+        st.ledger.release(&lease);
     }
-    admit(shared);
+    job.table = job
+        .table
+        .advance(TableState::Done(end))
+        .expect("running -> done is legal");
+    let started = job.started.unwrap_or(job.submitted);
+    job.result = Some(JobResult {
+        id,
+        name: job.spec.name.clone(),
+        end,
+        checksum,
+        counters,
+        error,
+        wait_ms: started.duration_since(job.submitted).as_secs_f64() * 1e3,
+        run_ms: now.duration_since(started).as_secs_f64() * 1e3,
+    });
+    st.stats.running -= 1;
+    st.stats.slots_busy = st.ledger.slots_busy();
+    match end {
+        JobEnd::Completed => st.stats.completed += 1,
+        JobEnd::Failed => st.stats.failed += 1,
+        JobEnd::Cancelled => st.stats.cancelled += 1,
+    }
+    shared.cv.notify_all();
 }
 
 /// Run a spec alone on a fresh, dedicated cluster — the golden the

@@ -123,7 +123,7 @@ fn stats_kv(s: &SchedStats) -> String {
     format!(
         "submitted={} admitted={} completed={} failed={} cancelled={} rejected={} \
          queue_depth={} peak_queue_depth={} running={} slots_total={} slots_busy={} \
-         peak_slots_busy={} busy_slot_nanos={}",
+         peak_slots_busy={} busy_slot_nanos={} runners_started={}",
         s.submitted,
         s.admitted,
         s.completed,
@@ -137,6 +137,7 @@ fn stats_kv(s: &SchedStats) -> String {
         s.slots_busy,
         s.peak_slots_busy,
         s.busy_slot_nanos,
+        s.runners_started,
     )
 }
 
@@ -164,6 +165,7 @@ fn parse_stats_kv(line: &str) -> Result<SchedStats, String> {
             "slots_total" => s.slots_total = num(v)?,
             "slots_busy" => s.slots_busy = num(v)?,
             "peak_slots_busy" => s.peak_slots_busy = num(v)?,
+            "runners_started" => s.runners_started = num(v)?,
             "busy_slot_nanos" => {
                 s.busy_slot_nanos = v
                     .parse::<u128>()
@@ -468,6 +470,7 @@ mod tests {
             slots_busy: 0,
             peak_slots_busy: 16,
             busy_slot_nanos: 123_456_789_012,
+            runners_started: 3,
         };
         assert_eq!(parse_stats_kv(&stats_kv(&s)), Ok(s));
     }

@@ -647,7 +647,8 @@ fn run_sched(argv: &[String]) -> Result<(), String> {
                 .field("running", Json::from(s.running))
                 .field("slots_total", Json::from(s.slots_total))
                 .field("slots_busy", Json::from(s.slots_busy))
-                .field("peak_slots_busy", Json::from(s.peak_slots_busy));
+                .field("peak_slots_busy", Json::from(s.peak_slots_busy))
+                .field("runners_started", Json::from(s.runners_started));
             println!("{out}");
             Ok(())
         }
