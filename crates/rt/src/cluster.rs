@@ -9,7 +9,8 @@
 //! multi-process run executes, with the other devices reachable over the
 //! `dcuda-net` socket mesh. [`try_run_cluster_job`] runs a whole in-process
 //! world of [`RankTask`]s on the calling thread alone (the cooperative
-//! driver, [`crate::task`]). All three build their world with one builder.
+//! driver, [`mod@crate::task`]). All three build their world with one
+//! builder.
 
 use crate::coll::CollStats;
 use crate::ctx::RtCtx;
@@ -355,15 +356,17 @@ pub fn try_run_cluster(cfg: &RtConfig, programs: Vec<RankProgram>) -> Result<RtR
 ///
 /// The world is built in process like [`try_run_cluster`]'s, but no thread
 /// is spawned for it: the caller is the cooperative driver. Each sweep
-/// resumes the ready tasks in rank order, tests what the waiting ones wait
-/// for, and runs one pass of every device engine; the run ends when every
-/// task has finished and every engine reports quiescence. A task never
-/// blocks: it suspends with a [`Step`](crate::Step), and a blocking
-/// [`RtCtx`] call from inside it fails with [`RtError::BlockingInTask`].
+/// polls every unfinished task once in rank order — a task waiting on
+/// something that has not happened suspends again at once — and runs one
+/// pass of every device engine; the run ends when every task has finished
+/// and every engine reports quiescence. A task never blocks: it awaits,
+/// and a blocking [`RtCtx`] call from inside it fails with
+/// [`RtError::BlockingInTask`].
 ///
-/// * A sweep in which no task resumed and no engine moved anything is a
-///   fixed point — nothing else could ever move the world — so the run
-///   ends at once with [`RtError::Stalled`], naming the waiting ranks.
+/// * A sweep in which no task reached a new wait or finished and no engine
+///   moved anything is a fixed point — nothing else could ever move the
+///   world — so the run ends at once with [`RtError::Stalled`], naming the
+///   waiting ranks.
 /// * Cancelling `cancel` tears down *this* world only and the run returns
 ///   [`RtError::Cancelled`]; a token cancelled only after the run
 ///   completed leaves the `Ok` result intact. A genuine failure
@@ -375,7 +378,7 @@ pub fn try_run_cluster(cfg: &RtConfig, programs: Vec<RankProgram>) -> Result<RtR
 ///   emulation (`host_busy_spin`) all assume threads.
 pub fn try_run_cluster_job(
     cfg: &RtConfig,
-    tasks: Vec<Box<dyn RankTask>>,
+    tasks: Vec<RankTask>,
     cancel: &CancelToken,
 ) -> Result<(RtReport, Vec<u64>), RtError> {
     cfg.validate()?;
@@ -767,6 +770,7 @@ fn build_world(
                 engine: None,
                 first_error: first_error.clone(),
                 cooperative,
+                waiting: None,
                 counters: verified.then(Box::default),
                 last_flush_seen: 0,
                 races: cfg.races.clone(),

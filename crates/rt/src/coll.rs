@@ -21,11 +21,11 @@
 //!
 //! Every collective is a schedule — a list of puts, waits, reductions and
 //! landed-chunk counts — built when the call starts and run by one
-//! resumable interpreter, [`Collective`]. A rank task resumes it and
-//! suspends on the [`CollWait`] it returns; the blocking [`CollCtx`]
-//! methods drive the same machine with a block-on loop, so both make the
-//! same runtime calls in the same order: the same tags, the same
-//! [`CollStats`], the same `coll_wait`/`coll_reduce` trace spans.
+//! interpreter, `Collective::poll`, whose waits are the runtime's one wait
+//! future. A rank task awaits [`Collective::run`]; the blocking [`CollCtx`]
+//! methods block on the same future, so both make the same runtime calls
+//! in the same order: the same tags, the same [`CollStats`], the same
+//! `coll_wait`/`coll_reduce` trace spans.
 //!
 //! Incoming data never lands in live buffers: each schedule step/round has
 //! its own disjoint slot in a hidden per-rank scratch window (appended
@@ -35,7 +35,7 @@
 //! contract; undersized scratch surfaces as
 //! [`CollError::ScratchTooSmall`].
 
-use crate::ctx::RtCtx;
+use crate::ctx::{block_on, RtCtx, Until, Wait};
 use crate::types::{Rank, RtError, WindowId};
 use dcuda_coll::{
     bcast_children, bcast_parent, ceil_log2, chunk_spans, max_segment_bytes, pow2_floor,
@@ -92,8 +92,8 @@ impl CollStats {
 
 /// Collective operations over the rank's registered windows, blocking the
 /// calling rank thread until the collective completes. A rank task must
-/// not call them (they return [`RtError::BlockingInTask`]); it runs the
-/// same collective as a [`Collective`] instead.
+/// not call them (they return [`RtError::BlockingInTask`]); it awaits the
+/// same collective's [`Collective::run`] instead.
 ///
 /// All methods are collective: every rank of the world must call them in
 /// the same order with compatible arguments (same region shape, same plan),
@@ -199,8 +199,7 @@ impl CollCtx for RtCtx {
         plan: &CollPlan,
     ) -> Result<(), RtError> {
         self.blocking("allreduce")?;
-        let coll = Collective::allreduce(self, win, off, len, plan)?;
-        block_on(self, coll)
+        block_on(Collective::allreduce(self, win, off, len, plan)?.run(self))
     }
 
     fn allreduce(&mut self, win: WindowId, off: usize, len: usize, plan: &CollPlan) {
@@ -217,11 +216,7 @@ impl CollCtx for RtCtx {
         plan: &CollPlan,
     ) -> Result<(), RtError> {
         self.blocking("reduce_scatter")?;
-        check_region(self, win, off, len, plan.dtype().size())?;
-        let mut s = Schedule::new(win);
-        s.barrier(self);
-        s.reduce_scatter_ring(self, off, len, plan, 0)?;
-        block_on(self, s.start())
+        block_on(Collective::reduce_scatter(self, win, off, len, plan)?.run(self))
     }
 
     fn reduce_scatter(&mut self, win: WindowId, off: usize, len: usize, plan: &CollPlan) {
@@ -238,11 +233,7 @@ impl CollCtx for RtCtx {
         plan: &CollPlan,
     ) -> Result<(), RtError> {
         self.blocking("all_gather")?;
-        check_region(self, win, off, len, plan.dtype().size())?;
-        let mut s = Schedule::new(win);
-        s.barrier(self);
-        s.all_gather_ring(self, off, len, plan, 0);
-        block_on(self, s.start())
+        block_on(Collective::all_gather(self, win, off, len, plan)?.run(self))
     }
 
     fn all_gather(&mut self, win: WindowId, off: usize, len: usize, plan: &CollPlan) {
@@ -260,17 +251,7 @@ impl CollCtx for RtCtx {
         plan: &CollPlan,
     ) -> Result<(), RtError> {
         self.blocking("broadcast")?;
-        check_region(self, win, off, len, plan.dtype().size())?;
-        if root.0 >= self.world_size() {
-            return Err(RtError::Coll(CollError::RootOutOfRange {
-                root: root.0,
-                world: self.world_size(),
-            }));
-        }
-        let mut s = Schedule::new(win);
-        s.barrier(self);
-        s.broadcast_binomial(self, off, len, root.0, plan);
-        block_on(self, s.start())
+        block_on(Collective::broadcast(self, win, off, len, root, plan)?.run(self))
     }
 
     fn broadcast(&mut self, win: WindowId, off: usize, len: usize, root: Rank, plan: &CollPlan) {
@@ -287,8 +268,7 @@ impl CollCtx for RtCtx {
         len: usize,
     ) -> Result<(), RtError> {
         self.blocking("ring_shift")?;
-        let coll = Collective::ring_shift(self, win, dst_off, src_off, len)?;
-        block_on(self, coll)
+        block_on(Collective::ring_shift(self, win, dst_off, src_off, len)?.run(self))
     }
 
     fn ring_shift(&mut self, win: WindowId, dst_off: usize, src_off: usize, len: usize) {
@@ -299,45 +279,13 @@ impl CollCtx for RtCtx {
 
     fn try_ring_release(&mut self) -> Result<(), RtError> {
         self.blocking("ring_release")?;
-        let coll = Collective::ring_release(self);
-        block_on(self, coll)
+        block_on(Collective::ring_release(self).run(self))
     }
 
     fn ring_release(&mut self) {
         let rank = self.rank().0;
         self.try_ring_release()
             .unwrap_or_else(|e| panic!("rank {rank}: ring_release: {e}"));
-    }
-}
-
-/// Run `coll` to completion on the calling rank thread: every wait it
-/// suspends on is spun out by [`RtCtx::block_coll`].
-pub(crate) fn block_on(ctx: &mut RtCtx, mut coll: Collective) -> Result<(), RtError> {
-    while let Some(wait) = coll.poll(ctx)? {
-        ctx.block_coll(wait)?;
-    }
-    Ok(())
-}
-
-/// The collective notification a suspended [`Collective`] waits for.
-///
-/// Only the collective engine creates one. A rank task hands it to its
-/// driver as [`Step::Coll`](crate::Step::Coll) and resumes the collective
-/// once the driver has matched it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollWait {
-    pub(crate) source: u32,
-    pub(crate) tag: u32,
-}
-
-impl std::fmt::Display for CollWait {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "collective message {} from rank {}",
-            self.tag & !COLL_TAG_BIT,
-            self.source
-        )
     }
 }
 
@@ -383,13 +331,13 @@ struct Suspended {
     start: u64,
 }
 
-/// A collective in progress: a resumable state machine over its schedule.
+/// A collective in progress: its schedule and how far it has run.
 ///
-/// Build one with a constructor ([`barrier`](Self::barrier),
-/// [`ring_shift`](Self::ring_shift), [`ring_release`](Self::ring_release),
-/// [`allreduce`](Self::allreduce)), then [`poll`](Self::poll) it until it
-/// returns `Ok(None)`. Every rank of the world must run the same
-/// collectives in the same order, as with [`CollCtx`].
+/// Build one with a constructor, one per [`CollCtx`] method plus
+/// [`barrier`](Self::barrier), then await [`run`](Self::run). Argument and
+/// scratch-size errors surface from the constructor, before anything is
+/// sent. Every rank of the world must run the same collectives in the same
+/// order, as with [`CollCtx`].
 #[derive(Debug)]
 pub struct Collective {
     win: WindowId,
@@ -399,7 +347,7 @@ pub struct Collective {
 }
 
 impl Collective {
-    /// The world barrier (`dcuda_barrier`) as a resumable collective.
+    /// The world barrier (`dcuda_barrier`).
     pub fn barrier(ctx: &mut RtCtx) -> Collective {
         ctx.barriers_entered += 1;
         let mut s = Schedule::new(WindowId(0));
@@ -407,8 +355,7 @@ impl Collective {
         s.start()
     }
 
-    /// [`CollCtx::ring_shift`] as a resumable collective. Argument errors
-    /// surface here, before anything is sent.
+    /// [`CollCtx::ring_shift`].
     pub fn ring_shift(
         ctx: &mut RtCtx,
         win: WindowId,
@@ -435,7 +382,7 @@ impl Collective {
         Ok(s.start())
     }
 
-    /// [`CollCtx::ring_release`] as a resumable collective.
+    /// [`CollCtx::ring_release`].
     pub fn ring_release(ctx: &mut RtCtx) -> Collective {
         let (rank, world) = (ctx.rank().0, ctx.world_size());
         let (right, left) = (ring_right(rank, world), ring_left(rank, world));
@@ -449,9 +396,7 @@ impl Collective {
         s.start()
     }
 
-    /// [`CollCtx::allreduce`] as a resumable collective: the epoch barrier,
-    /// then the plan's algorithm. Argument and scratch-size errors surface
-    /// here, before anything is sent.
+    /// [`CollCtx::allreduce`]: the epoch barrier, then the plan's algorithm.
     pub fn allreduce(
         ctx: &mut RtCtx,
         win: WindowId,
@@ -459,9 +404,7 @@ impl Collective {
         len: usize,
         plan: &CollPlan,
     ) -> Result<Collective, RtError> {
-        check_region(ctx, win, off, len, plan.dtype().size())?;
-        let mut s = Schedule::new(win);
-        s.barrier(ctx);
+        let mut s = Schedule::epoch(ctx, win, off, len, plan)?;
         match plan.algo() {
             CollAlgo::Ring => {
                 s.reduce_scatter_ring(ctx, off, len, plan, 1)?;
@@ -473,12 +416,62 @@ impl Collective {
         Ok(s.start())
     }
 
-    /// Run the collective until it completes (`Ok(None)`) or must wait for
-    /// a notification that has not arrived (`Ok(Some(wait))`). After a
-    /// suspension, poll again only once that notification was matched: by
-    /// the cooperative driver, or by the blocking loop of a rank thread
-    /// ([`run_blocking`](crate::run_blocking)).
-    pub fn poll(&mut self, ctx: &mut RtCtx) -> Result<Option<CollWait>, RtError> {
+    /// [`CollCtx::reduce_scatter`]: the epoch barrier, then the ring.
+    pub fn reduce_scatter(
+        ctx: &mut RtCtx,
+        win: WindowId,
+        off: usize,
+        len: usize,
+        plan: &CollPlan,
+    ) -> Result<Collective, RtError> {
+        let mut s = Schedule::epoch(ctx, win, off, len, plan)?;
+        s.reduce_scatter_ring(ctx, off, len, plan, 0)?;
+        Ok(s.start())
+    }
+
+    /// [`CollCtx::all_gather`]: the epoch barrier, then the ring.
+    pub fn all_gather(
+        ctx: &mut RtCtx,
+        win: WindowId,
+        off: usize,
+        len: usize,
+        plan: &CollPlan,
+    ) -> Result<Collective, RtError> {
+        let mut s = Schedule::epoch(ctx, win, off, len, plan)?;
+        s.all_gather_ring(ctx, off, len, plan, 0);
+        Ok(s.start())
+    }
+
+    /// [`CollCtx::broadcast`]: the epoch barrier, then the binomial tree.
+    pub fn broadcast(
+        ctx: &mut RtCtx,
+        win: WindowId,
+        off: usize,
+        len: usize,
+        root: Rank,
+        plan: &CollPlan,
+    ) -> Result<Collective, RtError> {
+        let mut s = Schedule::epoch(ctx, win, off, len, plan)?;
+        if root.0 >= ctx.world_size() {
+            return Err(RtError::Coll(CollError::RootOutOfRange {
+                root: root.0,
+                world: ctx.world_size(),
+            }));
+        }
+        s.broadcast_binomial(ctx, off, len, root.0, plan);
+        Ok(s.start())
+    }
+
+    /// Run the collective to completion: the runtime's one wait future,
+    /// suspending on each notification that has not arrived.
+    pub fn run(self, ctx: &mut RtCtx) -> Until<'_> {
+        ctx.until(None, Some(self))
+    }
+
+    /// Run the schedule until it completes (`Ok(None)`) or must wait for a
+    /// notification that has not arrived (`Ok(Some(wait))`). After a
+    /// suspension, poll again only once that notification was matched.
+    pub(crate) fn poll(&mut self, ctx: &mut RtCtx) -> Result<Option<Wait>, RtError> {
         if let Some(s) = self.suspended.take() {
             end_wait(ctx, s, false);
         }
@@ -498,15 +491,16 @@ impl Collective {
                 }
                 Op::Wait { from, chunk } => {
                     let tag = ctx.expect_coll_tag(from);
-                    let start = if chunk.is_some() { ctx.trace_tick() } else { 0 };
+                    let start = if chunk.is_some() { ctx.tick() } else { 0 };
                     let wait = Suspended { chunk, start };
-                    if ctx.coll_test(from, tag)? {
+                    let on = Wait::Coll { source: from, tag };
+                    if ctx.test(on)? {
                         // Arrived before the first poll: the transfer was
                         // hidden behind the preceding local work.
                         end_wait(ctx, wait, true);
                     } else {
                         self.suspended = Some(wait);
-                        return Ok(Some(CollWait { source: from, tag }));
+                        return Ok(Some(on));
                     }
                 }
                 Op::Reduce {
@@ -516,13 +510,13 @@ impl Collective {
                     op,
                     dtype,
                 } => {
-                    let start = ctx.trace_tick();
+                    let start = ctx.tick();
                     ctx.reduce_scratch_into(self.win, dst, scratch_off, len, |acc, src| {
                         reduce_into(acc, src, op, dtype).map_err(RtError::Coll)
                     })?;
                     ctx.coll.chunks += 1;
                     if ctx.tracer.is_enabled() {
-                        let end = ctx.trace_tick();
+                        let end = ctx.tick();
                         let rank = ctx.rank().0;
                         ctx.tracer.span(
                             Track::Rank(rank),
@@ -552,7 +546,7 @@ fn end_wait(ctx: &mut RtCtx, wait: Suspended, hidden: bool) {
         ctx.coll.blocked_waits += 1;
     }
     if ctx.tracer.is_enabled() {
-        let end = ctx.trace_tick();
+        let end = ctx.tick();
         let rank = ctx.rank().0;
         ctx.tracer.span(
             Track::Rank(rank),
@@ -580,6 +574,29 @@ impl Schedule {
             win,
             ops: Vec::new(),
         }
+    }
+
+    /// A schedule over `[off, off+len)` of `win` that opens with the epoch
+    /// barrier, once the region fits the rank's window layout and the
+    /// plan's element size.
+    fn epoch(
+        ctx: &RtCtx,
+        win: WindowId,
+        off: usize,
+        len: usize,
+        plan: &CollPlan,
+    ) -> Result<Schedule, RtError> {
+        // Argument validation only — deliberately not a window borrow, so
+        // the race detector sees no access here (a whole-window read would
+        // report the collective's own in-flight chunks as races).
+        ctx.user_win_range(win, off, len)?;
+        let elem = plan.dtype().size();
+        if !len.is_multiple_of(elem) {
+            return Err(RtError::Coll(CollError::BufferMisaligned { len, elem }));
+        }
+        let mut s = Schedule::new(win);
+        s.barrier(ctx);
+        Ok(s)
     }
 
     fn start(self) -> Collective {
@@ -883,25 +900,6 @@ impl Schedule {
             }
         }
     }
-}
-
-/// Validate a collective's region arguments against the rank's (user)
-/// window layout and the plan's element size.
-fn check_region(
-    ctx: &RtCtx,
-    win: WindowId,
-    off: usize,
-    len: usize,
-    elem: usize,
-) -> Result<(), RtError> {
-    // Argument validation only — deliberately not a window borrow, so the
-    // race detector sees no access here (a whole-window read would report
-    // the collective's own in-flight chunks as races).
-    ctx.user_win_range(win, off, len)?;
-    if !len.is_multiple_of(elem) {
-        return Err(RtError::Coll(CollError::BufferMisaligned { len, elem }));
-    }
-    Ok(())
 }
 
 fn check_scratch(ctx: &RtCtx, need: usize) -> Result<(), RtError> {

@@ -1,18 +1,23 @@
-//! The per-rank API: blocking calls for rank threads, non-blocking tests
-//! for the cooperative driver of rank tasks.
+//! The per-rank API and the one wait every rank program goes through.
 //!
-//! Every blocking call — a full command ring, `wait_notifications`,
-//! `flush` and the collective engine's internal wait — loops on
-//! `RtCtx::wait_step`, which drives the rank's own device engine where
-//! the world allows it and yields otherwise. xtask lint R6
-//! (`one-wait-helper`) rejects any other `yield_now` in this file, so a
-//! new wait loop cannot skip rank-driven progress. A rank task never waits
-//! here: the blocking calls refuse it with [`RtError::BlockingInTask`], and
-//! the only loop it can reach, a full command ring, is drained by the
-//! rank's own engine pass.
+//! Every wait — `wait_notifications`, `flush`, and a collective's chunk
+//! and synchronization waits — is one future, `Until`, which for a
+//! collective also runs its schedule between the waits. Both drivers poll
+//! it the same way:
+//!
+//! * on a rank thread it spins through `RtCtx::wait_step` until satisfied,
+//!   so it completes in the poll that reached it and the blocking calls
+//!   block on it with a no-op waker, pinned on the stack;
+//! * under the cooperative driver it never completes in the poll that
+//!   reached it: that poll records the wait, wakes the driver and suspends,
+//!   and each later sweep tests it once.
+//!
+//! xtask lint R6 (`one-wait-helper`) rejects any other `yield_now` in this
+//! file, and R7 (`one-wait-future`) any other `Poll::Pending` in this
+//! crate, so a wait is written once and cannot skip rank-driven progress.
 
 use crate::cluster::engine_result;
-use crate::coll::{CollStats, CollWait, Collective, COLL_TAG_BIT};
+use crate::coll::{CollStats, Collective, COLL_TAG_BIT};
 use crate::host::SharedHost;
 use crate::msg::{Cmd, Delivery};
 use crate::types::{Rank, RtError, RtQuery, Tag, WindowId};
@@ -22,21 +27,26 @@ use dcuda_queues::{
 use dcuda_trace::{Tracer, Track};
 use dcuda_verify::{RaceHandle, RaceReport, ShardCounters};
 use std::collections::HashMap;
+use std::fmt;
+use std::future::Future;
 use std::panic::AssertUnwindSafe;
+use std::pin::{pin, Pin};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Waker};
 
 /// The device-side library handle of one rank (paper: the `dcuda_context`).
 ///
 /// The blocking methods (`wait_notifications`, `flush`, `barrier` and the
 /// [`CollCtx`](crate::CollCtx) collectives) block the calling rank thread,
 /// exactly like the paper's device-side calls block the calling block. A
-/// [`RankTask`](crate::RankTask) suspends with a [`Step`](crate::Step)
-/// instead, and gets [`RtError::BlockingInTask`] from them. Every fallible
-/// entry point
-/// exists in two shapes: a panicking convenience (`put_notify`, `win`) and a
-/// `try_` variant returning [`RtError`] for callers that want to handle bad
-/// arguments or a torn-down runtime themselves.
+/// [`RankTask`](crate::RankTask) awaits their async forms
+/// (`wait_notifications_async`, `flush_async`, `barrier_async`,
+/// [`Collective::run`]) instead, and gets [`RtError::BlockingInTask`] from
+/// the blocking ones. Every fallible entry point exists in two shapes: a
+/// panicking convenience (`put_notify`, `win`) and a `try_` variant
+/// returning [`RtError`] for callers that want to handle bad arguments or a
+/// torn-down runtime themselves.
 pub struct RtCtx {
     pub(crate) rank: u32,
     pub(crate) world: u32,
@@ -97,8 +107,12 @@ pub struct RtCtx {
     /// rank-driven pass is recorded here as the device's host failure.
     pub(crate) first_error: Arc<Mutex<Option<RtError>>>,
     /// This rank runs as a task under the cooperative driver: every
-    /// blocking method fails with [`RtError::BlockingInTask`].
+    /// blocking method fails with [`RtError::BlockingInTask`], and a wait
+    /// suspends instead of spinning.
     pub(crate) cooperative: bool,
+    /// What this rank's task is suspended on (cooperative driver only), so
+    /// a stall can name it.
+    pub(crate) waiting: Option<Wait>,
     /// Invariant-counter shard (verified runs only; `None` keeps the
     /// unverified hot path free of bookkeeping).
     pub(crate) counters: Option<Box<ShardCounters>>,
@@ -137,15 +151,9 @@ impl RtCtx {
 
     /// Advance the per-rank logical clock by one tick.
     #[inline]
-    fn tick(&mut self) -> u64 {
+    pub(crate) fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
-    }
-
-    /// Clock access for the collective engine's trace spans.
-    #[inline]
-    pub(crate) fn trace_tick(&mut self) -> u64 {
-        self.tick()
     }
 
     // --- Race-detector hooks -------------------------------------------
@@ -593,7 +601,7 @@ impl RtCtx {
 
     /// Drain the delivery ring: land payloads in window memory and buffer
     /// notifications.
-    pub(crate) fn drain_deliveries(&mut self) -> Result<(), RtError> {
+    fn drain_deliveries(&mut self) -> Result<(), RtError> {
         loop {
             match self.delivery.try_recv() {
                 Ok(d) => {
@@ -658,12 +666,8 @@ impl RtCtx {
         count: usize,
     ) -> Result<bool, RtError> {
         self.drain_deliveries()?;
-        self.match_pending(query.raw(), count)
-    }
-
-    fn match_pending(&mut self, query: Query, count: usize) -> Result<bool, RtError> {
         let (rank, counters, races) = (self.rank, &mut self.counters, &self.races);
-        let hit = self.pending.try_match_with(query, count, |n| {
+        let hit = self.pending.try_match_with(query.raw(), count, |n| {
             if let Some(c) = counters.as_mut() {
                 c.note_matched(rank, *n, 1);
             }
@@ -691,23 +695,13 @@ impl RtCtx {
     /// Fallible [`wait_notifications`](Self::wait_notifications).
     pub fn try_wait_notifications(&mut self, query: RtQuery, count: usize) -> Result<(), RtError> {
         self.blocking("wait_notifications")?;
-        let start = self.tick();
-        while !self.try_test_notifications(query, count)? {
-            if self.aborted() {
-                return Err(RtError::Aborted);
-            }
-            self.tick();
-            self.wait_step()?;
-        }
-        let end = self.tick();
-        self.tracer.span(
-            Track::Rank(self.rank),
-            "wait",
-            start,
-            end,
-            vec![("count", (count as u64).into())],
-        );
-        Ok(())
+        block_on(self.wait_notifications_async(query, count))
+    }
+
+    /// [`wait_notifications`](Self::wait_notifications) as a suspension
+    /// point of a rank task.
+    pub fn wait_notifications_async(&mut self, query: RtQuery, count: usize) -> Until<'_> {
+        self.until(Some(Wait::Notifications { query, count }), None)
     }
 
     /// `dcuda_win_flush`: block until every operation this rank issued has
@@ -725,25 +719,12 @@ impl RtCtx {
     /// Fallible [`flush`](Self::flush).
     pub fn try_flush(&mut self) -> Result<(), RtError> {
         self.blocking("flush")?;
-        let start = self.tick();
-        let want = self.flush_sent;
-        while !self.flush_complete() {
-            if self.aborted() {
-                return Err(RtError::Aborted);
-            }
-            self.drain_deliveries()?;
-            self.tick();
-            self.wait_step()?;
-        }
-        let end = self.tick();
-        self.tracer.span(
-            Track::Rank(self.rank),
-            "flush",
-            start,
-            end,
-            vec![("ops", want.into())],
-        );
-        Ok(())
+        block_on(self.flush_async())
+    }
+
+    /// [`flush`](Self::flush) as a suspension point of a rank task.
+    pub fn flush_async(&mut self) -> Until<'_> {
+        self.until(Some(Wait::Flush), None)
     }
 
     /// `dcuda_barrier(DCUDA_COMM_WORLD)`: block in the world barrier.
@@ -762,13 +743,49 @@ impl RtCtx {
     /// zero-length notified puts) — no host-side barrier state exists.
     pub fn try_barrier(&mut self) -> Result<(), RtError> {
         self.blocking("barrier")?;
+        block_on(self.barrier_async())
+    }
+
+    /// [`barrier`](Self::barrier) as a suspension point of a rank task.
+    pub async fn barrier_async(&mut self) -> Result<(), RtError> {
         let start = self.tick();
-        let barrier = Collective::barrier(self);
-        crate::coll::block_on(self, barrier)?;
+        Collective::barrier(self).run(self).await?;
         let end = self.tick();
         self.tracer
             .span(Track::Rank(self.rank), "barrier", start, end, vec![]);
         Ok(())
+    }
+
+    pub(crate) fn until(&mut self, what: Option<Wait>, coll: Option<Collective>) -> Until<'_> {
+        Until {
+            ctx: self,
+            what,
+            coll,
+            start: None,
+        }
+    }
+
+    /// Has `what` happened? Tests consume what they match, and drain the
+    /// delivery ring unless a flush is already complete.
+    pub(crate) fn test(&mut self, what: Wait) -> Result<bool, RtError> {
+        match what {
+            Wait::Notifications { query, count } => self.try_test_notifications(query, count),
+            Wait::Flush if self.flush_complete() => Ok(true),
+            Wait::Flush => self.drain_deliveries().map(|()| false),
+            Wait::Coll { source, tag } => {
+                self.drain_deliveries()?;
+                let query = Query {
+                    win: u32::MAX,
+                    source,
+                    tag,
+                };
+                let (rank, races) = (self.rank, &self.races);
+                let hit = self
+                    .pending_internal
+                    .try_match_with(query, 1, |n| Self::race_matched(races, rank, n));
+                Ok(hit.is_some())
+            }
+        }
     }
 
     pub(crate) fn finish(&mut self) -> Result<(), RtError> {
@@ -777,7 +794,7 @@ impl RtCtx {
 
     /// Has every operation this rank issued completed? On `true` the race
     /// detector folds them back into this rank's clock.
-    pub(crate) fn flush_complete(&mut self) -> bool {
+    fn flush_complete(&mut self) -> bool {
         let done = self.flush_done.load(Ordering::Acquire);
         if self.counters.is_some() {
             let prev = self.last_flush_seen;
@@ -921,71 +938,124 @@ impl RtCtx {
             flush_id,
         })
     }
+}
 
-    /// Drain the delivery ring and match the collective notification
-    /// (`source`, `tag`) if it has arrived.
-    pub(crate) fn coll_test(&mut self, source: u32, tag: u32) -> Result<bool, RtError> {
-        self.drain_deliveries()?;
-        let query = Query {
-            win: u32::MAX,
-            source,
-            tag,
-        };
-        let (rank, races) = (self.rank, &self.races);
-        let hit = self
-            .pending_internal
-            .try_match_with(query, 1, |n| Self::race_matched(races, rank, n));
-        Ok(hit.is_some())
+/// What a rank waits for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wait {
+    /// `count` notifications matching `query` (`dcuda_wait_notifications`).
+    Notifications { query: RtQuery, count: usize },
+    /// Every operation this rank issued has completed (`dcuda_win_flush`).
+    Flush,
+    /// The collective notification `tag` from rank `source`.
+    Coll { source: u32, tag: u32 },
+}
+
+impl fmt::Display for Wait {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Wait::Notifications { query, count } => write!(
+                f,
+                "{count} notification(s) matching {}, {}, {}",
+                query.win, query.source, query.tag
+            ),
+            Wait::Flush => write!(f, "its flush"),
+            Wait::Coll { source, tag } => write!(
+                f,
+                "collective message {} from rank {source}",
+                tag & !COLL_TAG_BIT
+            ),
+        }
     }
+}
 
-    /// Block until the notification a [`Collective`] suspended on has been
-    /// matched, so that the collective can be polled again.
-    pub(crate) fn block_coll(&mut self, wait: CollWait) -> Result<(), RtError> {
+/// The one wait future (see the module docs): a single wait, or every wait
+/// of a collective, with the collective's schedule run between them.
+pub struct Until<'c> {
+    ctx: &'c mut RtCtx,
+    /// The wait in progress (`None` while the collective runs).
+    what: Option<Wait>,
+    /// The collective whose waits these are.
+    coll: Option<Collective>,
+    /// Trace tick of the wait's first poll.
+    start: Option<u64>,
+}
+
+impl Future for Until<'_> {
+    type Output = Result<(), RtError>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        let ctx = &mut *this.ctx;
         loop {
-            if self.aborted() {
-                return Err(RtError::Aborted);
+            if let Some(what) = this.what {
+                let first = this.start.is_none();
+                let start = *this.start.get_or_insert_with(|| ctx.tick());
+                if ctx.cooperative {
+                    // One resume per task per sweep: the poll that reached
+                    // the wait only reports that the task moved; later
+                    // sweeps test it.
+                    if first {
+                        ctx.waiting = Some(what);
+                        cx.waker().wake_by_ref();
+                        return Poll::Pending;
+                    }
+                    if !ctx.test(what)? {
+                        return Poll::Pending;
+                    }
+                    ctx.waiting = None;
+                } else {
+                    while !ctx.test(what)? {
+                        if ctx.aborted() {
+                            return Poll::Ready(Err(RtError::Aborted));
+                        }
+                        ctx.tick();
+                        ctx.wait_step()?;
+                    }
+                }
+                (this.what, this.start) = (None, None);
+                let span = match what {
+                    Wait::Notifications { count, .. } => Some(("wait", "count", count as u64)),
+                    Wait::Flush => Some(("flush", "ops", ctx.flush_sent)),
+                    Wait::Coll { .. } => None,
+                };
+                // Only a traced run pays for the span's argument vector.
+                if let Some((name, key, value)) = span.filter(|_| ctx.tracer.is_enabled()) {
+                    let (end, args) = (ctx.tick(), vec![(key, value.into())]);
+                    ctx.tracer
+                        .span(Track::Rank(ctx.rank), name, start, end, args);
+                }
             }
-            self.tick();
-            self.wait_step()?;
-            if self.coll_test(wait.source, wait.tag)? {
-                return Ok(());
+            let Some(coll) = this.coll.as_mut() else {
+                return Poll::Ready(Ok(()));
+            };
+            match coll.poll(ctx)? {
+                Some(wait) => this.what = Some(wait),
+                None => return Poll::Ready(Ok(())),
             }
+        }
+    }
+}
+
+/// Run `fut` on this rank thread. Off the cooperative driver every wait
+/// completes in the poll that reached it, so one poll finishes it.
+pub(crate) fn block_on<T>(fut: impl Future<Output = Result<T, RtError>>) -> Result<T, RtError> {
+    let mut fut = pin!(fut);
+    let mut cx = Context::from_waker(Waker::noop());
+    loop {
+        if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+            return out;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::programs::{pingpong, ring, Params};
-    use crate::{
-        thread_per_rank, try_run_cluster, try_run_cluster_job, CancelToken, RankTask, RtConfig,
-        RtCtx, RtError, Step,
-    };
-    use std::collections::VecDeque;
+    use crate::programs::{Params, Program};
+    use crate::{task, thread_per_rank, try_run_cluster, try_run_cluster_job, CancelToken};
+    use crate::{RankTask, RtConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-
-    /// Runs its tasks one after another, then counts its rank into
-    /// `allocated` if the hidden scratch window holds any memory.
-    struct ThenCheckScratch {
-        tasks: VecDeque<Box<dyn RankTask>>,
-        allocated: Arc<AtomicUsize>,
-    }
-
-    impl RankTask for ThenCheckScratch {
-        fn resume(&mut self, ctx: &mut RtCtx) -> Result<Step, RtError> {
-            while let Some(task) = self.tasks.front_mut() {
-                match task.resume(ctx)? {
-                    Step::Done(_) => drop(self.tasks.pop_front()),
-                    step => return Ok(step),
-                }
-            }
-            if ctx.windows[ctx.scratch_index()].capacity() > 0 {
-                self.allocated.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Step::Done(0))
-        }
-    }
 
     #[test]
     fn barriers_and_puts_never_allocate_scratch() {
@@ -1004,15 +1074,25 @@ mod tests {
             payload: 64,
         };
         let allocated = Arc::new(AtomicUsize::new(0));
-        let tasks = || -> Vec<Box<dyn RankTask>> {
-            (0..8)
-                .map(|_| -> Box<dyn RankTask> {
-                    Box::new(ThenCheckScratch {
-                        tasks: VecDeque::from([
-                            Box::new(ring(p, None)) as Box<dyn RankTask>,
-                            Box::new(pingpong(p)),
-                        ]),
-                        allocated: allocated.clone(),
+        // Every rank runs ring, then pingpong, then counts itself into
+        // `allocated` if its hidden scratch window holds any memory.
+        let tasks = || -> Vec<RankTask> {
+            let programs = Program::Ring { poison_at: None }
+                .tasks(p, 8)
+                .into_iter()
+                .zip(Program::PingPong.tasks(p, 8));
+            programs
+                .map(|(ring, pingpong)| {
+                    let allocated = allocated.clone();
+                    task(move |ctx| {
+                        Box::pin(async move {
+                            ring(&mut *ctx).await?;
+                            pingpong(&mut *ctx).await?;
+                            if ctx.windows[ctx.scratch_index()].capacity() > 0 {
+                                allocated.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Ok(0)
+                        })
                     })
                 })
                 .collect()

@@ -6,10 +6,10 @@
 //! * every rank is an OS thread executing a blocking program against
 //!   [`RtCtx`] — the same call shapes as the paper's Figure 2 listing
 //!   (`put_notify`, `wait_notifications`, `flush`, `barrier`) — or, in a
-//!   job world ([`try_run_cluster_job`]), a resumable [`RankTask`] that
-//!   suspends where the blocking program would wait; the whole job world
+//!   job world ([`try_run_cluster_job`]), a [`RankTask`]: an `async fn`
+//!   that awaits where the blocking program would wait; the whole job world
 //!   then runs on its caller's thread, with no rank or host threads of its
-//!   own (the [`task`] module's cooperative driver);
+//!   own (the [`task`](mod@task) module's cooperative driver);
 //! * every device has a host engine playing the **event handler / block
 //!   manager** role of paper Figure 4, connected to its ranks through the
 //!   real sequence-numbered, credit-controlled rings of [`dcuda_queues`]
@@ -44,7 +44,7 @@ pub use cluster::{
     try_run_cluster_verified, CancelToken, ClusterPart, ProgressMode, RtConfig, RtConfigBuilder,
     RtReport, DEFAULT_COLL_SCRATCH, MAX_PROGRESS_THREADS, MAX_WINDOW_BYTES, MAX_WORLD,
 };
-pub use coll::{CollCtx, CollStats, CollWait, Collective, COLL_TAG_BIT};
+pub use coll::{CollCtx, CollStats, Collective, COLL_TAG_BIT};
 pub use ctx::RtCtx;
 pub use dcuda_coll::{
     allreduce_scratch_bytes, reduce_scatter_scratch_bytes, CollAlgo, CollError, CollPlan,
@@ -52,7 +52,7 @@ pub use dcuda_coll::{
 };
 pub use dcuda_net::{NetStats, Transport};
 pub use dcuda_verify::{RaceMode, RaceReport, VerifyReport};
-pub use task::{run_blocking, thread_per_rank, RankTask, Step};
+pub use task::{task, thread_per_rank, RankTask, TaskFuture};
 pub use types::{Rank, RtError, RtQuery, Tag, WindowId};
 
 /// One-stop imports for writing rank programs: the context, the typed
@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::cluster::{ProgressMode, RtConfig, RtConfigBuilder, RtReport};
     pub use crate::coll::{CollCtx, CollStats, Collective};
     pub use crate::ctx::RtCtx;
-    pub use crate::task::{RankTask, Step};
+    pub use crate::task::{task, RankTask, TaskFuture};
     pub use crate::types::{Rank, RtError, RtQuery, Tag, WindowId};
     pub use dcuda_coll::{
         allreduce_scratch_bytes, reduce_scatter_scratch_bytes, CollAlgo, CollError, CollPlan,

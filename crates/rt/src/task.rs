@@ -1,20 +1,19 @@
-//! Rank programs as resumable tasks, and the two ways to run them.
+//! Rank programs as tasks, and the two ways to run them.
 //!
 //! In the paper a block waiting in `wait_notifications` is not a thread: it
 //! is one of the resident blocks the SM switches between for free. A
-//! [`RankTask`] is a rank program written the same way — a state machine
-//! that runs until it would wait, then suspends with a [`Step`] naming what
-//! it waits for. Two drivers run the same tasks:
+//! [`RankTask`] is a rank program written the same way — an `async fn`
+//! over the rank's [`RtCtx`] whose every wait is an `.await` on the
+//! runtime's one wait future. Two drivers run the same tasks:
 //!
 //! * the **cooperative driver** ([`try_run_cluster_job`]) runs a whole
-//!   in-process world on the calling thread: each sweep resumes the ready
-//!   tasks in rank order, tests what the waiting ones wait for, and runs
-//!   one pass of every device engine;
-//! * the **thread-per-rank adapter** ([`thread_per_rank`], over
-//!   [`run_blocking`]) turns each task into a [`RankProgram`] that answers
-//!   every step with the matching blocking [`RtCtx`] call, for
+//!   in-process world on the calling thread: each sweep polls every
+//!   unfinished task once, in rank order, then runs one pass of every
+//!   device engine;
+//! * the **thread-per-rank adapter** ([`thread_per_rank`]) turns each task
+//!   into a [`RankProgram`] that blocks on it, for
 //!   [`try_run_cluster`](crate::try_run_cluster) and every other threaded
-//!   entry point.
+//!   entry point; there every wait spins until satisfied.
 //!
 //! Both make the same runtime calls in the same order, so a world's
 //! checksums and protocol counters do not depend on the driver.
@@ -22,93 +21,49 @@
 //! [`try_run_cluster_job`]: crate::try_run_cluster_job
 
 use crate::cluster::{panic_text, take_first, CancelToken, RankProgram, RtReport, World};
-use crate::coll::CollWait;
-use crate::ctx::RtCtx;
+use crate::ctx::{block_on, RtCtx};
 use crate::host::HostOutcome;
-use crate::types::{RtError, RtQuery};
-use std::fmt;
+use crate::types::RtError;
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 
-/// Why a [`RankTask`] returned control to its driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// Resume once `count` notifications matching `query` have been matched
-    /// (`dcuda_wait_notifications`; the driver consumes them).
-    Wait {
-        /// Notifications to match.
-        query: RtQuery,
-        /// How many.
-        count: usize,
-    },
-    /// Resume once every operation this rank issued has completed
-    /// (`dcuda_win_flush`).
-    Flush,
-    /// Resume once the collective notification a
-    /// [`Collective`](crate::Collective) suspended on has been matched;
-    /// then poll that collective again.
-    Coll(CollWait),
-    /// The program finished with this checksum.
-    Done(u64),
-}
+/// A running rank program: its checksum, or the error that ends its world.
+pub type TaskFuture<'a> = Pin<Box<dyn Future<Output = Result<u64, RtError>> + 'a>>;
 
-impl fmt::Display for Step {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Step::Wait { query, count } => write!(
-                f,
-                "{count} notification(s) matching {}, {}, {}",
-                query.win, query.source, query.tag
-            ),
-            Step::Flush => write!(f, "its flush"),
-            Step::Coll(wait) => write!(f, "{wait}"),
-            Step::Done(_) => write!(f, "nothing (finished)"),
-        }
-    }
-}
+/// A rank program as a task: started once on its rank's context, it runs
+/// until its future completes. A task must await the async forms of the
+/// blocking [`RtCtx`] calls (`wait_notifications_async`, `flush_async`,
+/// `barrier_async`, [`Collective::run`](crate::Collective::run)): under
+/// the cooperative driver the blocking ones fail with
+/// [`RtError::BlockingInTask`].
+pub type RankTask = Box<dyn for<'a> FnOnce(&'a mut RtCtx) -> TaskFuture<'a> + Send>;
 
-/// A rank program as a resumable state machine.
-///
-/// The driver calls [`resume`](Self::resume) first with nothing awaited,
-/// then again each time the [`Step`] it returned has been satisfied, until
-/// it returns [`Step::Done`]. A task must never call a blocking method of
-/// [`RtCtx`] (`wait_notifications`, `flush`, `barrier` or a
-/// [`CollCtx`](crate::CollCtx) collective): under the cooperative driver
-/// they fail with [`RtError::BlockingInTask`]. An error it returns ends its
-/// world with that error.
-pub trait RankTask: Send {
-    /// Run until the next suspension point.
-    fn resume(&mut self, ctx: &mut RtCtx) -> Result<Step, RtError>;
-}
-
-/// Drive `task` to completion on the calling rank thread, answering each
-/// step with the matching blocking call, and return its checksum.
-pub fn run_blocking(ctx: &mut RtCtx, task: &mut dyn RankTask) -> Result<u64, RtError> {
-    loop {
-        match task.resume(ctx)? {
-            Step::Wait { query, count } => ctx.try_wait_notifications(query, count)?,
-            Step::Flush => ctx.try_flush()?,
-            Step::Coll(wait) => ctx.block_coll(wait)?,
-            Step::Done(sum) => return Ok(sum),
-        }
-    }
+/// Box `f` as a [`RankTask`]; `|ctx| Box::pin(program(ctx, ..))` is the
+/// usual shape.
+pub fn task<F>(f: F) -> RankTask
+where
+    F: for<'a> FnOnce(&'a mut RtCtx) -> TaskFuture<'a> + Send + 'static,
+{
+    Box::new(f)
 }
 
 /// The thread-per-rank adapter: one blocking [`RankProgram`] per task, each
 /// paired with the cell its checksum is published into when it completes.
 /// A task's error panics its rank thread, as the panicking convenience
 /// methods of [`RtCtx`] do.
-pub fn thread_per_rank(tasks: Vec<Box<dyn RankTask>>) -> Vec<(RankProgram, Arc<AtomicU64>)> {
+pub fn thread_per_rank(tasks: Vec<RankTask>) -> Vec<(RankProgram, Arc<AtomicU64>)> {
     tasks
         .into_iter()
-        .map(|mut task| {
+        .map(|task| {
             let cell = Arc::new(AtomicU64::new(0));
             let out = cell.clone();
             let program: RankProgram = Box::new(move |ctx: &mut RtCtx| {
                 let rank = ctx.rank().0;
-                let sum =
-                    run_blocking(ctx, task.as_mut()).unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+                let sum = block_on(task(ctx)).unwrap_or_else(|e| panic!("rank {rank}: {e}"));
                 out.store(sum, Ordering::Release);
             });
             (program, cell)
@@ -116,33 +71,17 @@ pub fn thread_per_rank(tasks: Vec<Box<dyn RankTask>>) -> Vec<(RankProgram, Arc<A
         .collect()
 }
 
-/// Where a task is between sweeps.
-enum Slot {
-    /// Never resumed yet.
-    Start,
-    /// Suspended on a step other than `Done`.
-    Waiting(Step),
-    /// Finished with this checksum.
-    Done(u64),
-}
+/// The driver's waker: a wait that a task reached in this sweep raises it.
+#[derive(Default)]
+struct Moved(AtomicBool);
 
-impl Slot {
-    /// May the task be resumed now? Tests consume what they match, as the
-    /// blocking calls do.
-    fn ready(&self, ctx: &mut RtCtx) -> Result<bool, RtError> {
-        match *self {
-            Slot::Start => Ok(true),
-            Slot::Waiting(Step::Wait { query, count }) => ctx.try_test_notifications(query, count),
-            Slot::Waiting(Step::Flush) => {
-                if ctx.flush_complete() {
-                    return Ok(true);
-                }
-                ctx.drain_deliveries()?;
-                Ok(false)
-            }
-            Slot::Waiting(Step::Coll(wait)) => ctx.coll_test(wait.source, wait.tag),
-            Slot::Waiting(Step::Done(_)) | Slot::Done(_) => Ok(false),
-        }
+impl Wake for Moved {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.store(true, Ordering::Relaxed);
     }
 }
 
@@ -151,7 +90,7 @@ impl Slot {
 /// [`try_run_cluster_job`](crate::try_run_cluster_job)).
 pub(crate) fn drive(
     world: World,
-    mut tasks: Vec<Box<dyn RankTask>>,
+    tasks: Vec<RankTask>,
     cancel: &CancelToken,
 ) -> Result<(RtReport, Vec<u64>), RtError> {
     let World {
@@ -171,39 +110,48 @@ pub(crate) fn drive(
             e
         })
     };
-    let mut slots: Vec<Slot> = ranks.iter().map(|_| Slot::Start).collect();
+    let moved_flag = Arc::new(Moved::default());
+    let waker = Waker::from(moved_flag.clone());
+    let mut cx = Context::from_waker(&waker);
+    let mut sums = vec![0u64; ranks.len()];
     let mut outcomes: Vec<Option<HostOutcome>> = engines.iter().map(|_| None).collect();
-    let mut running = tasks.len();
-    while outcomes.iter().any(Option::is_none) {
+    let mut running: Vec<_> = ranks
+        .iter_mut()
+        .zip(tasks)
+        .map(|(ctx, task)| {
+            Some(Box::pin(async move {
+                let sum = task(&mut *ctx).await?;
+                ctx.finish()?;
+                Ok::<_, RtError>(sum)
+            }))
+        })
+        .collect();
+    let mut unfinished = running.len();
+    let stalled = loop {
         if cancel.is_cancelled() {
             return Err(root(RtError::Cancelled));
         }
+        // Every wait suspends the poll that reached it, so each task runs
+        // at most once per sweep: it can neither starve the other ranks
+        // nor outrun a cancel.
         let mut moved = false;
-        // One resume per task per sweep: a task whose next step is
-        // satisfied at once waits for the next sweep, so it can neither
-        // starve the other ranks nor outrun a cancel.
-        for ((ctx, task), slot) in ranks.iter_mut().zip(&mut tasks).zip(&mut slots) {
-            if slot.ready(ctx).map_err(root)? {
+        for ((slot, sum), rank) in running.iter_mut().zip(&mut sums).zip(0u32..) {
+            let Some(fut) = slot else { continue };
+            let poll = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)))
+                .unwrap_or_else(|p| {
+                    Poll::Ready(Err(RtError::RankPanicked {
+                        rank,
+                        message: panic_text(p),
+                    }))
+                });
+            if let Poll::Ready(out) = poll {
+                *sum = out.map_err(root)?;
+                *slot = None;
+                unfinished -= 1;
                 moved = true;
-                let rank = ctx.rank().0;
-                let step = catch_unwind(AssertUnwindSafe(|| task.resume(ctx)))
-                    .unwrap_or_else(|p| {
-                        Err(RtError::RankPanicked {
-                            rank,
-                            message: panic_text(p),
-                        })
-                    })
-                    .map_err(root)?;
-                *slot = match step {
-                    Step::Done(sum) => {
-                        ctx.finish().map_err(root)?;
-                        running -= 1;
-                        Slot::Done(sum)
-                    }
-                    step => Slot::Waiting(step),
-                };
             }
         }
+        moved |= moved_flag.0.swap(false, Ordering::Relaxed);
         for (device, (engine, out)) in (0u32..).zip(engines.iter().zip(&mut outcomes)) {
             if out.is_some() {
                 continue;
@@ -213,7 +161,7 @@ pub(crate) fn drive(
                 let progress = pass.work || pass.backlog;
                 // Quiescence is judged only after a pass with no work, as
                 // the host loop does.
-                let end = if progress || running > 0 {
+                let end = if progress || unfinished > 0 {
                     None
                 } else {
                     engine.try_quiesce()?
@@ -231,18 +179,21 @@ pub(crate) fn drive(
             moved |= progress;
             *out = end;
         }
-        if !moved && outcomes.iter().any(Option::is_none) {
-            return Err(RtError::Stalled {
-                waiting: ranks
-                    .iter()
-                    .zip(&slots)
-                    .filter_map(|(ctx, slot)| match slot {
-                        Slot::Waiting(step) => Some((ctx.rank().0, step.to_string())),
-                        _ => None,
-                    })
-                    .collect(),
-            });
+        if outcomes.iter().all(Option::is_some) {
+            break false;
         }
+        if !moved {
+            break true;
+        }
+    };
+    drop(running);
+    if stalled {
+        return Err(RtError::Stalled {
+            waiting: ranks
+                .iter()
+                .filter_map(|ctx| Some((ctx.rank().0, ctx.waiting?.to_string())))
+                .collect(),
+        });
     }
     let mut report = RtReport::default();
     for ctx in &ranks {
@@ -255,12 +206,5 @@ pub(crate) fn drive(
         report.notifications += out.notifications;
         report.net.absorb(out.net);
     }
-    let sums = slots
-        .iter()
-        .map(|slot| match slot {
-            Slot::Done(sum) => *sum,
-            _ => 0,
-        })
-        .collect();
     Ok((report, sums))
 }

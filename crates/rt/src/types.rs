@@ -229,14 +229,14 @@ pub enum RtError {
     },
     /// A rank task called a blocking method of [`RtCtx`](crate::RtCtx).
     /// A task runs on its world's driver thread beside every other rank, so
-    /// it must suspend with a [`Step`](crate::Step) instead of waiting.
+    /// it must await the method's async form instead.
     BlockingInTask {
         /// The blocking method that was called.
         call: &'static str,
     },
     /// A job world run by the cooperative driver reached a fixed point: in
-    /// one sweep no task resumed and no device engine moved anything, so
-    /// no later sweep could either.
+    /// one sweep no task reached a new wait or finished and no device
+    /// engine moved anything, so no later sweep could either.
     Stalled {
         /// Every rank still waiting, with what it waits for.
         waiting: Vec<(u32, String)>,
@@ -288,7 +288,7 @@ impl fmt::Display for RtError {
             RtError::BlockingInTask { call } => {
                 write!(
                     f,
-                    "blocking call `{call}` inside a rank task (suspend instead)"
+                    "blocking call `{call}` inside a rank task (await its async form)"
                 )
             }
             RtError::Stalled { waiting } => {

@@ -532,31 +532,19 @@ fn collectives_and_user_traffic_interleave_cleanly() {
 /// FNV checksum of the result. Rank 0 sleeps 5 ms before it starts, so
 /// the chunks its peers send reach its scratch window, which a rank
 /// allocates on first use, before its own schedule touches it.
-struct LateRootAllreduce {
-    plan: CollPlan,
-    coll: Option<Collective>,
+async fn late_root_allreduce(ctx: &mut RtCtx, plan: CollPlan) -> Result<u64, RtError> {
+    if ctx.rank().0 == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let input = input_u64(ctx.rank().0, LATE_ELEMS);
+    ctx.win_mut(W0).copy_from_slice(&input);
+    Collective::allreduce(ctx, W0, 0, LATE_ELEMS * 8, &plan)?
+        .run(ctx)
+        .await?;
+    Ok(fnv_bytes(FNV_OFFSET, ctx.win(W0)))
 }
 
 const LATE_ELEMS: usize = 512;
-
-impl RankTask for LateRootAllreduce {
-    fn resume(&mut self, ctx: &mut RtCtx) -> Result<Step, RtError> {
-        let len = LATE_ELEMS * 8;
-        if self.coll.is_none() {
-            if ctx.rank().0 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            let input = input_u64(ctx.rank().0, LATE_ELEMS);
-            ctx.win_mut(W0).copy_from_slice(&input);
-            self.coll = Some(Collective::allreduce(ctx, W0, 0, len, &self.plan)?);
-        }
-        let coll = self.coll.as_mut().expect("started above");
-        Ok(match coll.poll(ctx)? {
-            Some(wait) => Step::Coll(wait),
-            None => Step::Done(fnv_bytes(FNV_OFFSET, ctx.win(W0))),
-        })
-    }
-}
 
 #[test]
 fn scratch_allocated_on_first_delivery_reduces_exactly() {
@@ -572,9 +560,9 @@ fn scratch_allocated_on_first_delivery_reduces_exactly() {
         .unwrap();
     let mut config = cfg(devices, ranks, len);
     config.coll_scratch = allreduce_scratch_bytes(CollAlgo::Ring, len, 256, world);
-    let tasks = || -> Vec<Box<dyn RankTask>> {
+    let tasks = || -> Vec<RankTask> {
         (0..world)
-            .map(|_| Box::new(LateRootAllreduce { plan, coll: None }) as Box<dyn RankTask>)
+            .map(|_| task(move |ctx| Box::pin(late_root_allreduce(ctx, plan))))
             .collect()
     };
     let expected = fnv_bytes(

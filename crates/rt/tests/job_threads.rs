@@ -2,8 +2,8 @@
 //! other test's threads come and go while it counts this process's
 //! threads in `/proc/self/task`.
 
-use dcuda_rt::{try_run_cluster_job, CancelToken, Rank, RankTask, RtConfig, RtCtx, RtError};
-use dcuda_rt::{RtQuery, Step, Tag, WindowId};
+use dcuda_rt::{task, try_run_cluster_job, CancelToken, Rank, RankTask, RtConfig};
+use dcuda_rt::{RtQuery, Tag, WindowId};
 
 const W0: WindowId = WindowId(0);
 
@@ -14,23 +14,16 @@ fn threads() -> Option<usize> {
 
 /// One ring round: put to the right neighbour, wait for the left one, and
 /// return the thread count seen from inside the world.
-struct Round {
-    sent: bool,
-}
-
-impl RankTask for Round {
-    fn resume(&mut self, ctx: &mut RtCtx) -> Result<Step, RtError> {
-        if self.sent {
-            return Ok(Step::Done(threads().unwrap_or(0) as u64));
-        }
-        self.sent = true;
-        let (r, n) = (ctx.rank().0, ctx.world_size());
-        ctx.try_put_notify(W0, Rank((r + 1) % n), 0, 0, 1, Tag(1))?;
-        Ok(Step::Wait {
-            query: RtQuery::exact(W0, Rank((r + n - 1) % n), Tag(1)),
-            count: 1,
+fn round() -> RankTask {
+    task(|ctx| {
+        Box::pin(async move {
+            let (r, n) = (ctx.rank().0, ctx.world_size());
+            ctx.try_put_notify(W0, Rank((r + 1) % n), 0, 0, 1, Tag(1))?;
+            ctx.wait_notifications_async(RtQuery::exact(W0, Rank((r + n - 1) % n), Tag(1)), 1)
+                .await?;
+            Ok(threads().unwrap_or(0) as u64)
         })
-    }
+    })
 }
 
 #[test]
@@ -43,9 +36,7 @@ fn fifty_job_worlds_leave_the_thread_count_unchanged() {
     };
     let before = threads();
     for _ in 0..50 {
-        let tasks = (0..4)
-            .map(|_| Box::new(Round { sent: false }) as Box<dyn RankTask>)
-            .collect();
+        let tasks = (0..4).map(|_| round()).collect();
         let (_, seen) = try_run_cluster_job(&cfg, tasks, &CancelToken::new()).unwrap();
         if let Some(before) = before {
             assert!(

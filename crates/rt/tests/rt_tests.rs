@@ -3,9 +3,9 @@
 //! queues.
 
 use dcuda_rt::{
-    run_cluster, run_cluster_traced, thread_per_rank, try_run_cluster, try_run_cluster_job,
+    run_cluster, run_cluster_traced, task, thread_per_rank, try_run_cluster, try_run_cluster_job,
     CancelToken, CollCtx, CollPlan, ProgressMode, RaceMode, Rank, RankTask, RtConfig, RtCtx,
-    RtError, RtQuery, Step, Tag, WindowId,
+    RtError, RtQuery, Tag, WindowId,
 };
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -1151,48 +1151,33 @@ fn user_queries_never_observe_collective_notifications() {
     assert!(report.coll.puts > 0);
 }
 
-/// A rank task scripted by a closure over the rank's context and the
-/// number of earlier resumes.
-struct Script<F>(F, usize);
-
-impl<F> RankTask for Script<F>
-where
-    F: FnMut(&mut RtCtx, usize) -> Result<Step, RtError> + Send,
-{
-    fn resume(&mut self, ctx: &mut RtCtx) -> Result<Step, RtError> {
-        self.1 += 1;
-        (self.0)(ctx, self.1 - 1)
-    }
+/// A task that finishes at once with checksum 0.
+fn done() -> RankTask {
+    task(|_| Box::pin(async { Ok(0) }))
 }
 
-fn task<F>(f: F) -> Box<dyn RankTask>
-where
-    F: FnMut(&mut RtCtx, usize) -> Result<Step, RtError> + Send + 'static,
-{
-    Box::new(Script(f, 0))
-}
-
-/// A 2×2 ring round in which every rank records the thread it runs on.
-fn recording_ring(ids: &Arc<Mutex<Vec<ThreadId>>>) -> Vec<Box<dyn RankTask>> {
+/// A 2×2 ring round in which every rank records the thread it runs on,
+/// once before its wait and once after.
+fn recording_ring(ids: &Arc<Mutex<Vec<ThreadId>>>) -> Vec<RankTask> {
     (0..4u32)
         .map(|r| {
             let ids = ids.clone();
-            task(move |ctx, resumes| {
-                ids.lock().unwrap().push(std::thread::current().id());
-                if resumes > 0 {
-                    return Ok(Step::Done(u64::from(r)));
-                }
-                ctx.try_put_notify(W0, Rank((r + 1) % 4), 0, 0, 1, Tag(1))?;
-                Ok(Step::Wait {
-                    query: RtQuery::exact(W0, Rank((r + 3) % 4), Tag(1)),
-                    count: 1,
+            let record = move || ids.lock().unwrap().push(std::thread::current().id());
+            task(move |ctx| {
+                Box::pin(async move {
+                    record();
+                    ctx.try_put_notify(W0, Rank((r + 1) % 4), 0, 0, 1, Tag(1))?;
+                    ctx.wait_notifications_async(RtQuery::exact(W0, Rank((r + 3) % 4), Tag(1)), 1)
+                        .await?;
+                    record();
+                    Ok(u64::from(r))
                 })
             })
         })
         .collect()
 }
 
-fn job(tasks: Vec<Box<dyn RankTask>>) -> Result<(dcuda_rt::RtReport, Vec<u64>), RtError> {
+fn job(tasks: Vec<RankTask>) -> Result<(dcuda_rt::RtReport, Vec<u64>), RtError> {
     try_run_cluster_job(&cfg(2, 2), tasks, &CancelToken::new())
 }
 
@@ -1209,7 +1194,7 @@ fn job_worlds_run_on_the_callers_thread() {
         assert_eq!(sums, [0, 1, 2, 3]);
     }
     let ids = ids.lock().unwrap();
-    assert_eq!(ids.len(), 400, "two resumes per task");
+    assert_eq!(ids.len(), 400, "two records per task");
     assert!(
         ids.iter().all(|&id| id == me),
         "a job task ran off the caller"
@@ -1231,46 +1216,13 @@ fn job_worlds_recover_from_a_rank_panic_and_a_cancel() {
     let ids = Arc::new(Mutex::new(Vec::new()));
 
     let mut tasks = recording_ring(&ids);
-    tasks[1] = task(|_, _| panic!("rank 1 dies"));
+    tasks[1] = task(|_| Box::pin(async { panic!("rank 1 dies") }));
     match job(tasks) {
         Err(RtError::RankPanicked { rank: 1, .. }) => {}
         other => panic!("expected rank 1 to panic, got {other:?}"),
     }
 
-    // Every rank puts to itself once, then flushes forever with nothing
-    // outstanding, so each step is satisfied at once. The ranks still take
-    // turns: only once all four have been resumed 100 times is the cancel
-    // raised, and only the cancel ends the run.
-    let cancel = CancelToken::new();
-    let (progress, all_progressed) = std::sync::mpsc::channel();
-    let tasks = (0..4)
-        .map(|_| {
-            let progress = progress.clone();
-            task(move |ctx, resumes| {
-                if resumes == 0 {
-                    ctx.try_put(W0, ctx.rank(), 8, 0, 8)?;
-                }
-                if resumes == 100 {
-                    progress.send(()).unwrap();
-                }
-                Ok(Step::Flush)
-            })
-        })
-        .collect();
-    let canceller = {
-        let cancel = cancel.clone();
-        std::thread::spawn(move || {
-            for _ in 0..4 {
-                all_progressed.recv().unwrap();
-            }
-            cancel.cancel();
-        })
-    };
-    match try_run_cluster_job(&cfg(2, 2), tasks, &cancel) {
-        Err(RtError::Cancelled) => {}
-        other => panic!("expected a cancelled run, got {other:?}"),
-    }
-    canceller.join().unwrap();
+    assert!(matches!(outrun_attempt(), Err(RtError::Cancelled)));
 
     ids.lock().unwrap().clear();
     for _ in 0..20 {
@@ -1281,12 +1233,49 @@ fn job_worlds_recover_from_a_rank_panic_and_a_cancel() {
     assert!(ids.iter().all(|&id| id == me));
 }
 
+/// Rank 0 flushes forever with nothing outstanding, so each of its waits
+/// is satisfied at once; rank 1 raises the cancel on its third turn.
+fn outrun_attempt() -> Result<(dcuda_rt::RtReport, Vec<u64>), RtError> {
+    let cancel = CancelToken::new();
+    let raise = cancel.clone();
+    let tasks = vec![
+        task(|ctx| {
+            Box::pin(async move {
+                loop {
+                    ctx.flush_async().await?;
+                }
+            })
+        }),
+        task(move |ctx| {
+            Box::pin(async move {
+                for turn in 0.. {
+                    if turn == 2 {
+                        raise.cancel();
+                    }
+                    ctx.flush_async().await?;
+                }
+                Ok(1)
+            })
+        }),
+    ];
+    try_run_cluster_job(&cfg(1, 2), tasks, &cancel)
+}
+
+/// A wait that is already satisfied still ends its task's turn, so the
+/// cancel ends the run at once. A wait that completed in the poll that
+/// reached it would spin rank 0 forever inside its first turn.
+#[test]
+fn a_task_cannot_outrun_the_sweep() {
+    let start = std::time::Instant::now();
+    let out = outrun_attempt();
+    assert!(matches!(out, Err(RtError::Cancelled)), "{out:?}");
+    assert!(start.elapsed() < std::time::Duration::from_secs(1));
+}
+
 #[test]
 fn job_worlds_refuse_what_one_thread_cannot_honour() {
     let refused = |cfg: RtConfig, field: &str| {
-        let tasks = (0..cfg.world())
-            .map(|_| task(|_, _| Ok(Step::Done(0))))
-            .collect();
+        let tasks = (0..cfg.world()).map(|_| done()).collect();
         match try_run_cluster_job(&cfg, tasks, &CancelToken::new()) {
             Err(RtError::InvalidConfig(msg)) => assert!(msg.starts_with(field), "{msg}"),
             other => panic!("{field}: expected InvalidConfig, got {other:?}"),
@@ -1302,9 +1291,8 @@ fn job_worlds_refuse_what_one_thread_cannot_honour() {
         "progress",
     );
     refused(base().host_busy_spin(10).build().unwrap(), "host_busy_spin");
-    let tasks = vec![task(|_, _| Ok(Step::Done(0)))];
     assert!(matches!(
-        try_run_cluster_job(&cfg(1, 2), tasks, &CancelToken::new()),
+        try_run_cluster_job(&cfg(1, 2), vec![done()], &CancelToken::new()),
         Err(RtError::InvalidConfig(_))
     ));
 }
@@ -1315,7 +1303,7 @@ fn a_blocking_call_inside_a_task_is_a_typed_error() {
     let seen = Arc::new(Mutex::new(Vec::new()));
     let calls = seen.clone();
     let tasks = vec![
-        task(move |ctx, _| {
+        task(move |ctx: &mut RtCtx| {
             let q = RtQuery::WILDCARD;
             let mut calls = calls.lock().unwrap();
             calls.push(ctx.try_wait_notifications(q, 1));
@@ -1327,9 +1315,9 @@ fn a_blocking_call_inside_a_task_is_a_typed_error() {
             calls.push(ctx.try_broadcast(W0, 0, 64, Rank(0), &plan));
             calls.push(ctx.try_ring_shift(W0, 64, 0, 64));
             calls.push(ctx.try_ring_release());
-            Ok(Step::Done(0))
+            Box::pin(async { Ok(0) })
         }),
-        task(|_, _| Ok(Step::Done(0))),
+        done(),
     ];
     try_run_cluster_job(&cfg(1, 2), tasks, &CancelToken::new()).unwrap();
     let names: Vec<_> = seen
@@ -1358,11 +1346,13 @@ fn a_blocking_call_inside_a_task_is_a_typed_error() {
 
     // A task that lets the error escape ends its world with it.
     let tasks = vec![
-        task(|ctx, _| {
-            ctx.try_flush()?;
-            Ok(Step::Done(0))
+        task(|ctx| {
+            Box::pin(async move {
+                ctx.try_flush()?;
+                Ok(0)
+            })
         }),
-        task(|_, _| Ok(Step::Done(0))),
+        done(),
     ];
     assert_eq!(
         try_run_cluster_job(&cfg(1, 2), tasks, &CancelToken::new()).unwrap_err(),
@@ -1373,14 +1363,13 @@ fn a_blocking_call_inside_a_task_is_a_typed_error() {
 #[test]
 fn a_stalled_job_world_fails_fast() {
     let q = RtQuery::exact(W0, Rank(3), Tag(77));
-    let tasks = (0..4)
-        .map(|r| {
-            task(move |_, resumes| match (r, resumes) {
-                (1, 0) => Ok(Step::Wait { query: q, count: 1 }),
-                _ => Ok(Step::Done(0)),
-            })
+    let mut tasks: Vec<RankTask> = (0..4).map(|_| done()).collect();
+    tasks[1] = task(move |ctx| {
+        Box::pin(async move {
+            ctx.wait_notifications_async(q, 1).await?;
+            Ok(0)
         })
-        .collect();
+    });
     let start = std::time::Instant::now();
     let err = try_run_cluster_job(&cfg(2, 2), tasks, &CancelToken::new()).unwrap_err();
     assert!(start.elapsed() < std::time::Duration::from_millis(100));

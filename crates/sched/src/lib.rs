@@ -17,7 +17,7 @@
 //!   cluster world via [`dcuda_rt::try_run_cluster_job`] with its own
 //!   cancel flag, so one job's `RankPanicked` (or any other failure) tears
 //!   down only that job and frees its lease while neighbors run on. The
-//!   world has no threads of its own: its ranks are resumable
+//!   world has no threads of its own: its ranks are
 //!   [`dcuda_rt::RankTask`]s, and a runner thread drives them and the
 //!   world's device engines. Runners are reused from job to job and exit
 //!   after [`scheduler::RUNNER_IDLE`] without work.
@@ -48,7 +48,7 @@ pub use ledger::{AdmissionQueue, Lease, Ledger, QueuedJob};
 pub use scheduler::{run_solo, JobCounters, JobResult, JobStatus, Scheduler};
 pub use server::{serve, spawn_server, CtrlClient, ServerHandle};
 
-use dcuda_rt::{RtConfig, RtError, DEFAULT_COLL_SCRATCH, MAX_WORLD};
+use dcuda_rt::{RtConfig, RtError, MAX_WORLD};
 use std::fmt;
 
 /// The named program a job runs. Specs must cross the control plane, so
@@ -159,7 +159,7 @@ impl JobSpec {
 
     /// The window layout every rank of this job registers.
     pub fn windows(&self) -> Vec<usize> {
-        let mut w = programs::windows(self);
+        let mut w = self.program.program().windows(&self.params());
         if self.extra_window > 0 {
             w.push(self.extra_window);
         }
@@ -168,7 +168,9 @@ impl JobSpec {
 
     /// Collective scratch bytes this job needs.
     pub fn coll_scratch(&self) -> usize {
-        programs::coll_scratch(self).max(DEFAULT_COLL_SCRATCH)
+        self.program
+            .program()
+            .coll_scratch(&self.params(), self.ranks())
     }
 
     /// Total per-rank window footprint charged against the quota: the

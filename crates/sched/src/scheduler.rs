@@ -11,7 +11,7 @@
 //! fails tears down only its own world, publishes a `Failed` outcome and
 //! frees its lease while neighbors run on, and its runner takes the next
 //! job. The world has no threads of its own: its rank programs are
-//! resumable tasks, and the runner is the cooperative driver that runs them
+//! async tasks, and the runner is the cooperative driver that runs them
 //! and the world's device engines.
 //!
 //! Runners are reused, not spawned per job: an admission pass wakes an idle
@@ -30,6 +30,7 @@ use crate::ledger::{AdmissionQueue, Lease, Ledger, QueuedJob};
 use crate::programs;
 use crate::{JobSpec, SchedError, SchedLimits};
 use dcuda_core::SchedStats;
+use dcuda_rt::programs::fold_checksums;
 use dcuda_rt::{
     thread_per_rank, try_run_cluster, try_run_cluster_job, CancelToken, RtError, RtReport,
 };
@@ -468,18 +469,26 @@ fn runner(shared: &Arc<Shared>) {
     }
 }
 
-/// Book a job's terminal outcome: free its lease and publish its report.
-fn book(shared: &Shared, st: &mut State, id: u64, outcome: Result<(RtReport, Vec<u64>), RtError>) {
-    let (end, checksum, counters, error) = match outcome {
+/// How a job world ended: its end state, checksum and counters, and the
+/// error of a failed run.
+type Settled = (JobEnd, u64, JobCounters, Option<RtError>);
+
+fn settle(outcome: Result<(RtReport, Vec<u64>), RtError>) -> Settled {
+    match outcome {
         Ok((ref report, ref sums)) => (
             JobEnd::Completed,
-            programs::fold_checksums(sums),
+            fold_checksums((0u32..).zip(sums.iter().copied())),
             JobCounters::from(report),
             None,
         ),
         Err(RtError::Cancelled) => (JobEnd::Cancelled, 0, JobCounters::default(), None),
         Err(e) => (JobEnd::Failed, 0, JobCounters::default(), Some(e)),
-    };
+    }
+}
+
+/// Book a job's terminal outcome: free its lease and publish its report.
+fn book(shared: &Shared, st: &mut State, id: u64, outcome: Result<(RtReport, Vec<u64>), RtError>) {
+    let (end, checksum, counters, error) = settle(outcome);
     let now = Instant::now();
     mark_busy(st, now);
     let job = st.jobs.get_mut(&id).expect("running job is in the table");
@@ -525,31 +534,21 @@ pub fn run_solo(spec: &JobSpec) -> Result<JobResult, SchedError> {
     let (ranks, cells): (Vec<_>, Vec<_>) =
         thread_per_rank(programs::tasks(spec)).into_iter().unzip();
     let start = Instant::now();
-    match try_run_cluster(&cfg, ranks) {
-        Ok(report) => Ok(JobResult {
-            id: 0,
-            name: spec.name.clone(),
-            end: JobEnd::Completed,
-            checksum: programs::fold_checksums(
-                &cells
-                    .iter()
-                    .map(|c| c.load(Ordering::Acquire))
-                    .collect::<Vec<_>>(),
-            ),
-            counters: JobCounters::from(&report),
-            error: None,
-            wait_ms: 0.0,
-            run_ms: start.elapsed().as_secs_f64() * 1e3,
-        }),
-        Err(e) => Ok(JobResult {
-            id: 0,
-            name: spec.name.clone(),
-            end: JobEnd::Failed,
-            checksum: 0,
-            counters: JobCounters::default(),
-            error: Some(e),
-            wait_ms: 0.0,
-            run_ms: start.elapsed().as_secs_f64() * 1e3,
-        }),
-    }
+    let outcome = try_run_cluster(&cfg, ranks).map(|report| {
+        (
+            report,
+            cells.iter().map(|c| c.load(Ordering::Acquire)).collect(),
+        )
+    });
+    let (end, checksum, counters, error) = settle(outcome);
+    Ok(JobResult {
+        id: 0,
+        name: spec.name.clone(),
+        end,
+        checksum,
+        counters,
+        error,
+        wait_ms: 0.0,
+        run_ms: start.elapsed().as_secs_f64() * 1e3,
+    })
 }

@@ -5,7 +5,7 @@
 //!   rustc/clippy cannot express (see `LINT RULES` below: R1 no unwraps
 //!   in runtime/queue code, R2 no raw shims, R3 no relaxed SPSC orderings,
 //!   R4 window memory only through `ctx.rs`, R5 one matcher, R6 one
-//!   rank-side wait helper). Deliberately
+//!   rank-side wait helper, R7 one wait future). Deliberately
 //!   simple — line-oriented with a brace-tracking skip for `#[cfg(test)]`
 //!   modules — and wired into the CI `lint` job.
 //! * `bench-diff BASELINE FIGURES [WORKLOAD.json...] [--tol FRAC]` — the
@@ -59,6 +59,12 @@ use std::process::ExitCode;
 ///    turns through that helper, which drives the rank's own device engine
 ///    before it yields; a loop that yields by itself would wait on the host
 ///    thread alone and silently lose rank-driven progress.
+/// R7 `one-wait-future`: no `Poll::Pending` in `crates/rt/src` non-test
+///    code outside the `impl Future for Until` block in `ctx.rs`. Every
+///    wait of a rank program — notifications, flushes, collective chunks —
+///    is that one future, which spins on a rank thread and suspends under
+///    the cooperative driver; a second suspension point would be a second
+///    copy of the wait, with its own idea of when a task has moved.
 ///
 /// An escape hatch comment `// xtask: allow` on the offending line skips
 /// all rules for that line.
@@ -352,7 +358,7 @@ fn lint() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            for (lineno, line) in non_test_lines(&text) {
+            for (lineno, line) in non_test_lines(&text, None) {
                 if line.contains("xtask: allow") || is_comment(line) {
                     continue;
                 }
@@ -401,7 +407,7 @@ fn lint() -> ExitCode {
                     Ok(t) => t,
                     Err(_) => continue,
                 };
-                for (lineno, line) in non_test_lines(&text) {
+                for (lineno, line) in non_test_lines(&text, None) {
                     if line.contains("xtask: allow") || is_comment(line) {
                         continue;
                     }
@@ -426,7 +432,7 @@ fn lint() -> ExitCode {
             let Ok(text) = std::fs::read_to_string(&file) else {
                 continue;
             };
-            for (lineno, line) in non_test_lines(&text) {
+            for (lineno, line) in non_test_lines(&text, None) {
                 if line.contains("xtask: allow") || is_comment(line) {
                     continue;
                 }
@@ -437,30 +443,29 @@ fn lint() -> ExitCode {
         }
     }
 
-    // R6 target: the rank-side blocking API. The helper's body is
-    // brace-tracked from its signature line.
+    // R6 + R7 targets: the runtime's non-test sources. `yield_now(` is
+    // confined to `wait_step` (R6 checks ctx.rs alone), `Poll::Pending` to
+    // the wait future; both homes are brace-tracked from their first line.
     let ctx_rs = root.join("crates/rt/src/ctx.rs");
-    let Ok(text) = std::fs::read_to_string(&ctx_rs) else {
-        eprintln!("xtask lint: cannot read {}", ctx_rs.display());
-        return ExitCode::FAILURE;
-    };
-    let mut depth: i64 = 0;
-    let mut helper_depth: Option<i64> = None;
-    for (lineno, line) in non_test_lines(&text) {
-        if helper_depth.is_none() && line.contains("fn wait_step(") {
-            helper_depth = Some(depth);
-        }
-        let in_helper = helper_depth.is_some();
-        depth += line.matches('{').count() as i64 - line.matches('}').count() as i64;
-        if helper_depth.is_some_and(|d| depth <= d) && line.contains('}') {
-            helper_depth = None;
-        }
-        if !in_helper
-            && line.contains("yield_now(")
-            && !line.contains("xtask: allow")
-            && !is_comment(line)
-        {
-            findings.push(finding(&ctx_rs, lineno, "one-wait-helper", line));
+    let confined = [
+        ("yield_now(", "fn wait_step(", "one-wait-helper"),
+        ("Poll::Pending", "impl Future for Until", "one-wait-future"),
+    ];
+    for file in rust_files(&root.join("crates/rt/src")) {
+        let Ok(text) = std::fs::read_to_string(&file) else {
+            continue;
+        };
+        for (pattern, home, rule) in confined {
+            let lines = match (file == ctx_rs, rule) {
+                (true, _) => non_test_lines(&text, Some(home)),
+                (false, "one-wait-future") => non_test_lines(&text, None),
+                (false, _) => continue,
+            };
+            for (lineno, line) in lines {
+                if line.contains(pattern) && !line.contains("xtask: allow") && !is_comment(line) {
+                    findings.push(finding(&file, lineno, rule, line));
+                }
+            }
         }
     }
 
@@ -524,18 +529,17 @@ fn is_comment(line: &str) -> bool {
 }
 
 /// Iterate `(1-based line number, line)` pairs, skipping the bodies of
-/// `#[cfg(test)]`-annotated items (brace-tracked from the annotation).
-fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
+/// `#[cfg(test)]`-annotated items (brace-tracked from the annotation) and
+/// of the item whose first line contains `home`, if given.
+fn non_test_lines<'t>(text: &'t str, home: Option<&str>) -> Vec<(usize, &'t str)> {
     let mut out = Vec::new();
     let mut skip_depth: i64 = -1; // >= 0: inside a skipped item's braces
-    let mut pending_skip = false; // saw #[cfg(test)], waiting for the item
+    let mut pending_skip = false; // saw the item's first line, waiting for `{`
     let mut depth: i64 = 0;
     for (i, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        if skip_depth < 0 && trimmed.starts_with("#[cfg(test)]") {
-            pending_skip = true;
-            continue;
-        }
+        let starts_item =
+            line.trim().starts_with("#[cfg(test)]") || home.is_some_and(|h| line.contains(h));
+        pending_skip |= skip_depth < 0 && starts_item;
         let opens = line.matches('{').count() as i64;
         let closes = line.matches('}').count() as i64;
         if pending_skip && opens > 0 {
@@ -549,7 +553,9 @@ fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
             }
             continue;
         }
-        out.push((i + 1, line));
+        if !pending_skip {
+            out.push((i + 1, line));
+        }
     }
     out
 }

@@ -28,7 +28,8 @@ use dcuda_bench::json::Json;
 use dcuda_net::{
     launch, MeshOpts, NetConfig, NetFaults, NetStats, PlaneKind, SocketPlane, Transport,
 };
-use dcuda_rt::{ClusterPart, ProgressMode, RaceMode, RtConfig, RtReport};
+use dcuda_rt::programs::{Params, Program};
+use dcuda_rt::{thread_per_rank, ClusterPart, ProgressMode, RaceMode, RtConfig, RtReport};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::Command;
@@ -153,16 +154,16 @@ fn parse_num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad value for {name}: {s}"))
 }
 
-fn spec_of(args: &Args) -> WorkloadSpec {
+fn program_of(args: &Args) -> (Program, Params) {
     WorkloadSpec {
         workload: args.workload,
         iters: args.iters,
         payload: args.payload,
     }
+    .program()
 }
 
-fn cluster_config(args: &Args, spec: &WorkloadSpec) -> Result<RtConfig, String> {
-    let world = args.procs * args.devices_per_proc * args.ranks_per_device;
+fn cluster_config(args: &Args, (program, p): &(Program, Params)) -> Result<RtConfig, String> {
     let race = RaceMode::parse(&args.race).ok_or_else(|| format!("bad race mode {}", args.race))?;
     // `--progress 0` (the default) is the inline engine; N > 0 spawns the
     // asynchronous progress pool with N workers per process.
@@ -170,11 +171,9 @@ fn cluster_config(args: &Args, spec: &WorkloadSpec) -> Result<RtConfig, String> 
         0 => ProgressMode::Inline,
         n => ProgressMode::Threads(n),
     };
-    RtConfig::builder()
-        .devices(args.procs * args.devices_per_proc)
-        .ranks_per_device(args.ranks_per_device)
-        .windows(spec.windows())
-        .coll_scratch(spec.coll_scratch(world))
+    let devices = args.procs * args.devices_per_proc;
+    program
+        .config(p, devices, args.ranks_per_device)
         .race_detect(race)
         .progress(progress)
         .host_busy_spin(args.host_busy)
@@ -249,11 +248,11 @@ fn run_inprocess(args: &Args) -> Result<(), String> {
     if args.faults.is_some() {
         return Err("--faults injects at the socket layer; use --backend multiprocess".into());
     }
-    let spec = spec_of(args);
-    let cfg = cluster_config(args, &spec)?;
+    let (program, p) = program_of(args);
+    let cfg = cluster_config(args, &(program, p))?;
     let world = cfg.world();
     let (programs, cells): (Vec<_>, Vec<_>) =
-        spec.programs_for(world, 0, world).into_iter().unzip();
+        thread_per_rank(program.tasks(p, world)).into_iter().unzip();
     let (report, tracer) = if args.trace.is_some() {
         dcuda_rt::run_cluster_traced(&cfg, programs).map_err(|e| e.to_string())?
     } else {
@@ -302,8 +301,7 @@ fn make_shm_dir() -> Result<ShmDirGuard, String> {
 }
 
 fn run_coordinator(args: &Args) -> Result<(), String> {
-    let spec = spec_of(args);
-    let cfg = cluster_config(args, &spec)?; // validate before spawning anything
+    let cfg = cluster_config(args, &program_of(args))?; // validate before spawning anything
     let world = cfg.world();
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -444,8 +442,8 @@ fn worker_run(
     listener: TcpListener,
     mesh: launch::MeshInfo,
 ) -> Result<Json, String> {
-    let spec = spec_of(args);
-    let cfg = cluster_config(args, &spec)?;
+    let (program, p) = program_of(args);
+    let cfg = cluster_config(args, &(program, p))?;
     let traced = args.trace.is_some();
     let config = NetConfig {
         // A healthy profile injects nothing: run the plain link.
@@ -490,8 +488,7 @@ fn worker_run(
     };
     let first_rank = part.first_device * args.ranks_per_device;
     let local_ranks = part.local_devices * args.ranks_per_device;
-    let (programs, cells): (Vec<_>, Vec<_>) = spec
-        .programs_for(cfg.world(), first_rank, local_ranks)
+    let (programs, cells): (Vec<_>, Vec<_>) = thread_per_rank(program.tasks(p, local_ranks))
         .into_iter()
         .unzip();
     let (report, tracer) = dcuda_rt::try_run_cluster_part(&cfg, part, programs, planes, traced)

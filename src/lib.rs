@@ -17,7 +17,7 @@
 //!
 //! [`workloads`] holds the backend-conformance programs the `dcuda-launch`
 //! binary runs identically on the in-process and multi-process transports
-//! (thin adapters over the shared definitions in `rt::programs`).
+//! (names for entries of the shared program table `rt::programs::Program`).
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every evaluation figure.

@@ -12,29 +12,30 @@
 
 use dcuda::des::check::forall;
 use dcuda::net::{NetConfig, SocketPlane, Transport};
-use dcuda::rt::{ClusterPart, RaceMode, RtConfig, RtError, RtReport};
+use dcuda::rt::cluster::RankProgram;
+use dcuda::rt::{thread_per_rank, ClusterPart, RaceMode, RtConfig, RtError, RtReport};
 use dcuda::workloads::{Workload, WorkloadSpec};
 
 fn config(devices: u32, rpd: u32, spec: &WorkloadSpec, mode: RaceMode) -> RtConfig {
-    let world = devices * rpd;
-    RtConfig::builder()
-        .devices(devices)
-        .ranks_per_device(rpd)
-        .windows(spec.windows())
-        .coll_scratch(spec.coll_scratch(world))
+    let (program, p) = spec.program();
+    program
+        .config(&p, devices, rpd)
         .race_detect(mode)
         .build()
         .expect("valid config")
 }
 
-fn run_inprocess(cfg: &RtConfig, spec: WorkloadSpec) -> Result<RtReport, RtError> {
-    let world = cfg.world();
-    let programs = spec
-        .programs_for(world, 0, world)
+/// Rank threads for `count` ranks of `spec`.
+fn rank_programs(spec: WorkloadSpec, count: u32) -> Vec<RankProgram> {
+    let (program, p) = spec.program();
+    thread_per_rank(program.tasks(p, count))
         .into_iter()
-        .map(|(p, _)| p)
-        .collect();
-    dcuda::rt::try_run_cluster(cfg, programs)
+        .map(|(program, _)| program)
+        .collect()
+}
+
+fn run_inprocess(cfg: &RtConfig, spec: WorkloadSpec) -> Result<RtReport, RtError> {
+    dcuda::rt::try_run_cluster(cfg, rank_programs(spec, cfg.world()))
 }
 
 fn boxed(eps: Vec<dcuda::net::NetEndpoint>) -> Vec<Box<dyn Transport>> {
@@ -65,24 +66,18 @@ fn run_mesh(
 ) -> (HalfResult, HalfResult) {
     let world = cfg.world();
     let half = world / 2;
-    let programs_for = |first| {
-        spec.programs_for(world, first, half)
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect()
-    };
     let part = |first_device| ClusterPart {
         first_device,
         local_devices: 1,
     };
     let cfg1 = cfg.clone();
-    let progs1 = programs_for(half);
+    let progs1 = rank_programs(spec, half);
     let (p0, p1) = planes;
     let t = std::thread::spawn(move || {
         dcuda::rt::try_run_cluster_part(&cfg1, part(1), progs1, p1, false).map(|(r, _)| r)
     });
-    let r0 =
-        dcuda::rt::try_run_cluster_part(cfg, part(0), programs_for(0), p0, false).map(|(r, _)| r);
+    let r0 = dcuda::rt::try_run_cluster_part(cfg, part(0), rank_programs(spec, half), p0, false)
+        .map(|(r, _)| r);
     let r1 = t.join().expect("mesh half thread");
     (r0, r1)
 }
