@@ -6,6 +6,7 @@
 //! matching recursive-descent [`Json::parse`] exists so `trace_check` can
 //! validate emitted Chrome-trace files without an external dependency.
 
+use dcuda_trace::chrome::push_escaped;
 use std::fmt::{self, Write as _};
 
 /// A JSON value.
@@ -353,22 +354,6 @@ impl From<bool> for Json {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn write_value(out: &mut String, v: &Json, indent: usize) {
     let pad = "  ".repeat(indent);
     match v {
@@ -384,11 +369,7 @@ fn write_value(out: &mut String, v: &Json, indent: usize) {
         Json::UInt(n) => {
             let _ = write!(out, "{n}");
         }
-        Json::Str(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
-        }
+        Json::Str(s) => push_escaped(out, s),
         Json::Arr(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -409,9 +390,9 @@ fn write_value(out: &mut String, v: &Json, indent: usize) {
             }
             out.push_str("{\n");
             for (i, (k, val)) in fields.iter().enumerate() {
-                let _ = write!(out, "{pad}  \"");
-                escape_into(out, k);
-                out.push_str("\": ");
+                let _ = write!(out, "{pad}  ");
+                push_escaped(out, k);
+                out.push_str(": ");
                 write_value(out, val, indent + 1);
                 out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
             }

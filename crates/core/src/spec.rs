@@ -1,7 +1,7 @@
 //! Full-system parameter set.
 
 use dcuda_des::SimDuration;
-use dcuda_device::{DeviceSpec, LaunchConfig};
+use dcuda_device::DeviceSpec;
 use dcuda_fabric::{NetworkSpec, PcieSpec};
 
 /// Host-runtime cost parameters (the event handler / block manager layer of
@@ -70,12 +70,6 @@ impl SystemSpec {
             pcie: PcieSpec::greina(),
             host: HostSpec::greina(),
         }
-    }
-
-    /// The paper's launch configuration (208 blocks × 128 threads, 26
-    /// registers).
-    pub fn paper_launch(&self) -> LaunchConfig {
-        LaunchConfig::paper()
     }
 }
 

@@ -38,11 +38,6 @@ pub fn enable_races() {
     RACES.store(true, Ordering::Release);
 }
 
-/// Stop attaching race detectors (mainly for tests that toggle the flag).
-pub fn disable_races() {
-    RACES.store(false, Ordering::Release);
-}
-
 /// Whether race detection is on.
 pub fn races_enabled() -> bool {
     RACES.load(Ordering::Acquire)

@@ -125,12 +125,6 @@ impl WindowSpec {
         self.ranges[rank.index()].clone()
     }
 
-    /// Window length of `rank`.
-    pub fn len_of(&self, rank: Rank) -> usize {
-        let r = &self.ranges[rank.index()];
-        r.end - r.start
-    }
-
     /// Arena size needed on `node` (max range end over its local ranks).
     pub fn arena_len(&self, topo: &Topology, node: u32) -> usize {
         (0..topo.ranks_per_node)

@@ -58,12 +58,6 @@ impl FifoResource {
         self.busy_until
     }
 
-    /// True if the server is idle at `now`.
-    #[inline]
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Cumulative service time delivered.
     #[inline]
     pub fn busy_total(&self) -> SimDuration {

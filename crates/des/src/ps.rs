@@ -106,12 +106,6 @@ impl PsResource {
         self.rate
     }
 
-    /// Number of active jobs.
-    #[inline]
-    pub fn active_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Total service units delivered so far (advance time first for an exact
     /// figure).
     #[inline]

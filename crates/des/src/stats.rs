@@ -1,10 +1,9 @@
 //! Statistics collection for simulation runs.
 //!
 //! Everything here is allocation-light and updates in O(1); the benchmark
-//! harness reads the aggregates after a run. Time-weighted statistics follow
-//! the usual DES convention: a value is weighted by how long it was held.
+//! harness reads the aggregates after a run.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Default, Clone, Copy)]
@@ -86,50 +85,6 @@ impl Summary {
     }
 }
 
-/// Time-weighted average of a piecewise-constant value (e.g. queue depth,
-/// blocks in flight).
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    weighted_sum: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `start` with initial `value`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            value,
-            last_change: start,
-            weighted_sum: 0.0,
-            start,
-        }
-    }
-
-    /// Record a change of the tracked value at `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        self.weighted_sum += self.value * now.since(self.last_change).as_secs_f64();
-        self.value = value;
-        self.last_change = now;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let total = now.since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.value;
-        }
-        let ws = self.weighted_sum + self.value * now.since(self.last_change).as_secs_f64();
-        ws / total
-    }
-}
-
 /// Power-of-two latency histogram over `SimDuration`s, bucketed by
 /// microsecond log2 (bucket 0: <1 µs, bucket k: `[2^(k-1), 2^k)` µs).
 #[derive(Debug, Clone)]
@@ -200,15 +155,6 @@ mod tests {
         let s = Summary::default();
         assert_eq!(s.mean(), None);
         assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        // 0 for 1s, then 10 for 1s -> mean 5 at t=2s.
-        tw.set(SimTime::from_ps(1_000_000_000_000), 10.0);
-        let mean = tw.mean(SimTime::from_ps(2_000_000_000_000));
-        assert!((mean - 5.0).abs() < 1e-9);
     }
 
     #[test]

@@ -106,12 +106,6 @@ impl SimDuration {
         SimDuration((secs * 1e12).round() as u64)
     }
 
-    /// Construct from float microseconds.
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us * 1e-6)
-    }
-
     /// Raw picosecond count.
     #[inline]
     pub const fn as_ps(self) -> u64 {

@@ -166,11 +166,6 @@ impl Device {
         self.works.len()
     }
 
-    /// Total FLOPs delivered by all SMs so far.
-    pub fn flops_delivered(&self) -> f64 {
-        self.sms.iter().map(|s| s.delivered()).sum()
-    }
-
     /// Total bytes delivered by the memory interface so far.
     pub fn bytes_delivered(&self) -> f64 {
         self.memory.delivered()

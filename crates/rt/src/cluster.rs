@@ -752,9 +752,7 @@ fn build_world(
                 cmd: ctx_cmd_tx,
                 delivery: ctx_del_rx,
                 pending: IndexedMatcher::new(),
-                pending_internal: IndexedMatcher::new(),
-                coll_tx: Default::default(),
-                coll_rx: Default::default(),
+                coll_inbox: Default::default(),
                 coll: CollStats::default(),
                 flush_sent: 0,
                 flush_done,

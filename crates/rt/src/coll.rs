@@ -4,12 +4,15 @@
 //! Every collective here is built *purely* from the runtime's existing
 //! primitive — a window put that enqueues a notification at the target —
 //! no new transport machinery. What makes the traffic a collective rather
-//! than user communication is the tag space: collective puts carry
-//! [`COLL_TAG_BIT`] (bit 31) and per-peer monotonic sequence numbers, are
-//! buffered in a separate internal notification queue, and are invisible to
-//! the user-facing counters (`puts` / `notifications` / `matched`), user
-//! wildcard queries and the invariant-verification ledger. Deterministic
-//! collective work is reported separately through [`CollStats`].
+//! than user communication is its tag: every collective put carries
+//! [`COLL_TAG_BIT`] (bit 31) and nothing else, lands in a per-source inbox
+//! instead of the notification matcher, and is invisible to the user-facing
+//! counters (`puts` / `notifications` / `matched`), user wildcard queries
+//! and the invariant-verification ledger. A collective wait takes the next
+//! message from its source: per-(origin, target) FIFO delivery and the SPMD
+//! call order already pair each wait with its put, so no sequence number
+//! is needed. Deterministic collective work is reported separately through
+//! [`CollStats`].
 //!
 //! Overlap model (the NeMo TP-overlap trick): within one schedule step all
 //! outgoing chunk puts are posted *before* the first incoming chunk is
@@ -24,7 +27,7 @@
 //! interpreter, `Collective::poll`, whose waits are the runtime's one wait
 //! future. A rank task awaits [`Collective::run`]; the blocking [`CollCtx`]
 //! methods block on the same future, so both make the same runtime calls
-//! in the same order: the same tags, the same [`CollStats`], the same
+//! in the same order: the same puts, the same [`CollStats`], the same
 //! `coll_wait`/`coll_reduce` trace spans.
 //!
 //! Incoming data never lands in live buffers: each schedule step/round has
@@ -44,10 +47,11 @@ use dcuda_coll::{
 };
 use dcuda_trace::Track;
 
-/// Tag bit reserved for collective-engine traffic. User `put_notify` tags
-/// must leave it clear ([`RtError::ReservedTag`] otherwise); queries are
-/// unaffected (`Tag::ANY` still matches only user notifications, because
-/// collective notifications are buffered separately).
+/// The tag of every collective-engine put, and the wire's only mark of
+/// collective traffic. User `put_notify` tags must leave bit 31 clear
+/// ([`RtError::ReservedTag`] otherwise); queries are unaffected (`Tag::ANY`
+/// still matches only user notifications, because collective notifications
+/// are queued apart).
 pub const COLL_TAG_BIT: u32 = 1 << 31;
 
 /// Deterministic collective-engine statistics, reported alongside the
@@ -486,14 +490,12 @@ impl Collective {
                     dst_win,
                     dst_off,
                 } => {
-                    let tag = ctx.next_coll_tag(dst);
-                    ctx.put_internal(src_win, src_off, len, dst, dst_win, dst_off, tag)?;
+                    ctx.put_internal(src_win, src_off, len, dst, dst_win, dst_off)?;
                 }
                 Op::Wait { from, chunk } => {
-                    let tag = ctx.expect_coll_tag(from);
                     let start = if chunk.is_some() { ctx.tick() } else { 0 };
                     let wait = Suspended { chunk, start };
-                    let on = Wait::Coll { source: from, tag };
+                    let on = Wait::Coll { source: from };
                     if ctx.test(on)? {
                         // Arrived before the first poll: the transfer was
                         // hidden behind the preceding local work.

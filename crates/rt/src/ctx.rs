@@ -2,8 +2,10 @@
 //!
 //! Every wait — `wait_notifications`, `flush`, and a collective's chunk
 //! and synchronization waits — is one future, `Until`, which for a
-//! collective also runs its schedule between the waits. Both drivers poll
-//! it the same way:
+//! collective also runs its schedule between the waits. User waits match
+//! in the one notification matcher; a collective wait takes the next
+//! message from its source's inbox, in arrival order. Both drivers poll it
+//! the same way:
 //!
 //! * on a rank thread it spins through `RtCtx::wait_step` until satisfied,
 //!   so it completes in the poll that reached it and the blocking calls
@@ -21,12 +23,10 @@ use crate::coll::{CollStats, Collective, COLL_TAG_BIT};
 use crate::host::SharedHost;
 use crate::msg::{Cmd, Delivery};
 use crate::types::{Rank, RtError, RtQuery, Tag, WindowId};
-use dcuda_queues::{
-    IndexedMatcher, Notification, Query, Receiver, RecvError, Sender, TrySendError,
-};
+use dcuda_queues::{IndexedMatcher, Notification, Receiver, RecvError, Sender, TrySendError};
 use dcuda_trace::{Tracer, Track};
 use dcuda_verify::{RaceHandle, RaceReport, ShardCounters};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
@@ -68,14 +68,11 @@ pub struct RtCtx {
     pub(crate) delivery: Receiver<Delivery>,
     /// Buffered notifications not yet matched.
     pub(crate) pending: IndexedMatcher,
-    /// Collective-engine notifications (tag bit 31 set), buffered in a
-    /// matcher of their own so user queries — wildcards included — can
-    /// never observe them.
-    pub(crate) pending_internal: IndexedMatcher,
-    /// Per-destination send sequence numbers for collective tags.
-    pub(crate) coll_tx: HashMap<u32, u32>,
-    /// Per-source expected receive sequence numbers for collective tags.
-    pub(crate) coll_rx: HashMap<u32, u32>,
+    /// Collective-engine notifications (tag bit 31 set), queued per source
+    /// in arrival order, out of reach of every user query. Per-(origin,
+    /// target) FIFO delivery plus the SPMD collective call order pair each
+    /// collective wait with the next message from its source.
+    pub(crate) coll_inbox: HashMap<u32, VecDeque<Notification>>,
     /// Deterministic collective-engine statistics (reported per cluster).
     pub(crate) coll: CollStats,
     /// Operations issued (flush ids are sequential from 1).
@@ -631,7 +628,8 @@ impl RtCtx {
                     dst.copy_from_slice(&d.data);
                     if d.notify {
                         if d.notif.tag & COLL_TAG_BIT != 0 {
-                            self.pending_internal.insert(d.notif);
+                            let inbox = self.coll_inbox.entry(d.notif.source).or_default();
+                            inbox.push_back(d.notif);
                         } else {
                             self.pending.insert(d.notif);
                         }
@@ -772,18 +770,16 @@ impl RtCtx {
             Wait::Notifications { query, count } => self.try_test_notifications(query, count),
             Wait::Flush if self.flush_complete() => Ok(true),
             Wait::Flush => self.drain_deliveries().map(|()| false),
-            Wait::Coll { source, tag } => {
+            Wait::Coll { source } => {
                 self.drain_deliveries()?;
-                let query = Query {
-                    win: u32::MAX,
-                    source,
-                    tag,
-                };
-                let (rank, races) = (self.rank, &self.races);
-                let hit = self
-                    .pending_internal
-                    .try_match_with(query, 1, |n| Self::race_matched(races, rank, n));
-                Ok(hit.is_some())
+                let popped = self
+                    .coll_inbox
+                    .get_mut(&source)
+                    .and_then(VecDeque::pop_front);
+                if let Some(n) = &popped {
+                    Self::race_matched(&self.races, self.rank, n);
+                }
+                Ok(popped.is_some())
             }
         }
     }
@@ -873,31 +869,12 @@ impl RtCtx {
         f(acc, src)
     }
 
-    /// Allocate the next collective tag for traffic towards `peer`.
-    /// Per-(sender, receiver) FIFO delivery plus the deterministic SPMD
-    /// collective call order make a per-peer sequence number sufficient to
-    /// pair every collective put with exactly one expected wait.
-    pub(crate) fn next_coll_tag(&mut self, peer: u32) -> u32 {
-        let c = self.coll_tx.entry(peer).or_insert(0);
-        let tag = COLL_TAG_BIT | *c;
-        *c = (*c + 1) & !COLL_TAG_BIT;
-        tag
-    }
-
-    /// The collective tag the next message from `peer` must carry.
-    pub(crate) fn expect_coll_tag(&mut self, peer: u32) -> u32 {
-        let c = self.coll_rx.entry(peer).or_insert(0);
-        let tag = COLL_TAG_BIT | *c;
-        *c = (*c + 1) & !COLL_TAG_BIT;
-        tag
-    }
-
     /// Collective-engine put: window-to-window by raw index (so it can
-    /// address the hidden scratch window on either side), always notified,
-    /// tagged in the reserved space. Participates in flush completion but
-    /// is invisible to the user-facing put/notification counters, the
-    /// invariant ledger and the trace instant stream; accounted in
-    /// [`CollStats`] instead.
+    /// address the hidden scratch window on either side), always notified
+    /// with the plain [`COLL_TAG_BIT`] tag. Participates in flush
+    /// completion but is invisible to the user-facing put/notification
+    /// counters, the invariant ledger and the trace instant stream;
+    /// accounted in [`CollStats`] instead.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn put_internal(
         &mut self,
@@ -907,9 +884,7 @@ impl RtCtx {
         dst: u32,
         dst_win: usize,
         dst_off: usize,
-        tag: u32,
     ) -> Result<(), RtError> {
-        debug_assert!(tag & COLL_TAG_BIT != 0);
         if src_win == self.scratch_index() && len > 0 {
             self.touch_scratch();
         }
@@ -921,8 +896,8 @@ impl RtCtx {
             dst_win as u32,
             dst_off,
             len,
-            Some(tag),
-            || format!("coll[step {}]", tag & !COLL_TAG_BIT),
+            Some(COLL_TAG_BIT),
+            || "coll".to_string(),
         )?;
         self.flush_sent += 1;
         let flush_id = self.flush_sent;
@@ -933,7 +908,7 @@ impl RtCtx {
             win: dst_win as u32,
             dst_off,
             data,
-            tag,
+            tag: COLL_TAG_BIT,
             notify: true,
             flush_id,
         })
@@ -947,8 +922,8 @@ pub(crate) enum Wait {
     Notifications { query: RtQuery, count: usize },
     /// Every operation this rank issued has completed (`dcuda_win_flush`).
     Flush,
-    /// The collective notification `tag` from rank `source`.
-    Coll { source: u32, tag: u32 },
+    /// The next collective message from rank `source`.
+    Coll { source: u32 },
 }
 
 impl fmt::Display for Wait {
@@ -960,11 +935,7 @@ impl fmt::Display for Wait {
                 query.win, query.source, query.tag
             ),
             Wait::Flush => write!(f, "its flush"),
-            Wait::Coll { source, tag } => write!(
-                f,
-                "collective message {} from rank {source}",
-                tag & !COLL_TAG_BIT
-            ),
+            Wait::Coll { source } => write!(f, "a collective message from rank {source}"),
         }
     }
 }

@@ -1089,7 +1089,7 @@ fn fanin_backlog_matches_in_any_order_through_every_query_shape() {
     assert_eq!(report.matched, report.notifications);
 }
 
-/// Collective notifications live in a matcher of their own: while one is
+/// Collective notifications queue apart from the user matcher: while one is
 /// demonstrably buffered at a rank — and while the other ranks' allreduce
 /// is in flight towards it — no user query observes it, neither all
 /// wildcards nor an exact query that spells out the reserved tag.
@@ -1378,6 +1378,29 @@ fn a_stalled_job_world_fails_fast() {
             assert_eq!(waiting.len(), 1);
             assert_eq!(waiting[0].0, 1);
             assert!(waiting[0].1.contains("rank 3, tag 77"), "{err}");
+        }
+        other => panic!("expected a stall, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_stall_on_a_collective_names_its_wait() {
+    // Rank 1 returns at once, so rank 0's barrier round never hears back.
+    let tasks = vec![
+        task(|ctx| {
+            Box::pin(async move {
+                ctx.barrier_async().await?;
+                Ok(0)
+            })
+        }),
+        done(),
+    ];
+    let err = try_run_cluster_job(&cfg(1, 2), tasks, &CancelToken::new()).unwrap_err();
+    match &err {
+        RtError::Stalled { waiting } => {
+            assert_eq!(waiting.len(), 1);
+            assert_eq!(waiting[0].0, 0);
+            assert_eq!(waiting[0].1, "a collective message from rank 1", "{err}");
         }
         other => panic!("expected a stall, got {other:?}"),
     }

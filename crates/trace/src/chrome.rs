@@ -24,7 +24,8 @@ fn ps_to_us(ps: u64) -> f64 {
     ps as f64 / 1e6
 }
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string literal.
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

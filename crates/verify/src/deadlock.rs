@@ -21,13 +21,6 @@
 
 use dcuda_queues::{Query, ANY};
 
-/// Bit 31 of a notification tag marks the runtime's reserved collective
-/// tag space (`dcuda_rt::COLL_TAG_BIT`; mirrored here because the analyzer
-/// must not depend on the runtime crate). A wait on such a tag is an
-/// internal step of a collective schedule — e.g. a dissemination-barrier
-/// round — not an application-level wait, and the report labels it so.
-const COLL_TAG_BIT: u32 = 1 << 31;
-
 /// Why a rank is blocked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WaitReason {
@@ -59,23 +52,13 @@ impl std::fmt::Display for WaitReason {
                         v.to_string()
                     }
                 };
-                if query.tag != ANY && query.tag & COLL_TAG_BIT != 0 {
-                    write!(
-                        f,
-                        "internal collective step {} (win {}, source {}, {want} outstanding)",
-                        query.tag & !COLL_TAG_BIT,
-                        field(query.win),
-                        field(query.source),
-                    )
-                } else {
-                    write!(
-                        f,
-                        "wait_notifications(win {}, source {}, tag {}, {want} outstanding)",
-                        field(query.win),
-                        field(query.source),
-                        field(query.tag),
-                    )
-                }
+                write!(
+                    f,
+                    "wait_notifications(win {}, source {}, tag {}, {want} outstanding)",
+                    field(query.win),
+                    field(query.source),
+                    field(query.tag),
+                )
             }
             WaitReason::Barrier { missing } => write!(f, "barrier (missing {missing:?})"),
             WaitReason::Flush => write!(f, "flush drain"),
@@ -112,9 +95,7 @@ pub struct DeadlockReport {
     pub cycles: Vec<Vec<u32>>,
     /// Ranks blocked on a flush at quiescence (diagnostic).
     pub flush_blocked: Vec<u32>,
-    /// Human-readable wait description per blocked rank (collective-tag
-    /// aware: waits in the reserved bit-31 tag space render as
-    /// "internal collective step N").
+    /// Human-readable wait description per blocked rank.
     pub waits: Vec<(u32, String)>,
 }
 
@@ -382,52 +363,22 @@ mod tests {
     }
 
     #[test]
-    fn collective_tag_waits_are_labeled_as_internal_steps() {
-        // A mutual wait where both tags sit in the reserved bit-31 space
-        // (e.g. a stuck dissemination-barrier round): the report must call
-        // them internal collective steps, with the step number decoded.
-        let mut g = WaitForGraph::new(2);
-        let coll_q = |source: u32, step: u32| Query {
-            win: 3,
-            source,
-            tag: COLL_TAG_BIT | step,
-        };
-        g.add_waiter(
-            0,
-            WaitReason::Notification {
-                query: coll_q(1, 2),
-                want: 1,
-            },
-        );
-        g.add_waiter(
-            1,
-            WaitReason::Notification {
-                query: coll_q(0, 2),
-                want: 1,
-            },
-        );
-        let r = g.analyze();
-        assert!(r.is_deadlock());
-        let text = r.to_string();
-        assert!(
-            text.contains("rank 0 blocked in internal collective step 2"),
-            "missing collective label:\n{text}"
-        );
-        assert!(
-            !text.contains("wait_notifications"),
-            "raw tag leaked:\n{text}"
-        );
-        // An application-space tag keeps the plain rendering.
-        let plain = WaitReason::Notification {
+    fn notification_waits_render_their_tag_verbatim() {
+        // Simulator tags are plain u32s: bit 31 is a kernel's own tag.
+        let wait = |tag: u32, source: u32| WaitReason::Notification {
             query: Query {
                 win: 0,
-                source: ANY,
-                tag: 7,
+                source,
+                tag,
             },
             want: 2,
         };
         assert_eq!(
-            plain.to_string(),
+            wait(1 << 31, 1).to_string(),
+            "wait_notifications(win 0, source 1, tag 2147483648, 2 outstanding)"
+        );
+        assert_eq!(
+            wait(7, ANY).to_string(),
             "wait_notifications(win 0, source *, tag 7, 2 outstanding)"
         );
     }

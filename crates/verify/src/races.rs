@@ -375,12 +375,16 @@ impl RaceDetector {
     /// `rank` matched a notification `(source, win, tag)`: join the clock
     /// snapshot the notification carried.
     pub fn matched(&mut self, rank: u32, source: u32, win: u32, tag: u32) {
-        let snapshot = self
-            .inflight
-            .get_mut(&(rank, source, win, tag))
-            .and_then(VecDeque::pop_front);
-        if let Some(snap) = snapshot {
-            self.clocks[rank as usize].join(&snap);
+        let key = (rank, source, win, tag);
+        if let Some(queue) = self.inflight.get_mut(&key) {
+            if let Some(snap) = queue.pop_front() {
+                self.clocks[rank as usize].join(&snap);
+            }
+            // A key lives only while a snapshot waits on it, so distinct
+            // tags do not accumulate.
+            if queue.is_empty() {
+                self.inflight.remove(&key);
+            }
         }
         self.clocks[rank as usize].tick(rank);
     }
@@ -713,6 +717,16 @@ mod tests {
         assert_eq!(race.first.kind, AccessKind::RemoteWrite);
         assert_eq!(race.second.kind, AccessKind::Read);
         assert_eq!(d.reports().len(), 1);
+    }
+
+    #[test]
+    fn matched_notifications_leave_no_keys_behind() {
+        let mut d = RaceDetector::new(2);
+        for tag in 0..1000 {
+            d.put(0, 1, 0, (0, 8), 0, (0, 8), Some(tag), "put");
+            d.matched(1, 0, 0, tag);
+        }
+        assert!(d.inflight.is_empty(), "{} keys left", d.inflight.len());
     }
 
     #[test]

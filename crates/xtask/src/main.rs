@@ -5,7 +5,8 @@
 //!   rustc/clippy cannot express (see `LINT RULES` below: R1 no unwraps
 //!   in runtime/queue code, R2 no raw shims, R3 no relaxed SPSC orderings,
 //!   R4 window memory only through `ctx.rs`, R5 one matcher, R6 one
-//!   rank-side wait helper, R7 one wait future). Deliberately
+//!   rank-side wait helper, R7 one wait future, R8 the collective tag mark
+//!   stays in the runtime). Deliberately
 //!   simple — line-oriented with a brace-tracking skip for `#[cfg(test)]`
 //!   modules — and wired into the CI `lint` job.
 //! * `bench-diff BASELINE FIGURES [WORKLOAD.json...] [--tol FRAC]` — the
@@ -65,6 +66,11 @@ use std::process::ExitCode;
 ///    is that one future, which spins on a rank thread and suspends under
 ///    the cooperative driver; a second suspension point would be a second
 ///    copy of the wait, with its own idea of when a task has moved.
+/// R8 `coll-mark-in-rt`: no `COLL_TAG_BIT` in non-test code outside
+///    `crates/rt/src`, `tests/` directories and `#[cfg(test)]` modules.
+///    Bit 31 marks collective traffic only on the runtime's wire; the
+///    simulator's tags are plain `u32`s, so a copy of the mark elsewhere
+///    (the deadlock analyzer once had one) misreads a kernel's own tag.
 ///
 /// An escape hatch comment `// xtask: allow` on the offending line skips
 /// all rules for that line.
@@ -419,16 +425,19 @@ fn lint() -> ExitCode {
         }
     }
 
-    // R5 targets: every Rust source of the workspace that is not a test.
-    // The pattern is assembled so this file does not contain it.
+    // R5 + R8 targets: every Rust source of the workspace that is not a
+    // test. The patterns are assembled so this file does not contain them.
     let linear_matcher_call = ["match_in", "_order("].concat();
+    let coll_mark = ["COLL_TAG", "_BIT"].concat();
     let matcher_home = Path::new("crates/queues/src/notify.rs");
     for dir in ["crates", "src", "examples"] {
         for file in rust_files(&root.join(dir)) {
             let rel = file.strip_prefix(&root).unwrap_or(&file);
-            if rel.components().any(|c| c.as_os_str() == "tests") || rel == matcher_home {
+            if rel.components().any(|c| c.as_os_str() == "tests") {
                 continue;
             }
+            let in_matcher_home = rel == matcher_home;
+            let in_rt = rel.starts_with("crates/rt/src");
             let Ok(text) = std::fs::read_to_string(&file) else {
                 continue;
             };
@@ -436,8 +445,11 @@ fn lint() -> ExitCode {
                 if line.contains("xtask: allow") || is_comment(line) {
                     continue;
                 }
-                if line.contains(&linear_matcher_call) {
+                if line.contains(&linear_matcher_call) && !in_matcher_home {
                     findings.push(finding(&file, lineno, "one-matcher", line));
+                }
+                if line.contains(&coll_mark) && !in_rt {
+                    findings.push(finding(&file, lineno, "coll-mark-in-rt", line));
                 }
             }
         }
