@@ -37,7 +37,7 @@ pub mod window;
 pub mod world;
 
 pub use kernel::{RankCtx, RankKernel, Suspend, IBARRIER_WIN};
-pub use report::{RunReport, SchedStats};
+pub use report::RunReport;
 pub use spec::{HostSpec, SystemSpec};
 pub use types::{Rank, Tag, WinId};
 pub use window::WindowSpec;

@@ -34,7 +34,7 @@ use crate::window::{Arena, WindowSpec};
 use dcuda_des::{EventQueue, FifoResource, SimDuration, SimTime, Slab, SlotKey};
 use dcuda_device::{BlockCharge, BlockSlot, Device, LaunchConfig};
 use dcuda_fabric::{Network, NodeId, PcieLink, TransferPath};
-use dcuda_queues::{DepthStats, IndexedMatcher, Notification, Query, ANY};
+use dcuda_queues::{IndexedMatcher, Notification, Query, ANY};
 use dcuda_trace::metrics::{overlap_efficiency, IntervalSet};
 use dcuda_trace::{TraceSummary, Tracer, Track};
 use dcuda_verify::{InvariantMonitor, RaceDetector, RaceReport, WaitForGraph, WaitReason};
@@ -245,8 +245,6 @@ pub struct ClusterSim {
     notifications: u64,
     notifications_scanned: u64,
     barriers: u64,
-    /// Deepest per-rank pending-notification backlog observed.
-    peak_pending_notifications: usize,
     /// Reusable payload snapshot buffers.
     pool: PayloadPool,
     /// Cluster-wide trace recorder (disabled unless
@@ -344,7 +342,6 @@ impl ClusterSim {
             notifications: 0,
             notifications_scanned: 0,
             barriers: 0,
-            peak_pending_notifications: 0,
             pool: PayloadPool::new(),
             tracer: Tracer::disabled(),
             monitor: crate::verify_mode::is_enabled()
@@ -534,10 +531,7 @@ impl ClusterSim {
             .map(|s| s.finish)
             .max()
             .unwrap_or(SimTime::ZERO);
-        let trace = self
-            .tracer
-            .is_enabled()
-            .then(|| self.finish_trace(end_time));
+        let trace = self.tracer.is_enabled().then(|| self.finish_trace());
         let verify = self.monitor.take().map(InvariantMonitor::finish);
         if let Some(v) = &verify {
             assert!(v.is_clean(), "invariant monitor: {}", v.summary());
@@ -565,7 +559,6 @@ impl ClusterSim {
                 .sum(),
             events: self.queue.scheduled_total(),
             peak_event_queue: self.queue.peak_pending() as u64,
-            peak_pending_notifications: self.peak_pending_notifications as u64,
             pool_acquires: self.pool.acquires(),
             pool_hits: self.pool.hits(),
             trace,
@@ -576,8 +569,8 @@ impl ClusterSim {
 
     /// Fold the component-local logs into the tracer and compute the run's
     /// [`TraceSummary`]. Only called on traced runs, after the event loop.
-    fn finish_trace(&mut self, end_time: SimTime) -> TraceSummary {
-        let mut summary = TraceSummary::new();
+    fn finish_trace(&mut self) -> TraceSummary {
+        let mut summary = TraceSummary::default();
 
         // Network message lifecycles: the NIC track shows each message's
         // serialization interval (FIFO — never overlapping), the receiver
@@ -640,30 +633,6 @@ impl ClusterSim {
             .map(|r| self.topo.node_of(Rank(r)))
             .collect();
         summary.overlap_efficiency = overlap_efficiency(&mut waits, &mut computes, &device_of);
-
-        let total = end_time.since(SimTime::ZERO).as_secs_f64();
-        if total > 0.0 {
-            summary.host_busy_frac = self
-                .host_worker
-                .iter()
-                .map(|w| w.busy_total().as_secs_f64() / total)
-                .collect();
-            summary.nic_busy_frac = (0..self.topo.nodes)
-                .map(|n| self.net.nic_busy(NodeId(n)).as_secs_f64() / total)
-                .collect();
-            summary.pcie_busy_frac = self
-                .pcie
-                .iter()
-                .map(|l| l.busy_total().as_secs_f64() / total)
-                .collect();
-        }
-
-        let mut depth = DepthStats::new();
-        for st in &self.ranks {
-            depth.merge(st.pending.depth_stats());
-        }
-        summary.notif_depth_mean = depth.mean().unwrap_or(0.0);
-        summary.notif_depth_peak = depth.peak();
         summary
     }
 
@@ -675,8 +644,7 @@ impl ClusterSim {
                 // The action occupies the single worker thread briefly
                 // (throughput limit) and completes after its pipeline
                 // latency.
-                let (_, freed) =
-                    self.host_worker[node as usize].submit(now, self.spec.host.worker_gap);
+                let freed = self.host_worker[node as usize].submit(now, self.spec.host.worker_gap);
                 let done = freed + self.host_cost(item);
                 if self.tracer.is_enabled() {
                     let start = freed
@@ -1529,9 +1497,7 @@ impl ClusterSim {
                 ],
             );
         }
-        let st = &mut self.ranks[rank as usize];
-        st.pending.insert(notif);
-        self.peak_pending_notifications = self.peak_pending_notifications.max(st.pending.len());
+        self.ranks[rank as usize].pending.insert(notif);
         if self.ranks[rank as usize].status == Status::Waiting {
             self.try_match(rank, now, true);
         }

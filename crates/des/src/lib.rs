@@ -29,7 +29,7 @@ pub mod slab;
 pub mod stats;
 pub mod time;
 
-pub use fifo::{FifoJobId, FifoResource};
+pub use fifo::FifoResource;
 pub use ps::{PsJobId, PsResource};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;

@@ -8,7 +8,6 @@
 use crate::charge::BlockCharge;
 use crate::occupancy::{occupancy, LaunchConfig};
 use crate::spec::DeviceSpec;
-use dcuda_des::stats::Counter;
 use dcuda_des::{PsResource, SimTime, Slab, SlotKey};
 
 /// A resident block's position on the device (index within the launch).
@@ -34,8 +33,6 @@ pub struct Device {
     memory: PsResource,
     works: Slab<Work>,
     scratch: Vec<(dcuda_des::PsJobId, u64)>,
-    /// Block work units completed.
-    pub steps_completed: Counter,
 }
 
 impl Device {
@@ -66,7 +63,6 @@ impl Device {
             memory,
             works: Slab::new(),
             scratch: Vec::new(),
-            steps_completed: Counter::default(),
             spec,
         }
     }
@@ -140,7 +136,6 @@ impl Device {
             if work.pending == 0 {
                 let tag = work.tag;
                 self.works.remove(key);
-                self.steps_completed.inc();
                 completed.push(tag);
             }
         }
@@ -327,12 +322,16 @@ mod tests {
     }
 
     #[test]
-    fn steps_counter() {
+    fn each_completed_step_reports_its_tag_once() {
         let mut dev = device();
         dev.submit_block_work(BlockSlot(0), BlockCharge::flops(1.0), 1);
         dev.submit_block_work(BlockSlot(1), BlockCharge::flops(1.0), 2);
-        run_to_idle(&mut dev, SimTime::ZERO);
-        assert_eq!(dev.steps_completed.get(), 2);
+        let mut tags: Vec<WorkTag> = run_to_idle(&mut dev, SimTime::ZERO)
+            .into_iter()
+            .map(|(tag, _)| tag)
+            .collect();
+        tags.sort_unstable();
+        assert_eq!(tags, [1, 2]);
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct DeviceSpec {
     pub sm_flops: f64,
     /// Device memory bandwidth, bytes/s.
     pub mem_bandwidth: f64,
-    /// Device memory access latency.
-    pub mem_latency: SimDuration,
     /// Maximum memory bandwidth a single block can absorb, bytes/s
     /// (Little's law: threads/block x bytes-in-flight / latency; the reason a
     /// single block "cannot saturate the memory interface", paper §IV-B).
@@ -46,14 +44,13 @@ impl DeviceSpec {
             // 64 DP lanes x 2 (FMA) x 0.823 GHz ~ 105 GFLOP/s per SMX.
             sm_flops: 105.0e9,
             mem_bandwidth: 240.0e9,
-            mem_latency: SimDuration::from_micros(1),
-            // 128 threads x 16 B in flight / 1 us ~ 2.1 GB/s of streaming
-            // (touched bytes). A copy loop touches 2 bytes per payload byte,
-            // so a single-block put moves payload at ~1.05 GB/s — the
-            // paper's shared-memory put-bandwidth plateau. Aggregate block
-            // capability (208 x 2.1 = 437 GB/s) deliberately exceeds the
-            // 240 GB/s interface: that spare parallelism is what hides
-            // latency in the bandwidth domain (Little's law, paper §II).
+            // 128 threads x 16 B in flight / 1 us memory latency ~ 2.1 GB/s
+            // of streaming (touched bytes). A copy loop touches 2 bytes per
+            // payload byte, so a single-block put moves payload at ~1.05
+            // GB/s — the paper's shared-memory put-bandwidth plateau.
+            // Aggregate block capability (208 x 2.1 = 437 GB/s) deliberately
+            // exceeds the 240 GB/s interface: that spare parallelism is what
+            // hides latency in the bandwidth domain (Little's law, paper §II).
             block_mem_bandwidth: 2.1e9,
             launch_overhead: SimDuration::from_micros(7),
             notification_match_cost: SimDuration::from_nanos(600),

@@ -209,7 +209,7 @@ impl Network {
             self.spec.overhead + SimDuration::from_secs_f64(bytes as f64 / bandwidth);
         let nic = &mut self.nics[src.index()];
         nic.bytes_sent += bytes;
-        let (_, egress_done) = nic.egress.submit(now, serialization);
+        let egress_done = nic.egress.submit(now, serialization);
         let d = Delivery {
             egress_free: egress_done,
             arrival: egress_done + self.spec.latency + extra_latency,
@@ -234,11 +234,6 @@ impl Network {
     /// Total bytes injected by `node`.
     pub fn bytes_sent(&self, node: NodeId) -> u64 {
         self.nics[node.index()].bytes_sent
-    }
-
-    /// Cumulative busy time of a node's egress NIC (for utilization checks).
-    pub fn nic_busy(&self, node: NodeId) -> SimDuration {
-        self.nics[node.index()].egress.busy_total()
     }
 }
 

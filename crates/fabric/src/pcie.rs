@@ -13,7 +13,6 @@
 //! blocking behind bulk DMA — a real effect on the testbed.
 
 use crate::spec::PcieSpec;
-use dcuda_des::stats::Counter;
 use dcuda_des::{FifoResource, SimDuration, SimTime};
 
 /// Traffic class of one logged PCIe job.
@@ -46,10 +45,8 @@ pub struct PcieRecord {
     pub op: PcieOp,
     /// Payload bytes (zero for polls).
     pub bytes: u64,
-    /// Instant the job was issued.
-    pub issue: SimTime,
-    /// Instant the link began servicing it (later than `issue` under
-    /// head-of-line blocking).
+    /// Instant the link began servicing it (later than the issue instant
+    /// under head-of-line blocking).
     pub start: SimTime,
     /// Instant the link released it (excludes the one-way wire latency a
     /// posted write still needs before it is visible remotely).
@@ -60,12 +57,6 @@ pub struct PcieRecord {
 pub struct PcieLink {
     spec: PcieSpec,
     fifo: FifoResource,
-    /// Queue transactions issued (each a single PCIe transaction).
-    pub txns: Counter,
-    /// DMA copies issued.
-    pub dmas: Counter,
-    /// Remote-poll reads issued.
-    pub polls: Counter,
     /// Job lifecycle log; `None` (the default) records nothing.
     log: Option<Vec<PcieRecord>>,
 }
@@ -76,9 +67,6 @@ impl PcieLink {
         PcieLink {
             spec,
             fifo: FifoResource::new(),
-            txns: Counter::default(),
-            dmas: Counter::default(),
-            polls: Counter::default(),
             log: None,
         }
     }
@@ -101,19 +89,11 @@ impl PcieLink {
 
     /// Record one serviced job.
     #[inline]
-    fn log_job(
-        &mut self,
-        op: PcieOp,
-        bytes: u64,
-        issue: SimTime,
-        service: SimDuration,
-        done: SimTime,
-    ) {
+    fn log_job(&mut self, op: PcieOp, bytes: u64, service: SimDuration, done: SimTime) {
         if let Some(log) = &mut self.log {
             log.push(PcieRecord {
                 op,
                 bytes,
-                issue,
                 start: SimTime::from_ps(done.as_ps().saturating_sub(service.as_ps())),
                 done,
             });
@@ -129,36 +109,28 @@ impl PcieLink {
     /// transaction of the entry.
     pub fn post_txn(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let txns = bytes.div_ceil(self.spec.max_txn_bytes).max(1);
-        self.txns.add(txns);
         let service = self.spec.txn_gap.saturating_mul(txns);
-        let (_, done) = self.fifo.submit(now, service);
-        self.log_job(PcieOp::Txn, bytes, now, service, done);
+        let done = self.fifo.submit(now, service);
+        self.log_job(PcieOp::Txn, bytes, service, done);
         done + self.spec.txn_latency
     }
 
     /// Read a remote location (tail-pointer poll, credit refresh). Returns
     /// the instant the value is available to the poller.
     pub fn poll(&mut self, now: SimTime) -> SimTime {
-        self.polls.inc();
         let service = self.spec.poll_latency;
-        let (_, done) = self.fifo.submit(now, service);
-        self.log_job(PcieOp::Poll, 0, now, service, done);
+        let done = self.fifo.submit(now, service);
+        self.log_job(PcieOp::Poll, 0, service, done);
         done
     }
 
     /// Bulk DMA copy of `bytes`. Returns the completion instant.
     pub fn dma_copy(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.dmas.inc();
         let service = self.spec.dma_setup
             + SimDuration::from_secs_f64(bytes as f64 / self.spec.dma_bandwidth);
-        let (_, done) = self.fifo.submit(now, service);
-        self.log_job(PcieOp::Dma, bytes, now, service, done);
+        let done = self.fifo.submit(now, service);
+        self.log_job(PcieOp::Dma, bytes, service, done);
         done
-    }
-
-    /// Cumulative busy time of the link.
-    pub fn busy_total(&self) -> SimDuration {
-        self.fifo.busy_total()
     }
 }
 
@@ -176,7 +148,6 @@ mod tests {
         let spec = PcieSpec::greina();
         let t = l.post_txn(SimTime::ZERO, 16);
         assert_eq!(t, SimTime::ZERO + spec.txn_gap + spec.txn_latency);
-        assert_eq!(l.txns.get(), 1);
     }
 
     #[test]
@@ -196,15 +167,20 @@ mod tests {
     #[test]
     fn oversized_entry_costs_multiple_txns() {
         let mut l = link();
-        l.post_txn(SimTime::ZERO, 40); // ceil(40/16) = 3
-        assert_eq!(l.txns.get(), 3);
+        let spec = PcieSpec::greina();
+        let t = l.post_txn(SimTime::ZERO, 40); // ceil(40/16) = 3
+        assert_eq!(
+            t,
+            SimTime::ZERO + spec.txn_gap.saturating_mul(3) + spec.txn_latency
+        );
     }
 
     #[test]
     fn zero_byte_txn_still_costs_one() {
         let mut l = link();
-        l.post_txn(SimTime::ZERO, 0);
-        assert_eq!(l.txns.get(), 1);
+        let spec = PcieSpec::greina();
+        let t = l.post_txn(SimTime::ZERO, 0);
+        assert_eq!(t, SimTime::ZERO + spec.txn_gap + spec.txn_latency);
     }
 
     #[test]
@@ -225,10 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn polls_are_cheap_and_counted() {
+    fn polls_cost_one_poll_latency() {
         let mut l = link();
         let t = l.poll(SimTime::ZERO);
         assert_eq!(t, SimTime::ZERO + PcieSpec::greina().poll_latency);
-        assert_eq!(l.polls.get(), 1);
     }
 }

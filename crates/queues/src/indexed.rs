@@ -48,7 +48,6 @@
 //! never-repeating keys (collective sequence tags) keeps every map no
 //! larger than the slab.
 
-use crate::depth::DepthStats;
 use crate::notify::{Notification, Query, ANY};
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -222,10 +221,6 @@ pub struct IndexedMatcher {
     live: usize,
     /// One index per wildcard mask.
     index: [MaskIndex; 8],
-    /// Notifications matched over the matcher's lifetime.
-    pub matched_total: u64,
-    /// Pending-queue occupancy sampled at every insert and successful match.
-    depth: DepthStats,
 }
 
 impl Default for IndexedMatcher {
@@ -242,15 +237,7 @@ impl IndexedMatcher {
             fen: Fenwick::default(),
             live: 0,
             index: Default::default(),
-            matched_total: 0,
-            depth: DepthStats::new(),
         }
-    }
-
-    /// Occupancy statistics (sampled after every insert and successful
-    /// match).
-    pub fn depth_stats(&self) -> &DepthStats {
-        &self.depth
     }
 
     /// Number of notifications buffered but not yet matched.
@@ -285,7 +272,6 @@ impl IndexedMatcher {
         self.slots.push(Some(n));
         self.fen.push_live();
         self.live += 1;
-        self.depth.sample(self.live as u64);
         for (mask, index) in self.index.iter_mut().enumerate() {
             if index.built {
                 index.append(key_of(&n, mask), pos);
@@ -376,8 +362,6 @@ impl IndexedMatcher {
                 head = next[head as usize];
             }
             self.live -= count;
-            self.matched_total += count as u64;
-            self.depth.sample(self.live as u64);
         }
         // Either way the walk may have shortened the chain, to nothing on a
         // miss over tombstones only or a hit that took its last entries.
@@ -539,13 +523,6 @@ mod tests {
         let mut arrival = rest.clone();
         arrival.sort_by_key(|n| (n.tag, n.source));
         assert!(!rest.is_empty());
-    }
-
-    #[test]
-    fn matched_total_accumulates() {
-        let mut m = filled(&[notif(0, 0, 0), notif(0, 0, 0)]);
-        m.try_match(Query::WILDCARD, 2).unwrap();
-        assert_eq!(m.matched_total, 2);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 
 pub mod bytering;
 pub mod dedup;
-pub mod depth;
 pub mod indexed;
 pub mod notify;
 pub mod plat;
@@ -36,7 +35,6 @@ pub mod spsc;
 
 pub use bytering::{byte_ring_on, ByteRingConsumer, ByteRingProducer};
 pub use dedup::{DedupWindow, DEDUP_WINDOW};
-pub use depth::DepthStats;
 pub use indexed::IndexedMatcher;
 pub use notify::{match_in_order, Notification, Query, ANY};
 pub use plat::{PlatAtomicU64, PlatCell, Platform, StdPlatform};

@@ -35,7 +35,6 @@
 //! platform whose atomics are scheduled by a bounded model checker. Use
 //! [`channel`] for the standard ring and [`channel_on`] to pick a platform.
 
-use crate::depth::DepthStats;
 use crate::plat::{PlatAtomicU64, PlatCell, Platform, StdPlatform};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -91,10 +90,6 @@ pub struct Sender<T, P: Platform = StdPlatform> {
     /// Number of times the credit counter was refreshed from `tail` —
     /// observable cost metric matching the paper's "occasional transaction".
     pub credit_refreshes: u64,
-    /// Ring occupancy as known to the producer (`capacity - credits`),
-    /// sampled after every successful send. Credits are refreshed lazily, so
-    /// this is an upper bound on true occupancy.
-    depth: DepthStats,
 }
 
 /// Consumer endpoint.
@@ -102,12 +97,6 @@ pub struct Receiver<T, P: Platform = StdPlatform> {
     ring: Arc<Ring<T, P>>,
     /// Next message index to read.
     next: u64,
-    /// Length of the current drain burst (consecutive successful receives).
-    burst: u64,
-    /// Backlog drained per consumer wakeup: each time the ring runs empty,
-    /// the length of the burst of messages consumed since the previous empty
-    /// poll is recorded as one sample.
-    depth: DepthStats,
 }
 
 /// Create a ring with `capacity` slots (must be a power of two for cheap
@@ -148,14 +137,8 @@ pub fn channel_on<T, P: Platform>(capacity: usize) -> (Sender<T, P>, Receiver<T,
             head: 0,
             credits: capacity as u64,
             credit_refreshes: 0,
-            depth: DepthStats::new(),
         },
-        Receiver {
-            ring,
-            next: 0,
-            burst: 0,
-            depth: DepthStats::new(),
-        },
+        Receiver { ring, next: 0 },
     )
 }
 
@@ -192,7 +175,6 @@ impl<T, P: Platform> Sender<T, P> {
         slot.seq.store(self.head + 1, Ordering::Release);
         self.head += 1;
         self.credits -= 1;
-        self.depth.sample(cap - self.credits);
         Ok(())
     }
 
@@ -208,12 +190,6 @@ impl<T, P: Platform> Sender<T, P> {
     /// in-flight messages without reading the tail on every send.
     pub fn in_flight_upper_bound(&self) -> u64 {
         self.ring.slots.len() as u64 - self.credits
-    }
-
-    /// Producer-side occupancy statistics (see the field docs for the
-    /// sampling convention).
-    pub fn depth_stats(&self) -> &DepthStats {
-        &self.depth
     }
 }
 
@@ -231,10 +207,6 @@ impl<T, P: Platform> Receiver<T, P> {
         if seq != self.next + 1 {
             // Not yet published (or a stale earlier round).
             if self.ring.disconnected.load(Ordering::Acquire) == 0 {
-                if self.burst > 0 {
-                    self.depth.sample(self.burst);
-                    self.burst = 0;
-                }
                 return Err(RecvError::Empty);
             }
             // Disconnect observed. The sender's disconnect store releases
@@ -247,10 +219,6 @@ impl<T, P: Platform> Receiver<T, P> {
             // moments on weakly-ordered hardware).
             seq = slot.seq.load(Ordering::Acquire);
             if seq != self.next + 1 {
-                if self.burst > 0 {
-                    self.depth.sample(self.burst);
-                    self.burst = 0;
-                }
                 return Err(RecvError::Disconnected);
             }
         }
@@ -258,16 +226,9 @@ impl<T, P: Platform> Receiver<T, P> {
         // our acquire load synchronizes with it, and only we read this slot.
         let value = unsafe { slot.value.read() };
         self.next += 1;
-        self.burst += 1;
         // Publish progress for the producer's credit refresh.
         self.ring.tail.0.store(self.next, Ordering::Release);
         Ok(value)
-    }
-
-    /// Consumer-side drain-burst statistics (see the field docs for the
-    /// sampling convention).
-    pub fn depth_stats(&self) -> &DepthStats {
-        &self.depth
     }
 
     /// Peek whether a message is available without consuming it.

@@ -350,15 +350,34 @@ impl Host {
                 self.flush[local_rank("Ack", origin_local)? as usize].complete(flush_id);
             }
             WireMsg::Finished { device, ranks } => {
-                let Some(announced) = self.finished_remote.get_mut(device as usize) else {
+                // This process counts its own ranks in `finished_global`;
+                // only another process's device announces over the plane.
+                let remote = self.plane.remote_devices().contains(&device);
+                let Some(announced) = self
+                    .finished_remote
+                    .get_mut(device as usize)
+                    .filter(|_| remote)
+                else {
                     return Err(RtError::Transport {
                         detail: format!(
-                            "device {}: Finished names device {device} of {}",
+                            "device {}: Finished names device {device}, not a device of \
+                             another process in this {}-device world",
                             self.device, self.devices
                         ),
                     });
                 };
-                *announced += ranks;
+                // Each device announces each of its ranks once; more would
+                // count another device's ranks as finished.
+                *announced = announced
+                    .checked_add(ranks)
+                    .filter(|&total| total <= self.ranks_per_device)
+                    .ok_or_else(|| RtError::Transport {
+                        detail: format!(
+                            "device {}: Finished announces {ranks} more ranks of device \
+                             {device}, which has {} and announced {announced}",
+                            self.device, self.ranks_per_device
+                        ),
+                    })?;
             }
         }
         Ok(())

@@ -949,6 +949,34 @@ fn a_finished_naming_no_device_of_the_world_is_a_transport_error() {
 }
 
 #[test]
+fn a_finished_announcing_more_ranks_than_its_device_has_is_a_transport_error() {
+    // Three 1-rank devices: device 1 claiming two finished ranks must not
+    // let the world end before device 2 has spoken, nor may a peer
+    // announce this process's own device, and a count near `u32::MAX` on
+    // top of an earlier announcement must not wrap.
+    let over = WireMsg::Finished {
+        device: 1,
+        ranks: 2,
+    };
+    let wrapping = WireMsg::Finished {
+        device: 1,
+        ranks: u32::MAX,
+    };
+    for early in [
+        vec![over],
+        vec![finished(0), finished(1)],
+        vec![wrapping, finished(1)],
+    ] {
+        match run_scripted(3, early, vec![], 1) {
+            Err(RtError::Transport { detail }) => {
+                assert!(detail.contains("Finished"), "{detail}")
+            }
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn a_deliver_whose_offset_overflows_is_a_typed_range_error_at_the_rank() {
     // `dst_off` is a u64 off the wire. Added to the payload length it
     // wraps: an unchecked sum passes the bounds test in release and panics

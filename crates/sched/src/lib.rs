@@ -41,12 +41,13 @@ pub mod ledger;
 pub mod programs;
 pub mod scheduler;
 pub mod server;
+pub mod stats;
 
-pub use dcuda_core::SchedStats;
 pub use jobstate::{CancelVerdict, JobEnd, TableState};
 pub use ledger::{AdmissionQueue, Lease, Ledger, QueuedJob};
 pub use scheduler::{run_solo, JobCounters, JobResult, JobStatus, Scheduler};
 pub use server::{serve, spawn_server, CtrlClient, ServerHandle};
+pub use stats::SchedStats;
 
 use dcuda_rt::{RtConfig, RtError, MAX_WORLD};
 use std::fmt;

@@ -28,8 +28,7 @@
 use crate::jobstate::{CancelVerdict, JobEnd, TableState};
 use crate::ledger::{AdmissionQueue, Lease, Ledger, QueuedJob};
 use crate::programs;
-use crate::{JobSpec, SchedError, SchedLimits};
-use dcuda_core::SchedStats;
+use crate::{JobSpec, SchedError, SchedLimits, SchedStats};
 use dcuda_rt::programs::fold_checksums;
 use dcuda_rt::{
     thread_per_rank, try_run_cluster, try_run_cluster_job, CancelToken, RtError, RtReport,

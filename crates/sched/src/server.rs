@@ -23,8 +23,7 @@
 
 use crate::jobstate::{CancelVerdict, JobEnd};
 use crate::scheduler::{JobCounters, JobResult, JobStatus, Scheduler};
-use crate::{JobSpec, SchedError};
-use dcuda_core::SchedStats;
+use crate::{JobSpec, SchedError, SchedStats};
 use dcuda_net::launch::{ctrl_roundtrip, read_blob, write_blob};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

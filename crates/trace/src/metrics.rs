@@ -128,7 +128,7 @@ pub fn overlap_efficiency(
 /// Metric aggregates of one traced run, surfaced as `RunReport::trace` /
 /// `RtReport` extensions. All values derive from simulated time and
 /// deterministic counters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
     /// Fraction of rank wait-time covered by other runnable ranks on the
     /// same device (`None` if no rank ever waited).
@@ -138,39 +138,6 @@ pub struct TraceSummary {
     pub wait_hist: LatencyHistogram,
     /// Histogram of network message latencies (injection to arrival).
     pub net_hist: LatencyHistogram,
-    /// Per-node busy fraction of the host worker (event handler + block
-    /// managers) over the run.
-    pub host_busy_frac: Vec<f64>,
-    /// Per-node busy fraction of the egress NIC over the run.
-    pub nic_busy_frac: Vec<f64>,
-    /// Per-node busy fraction of the PCIe link over the run.
-    pub pcie_busy_frac: Vec<f64>,
-    /// Mean pending-notification queue depth sampled at every insert.
-    pub notif_depth_mean: f64,
-    /// Peak pending-notification queue depth.
-    pub notif_depth_peak: u64,
-}
-
-impl TraceSummary {
-    /// An empty summary (no activity).
-    pub fn new() -> Self {
-        TraceSummary {
-            overlap_efficiency: None,
-            wait_hist: LatencyHistogram::default(),
-            net_hist: LatencyHistogram::default(),
-            host_busy_frac: Vec::new(),
-            nic_busy_frac: Vec::new(),
-            pcie_busy_frac: Vec::new(),
-            notif_depth_mean: 0.0,
-            notif_depth_peak: 0,
-        }
-    }
-}
-
-impl Default for TraceSummary {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
