@@ -40,13 +40,6 @@ use dcuda_trace::{TraceSummary, Tracer, Track};
 use dcuda_verify::{InvariantMonitor, RaceDetector, RaceReport, WaitForGraph, WaitReason};
 use std::collections::VecDeque;
 
-/// One executable step element derived from a kernel's recorded segments.
-enum Action {
-    Charge(BlockCharge),
-    Op(RmaOp),
-    IBarrier(crate::types::Tag),
-}
-
 /// Where a rank currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
@@ -65,7 +58,9 @@ enum Status {
 }
 
 struct RankState {
-    actions: VecDeque<Action>,
+    /// The recorded step still to run, with a memory charge queued ahead
+    /// of each same-device copy.
+    actions: VecDeque<Segment>,
     suspend: Option<Suspend>,
     status: Status,
     query: Query,
@@ -344,8 +339,7 @@ impl ClusterSim {
             barriers: 0,
             pool: PayloadPool::new(),
             tracer: Tracer::disabled(),
-            monitor: crate::verify_mode::is_enabled()
-                .then(|| InvariantMonitor::new(topo.world_size())),
+            monitor: crate::verify_mode::is_enabled().then(InvariantMonitor::default),
             races: crate::verify_mode::races_enabled()
                 .then(|| RaceDetector::new(topo.world_size())),
             status_since: vec![SimTime::ZERO; topo.world_size() as usize],
@@ -380,7 +374,7 @@ impl ClusterSim {
     /// a violation — verification is loud by design.
     pub fn enable_verification(&mut self) {
         if self.monitor.is_none() {
-            self.monitor = Some(InvariantMonitor::new(self.topo.world_size()));
+            self.monitor = Some(InvariantMonitor::default());
         }
     }
 
@@ -397,19 +391,17 @@ impl ClusterSim {
 
     /// Mint a monitor token for one notification headed to `target`
     /// (0 = unmonitored run).
-    fn mint(&mut self, origin: u32, target: u32, notif: Notification) -> u64 {
-        self.monitor
-            .as_mut()
-            .map_or(0, |m| m.sent(origin, target, notif))
+    fn mint(&mut self, target: u32, notif: Notification) -> u64 {
+        self.monitor.as_mut().map_or(0, |m| m.sent(target, notif))
     }
 
     /// Mint one token per resident rank of `node` (contiguous range; the
     /// fan-out addresses token `first + local`). Returns the first token.
-    fn mint_broadcast(&mut self, origin: u32, node: u32, notif: Notification) -> u64 {
+    fn mint_broadcast(&mut self, node: u32, notif: Notification) -> u64 {
         let mut first = 0;
         for local in 0..self.topo.ranks_per_node {
             let target = self.topo.rank_of(node, local).0;
-            let t = self.mint(origin, target, notif);
+            let t = self.mint(target, notif);
             if local == 0 {
                 first = t;
             }
@@ -766,7 +758,7 @@ impl ClusterSim {
                 return;
             }
             match self.ranks[rank as usize].actions.pop_front() {
-                Some(Action::Charge(mut c)) => {
+                Some(Segment::Charge(mut c)) => {
                     {
                         let st = &mut self.ranks[rank as usize];
                         c.flops += st.match_backlog_flops;
@@ -783,10 +775,10 @@ impl ClusterSim {
                     self.rearm_device(node);
                     return;
                 }
-                Some(Action::Op(op)) => {
+                Some(Segment::Op(op)) => {
                     self.initiate_op(rank, op, now);
                 }
-                Some(Action::IBarrier(tag)) => {
+                Some(Segment::IBarrier(tag)) => {
                     let node = self.topo.node_of(Rank(rank));
                     let visible = self.pcie[node as usize].post_txn(now, 16);
                     self.queue.schedule_at(
@@ -806,7 +798,7 @@ impl ClusterSim {
                     match pending {
                         None => {
                             self.call_kernel(rank, now);
-                            // Loop to process the freshly recorded actions.
+                            // Loop to process the freshly recorded segments.
                         }
                         Some(Suspend::Finished) => {
                             self.set_status(rank, Status::Done, now);
@@ -860,7 +852,7 @@ impl ClusterSim {
         }
     }
 
-    /// Call the rank's kernel and convert recorded segments into actions.
+    /// Call the rank's kernel and queue the segments it recorded.
     fn call_kernel(&mut self, rank: u32, _now: SimTime) {
         let r = Rank(rank);
         let node = self.topo.node_of(r) as usize;
@@ -892,26 +884,17 @@ impl ClusterSim {
         };
         debug_assert!(self.ranks[rank as usize].actions.is_empty());
         for seg in segments.drain(..) {
-            match seg {
-                Segment::Charge(c) => self.ranks[rank as usize]
-                    .actions
-                    .push_back(Action::Charge(c)),
-                Segment::IBarrier(tag) => self.ranks[rank as usize]
-                    .actions
-                    .push_back(Action::IBarrier(tag)),
-                Segment::Op(op) => {
-                    // Same-device copies run on the origin block itself:
-                    // model the copy as a memory charge (read + write) that
-                    // precedes the dispatch (skipped entirely on the
-                    // zero-copy path).
-                    if self.topo.same_device(r, op.partner) && !self.is_zero_copy(r, &op) {
-                        self.ranks[rank as usize]
-                            .actions
-                            .push_back(Action::Charge(BlockCharge::mem(2.0 * op.len as f64)));
-                    }
-                    self.ranks[rank as usize].actions.push_back(Action::Op(op));
+            if let Segment::Op(op) = &seg {
+                // Same-device copies run on the origin block itself: model
+                // the copy as a memory charge (read + write) that precedes
+                // the dispatch (skipped entirely on the zero-copy path).
+                if self.topo.same_device(r, op.partner) && !self.is_zero_copy(r, op) {
+                    self.ranks[rank as usize]
+                        .actions
+                        .push_back(Segment::Charge(BlockCharge::mem(2.0 * op.len as f64)));
                 }
             }
+            self.ranks[rank as usize].actions.push_back(seg);
         }
         self.segments_buf = segments;
         self.ranks[rank as usize].suspend = Some(suspend);
@@ -1082,9 +1065,9 @@ impl ClusterSim {
                     tag: op.tag,
                 };
                 let token = if op.notify == NotifyMode::AllOnTargetDevice {
-                    self.mint_broadcast(rank, node, notif)
+                    self.mint_broadcast(node, notif)
                 } else {
-                    self.mint(rank, notif_target, notif)
+                    self.mint(notif_target, notif)
                 };
                 let visible = self.pcie[node as usize].post_txn(now, 16);
                 self.queue.schedule_at(
@@ -1115,7 +1098,6 @@ impl ClusterSim {
         let notif_token = match (op.kind, op.notify) {
             (_, NotifyMode::None) => 0,
             (RmaKind::Put, NotifyMode::Target) => self.mint(
-                rank,
                 op.partner.0,
                 Notification {
                     win: op.win.0,
@@ -1124,7 +1106,6 @@ impl ClusterSim {
                 },
             ),
             (RmaKind::Put, NotifyMode::AllOnTargetDevice) => self.mint_broadcast(
-                rank,
                 self.topo.node_of(op.partner),
                 Notification {
                     win: op.win.0,
@@ -1133,7 +1114,6 @@ impl ClusterSim {
                 },
             ),
             (RmaKind::Get, _) => self.mint(
-                op.partner.0,
                 rank,
                 Notification {
                     win: op.win.0,
@@ -1413,7 +1393,7 @@ impl ClusterSim {
                             source: rank.0,
                             tag,
                         };
-                        let token = self.mint(rank.0, rank.0, notif);
+                        let token = self.mint(rank.0, notif);
                         self.queue.schedule_at(
                             visible,
                             Ev::NotifDeliver {

@@ -19,7 +19,7 @@
 //!   single-copy vectored writes of large payloads and deterministic
 //!   byte-stream fault injection ([`NetFaults`]);
 //! * [`launch`] — the coordinator/worker handshake and child-process
-//!   reaping used by the `dcuda-launch` binary and `xtask launch`.
+//!   reaping used by the `dcuda-launch` binary.
 //!
 //! Everything is dependency-free `std` networking: no async runtime, no
 //! serde — the codec is hand-rolled and property-tested.

@@ -15,8 +15,10 @@ use std::collections::VecDeque;
 /// `DCUDA_ANY_TAG`, `DCUDA_ANY_WIN` in the paper's API).
 pub const ANY: u32 = u32::MAX;
 
-/// A notification enqueued at the target of a notified put/get.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A notification enqueued at the target of a notified put/get. Its
+/// (window, source, tag) triple is also the class queries match against,
+/// ordered field by field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Notification {
     /// Window the remote access targeted.
     pub win: u32,
@@ -24,6 +26,16 @@ pub struct Notification {
     pub source: u32,
     /// User tag carried by the access.
     pub tag: u32,
+}
+
+impl std::fmt::Display for Notification {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "(win {}, source {}, tag {})",
+            self.win, self.source, self.tag
+        )
+    }
 }
 
 /// A matching query; `ANY` in a position matches every value.

@@ -14,7 +14,7 @@
 
 use crate::coll::CollStats;
 use crate::ctx::RtCtx;
-use crate::host::{FlushHistory, Host, SharedHost};
+use crate::host::{FlushHistory, Host, HostOutcome, SharedHost};
 use crate::msg::{Cmd, Delivery};
 use crate::task::RankTask;
 use crate::types::RtError;
@@ -48,16 +48,17 @@ pub const MAX_PROGRESS_THREADS: u32 = 64;
 /// progress engine — the analogue of NCCL/NVSHMEM proxy threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
-    /// No dedicated progress threads: each device's host loop drives its
+    /// No dedicated progress threads: each device's host thread drives its
     /// engine, with byte-identical protocol counters and delivery order. In
     /// a world run whole in one process on threads ([`try_run_cluster`] and
     /// its traced and verified forms) a rank that would wait also
     /// runs a pass of its own device's engine whenever no other thread owns
     /// it, so a notified put no longer waits for two host threads to be
-    /// scheduled. Parts run over a socket mesh ([`try_run_cluster_part`])
-    /// leave the host loop as the only driver. A job world
-    /// ([`try_run_cluster_job`]) has no host loops: its one driver thread
-    /// passes every engine once per sweep.
+    /// scheduled; the host loop then yields after every pass. Parts run
+    /// over a socket mesh ([`try_run_cluster_part`]) leave the host loop as
+    /// the only driver, yielding only after a pass that found no work. A
+    /// job world ([`try_run_cluster_job`]) has no host loops: its one
+    /// driver thread passes every engine once per sweep.
     #[default]
     Inline,
     /// A pool of `n` dedicated progress threads co-drives every host
@@ -300,6 +301,34 @@ pub struct RtReport {
     pub races: Vec<RaceReport>,
 }
 
+/// Fold a finished world into its report, the one fold of every driver:
+/// each rank's counters in rank order, then each engine's outcome in device
+/// order. Timelines merge into `trace`, and invariant-counter shards
+/// (verified runs only) collect into `shards`.
+pub(crate) fn fold_report(
+    ranks: impl IntoIterator<Item = RtCtx>,
+    outcomes: impl IntoIterator<Item = HostOutcome>,
+    trace: &mut Tracer,
+    shards: &mut Vec<ShardCounters>,
+) -> RtReport {
+    let mut report = RtReport::default();
+    for ctx in ranks {
+        report.matched += ctx.matched;
+        report.barriers = report.barriers.max(ctx.barriers_entered);
+        report.coll.absorb(ctx.coll);
+        trace.absorb(ctx.tracer);
+        shards.extend(ctx.counters.map(|c| *c));
+    }
+    for out in outcomes {
+        report.puts += out.puts;
+        report.notifications += out.notifications;
+        report.net.absorb(out.net);
+        trace.absorb(out.net_trace);
+        shards.extend(out.counters.map(|c| *c));
+    }
+    report
+}
+
 /// A rank program: a blocking closure over the rank's context.
 pub type RankProgram = Box<dyn FnOnce(&mut RtCtx) + Send>;
 
@@ -346,7 +375,7 @@ pub fn run_cluster(cfg: &RtConfig, programs: Vec<RankProgram>) -> RtReport {
 
 /// Fallible [`run_cluster`].
 pub fn try_run_cluster(cfg: &RtConfig, programs: Vec<RankProgram>) -> Result<RtReport, RtError> {
-    run_inner(cfg, programs, false, false).map(|(report, _, _)| report)
+    run_part_inner(cfg, programs, None, false, false).map(|(report, _, _)| report)
 }
 
 /// Run a job world: one [`RankTask`] per world rank, all on the calling
@@ -406,7 +435,6 @@ pub fn try_run_cluster_job(
             traced: false,
             verified: false,
             rank_driven: true,
-            shared: true,
             cooperative: true,
             abort: cancel.0.clone(),
         },
@@ -423,7 +451,7 @@ pub fn run_cluster_traced(
     cfg: &RtConfig,
     programs: Vec<RankProgram>,
 ) -> Result<(RtReport, Tracer), RtError> {
-    run_inner(cfg, programs, true, false).map(|(report, trace, _)| (report, trace))
+    run_part_inner(cfg, programs, None, true, false).map(|(report, trace, _)| (report, trace))
 }
 
 /// As [`try_run_cluster`], with the invariant monitor enabled: every rank
@@ -435,7 +463,7 @@ pub fn try_run_cluster_verified(
     cfg: &RtConfig,
     programs: Vec<RankProgram>,
 ) -> Result<(RtReport, VerifyReport), RtError> {
-    run_inner(cfg, programs, false, true)
+    run_part_inner(cfg, programs, None, false, true)
         .map(|(report, _, verify)| (report, verify.unwrap_or_default()))
 }
 /// One worker of the progress pool: sweeps every shared engine each round,
@@ -596,27 +624,8 @@ pub fn try_run_cluster_part(
     planes: Vec<Box<dyn Transport>>,
     traced: bool,
 ) -> Result<(RtReport, Tracer), RtError> {
-    cfg.validate()?;
-    if part.local_devices == 0 || part.first_device.saturating_add(part.local_devices) > cfg.devices
-    {
-        return Err(RtError::InvalidConfig(format!(
-            "part devices {}..{} outside the {}-device world",
-            part.first_device,
-            u64::from(part.first_device) + u64::from(part.local_devices),
-            cfg.devices
-        )));
-    }
-    run_part_inner(
-        cfg,
-        part.first_device,
-        part.local_devices,
-        programs,
-        planes,
-        false,
-        traced,
-        false,
-    )
-    .map(|(report, trace, _)| (report, trace))
+    run_part_inner(cfg, programs, Some((part, planes)), traced, false)
+        .map(|(report, trace, _)| (report, trace))
 }
 
 fn in_process_planes(devices: u32) -> Vec<Box<dyn Transport>> {
@@ -624,25 +633,6 @@ fn in_process_planes(devices: u32) -> Vec<Box<dyn Transport>> {
         .into_iter()
         .map(|ep| Box::new(ep) as Box<dyn Transport>)
         .collect()
-}
-
-fn run_inner(
-    cfg: &RtConfig,
-    programs: Vec<RankProgram>,
-    traced: bool,
-    verified: bool,
-) -> Result<(RtReport, Tracer, Option<VerifyReport>), RtError> {
-    cfg.validate()?;
-    run_part_inner(
-        cfg,
-        0,
-        cfg.devices,
-        programs,
-        in_process_planes(cfg.devices),
-        true,
-        traced,
-        verified,
-    )
 }
 
 /// `what` must number one per local rank.
@@ -662,9 +652,6 @@ struct Wiring {
     /// Every rank holds its own device's engine and drives it instead of
     /// waiting (rank-driven progress, see [`SharedHost`]).
     rank_driven: bool,
-    /// Engines are shared between drivers (`rank_driven`, or a progress
-    /// pool); the rest are left to their own host loop.
-    shared: bool,
     /// Ranks run as tasks under the cooperative driver.
     cooperative: bool,
     /// The world's first-failure flag (a job world's cancel token).
@@ -676,9 +663,7 @@ struct Wiring {
 pub(crate) struct World {
     /// Rank contexts in world-rank order.
     pub ranks: Vec<RtCtx>,
-    /// Engines only their own host loop drives.
-    pub hosts: Vec<Host>,
-    /// Engines more than one driver may pass, in device order.
+    /// Device engines in device order.
     pub engines: Vec<SharedHost>,
     pub finished_global: Arc<AtomicU32>,
     pub abort: Arc<AtomicBool>,
@@ -711,14 +696,12 @@ fn build_world(
         traced,
         verified,
         rank_driven,
-        shared,
         cooperative,
         abort,
     } = wiring;
     let finished_global = Arc::new(AtomicU32::new(0));
     let first_error: Arc<Mutex<Option<RtError>>> = Arc::new(Mutex::new(None));
     let mut ranks: Vec<RtCtx> = Vec::new();
-    let mut hosts = Vec::new();
     let mut engines = Vec::new();
     for (device, plane) in (first_device..).zip(planes) {
         let first_local = ranks.len();
@@ -774,7 +757,7 @@ fn build_world(
                 races: cfg.races.clone(),
             });
         }
-        let host = Host {
+        let engine = SharedHost::new(Host {
             device,
             devices: cfg.devices,
             ranks_per_device: cfg.ranks_per_device,
@@ -792,22 +775,16 @@ fn build_world(
             busy_spin: cfg.host_busy_spin,
             progress_frames: 0,
             steals: 0,
-        };
-        if shared {
-            let engine = SharedHost::new(host);
-            if rank_driven {
-                for ctx in &mut ranks[first_local..] {
-                    ctx.engine = Some(engine.clone());
-                }
+        });
+        if rank_driven {
+            for ctx in &mut ranks[first_local..] {
+                ctx.engine = Some(engine.clone());
             }
-            engines.push(engine);
-        } else {
-            hosts.push(host);
         }
+        engines.push(engine);
     }
     Ok(World {
         ranks,
-        hosts,
         engines,
         finished_global,
         abort,
@@ -815,23 +792,38 @@ fn build_world(
     })
 }
 
-/// Run a wired world on threads: one per rank program, one per device host
-/// loop, and the progress pool if configured.
+/// Run a world on threads: one per rank program, one per device host loop,
+/// and the progress pool if configured.
 ///
-/// `in_process`: `planes` are the in-process plane of a whole world, so
-/// under [`ProgressMode::Inline`] waiting ranks drive their own device's
-/// engine (see [`SharedHost`]); socket parts keep the host loop alone.
-#[allow(clippy::too_many_arguments)]
+/// `part`: this process's slice of a multi-process world with its socket
+/// endpoints; `None` runs the whole world here on the in-process plane,
+/// where under [`ProgressMode::Inline`] waiting ranks drive their own
+/// device's engine (see [`SharedHost`]). Socket parts keep the ranks off it.
 fn run_part_inner(
     cfg: &RtConfig,
-    first_device: u32,
-    local_devices: u32,
     programs: Vec<RankProgram>,
-    planes: Vec<Box<dyn Transport>>,
-    in_process: bool,
+    part: Option<(ClusterPart, Vec<Box<dyn Transport>>)>,
     traced: bool,
     verified: bool,
 ) -> Result<(RtReport, Tracer, Option<VerifyReport>), RtError> {
+    cfg.validate()?;
+    let rank_driven = part.is_none() && cfg.progress == ProgressMode::Inline;
+    let (part, planes) = part.unwrap_or_else(|| {
+        let whole = ClusterPart {
+            first_device: 0,
+            local_devices: cfg.devices,
+        };
+        (whole, in_process_planes(cfg.devices))
+    });
+    let (first_device, local_devices) = (part.first_device, part.local_devices);
+    if local_devices == 0 || first_device.saturating_add(local_devices) > cfg.devices {
+        return Err(RtError::InvalidConfig(format!(
+            "part devices {}..{} outside the {}-device world",
+            first_device,
+            u64::from(first_device) + u64::from(local_devices),
+            cfg.devices
+        )));
+    }
     let world = cfg.world();
     check_count(
         "programs",
@@ -844,12 +836,10 @@ fn run_part_inner(
             "invariant verification requires the whole world in one process".into(),
         ));
     }
-    // Engines a thread other than the host loop may drive: the pool's, or
-    // each device's own waiting ranks'. The rest run `Host::run` alone.
-    let rank_driven = in_process && cfg.progress == ProgressMode::Inline;
+    // Ranks or a pool drive the engines besides their host loops.
+    let co_driven = rank_driven || matches!(cfg.progress, ProgressMode::Threads(_));
     let World {
         ranks,
-        hosts,
         engines,
         finished_global,
         abort,
@@ -863,43 +853,24 @@ fn run_part_inner(
             traced,
             verified,
             rank_driven,
-            shared: rank_driven || matches!(cfg.progress, ProgressMode::Threads(_)),
             cooperative: false,
             abort: Arc::new(AtomicBool::new(false)),
         },
     )?;
 
-    let mut report = RtReport::default();
-    let mut trace = if traced {
-        Tracer::enabled()
-    } else {
-        Tracer::disabled()
-    };
-    let mut barrier_rounds = 0u64;
-    let mut shards: Vec<ShardCounters> = Vec::new();
     let mut host_handles = Vec::new();
-    let mut progress_handles = Vec::new();
-    for mut host in hosts {
-        let abort = abort.clone();
-        let first_error = first_error.clone();
-        host_handles.push(std::thread::spawn(move || {
-            let res = std::panic::catch_unwind(AssertUnwindSafe(|| host.run()));
-            // `host` (and with it the rank-facing rings) outlives
-            // this call: a failure is on record as the root cause
-            // before any rank can see a disconnected ring.
-            engine_result(host.device, res, &abort, &first_error)
-        }));
-    }
     for (device, eng) in (first_device..).zip(&engines) {
         let (eng, abort, first_error) = (eng.clone(), abort.clone(), first_error.clone());
         host_handles.push(std::thread::spawn(move || {
-            let res = std::panic::catch_unwind(AssertUnwindSafe(|| eng.run_host_loop(&abort)));
+            let res =
+                std::panic::catch_unwind(AssertUnwindSafe(|| eng.run_host_loop(&abort, co_driven)));
             // Raised success or failure alike: workers and ranks must
             // stop driving an engine whose loop has exited.
             eng.done.store(true, Ordering::Release);
             engine_result(device, res, &abort, &first_error)
         }));
     }
+    let mut progress_handles = Vec::new();
     if let ProgressMode::Threads(nworkers) = cfg.progress {
         for w in 0..nworkers {
             let engines = engines.clone();
@@ -945,26 +916,13 @@ fn run_part_inner(
                 abort.store(true, Ordering::Release);
                 finished_global.fetch_add(1, Ordering::AcqRel);
             }
-            (
-                ctx.matched,
-                ctx.barriers_entered,
-                ctx.coll,
-                std::mem::take(&mut ctx.tracer),
-                ctx.counters.take(),
-            )
+            ctx
         }));
     }
+    let mut finished = Vec::new();
     for h in rank_handles {
         match h.join() {
-            Ok((matched, barriers, coll, tracer, shard)) => {
-                report.matched += matched;
-                barrier_rounds = barrier_rounds.max(barriers);
-                report.coll.absorb(coll);
-                trace.absorb(tracer);
-                if let Some(shard) = shard {
-                    shards.push(*shard);
-                }
-            }
+            Ok(ctx) => finished.push(ctx),
             Err(p) => {
                 // Unreachable in practice (the closure catches program
                 // panics), but never poison the whole join over it.
@@ -978,18 +936,10 @@ fn run_part_inner(
             }
         }
     }
+    let mut outcomes = Vec::new();
     for h in host_handles {
         match h.join() {
-            Ok(Some(out)) => {
-                report.puts += out.puts;
-                report.notifications += out.notifications;
-                report.net.absorb(out.net);
-                trace.absorb(out.net_trace);
-                if let Some(shard) = out.counters {
-                    shards.push(*shard);
-                }
-            }
-            Ok(None) => {}
+            Ok(out) => outcomes.extend(out),
             Err(p) => {
                 record_first(
                     &first_error,
@@ -1001,6 +951,13 @@ fn run_part_inner(
             }
         }
     }
+    let mut trace = if traced {
+        Tracer::enabled()
+    } else {
+        Tracer::disabled()
+    };
+    let mut shards = Vec::new();
+    let mut report = fold_report(finished, outcomes, &mut trace, &mut shards);
     for h in progress_handles {
         // Workers exit on their own once every engine's loop has (all
         // `done` flags raised) or the abort flag lands; they surface
@@ -1024,7 +981,6 @@ fn run_part_inner(
         }
         return Err(err);
     }
-    report.barriers = barrier_rounds;
     if let Some(h) = &cfg.races {
         // Every world rank has finished by the time a part's hosts quiesce,
         // so the snapshot is complete (and identical across mesh parts).

@@ -602,7 +602,7 @@ impl RtCtx {
         loop {
             match self.delivery.try_recv() {
                 Ok(d) => {
-                    let win = WindowId(d.win);
+                    let win = WindowId(d.notif.win);
                     if win.index() == self.user_windows && !d.data.is_empty() {
                         // A peer's chunk may land before this rank's first
                         // collective touched its scratch.

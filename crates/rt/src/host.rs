@@ -1,8 +1,8 @@
 //! The per-device host thread: event handler plus block managers
 //! (paper Figure 4), executed by a single worker as in §III-A. The engine
-//! is one state machine (`Host::pass`); besides its own loop it may be
-//! driven, one pass at a time, by a progress pool or by the device's
-//! waiting ranks (`SharedHost`).
+//! is one state machine (`Host::pass`) behind one handle (`SharedHost`):
+//! besides its host loop it may be driven, one pass at a time, by a
+//! progress pool or by the device's waiting ranks.
 //!
 //! The host is written against the [`Transport`] trait only: the same
 //! progress loop runs over the in-process shared-memory plane and over
@@ -114,9 +114,9 @@ pub(crate) struct Host {
     /// Invariant-counter shard (verified runs only). The host accounts the
     /// fabric side of conservation: a notification counts as *delivered*
     /// when it enters the target rank's delivery ring and as *dropped* when
-    /// the target finished before it could (disconnected ring or residual
-    /// backlog at shutdown) — so `delivered + dropped == sent` holds exactly
-    /// even for fire-and-forget puts the target never polls.
+    /// it is still in the backlog at quiescence — so `delivered + dropped ==
+    /// sent` holds exactly even for fire-and-forget puts the target never
+    /// polls.
     pub counters: Option<Box<ShardCounters>>,
     /// Artificial per-pass host busyness: iterations of deterministic spin
     /// work burnt between progress passes, emulating a host loop occupied
@@ -189,25 +189,13 @@ impl Host {
                         }
                     }
                 }
-                Err(TrySendError::Full(d)) => {
+                // A rank's context, and with it its ring, outlives the
+                // world's engines under both drivers: what a finished rank
+                // has no room for waits here and is booked as dropped at
+                // quiescence (`try_finish`).
+                Err(TrySendError::Full(d) | TrySendError::Disconnected(d)) => {
                     self.delivery_backlog[local as usize].push_front(d);
                     return moved;
-                }
-                Err(TrySendError::Disconnected(d)) => {
-                    // Rank exited; residual deliveries are moot — but the
-                    // conservation ledger must still account for them.
-                    if let Some(c) = self.counters.as_mut() {
-                        if d.notify && d.notif.tag & COLL_TAG_BIT == 0 {
-                            c.note_dropped(target, d.notif);
-                        }
-                        for d in self.delivery_backlog[local as usize].drain(..) {
-                            if d.notify && d.notif.tag & COLL_TAG_BIT == 0 {
-                                c.note_dropped(target, d.notif);
-                            }
-                        }
-                    }
-                    self.delivery_backlog[local as usize].clear();
-                    return true;
                 }
             }
             moved = true;
@@ -240,7 +228,6 @@ impl Host {
                                 source: rank,
                                 tag,
                             },
-                            win,
                             dst_off,
                             data,
                             notify,
@@ -325,7 +312,6 @@ impl Host {
             } => {
                 let delivery = Delivery {
                     notif: Notification { win, source, tag },
-                    win,
                     // An offset no window of this process can hold stays
                     // one: the target rank's drain refuses it by range.
                     dst_off: usize::try_from(dst_off).unwrap_or(usize::MAX),
@@ -511,6 +497,16 @@ impl Host {
         }))
     }
 
+    /// The one end of an engine: the quiescence check and, once it hands
+    /// back the outcome, the orderly close.
+    fn try_quiesce(&mut self) -> Result<Option<HostOutcome>, RtError> {
+        let out = self.try_finish()?;
+        if out.is_some() {
+            self.close_plane();
+        }
+        Ok(out)
+    }
+
     /// Close this endpoint's side of the plane in order after a clean
     /// finish: keep reading until every peer process closed too, so no
     /// socket is dropped holding unread bytes (which would reset the
@@ -525,47 +521,25 @@ impl Host {
             std::thread::yield_now();
         }
     }
-
-    /// Main progress loop of a socket part under [`ProgressMode::Inline`],
-    /// where this loop is the engine's only driver.
-    /// Returns statistics, plane-level counters and the invariant-counter
-    /// shard (verified runs only) after world quiescence, or the first
-    /// transport/abort failure.
-    ///
-    /// [`ProgressMode::Inline`]: crate::ProgressMode::Inline
-    pub fn run(&mut self) -> Result<HostOutcome, RtError> {
-        loop {
-            if self.abort.load(Ordering::Acquire) {
-                // Another thread failed first; unwind so the world joins.
-                return Err(RtError::Aborted);
-            }
-            burn(self.busy_spin);
-            if !self.pass(false)?.work {
-                if let Some(out) = self.try_finish()? {
-                    self.close_plane();
-                    return Ok(out);
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
 }
 
-/// A host engine shared between its host loop and whoever else may drive
-/// it: the progress pool under [`ProgressMode::Threads`], or — in a world
-/// run whole in one process on the in-process plane under
-/// [`ProgressMode::Inline`] — the device's own ranks, each of which runs a
-/// pass whenever it would otherwise wait (caller-driven progress). Every
-/// driver passes the same [`Host`] through a mutex; all but the host loop
-/// use `try_lock`, so a momentarily-owned engine is skipped instead of
-/// blocked on (it is already being progressed, and the skip is what makes
+/// A device's host engine and every driver's handle to it. Its host loop
+/// ([`run_host_loop`](Self::run_host_loop)) runs on the device's host
+/// thread in every threaded world; others may drive it too: the progress
+/// pool under [`ProgressMode::Threads`], or — in a world run whole in one
+/// process on the in-process plane under [`ProgressMode::Inline`] — the
+/// device's own ranks, each of which runs a pass whenever it would
+/// otherwise wait (caller-driven progress). A job world has no host loop:
+/// its cooperative driver passes the engine instead. Every driver passes
+/// the same [`Host`] through a mutex; all but the host loop use
+/// `try_lock`, so a momentarily-owned engine is skipped instead of blocked
+/// on (it is already being progressed, and the skip is what makes
 /// work-stealing cheap).
 ///
-/// The host loop stays the only thread that runs `try_finish` and
-/// `close_plane`, and it keeps messages moving while no rank waits.
-/// Socket parts never hand their engine to ranks: a rank doing socket and
-/// ring syscalls on its own core, against the host loop's lock, doubled
-/// the tcp round trip.
+/// Every engine ends through [`try_quiesce`](Self::try_quiesce), the host
+/// loop's and the cooperative driver's alike. Socket parts never hand
+/// their engine to ranks: a rank doing socket and ring syscalls on its own
+/// core, against the host loop's lock, doubled the tcp round trip.
 ///
 /// [`ProgressMode::Threads`]: crate::ProgressMode::Threads
 /// [`ProgressMode::Inline`]: crate::ProgressMode::Inline
@@ -596,33 +570,48 @@ impl SharedHost {
         }
     }
 
-    /// The host-loop side of a shared engine: identical protocol to
-    /// [`Host::run`], but the engine lock is dropped — and the artificial
-    /// busy-work burnt — *between* passes, which is exactly the window the
-    /// other drivers exploit. Unlike `Host::run` it yields after every
-    /// pass, not only after an idle one: that hands the core to the
-    /// drivers it shares with (yielding only when idle measured no faster
-    /// round trip and a slower one-worker busy-host ladder).
-    pub fn run_host_loop(&self, abort: &AtomicBool) -> Result<HostOutcome, RtError> {
+    /// The host thread's loop: pass the engine until a pass that found no
+    /// work ends in quiescence, through the engine's one end step (see
+    /// [`try_quiesce`](Self::try_quiesce)) under the pass's guard.
+    ///
+    /// `co_driven`: ranks or a progress pool drive this engine too. The
+    /// loop then drops the engine lock — and burns the artificial
+    /// busy-work — *between* passes, which is exactly the window the other
+    /// drivers exploit, and yields after every pass, handing the core to
+    /// them (yielding only when idle measured no faster round trip and a
+    /// slower one-worker busy-host ladder). As the engine's only driver it
+    /// keeps the guard across passes and yields only after an idle pass:
+    /// yielding after every pass slowed the tcp round trip in 4 of 4 pairs.
+    pub fn run_host_loop(
+        &self,
+        abort: &AtomicBool,
+        co_driven: bool,
+    ) -> Result<HostOutcome, RtError> {
+        // As the engine's only driver the loop keeps the guard across passes.
+        let mut held = None;
         loop {
             if abort.load(Ordering::Acquire) {
                 return Err(RtError::Aborted);
             }
-            let busy = {
-                let mut h = self.lock();
-                let progress = h.pass(false)?.work;
-                if !progress {
-                    if let Some(out) = h.try_finish()? {
-                        h.close_plane();
-                        return Ok(out);
-                    }
+            let mut h = held.take().unwrap_or_else(|| self.lock());
+            let work = h.pass(false)?.work;
+            if !work {
+                if let Some(out) = h.try_quiesce()? {
+                    return Ok(out);
                 }
-                h.busy_spin
-            };
+            }
+            let busy = h.busy_spin;
+            if co_driven {
+                drop(h);
+            } else {
+                held = Some(h);
+            }
             // The busy-host emulation: the loop is away doing "application
-            // work" while the engine is unlocked and the others progress it.
+            // work", and a co-driven engine is unlocked for the others.
             burn(busy);
-            std::thread::yield_now();
+            if co_driven || !work {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -663,16 +652,11 @@ impl SharedHost {
         self.try_drive(|h| h.pass(false))
     }
 
-    /// The end of a job world's engine, for the cooperative driver after a
-    /// pass that found no work: the host loop's quiescence check and
-    /// orderly close, without the loop.
+    /// The end of every engine, run after a pass that found no work by the
+    /// host loop and the cooperative driver alike: the quiescence check
+    /// and, once it hands back the outcome, the orderly close.
     pub fn try_quiesce(&self) -> Result<Option<HostOutcome>, RtError> {
-        let mut h = self.lock();
-        let out = h.try_finish()?;
-        if out.is_some() {
-            h.close_plane();
-        }
-        Ok(out)
+        self.lock().try_quiesce()
     }
 }
 

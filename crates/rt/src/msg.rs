@@ -31,10 +31,8 @@ pub enum Cmd {
 /// notification that announces it.
 #[derive(Debug)]
 pub struct Delivery {
-    /// The notification (window, source, tag).
+    /// The notification (window the data lands in, source, tag).
     pub notif: Notification,
-    /// Window the data lands in (same as `notif.win`).
-    pub win: u32,
     /// Byte offset in the target's window.
     pub dst_off: usize,
     /// Payload (may be empty for pure notifications).

@@ -20,10 +20,13 @@
 //!
 //! [`try_run_cluster_job`]: crate::try_run_cluster_job
 
-use crate::cluster::{panic_text, take_first, CancelToken, RankProgram, RtReport, World};
+use crate::cluster::{
+    fold_report, panic_text, take_first, CancelToken, RankProgram, RtReport, World,
+};
 use crate::ctx::{block_on, RtCtx};
 use crate::host::HostOutcome;
 use crate::types::RtError;
+use dcuda_trace::Tracer;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
@@ -195,16 +198,11 @@ pub(crate) fn drive(
                 .collect(),
         });
     }
-    let mut report = RtReport::default();
-    for ctx in &ranks {
-        report.matched += ctx.matched;
-        report.barriers = report.barriers.max(ctx.barriers_entered);
-        report.coll.absorb(ctx.coll);
-    }
-    for out in outcomes.into_iter().flatten() {
-        report.puts += out.puts;
-        report.notifications += out.notifications;
-        report.net.absorb(out.net);
-    }
+    let report = fold_report(
+        ranks,
+        outcomes.into_iter().flatten(),
+        &mut Tracer::disabled(),
+        &mut Vec::new(),
+    );
     Ok((report, sums))
 }

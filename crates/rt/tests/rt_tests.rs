@@ -586,12 +586,15 @@ fn verified_run_reports_clean_invariants() {
 #[test]
 fn verified_run_accounts_unconsumed_notifications_as_dropped() {
     // Rank 1 never polls; the host must book the residue as dropped, not
-    // lost, so conservation still closes.
+    // lost, so conservation still closes. More puts than its 16-slot ring
+    // holds leave some in the host's backlog at quiescence.
     let (_, verify) = dcuda_rt::try_run_cluster_verified(
         &cfg(1, 2),
         vec![
             Box::new(|ctx| {
-                ctx.put_notify(W0, Rank(1), 0, 0, 1, Tag(1));
+                for _ in 0..40 {
+                    ctx.put_notify(W0, Rank(1), 0, 0, 1, Tag(1));
+                }
                 ctx.flush();
             }),
             Box::new(|_ctx| {}),

@@ -5,9 +5,8 @@
 //! * **Token-level monitor** ([`InvariantMonitor`]) for the discrete-event
 //!   simulator: the single-threaded event loop mints a unique token per
 //!   notification *at send time* and reports delivery and matching, so the
-//!   monitor checks exactly-once delivery per token, matched-at-most-
-//!   delivered per key, and tracks a per-rank vector clock joined along
-//!   delivery edges. Delivery order between a pair of ranks may legally
+//!   monitor checks exactly-once delivery per token and matched-at-most-
+//!   delivered per key. Delivery order between a pair of ranks may legally
 //!   reorder in the simulator (metadata and payload paths complete
 //!   independently), so reordering is *counted*, not flagged.
 //! * **Sharded counters** ([`ShardCounters`]) for the threaded runtime:
@@ -24,38 +23,6 @@
 use dcuda_queues::Notification;
 use std::collections::BTreeMap;
 
-/// The identity of a notification class: the (window, source, tag) triple
-/// that queries match against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct NotifKey {
-    /// Window id.
-    pub win: u32,
-    /// Origin rank.
-    pub source: u32,
-    /// User tag.
-    pub tag: u32,
-}
-
-impl From<Notification> for NotifKey {
-    fn from(n: Notification) -> Self {
-        NotifKey {
-            win: n.win,
-            source: n.source,
-            tag: n.tag,
-        }
-    }
-}
-
-impl std::fmt::Display for NotifKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "(win {}, source {}, tag {})",
-            self.win, self.source, self.tag
-        )
-    }
-}
-
 /// A detected protocol violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
@@ -64,7 +31,7 @@ pub enum Violation {
         /// Target rank that never saw it.
         target: u32,
         /// Notification class.
-        key: NotifKey,
+        key: Notification,
         /// How many of this class went missing.
         missing: u64,
     },
@@ -74,7 +41,7 @@ pub enum Violation {
         /// Target rank.
         target: u32,
         /// Notification class.
-        key: NotifKey,
+        key: Notification,
         /// Deliveries beyond the send count.
         extra: u64,
     },
@@ -83,7 +50,7 @@ pub enum Violation {
         /// Target rank.
         target: u32,
         /// Notification class.
-        key: NotifKey,
+        key: Notification,
         /// The offending token.
         token: u64,
     },
@@ -99,7 +66,7 @@ pub enum Violation {
         /// Matching rank.
         target: u32,
         /// Notification class.
-        key: NotifKey,
+        key: Notification,
         /// Matches observed.
         matched: u64,
         /// Deliveries observed.
@@ -225,20 +192,17 @@ struct KeyCounts {
 
 struct TokenRec {
     target: u32,
-    key: NotifKey,
+    key: Notification,
     delivered: bool,
 }
 
 /// Token-level invariant monitor for the (single-threaded) simulator event
 /// loop. Strictly observational; see the module docs.
+#[derive(Default)]
 pub struct InvariantMonitor {
-    world: u32,
     /// Token `t` (1-based) lives at `tokens[t - 1]`.
     tokens: Vec<TokenRec>,
-    counts: BTreeMap<(u32, NotifKey), KeyCounts>,
-    /// Per-rank vector clocks (world × world), joined along delivery edges
-    /// at delivery time (an upper bound on true causality; diagnostic).
-    clocks: Vec<Vec<u64>>,
+    counts: BTreeMap<(u32, Notification), KeyCounts>,
     /// Per-(origin, target) newest delivered token, for reorder counting.
     last_delivered: BTreeMap<(u32, u32), u64>,
     reorders: u64,
@@ -246,32 +210,14 @@ pub struct InvariantMonitor {
 }
 
 impl InvariantMonitor {
-    /// Monitor for a world of `world` ranks.
-    pub fn new(world: u32) -> Self {
-        InvariantMonitor {
-            world,
-            tokens: Vec::new(),
-            counts: BTreeMap::new(),
-            clocks: (0..world).map(|_| vec![0u64; world as usize]).collect(),
-            last_delivered: BTreeMap::new(),
-            reorders: 0,
-            violations: Vec::new(),
-        }
-    }
-
     /// Record a notification sent toward `target`; returns the minted token
     /// (tokens are sequential, so a `k`-way fan-out minted back-to-back
     /// occupies a contiguous token range).
-    pub fn sent(&mut self, origin: u32, target: u32, notif: Notification) -> u64 {
-        let key = NotifKey::from(notif);
-        self.counts.entry((target, key)).or_default().sent += 1;
-        if (origin as usize) < self.clocks.len() {
-            let o = origin as usize;
-            self.clocks[o][o] += 1;
-        }
+    pub fn sent(&mut self, target: u32, notif: Notification) -> u64 {
+        self.counts.entry((target, notif)).or_default().sent += 1;
         self.tokens.push(TokenRec {
             target,
-            key,
+            key: notif,
             delivered: false,
         });
         self.tokens.len() as u64
@@ -279,8 +225,7 @@ impl InvariantMonitor {
 
     /// Record token `token` arriving at `target` from `origin`.
     pub fn delivered(&mut self, origin: u32, target: u32, token: u64, notif: Notification) {
-        let key = NotifKey::from(notif);
-        self.counts.entry((target, key)).or_default().delivered += 1;
+        self.counts.entry((target, notif)).or_default().delivered += 1;
         match self.tokens.get_mut((token as usize).wrapping_sub(1)) {
             None => self
                 .violations
@@ -296,15 +241,6 @@ impl InvariantMonitor {
                 rec.delivered = true;
             }
         }
-        // Delivery-time causal join: target learns everything the origin's
-        // clock currently holds (upper bound on the true send-time clock).
-        if (origin as usize) < self.clocks.len() && (target as usize) < self.clocks.len() {
-            let snapshot = self.clocks[origin as usize].clone();
-            let t = &mut self.clocks[target as usize];
-            for (c, s) in t.iter_mut().zip(snapshot.iter()) {
-                *c = (*c).max(*s);
-            }
-        }
         let last = self.last_delivered.entry((origin, target)).or_insert(0);
         if token < *last {
             self.reorders += 1;
@@ -315,33 +251,22 @@ impl InvariantMonitor {
 
     /// Record `count` notifications of `notif`'s class matched at `target`.
     pub fn matched(&mut self, target: u32, notif: Notification, count: u64) {
-        let key = NotifKey::from(notif);
-        let c = self.counts.entry((target, key)).or_default();
+        let c = self.counts.entry((target, notif)).or_default();
         c.matched += count;
         if c.matched > c.delivered {
             self.violations.push(Violation::OverMatched {
                 target,
-                key,
+                key: notif,
                 matched: c.matched,
                 delivered: c.delivered,
             });
         }
     }
 
-    /// Final per-rank vector clocks (diagnostic).
-    pub fn clocks(&self) -> &[Vec<u64>] {
-        &self.clocks
-    }
-
-    /// World size the monitor was built for.
-    pub fn world(&self) -> u32 {
-        self.world
-    }
-
     /// Close the books: every minted token must have been delivered exactly
     /// once, and per-class matched ≤ delivered ≤ sent must hold.
     pub fn finish(mut self) -> VerifyReport {
-        let mut missing: BTreeMap<(u32, NotifKey), u64> = BTreeMap::new();
+        let mut missing: BTreeMap<(u32, Notification), u64> = BTreeMap::new();
         for rec in &self.tokens {
             if !rec.delivered {
                 *missing.entry((rec.target, rec.key)).or_default() += 1;
@@ -377,14 +302,14 @@ impl InvariantMonitor {
 #[derive(Debug, Clone, Default)]
 pub struct ShardCounters {
     /// (target, class) → notifications sent.
-    pub sent: BTreeMap<(u32, NotifKey), u64>,
+    pub sent: BTreeMap<(u32, Notification), u64>,
     /// (target, class) → notifications delivered (target-side).
-    pub delivered: BTreeMap<(u32, NotifKey), u64>,
+    pub delivered: BTreeMap<(u32, Notification), u64>,
     /// (target, class) → notifications matched (target-side).
-    pub matched: BTreeMap<(u32, NotifKey), u64>,
+    pub matched: BTreeMap<(u32, Notification), u64>,
     /// (target, class) → deliveries dropped because the target had already
     /// finished (legal at shutdown; balances the conservation equation).
-    pub dropped: BTreeMap<(u32, NotifKey), u64>,
+    pub dropped: BTreeMap<(u32, Notification), u64>,
     /// Credit-balance violations observed locally (in-flight > capacity).
     pub credit_overflows: u64,
     /// Largest in-flight bound observed on this shard's command ring.
@@ -396,34 +321,22 @@ pub struct ShardCounters {
 impl ShardCounters {
     /// Record a notification sent toward `target`.
     pub fn note_sent(&mut self, target: u32, notif: Notification) {
-        *self
-            .sent
-            .entry((target, NotifKey::from(notif)))
-            .or_default() += 1;
+        *self.sent.entry((target, notif)).or_default() += 1;
     }
 
     /// Record a delivery observed locally at `target`.
     pub fn note_delivered(&mut self, target: u32, notif: Notification) {
-        *self
-            .delivered
-            .entry((target, NotifKey::from(notif)))
-            .or_default() += 1;
+        *self.delivered.entry((target, notif)).or_default() += 1;
     }
 
     /// Record `count` local matches at `target`.
     pub fn note_matched(&mut self, target: u32, notif: Notification, count: u64) {
-        *self
-            .matched
-            .entry((target, NotifKey::from(notif)))
-            .or_default() += count;
+        *self.matched.entry((target, notif)).or_default() += count;
     }
 
     /// Record a delivery dropped at shutdown (target already finished).
     pub fn note_dropped(&mut self, target: u32, notif: Notification) {
-        *self
-            .dropped
-            .entry((target, NotifKey::from(notif)))
-            .or_default() += 1;
+        *self.dropped.entry((target, notif)).or_default() += 1;
     }
 
     /// Check the producer-side credit bound after a send.
@@ -475,7 +388,7 @@ where
     }
     let mut violations = Vec::new();
     let mut tracked = 0u64;
-    let keys: std::collections::BTreeSet<(u32, NotifKey)> = total
+    let keys: std::collections::BTreeSet<(u32, Notification)> = total
         .sent
         .keys()
         .chain(total.delivered.keys())
@@ -543,9 +456,9 @@ mod tests {
 
     #[test]
     fn clean_exactly_once_flow() {
-        let mut m = InvariantMonitor::new(4);
-        let t0 = m.sent(0, 1, n(0, 0, 7));
-        let t1 = m.sent(0, 1, n(0, 0, 7));
+        let mut m = InvariantMonitor::default();
+        let t0 = m.sent(1, n(0, 0, 7));
+        let t1 = m.sent(1, n(0, 0, 7));
         m.delivered(0, 1, t0, n(0, 0, 7));
         m.delivered(0, 1, t1, n(0, 0, 7));
         m.matched(1, n(0, 0, 7), 2);
@@ -556,8 +469,8 @@ mod tests {
 
     #[test]
     fn lost_notification_detected() {
-        let mut m = InvariantMonitor::new(2);
-        let _t = m.sent(0, 1, n(0, 0, 3));
+        let mut m = InvariantMonitor::default();
+        let _t = m.sent(1, n(0, 0, 3));
         let r = m.finish();
         assert!(matches!(
             r.violations.as_slice(),
@@ -571,8 +484,8 @@ mod tests {
 
     #[test]
     fn double_delivery_detected() {
-        let mut m = InvariantMonitor::new(2);
-        let t = m.sent(0, 1, n(0, 0, 3));
+        let mut m = InvariantMonitor::default();
+        let t = m.sent(1, n(0, 0, 3));
         m.delivered(0, 1, t, n(0, 0, 3));
         m.delivered(0, 1, t, n(0, 0, 3));
         let r = m.finish();
@@ -588,8 +501,8 @@ mod tests {
 
     #[test]
     fn over_match_detected() {
-        let mut m = InvariantMonitor::new(2);
-        let t = m.sent(0, 1, n(0, 0, 3));
+        let mut m = InvariantMonitor::default();
+        let t = m.sent(1, n(0, 0, 3));
         m.delivered(0, 1, t, n(0, 0, 3));
         m.matched(1, n(0, 0, 3), 2);
         let r = m.finish();
@@ -605,9 +518,9 @@ mod tests {
 
     #[test]
     fn reorders_counted_not_flagged() {
-        let mut m = InvariantMonitor::new(2);
-        let t0 = m.sent(0, 1, n(0, 0, 1));
-        let t1 = m.sent(0, 1, n(0, 0, 2));
+        let mut m = InvariantMonitor::default();
+        let t0 = m.sent(1, n(0, 0, 1));
+        let t1 = m.sent(1, n(0, 0, 2));
         m.delivered(0, 1, t1, n(0, 0, 2));
         m.delivered(0, 1, t0, n(0, 0, 1));
         m.matched(1, n(0, 0, 1), 1);

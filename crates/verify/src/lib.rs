@@ -14,8 +14,8 @@
 //!    shrinking. [`suite`] is the CI regression corpus, including a seeded
 //!    `Release` → `Relaxed` mutation the checker must catch.
 //! 2. [`invariants`] — a **runtime invariant monitor** pluggable into the
-//!    simulator world (token-level exactly-once tracking, vector clocks)
-//!    and the threaded runtime (per-thread counter shards reconciled after
+//!    simulator world (token-level exactly-once tracking) and the
+//!    threaded runtime (per-thread counter shards reconciled after
 //!    the join); violations surface as a structured [`VerifyReport`].
 //! 3. [`deadlock`] — a **wait-for graph** over blocked ranks with
 //!    wildcard-aware edges, a hopeless-set fixpoint, cycle extraction and
@@ -38,9 +38,7 @@ pub mod shim;
 pub mod suite;
 
 pub use deadlock::{DeadlockReport, WaitForGraph, WaitReason};
-pub use invariants::{
-    reconcile_shards, InvariantMonitor, NotifKey, ShardCounters, VerifyReport, Violation,
-};
+pub use invariants::{reconcile_shards, InvariantMonitor, ShardCounters, VerifyReport, Violation};
 pub use races::{AccessInfo, AccessKind, RaceDetector, RaceHandle, RaceMode, RaceReport};
 pub use sched::{vyield, Failure, FailureKind, Model, Outcome, Schedule};
 pub use shim::VPlatform;

@@ -1,6 +1,6 @@
 //! `cargo run -p xtask -- <task>`: dependency-free repo maintenance.
 //!
-//! Three tasks:
+//! Two tasks:
 //! * `lint` — a line-based source pass enforcing repo rules that
 //!   rustc/clippy cannot express (see `LINT RULES` below: R1 no unwraps
 //!   in runtime/queue code, R2 no raw shims, R3 no relaxed SPSC orderings,
@@ -18,11 +18,6 @@
 //!   and its per-layer rows are held to the baseline's `bounds` — one
 //!   form, `{workload, row, min_value | max_value}`. See EXPERIMENTS.md
 //!   for re-baselining.
-//! * `launch [ARGS...]` — build and run the `dcuda-launch` binary in
-//!   release mode, forwarding all arguments (see `dcuda-launch --help`
-//!   and EXPERIMENTS.md for recipes). `cargo run -p xtask -- launch
-//!   --procs 2 --workload overlap` runs the overlap microbenchmark
-//!   across two OS processes over the socket transport.
 
 use dcuda_bench::json::Json;
 use std::path::{Path, PathBuf};
@@ -79,10 +74,9 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("lint") => lint(),
         Some("bench-diff") => bench_diff(args.collect()),
-        Some("launch") => launch(args.collect()),
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint\n       cargo run -p xtask -- bench-diff BASELINE FIGURES [WORKLOAD.json...] [--tol FRAC]\n       cargo run -p xtask -- launch [DCUDA-LAUNCH ARGS]\n  (got {:?})",
+                "usage: cargo run -p xtask -- lint\n       cargo run -p xtask -- bench-diff BASELINE FIGURES [WORKLOAD.json...] [--tol FRAC]\n  (got {:?})",
                 other.unwrap_or("<none>")
             );
             ExitCode::from(2)
@@ -312,34 +306,6 @@ fn bench_diff(args: Vec<String>) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// `launch [ARGS...]`: build and run the multi-process launcher in release
-/// mode, forwarding every argument verbatim. A thin convenience wrapper so
-/// the canonical invocation is discoverable next to `lint`/`bench-diff`.
-fn launch(args: Vec<String>) -> ExitCode {
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let status = std::process::Command::new(cargo)
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "dcuda",
-            "--bin",
-            "dcuda-launch",
-            "--",
-        ])
-        .args(&args)
-        .current_dir(repo_root())
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(s) => ExitCode::from(s.code().unwrap_or(1).clamp(0, 255) as u8),
-        Err(e) => {
-            eprintln!("xtask launch: failed to run cargo: {e}");
-            ExitCode::FAILURE
-        }
     }
 }
 

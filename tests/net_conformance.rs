@@ -183,7 +183,7 @@ fn conformance_stencil_backends_agree() {
     }
 }
 
-/// The overlap microbenchmark — the headline workload `xtask launch` runs.
+/// The overlap microbenchmark — the headline workload `dcuda-launch` runs.
 #[test]
 fn conformance_overlap_backends_agree() {
     if full_tier("overlap full-scale world") {
