@@ -147,7 +147,7 @@ impl MpiCudaSim {
             self.scratch.clear();
             dev.advance_to(start, &mut self.scratch);
             for (b, &c) in node_charges.iter().enumerate() {
-                dev.submit_block_work(BlockSlot(b as u32), c, b as u64);
+                dev.submit_block_work(start, BlockSlot(b as u32), c, b as u64);
             }
             let mut end = start;
             while let Some(tnext) = dev.next_event() {

@@ -771,7 +771,7 @@ impl ClusterSim {
                     // Bring the device up to date, add the new work, then
                     // arm the timer once for the new active set.
                     self.drain_device(node, now);
-                    self.devices[node as usize].submit_block_work(BlockSlot(local), c, tag);
+                    self.devices[node as usize].submit_block_work(now, BlockSlot(local), c, tag);
                     self.rearm_device(node);
                     return;
                 }

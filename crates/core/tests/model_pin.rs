@@ -16,6 +16,10 @@ use dcuda_device::BlockCharge;
 const HALO: usize = 1024;
 /// Compute iterations per exchange (Figs. 7 and 8 at x = 64).
 const WORK_ITERS: f64 = 64.0;
+/// Fig. 7's Newton work per step: 128 threads x one ~16-flop division.
+const NEWTON_FLOPS: f64 = 128.0 * 16.0 * WORK_ITERS;
+/// Fig. 8's copy work per step: read and write one halo per iteration.
+const COPY_BYTES: f64 = 2.0 * HALO as f64 * WORK_ITERS;
 
 /// `(end_time in ps, FNV-1a over rank_finish in ps)`.
 fn pin(report: &RunReport) -> (u64, u64) {
@@ -78,18 +82,19 @@ impl RankKernel for ChainHalo {
     }
 }
 
-/// 2 nodes x 104 ranks (8 blocks per SM), 5 exchanges.
-fn chain_halo(charge: BlockCharge) -> RunReport {
+/// A chain of `nodes x ranks_per_node` ranks, 5 exchanges, rank `r`
+/// charging `charge(r)` per step.
+fn chain_halo(ranks_per_node: u32, charge: impl Fn(u32) -> BlockCharge) -> RunReport {
     let topo = Topology {
         nodes: 2,
-        ranks_per_node: 104,
+        ranks_per_node,
     };
     let world = topo.world_size();
     let kernels: Vec<Box<dyn RankKernel>> = topo
         .ranks()
         .map(|r| {
             Box::new(ChainHalo {
-                charge,
+                charge: charge(r.0),
                 left: (r.0 > 0).then(|| Rank(r.0 - 1)),
                 right: (r.0 + 1 < world).then(|| Rank(r.0 + 1)),
                 exchanges: 5,
@@ -159,7 +164,8 @@ fn distributed_pingpong(bytes: usize) -> RunReport {
 /// Newton work between ring halos: every SM runs eight uncapped jobs.
 #[test]
 fn sim_overlap_halo_is_pinned() {
-    let report = chain_halo(BlockCharge::flops(128.0 * 16.0 * WORK_ITERS));
+    // 2 nodes x 104 ranks: 8 blocks per SM.
+    let report = chain_halo(104, |_| BlockCharge::flops(NEWTON_FLOPS));
     assert_eq!(pin(&report), (344_378_270, 7_847_132_373_934_159_964));
     assert_eq!(
         counters(&report),
@@ -170,12 +176,30 @@ fn sim_overlap_halo_is_pinned() {
 /// Fig. 8's copy work: per-block capped jobs on the memory interface.
 #[test]
 fn fig8_copy_is_pinned() {
-    let report = chain_halo(BlockCharge::mem(2.0 * HALO as f64 * WORK_ITERS));
+    let report = chain_halo(104, |_| BlockCharge::mem(COPY_BYTES));
     assert_eq!(pin(&report), (534_202_380, 12_224_945_028_383_171_389));
     assert_eq!(
         counters(&report),
         [21_638, 20, 0, 10_720, 2_070, 2_070, 418]
     );
+}
+
+/// A partly occupied device: 2 nodes x 5 ranks leave 8 of 13 SMs idle
+/// for the whole run. Ranks cycle through compute-only, memory-only and
+/// roofline (both) charges, so idle SMs, busy SMs and the capped memory
+/// interface all take part in the same advances.
+#[test]
+fn partial_occupancy_mixed_charges_are_pinned() {
+    let report = chain_halo(5, |r| match r % 3 {
+        0 => BlockCharge::flops(NEWTON_FLOPS),
+        1 => BlockCharge::mem(COPY_BYTES),
+        _ => BlockCharge {
+            flops: NEWTON_FLOPS / 2.0,
+            mem_bytes: COPY_BYTES,
+        },
+    });
+    assert_eq!(pin(&report), (411_696_779, 7_227_581_985_886_942_473));
+    assert_eq!(counters(&report), [984, 20, 0, 10_720, 90, 90, 16]);
 }
 
 /// Fig. 6's distributed ping-pong, for an empty and a 64 KiB packet.

@@ -33,5 +33,5 @@ pub use fifo::FifoResource;
 pub use ps::{PsJobId, PsResource};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
-pub use slab::{Slab, SlotKey};
+pub use slab::{BitSet, Slab, SlotKey};
 pub use time::{SimDuration, SimTime};

@@ -22,14 +22,20 @@
 //!
 //! The resource does not schedule its own events. The owning model must:
 //!
-//! 1. call [`PsResource::advance_to`] with the current time before any
-//!    mutation (submit/cancel) and at every completion event,
-//! 2. after any change to the active set, re-query
+//! 1. call [`PsResource::advance_to`] with the current time before a cancel,
+//!    before a submit to a busy resource, and at every completion event;
+//! 2. pass the current time to [`PsResource::submit`], which stamps it on a
+//!    resource that was idle — an idle resource has nothing to serve, so it
+//!    need not be advanced at all while it stays idle;
+//! 3. after any change to the active set, re-query
 //!    [`PsResource::next_completion`] and re-arm its timer slot for that
 //!    instant (see [`EventQueue::arm`](crate::EventQueue::arm)).
 //!
 //! Under that protocol, jobs complete exactly at the instants the resource
-//! predicts (modulo 1 ps rounding, absorbed by an epsilon).
+//! predicts (modulo 1 ps rounding, absorbed by an epsilon). Advancing an
+//! idle resource, or a busy one again to the instant it already holds with
+//! no submit since, is an inlined no-op: neither can change any job's
+//! remaining demand, the delivered total or the next completion.
 
 use crate::slab::{Slab, SlotKey};
 use crate::time::{SimDuration, SimTime};
@@ -54,6 +60,10 @@ pub struct PsResource {
     cap: f64,
     jobs: Slab<Job>,
     last_update: SimTime,
+    /// A job was submitted since the last advance, so an advance to
+    /// `last_update` itself still has work: completing zero-demand jobs and
+    /// refreshing `next`.
+    submitted: bool,
     /// `(n, level)`: the per-job service rate for `n` live jobs, cached
     /// until the job count changes.
     level: (usize, f64),
@@ -93,6 +103,7 @@ impl PsResource {
             cap,
             jobs: Slab::new(),
             last_update: SimTime::ZERO,
+            submitted: false,
             level: (0, 0.0),
             next: Some(None),
             delivered: 0.0,
@@ -139,21 +150,46 @@ impl PsResource {
         self.level.1
     }
 
+    /// True when no job is live.
+    #[inline]
+    pub fn is_idle(&self) -> bool {
+        self.jobs.is_empty()
+    }
+
     /// Advance the resource to `now`, serving active jobs at the service
     /// level, and append `(job, tag)` for every job that completes
     /// (remaining demand reaches zero) to `completed`, in slot order.
+    ///
+    /// An idle resource, or one already at `now` with no submit since its
+    /// last advance, returns at once: the full pass would serve nothing and
+    /// complete nothing, and the next completion it would cache is the one
+    /// [`next_completion`](Self::next_completion) computes lazily.
+    ///
+    /// # Panics
+    /// Panics if `now` is before the instant the resource was last advanced
+    /// or submitted to.
+    #[inline]
+    pub fn advance_to(&mut self, now: SimTime, completed: &mut Vec<(PsJobId, u64)>) {
+        if self.jobs.is_empty() {
+            assert!(now >= self.last_update, "PsResource time went backwards");
+            return;
+        }
+        if now == self.last_update && !self.submitted {
+            return;
+        }
+        self.serve_to(now, completed);
+    }
+
+    /// The full advance pass over every live job.
     ///
     /// The same pass also caches the next completion: every survivor runs at
     /// one level, and correctly rounded division by a positive constant is
     /// monotonic, so the least remaining demand over the level *is* the
     /// least per-job quotient.
-    pub fn advance_to(&mut self, now: SimTime, completed: &mut Vec<(PsJobId, u64)>) {
-        debug_assert!(now >= self.last_update, "PsResource time went backwards");
+    fn serve_to(&mut self, now: SimTime, completed: &mut Vec<(PsJobId, u64)>) {
         let dt = now.since(self.last_update).as_secs_f64();
         self.last_update = now;
-        if self.jobs.is_empty() {
-            return;
-        }
+        self.submitted = false;
         let level = self.level();
         let eps = self.eps;
         let first = completed.len();
@@ -178,15 +214,32 @@ impl PsResource {
         );
     }
 
-    /// Submit a job with `demand` service units. The caller must have called
-    /// [`advance_to`](Self::advance_to) for the current instant first.
+    /// Submit a job with `demand` service units at `now`. A busy resource
+    /// must already have been advanced to `now`; an idle one takes `now` as
+    /// its last update, since it had nothing to serve before.
     ///
     /// Zero-demand jobs are legal; they complete at the next `advance_to`.
-    pub fn submit(&mut self, demand: f64, tag: u64) -> PsJobId {
+    ///
+    /// # Panics
+    /// Panics if `demand` is negative or not finite, if `now` is before the
+    /// resource's last update, or if a busy resource was not advanced to
+    /// `now` first.
+    pub fn submit(&mut self, now: SimTime, demand: f64, tag: u64) -> PsJobId {
         assert!(
             demand.is_finite() && demand >= 0.0,
             "PsResource demand must be non-negative, got {demand}"
         );
+        if self.jobs.is_empty() {
+            assert!(now >= self.last_update, "PsResource time went backwards");
+            self.last_update = now;
+        } else {
+            assert!(
+                now == self.last_update,
+                "PsResource submit at {now} to a busy resource last advanced to {}",
+                self.last_update
+            );
+        }
+        self.submitted = true;
         self.next = None;
         PsJobId(self.jobs.insert(Job {
             remaining: demand,
@@ -243,9 +296,7 @@ mod tests {
     #[test]
     fn single_job_completes_at_demand_over_rate() {
         let mut r = PsResource::new(100.0); // 100 units/s
-        let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        r.submit(50.0, 7); // 0.5 s
+        r.submit(SimTime::ZERO, 50.0, 7); // 0.5 s
         let t = r.next_completion().unwrap();
         assert!((t.as_secs_f64() - 0.5).abs() < 1e-9);
         assert_eq!(drain(&mut r, t), vec![7]);
@@ -255,10 +306,8 @@ mod tests {
     #[test]
     fn two_equal_jobs_share_rate() {
         let mut r = PsResource::new(100.0);
-        let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        r.submit(50.0, 1);
-        r.submit(50.0, 2);
+        r.submit(SimTime::ZERO, 50.0, 1);
+        r.submit(SimTime::ZERO, 50.0, 2);
         // Each gets 50 units/s -> both complete at t = 1 s.
         let t = r.next_completion().unwrap();
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
@@ -271,11 +320,10 @@ mod tests {
     fn late_arrival_slows_first_job() {
         let mut r = PsResource::new(100.0);
         let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        r.submit(100.0, 1); // alone: 1 s
+        r.submit(SimTime::ZERO, 100.0, 1); // alone: 1 s
         r.advance_to(secs(0.5), &mut done);
         assert!(done.is_empty());
-        r.submit(100.0, 2);
+        r.submit(secs(0.5), 100.0, 2);
         // Job 1 has 50 left at half rate -> completes at 0.5 + 1.0 = 1.5 s.
         let t = r.next_completion().unwrap();
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-9, "got {}", t);
@@ -294,11 +342,10 @@ mod tests {
         // as long as at least one job keeps the resource busy.
         let mut r = PsResource::new(10.0);
         let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        r.submit(10.0, 1); // 1 s alone
+        r.submit(SimTime::ZERO, 10.0, 1); // 1 s alone
         let t1 = r.next_completion().unwrap();
         r.advance_to(t1, &mut done);
-        r.submit(10.0, 2);
+        r.submit(t1, 10.0, 2);
         let t2 = r.next_completion().unwrap();
         assert!((t2.as_secs_f64() - 2.0).abs() < 1e-9);
     }
@@ -306,9 +353,7 @@ mod tests {
     #[test]
     fn zero_demand_completes_immediately() {
         let mut r = PsResource::new(1.0);
-        let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        r.submit(0.0, 9);
+        r.submit(SimTime::ZERO, 0.0, 9);
         let t = r.next_completion().unwrap();
         assert_eq!(t, SimTime::ZERO);
         assert_eq!(drain(&mut r, t), vec![9]);
@@ -317,10 +362,8 @@ mod tests {
     #[test]
     fn cancel_removes_job() {
         let mut r = PsResource::new(10.0);
-        let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        let a = r.submit(10.0, 1);
-        r.submit(10.0, 2);
+        let a = r.submit(SimTime::ZERO, 10.0, 1);
+        r.submit(SimTime::ZERO, 10.0, 2);
         assert_eq!(r.cancel(a), Some(10.0));
         // Remaining job now gets full rate: completes at 1 s.
         let t = r.next_completion().unwrap();
@@ -331,8 +374,7 @@ mod tests {
     fn delivered_accounts_work() {
         let mut r = PsResource::new(100.0);
         let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        r.submit(30.0, 1);
+        r.submit(SimTime::ZERO, 30.0, 1);
         let t = r.next_completion().unwrap();
         r.advance_to(t, &mut done);
         assert!((r.delivered() - 30.0).abs() < 1e-6);
@@ -344,13 +386,44 @@ mod tests {
         // same predicted instant without epsilon misses.
         let mut r = PsResource::new(1.37e12);
         let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
         for i in 0..208 {
-            r.submit(1e6, i);
+            r.submit(SimTime::ZERO, 1e6, i);
         }
         let t = r.next_completion().unwrap();
         r.advance_to(t, &mut done);
         assert_eq!(done.len(), 208);
+    }
+
+    #[test]
+    fn idle_resource_takes_the_submit_instant() {
+        let mut r = PsResource::new(10.0);
+        let mut done = Vec::new();
+        r.submit(SimTime::ZERO, 10.0, 1);
+        r.advance_to(secs(1.0), &mut done);
+        assert!(r.is_idle());
+        // Idle and never advanced from 1 s to 2 s: nothing was owed.
+        r.submit(secs(2.0), 10.0, 2);
+        let t = r.next_completion().unwrap();
+        assert!((t.as_secs_f64() - 3.0).abs() < 1e-9, "got {t}");
+    }
+
+    #[test]
+    #[should_panic(expected = "busy resource last advanced")]
+    fn submit_to_busy_resource_needs_an_advance() {
+        let mut r = PsResource::new(10.0);
+        r.submit(SimTime::ZERO, 10.0, 1);
+        r.submit(secs(0.5), 10.0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "time went backwards")]
+    fn idle_advance_into_the_past_panics() {
+        let mut r = PsResource::new(10.0);
+        let mut done = Vec::new();
+        r.submit(secs(1.0), 0.0, 1);
+        r.advance_to(secs(1.0), &mut done);
+        assert_eq!(done.len(), 1);
+        r.advance_to(secs(0.5), &mut done);
     }
 
     #[test]
@@ -366,9 +439,7 @@ mod tests {
         // A 240 GB/s memory interface, but one block caps at 1 GB/s — the
         // paper's "single block cannot saturate the memory interface".
         let mut r = PsResource::capped(240e9, 1e9);
-        let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        r.submit(1e9, 1); // 1 GB at 1 GB/s cap -> 1 s
+        r.submit(SimTime::ZERO, 1e9, 1); // 1 GB at 1 GB/s cap -> 1 s
         let t = r.next_completion().unwrap();
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-9, "got {t}");
     }
@@ -379,9 +450,8 @@ mod tests {
         // the caps, is the bottleneck; each job gets the 0.5 GB/s fair share.
         let mut r = PsResource::capped(120e9, 1e9);
         let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
         for i in 0..240 {
-            r.submit(0.5e9, i);
+            r.submit(SimTime::ZERO, 0.5e9, i);
         }
         let t = r.next_completion().unwrap();
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-9, "got {t}");
@@ -394,8 +464,7 @@ mod tests {
         // One job with cap 10 on a rate-100 resource: utilization is 10%.
         let mut r = PsResource::capped(100.0, 10.0);
         let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
-        r.submit(20.0, 1);
+        r.submit(SimTime::ZERO, 20.0, 1);
         let t = r.next_completion().unwrap();
         assert!((t.as_secs_f64() - 2.0).abs() < 1e-9);
         r.advance_to(t, &mut done);

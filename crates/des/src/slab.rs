@@ -6,10 +6,10 @@
 //! which in a simulator otherwise manifest as silent cross-talk between
 //! unrelated transfers.
 //!
-//! An occupancy bitset makes iteration cost O(len + capacity / 64) instead
-//! of O(capacity): a slab that once held hundreds of entries and now holds
-//! a handful walks only the handful. Iteration order stays ascending slot
-//! order, which callers rely on for deterministic tie-breaking.
+//! An occupancy [`BitSet`] makes iteration cost O(len + capacity / 64)
+//! instead of O(capacity): a slab that once held hundreds of entries and now
+//! holds a handful walks only the handful. Iteration order stays ascending
+//! slot order, which callers rely on for deterministic tie-breaking.
 
 /// Key into a [`Slab`]; invalidated when its slot is reused.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -69,8 +69,8 @@ enum Slot<T> {
 /// A slab with generation-checked keys.
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
-    /// Bit `i % 64` of word `i / 64` is set while slot `i` is occupied.
-    occupied: Vec<u64>,
+    /// The occupied slot indices.
+    occupied: BitSet,
     free_head: Option<u32>,
     len: usize,
 }
@@ -80,7 +80,7 @@ impl<T> Slab<T> {
     pub fn new() -> Self {
         Slab {
             slots: Vec::new(),
-            occupied: Vec::new(),
+            occupied: BitSet::default(),
             free_head: None,
             len: 0,
         }
@@ -90,7 +90,7 @@ impl<T> Slab<T> {
     pub fn with_capacity(cap: usize) -> Self {
         Slab {
             slots: Vec::with_capacity(cap),
-            occupied: Vec::with_capacity(cap.div_ceil(64)),
+            occupied: BitSet::with_capacity(cap),
             free_head: None,
             len: 0,
         }
@@ -136,16 +136,13 @@ impl<T> Slab<T> {
                     generation: 0,
                     value,
                 });
-                if index % 64 == 0 {
-                    self.occupied.push(0);
-                }
                 SlotKey {
                     index,
                     generation: 0,
                 }
             }
         };
-        self.occupied[key.index() / 64] |= 1 << (key.index % 64);
+        self.occupied.insert(key.index());
         key
     }
 
@@ -162,7 +159,7 @@ impl<T> Slab<T> {
                     },
                 );
                 self.free_head = Some(key.index);
-                self.occupied[key.index() / 64] &= !(1 << (key.index % 64));
+                self.occupied.remove(key.index());
                 self.len -= 1;
                 match old {
                     Slot::Occupied { value, .. } => Some(value),
@@ -197,7 +194,7 @@ impl<T> Slab<T> {
     /// Iterate over `(key, &value)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (SlotKey, &T)> {
         let slots = &self.slots;
-        LiveSlots::new(&self.occupied).map(move |i| match &slots[i] {
+        self.occupied.iter().map(move |i| match &slots[i] {
             Slot::Occupied { generation, value } => (SlotKey::new(i, *generation), value),
             Slot::Free { .. } => unreachable!("occupancy bit set on a free slot"),
         })
@@ -207,7 +204,7 @@ impl<T> Slab<T> {
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (SlotKey, &mut T)> {
         let mut slots = self.slots.iter_mut();
         let mut next = 0;
-        LiveSlots::new(&self.occupied).map(move |i| {
+        self.occupied.iter().map(move |i| {
             // `nth` on a slice iterator skips the free run in O(1).
             let slot = slots.nth(i - next).expect("occupancy bit past the end");
             next = i + 1;
@@ -219,24 +216,70 @@ impl<T> Slab<T> {
     }
 }
 
-/// The indices of the set bits of an occupancy bitset, ascending.
-struct LiveSlots<'a> {
+/// A set of small indices, one bit each (bit `i % 64` of word `i / 64`),
+/// visited in ascending order: a slab's occupied slots, a device's busy
+/// SMs.
+#[derive(Default)]
+pub struct BitSet(Vec<u64>);
+
+impl BitSet {
+    /// An empty set that holds indices below `n` without growing.
+    pub fn with_capacity(n: usize) -> Self {
+        BitSet(Vec::with_capacity(n.div_ceil(64)))
+    }
+
+    /// Add `i`, growing the set as needed.
+    #[inline]
+    pub fn insert(&mut self, i: usize) {
+        let w = i / 64;
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
+        }
+        self.0[w] |= 1 << (i % 64);
+    }
+
+    /// Remove `i`; an absent index is ignored.
+    #[inline]
+    pub fn remove(&mut self, i: usize) {
+        if let Some(word) = self.0.get_mut(i / 64) {
+            *word &= !(1 << (i % 64));
+        }
+    }
+
+    /// The members, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        Members {
+            words: &self.0,
+            next_word: 0,
+            bits: 0,
+        }
+    }
+
+    /// Visit the members in ascending order, removing each one for which
+    /// `keep` returns false.
+    #[inline]
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (w, word) in self.0.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                if !keep(w * 64 + b as usize) {
+                    *word &= !(1 << b);
+                }
+            }
+        }
+    }
+}
+
+/// [`BitSet::iter`].
+struct Members<'a> {
     words: &'a [u64],
     next_word: usize,
     bits: u64,
 }
 
-impl<'a> LiveSlots<'a> {
-    fn new(words: &'a [u64]) -> Self {
-        LiveSlots {
-            words,
-            next_word: 0,
-            bits: 0,
-        }
-    }
-}
-
-impl Iterator for LiveSlots<'_> {
+impl Iterator for Members<'_> {
     type Item = usize;
 
     #[inline]

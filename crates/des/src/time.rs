@@ -96,14 +96,27 @@ impl SimDuration {
         SimDuration(ms * 1_000_000_000)
     }
 
-    /// Construct from float seconds, rounding to the nearest picosecond.
-    /// Negative or non-finite inputs are clamped to zero.
+    /// Construct from float seconds, rounding to the nearest picosecond
+    /// (halves away from zero). Negative or non-finite inputs are clamped
+    /// to zero.
+    ///
+    /// The value is exactly `(secs * 1e12).round() as u64`, without the
+    /// libm `round` call: below 2^52 picoseconds the truncation is exact
+    /// and so is the fraction it leaves, so rounding is one compare (and
+    /// the signed conversions there are single instructions on x86-64);
+    /// from 2^52 up every `f64` is already an integer, and `as` saturates
+    /// past `u64::MAX` just as it does after `round`.
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         if !secs.is_finite() || secs <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((secs * 1e12).round() as u64)
+        let ps = secs * 1e12;
+        if ps >= (1u64 << 52) as f64 {
+            return SimDuration(ps as u64);
+        }
+        let whole = ps as i64;
+        SimDuration((whole + i64::from(ps - whole as f64 >= 0.5)) as u64)
     }
 
     /// Raw picosecond count.

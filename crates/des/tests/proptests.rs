@@ -196,7 +196,7 @@ fn ps_conserves_work() {
             r.advance_to(now, &mut done);
             completed = done.len();
             while i < n && SimTime::from_ps(arr[i] * 1_000_000) == now {
-                r.submit(demands[i], i as u64);
+                r.submit(now, demands[i], i as u64);
                 i += 1;
             }
         }
@@ -218,11 +218,9 @@ fn ps_caps_respected() {
         let n = g.usize_in(1, 20);
         let rate = 50.0;
         let mut r = PsResource::capped(rate, cap);
-        let mut done = Vec::new();
-        r.advance_to(SimTime::ZERO, &mut done);
         // Every job of demand equal to the cap: each needs >= 1 s.
         for i in 0..n {
-            r.submit(cap, i as u64);
+            r.submit(SimTime::ZERO, cap, i as u64);
         }
         let first = r.next_completion().unwrap();
         // No completion can happen before 1 s (cap-bound) nor before
@@ -365,16 +363,20 @@ impl OraclePs {
 }
 
 /// The incremental `PsResource` (one cached service level, cached next
-/// completion fused into the advance pass, caller-buffered completions)
-/// is indistinguishable from the oracle given the same cap on every
-/// submit: the same completion instants in ps, the same tags in the same
-/// order, bitwise-equal `delivered` and per-job remaining demand, over
-/// seeded mixes of plain and zero-demand submits, cancels, and advances to
-/// the predicted next completion, to the current instant again, and to
-/// random later instants. Half the cases are uncapped (an SM), half capped
-/// (the memory interface), including borderline caps of `rate / n` and one
-/// ulp either side for an `n` the case reaches, where `min(cap, rate / n)`
-/// and water-filling differ in the last bit.
+/// completion fused into the advance pass, caller-buffered completions,
+/// inlined no-op advances) is indistinguishable from the oracle given the
+/// same cap on every submit: the same completion instants in ps, the same
+/// tags in the same order, bitwise-equal `delivered` and per-job remaining
+/// demand, over seeded mixes of plain and zero-demand submits, cancels,
+/// and advances to the predicted next completion, to the current instant
+/// again (often right after a submit or a cancel), and to random later
+/// instants. When the resource runs dry, time sometimes moves on with only
+/// the oracle advanced, so the next submit lands on a resource idle since
+/// an earlier instant, as an idle SM outside the device's busy set does.
+/// Half the cases are uncapped (an SM), half capped (the memory
+/// interface), including borderline caps of `rate / n` and one ulp either
+/// side for an `n` the case reaches, where `min(cap, rate / n)` and
+/// water-filling differ in the last bit.
 #[test]
 fn ps_matches_pre_cache_oracle() {
     forall("ps_matches_pre_cache_oracle", 512, |g| {
@@ -398,13 +400,14 @@ fn ps_matches_pre_cache_oracle() {
         let mut submit = |g: &mut Gen,
                           fast: &mut PsResource,
                           spec: &mut OraclePs,
-                          live: &mut Vec<(PsJobId, SlotKey)>| {
+                          live: &mut Vec<(PsJobId, SlotKey)>,
+                          now: SimTime| {
             let demand = match g.usize_below(6) {
                 0 => 0.0,
                 _ => rate * g.f64_in(1e-9, 1e-5),
             };
             tag += 1;
-            let a = fast.submit(demand, tag);
+            let a = fast.submit(now, demand, tag);
             let b = spec.submit_capped(demand, cap, tag);
             live.push((a, b));
         };
@@ -425,15 +428,23 @@ fn ps_matches_pre_cache_oracle() {
         };
         // A borderline cap is only borderline at its `n`: reach it first.
         for _ in 0..warm {
-            submit(g, &mut fast, &mut spec, &mut live);
+            submit(g, &mut fast, &mut spec, &mut live, now);
         }
         for _ in 0..g.usize_in(1, 150) {
-            match g.usize_below(10) {
-                0..=3 => submit(g, &mut fast, &mut spec, &mut live),
+            match g.usize_below(11) {
+                0..=3 => {
+                    submit(g, &mut fast, &mut spec, &mut live, now);
+                    if g.bool() {
+                        step(&mut fast, &mut spec, &mut live, now);
+                    }
+                }
                 4 if !live.is_empty() => {
                     let (a, b) = live.swap_remove(g.usize_below(live.len()));
                     let (ra, rb) = (fast.cancel(a), spec.cancel(b));
                     assert_eq!(ra.map(f64::to_bits), rb.map(f64::to_bits));
+                    if g.bool() {
+                        step(&mut fast, &mut spec, &mut live, now);
+                    }
                 }
                 5..=6 => {
                     let (a, b) = (fast.next_completion(), spec.next_completion());
@@ -444,6 +455,14 @@ fn ps_matches_pre_cache_oracle() {
                     }
                 }
                 7 => step(&mut fast, &mut spec, &mut live, now),
+                8 if live.is_empty() => {
+                    // Idle gap: only the oracle sees the time pass.
+                    assert!(fast.is_idle());
+                    now += SimDuration::from_secs_f64(g.f64_in(0.0, 2e-5));
+                    let mut none = Vec::new();
+                    spec.advance_to(now, &mut none);
+                    assert!(none.is_empty());
+                }
                 _ => {
                     now += SimDuration::from_secs_f64(g.f64_in(0.0, 2e-5));
                     step(&mut fast, &mut spec, &mut live, now);
@@ -452,6 +471,7 @@ fn ps_matches_pre_cache_oracle() {
             if g.bool() {
                 assert_eq!(fast.next_completion(), spec.next_completion());
             }
+            assert_eq!(fast.is_idle(), live.is_empty());
             for &(a, b) in &live {
                 assert_eq!(
                     fast.remaining(a).map(f64::to_bits),
@@ -570,5 +590,101 @@ fn summary_order_invariant() {
         assert_eq!(a.min(), b.min());
         assert_eq!(a.max(), b.max());
         assert!((a.mean().unwrap() - b.mean().unwrap()).abs() < 1e-6);
+    });
+}
+
+/// `SimDuration::from_secs_f64` as it was before the libm-free rounding:
+/// the clamp of negative and non-finite inputs to zero, then `round`.
+fn libm_ps(secs: f64) -> u64 {
+    if !secs.is_finite() || secs <= 0.0 {
+        return 0;
+    }
+    (secs * 1e12).round() as u64
+}
+
+/// The libm-free rounding in `from_secs_f64` gives exactly
+/// `(secs * 1e12).round() as u64`: at and one ulp either side of `k + 0.5`
+/// picoseconds (halves round away from zero), at 0.49999999999999994 (where
+/// adding one half and truncating rounds up), around 2^52 (the last
+/// binade with a fraction: 2^52 − 0.5 rounds up), at 2^63, 2^64 and beyond
+/// (where `as` saturates), on subnormal and clamped inputs, and over a
+/// seeded sweep of magnitudes and raw bit patterns.
+#[test]
+fn from_secs_f64_matches_libm_round() {
+    let check = |secs: f64| {
+        assert_eq!(
+            SimDuration::from_secs_f64(secs).as_ps(),
+            libm_ps(secs),
+            "secs = {secs:e} ({:#018x})",
+            secs.to_bits()
+        );
+    };
+    let two52 = (1u64 << 52) as f64;
+    let mut targets = vec![
+        0.49999999999999994,
+        two52 - 1.0,
+        two52 - 0.5,
+        two52,
+        two52 + 1.0,
+        2.0 * two52 + 2.0,
+        (1u64 << 63) as f64,
+        u64::MAX as f64,
+        1e20,
+    ];
+    targets.extend(
+        [
+            0u64,
+            1,
+            2,
+            3,
+            7,
+            1000,
+            19_000_000,
+            123_456_789,
+            1 << 40,
+            (1 << 51) - 1,
+        ]
+        .map(|k| k as f64 + 0.5),
+    );
+    for target in targets {
+        // Step over the inputs whose products land just below, on (where
+        // some input's does) and just above the target.
+        let mut secs = target / 1e12;
+        for _ in 0..4 {
+            secs = secs.next_down();
+        }
+        let (mut below, mut above) = (false, false);
+        for _ in 0..9 {
+            below |= secs * 1e12 <= target;
+            above |= secs * 1e12 >= target;
+            check(secs);
+            secs = secs.next_up();
+        }
+        assert!(below && above, "inputs do not straddle {target} ps");
+    }
+    let specials = [
+        0.0,
+        -0.0,
+        -1.0,
+        -1e-12,
+        f64::from_bits(1),
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 3.0,
+        5e-13,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        1e300,
+    ];
+    for secs in specials {
+        check(secs);
+    }
+    forall("from_secs_f64_matches_libm_round", 4096, |g| {
+        check(g.f64_in(0.0, 1e-3));
+        check(g.f64_in(0.0, 1.0) * 10f64.powi(g.usize_below(30) as i32 - 20));
+        let k = g.u64_below(1 << 40) as f64;
+        check((k + 0.5) / 1e12);
+        check(f64::from_bits(g.u64()));
     });
 }

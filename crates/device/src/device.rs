@@ -4,11 +4,16 @@
 //! world (see the driving protocol in [`dcuda_des::ps`]): the world submits
 //! block work, asks for the next internal completion instant, arms a timer
 //! slot for it, and calls [`Device::advance_to`] when the timer fires.
+//!
+//! Only SMs with live jobs are visited, in ascending SM index: an idle SM
+//! has nothing to serve and reports no completion, so skipping it leaves
+//! every busy SM's sequence of service steps, and the completion order,
+//! exactly as an advance of every SM would.
 
 use crate::charge::BlockCharge;
 use crate::occupancy::{occupancy, LaunchConfig};
 use crate::spec::DeviceSpec;
-use dcuda_des::{PsResource, SimTime, Slab, SlotKey};
+use dcuda_des::{BitSet, PsResource, SimTime, Slab, SlotKey};
 
 /// A resident block's position on the device (index within the launch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,6 +34,8 @@ pub struct Device {
     resident_blocks: u32,
     /// Per-SM compute resources, FLOP-denominated.
     sms: Vec<PsResource>,
+    /// The SMs with live jobs.
+    busy: BitSet,
     /// Device-wide memory interface, byte-denominated, per-block capped.
     memory: PsResource,
     works: Slab<Work>,
@@ -59,6 +66,7 @@ impl Device {
         let memory = PsResource::capped(spec.mem_bandwidth, spec.block_mem_bandwidth);
         Device {
             resident_blocks: cfg.blocks,
+            busy: BitSet::with_capacity(spec.sm_count as usize),
             sms,
             memory,
             works: Slab::new(),
@@ -84,13 +92,19 @@ impl Device {
         (block.0 % self.spec.sm_count) as usize
     }
 
-    /// Submit one block step's work. The step completes (and `tag` is
-    /// reported by [`advance_to`](Self::advance_to)) when both the compute
-    /// and the memory demand have drained.
+    /// Submit one block step's work at `now`. The step completes (and `tag`
+    /// is reported by [`advance_to`](Self::advance_to)) when both the
+    /// compute and the memory demand have drained.
     ///
     /// The caller must have advanced the device to `now` first (it is safe to
     /// call [`advance_to`](Self::advance_to) redundantly).
-    pub fn submit_block_work(&mut self, block: BlockSlot, charge: BlockCharge, tag: WorkTag) {
+    pub fn submit_block_work(
+        &mut self,
+        now: SimTime,
+        block: BlockSlot,
+        charge: BlockCharge,
+        tag: WorkTag,
+    ) {
         assert!(
             block.0 < self.resident_blocks,
             "block {} not resident (launch has {})",
@@ -104,12 +118,13 @@ impl Device {
         let mut pending = 0u8;
         // Compute demand.
         if charge.flops > 0.0 || charge.mem_bytes == 0.0 {
-            self.sms[sm].submit(charge.flops.max(0.0), key.to_bits());
+            self.sms[sm].submit(now, charge.flops.max(0.0), key.to_bits());
+            self.busy.insert(sm);
             pending += 1;
         }
         // Memory demand, capped at the per-block streaming limit.
         if charge.mem_bytes > 0.0 {
-            self.memory.submit(charge.mem_bytes, key.to_bits());
+            self.memory.submit(now, charge.mem_bytes, key.to_bits());
             pending += 1;
         }
         self.works
@@ -118,13 +133,15 @@ impl Device {
             .pending = pending;
     }
 
-    /// Advance all internal resources to `now`, appending the tags of block
-    /// steps that completed.
+    /// Advance the busy SMs, in SM order, then the memory interface to
+    /// `now`, appending the tags of block steps that completed.
     pub fn advance_to(&mut self, now: SimTime, completed: &mut Vec<WorkTag>) {
         self.scratch.clear();
-        for sm in &mut self.sms {
-            sm.advance_to(now, &mut self.scratch);
-        }
+        let (sms, scratch) = (&mut self.sms, &mut self.scratch);
+        self.busy.retain(|i| {
+            sms[i].advance_to(now, scratch);
+            !sms[i].is_idle()
+        });
         self.memory.advance_to(now, &mut self.scratch);
         for &(_, bits) in &self.scratch {
             let key = SlotKey::from_bits(bits);
@@ -144,14 +161,11 @@ impl Device {
     /// Earliest instant at which any in-flight block step progresses, or
     /// `None` if the device is idle.
     pub fn next_event(&mut self) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
-        for sm in &mut self.sms {
-            if let Some(t) = sm.next_completion() {
+        let mut earliest = self.memory.next_completion();
+        for i in self.busy.iter() {
+            if let Some(t) = self.sms[i].next_completion() {
                 earliest = Some(earliest.map_or(t, |e| e.min(t)));
             }
-        }
-        if let Some(t) = self.memory.next_completion() {
-            earliest = Some(earliest.map_or(t, |e| e.min(t)));
         }
         earliest
     }
@@ -194,7 +208,7 @@ mod tests {
     fn compute_only_step_takes_flops_over_sm_rate() {
         let mut dev = device();
         // 105e9 FLOPs on a 105 GFLOP/s SM -> 1 s.
-        dev.submit_block_work(BlockSlot(0), BlockCharge::flops(105.0e9), 1);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(0), BlockCharge::flops(105.0e9), 1);
         let done = run_to_idle(&mut dev, SimTime::ZERO);
         assert_eq!(done.len(), 1);
         assert!((done[0].1.as_secs_f64() - 1.0).abs() < 1e-9);
@@ -204,9 +218,9 @@ mod tests {
     fn blocks_on_same_sm_share_throughput() {
         let mut dev = device();
         // Blocks 0 and 13 land on SM 0; block 1 lands on SM 1.
-        dev.submit_block_work(BlockSlot(0), BlockCharge::flops(105.0e9), 1);
-        dev.submit_block_work(BlockSlot(13), BlockCharge::flops(105.0e9), 2);
-        dev.submit_block_work(BlockSlot(1), BlockCharge::flops(105.0e9), 3);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(0), BlockCharge::flops(105.0e9), 1);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(13), BlockCharge::flops(105.0e9), 2);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(1), BlockCharge::flops(105.0e9), 3);
         let done = run_to_idle(&mut dev, SimTime::ZERO);
         let t = |tag| {
             done.iter()
@@ -224,7 +238,7 @@ mod tests {
         let mut dev = device();
         // 2.1e9 bytes at the 2.1 GB/s per-block streaming cap -> 1 s even
         // though the interface could do it in ~8.8 ms.
-        dev.submit_block_work(BlockSlot(0), BlockCharge::mem(2.1e9), 1);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(0), BlockCharge::mem(2.1e9), 1);
         let done = run_to_idle(&mut dev, SimTime::ZERO);
         assert!((done[0].1.as_secs_f64() - 1.0).abs() < 1e-9);
     }
@@ -235,7 +249,12 @@ mod tests {
         // 208 blocks want 437 GB/s in aggregate but the 240 GB/s interface
         // binds: fair share ~1.154 GB/s per block.
         for b in 0..208 {
-            dev.submit_block_work(BlockSlot(b), BlockCharge::mem(1.2e9), b as u64);
+            dev.submit_block_work(
+                SimTime::ZERO,
+                BlockSlot(b),
+                BlockCharge::mem(1.2e9),
+                b as u64,
+            );
         }
         let done = run_to_idle(&mut dev, SimTime::ZERO);
         assert_eq!(done.len(), 208);
@@ -253,7 +272,12 @@ mod tests {
         // not the old fair share — the bandwidth-domain latency hiding.
         let mut dev = device();
         for b in 0..104 {
-            dev.submit_block_work(BlockSlot(b), BlockCharge::mem(2.1e9), b as u64);
+            dev.submit_block_work(
+                SimTime::ZERO,
+                BlockSlot(b),
+                BlockCharge::mem(2.1e9),
+                b as u64,
+            );
         }
         let done = run_to_idle(&mut dev, SimTime::ZERO);
         // 104 x 2.1 = 218.4 < 240: every block runs at its cap -> 1 s.
@@ -267,6 +291,7 @@ mod tests {
         let mut dev = device();
         // Compute 1 s, memory 0.5 s -> completes at 1 s (pipelines overlap).
         dev.submit_block_work(
+            SimTime::ZERO,
             BlockSlot(0),
             BlockCharge {
                 flops: 105.0e9,
@@ -282,7 +307,7 @@ mod tests {
     #[test]
     fn zero_charge_completes_immediately() {
         let mut dev = device();
-        dev.submit_block_work(BlockSlot(5), BlockCharge::ZERO, 42);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(5), BlockCharge::ZERO, 42);
         let done = run_to_idle(&mut dev, SimTime::ZERO);
         assert_eq!(done, vec![(42, SimTime::ZERO)]);
     }
@@ -292,14 +317,14 @@ mod tests {
         // Two blocks on one SM; one "stalls" (submits nothing) while the
         // other computes — the running block gets the full SM.
         let mut dev = device();
-        dev.submit_block_work(BlockSlot(0), BlockCharge::flops(105.0e9), 1);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(0), BlockCharge::flops(105.0e9), 1);
         let done = run_to_idle(&mut dev, SimTime::ZERO);
         assert!((done[0].1.as_secs_f64() - 1.0).abs() < 1e-9);
         // Now the stalled block wakes and computes alone.
         let t0 = done[0].1;
         let mut completed = Vec::new();
         dev.advance_to(t0, &mut completed);
-        dev.submit_block_work(BlockSlot(13), BlockCharge::flops(105.0e9), 2);
+        dev.submit_block_work(t0, BlockSlot(13), BlockCharge::flops(105.0e9), 2);
         let done2 = run_to_idle(&mut dev, t0);
         assert!((done2[0].1.as_secs_f64() - 2.0).abs() < 1e-9);
     }
@@ -318,14 +343,14 @@ mod tests {
     #[should_panic(expected = "not resident")]
     fn non_resident_block_rejected() {
         let mut dev = device();
-        dev.submit_block_work(BlockSlot(208), BlockCharge::ZERO, 0);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(208), BlockCharge::ZERO, 0);
     }
 
     #[test]
     fn each_completed_step_reports_its_tag_once() {
         let mut dev = device();
-        dev.submit_block_work(BlockSlot(0), BlockCharge::flops(1.0), 1);
-        dev.submit_block_work(BlockSlot(1), BlockCharge::flops(1.0), 2);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(0), BlockCharge::flops(1.0), 1);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(1), BlockCharge::flops(1.0), 2);
         let mut tags: Vec<WorkTag> = run_to_idle(&mut dev, SimTime::ZERO)
             .into_iter()
             .map(|(tag, _)| tag)
@@ -337,13 +362,13 @@ mod tests {
     #[test]
     fn interleaved_submissions_keep_time_consistent() {
         let mut dev = device();
-        dev.submit_block_work(BlockSlot(0), BlockCharge::flops(105.0e9), 1);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(0), BlockCharge::flops(105.0e9), 1);
         // Advance halfway, then add work on another SM.
         let half = SimTime::ZERO + SimDuration::from_secs_f64(0.5);
         let mut completed = Vec::new();
         dev.advance_to(half, &mut completed);
         assert!(completed.is_empty());
-        dev.submit_block_work(BlockSlot(1), BlockCharge::flops(52.5e9), 2);
+        dev.submit_block_work(half, BlockSlot(1), BlockCharge::flops(52.5e9), 2);
         let done = run_to_idle(&mut dev, half);
         // Both finish at t = 1 s.
         for &(_, t) in &done {
