@@ -17,7 +17,9 @@
 //! notification matching with (window, rank, tag) wildcards, in-order
 //! matching and queue compaction (paper §III-C "Notification Matching");
 //! [`IndexedMatcher`] serves the same semantics at O(matches) cost and is
-//! the pending list both drivers run.
+//! the pending list both drivers run. [`LendWord`] says whether a waiting
+//! rank has lent its window memory to its engine, which may then land
+//! payloads in it.
 //!
 //! These structures are used for real by the native threaded runtime
 //! (`dcuda-rt`); the discrete-event simulation models their *timing* (one
@@ -29,6 +31,7 @@
 pub mod bytering;
 pub mod dedup;
 pub mod indexed;
+pub mod lend;
 pub mod notify;
 pub mod plat;
 pub mod spsc;
@@ -36,6 +39,7 @@ pub mod spsc;
 pub use bytering::{byte_ring_on, ByteRingConsumer, ByteRingProducer};
 pub use dedup::{DedupWindow, DEDUP_WINDOW};
 pub use indexed::IndexedMatcher;
+pub use lend::LendWord;
 pub use notify::{match_in_order, Notification, Query, ANY};
 pub use plat::{PlatAtomicU64, PlatCell, Platform, StdPlatform};
 pub use spsc::{channel, channel_on, Receiver, RecvError, Sender, TrySendError};

@@ -27,9 +27,10 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// An atomic 64-bit counter as the queue protocol uses it: plain loads and
-/// stores with explicit orderings (the protocol never needs RMW ops — that
-/// is the point of the paper's single-writer design).
+/// An atomic 64-bit counter as the queue protocols use it: loads and stores
+/// with explicit orderings, which is all the rings need (that is the point
+/// of the paper's single-writer design), and one compare-exchange for the
+/// window lend word, the only word two parties may both move.
 pub trait PlatAtomicU64 {
     /// A counter initialized to `v`.
     fn new(v: u64) -> Self;
@@ -37,6 +38,15 @@ pub trait PlatAtomicU64 {
     fn load(&self, order: Ordering) -> u64;
     /// Atomic store.
     fn store(&self, v: u64, order: Ordering);
+    /// Strong compare-exchange: store `new` if the value is `current`.
+    /// `Ok` carries the replaced value, `Err` the value found instead.
+    fn compare_exchange(
+        &self,
+        current: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64>;
 }
 
 /// A payload slot: logically a `MaybeUninit<T>` whose init state is tracked
@@ -89,6 +99,17 @@ impl PlatAtomicU64 for AtomicU64 {
     #[inline]
     fn store(&self, v: u64, order: Ordering) {
         AtomicU64::store(self, v, order)
+    }
+
+    #[inline]
+    fn compare_exchange(
+        &self,
+        current: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64> {
+        AtomicU64::compare_exchange(self, current, new, success, failure)
     }
 }
 

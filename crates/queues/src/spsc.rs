@@ -191,6 +191,16 @@ impl<T, P: Platform> Sender<T, P> {
     pub fn in_flight_upper_bound(&self) -> u64 {
         self.ring.slots.len() as u64 - self.credits
     }
+
+    /// Has the consumer taken at least `n` messages? Answered from the
+    /// credit count when it already shows that many, else by one acquire
+    /// read of the tail (which, unlike a credit refresh, grants no
+    /// credits). The consumer publishes its tail as it takes a message, so
+    /// `true` says the messages were taken, not what was done with them.
+    pub fn consumed_at_least(&self, n: u64) -> bool {
+        n <= self.head - self.in_flight_upper_bound()
+            || self.ring.tail.0.load(Ordering::Acquire) >= n
+    }
 }
 
 impl<T, P: Platform> Receiver<T, P> {
@@ -329,6 +339,18 @@ mod tests {
             }
             while rx.try_recv().is_ok() {}
         }
+    }
+
+    #[test]
+    fn consumed_at_least_reads_the_tail_without_granting_credits() {
+        let (mut tx, mut rx) = channel::<u8>(4);
+        assert!(tx.consumed_at_least(0));
+        tx.try_send(1).unwrap();
+        tx.try_send(2).unwrap();
+        assert!(!tx.consumed_at_least(1));
+        rx.try_recv().unwrap();
+        assert!(tx.consumed_at_least(1) && !tx.consumed_at_least(2));
+        assert_eq!((tx.credit_refreshes, tx.in_flight_upper_bound()), (0, 2));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! driver, [`mod@crate::task`]). All three build their world with one
 //! builder.
 
+use crate::bank::WindowBank;
 use crate::coll::CollStats;
 use crate::ctx::RtCtx;
 use crate::host::{FlushHistory, Host, HostOutcome, SharedHost};
@@ -708,6 +709,7 @@ fn build_world(
         let mut cmd_rx = Vec::new();
         let mut delivery_tx = Vec::new();
         let mut flush = Vec::new();
+        let mut banks = Vec::new();
         for local in 0..cfg.ranks_per_device {
             let (ctx_cmd_tx, host_cmd_rx) = channel::<Cmd>(cfg.ring_capacity);
             let (host_del_tx, ctx_del_rx) = channel::<Delivery>(cfg.ring_capacity);
@@ -715,21 +717,26 @@ fn build_world(
             cmd_rx.push(host_cmd_rx);
             delivery_tx.push(host_del_tx);
             flush.push(FlushHistory::new(flush_done.clone()));
+            // User windows in layout order, then the hidden collective
+            // scratch window at index `user_windows`, empty until its first
+            // use.
+            let bank = Arc::new(WindowBank::new(
+                cfg.windows
+                    .iter()
+                    .map(|&b| vec![0u8; b])
+                    .chain(std::iter::once(Vec::new()))
+                    .collect(),
+            ));
+            if rank_driven {
+                banks.push(bank.clone());
+            }
             ranks.push(RtCtx {
                 rank: device * cfg.ranks_per_device + local,
                 world,
                 device,
                 local,
                 ranks_per_device: cfg.ranks_per_device,
-                // User windows in layout order, then the hidden collective
-                // scratch window at index `user_windows`, empty until its
-                // first use.
-                windows: cfg
-                    .windows
-                    .iter()
-                    .map(|&b| vec![0u8; b])
-                    .chain(std::iter::once(Vec::new()))
-                    .collect(),
+                bank,
                 user_windows: cfg.windows.len(),
                 scratch_bytes: cfg.coll_scratch,
                 cmd: ctx_cmd_tx,
@@ -764,6 +771,8 @@ fn build_world(
             cmd_rx,
             delivery_tx,
             delivery_backlog: (0..cfg.ranks_per_device).map(|_| VecDeque::new()).collect(),
+            banks,
+            last_payload: vec![0; cfg.ranks_per_device as usize],
             plane,
             finished_global: finished_global.clone(),
             finished_remote: vec![0; cfg.devices as usize],
@@ -815,6 +824,20 @@ fn run_part_inner(
         };
         (whole, in_process_planes(cfg.devices))
     });
+    run_world(cfg, programs, part, planes, rank_driven, traced, verified)
+}
+
+/// [`run_part_inner`] on a validated configuration, with its engines' plane
+/// endpoints and whether ranks drive them.
+pub(crate) fn run_world(
+    cfg: &RtConfig,
+    programs: Vec<RankProgram>,
+    part: ClusterPart,
+    planes: Vec<Box<dyn Transport>>,
+    rank_driven: bool,
+    traced: bool,
+    verified: bool,
+) -> Result<(RtReport, Tracer, Option<VerifyReport>), RtError> {
     let (first_device, local_devices) = (part.first_device, part.local_devices);
     if local_devices == 0 || first_device.saturating_add(local_devices) > cfg.devices {
         return Err(RtError::InvalidConfig(format!(
@@ -988,4 +1011,112 @@ fn run_part_inner(
     }
     let verify = verified.then(|| reconcile_shards(cfg.ring_capacity as u64, shards));
     Ok((report, trace, verify))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bank::LAND_MIN;
+    use crate::task::{drive, task};
+    use crate::types::{Rank, RtQuery, Tag, WindowId};
+    use dcuda_net::WireMsg;
+    use std::sync::mpsc;
+
+    /// A 2x1 world's in-process endpoints, device 1 having already sent
+    /// device 0's rank a landing-sized payload aimed 8 bytes past the end
+    /// of its window: only a crafted plane can carry one, as every put an
+    /// in-process rank issues is range-checked at its origin.
+    fn hostile_world() -> (RtConfig, Vec<Box<dyn Transport>>) {
+        let cfg = RtConfig {
+            devices: 2,
+            ranks_per_device: 1,
+            windows: vec![LAND_MIN],
+            ..RtConfig::default()
+        };
+        let mut planes = InProcessPlane::new_world(2);
+        let deliver = WireMsg::Deliver {
+            dst_local: 0,
+            win: 0,
+            dst_off: 8,
+            source: 1,
+            tag: 5,
+            notify: true,
+            seq: 0,
+            origin_device: 1,
+            origin_local: 0,
+            flush_id: 1,
+            data: vec![0xAB; LAND_MIN],
+        };
+        planes[1].send(0, deliver).expect("plane send");
+        let planes = planes
+            .into_iter()
+            .map(|ep| Box::new(ep) as Box<dyn Transport>)
+            .collect();
+        (cfg, planes)
+    }
+
+    fn expect_range_error(got: Result<(), RtError>) {
+        match got {
+            Err(RtError::RangeOutOfBounds {
+                win: WindowId(0),
+                offset: 8,
+                len: LAND_MIN,
+                window_len: LAND_MIN,
+            }) => {}
+            other => panic!("expected a range error at the rank, got {other:?}"),
+        }
+    }
+
+    fn query() -> RtQuery {
+        RtQuery::exact(WindowId(0), Rank(1), Tag(5))
+    }
+
+    #[test]
+    fn a_deliver_that_does_not_fit_is_a_range_error_at_the_rank_on_threads() {
+        let (cfg, planes) = hostile_world();
+        let (tx, rx) = mpsc::channel();
+        let rank0: RankProgram = Box::new(move |ctx| {
+            tx.send(ctx.try_wait_notifications(query(), 1))
+                .expect("test is listening");
+        });
+        let whole = ClusterPart {
+            first_device: 0,
+            local_devices: 2,
+        };
+        let programs = vec![rank0, Box::new(|_: &mut RtCtx| {}) as RankProgram];
+        run_world(&cfg, programs, whole, planes, true, false, false)
+            .expect("the rank handled its error; no engine failed");
+        expect_range_error(rx.recv().expect("rank reported"));
+    }
+
+    #[test]
+    fn a_deliver_that_does_not_fit_is_a_range_error_at_the_rank_in_a_job() {
+        let (cfg, planes) = hostile_world();
+        let world = build_world(
+            &cfg,
+            0,
+            2,
+            planes,
+            Wiring {
+                traced: false,
+                verified: false,
+                rank_driven: true,
+                cooperative: true,
+                abort: Arc::new(AtomicBool::new(false)),
+            },
+        )
+        .expect("world");
+        let (tx, rx) = mpsc::channel();
+        let rank0 = task(move |ctx| {
+            Box::pin(async move {
+                let got = ctx.wait_notifications_async(query(), 1).await;
+                tx.send(got).expect("test is listening");
+                Ok(0)
+            })
+        });
+        let rank1 = task(|_| Box::pin(async { Ok(0) }));
+        drive(world, vec![rank0, rank1], &CancelToken::new())
+            .expect("the rank handled its error; no engine failed");
+        expect_range_error(rx.recv().expect("rank reported"));
+    }
 }

@@ -14,10 +14,17 @@
 //!   reached it: that poll records the wait, wakes the driver and suspends,
 //!   and each later sweep tests it once.
 //!
+//! During each `wait_step`, and while suspended, a rank that drives its
+//! device engine lends its windows to it, and the engine may then land
+//! large payloads in them itself (the `bank` module); the wait takes them
+//! back before each test. It holds the context mutably, so no window slice
+//! is alive then.
+//!
 //! xtask lint R6 (`one-wait-helper`) rejects any other `yield_now` in this
 //! file, and R7 (`one-wait-future`) any other `Poll::Pending` in this
 //! crate, so a wait is written once and cannot skip rank-driven progress.
 
+use crate::bank::WindowBank;
 use crate::cluster::engine_result;
 use crate::coll::{CollStats, Collective, COLL_TAG_BIT};
 use crate::host::SharedHost;
@@ -53,11 +60,14 @@ pub struct RtCtx {
     pub(crate) device: u32,
     pub(crate) local: u32,
     pub(crate) ranks_per_device: u32,
-    /// Rank-private window memory: the user-registered windows followed by
-    /// one hidden collective-scratch window at index `user_windows`, which
-    /// stays empty until [`touch_scratch`](Self::touch_scratch).
-    pub(crate) windows: Vec<Vec<u8>>,
-    /// Number of user-visible windows (`windows.len() - 1`); indices at or
+    /// Window memory: the user-registered windows followed by one hidden
+    /// collective-scratch window at index `user_windows`, which stays empty
+    /// until [`touch_scratch`](Self::touch_scratch). Shared with the
+    /// device engine when ranks drive it, which may land payloads in it
+    /// while this rank waits; every access goes through
+    /// [`windows`](Self::windows) and [`windows_mut`](Self::windows_mut).
+    pub(crate) bank: Arc<WindowBank>,
+    /// Number of user-visible windows (`windows().len() - 1`); indices at or
     /// beyond this are runtime-internal and hidden from the window API.
     pub(crate) user_windows: usize,
     /// Configured size of the scratch window (`RtConfig::coll_scratch`).
@@ -266,6 +276,18 @@ impl RtCtx {
         }
     }
 
+    /// The window vector, owned by this rank outside its waits.
+    #[inline]
+    fn windows(&self) -> &Vec<Vec<u8>> {
+        self.bank.rank_windows()
+    }
+
+    /// The window vector, mutable; the `&mut self` makes the borrow unique.
+    #[inline]
+    fn windows_mut(&mut self) -> &mut Vec<Vec<u8>> {
+        self.bank.rank_windows_mut()
+    }
+
     /// This rank's window memory.
     ///
     /// # Panics
@@ -307,7 +329,7 @@ impl RtCtx {
         len: usize,
     ) -> Result<usize, RtError> {
         let idx = self.user_win_index(win)?;
-        let window_len = self.windows[idx].len();
+        let window_len = self.windows()[idx].len();
         if off.checked_add(len).is_none_or(|end| end > window_len) {
             return Err(RtError::RangeOutOfBounds {
                 win,
@@ -328,8 +350,8 @@ impl RtCtx {
     /// should borrow precise ranges via [`try_win_at`](Self::try_win_at).
     pub fn try_win(&self, win: WindowId) -> Result<&[u8], RtError> {
         let idx = self.user_win_index(win)?;
-        self.race_local_ref(win.0, 0, self.windows[idx].len(), false, "win")?;
-        Ok(self.windows[idx].as_slice())
+        self.race_local_ref(win.0, 0, self.windows()[idx].len(), false, "win")?;
+        Ok(self.windows()[idx].as_slice())
     }
 
     /// This rank's window memory, mutable, or [`RtError::NoSuchWindow`].
@@ -339,8 +361,9 @@ impl RtCtx {
     /// access when remote puts land in other regions of the same window.
     pub fn try_win_mut(&mut self, win: WindowId) -> Result<&mut [u8], RtError> {
         let idx = self.user_win_index(win)?;
-        self.race_local_mut(win.0, 0, self.windows[idx].len(), true, "win_mut")?;
-        Ok(self.windows[idx].as_mut_slice())
+        let len = self.windows()[idx].len();
+        self.race_local_mut(win.0, 0, len, true, "win_mut")?;
+        Ok(self.windows_mut()[idx].as_mut_slice())
     }
 
     /// Bytes `off..off + len` of this rank's window `win`.
@@ -369,7 +392,7 @@ impl RtCtx {
     pub fn try_win_at(&self, win: WindowId, off: usize, len: usize) -> Result<&[u8], RtError> {
         let idx = self.user_win_range(win, off, len)?;
         self.race_local_ref(win.0, off, off + len, false, "win_at")?;
-        Ok(&self.windows[idx][off..off + len])
+        Ok(&self.windows()[idx][off..off + len])
     }
 
     /// Fallible [`win_mut_at`](Self::win_mut_at): a range-scoped mutable
@@ -383,7 +406,7 @@ impl RtCtx {
     ) -> Result<&mut [u8], RtError> {
         let idx = self.user_win_range(win, off, len)?;
         self.race_local_mut(win.0, off, off + len, true, "win_mut_at")?;
-        Ok(&mut self.windows[idx][off..off + len])
+        Ok(&mut self.windows_mut()[idx][off..off + len])
     }
 
     /// Has the cluster aborted (another thread failed first)?
@@ -410,17 +433,26 @@ impl RtCtx {
     /// (the rank those deliveries are for must run). An engine failure is
     /// the device's, never this rank's: it is recorded as the host failure
     /// and the rank unwinds with [`RtError::Aborted`].
+    ///
+    /// The windows are lent to the engine for the step, which may land
+    /// payloads in them; they are the rank's again when it returns.
     fn wait_step(&mut self) -> Result<(), RtError> {
-        if let Some(engine) = &self.engine {
-            let res = std::panic::catch_unwind(AssertUnwindSafe(|| engine.rank_pass()));
-            match engine_result(self.device, res, &self.abort, &self.first_error) {
-                Some(pass) if pass.work => return Ok(()),
-                Some(_) => {}
-                None => return Err(RtError::Aborted),
+        let Some(engine) = &self.engine else {
+            std::thread::yield_now();
+            return Ok(());
+        };
+        self.bank.lend();
+        let res = std::panic::catch_unwind(AssertUnwindSafe(|| engine.rank_pass()));
+        let step = match engine_result(self.device, res, &self.abort, &self.first_error) {
+            Some(pass) if pass.work => Ok(()),
+            Some(_) => {
+                std::thread::yield_now();
+                Ok(())
             }
-        }
-        std::thread::yield_now();
-        Ok(())
+            None => Err(RtError::Aborted),
+        };
+        self.bank.reclaim();
+        step
     }
 
     fn send_cmd(&mut self, mut cmd: Cmd) -> Result<(), RtError> {
@@ -538,7 +570,7 @@ impl RtCtx {
         // the origin, which issued the bad put, instead of in the target's
         // delivery drain.
         self.user_win_range(win, dst_off, len)?;
-        let data = self.windows[idx][src_off..src_off + len].to_vec();
+        let data = self.windows()[idx][src_off..src_off + len].to_vec();
         // The snapshot's clock must be stashed before the command leaves,
         // or the target could match the notification first.
         self.race_put(
@@ -596,8 +628,8 @@ impl RtCtx {
         })
     }
 
-    /// Drain the delivery ring: land payloads in window memory and buffer
-    /// notifications.
+    /// Drain the delivery ring: copy the payloads the engine did not land
+    /// itself into window memory, and buffer notifications.
     fn drain_deliveries(&mut self) -> Result<(), RtError> {
         loop {
             match self.delivery.try_recv() {
@@ -608,9 +640,9 @@ impl RtCtx {
                         // collective touched its scratch.
                         self.touch_scratch();
                     }
-                    let count = self.windows.len();
+                    let count = self.windows().len();
                     let w = self
-                        .windows
+                        .windows_mut()
                         .get_mut(win.index())
                         .ok_or(RtError::NoSuchWindow { win, count })?;
                     // `dst_off` may come off the wire: no unchecked sum.
@@ -829,9 +861,10 @@ impl RtCtx {
     /// unless it already is. Called before any byte of it is written or
     /// read; zero-length puts (barrier rounds) never need it.
     pub(crate) fn touch_scratch(&mut self) {
-        let scratch = &mut self.windows[self.user_windows];
+        let (idx, bytes) = (self.user_windows, self.scratch_bytes);
+        let scratch = &mut self.windows_mut()[idx];
         if scratch.is_empty() {
-            *scratch = vec![0u8; self.scratch_bytes];
+            *scratch = vec![0u8; bytes];
         }
     }
 
@@ -863,7 +896,7 @@ impl RtCtx {
         self.race_local_mut(win.0, dst, dst + len, true, "reduce")?;
         // Scratch sits behind the user windows in the same vector; split at
         // the user-window boundary so both slices can be borrowed at once.
-        let (user, rest) = self.windows.split_at_mut(scratch_idx);
+        let (user, rest) = self.windows_mut().split_at_mut(scratch_idx);
         let acc = &mut user[idx][dst..dst + len];
         let src = &rest[0][scratch_off..scratch_off + len];
         f(acc, src)
@@ -888,7 +921,7 @@ impl RtCtx {
         if src_win == self.scratch_index() && len > 0 {
             self.touch_scratch();
         }
-        let data = self.windows[src_win][src_off..src_off + len].to_vec();
+        let data = self.windows()[src_win][src_off..src_off + len].to_vec();
         self.race_put(
             dst,
             src_win as u32,
@@ -966,12 +999,17 @@ impl Future for Until<'_> {
                     // One resume per task per sweep: the poll that reached
                     // the wait only reports that the task moved; later
                     // sweeps test it.
+                    // A suspended task's windows are lent to the sweep's
+                    // engine passes.
                     if first {
                         ctx.waiting = Some(what);
                         cx.waker().wake_by_ref();
+                        ctx.bank.lend();
                         return Poll::Pending;
                     }
+                    ctx.bank.reclaim();
                     if !ctx.test(what)? {
+                        ctx.bank.lend();
                         return Poll::Pending;
                     }
                     ctx.waiting = None;
@@ -1004,6 +1042,17 @@ impl Future for Until<'_> {
                 Some(wait) => this.what = Some(wait),
                 None => return Poll::Ready(Ok(())),
             }
+        }
+    }
+}
+
+/// A task dropped while suspended (a cancelled or stalled job world) takes
+/// its windows back: the context outlives the wait. (On a rank thread
+/// `wait_step` takes them back itself.)
+impl Drop for Until<'_> {
+    fn drop(&mut self) {
+        if self.ctx.cooperative {
+            self.ctx.bank.reclaim();
         }
     }
 }
@@ -1059,7 +1108,7 @@ mod tests {
                         Box::pin(async move {
                             ring(&mut *ctx).await?;
                             pingpong(&mut *ctx).await?;
-                            if ctx.windows[ctx.scratch_index()].capacity() > 0 {
+                            if ctx.windows()[ctx.scratch_index()].capacity() > 0 {
                                 allocated.fetch_add(1, Ordering::Relaxed);
                             }
                             Ok(0)
@@ -1077,5 +1126,50 @@ mod tests {
             0,
             "ranks that allocated scratch"
         );
+    }
+
+    #[test]
+    fn a_wait_dropped_while_suspended_gives_the_windows_back() {
+        use crate::{Rank, RtQuery, Tag, WindowId};
+        use std::future::{poll_fn, Future};
+        use std::pin::pin;
+        use std::task::Poll;
+        let cfg = RtConfig {
+            devices: 1,
+            ranks_per_device: 2,
+            ..RtConfig::default()
+        };
+        // How many ranks still had their windows lent after the drop: an
+        // engine could land in them while the rank writes.
+        let lent = Arc::new(AtomicUsize::new(0));
+        let probe = lent.clone();
+        let query = RtQuery::exact(WindowId(0), Rank(1), Tag(1));
+        let tasks: Vec<RankTask> = vec![
+            task(move |ctx| {
+                Box::pin(async move {
+                    {
+                        let mut wait = pin!(ctx.wait_notifications_async(query, 1));
+                        poll_fn(|cx| {
+                            assert!(wait.as_mut().poll(cx).is_pending(), "suspends first");
+                            Poll::Ready(())
+                        })
+                        .await;
+                    }
+                    let landed = ctx.bank.try_land(0, 0, &[]);
+                    probe.fetch_add(usize::from(landed), Ordering::Relaxed);
+                    ctx.wait_notifications_async(query, 1).await?;
+                    Ok(0)
+                })
+            }),
+            task(|ctx| {
+                Box::pin(async move {
+                    ctx.try_put_notify(WindowId(0), Rank(0), 0, 0, 8, Tag(1))?;
+                    ctx.flush_async().await?;
+                    Ok(1)
+                })
+            }),
+        ];
+        try_run_cluster_job(&cfg, tasks, &CancelToken::new()).expect("job world");
+        assert_eq!(lent.load(Ordering::Relaxed), 0);
     }
 }

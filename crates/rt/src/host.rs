@@ -18,6 +18,7 @@
 //! whatever faults are injected below it): the host is a plain protocol
 //! engine with one code path — an inter-host put is one `plane.send`.
 
+use crate::bank::{WindowBank, LAND_MIN};
 use crate::coll::COLL_TAG_BIT;
 use crate::msg::{Cmd, Delivery};
 use crate::types::RtError;
@@ -97,6 +98,16 @@ pub(crate) struct Host {
     pub delivery_tx: Vec<Sender<Delivery>>,
     /// Overflow buffers when a delivery ring is momentarily full.
     pub delivery_backlog: Vec<VecDeque<Delivery>>,
+    /// Local ranks' window memory, when ranks drive this engine (empty
+    /// otherwise): payloads of at least [`LAND_MIN`] bytes land in it
+    /// directly while the target waits (see [`deliver_local`]).
+    ///
+    /// [`deliver_local`]: Self::deliver_local
+    pub banks: Vec<Arc<WindowBank>>,
+    /// Per local rank: its delivery ring's message count just after the
+    /// last delivery that carried a payload. A landing waits until the rank
+    /// has taken that one, or the rank's copy of it would land later.
+    pub last_payload: Vec<u64>,
     /// This device's endpoint on the inter-host plane.
     pub plane: Box<dyn Transport>,
     /// Count of finished ranks in *this process*.
@@ -164,10 +175,33 @@ impl Host {
     /// Try to push backlog + a new delivery into a rank's ring. Collective
     /// traffic (tag bit 31) is carried like any other delivery but is
     /// invisible to the user-facing notification counter.
-    fn deliver_local(&mut self, local: u32, delivery: Delivery) {
+    ///
+    /// Landing in place: when ranks drive this engine, a payload of at
+    /// least [`LAND_MIN`] bytes is copied straight into the target window
+    /// if the target waits with its windows lent, nothing queued for it
+    /// carries a payload (its backlog is empty and its ring was consumed
+    /// past the last payload), and the range fits. The delivery then
+    /// carries only the notification, so the rank copies nothing; landing
+    /// order, notification order and every counter stay as if the rank
+    /// had applied the payload.
+    fn deliver_local(&mut self, local: u32, mut delivery: Delivery) {
         self.notifications_sent +=
             u64::from(delivery.notify && delivery.notif.tag & COLL_TAG_BIT == 0);
-        self.delivery_backlog[local as usize].push_back(delivery);
+        let l = local as usize;
+        if delivery.data.len() >= LAND_MIN
+            && self.delivery_backlog[l].is_empty()
+            && self.banks.get(l).is_some_and(|bank| {
+                self.delivery_tx[l].consumed_at_least(self.last_payload[l])
+                    && bank.try_land(
+                        delivery.notif.win as usize,
+                        delivery.dst_off,
+                        &delivery.data,
+                    )
+            })
+        {
+            delivery.data = Vec::new();
+        }
+        self.delivery_backlog[l].push_back(delivery);
         self.pump_backlog(local);
     }
 
@@ -179,8 +213,12 @@ impl Host {
         while let Some(d) = self.delivery_backlog[local as usize].pop_front() {
             let notify = d.notify;
             let notif = d.notif;
+            let payload = !d.data.is_empty();
             match self.delivery_tx[local as usize].try_send(d) {
                 Ok(()) => {
+                    if payload {
+                        self.last_payload[local as usize] = self.delivery_tx[local as usize].sent();
+                    }
                     // Collective traffic stays out of the conservation
                     // ledger on both sides (its sends skip `note_sent` too).
                     if notify && notif.tag & COLL_TAG_BIT == 0 {
@@ -678,5 +716,119 @@ pub(crate) fn burn(iters: u64) {
         if i % 4096 == 4095 {
             std::thread::yield_now();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcuda_net::InProcessPlane;
+    use dcuda_queues::channel;
+
+    /// One device of one rank whose ranks drive its engine: the engine,
+    /// the rank's delivery ring (two slots) and its window bank (window 0
+    /// of two landing sizes, then an untouched scratch window).
+    fn engine() -> (Host, Receiver<Delivery>, Arc<WindowBank>) {
+        let (tx, rx) = channel::<Delivery>(2);
+        let bank = Arc::new(WindowBank::new(vec![vec![0; 2 * LAND_MIN], Vec::new()]));
+        let plane = InProcessPlane::new_world(1).pop().expect("one endpoint");
+        let host = Host {
+            device: 0,
+            devices: 1,
+            ranks_per_device: 1,
+            cmd_rx: Vec::new(),
+            delivery_tx: vec![tx],
+            delivery_backlog: vec![VecDeque::new()],
+            banks: vec![bank.clone()],
+            last_payload: vec![0],
+            plane: Box::new(plane),
+            finished_global: Arc::new(AtomicU32::new(0)),
+            finished_remote: vec![0],
+            abort: Arc::new(AtomicBool::new(false)),
+            flush: Vec::new(),
+            puts_routed: 0,
+            notifications_sent: 0,
+            counters: None,
+            busy_spin: 0,
+            progress_frames: 0,
+            steals: 0,
+        };
+        (host, rx, bank)
+    }
+
+    fn put(tag: u32, win: u32, off: usize, len: usize) -> Delivery {
+        Delivery {
+            notif: Notification {
+                win,
+                source: 0,
+                tag,
+            },
+            dst_off: off,
+            data: vec![tag as u8; len],
+            notify: true,
+        }
+    }
+
+    /// Deliver `d` and report whether the rank receives its payload
+    /// (`false`: the engine landed it), checking that the notification
+    /// comes through in order either way.
+    fn carried(host: &mut Host, rx: &mut Receiver<Delivery>, d: Delivery) -> bool {
+        let tag = d.notif.tag;
+        host.deliver_local(0, d);
+        let got = rx.try_recv().expect("delivered");
+        assert_eq!(got.notif.tag, tag);
+        !got.data.is_empty()
+    }
+
+    #[test]
+    fn the_engine_lands_only_what_the_rank_would_apply_next() {
+        let (mut host, mut rx, bank) = engine();
+        let window = |bank: &WindowBank| bank.rank_windows()[0].clone();
+        assert!(carried(&mut host, &mut rx, put(1, 0, 0, LAND_MIN)), "owned");
+        bank.lend();
+        assert!(!carried(&mut host, &mut rx, put(2, 0, 8, LAND_MIN)), "lent");
+        bank.reclaim();
+        let w = window(&bank);
+        assert!(w[..8] == [0; 8] && w[8..8 + LAND_MIN].iter().all(|&b| b == 2));
+        bank.lend();
+        // A small payload travels to the rank. While it sits in the ring
+        // untaken, a landing would be overwritten by the rank's later copy
+        // of it, so the next payload travels too.
+        host.deliver_local(0, put(3, 0, 0, LAND_MIN - 1));
+        host.deliver_local(0, put(4, 0, 0, LAND_MIN));
+        assert_eq!(rx.try_recv().map(|d| d.data.len()), Ok(LAND_MIN - 1));
+        assert_eq!(rx.try_recv().map(|d| d.data.len()), Ok(LAND_MIN));
+        // Taken now: the next one lands.
+        assert!(!carried(&mut host, &mut rx, put(5, 0, 0, LAND_MIN)));
+        // A backlog behind a full ring is delivered first, whatever it
+        // carries.
+        host.deliver_local(0, put(6, 0, 0, 0));
+        host.deliver_local(0, put(7, 0, 0, 0));
+        host.deliver_local(0, put(8, 0, 0, 0));
+        host.deliver_local(0, put(9, 0, 0, LAND_MIN));
+        for tag in 6..=7 {
+            assert_eq!(rx.try_recv().map(|d| d.notif.tag), Ok(tag));
+        }
+        assert!(host.pump_backlog(0));
+        assert_eq!(rx.try_recv().map(|d| d.notif.tag), Ok(8));
+        assert_eq!(rx.try_recv().map(|d| d.data.len()), Ok(LAND_MIN));
+        // Ranges the window does not hold stay the rank's to refuse: past
+        // the end, an untouched scratch window, a window that is not there.
+        assert!(carried(
+            &mut host,
+            &mut rx,
+            put(10, 0, LAND_MIN + 1, LAND_MIN)
+        ));
+        assert!(carried(&mut host, &mut rx, put(11, 1, 0, LAND_MIN)));
+        assert!(carried(&mut host, &mut rx, put(12, 7, 0, LAND_MIN)));
+        assert!(carried(
+            &mut host,
+            &mut rx,
+            put(13, 0, usize::MAX, LAND_MIN)
+        ));
+        bank.reclaim();
+        let w = window(&bank);
+        assert!(w[..LAND_MIN].iter().all(|&b| b == 5), "only landings wrote");
+        assert!(w[LAND_MIN..].iter().all(|&b| b == 2 || b == 0));
     }
 }

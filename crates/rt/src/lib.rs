@@ -20,16 +20,17 @@
 //!   be scheduled;
 //! * hosts exchange inter-device traffic over channels (the MPI layer).
 //!
-//! Notifications carry their payload; a rank applies pending deliveries to
-//! its window memory when it polls its notification queue, so data is always
-//! visible once the matching notification has been matched — the
-//! linearizable semantics the paper's notification queues provide.
-//!
-//! The executor favours correctness and protocol fidelity over raw speed
-//! (window memory is rank-private, so even same-device puts copy).
+//! A put copies its payload once at the origin. At the target, the device
+//! engine lands a large payload in window memory itself while the rank
+//! waits with its windows lent (engines that ranks drive); otherwise the
+//! notification carries the payload and the rank applies it when it polls
+//! its notification queue. Either way the data is in place before the
+//! matching notification can be matched — the linearizable semantics the
+//! paper's notification queues provide.
 
 #![warn(missing_docs)]
 
+mod bank;
 pub mod cluster;
 pub mod coll;
 pub mod ctx;

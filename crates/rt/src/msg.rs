@@ -35,7 +35,8 @@ pub struct Delivery {
     pub notif: Notification,
     /// Byte offset in the target's window.
     pub dst_off: usize,
-    /// Payload (may be empty for pure notifications).
+    /// Payload: empty for a pure notification, and for one whose payload
+    /// the engine already landed in the target window.
     pub data: Vec<u8>,
     /// True if a notification should be enqueued (false: silent data
     /// delivery from a plain `put`).

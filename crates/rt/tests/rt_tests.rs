@@ -1436,3 +1436,128 @@ fn a_stall_on_a_collective_names_its_wait() {
         other => panic!("expected a stall, got {other:?}"),
     }
 }
+
+/// Below every payload size the engine lands itself.
+const SMALL: usize = 1 << 10;
+/// Above every payload size the engine lands itself.
+const LARGE: usize = 128 << 10;
+
+/// Rank 0 sends rank 1 two puts over the same leading bytes of window 0,
+/// `first` then `second` bytes long, each stamped with its own byte, once
+/// rank 1 has signalled that it waits for them. Rank 1 checks that the
+/// later put's bytes won wherever the two overlap.
+fn overlapping_puts(first: usize, second: usize) -> Vec<RankTask> {
+    let origin = task(move |ctx| {
+        Box::pin(async move {
+            ctx.wait_notifications_async(RtQuery::exact(W0, Rank(1), Tag(1)), 1)
+                .await?;
+            for (len, stamp, tag) in [(first, 0xA1, 2), (second, 0xB2, 3)] {
+                ctx.try_win_mut_at(W0, 0, len)?.fill(stamp);
+                ctx.try_put_notify(W0, Rank(1), 0, 0, len, Tag(tag))?;
+            }
+            ctx.flush_async().await?;
+            Ok(0)
+        })
+    });
+    let target = task(move |ctx| {
+        Box::pin(async move {
+            ctx.try_put_notify(W0, Rank(0), 0, 0, 0, Tag(1))?;
+            let both = RtQuery::WILDCARD.with_win(W0).with_source(Rank(0));
+            ctx.wait_notifications_async(both, 2).await?;
+            let w = ctx.try_win(W0)?;
+            let expect = |i: usize| match i {
+                i if i < second => 0xB2,
+                i if i < first => 0xA1,
+                _ => 0,
+            };
+            let wrong = (0..w.len()).find(|&i| w[i] != expect(i));
+            assert_eq!(wrong, None, "{first} then {second} bytes: wrong byte");
+            ctx.flush_async().await?;
+            Ok(1)
+        })
+    });
+    vec![origin, target]
+}
+
+/// Overlapping puts of a size the engine lands and one it leaves to the
+/// rank, in both orders, same-device and cross-device, under both
+/// drivers: the later put's bytes win, as they do when the rank applies
+/// every payload itself.
+#[test]
+fn landed_and_carried_payloads_keep_their_order() {
+    for (devices, ranks) in [(2, 1), (1, 2)] {
+        let cfg = RtConfig {
+            windows: vec![LARGE],
+            ..cfg(devices, ranks)
+        };
+        for (first, second) in [(SMALL, LARGE), (LARGE, SMALL), (LARGE, LARGE)] {
+            let (_, sums) =
+                try_run_cluster_job(&cfg, overlapping_puts(first, second), &CancelToken::new())
+                    .expect("job world");
+            assert_eq!(sums, [0, 1]);
+            for _ in 0..10 {
+                let (programs, _): (Vec<_>, Vec<_>) =
+                    thread_per_rank(overlapping_puts(first, second))
+                        .into_iter()
+                        .unzip();
+                try_run_cluster(&cfg, programs).expect("threaded world");
+            }
+        }
+    }
+}
+
+/// An allreduce whose chunks are large enough to land, on a fresh world:
+/// the first chunk reaches each rank's scratch window before that rank
+/// touched it, so there is nowhere to land it and the rank must allocate
+/// the window and copy the chunk itself. The sums are exact on both
+/// drivers.
+#[test]
+fn a_chunk_for_an_untouched_scratch_window_falls_back_to_the_rank() {
+    const LEN: usize = 2 * LARGE;
+    let plan = CollPlan::builder()
+        .chunk_bytes(LARGE)
+        .op(dcuda_rt::ReduceOp::Sum)
+        .dtype(dcuda_rt::Dtype::U64)
+        .build()
+        .expect("plan");
+    let word = |rank: u64, i: usize| rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64;
+    let tasks = |world: u32| -> Vec<RankTask> {
+        (0..u64::from(world))
+            .map(|r| {
+                task(move |ctx| {
+                    Box::pin(async move {
+                        for (i, w) in ctx.try_win_mut(W0)?.chunks_exact_mut(8).enumerate() {
+                            w.copy_from_slice(&word(r, i).to_le_bytes());
+                        }
+                        dcuda_rt::Collective::allreduce(ctx, W0, 0, LEN, &plan)?
+                            .run(ctx)
+                            .await?;
+                        let got = ctx.try_win(W0)?;
+                        for (i, w) in got.chunks_exact(8).enumerate() {
+                            let sum = (0..u64::from(world))
+                                .fold(0u64, |acc, q| acc.wrapping_add(word(q, i)));
+                            assert_eq!(w, sum.to_le_bytes(), "rank {r} element {i}");
+                        }
+                        Ok(r)
+                    })
+                })
+            })
+            .collect()
+    };
+    for (devices, ranks) in [(2u32, 1u32), (1, 2)] {
+        let cfg = RtConfig {
+            windows: vec![LEN],
+            coll_scratch: dcuda_rt::allreduce_scratch_bytes(plan.algo(), LEN, 8, devices * ranks),
+            ..cfg(devices, ranks)
+        };
+        let (report, sums) =
+            try_run_cluster_job(&cfg, tasks(devices * ranks), &CancelToken::new()).expect("job");
+        assert_eq!(sums, [0, 1]);
+        assert!(report.coll.chunks > 0, "{report:?}");
+        for _ in 0..5 {
+            let (programs, _): (Vec<_>, Vec<_>) =
+                thread_per_rank(tasks(devices * ranks)).into_iter().unzip();
+            try_run_cluster(&cfg, programs).expect("threaded world");
+        }
+    }
+}

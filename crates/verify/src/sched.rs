@@ -61,6 +61,13 @@ fn vc_join(a: &mut Vc, b: &Vc) {
     }
 }
 
+fn is_acquire(order: Ordering) -> bool {
+    matches!(
+        order,
+        Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst
+    )
+}
+
 fn vc_leq(a: &Vc, b: &Vc) -> bool {
     a.iter().zip(b.iter()).all(|(x, y)| x <= y)
 }
@@ -204,6 +211,10 @@ pub struct Model {
     /// must then find a data race in any program relying on the ring's
     /// publish edge — the regression corpus asserts it does.
     pub demote_release: bool,
+    /// Seeded mutation: treat the release stores of this one thread (its
+    /// index in the program's thread vector) as relaxed, to show which
+    /// party's publication a protocol needs.
+    pub demote_release_of: Option<usize>,
 }
 
 impl Default for Model {
@@ -214,6 +225,7 @@ impl Default for Model {
             max_steps: 20_000,
             max_executions: 2_000_000,
             demote_release: false,
+            demote_release_of: None,
         }
     }
 }
@@ -322,6 +334,56 @@ impl Core {
         self.script_pos += 1;
         self.trail.push(BranchPoint { chosen: c, count });
         c
+    }
+
+    /// The reads-from choice of an atomic read of `loc` by `tid`: the
+    /// index of one of the coherence-permitted stores, latest first, that
+    /// `older` admits (the latest always is). Moves the thread's coherence
+    /// floor and staleness count.
+    fn pick_store(&mut self, tid: usize, loc: usize, older: impl Fn(&Store) -> bool) -> usize {
+        debug_assert!(matches!(self.locs[loc].kind, LocKind::Atomic));
+        let floor = self.threads[tid].view[loc] as usize;
+        let n = self.locs[loc].stores.len();
+        debug_assert!(floor < n, "coherence floor past the store list");
+        let stores = &self.locs[loc].stores;
+        let mut eligible: Vec<usize> = (floor..n)
+            .rev()
+            .filter(|&i| i == n - 1 || older(&stores[i]))
+            .collect();
+        if self.threads[tid].stale[loc] >= self.cfg.stale_cap {
+            // Bounded staleness: force the coherence-latest store so spin
+            // loops converge.
+            eligible.truncate(1);
+        }
+        let idx = eligible[self.choose(eligible.len() as u32) as usize];
+        if idx == n - 1 {
+            self.threads[tid].stale[loc] = 0;
+        } else {
+            self.threads[tid].stale[loc] += 1;
+        }
+        self.threads[tid].view[loc] = self.threads[tid].view[loc].max(idx as u64);
+        idx
+    }
+
+    /// An acquire read of store `idx` of `loc` by `tid`: join the writer's
+    /// clock and coherence view if the store released.
+    fn acquire(&mut self, tid: usize, loc: usize, idx: usize) {
+        let store = &self.locs[loc].stores[idx];
+        let Some(rel) = store.rel else {
+            return;
+        };
+        let view = store.view.clone();
+        let t = &mut self.threads[tid];
+        vc_join(&mut t.vc, &rel);
+        for (floor, &f) in t.view.iter_mut().zip(view.iter().flatten()) {
+            *floor = (*floor).max(f);
+        }
+    }
+
+    /// Does a release store by `tid` keep its release semantics, or does
+    /// a seeded mutation demote it to relaxed?
+    fn keeps_release(&self, tid: usize) -> bool {
+        !self.cfg.demote_release && self.cfg.demote_release_of != Some(tid)
     }
 
     fn live_others(&self, tid: usize) -> Vec<usize> {
@@ -523,44 +585,59 @@ impl ExecInner {
             return 0;
         }
         let mut g = self.enter_op(tid, false);
-        debug_assert!(matches!(g.locs[loc].kind, LocKind::Atomic));
-        let floor = g.threads[tid].view[loc] as usize;
+        let idx = g.pick_store(tid, loc, |_| true);
+        if is_acquire(order) {
+            g.acquire(tid, loc, idx);
+        }
+        g.locs[loc].stores[idx].val
+    }
+
+    /// A strong compare-exchange. Success reads the coherence-latest store
+    /// (read-modify-write atomicity) and appends `new` after it; a failure
+    /// is a load that may observe any coherence-permitted store holding
+    /// another value. The appended store releases only if the exchange
+    /// does: unlike C++20 it does not continue the release sequence of the
+    /// store it replaced, which can only add reports, never hide one.
+    pub(crate) fn op_cas(
+        &self,
+        tid: usize,
+        loc: usize,
+        current: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64> {
+        if std::thread::panicking() {
+            return Err(current.wrapping_add(1));
+        }
+        let mut g = self.enter_op(tid, false);
+        // Success reads the latest store; an older one only fails.
+        let idx = g.pick_store(tid, loc, |st| st.val != current);
         let n = g.locs[loc].stores.len();
-        debug_assert!(floor < n, "coherence floor past the store list");
-        let mut eligible = n - floor;
-        if g.threads[tid].stale[loc] >= g.cfg.stale_cap {
-            // Bounded staleness: force the coherence-latest store so spin
-            // loops converge.
-            eligible = 1;
+        let found = g.locs[loc].stores[idx].val;
+        let ok = found == current;
+        if is_acquire(if ok { success } else { failure }) {
+            g.acquire(tid, loc, idx);
         }
-        let c = g.choose(eligible as u32) as usize;
-        let idx = n - 1 - c;
-        if idx == n - 1 {
-            g.threads[tid].stale[loc] = 0;
-        } else {
-            g.threads[tid].stale[loc] += 1;
+        if !ok {
+            return Err(found);
         }
-        g.threads[tid].view[loc] = g.threads[tid].view[loc].max(idx as u64);
-        let acquire = matches!(
-            order,
-            Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst
-        );
-        let val = g.locs[loc].stores[idx].val;
-        if acquire {
-            if let Some(rel) = g.locs[loc].stores[idx].rel {
-                let view = g.locs[loc].stores[idx].view.clone();
-                let t = &mut g.threads[tid];
-                vc_join(&mut t.vc, &rel);
-                if let Some(view) = view {
-                    for (i, &f) in view.iter().enumerate() {
-                        if i < t.view.len() {
-                            t.view[i] = t.view[i].max(f);
-                        }
-                    }
-                }
-            }
-        }
-        val
+        let release = matches!(
+            success,
+            Ordering::Release | Ordering::AcqRel | Ordering::SeqCst
+        ) && g.keeps_release(tid);
+        let (vc, view) = {
+            let t = &g.threads[tid];
+            (t.vc, t.view.clone())
+        };
+        g.locs[loc].stores.push(Store {
+            val: new,
+            rel: release.then_some(vc),
+            view: release.then_some(view),
+        });
+        g.threads[tid].view[loc] = n as u64;
+        g.threads[tid].stale[loc] = 0;
+        Ok(found)
     }
 
     pub(crate) fn op_store(&self, tid: usize, loc: usize, val: u64, order: Ordering) {
@@ -573,7 +650,7 @@ impl ExecInner {
             order,
             Ordering::Release | Ordering::AcqRel | Ordering::SeqCst
         );
-        let effective_release = release && !g.cfg.demote_release;
+        let effective_release = release && g.keeps_release(tid);
         let idx = g.locs[loc].stores.len();
         let (vc, view) = {
             let t = &g.threads[tid];

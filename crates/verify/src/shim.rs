@@ -44,6 +44,18 @@ impl PlatAtomicU64 for VAtomicU64 {
         let (_, tid) = ctx("VAtomicU64");
         self.exec.op_store(tid, self.loc, v, order)
     }
+
+    fn compare_exchange(
+        &self,
+        current: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64> {
+        let (_, tid) = ctx("VAtomicU64");
+        self.exec
+            .op_cas(tid, self.loc, current, new, success, failure)
+    }
 }
 
 /// Model-checked payload cell. The value lives in an `UnsafeCell<Option<T>>`

@@ -4,7 +4,7 @@
 //! * `lint` — a line-based source pass enforcing repo rules that
 //!   rustc/clippy cannot express (see `LINT RULES` below: R1 no unwraps
 //!   in runtime/queue code, R2 no raw shims, R3 no relaxed SPSC orderings,
-//!   R4 window memory only through `ctx.rs`, R5 one matcher, R6 one
+//!   R4 window memory only through `ctx.rs` and the bank, R5 one matcher, R6 one
 //!   rank-side wait helper, R7 one wait future, R8 the collective tag mark
 //!   stays in the runtime). Deliberately
 //!   simple — line-oriented with a brace-tracking skip for `#[cfg(test)]`
@@ -36,14 +36,19 @@ use std::process::ExitCode;
 ///    (the typed `RtQuery`/`CollCtx` surface is the only public API).
 /// R3 `no-relaxed-spsc`: no `Ordering::Relaxed` in `crates/queues/src`
 ///    non-test code — every counter in the SPSC protocol (seq, tail,
-///    disconnected) carries release/acquire semantics; a relaxed access is
-///    a protocol bug (the dcuda-verify model checker proves the demoted
-///    variant racy).
-/// R4 `no-direct-window-indexing`: no `self.windows[` outside
-///    `crates/rt/src/ctx.rs`. The window accessors in `ctx.rs` are the
-///    single seam the happens-before race detector instruments; indexing
-///    the backing store directly anywhere else opens an unobserved access
-///    path and silently breaks race detection.
+///    disconnected) and the window lend word carries release/acquire
+///    semantics; a relaxed access is a protocol bug (the dcuda-verify
+///    model checker proves the demoted variants racy).
+/// R4 `no-direct-window-indexing`: window memory is touched only through
+///    the `ctx.rs` accessors and the window bank's one landing copy. In
+///    `crates/rt/src` non-test code: no `rank_windows` (the bank's view
+///    for the rank) outside `ctx.rs` and `bank.rs`, and no `UnsafeCell`,
+///    raw pointer (`as_ptr(`, `as_mut_ptr(`) or `copy_nonoverlapping`
+///    outside `bank.rs`. The `ctx.rs` accessors are the single seam the
+///    happens-before race detector instruments, and the bank is the only
+///    code that may touch windows a rank has lent to its engine: a second
+///    path would escape the detector or write while the rank owns the
+///    memory, unguarded by the lend word.
 /// R5 `one-matcher`: no `match_in_order(` call outside
 ///    `crates/queues/src/notify.rs` (its definition), `tests/` directories
 ///    and `#[cfg(test)]` modules. The linear matcher is the executable
@@ -347,10 +352,18 @@ fn lint() -> ExitCode {
                     findings.push(finding(&file, lineno, "no-raw-shims", line));
                 }
                 // Window memory may only be touched through the ctx.rs
-                // accessors — the seam the race detector instruments.
+                // accessors — the seam the race detector instruments — and
+                // the bank's landing copy, under the lend word.
+                let name = file.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                let raw = [
+                    "UnsafeCell",
+                    "as_ptr(",
+                    "as_mut_ptr(",
+                    "copy_nonoverlapping",
+                ];
                 if dir.contains("rt")
-                    && line.contains("self.windows[")
-                    && file.file_name().is_none_or(|n| n != "ctx.rs")
+                    && ((line.contains("rank_windows") && name != "ctx.rs" && name != "bank.rs")
+                        || (raw.iter().any(|p| line.contains(p)) && name != "bank.rs"))
                 {
                     findings.push(finding(&file, lineno, "no-direct-window-indexing", line));
                 }
