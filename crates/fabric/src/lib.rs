@@ -16,8 +16,9 @@
 //! All models are *time functions*: they mutate internal contention state and
 //! return delivery instants; the caller schedules the corresponding events.
 //! Like the paper's MPI over InfiniBand, the fabric is reliable and ordered:
-//! it has no fault model. Fault injection for real traffic belongs to the
-//! transport (`dcuda-net`'s `NetFaults`).
+//! it has no fault model, and neither has the real transport (`dcuda-net`),
+//! whose TCP connections and shared-memory rings are reliable and ordered
+//! too.
 
 #![warn(missing_docs)]
 

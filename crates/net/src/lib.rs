@@ -10,14 +10,14 @@
 //!   original shared-memory path as [`InProcessPlane`];
 //! * [`wire`] — the length-prefixed codec: semantic [`WireMsg`]s (put
 //!   deliveries, flush acks, barrier tokens, finish announcements) inside
-//!   connection-level [`Frame`]s carrying the sequence numbers of the
-//!   exactly-once link discipline (flow control is the byte stream's own:
-//!   the credits of the paper's PCIe command queues live in
+//!   connection-level [`Frame`]s whose sequence numbers check the order
+//!   and exactly-once delivery of the medium underneath (one TCP
+//!   connection or one SPSC ring per peer pair; flow control is that
+//!   medium's own: the credits of the paper's PCIe command queues live in
 //!   `dcuda-queues`, not on a socket);
 //! * [`SocketPlane`] — the `MultiProcess` backend: a TCP mesh between the
-//!   worker processes of a launch, with small-message coalescing,
-//!   single-copy vectored writes of large payloads and deterministic
-//!   byte-stream fault injection ([`NetFaults`]);
+//!   worker processes of a launch, with small-message coalescing and
+//!   single-copy vectored writes of large payloads;
 //! * [`launch`] — the coordinator/worker handshake and child-process
 //!   reaping used by the `dcuda-launch` binary.
 //!
@@ -27,14 +27,12 @@
 #![warn(missing_docs)]
 
 pub mod launch;
-mod link;
 pub mod shm;
 pub mod socket;
 pub mod transport;
 pub mod wire;
 
 pub use launch::LaunchError;
-pub use link::NetFaults;
 pub use shm::shm_supported;
 pub use socket::{MeshOpts, NetConfig, NetEndpoint, SocketPlane};
 pub use transport::{InProcessEndpoint, InProcessPlane, NetError, NetStats, PlaneKind, Transport};

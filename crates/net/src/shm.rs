@@ -24,13 +24,15 @@
 //!   a single `memcpy` per direction, reassembled straight into the final
 //!   delivery buffer.
 //!
-//! # Faults and ordering
+//! # Ordering
 //!
-//! Records carry a dense per-direction sequence number and run the same
-//! exactly-once discipline as the socket plane (`crate::link`): a
-//! `NetFaults` drop withholds a message for a later retransmission pass, a
-//! duplicate writes the record (or whole jumbo chain) twice; the receiver
-//! releases messages strictly in sequence and suppresses repeats.
+//! Each direction is one SPSC ring, so records arrive in the order they
+//! were pushed, each exactly once. Records still carry a dense
+//! per-direction message sequence number (every record of a jumbo chain
+//! carries its message's), as tcp frames do: the receiver takes only the
+//! next one and fails the link with [`CodecError::OutOfSequence`] on any
+//! other, as it fails a record that opens a message inside an unfinished
+//! jumbo chain. Nothing is held back waiting for a gap.
 //!
 //! # Liveness
 //!
@@ -38,10 +40,9 @@
 //! probes the peer with `kill(pid, 0)` so a crashed neighbor surfaces as
 //! `peer_gone` exactly like a socket EOF.
 
-use crate::link::{LinkRx, LinkTx, NetFaults};
 use crate::socket::{lock, AtomicStats};
 use crate::transport::NetError;
-use crate::wire::{is_eager, MsgHeader, WireMsg, EAGER_MAX, SHM_RING_BYTES};
+use crate::wire::{is_eager, CodecError, MsgHeader, WireMsg, EAGER_MAX, SHM_RING_BYTES};
 use dcuda_queues::bytering::{fits, ByteRingConsumer, ByteRingProducer, RingStore};
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
@@ -237,10 +238,8 @@ struct OutMsg {
     /// Eager: header and payload travel as one record. Otherwise a jumbo
     /// chain: a header record, then the payload in chunks.
     whole: bool,
-    /// Records of the current transmission already in the ring.
+    /// Records of this message already in the ring.
     written: usize,
-    /// Fault-injected duplicate transmissions still owed.
-    extra_copies: u8,
 }
 
 impl OutMsg {
@@ -261,35 +260,23 @@ impl OutMsg {
 
 struct ShmTx {
     prod: ByteRingProducer<MappedRing>,
-    /// Sequencing, fault rolls and the retransmit park.
-    link: LinkTx<OutMsg>,
+    /// Sequence number of the next message.
+    next_seq: u64,
     /// Messages waiting for ring space, in order.
     queue: VecDeque<OutMsg>,
 }
 
 impl ShmTx {
-    /// Drive the send backlog (retransmissions + queued messages). Returns
-    /// true if any record hit the ring.
+    /// Drive the send backlog. Returns true if any record hit the ring.
     fn service(&mut self, stats: &AtomicStats) -> bool {
         let mut moved = false;
-        // Retransmissions re-enter the queue behind fresher sequence
-        // numbers, exercising the receiver's reorder path.
-        let due = self.link.due_retransmits(stats);
-        self.queue.extend(due);
         while let Some(front) = self.queue.front_mut() {
             let (complete, wrote) = Self::write_step(&mut self.prod, front, stats);
             moved |= wrote;
             if !complete {
                 break;
             }
-            if front.extra_copies > 0 {
-                // Fault-injected duplicate: replay the whole record (or
-                // jumbo chain) under the same sequence number.
-                front.extra_copies -= 1;
-                front.written = 0;
-            } else {
-                self.queue.pop_front();
-            }
+            self.queue.pop_front();
         }
         moved
     }
@@ -332,9 +319,8 @@ struct JumboRx {
 
 struct ShmRx {
     cons: ByteRingConsumer<MappedRing>,
-    /// Release frontier, reorder buffer and duplicate verdict; a message
-    /// is slotted with its destination device.
-    link: LinkRx<(u32, WireMsg)>,
+    /// Sequence number of the next message.
+    expected: u64,
     jumbo: Option<JumboRx>,
 }
 
@@ -353,13 +339,11 @@ pub(crate) struct ShmConn {
 impl ShmConn {
     /// Create (lower index) or attach (higher index) the `my_proc`–
     /// `peer_proc` pair mapping in `dir` (one filesystem for both sides)
-    /// and return the link; attaching gives up at `deadline`. `faults` has
-    /// the socket plane's semantics.
+    /// and return the link; attaching gives up at `deadline`.
     pub(crate) fn connect(
         dir: &Path,
         my_proc: u32,
         peer_proc: u32,
-        faults: Option<NetFaults>,
         deadline: Instant,
     ) -> Result<ShmConn, NetError> {
         let lo = my_proc.min(peer_proc);
@@ -436,12 +420,12 @@ impl ShmConn {
             peer_proc,
             tx: Mutex::new(ShmTx {
                 prod: ByteRingProducer::new(ring(tx_ring)),
-                link: LinkTx::new(faults, my_proc, peer_proc),
+                next_seq: 0,
                 queue: VecDeque::new(),
             }),
             rx: Mutex::new(ShmRx {
                 cons: ByteRingConsumer::new(ring(rx_ring)),
-                link: LinkRx::new(),
+                expected: 0,
                 jumbo: None,
             }),
             peer_pid_off: if creator { OFF_PID_HI } else { OFF_PID_LO },
@@ -459,23 +443,19 @@ impl ShmConn {
     pub(crate) fn send(&self, dst_device: u32, msg: WireMsg, stats: &AtomicStats) {
         let (head, data) = msg.into_parts();
         let mut tx = lock(&self.tx);
-        let seq = tx.link.assign_seq();
+        let seq = tx.next_seq;
+        tx.next_seq += 1;
         let encoded_len = head.len() + data.len();
         stats.count_class(encoded_len);
         stats.shm_msgs.fetch_add(1, Ordering::Relaxed);
-        let out = OutMsg {
+        tx.queue.push_back(OutMsg {
             seq,
             dst_device,
             head,
             data,
             whole: is_eager(encoded_len),
             written: 0,
-            extra_copies: 0,
-        };
-        if let Some((mut out, copies)) = tx.link.first_transmission(out) {
-            out.extra_copies = copies - 1;
-            tx.queue.push_back(out);
-        }
+        });
         tx.service(stats);
     }
 
@@ -484,7 +464,7 @@ impl ShmConn {
         lock(&self.tx).service(stats)
     }
 
-    /// Drain inbound records, routing complete in-order messages through
+    /// Drain inbound records, routing complete messages through
     /// `route(dst_device, msg)`. Returns true if anything was consumed.
     pub(crate) fn drain(
         &self,
@@ -497,7 +477,7 @@ impl ShmConn {
             let rx = &mut *rx;
             let parsed = rx
                 .cons
-                .try_pop_with(|body| parse_record(body, &mut rx.jumbo, stats))
+                .try_pop_with(|body| parse_record(body, &mut rx.expected, &mut rx.jumbo, stats))
                 .map_err(|e| NetError::Io(format!("shm peer {}: {e:?}", self.peer_proc)))?;
             let done = match parsed {
                 None => break,
@@ -505,13 +485,8 @@ impl ShmConn {
             };
             consumed = true;
             stats.frames_recv.fetch_add(1, Ordering::Relaxed);
-            if let Some((seq, dst_device, msg)) = done {
-                if rx.link.admit(seq, stats) {
-                    rx.link.fill(seq, (dst_device, msg));
-                    while let Some((dst, msg)) = rx.link.pop_ready() {
-                        route(dst, msg);
-                    }
-                }
+            if let Some((dst_device, msg)) = done {
+                route(dst_device, msg);
             }
         }
         Ok(consumed)
@@ -519,8 +494,7 @@ impl ShmConn {
 
     /// Is the send backlog fully flushed into the ring?
     pub(crate) fn tx_idle(&self) -> bool {
-        let tx = lock(&self.tx);
-        tx.queue.is_empty() && tx.link.idle()
+        lock(&self.tx).queue.is_empty()
     }
 
     /// Probe the peer process (rate-limited): false once it has exited.
@@ -552,14 +526,16 @@ fn rec_msg_hdr(kind: u8, dst_device: u32, seq: u64) -> [u8; REC_MSG_HDR] {
     h
 }
 
-/// Parse one ring record body; returns a complete message when one
-/// finishes (whole record or the last jumbo chunk).
-#[allow(clippy::type_complexity)]
+/// Parse one ring record body; returns a complete message and its
+/// destination device when one finishes (whole record or the last jumbo
+/// chunk). A record that opens a message must carry sequence number
+/// `expected`, which it then advances.
 fn parse_record(
     body: &[u8],
+    expected: &mut u64,
     jumbo: &mut Option<JumboRx>,
     stats: &AtomicStats,
-) -> Result<Option<(u64, u32, WireMsg)>, NetError> {
+) -> Result<Option<(u32, WireMsg)>, NetError> {
     if body.len() < REC_MSG_HDR {
         return Err(NetError::Io(format!(
             "shm record too short: {} bytes",
@@ -572,6 +548,20 @@ fn parse_record(
         body[5], body[6], body[7], body[8], body[9], body[10], body[11], body[12],
     ]);
     let rest = &body[REC_MSG_HDR..];
+    if kind == KIND_WHOLE || kind == KIND_JUMBO_FIRST {
+        if jumbo.is_some() {
+            return Err(NetError::Io(
+                "shm message began inside a jumbo chain".into(),
+            ));
+        }
+        if seq != *expected {
+            return Err(NetError::Codec(CodecError::OutOfSequence {
+                expected: *expected,
+                got: seq,
+            }));
+        }
+        *expected += 1;
+    }
     match kind {
         KIND_WHOLE => {
             let head = WireMsg::decode_header(rest).map_err(NetError::Codec)?;
@@ -583,7 +573,7 @@ fn parse_record(
                 stats.copies_rx.fetch_add(1, Ordering::Relaxed);
             }
             let msg = head.into_msg(data).map_err(NetError::Codec)?;
-            Ok(Some((seq, dst_device, msg)))
+            Ok(Some((dst_device, msg)))
         }
         KIND_JUMBO_FIRST => {
             let head = WireMsg::decode_header(rest).map_err(NetError::Codec)?;
@@ -617,7 +607,7 @@ fn parse_record(
             };
             stats.copies_rx.fetch_add(1, Ordering::Relaxed);
             let msg = j.head.into_msg(j.data).map_err(NetError::Codec)?;
-            Ok(Some((j.seq, j.dst_device, msg)))
+            Ok(Some((j.dst_device, msg)))
         }
         other => Err(NetError::Io(format!("unknown shm record kind {other}"))),
     }
@@ -651,10 +641,10 @@ mod tests {
         d
     }
 
-    fn pair(dir: &Path, faults: Option<NetFaults>) -> (ShmConn, ShmConn) {
+    fn pair(dir: &Path) -> (ShmConn, ShmConn) {
         let deadline = Instant::now() + Duration::from_secs(10);
         let connect = move |dir: &Path, my_proc, peer_proc| {
-            ShmConn::connect(dir, my_proc, peer_proc, faults, deadline).unwrap()
+            ShmConn::connect(dir, my_proc, peer_proc, deadline).unwrap()
         };
         let dir2 = dir.to_path_buf();
         let t = std::thread::spawn(move || connect(&dir2, 1, 0));
@@ -669,7 +659,7 @@ mod tests {
     #[test]
     fn eager_and_jumbo_roundtrip_with_single_copies() {
         let dir = temp_dir();
-        let (a, b) = pair(&dir, None);
+        let (a, b) = pair(&dir);
         // Both sides hold their mappings: the pair file is already unlinked,
         // so nothing is left to leak however the world ends — and traffic
         // flows regardless.
@@ -704,63 +694,46 @@ mod tests {
     }
 
     #[test]
-    fn lossy_shm_stream_preserves_fifo_exactly_once() {
-        use crate::socket::tests::lossy_payload;
-        for seed in [11, 12, 13] {
-            let dir = temp_dir();
-            let (a, b) = pair(
-                &dir,
-                Some(NetFaults {
-                    seed,
-                    drop_p: 0.25,
-                    dup_p: 0.25,
-                }),
-            );
-            let stats_a = AtomicStats::default();
-            let stats_b = AtomicStats::default();
-            let n = 300u32;
-            for i in 0..n {
-                a.send(1, deliver(lossy_payload(i)), &stats_a);
+    fn soak_shm_stream_preserves_fifo_exactly_once() {
+        // 300 messages across the eager/jumbo boundary, with ring service
+        // and drains interleaved with the sends: every one arrives once, in
+        // order, and nothing follows the last.
+        use crate::socket::tests::soak_payload;
+        let dir = temp_dir();
+        let (a, b) = pair(&dir);
+        let stats_a = AtomicStats::default();
+        let stats_b = AtomicStats::default();
+        let n = 300u32;
+        let mut expect = 0u32;
+        let mut take = |msg: WireMsg| match msg {
+            WireMsg::Deliver { data, .. } => {
+                assert!(data == soak_payload(expect), "FIFO broken at {expect}");
+                expect += 1;
             }
-            let deadline = Instant::now() + Duration::from_secs(20);
-            let mut expect = 0u32;
-            while expect < n {
-                a.service(&stats_a);
-                let mut fifo_ok = true;
-                b.drain(&stats_b, |_dst, msg| match msg {
-                    WireMsg::Deliver { data, .. } => {
-                        if data != lossy_payload(expect) {
-                            fifo_ok = false;
-                        }
-                        expect += 1;
-                    }
-                    other => panic!("unexpected {other:?}"),
-                })
-                .unwrap();
-                assert!(fifo_ok, "seed {seed}: FIFO broken near {expect}");
-                assert!(
-                    Instant::now() < deadline,
-                    "seed {seed}: timed out at {expect}"
-                );
-            }
-            b.drain(&stats_b, |_, msg| panic!("duplicate delivered: {msg:?}"))
-                .unwrap();
-            assert!(
-                stats_a.net_retries.load(Ordering::Relaxed) > 0,
-                "seed {seed}: drops must retransmit"
-            );
-            assert!(
-                stats_b.net_dups_suppressed.load(Ordering::Relaxed) > 0,
-                "seed {seed}: dups must be suppressed"
-            );
-            std::fs::remove_dir_all(&dir).ok();
+            other => panic!("unexpected {other:?}"),
+        };
+        for i in 0..n {
+            a.send(1, deliver(soak_payload(i)), &stats_a);
+            a.service(&stats_a);
+            b.drain(&stats_b, |_dst, msg| take(msg)).unwrap();
         }
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !a.tx_idle() {
+            a.service(&stats_a);
+            b.drain(&stats_b, |_dst, msg| take(msg)).unwrap();
+            assert!(Instant::now() < deadline, "timed out");
+        }
+        b.drain(&stats_b, |_dst, msg| take(msg)).unwrap();
+        assert_eq!(expect, n);
+        b.drain(&stats_b, |_, msg| panic!("duplicate delivered: {msg:?}"))
+            .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn hostile_length_word_is_a_typed_error() {
         let dir = temp_dir();
-        let (a, b) = pair(&dir, None);
+        let (a, b) = pair(&dir);
         let stats = AtomicStats::default();
         a.send(1, deliver(vec![1, 2, 3]), &stats);
         // A peer gone bad overwrites the published record's length word
@@ -780,9 +753,58 @@ mod tests {
     }
 
     #[test]
+    fn out_of_sequence_record_is_a_typed_error() {
+        // A crafted whole record behind `sent` healthy messages: number 1
+        // while 0 is due (a gap), then 0 again (a repeat). It fails the
+        // link, and only what came before it is delivered.
+        let stats = AtomicStats::default();
+        for (sent, seq) in [(0u64, 1u64), (1, 0)] {
+            let dir = temp_dir();
+            let (a, b) = pair(&dir);
+            for _ in 0..sent {
+                a.send(1, deliver(vec![1, 2, 3]), &stats);
+            }
+            let (head, data) = deliver(vec![1, 2, 3]).into_parts();
+            let hdr = rec_msg_hdr(KIND_WHOLE, 1, seq);
+            assert!(lock(&a.tx).prod.try_push_parts(&[&hdr, &head, &data]));
+            let mut delivered = 0;
+            let err = b.drain(&stats, |_, _| delivered += 1);
+            assert_eq!(
+                err,
+                Err(NetError::Codec(CodecError::OutOfSequence {
+                    expected: sent,
+                    got: seq
+                }))
+            );
+            assert_eq!(delivered, sent);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        // A jumbo chain cut short by the next message: the chain is not
+        // dropped in silence.
+        let dir = temp_dir();
+        let (a, b) = pair(&dir);
+        let (head, _) = deliver(vec![7; 2 * JUMBO_CHUNK]).into_parts();
+        let (next, data) = deliver(vec![1, 2, 3]).into_parts();
+        let mut tx = lock(&a.tx);
+        assert!(tx
+            .prod
+            .try_push_parts(&[&rec_msg_hdr(KIND_JUMBO_FIRST, 1, 0), &head]));
+        assert!(tx
+            .prod
+            .try_push_parts(&[&rec_msg_hdr(KIND_WHOLE, 1, 1), &next, &data]));
+        drop(tx);
+        let err = b.drain(&stats, |_, msg| panic!("delivered {msg:?}"));
+        assert!(
+            matches!(&err, Err(NetError::Io(e)) if e.contains("inside a jumbo chain")),
+            "{err:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn peer_pid_liveness_is_observed() {
         let dir = temp_dir();
-        let (a, _b) = pair(&dir, None);
+        let (a, _b) = pair(&dir);
         // Both sides are this process, so the peer is trivially alive.
         assert!(a.peer_alive());
         // Forge a dead peer pid and wait out the rate limiter.

@@ -67,7 +67,7 @@ impl From<std::io::Error> for NetError {
 pub struct NetStats {
     /// Frames written to sockets.
     pub frames_sent: u64,
-    /// Frames received from sockets (post-dedup).
+    /// Frames received from sockets.
     pub frames_recv: u64,
     /// Bytes written (headers + payloads).
     pub bytes_sent: u64,
@@ -79,10 +79,10 @@ pub struct NetStats {
     pub rndz_msgs: u64,
     /// Socket writes that flushed more than one coalesced frame.
     pub coalesced_flushes: u64,
-    /// Frames retransmitted after an injected drop.
+    /// Always 0: every plane's medium is reliable, so nothing is ever
+    /// retransmitted. Kept because the repo benchmark reports it as its
+    /// `net.retries` row.
     pub net_retries: u64,
-    /// Duplicate frames suppressed by the sequence window.
-    pub net_dups_suppressed: u64,
     /// Messages that moved over shared-memory rings (same-host plane).
     pub shm_msgs: u64,
     /// Bytes written into shared-memory rings.
@@ -115,7 +115,6 @@ impl NetStats {
         self.rndz_msgs += other.rndz_msgs;
         self.coalesced_flushes += other.coalesced_flushes;
         self.net_retries += other.net_retries;
-        self.net_dups_suppressed += other.net_dups_suppressed;
         self.shm_msgs += other.shm_msgs;
         self.shm_bytes_sent += other.shm_bytes_sent;
         self.copies_tx += other.copies_tx;
@@ -158,9 +157,9 @@ impl PlaneKind {
 /// * `try_recv` and `pump` are the only progress points: a plane owns no
 ///   thread, so nothing moves between calls. Neither blocks. `try_recv`
 ///   drives receive progress when nothing is queued for this device;
-///   `pump` drives deferred sends (coalescing flushes, retransmit queues,
-///   writes the socket or ring took only part of) and reads nothing — no
-///   send ever waits on something the peer sends back. Both must be called
+///   `pump` drives deferred sends (coalescing flushes, writes the socket
+///   or ring took only part of) and reads nothing — no send ever waits on
+///   something the peer sends back. Both must be called
 ///   regularly by whoever drives the owning host engine, one caller at a
 ///   time per endpoint. `close` is the same kind of step for the end of a
 ///   clean run.

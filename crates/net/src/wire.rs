@@ -55,7 +55,8 @@ pub const SHM_RING_BYTES: usize = 1 << 20;
 /// A semantic message of the inter-host plane.
 ///
 /// `Deliver.seq` is a spare wire slot the runtime writes as 0: ordering and
-/// exactly-once delivery are the connection-level [`Frame::seq`]'s job.
+/// exactly-once delivery are the connection's own, which the
+/// connection-level [`Frame::seq`] checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
     /// Deliver a put (payload + optional notification) to a rank local to
@@ -130,6 +131,15 @@ pub enum CodecError {
         /// Number of unconsumed bytes.
         extra: usize,
     },
+    /// A data frame (or shm record) whose connection sequence number is
+    /// not the next one: the stream lost, repeated or reordered a message,
+    /// which an ordered exactly-once medium never does.
+    OutOfSequence {
+        /// The sequence number the receiver was due to see.
+        expected: u64,
+        /// The one that arrived.
+        got: u64,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -153,6 +163,9 @@ impl fmt::Display for CodecError {
             }
             CodecError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after a complete message")
+            }
+            CodecError::OutOfSequence { expected, got } => {
+                write!(f, "out-of-sequence frame {got} (expected {expected})")
             }
         }
     }
@@ -490,11 +503,10 @@ pub const FRAME_HEADER_BYTES: usize = 4 + 1 + 4 + 8 + 4;
 ///
 /// `seq` is the per-connection sequence number: [`FrameKind::Data`] frames
 /// are numbered densely from 0 per (sender process → receiver process)
-/// connection, and the receiver releases messages to the host layer
-/// strictly in `seq` order. That single mechanism provides FIFO delivery,
-/// duplicate suppression (a `seq` below the release frontier is dropped)
-/// and loss recovery (the stream stalls until the sender's retransmission
-/// fills the gap).
+/// connection. The connection itself is FIFO and exactly-once, so the
+/// number is a corruption check: a receiver takes only the next one and
+/// fails the stream with [`CodecError::OutOfSequence`] on anything else,
+/// holding nothing back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Frame kind.

@@ -230,7 +230,8 @@ fn corrupt_bytes_yield_typed_errors_never_panics() {
                 | CodecError::BadKind { .. }
                 | CodecError::Oversize { .. }
                 | CodecError::Truncated { .. }
-                | CodecError::TrailingBytes { .. },
+                | CodecError::TrailingBytes { .. }
+                | CodecError::OutOfSequence { .. },
             ) => {}
         }
     });

@@ -64,10 +64,10 @@ pub enum ProgressMode {
     Inline,
     /// A pool of `n` dedicated progress threads co-drives every host
     /// engine of this [`ClusterPart`]: workers drain transport frames and
-    /// pump deferred transport work (transport retransmits included)
-    /// whenever a host loop is busy elsewhere, work-stealing across the
-    /// part's devices (worker `i` homes devices `d` with `d % n == i` and
-    /// steals the rest opportunistically).
+    /// pump deferred transport work whenever a host loop is busy
+    /// elsewhere, work-stealing across the part's devices (worker `i`
+    /// homes devices `d` with `d % n == i` and steals the rest
+    /// opportunistically).
     Threads(u32),
 }
 
@@ -282,10 +282,11 @@ pub struct RtReport {
     pub matched: u64,
     /// Barrier collectives completed (world-wide rounds).
     pub barriers: u64,
-    /// Always 0: the runtime has no reliability layer of its own. Transport
-    /// retransmits are reported in `net.net_retries`.
+    /// Always 0: neither the runtime nor any transport plane has a
+    /// reliability layer, because each plane's medium is reliable and
+    /// ordered. Kept because the repo benchmark reports it.
     pub retries: u64,
-    /// Always 0, as `retries`; see `net.net_dups_suppressed`.
+    /// Always 0, as `retries`, and kept for the same reason.
     pub dups_suppressed: u64,
     /// Collective-engine statistics, aggregated over all ranks. The
     /// schedule-determined fields (`puts`, `bytes`, `chunks`) must agree

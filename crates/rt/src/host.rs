@@ -15,8 +15,9 @@
 //! receiver.
 //!
 //! Reliability is the transport's contract too (FIFO *and* exactly once,
-//! whatever faults are injected below it): the host is a plain protocol
-//! engine with one code path — an inter-host put is one `plane.send`.
+//! which one TCP connection or one SPSC ring per peer pair provides): the
+//! host is a plain protocol engine with one code path — an inter-host put
+//! is one `plane.send`.
 
 use crate::bank::{WindowBank, LAND_MIN};
 use crate::coll::COLL_TAG_BIT;
@@ -274,8 +275,8 @@ impl Host {
                         self.flush[local as usize].complete(flush_id);
                     }
                     None => {
-                        // Inter-host: one send. Ordering, loss recovery and
-                        // dedup are the transport's job (`seq` is a spare
+                        // Inter-host: one send. Ordering and exactly-once
+                        // delivery are the transport's (`seq` is a spare
                         // wire slot, written as 0).
                         let peer = self.device_of(dst);
                         self.plane
@@ -432,7 +433,7 @@ impl Host {
             self.handle_peer(msg)?;
         }
         // Drive deferred transport work (coalesced flushes, writes the
-        // socket or ring had no room for, link-level retransmits).
+        // socket or ring had no room for).
         progress |= self.plane.pump().map_err(net_err)?;
         Ok(Pass {
             work: progress,

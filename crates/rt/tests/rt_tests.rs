@@ -716,13 +716,12 @@ fn inline_busy_host_does_not_stall_waiting_ranks() {
 }
 
 #[test]
-fn lossy_transport_keeps_exactly_once_with_progress_pool_and_race_detection() {
-    // Faults are a transport concern: on a mesh that drops and duplicates
-    // frames the runtime still delivers every notification exactly once,
-    // retransmits fire from whichever thread pumps the plane, and — since
-    // the transport releases each channel strictly in sequence — the race
+fn socket_mesh_keeps_exactly_once_with_progress_pool_and_race_detection() {
+    // Two world halves over a real tcp mesh, pumped by a progress pool
+    // behind a busy host loop: every notification is delivered exactly
+    // once, and — since the mesh delivers each channel in order — the race
     // detector runs alongside and finds nothing.
-    use dcuda_net::{NetConfig, NetFaults, SocketPlane};
+    use dcuda_net::{NetConfig, SocketPlane};
     use dcuda_rt::{try_run_cluster_part, ClusterPart, ProgressMode, RaceMode};
     const MSGS: u32 = 96;
     const INBOX: usize = 1024;
@@ -735,11 +734,11 @@ fn lossy_transport_keeps_exactly_once_with_progress_pool_and_race_detection() {
         .host_busy_spin(1_000)
         .race_detect(RaceMode::Observe)
         .build()
-        .expect("race detection needs no healthy-plane carve-out");
+        .expect("race detection runs on any plane");
     let programs = |first: u32| -> Vec<dcuda_rt::cluster::RankProgram> {
         (first..first + 2)
             .map(|rank| -> dcuda_rt::cluster::RankProgram {
-                // Cross-device partner: every put rides the lossy mesh.
+                // Cross-device partner: every put rides the mesh.
                 let partner = Rank(rank ^ 2);
                 Box::new(move |ctx| {
                     ctx.win_mut_at(W0, 0, 8)
@@ -757,15 +756,7 @@ fn lossy_transport_keeps_exactly_once_with_progress_pool_and_race_detection() {
             .collect()
     };
     // Both halves live in this process, so they share one `RaceHandle`.
-    let lossy = NetConfig {
-        faults: Some(NetFaults {
-            seed: 9,
-            drop_p: 0.2,
-            dup_p: 0.2,
-        }),
-        ..NetConfig::default()
-    };
-    let [p0, p1] = SocketPlane::loopback_pair(lossy, None)
+    let [p0, p1] = SocketPlane::loopback_pair(NetConfig::default(), None)
         .expect("loopback mesh")
         .map(|eps| -> Vec<Box<dyn dcuda_rt::Transport>> {
             eps.into_iter().map(|ep| Box::new(ep) as _).collect()
@@ -781,11 +772,6 @@ fn lossy_transport_keeps_exactly_once_with_progress_pool_and_race_detection() {
     assert_eq!(r0.puts + r1.puts, 4 * u64::from(MSGS));
     assert_eq!(r0.notifications + r1.notifications, 4 * u64::from(MSGS));
     assert_eq!(r0.matched + r1.matched, 4 * u64::from(MSGS));
-    assert!(r0.net.net_retries + r1.net.net_retries > 0, "20% drop");
-    assert!(
-        r0.net.net_dups_suppressed + r1.net.net_dups_suppressed > 0,
-        "20% dup"
-    );
     assert!(r0.races.is_empty() && r1.races.is_empty(), "{:?}", r0.races);
 }
 

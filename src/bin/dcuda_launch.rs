@@ -20,14 +20,12 @@
 //! ```text
 //! dcuda-launch --procs 2 --devices-per-proc 1 --ranks-per-device 52 \
 //!     --workload overlap --iters 40 --payload 1024 [--plane auto|tcp|shm] \
-//!     [--faults lossy@11] [--trace out/launch.trace] [--report-json out/launch.json]
+//!     [--trace out/launch.trace] [--report-json out/launch.json]
 //! ```
 
 use dcuda::workloads::{Workload, WorkloadSpec};
 use dcuda_bench::json::Json;
-use dcuda_net::{
-    launch, MeshOpts, NetConfig, NetFaults, NetStats, PlaneKind, SocketPlane, Transport,
-};
+use dcuda_net::{launch, MeshOpts, NetConfig, NetStats, PlaneKind, SocketPlane, Transport};
 use dcuda_rt::programs::{Params, Program};
 use dcuda_rt::{thread_per_rank, ClusterPart, ProgressMode, RaceMode, RtConfig, RtReport};
 use std::net::TcpListener;
@@ -46,7 +44,6 @@ struct Args {
     workload: Workload,
     iters: u32,
     payload: usize,
-    faults: Option<NetFaults>,
     race: String,
     progress: u32,
     host_busy: u64,
@@ -69,7 +66,6 @@ impl Default for Args {
             workload: Workload::Overlap,
             iters: 20,
             payload: 1024,
-            faults: None,
             race: "off".into(),
             progress: 0,
             host_busy: 0,
@@ -86,7 +82,7 @@ impl Default for Args {
 const USAGE: &str = "usage: dcuda-launch [--backend multiprocess|inprocess] [--procs M]
     [--plane auto|tcp|shm] [--devices-per-proc D] [--ranks-per-device R]
     [--workload pingpong|overlap|stencil|coll|racey] [--iters N] [--payload BYTES]
-    [--faults PROFILE] [--race off|observe|strict] [--progress N] [--host-busy ITERS]
+    [--race off|observe|strict] [--progress N] [--host-busy ITERS]
     [--trace PATH] [--report-json PATH] [--die-proc K] [--timeout-secs S]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -109,7 +105,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--workload" => args.workload = Workload::parse(val("--workload")?)?,
             "--iters" => args.iters = parse_num(val("--iters")?, "--iters")?,
             "--payload" => args.payload = parse_num(val("--payload")?, "--payload")?,
-            "--faults" => args.faults = Some(NetFaults::parse(val("--faults")?)?),
             "--race" => args.race = val("--race")?.clone(),
             "--progress" => args.progress = parse_num(val("--progress")?, "--progress")?,
             "--host-busy" => args.host_busy = parse_num(val("--host-busy")?, "--host-busy")?,
@@ -191,7 +186,6 @@ fn net_json(net: &NetStats) -> Json {
         .field("rndz_msgs", Json::from(net.rndz_msgs))
         .field("coalesced_flushes", Json::from(net.coalesced_flushes))
         .field("net_retries", Json::from(net.net_retries))
-        .field("net_dups_suppressed", Json::from(net.net_dups_suppressed))
         .field("shm_msgs", Json::from(net.shm_msgs))
         .field("shm_bytes_sent", Json::from(net.shm_bytes_sent))
         .field("copies_tx", Json::from(net.copies_tx))
@@ -245,9 +239,6 @@ fn write_outputs(args: &Args, rendered: &str) -> Result<(), String> {
 // --- in-process backend ---------------------------------------------------
 
 fn run_inprocess(args: &Args) -> Result<(), String> {
-    if args.faults.is_some() {
-        return Err("--faults injects at the socket layer; use --backend multiprocess".into());
-    }
     let (program, p) = program_of(args);
     let cfg = cluster_config(args, &(program, p))?;
     let world = cfg.world();
@@ -358,7 +349,6 @@ fn run_coordinator(args: &Args) -> Result<(), String> {
             total.net.rndz_msgs += n("rndz_msgs");
             total.net.coalesced_flushes += n("coalesced_flushes");
             total.net.net_retries += n("net_retries");
-            total.net.net_dups_suppressed += n("net_dups_suppressed");
             total.net.shm_msgs += n("shm_msgs");
             total.net.shm_bytes_sent += n("shm_bytes_sent");
             total.net.copies_tx += n("copies_tx");
@@ -445,11 +435,7 @@ fn worker_run(
     let (program, p) = program_of(args);
     let cfg = cluster_config(args, &(program, p))?;
     let traced = args.trace.is_some();
-    let config = NetConfig {
-        // A healthy profile injects nothing: run the plain link.
-        faults: args.faults.filter(|f| f.drop_p > 0.0 || f.dup_p > 0.0),
-        traced,
-    };
+    let config = NetConfig { traced };
     let endpoints = SocketPlane::establish(MeshOpts {
         my_proc: index,
         procs: args.procs,

@@ -207,54 +207,6 @@ fn conformance_coll_backends_agree() {
     }
 }
 
-/// Collectives under a lossy fault profile: the socket plane's retry layer
-/// must deliver the exact same reduction bytes and schedule counters as the
-/// clean in-process golden — packet loss may cost retries, never bits.
-#[test]
-fn conformance_coll_survives_lossy_plane() {
-    let base = [
-        "--procs",
-        "2",
-        "--devices-per-proc",
-        "1",
-        "--ranks-per-device",
-        "3",
-        "--workload",
-        "coll",
-        "--iters",
-        "3",
-        "--payload",
-        "512",
-    ];
-    let mut inproc_args = vec!["--backend", "inprocess"];
-    inproc_args.extend_from_slice(&base);
-    let inproc = run_report(&inproc_args);
-
-    let mut lossy_args = vec![
-        "--backend",
-        "multiprocess",
-        "--plane",
-        "tcp",
-        "--faults",
-        "lossy@11",
-    ];
-    lossy_args.extend_from_slice(&base);
-    let lossy = run_report(&lossy_args);
-
-    for &key in COUNTERS {
-        assert_eq!(
-            counter(&inproc, key),
-            counter(&lossy, key),
-            "coll/lossy: counter {key:?} diverges from the clean golden"
-        );
-    }
-    assert_eq!(
-        inproc.get("checksum").and_then(Json::as_str),
-        lossy.get("checksum").and_then(Json::as_str),
-        "coll/lossy: reduction bytes diverge under packet loss"
-    );
-}
-
 /// Progress-engine conformance: the identical world run with the
 /// asynchronous progress pool (`--progress 2` plus a busy host loop) must
 /// match the inline engine's protocol counters and window checksum on the
@@ -340,67 +292,6 @@ fn conformance_progress_pool_matches_inline() {
     } else {
         assert_progress_pool_matches_inline("overlap", 6, 1024, 4);
     }
-}
-
-/// Retransmit timers fired off-thread: a lossy socket plane driven by the
-/// progress pool must still deliver the exact counters and bytes of the
-/// clean inline golden — whoever fires a retry timer, loss may cost
-/// transport retries, never bits.
-#[test]
-fn conformance_progress_pool_survives_lossy_plane() {
-    let base = [
-        "--procs",
-        "2",
-        "--devices-per-proc",
-        "1",
-        "--ranks-per-device",
-        "4",
-        "--workload",
-        "overlap",
-        "--iters",
-        "6",
-        "--payload",
-        "1024",
-    ];
-    let mut inline_args = vec!["--backend", "inprocess"];
-    inline_args.extend_from_slice(&base);
-    let golden = run_report(&inline_args);
-
-    let mut lossy_args = vec![
-        "--backend",
-        "multiprocess",
-        "--plane",
-        "tcp",
-        "--faults",
-        "lossy@11",
-        "--progress",
-        "2",
-        "--host-busy",
-        "50000",
-    ];
-    lossy_args.extend_from_slice(&base);
-    let lossy = run_report(&lossy_args);
-
-    for &key in COUNTERS {
-        assert_eq!(
-            counter(&golden, key),
-            counter(&lossy, key),
-            "overlap/lossy+progress: counter {key:?} diverges from the clean inline golden"
-        );
-    }
-    assert_eq!(
-        golden.get("checksum").and_then(Json::as_str),
-        lossy.get("checksum").and_then(Json::as_str),
-        "overlap/lossy+progress: window bytes diverge under packet loss"
-    );
-    assert!(
-        net_counter(&lossy, "progress_frames") > 0,
-        "overlap/lossy+progress: the pool drained no frames off-thread"
-    );
-    assert!(
-        net_counter(&lossy, "net_retries") > 0,
-        "overlap/lossy+progress: the lossy profile injected nothing — vacuous run"
-    );
 }
 
 /// Orphan-cleanup regression: when a worker dies mid-run the coordinator
