@@ -27,7 +27,7 @@
 //! the recipe EXPERIMENTS.md documents for reproducing checker findings.
 
 use dcuda_core::types::Topology;
-use dcuda_core::{ClusterSim, RankCtx, RankKernel, Suspend, SystemSpec, WinId, WindowSpec};
+use dcuda_core::{ClusterSim, RankCtx, RankKernel, Suspend, SystemSpec, WindowSpec};
 use dcuda_rt::{Rank, RtConfig, RtQuery, Tag, WindowId};
 use dcuda_verify::suite::mk_handoff;
 use dcuda_verify::{mutation_model, run_suite, Schedule, SuiteEffort, WaitForGraph, WaitReason};
@@ -36,7 +36,7 @@ use dcuda_verify::{mutation_model, run_suite, Schedule, SuiteEffort, WaitForGrap
 /// waits for the same number back (full-duplex exchange; every rank is
 /// both sender and receiver, so conservation is exercised in both roles).
 struct Exchange {
-    partner: u32,
+    partner: Rank,
     msgs: u32,
     phase: u32,
 }
@@ -47,11 +47,11 @@ impl RankKernel for Exchange {
             0 => {
                 self.phase = 1;
                 for t in 0..self.msgs {
-                    ctx.put_notify(WinId(0), dcuda_core::Rank(self.partner), 0, 0, 64, t);
+                    ctx.put_notify(WindowId(0), self.partner, 0, 0, 64, t);
                 }
                 Suspend::WaitNotifications {
-                    win: Some(WinId(0)),
-                    source: Some(dcuda_core::Rank(self.partner)),
+                    win: Some(WindowId(0)),
+                    source: Some(self.partner),
                     tag: None,
                     count: self.msgs,
                 }
@@ -164,7 +164,7 @@ fn main() {
         let kernels: Vec<Box<dyn RankKernel>> = (0..topo.world_size())
             .map(|r| {
                 Box::new(Exchange {
-                    partner: r ^ 2,
+                    partner: Rank(r ^ 2),
                     msgs: 4,
                     phase: 0,
                 }) as Box<dyn RankKernel>

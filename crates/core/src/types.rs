@@ -1,30 +1,7 @@
-//! Identifiers of the dCUDA programming model.
+//! Identifiers of the dCUDA programming model. [`Rank`] and [`WinId`] are
+//! `dcuda-queues`' typed ids, the runtime's too.
 
-/// A dCUDA rank — one CUDA block, addressable cluster-wide (paper §II-B:
-/// "we identify each block with a unique rank identifier that allows to
-/// address data on the entire cluster").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Rank(pub u32);
-
-impl Rank {
-    /// Raw index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// A window identifier, valid cluster-wide after collective creation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct WinId(pub u32);
-
-impl WinId {
-    /// Raw index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
+pub use dcuda_queues::{Rank, WindowId as WinId};
 
 /// A notification tag.
 pub type Tag = u32;

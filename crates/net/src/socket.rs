@@ -616,8 +616,9 @@ impl SocketPlane {
     /// (endpoint `i` is world device `my_proc * devices_per_proc + i`).
     ///
     /// Protocol: process `i` dials every `j < i` and accepts from every
-    /// `j > i`; each side opens with a [`FrameKind::Hello`] frame carrying
-    /// its process index. The caller (launcher) must have distributed
+    /// `j > i`; the dialer opens with a [`FrameKind::Hello`] frame carrying
+    /// its process index, which the acceptor reads before the stream goes
+    /// nonblocking. The caller (launcher) must have distributed
     /// `peer_addrs` beforehand.
     ///
     /// Peers whose entry in `peer_hosts` matches this process's (and with
@@ -858,8 +859,6 @@ enum RxPhase {
         buf: [u8; FRAME_HEADER_BYTES],
         got: usize,
     },
-    /// Discarding the payload of a late hello.
-    Skip { remaining: usize },
     /// Accumulating the ≤[`WireMsg::HEADER_MAX`]-byte message prefix of a
     /// data frame.
     MsgPrefix {
@@ -999,31 +998,17 @@ fn advance_conn(
                                 got: 0,
                             }
                         }
-                        // A late hello is tolerated: it carries nothing.
-                        FrameKind::Hello => RxPhase::Skip {
-                            remaining: head.payload_len,
-                        },
+                        // `establish` read the one hello before the stream
+                        // went nonblocking: another is a broken peer.
+                        FrameKind::Hello => {
+                            return Err(invalid(CodecError::BadKind {
+                                kind: FrameKind::Hello.to_u8(),
+                            }))
+                        }
                     };
                     Ok(true)
                 }
             }
-        }
-        RxPhase::Skip { mut remaining } => {
-            let mut scratch = [0u8; 4096];
-            while remaining > 0 {
-                let take = remaining.min(scratch.len());
-                match c.stream.read(&mut scratch[..take]) {
-                    Ok(0) => return Err(eof_mid_frame(remaining)),
-                    Ok(n) => remaining -= n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        c.phase = RxPhase::Skip { remaining };
-                        return Ok(false);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(true)
         }
         RxPhase::MsgPrefix {
             head,
@@ -1860,6 +1845,12 @@ pub(crate) mod tests {
                 got: 1
             })
         );
+        // A hello after the handshake (here behind frame 0): the dialer's
+        // first hello is the only one the protocol has.
+        let hello = frame(FrameKind::Hello, 0, 1u32.to_le_bytes().to_vec());
+        let (delivered, e) = recv_until_error([data_frame(0), hello].concat());
+        assert_eq!(delivered, vec![msg.clone()]);
+        assert_eq!(e, NetError::Codec(CodecError::BadKind { kind: 0 }));
         // Frame 0 twice: the first is delivered, the repeat fails the
         // stream instead of being dropped as a duplicate.
         let (delivered, e) = recv_until_error([data_frame(0), data_frame(0)].concat());

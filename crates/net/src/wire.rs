@@ -111,7 +111,8 @@ pub enum CodecError {
         /// The word found where the magic belonged.
         found: u32,
     },
-    /// An unknown message or frame kind byte.
+    /// An unknown message or frame kind byte, or a hello frame after the
+    /// handshake.
     BadKind {
         /// The offending kind byte.
         kind: u8,
@@ -479,7 +480,7 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
-    fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             FrameKind::Hello => 0,
             FrameKind::Data => 1,

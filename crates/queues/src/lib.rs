@@ -19,7 +19,8 @@
 //! [`IndexedMatcher`] serves the same semantics at O(matches) cost and is
 //! the pending list both drivers run. [`LendWord`] says whether a waiting
 //! rank has lent its window memory to its engine, which may then land
-//! payloads in it.
+//! payloads in it. [`Rank`], [`WindowId`] and [`Tag`] are the typed ids of
+//! the device API, defined here once for the simulator and the runtime.
 //!
 //! These structures are used for real by the native threaded runtime
 //! (`dcuda-rt`); the discrete-event simulation models their *timing* (one
@@ -30,6 +31,7 @@
 
 pub mod bytering;
 pub mod dedup;
+pub mod ids;
 pub mod indexed;
 pub mod lend;
 pub mod notify;
@@ -38,6 +40,7 @@ pub mod spsc;
 
 pub use bytering::{byte_ring_on, ByteRingConsumer, ByteRingProducer};
 pub use dedup::{DedupWindow, DEDUP_WINDOW};
+pub use ids::{Rank, Tag, WindowId};
 pub use indexed::IndexedMatcher;
 pub use lend::LendWord;
 pub use notify::{match_in_order, Notification, Query, ANY};

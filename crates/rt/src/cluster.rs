@@ -1020,8 +1020,28 @@ mod tests {
     use crate::bank::LAND_MIN;
     use crate::task::{drive, task};
     use crate::types::{Rank, RtQuery, Tag, WindowId};
-    use dcuda_net::WireMsg;
+    use dcuda_net::{NetError, WireMsg};
     use std::sync::mpsc;
+
+    /// Device 0's endpoint without the ack it owes the crafted deliver:
+    /// rank 1 never issued that put, so device 1 would refuse the ack as
+    /// a transport error.
+    struct DropAcks(dcuda_net::InProcessEndpoint);
+
+    impl Transport for DropAcks {
+        fn send(&mut self, peer: u32, msg: WireMsg) -> Result<(), NetError> {
+            if matches!(msg, WireMsg::Ack { .. }) {
+                return Ok(());
+            }
+            self.0.send(peer, msg)
+        }
+        fn try_recv(&mut self) -> Result<Option<WireMsg>, NetError> {
+            self.0.try_recv()
+        }
+        fn pump(&mut self) -> Result<bool, NetError> {
+            self.0.pump()
+        }
+    }
 
     /// A 2x1 world's in-process endpoints, device 1 having already sent
     /// device 0's rank a landing-sized payload aimed 8 bytes past the end
@@ -1049,11 +1069,9 @@ mod tests {
             data: vec![0xAB; LAND_MIN],
         };
         planes[1].send(0, deliver).expect("plane send");
-        let planes = planes
-            .into_iter()
-            .map(|ep| Box::new(ep) as Box<dyn Transport>)
-            .collect();
-        (cfg, planes)
+        let device1 = planes.pop().expect("device 1");
+        let device0 = planes.pop().expect("device 0");
+        (cfg, vec![Box::new(DropAcks(device0)), Box::new(device1)])
     }
 
     fn expect_range_error(got: Result<(), RtError>) {

@@ -1097,7 +1097,7 @@ mod tests {
         // Every rank runs ring, then pingpong, then counts itself into
         // `allocated` if its hidden scratch window holds any memory.
         let tasks = || -> Vec<RankTask> {
-            let programs = Program::Ring { poison_at: None }
+            let programs = Program::Ring
                 .tasks(p, 8)
                 .into_iter()
                 .zip(Program::PingPong.tasks(p, 8));

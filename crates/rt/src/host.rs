@@ -43,6 +43,9 @@ const CLOSE_LINGER: Duration = Duration::from_secs(2);
 /// well", paper §III-B).
 pub(crate) struct FlushHistory {
     frontier: u64,
+    /// The highest id the rank has issued (every `Cmd::Put` carries the
+    /// next one, from 1): an ack can only complete an id up to here.
+    issued: u64,
     completed: BinaryHeap<std::cmp::Reverse<u64>>,
     publish: Arc<AtomicU64>,
 }
@@ -51,29 +54,35 @@ impl FlushHistory {
     pub fn new(publish: Arc<AtomicU64>) -> Self {
         FlushHistory {
             frontier: 0,
+            issued: 0,
             completed: BinaryHeap::new(),
             publish,
         }
     }
 
-    fn complete(&mut self, id: u64) {
-        if id <= self.frontier {
-            // Duplicate ack for an id the frontier already passed; absorbing
-            // it here keeps the heap from wedging below a stale entry.
-            return;
+    /// Complete `id`. Ack ids arrive off the wire, and the transport
+    /// delivers each message exactly once, so an id this rank never issued,
+    /// or one already completed, is a broken or hostile peer: refused
+    /// before it can sit in the heap forever.
+    fn complete(&mut self, id: u64) -> Result<(), RtError> {
+        if id <= self.frontier || id > self.issued || self.completed.iter().any(|r| r.0 == id) {
+            return Err(RtError::Transport {
+                detail: format!(
+                    "Ack for flush id {id}, which is not outstanding (issued {}, frontier {})",
+                    self.issued, self.frontier
+                ),
+            });
         }
         self.completed.push(std::cmp::Reverse(id));
         while let Some(&std::cmp::Reverse(top)) = self.completed.peek() {
-            if top <= self.frontier {
-                self.completed.pop();
-            } else if top == self.frontier + 1 {
-                self.completed.pop();
-                self.frontier += 1;
-            } else {
+            if top != self.frontier + 1 {
                 break;
             }
+            self.completed.pop();
+            self.frontier += 1;
         }
         self.publish.store(self.frontier, Ordering::Release);
+        Ok(())
     }
 }
 
@@ -256,6 +265,7 @@ impl Host {
                 // Collective-engine puts (tag bit 31) route like user puts
                 // but are accounted in `CollStats`, not here.
                 self.puts_routed += u64::from(tag & COLL_TAG_BIT == 0);
+                self.flush[local as usize].issued = flush_id;
                 let rank = self.device * self.ranks_per_device + local;
                 match self.local_of(dst) {
                     Some(dst_local) => {
@@ -272,7 +282,7 @@ impl Host {
                             notify,
                         };
                         self.deliver_local(dst_local, delivery);
-                        self.flush[local as usize].complete(flush_id);
+                        self.flush[local as usize].complete(flush_id)?;
                     }
                     None => {
                         // Inter-host: one send. Ordering and exactly-once
@@ -372,7 +382,7 @@ impl Host {
                 origin_local,
                 flush_id,
             } => {
-                self.flush[local_rank("Ack", origin_local)? as usize].complete(flush_id);
+                self.flush[local_rank("Ack", origin_local)? as usize].complete(flush_id)?;
             }
             WireMsg::Finished { device, ranks } => {
                 // This process counts its own ranks in `finished_global`;

@@ -1,9 +1,10 @@
 //! The reference rank programs, defined once, as async tasks.
 //!
-//! [`Program`] is the one table of them. `dcuda-launch`'s workloads
-//! (`dcuda::workloads`) and the job registry of `dcuda-sched` name its
-//! entries, and each entry carries its window layout, its collective
-//! scratch need and its task. The scheduler runs job worlds on the
+//! [`Program`] is the one table of them, and the only place their names
+//! are parsed and printed: `dcuda-launch --workload` and the job specs of
+//! `dcuda-sched` (whose `JobProgram` is a re-export) name its entries, and
+//! each entry carries its window layout, its collective scratch need and
+//! its task. The scheduler runs job worlds on the
 //! cooperative driver; everything else runs on rank threads through the
 //! thread-per-rank adapter ([`thread_per_rank`](crate::thread_per_rank)).
 //! Every program is fully determined by `(seed, world, iters, payload)`
@@ -80,11 +81,13 @@ pub enum Program {
     /// region moves to the right neighbour's inbox while this rank consumes
     /// from its left, and a ring release gates the left neighbour's next
     /// round so nobody overwrites the inbox before it is checksummed.
-    Ring {
-        /// The scheduler's fault-isolation victim switch: rank 0 panics at
-        /// the start of this iteration, or after the last one if it lies
-        /// beyond — a poisoned run never completes.
-        poison_at: Option<u32>,
+    Ring,
+    /// [`Ring`](Program::Ring) with the scheduler's fault-isolation victim
+    /// switch: rank 0 panics at the start of iteration `at_iter`, or after
+    /// the last one if it lies beyond, so the run never completes.
+    Poison {
+        /// Iteration at which rank 0 panics (clamped to the iter count).
+        at_iter: u32,
     },
     /// Chunked ring allreduce over `u64` lanes, a world barrier per round.
     Allreduce,
@@ -106,6 +109,46 @@ pub enum Program {
 const ALGOS: [CollAlgo; 3] = [CollAlgo::Ring, CollAlgo::Tree, CollAlgo::RecursiveDoubling];
 
 impl Program {
+    /// Parse a program name: `pingpong`, `ring`, `poison:<n>`,
+    /// `allreduce`, `stencil`, `coll` or `racey`. The launcher's
+    /// `--workload` and the scheduler's job specs take these names.
+    pub fn parse(name: &str) -> Result<Program, String> {
+        Ok(match name {
+            "pingpong" => Program::PingPong,
+            "ring" => Program::Ring,
+            "allreduce" => Program::Allreduce,
+            "stencil" => Program::Stencil,
+            "coll" => Program::Coll,
+            "racey" => Program::Racey,
+            other => match other.strip_prefix("poison:") {
+                Some(n) => Program::Poison {
+                    at_iter: n
+                        .parse()
+                        .map_err(|_| format!("bad poison iteration {n:?}"))?,
+                },
+                None => {
+                    return Err(format!(
+                        "unknown program {other:?} (expected pingpong, ring, poison:<n>, \
+                         allreduce, stencil, coll or racey)"
+                    ))
+                }
+            },
+        })
+    }
+
+    /// Canonical name, which [`parse`](Program::parse) reads back.
+    pub fn name(self) -> String {
+        match self {
+            Program::PingPong => "pingpong".into(),
+            Program::Ring => "ring".into(),
+            Program::Poison { at_iter } => format!("poison:{at_iter}"),
+            Program::Allreduce => "allreduce".into(),
+            Program::Stencil => "stencil".into(),
+            Program::Coll => "coll".into(),
+            Program::Racey => "racey".into(),
+        }
+    }
+
     /// The window layout every rank registers.
     pub fn windows(self, p: &Params) -> Vec<usize> {
         let regions = match self {
@@ -153,7 +196,10 @@ impl Program {
         (0..count)
             .map(|_| match self {
                 Program::PingPong => task(move |ctx| Box::pin(pingpong(ctx, p))),
-                Program::Ring { poison_at } => task(move |ctx| Box::pin(ring(ctx, p, poison_at))),
+                Program::Ring => task(move |ctx| Box::pin(ring(ctx, p, None))),
+                Program::Poison { at_iter } => {
+                    task(move |ctx| Box::pin(ring(ctx, p, Some(at_iter))))
+                }
                 Program::Allreduce => task(move |ctx| Box::pin(allreduce(ctx, p))),
                 Program::Stencil => task(move |ctx| Box::pin(stencil(ctx, p))),
                 Program::Coll => task(move |ctx| Box::pin(coll(ctx, p))),

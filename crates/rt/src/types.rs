@@ -1,101 +1,15 @@
 //! Typed identifiers, queries and errors of the runtime API.
 //!
 //! The first runtime API passed windows, ranks and tags as bare `u32`s —
-//! easy to transpose silently (`put_notify(dst, win, ...)` compiles). These
-//! newtypes make each position its own type, carry the wildcard constants
-//! (`Rank::ANY`, `Tag::ANY`, `WindowId::ANY`) instead of loose `ANY_*`
-//! consts, and pair with [`RtError`] so bad arguments surface as values
-//! rather than panics.
+//! easy to transpose silently (`put_notify(dst, win, ...)` compiles). The
+//! newtypes (`dcuda-queues`' ids, which the simulator shares) make each
+//! position its own type, carry the wildcard constants (`Rank::ANY`,
+//! `Tag::ANY`, `WindowId::ANY`) instead of loose `ANY_*` consts, and pair
+//! with [`RtError`] so bad arguments surface as values rather than panics.
 
-use dcuda_queues::{Query, ANY};
+use dcuda_queues::Query;
+pub use dcuda_queues::{Rank, Tag, WindowId};
 use std::fmt;
-
-/// World-communicator rank (`dcuda_comm_rank(DCUDA_COMM_WORLD)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Rank(pub u32);
-
-impl Rank {
-    /// Source wildcard for queries (`DCUDA_ANY_SOURCE`).
-    pub const ANY: Rank = Rank(ANY);
-
-    /// Raw index (for container addressing).
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Window identifier (position in the registered window layout).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct WindowId(pub u32);
-
-impl WindowId {
-    /// Window wildcard for queries (`DCUDA_ANY_WIN`).
-    pub const ANY: WindowId = WindowId(ANY);
-
-    /// Raw index (for container addressing).
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Notification tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Tag(pub u32);
-
-impl Tag {
-    /// Tag wildcard for queries (`DCUDA_ANY_TAG`).
-    pub const ANY: Tag = Tag(ANY);
-}
-
-impl From<u32> for Rank {
-    fn from(v: u32) -> Self {
-        Rank(v)
-    }
-}
-
-impl From<u32> for WindowId {
-    fn from(v: u32) -> Self {
-        WindowId(v)
-    }
-}
-
-impl From<u32> for Tag {
-    fn from(v: u32) -> Self {
-        Tag(v)
-    }
-}
-
-impl fmt::Display for Rank {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if *self == Rank::ANY {
-            write!(f, "rank(ANY)")
-        } else {
-            write!(f, "rank {}", self.0)
-        }
-    }
-}
-
-impl fmt::Display for WindowId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if *self == WindowId::ANY {
-            write!(f, "win(ANY)")
-        } else {
-            write!(f, "win {}", self.0)
-        }
-    }
-}
-
-impl fmt::Display for Tag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if *self == Tag::ANY {
-            write!(f, "tag(ANY)")
-        } else {
-            write!(f, "tag {}", self.0)
-        }
-    }
-}
 
 /// A typed notification query: each position is either exact or its type's
 /// `ANY` wildcard.
@@ -315,6 +229,7 @@ impl From<dcuda_coll::CollError> for RtError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcuda_queues::ANY;
 
     #[test]
     fn wildcards_are_any() {

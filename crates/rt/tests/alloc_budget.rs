@@ -117,12 +117,7 @@ const BUDGETS: [Budget; 8] = [
         [[81, 8, 0], [95, 16, 0]],
     ),
     budget(Program::PingPong, (1, 2), 8, [[68, 8, 0], [82, 16, 0]]),
-    budget(
-        Program::Ring { poison_at: None },
-        (2, 2),
-        256,
-        [[159, 0, 40], [209, 0, 72]],
-    ),
+    budget(Program::Ring, (2, 2), 256, [[159, 0, 40], [209, 0, 72]]),
     budget(
         Program::Stencil,
         (2, 2),

@@ -59,11 +59,11 @@ fn both_drivers_agree_on_every_registry_program() {
                         payload: (h >> 16) as usize % 200,
                     };
                     let program = match kind {
-                        0 => Program::Ring { poison_at: None },
+                        0 => Program::Ring,
                         1 => Program::PingPong,
                         2 => Program::Allreduce,
-                        3 => Program::Ring {
-                            poison_at: Some((h >> 8) as u32 % (p.iters + 1)),
+                        3 => Program::Poison {
+                            at_iter: (h >> 8) as u32 % (p.iters + 1),
                         },
                         4 => Program::Stencil,
                         5 => Program::Coll,
@@ -79,7 +79,7 @@ fn both_drivers_agree_on_every_registry_program() {
                     let cell = format!(
                         "{program:?} {devices}x{ranks_per_device} ring {ring_capacity} {p:?}"
                     );
-                    if let Program::Ring { poison_at: Some(_) } = program {
+                    if let Program::Poison { .. } = program {
                         for (driver, out) in [("cooperative", &coop), ("threaded", &threads)] {
                             assert!(
                                 matches!(out, Err(RtError::RankPanicked { rank: 0, .. })),

@@ -966,6 +966,32 @@ fn a_finished_announcing_more_ranks_than_its_device_has_is_a_transport_error() {
 }
 
 #[test]
+fn an_ack_for_a_flush_id_not_outstanding_is_a_transport_error() {
+    // Ack ids arrive off the wire. One the rank never issued would sit in
+    // the flush heap forever, and a repeat would be dropped silently.
+    let ack = |flush_id| WireMsg::Ack {
+        origin_local: 0,
+        flush_id,
+    };
+    for early in [ack(0), ack(1), ack(u64::MAX)] {
+        match run_scripted(2, vec![early], vec![finished(1)], 1) {
+            Err(RtError::Transport { detail }) => assert!(detail.contains("Ack"), "{detail}"),
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+    }
+    // The rank issues flush id 1 with a put to device 1; its ack arrives
+    // twice once the rank has finished.
+    let put: dcuda_rt::cluster::RankProgram = Box::new(|ctx| {
+        ctx.put_notify(W0, Rank(1), 0, 0, 8, Tag(0));
+    });
+    let late = vec![finished(1), ack(1), ack(1)];
+    match run_scripted_program(2, vec![], late, 1, put) {
+        Err(RtError::Transport { detail }) => assert!(detail.contains("flush id 1"), "{detail}"),
+        other => panic!("expected a transport error, got {other:?}"),
+    }
+}
+
+#[test]
 fn a_deliver_whose_offset_overflows_is_a_typed_range_error_at_the_rank() {
     // `dst_off` is a u64 off the wire. Added to the payload length it
     // wraps: an unchecked sum passes the bounds test in release and panics

@@ -26,8 +26,9 @@
 //!   (`dcuda_net::launch`), returning per-job reports plus an aggregate
 //!   [`SchedStats`].
 //!
-//! Jobs are *named programs* ([`JobProgram`]) rather than closures so a
-//! spec can cross the control plane; each is deterministic in
+//! Jobs are *named programs* (entries of [`dcuda_rt::programs::Program`],
+//! re-exported as [`JobProgram`]) rather than closures so a spec can cross
+//! the control plane; each is deterministic in
 //! `(seed, world, iters, payload)` and publishes the same rank-salted
 //! FNV checksums the conformance suite uses, which is what makes the
 //! storm-vs-solo byte-identity tests in `tests/sched_conformance.rs`
@@ -38,7 +39,6 @@
 
 pub mod jobstate;
 pub mod ledger;
-pub mod programs;
 pub mod scheduler;
 pub mod server;
 pub mod stats;
@@ -49,63 +49,14 @@ pub use scheduler::{run_solo, JobCounters, JobResult, JobStatus, Scheduler};
 pub use server::{serve, spawn_server, CtrlClient, ServerHandle};
 pub use stats::SchedStats;
 
-use dcuda_rt::{RtConfig, RtError, MAX_WORLD};
+use dcuda_rt::programs::{Params, Program};
+use dcuda_rt::{RankTask, RtConfig, RtError, MAX_WORLD};
 use std::fmt;
 
-/// The named program a job runs. Specs must cross the control plane, so
-/// jobs pick from this registry instead of shipping closures; every program
-/// is deterministic in `(seed, world, iters, payload)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobProgram {
-    /// Ring halo exchange: every rank puts to its right neighbor and
-    /// consumes from its left each iteration (the paper's overlap shape).
-    Ring,
-    /// Even/odd rank pairs exchange the payload each iteration; the
-    /// unpaired last rank of an odd world sits out.
-    PingPong,
-    /// Chunked ring allreduce over `u64` lanes each iteration.
-    Allreduce,
-    /// The fault-profile victim: runs `Ring` until the given iteration,
-    /// then rank 0 panics — the seeded mid-stream kill the isolation suite
-    /// injects to prove neighbors are untouched.
-    Poison {
-        /// Iteration at which rank 0 panics (clamped to the iter count).
-        at_iter: u32,
-    },
-}
-
-impl JobProgram {
-    /// Canonical wire name (`poison:<n>` carries its trigger iteration).
-    pub fn name(&self) -> String {
-        match self {
-            JobProgram::Ring => "ring".into(),
-            JobProgram::PingPong => "pingpong".into(),
-            JobProgram::Allreduce => "allreduce".into(),
-            JobProgram::Poison { at_iter } => format!("poison:{at_iter}"),
-        }
-    }
-
-    /// Parse a wire name.
-    pub fn parse(s: &str) -> Result<JobProgram, String> {
-        match s {
-            "ring" => Ok(JobProgram::Ring),
-            "pingpong" => Ok(JobProgram::PingPong),
-            "allreduce" => Ok(JobProgram::Allreduce),
-            other => {
-                if let Some(n) = other.strip_prefix("poison:") {
-                    let at_iter = n
-                        .parse::<u32>()
-                        .map_err(|_| format!("bad poison iteration {n:?}"))?;
-                    Ok(JobProgram::Poison { at_iter })
-                } else {
-                    Err(format!(
-                        "unknown program {other:?} (expected ring, pingpong, allreduce or poison:<n>)"
-                    ))
-                }
-            }
-        }
-    }
-}
+/// The named program a job runs: the benchmark's name for the reference
+/// program table. Specs must cross the control plane, so jobs pick an entry
+/// of the table by its wire name instead of shipping closures.
+pub use dcuda_rt::programs::Program as JobProgram;
 
 /// One job submission: program, gang shape, window layout knobs and
 /// priority. Serializable over the control plane via
@@ -114,8 +65,8 @@ impl JobProgram {
 pub struct JobSpec {
     /// Caller label (reported back verbatim; no whitespace or `=`).
     pub name: String,
-    /// Which registry program every rank executes.
-    pub program: JobProgram,
+    /// Which table program every rank executes.
+    pub program: Program,
     /// Devices the gang spans.
     pub devices: u32,
     /// Ranks per device.
@@ -138,7 +89,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A small job with conservative defaults, ready to customize.
-    pub fn small(name: impl Into<String>, program: JobProgram) -> JobSpec {
+    pub fn small(name: impl Into<String>, program: Program) -> JobSpec {
         JobSpec {
             name: name.into(),
             program,
@@ -158,9 +109,25 @@ impl JobSpec {
         self.devices * self.ranks_per_device
     }
 
+    /// What the spec's program data is generated from.
+    pub fn params(&self) -> Params {
+        Params {
+            seed: self.seed,
+            iters: self.iters,
+            payload: self.payload,
+        }
+    }
+
+    /// One task per world rank, in rank order: the scheduler runs them on
+    /// the cooperative driver ([`dcuda_rt::try_run_cluster_job`]),
+    /// [`run_solo`] on rank threads through [`dcuda_rt::thread_per_rank`].
+    pub fn tasks(&self) -> Vec<RankTask> {
+        self.program.tasks(self.params(), self.ranks())
+    }
+
     /// The window layout every rank of this job registers.
     pub fn windows(&self) -> Vec<usize> {
-        let mut w = self.program.program().windows(&self.params());
+        let mut w = self.program.windows(&self.params());
         if self.extra_window > 0 {
             w.push(self.extra_window);
         }
@@ -169,9 +136,7 @@ impl JobSpec {
 
     /// Collective scratch bytes this job needs.
     pub fn coll_scratch(&self) -> usize {
-        self.program
-            .program()
-            .coll_scratch(&self.params(), self.ranks())
+        self.program.coll_scratch(&self.params(), self.ranks())
     }
 
     /// Total per-rank window footprint charged against the quota: the
@@ -226,12 +191,10 @@ impl JobSpec {
 
     /// The whole-world runtime configuration this job runs on.
     pub fn rt_config(&self) -> Result<RtConfig, RtError> {
-        RtConfig::builder()
-            .devices(self.devices)
-            .ranks_per_device(self.ranks_per_device)
+        self.program
+            .config(&self.params(), self.devices, self.ranks_per_device)
             .windows(self.windows())
             .ring_capacity(self.ring_capacity)
-            .coll_scratch(self.coll_scratch())
             .build()
     }
 
@@ -255,30 +218,31 @@ impl JobSpec {
     /// Parse the `key=value` line [`to_kv`](JobSpec::to_kv) emits. Unknown
     /// keys are errors (the control plane is versioned by strictness).
     pub fn parse_kv(line: &str) -> Result<JobSpec, String> {
-        let mut spec = JobSpec::small("job", JobProgram::Ring);
+        // Each key parses as its field's own type, so a value that does not
+        // fit is refused rather than truncated.
+        fn num<T: std::str::FromStr>(k: &str, v: &str) -> Result<T, String> {
+            v.parse().map_err(|_| format!("bad number {v:?} for {k}"))
+        }
+        let mut spec = JobSpec::small("job", Program::Ring);
         let mut saw_name = false;
         for tok in line.split_whitespace() {
             let (k, v) = tok
                 .split_once('=')
                 .ok_or_else(|| format!("bad token {tok:?} (expected key=value)"))?;
-            let num = |v: &str| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("bad number {v:?} for {k}"))
-            };
             match k {
                 "name" => {
                     spec.name = v.to_string();
                     saw_name = true;
                 }
-                "program" => spec.program = JobProgram::parse(v)?,
-                "devices" => spec.devices = num(v)? as u32,
-                "rpd" => spec.ranks_per_device = num(v)? as u32,
-                "iters" => spec.iters = num(v)? as u32,
-                "payload" => spec.payload = num(v)? as usize,
-                "extra" => spec.extra_window = num(v)? as usize,
-                "ring" => spec.ring_capacity = num(v)? as usize,
-                "seed" => spec.seed = num(v)?,
-                "prio" => spec.priority = num(v)? as u8,
+                "program" => spec.program = Program::parse(v)?,
+                "devices" => spec.devices = num(k, v)?,
+                "rpd" => spec.ranks_per_device = num(k, v)?,
+                "iters" => spec.iters = num(k, v)?,
+                "payload" => spec.payload = num(k, v)?,
+                "extra" => spec.extra_window = num(k, v)?,
+                "ring" => spec.ring_capacity = num(k, v)?,
+                "seed" => spec.seed = num(k, v)?,
+                "prio" => spec.priority = num(k, v)?,
                 other => return Err(format!("unknown job key {other:?}")),
             }
         }
@@ -404,7 +368,7 @@ mod tests {
 
     #[test]
     fn kv_round_trips() {
-        let mut spec = JobSpec::small("storm-17", JobProgram::Poison { at_iter: 3 });
+        let mut spec = JobSpec::small("storm-17", Program::Poison { at_iter: 3 });
         spec.devices = 2;
         spec.ranks_per_device = 3;
         spec.iters = 9;
@@ -418,9 +382,27 @@ mod tests {
     }
 
     #[test]
+    fn kv_numbers_that_do_not_fit_their_field_are_refused() {
+        for (kv, key) in [
+            ("devices=4294967297", "devices"),
+            ("rpd=4294967296", "rpd"),
+            ("iters=-1", "iters"),
+            ("prio=300", "prio"),
+            ("seed=18446744073709551616", "seed"),
+        ] {
+            assert_eq!(
+                JobSpec::parse_kv(&format!("name=j {kv}")),
+                Err(format!("bad number {:?} for {key}", &kv[key.len() + 1..])),
+            );
+        }
+        let edge = JobSpec::parse_kv("name=j devices=4294967295 prio=255").expect("fits");
+        assert_eq!((edge.devices, edge.priority), (u32::MAX, u8::MAX));
+    }
+
+    #[test]
     fn quota_rejections_are_typed_and_deterministic() {
         let limits = SchedLimits::default();
-        let mut spec = JobSpec::small("big", JobProgram::Ring);
+        let mut spec = JobSpec::small("big", Program::Ring);
         spec.devices = 300;
         let first = spec.validate(&limits);
         assert_eq!(first, spec.validate(&limits));
@@ -429,7 +411,7 @@ mod tests {
             Err(SchedError::Quota { what: "ranks", .. })
         ));
 
-        let mut fat = JobSpec::small("fat", JobProgram::Ring);
+        let mut fat = JobSpec::small("fat", Program::Ring);
         fat.extra_window = usize::MAX / 2;
         assert!(matches!(
             fat.validate(&limits),
@@ -439,7 +421,7 @@ mod tests {
             })
         ));
 
-        let mut ring = JobSpec::small("ring", JobProgram::Ring);
+        let mut ring = JobSpec::small("ring", Program::Ring);
         ring.ring_capacity = 3;
         assert!(matches!(
             ring.validate(&limits),

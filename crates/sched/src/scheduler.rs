@@ -27,7 +27,6 @@
 
 use crate::jobstate::{CancelVerdict, JobEnd, TableState};
 use crate::ledger::{AdmissionQueue, Lease, Ledger, QueuedJob};
-use crate::programs;
 use crate::{JobSpec, SchedError, SchedLimits, SchedStats};
 use dcuda_rt::programs::fold_checksums;
 use dcuda_rt::{
@@ -455,7 +454,7 @@ fn runner(shared: &Arc<Shared>) {
         drop(st);
         let outcome = spec
             .rt_config()
-            .and_then(|cfg| try_run_cluster_job(&cfg, programs::tasks(&spec), &cancel));
+            .and_then(|cfg| try_run_cluster_job(&cfg, spec.tasks(), &cancel));
         st = lock(shared);
         book(shared, &mut st, id, outcome);
         // This runner takes the next ready job itself.
@@ -530,8 +529,7 @@ pub fn run_solo(spec: &JobSpec) -> Result<JobResult, SchedError> {
         ..SchedLimits::default()
     })?;
     let cfg = spec.rt_config().map_err(SchedError::Rt)?;
-    let (ranks, cells): (Vec<_>, Vec<_>) =
-        thread_per_rank(programs::tasks(spec)).into_iter().unzip();
+    let (ranks, cells): (Vec<_>, Vec<_>) = thread_per_rank(spec.tasks()).into_iter().unzip();
     let start = Instant::now();
     let outcome = try_run_cluster(&cfg, ranks).map(|report| {
         (

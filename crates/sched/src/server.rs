@@ -427,7 +427,6 @@ impl CtrlClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::JobProgram;
 
     #[test]
     fn result_kv_round_trips() {
@@ -479,6 +478,5 @@ mod tests {
         let sched = Scheduler::new(1, 2, crate::SchedLimits::default());
         let stop = AtomicBool::new(false);
         assert!(answer(&sched, "frobnicate 1", &stop).starts_with("err unknown verb"));
-        let _ = JobProgram::parse("ring");
     }
 }

@@ -6,7 +6,8 @@
 //!   in runtime/queue code, R2 no raw shims, R3 no relaxed SPSC orderings,
 //!   R4 window memory only through `ctx.rs` and the bank, R5 one matcher, R6 one
 //!   rank-side wait helper, R7 one wait future, R8 the collective tag mark
-//!   stays in the runtime). Deliberately
+//!   stays in the runtime, R9 one definition of the ids and the program
+//!   table). Deliberately
 //!   simple — line-oriented with a brace-tracking skip for `#[cfg(test)]`
 //!   modules — and wired into the CI `lint` job.
 //! * `bench-diff BASELINE FIGURES [WORKLOAD.json...] [--tol FRAC]` — the
@@ -71,6 +72,13 @@ use std::process::ExitCode;
 ///    Bit 31 marks collective traffic only on the runtime's wire; the
 ///    simulator's tags are plain `u32`s, so a copy of the mark elsewhere
 ///    (the deadlock analyzer once had one) misreads a kernel's own tag.
+/// R9 `one-vocabulary`: no `struct Rank(`, `struct WindowId(`,
+///    `struct WinId(` or `struct Tag(` in non-test code outside
+///    `crates/queues/src`, and no `enum JobProgram` anywhere, test code
+///    included. The simulator and the runtime name ranks, windows and tags
+///    with `dcuda-queues`' one set of ids, and the program table
+///    (`dcuda_rt::programs::Program`) is the only place program names are
+///    parsed and printed; a second definition drifts from the first.
 ///
 /// An escape hatch comment `// xtask: allow` on the offending line skips
 /// all rules for that line.
@@ -404,22 +412,31 @@ fn lint() -> ExitCode {
         }
     }
 
-    // R5 + R8 targets: every Rust source of the workspace that is not a
-    // test. The patterns are assembled so this file does not contain them.
+    // R5 + R8 + R9 targets: every Rust source of the workspace that is not
+    // a test (R9's enum: every one). The patterns are assembled so this
+    // file does not contain them.
     let linear_matcher_call = ["match_in", "_order("].concat();
     let coll_mark = ["COLL_TAG", "_BIT"].concat();
+    let id_defs = ["Rank(", "WindowId(", "WinId(", "Tag("].map(|id| ["struct ", id].concat());
+    let job_enum = ["enum Job", "Program"].concat();
     let matcher_home = Path::new("crates/queues/src/notify.rs");
-    for dir in ["crates", "src", "examples"] {
+    for dir in ["crates", "src", "examples", "tests"] {
         for file in rust_files(&root.join(dir)) {
             let rel = file.strip_prefix(&root).unwrap_or(&file);
+            let Ok(text) = std::fs::read_to_string(&file) else {
+                continue;
+            };
+            for (i, line) in text.lines().enumerate() {
+                if line.contains(&job_enum) && !line.contains("xtask: allow") && !is_comment(line) {
+                    findings.push(finding(&file, i + 1, "one-vocabulary", line));
+                }
+            }
             if rel.components().any(|c| c.as_os_str() == "tests") {
                 continue;
             }
             let in_matcher_home = rel == matcher_home;
             let in_rt = rel.starts_with("crates/rt/src");
-            let Ok(text) = std::fs::read_to_string(&file) else {
-                continue;
-            };
+            let in_ids_home = rel.starts_with("crates/queues/src");
             for (lineno, line) in non_test_lines(&text, None) {
                 if line.contains("xtask: allow") || is_comment(line) {
                     continue;
@@ -429,6 +446,9 @@ fn lint() -> ExitCode {
                 }
                 if line.contains(&coll_mark) && !in_rt {
                     findings.push(finding(&file, lineno, "coll-mark-in-rt", line));
+                }
+                if id_defs.iter().any(|d| line.contains(d.as_str())) && !in_ids_home {
+                    findings.push(finding(&file, lineno, "one-vocabulary", line));
                 }
             }
         }

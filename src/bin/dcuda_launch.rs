@@ -19,11 +19,10 @@
 //!
 //! ```text
 //! dcuda-launch --procs 2 --devices-per-proc 1 --ranks-per-device 52 \
-//!     --workload overlap --iters 40 --payload 1024 [--plane auto|tcp|shm] \
+//!     --workload ring --iters 40 --payload 1024 [--plane auto|tcp|shm] \
 //!     [--trace out/launch.trace] [--report-json out/launch.json]
 //! ```
 
-use dcuda::workloads::{Workload, WorkloadSpec};
 use dcuda_bench::json::Json;
 use dcuda_net::{launch, MeshOpts, NetConfig, NetStats, PlaneKind, SocketPlane, Transport};
 use dcuda_rt::programs::{Params, Program};
@@ -41,7 +40,7 @@ struct Args {
     procs: u32,
     devices_per_proc: u32,
     ranks_per_device: u32,
-    workload: Workload,
+    workload: Program,
     iters: u32,
     payload: usize,
     race: String,
@@ -63,7 +62,7 @@ impl Default for Args {
             procs: 2,
             devices_per_proc: 1,
             ranks_per_device: 4,
-            workload: Workload::Overlap,
+            workload: Program::Ring,
             iters: 20,
             payload: 1024,
             race: "off".into(),
@@ -81,7 +80,8 @@ impl Default for Args {
 
 const USAGE: &str = "usage: dcuda-launch [--backend multiprocess|inprocess] [--procs M]
     [--plane auto|tcp|shm] [--devices-per-proc D] [--ranks-per-device R]
-    [--workload pingpong|overlap|stencil|coll|racey] [--iters N] [--payload BYTES]
+    [--workload pingpong|ring|poison:<n>|allreduce|stencil|coll|racey]
+    [--iters N] [--payload BYTES]
     [--race off|observe|strict] [--progress N] [--host-busy ITERS]
     [--trace PATH] [--report-json PATH] [--die-proc K] [--timeout-secs S]";
 
@@ -102,7 +102,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--ranks-per-device" => {
                 args.ranks_per_device = parse_num(val("--ranks-per-device")?, "--ranks-per-device")?
             }
-            "--workload" => args.workload = Workload::parse(val("--workload")?)?,
+            "--workload" => args.workload = Program::parse(val("--workload")?)?,
             "--iters" => args.iters = parse_num(val("--iters")?, "--iters")?,
             "--payload" => args.payload = parse_num(val("--payload")?, "--payload")?,
             "--race" => args.race = val("--race")?.clone(),
@@ -149,16 +149,18 @@ fn parse_num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad value for {name}: {s}"))
 }
 
-fn program_of(args: &Args) -> (Program, Params) {
-    WorkloadSpec {
-        workload: args.workload,
+/// The program's data: seeded like a default `dcuda_sched::JobSpec`, so
+/// `--workload ring` and a `ring` job of the same shape produce the same
+/// checksum.
+fn params(args: &Args) -> Params {
+    Params {
+        seed: 1,
         iters: args.iters,
         payload: args.payload,
     }
-    .program()
 }
 
-fn cluster_config(args: &Args, (program, p): &(Program, Params)) -> Result<RtConfig, String> {
+fn cluster_config(args: &Args) -> Result<RtConfig, String> {
     let race = RaceMode::parse(&args.race).ok_or_else(|| format!("bad race mode {}", args.race))?;
     // `--progress 0` (the default) is the inline engine; N > 0 spawns the
     // asynchronous progress pool with N workers per process.
@@ -167,8 +169,8 @@ fn cluster_config(args: &Args, (program, p): &(Program, Params)) -> Result<RtCon
         n => ProgressMode::Threads(n),
     };
     let devices = args.procs * args.devices_per_proc;
-    program
-        .config(p, devices, args.ranks_per_device)
+    args.workload
+        .config(&params(args), devices, args.ranks_per_device)
         .race_detect(race)
         .progress(progress)
         .host_busy_spin(args.host_busy)
@@ -176,23 +178,86 @@ fn cluster_config(args: &Args, (program, p): &(Program, Params)) -> Result<RtCon
         .map_err(|e| e.to_string())
 }
 
-/// The transport-plane counters nested under `net` in every report shape.
+/// A report counter: its JSON key and where it lives.
+type Field<T> = (&'static str, fn(&mut T) -> &mut u64);
+
+/// The protocol counters of every report shape, in JSON order; the
+/// coordinator folds the workers' values back through the same list.
+const COUNTERS: [Field<RtReport>; 7] = [
+    ("puts", |r| &mut r.puts),
+    ("notifications", |r| &mut r.notifications),
+    ("matched", |r| &mut r.matched),
+    ("barriers", |r| &mut r.barriers),
+    ("coll_puts", |r| &mut r.coll.puts),
+    ("coll_bytes", |r| &mut r.coll.bytes),
+    ("coll_chunks", |r| &mut r.coll.chunks),
+];
+
+/// The transport-plane counters nested under `net`, in JSON order.
+const NET: [Field<NetStats>; 14] = [
+    ("frames_sent", |n| &mut n.frames_sent),
+    ("frames_recv", |n| &mut n.frames_recv),
+    ("bytes_sent", |n| &mut n.bytes_sent),
+    ("eager_msgs", |n| &mut n.eager_msgs),
+    ("rndz_msgs", |n| &mut n.rndz_msgs),
+    ("coalesced_flushes", |n| &mut n.coalesced_flushes),
+    ("net_retries", |n| &mut n.net_retries),
+    ("shm_msgs", |n| &mut n.shm_msgs),
+    ("shm_bytes_sent", |n| &mut n.shm_bytes_sent),
+    ("copies_tx", |n| &mut n.copies_tx),
+    ("copies_rx", |n| &mut n.copies_rx),
+    ("vectored_writes", |n| &mut n.vectored_writes),
+    ("progress_frames", |n| &mut n.progress_frames),
+    ("steals", |n| &mut n.steals),
+];
+
+/// Append `report`'s protocol counters to `o`, with the race count after
+/// `barriers`: the one writer of both the final report and the workers'
+/// partials.
+fn with_counters(mut o: Json, report: &RtReport) -> Json {
+    let mut r = report.clone();
+    for (key, field) in COUNTERS {
+        o = o.field(key, Json::from(*field(&mut r)));
+        if key == "barriers" {
+            o = o.field("races", Json::from(r.races.len() as u64));
+        }
+    }
+    o
+}
+
+/// The `net` object of every report shape.
 fn net_json(net: &NetStats) -> Json {
-    Json::obj()
-        .field("frames_sent", Json::from(net.frames_sent))
-        .field("frames_recv", Json::from(net.frames_recv))
-        .field("bytes_sent", Json::from(net.bytes_sent))
-        .field("eager_msgs", Json::from(net.eager_msgs))
-        .field("rndz_msgs", Json::from(net.rndz_msgs))
-        .field("coalesced_flushes", Json::from(net.coalesced_flushes))
-        .field("net_retries", Json::from(net.net_retries))
-        .field("shm_msgs", Json::from(net.shm_msgs))
-        .field("shm_bytes_sent", Json::from(net.shm_bytes_sent))
-        .field("copies_tx", Json::from(net.copies_tx))
-        .field("copies_rx", Json::from(net.copies_rx))
-        .field("vectored_writes", Json::from(net.vectored_writes))
-        .field("progress_frames", Json::from(net.progress_frames))
-        .field("steals", Json::from(net.steals))
+    let mut net = *net;
+    NET.iter().fold(Json::obj(), |o, (key, field)| {
+        o.field(key, Json::from(*field(&mut net)))
+    })
+}
+
+/// Fold one worker's partial into `total`: counters sum, except that
+/// barriers agree world-wide (take the max).
+fn absorb_counters(total: &mut RtReport, j: &Json) -> Result<(), String> {
+    for (key, field) in COUNTERS {
+        let v = j
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("report missing {key}"))?;
+        let t = field(total);
+        *t = if key == "barriers" {
+            (*t).max(v)
+        } else {
+            *t + v
+        };
+    }
+    let mut net = NetStats::default();
+    for (key, field) in NET {
+        *field(&mut net) = j
+            .get("net")
+            .and_then(|n| n.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or(0);
+    }
+    total.net.absorb(net);
+    Ok(())
 }
 
 /// The aggregate report both backends emit: protocol counters plus the
@@ -206,7 +271,7 @@ fn report_json(
     checksum: u64,
     plane_pairs: Json,
 ) -> Json {
-    Json::obj()
+    let head = Json::obj()
         .field("backend", Json::str(args.backend.clone()))
         .field("workload", Json::str(args.workload.name()))
         .field("procs", Json::from(args.procs))
@@ -214,15 +279,8 @@ fn report_json(
         .field("ranks_per_device", Json::from(args.ranks_per_device))
         .field("world", Json::from(world))
         .field("iters", Json::from(args.iters))
-        .field("payload", Json::from(args.payload))
-        .field("puts", Json::from(report.puts))
-        .field("notifications", Json::from(report.notifications))
-        .field("matched", Json::from(report.matched))
-        .field("barriers", Json::from(report.barriers))
-        .field("races", Json::from(report.races.len() as u64))
-        .field("coll_puts", Json::from(report.coll.puts))
-        .field("coll_bytes", Json::from(report.coll.bytes))
-        .field("coll_chunks", Json::from(report.coll.chunks))
+        .field("payload", Json::from(args.payload));
+    with_counters(head, report)
         .field("checksum", Json::str(format!("{checksum:#018x}")))
         .field("plane_pairs", plane_pairs)
         .field("net", net_json(&report.net))
@@ -239,11 +297,12 @@ fn write_outputs(args: &Args, rendered: &str) -> Result<(), String> {
 // --- in-process backend ---------------------------------------------------
 
 fn run_inprocess(args: &Args) -> Result<(), String> {
-    let (program, p) = program_of(args);
-    let cfg = cluster_config(args, &(program, p))?;
+    let cfg = cluster_config(args)?;
     let world = cfg.world();
     let (programs, cells): (Vec<_>, Vec<_>) =
-        thread_per_rank(program.tasks(p, world)).into_iter().unzip();
+        thread_per_rank(args.workload.tasks(params(args), world))
+            .into_iter()
+            .unzip();
     let (report, tracer) = if args.trace.is_some() {
         dcuda_rt::run_cluster_traced(&cfg, programs).map_err(|e| e.to_string())?
     } else {
@@ -292,7 +351,7 @@ fn make_shm_dir() -> Result<ShmDirGuard, String> {
 }
 
 fn run_coordinator(args: &Args) -> Result<(), String> {
-    let cfg = cluster_config(args, &program_of(args))?; // validate before spawning anything
+    let cfg = cluster_config(args)?; // validate before spawning anything
     let world = cfg.world();
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -332,31 +391,8 @@ fn run_coordinator(args: &Args) -> Result<(), String> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("worker {i} report missing {k}"))
         };
-        total.puts += get("puts")?;
-        total.notifications += get("notifications")?;
-        total.matched += get("matched")?;
-        total.barriers = total.barriers.max(get("barriers")?);
-        total.coll.puts += get("coll_puts")?;
-        total.coll.bytes += get("coll_bytes")?;
-        total.coll.chunks += get("coll_chunks")?;
+        absorb_counters(&mut total, &j).map_err(|e| format!("worker {i} {e}"))?;
         checksum = checksum.wrapping_add(get("checksum_partial")?);
-        if let Some(net) = j.get("net") {
-            let n = |k: &str| net.get(k).and_then(Json::as_u64).unwrap_or(0);
-            total.net.frames_sent += n("frames_sent");
-            total.net.frames_recv += n("frames_recv");
-            total.net.bytes_sent += n("bytes_sent");
-            total.net.eager_msgs += n("eager_msgs");
-            total.net.rndz_msgs += n("rndz_msgs");
-            total.net.coalesced_flushes += n("coalesced_flushes");
-            total.net.net_retries += n("net_retries");
-            total.net.shm_msgs += n("shm_msgs");
-            total.net.shm_bytes_sent += n("shm_bytes_sent");
-            total.net.copies_tx += n("copies_tx");
-            total.net.copies_rx += n("copies_rx");
-            total.net.vectored_writes += n("vectored_writes");
-            total.net.progress_frames += n("progress_frames");
-            total.net.steals += n("steals");
-        }
         // Fold this worker's per-peer plane map into the pair table. Both
         // ends report every pair; keep the first sighting but flag a
         // disagreement — it would mean the two sides negotiated
@@ -432,8 +468,7 @@ fn worker_run(
     listener: TcpListener,
     mesh: launch::MeshInfo,
 ) -> Result<Json, String> {
-    let (program, p) = program_of(args);
-    let cfg = cluster_config(args, &(program, p))?;
+    let cfg = cluster_config(args)?;
     let traced = args.trace.is_some();
     let config = NetConfig { traced };
     let endpoints = SocketPlane::establish(MeshOpts {
@@ -474,9 +509,10 @@ fn worker_run(
     };
     let first_rank = part.first_device * args.ranks_per_device;
     let local_ranks = part.local_devices * args.ranks_per_device;
-    let (programs, cells): (Vec<_>, Vec<_>) = thread_per_rank(program.tasks(p, local_ranks))
-        .into_iter()
-        .unzip();
+    let (programs, cells): (Vec<_>, Vec<_>) =
+        thread_per_rank(args.workload.tasks(params(args), local_ranks))
+            .into_iter()
+            .unzip();
     let (report, tracer) = dcuda_rt::try_run_cluster_part(&cfg, part, programs, planes, traced)
         .map_err(|e| e.to_string())?;
     if let Some(path) = &args.trace {
@@ -493,18 +529,12 @@ fn worker_run(
     let planes_json = peer_planes.iter().fold(Json::obj(), |o, (peer, kind)| {
         o.field(&peer.to_string(), Json::str(kind.as_str()))
     });
-    Ok(Json::obj()
-        .field("index", Json::from(index))
-        .field("puts", Json::from(report.puts))
-        .field("notifications", Json::from(report.notifications))
-        .field("matched", Json::from(report.matched))
-        .field("barriers", Json::from(report.barriers))
-        .field("coll_puts", Json::from(report.coll.puts))
-        .field("coll_bytes", Json::from(report.coll.bytes))
-        .field("coll_chunks", Json::from(report.coll.chunks))
-        .field("checksum_partial", Json::from(partial))
-        .field("planes", planes_json)
-        .field("net", net_json(&report.net)))
+    Ok(
+        with_counters(Json::obj().field("index", Json::from(index)), &report)
+            .field("checksum_partial", Json::from(partial))
+            .field("planes", planes_json)
+            .field("net", net_json(&report.net)),
+    )
 }
 
 const SCHED_USAGE: &str = "usage: dcuda-launch sched <verb> ...

@@ -15,14 +15,12 @@
 //! * [`net`] — multi-process socket transport and launch control plane,
 //! * [`apps`] — mini-applications and microbenchmarks from the evaluation.
 //!
-//! [`workloads`] holds the backend-conformance programs the `dcuda-launch`
-//! binary runs identically on the in-process and multi-process transports
-//! (names for entries of the shared program table `rt::programs::Program`).
+//! The `dcuda-launch` binary runs the entries of the shared program table,
+//! `rt::programs::Program`, by name, identically on the in-process and
+//! multi-process transports.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every evaluation figure.
-
-pub mod workloads;
 
 pub use dcuda_apps as apps;
 pub use dcuda_bench as bench;

@@ -9,8 +9,7 @@ use dcuda::apps::spmv::{self, SpmvConfig};
 use dcuda::apps::stencil::{self, StencilConfig};
 use dcuda::core::types::Topology;
 use dcuda::core::{ClusterSim, RankCtx, RankKernel, Suspend, SystemSpec, WindowSpec};
-use dcuda::rt::{run_cluster, RtConfig, RtQuery};
-use dcuda::rt::{Rank as RtRank, Tag as RtTag, WindowId as RtWin};
+use dcuda::rt::{run_cluster, Rank, RtConfig, RtQuery, Tag, WindowId};
 
 /// The paper's §IV-B calibration: empty-packet notified-put latencies.
 #[test]
@@ -70,16 +69,17 @@ fn all_miniapps_cross_validate() {
 }
 
 /// The same ring-exchange program gives the same data on the simulated and
-/// the threaded backend.
+/// the threaded backend, written with the one set of ids both share.
 #[test]
 fn simulated_and_threaded_backends_agree() {
     const VAL_BASE: f64 = 10.0;
+    const W: WindowId = WindowId(0);
     let world = 4u32;
 
     // --- simulated backend ---
     struct K {
         phase: u32,
-        right: u32,
+        right: Rank,
     }
     impl RankKernel for K {
         fn resume(&mut self, ctx: &mut RankCtx<'_>) -> Suspend {
@@ -87,16 +87,9 @@ fn simulated_and_threaded_backends_agree() {
             match self.phase {
                 1 => {
                     let me = ctx.rank().0;
-                    ctx.win_f64_mut(dcuda::core::WinId(0))[0] = VAL_BASE + me as f64;
+                    ctx.win_f64_mut(W)[0] = VAL_BASE + me as f64;
                     // Send my value to the right neighbour's slot 1.
-                    ctx.put_notify(
-                        dcuda::core::WinId(0),
-                        dcuda::core::Rank(self.right),
-                        8,
-                        0,
-                        8,
-                        0,
-                    );
+                    ctx.put_notify(W, self.right, 8, 0, 8, 0);
                     Suspend::WaitNotifications {
                         win: None,
                         source: None,
@@ -117,7 +110,7 @@ fn simulated_and_threaded_backends_agree() {
         .map(|r| {
             Box::new(K {
                 phase: 0,
-                right: (r + 1) % world,
+                right: Rank((r + 1) % world),
             }) as Box<dyn RankKernel>
         })
         .collect();
@@ -127,7 +120,7 @@ fn simulated_and_threaded_backends_agree() {
     for r in 0..world {
         let node = r / 2;
         let local = (r % 2) as usize;
-        let arena = sim.arena(node, dcuda::core::WinId(0));
+        let arena = sim.arena(node, W);
         sim_values.push(dcuda::core::window::f64_slice(&arena[local * 16 + 8..local * 16 + 16])[0]);
     }
 
@@ -140,10 +133,10 @@ fn simulated_and_threaded_backends_agree() {
         let out = results[r as usize].clone();
         programs.push(Box::new(move |ctx| {
             let v = VAL_BASE + r as f64;
-            ctx.win_mut(RtWin(0))[0..8].copy_from_slice(&v.to_le_bytes());
-            ctx.put_notify(RtWin(0), RtRank((r + 1) % world), 8, 0, 8, RtTag(0));
-            ctx.wait_notifications(RtQuery::exact(RtWin(0), RtRank::ANY, RtTag(0)), 1);
-            let got = f64::from_le_bytes(ctx.win(RtWin(0))[8..16].try_into().unwrap());
+            ctx.win_mut(W)[0..8].copy_from_slice(&v.to_le_bytes());
+            ctx.put_notify(W, Rank((r + 1) % world), 8, 0, 8, Tag(0));
+            ctx.wait_notifications(RtQuery::exact(W, Rank::ANY, Tag(0)), 1);
+            let got = f64::from_le_bytes(ctx.win(W)[8..16].try_into().unwrap());
             *out.lock().unwrap() = got;
         }));
     }
@@ -250,7 +243,7 @@ fn traced_sim_is_observation_only() {
 
     struct Ring {
         phase: u32,
-        right: u32,
+        right: Rank,
     }
     impl RankKernel for Ring {
         fn resume(&mut self, ctx: &mut RankCtx<'_>) -> Suspend {
@@ -258,14 +251,7 @@ fn traced_sim_is_observation_only() {
             match self.phase {
                 1 => {
                     ctx.charge(dcuda::device::BlockCharge::flops(4096.0));
-                    ctx.put_notify(
-                        dcuda::core::WinId(0),
-                        dcuda::core::Rank(self.right),
-                        0,
-                        0,
-                        8,
-                        1,
-                    );
+                    ctx.put_notify(WindowId(0), self.right, 0, 0, 8, 1);
                     Suspend::WaitNotifications {
                         win: None,
                         source: None,
@@ -287,7 +273,7 @@ fn traced_sim_is_observation_only() {
             .map(|r| {
                 Box::new(Ring {
                     phase: 0,
-                    right: (r + 1) % world,
+                    right: Rank((r + 1) % world),
                 }) as Box<dyn RankKernel>
             })
             .collect()

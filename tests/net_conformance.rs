@@ -183,13 +183,14 @@ fn conformance_stencil_backends_agree() {
     }
 }
 
-/// The overlap microbenchmark — the headline workload `dcuda-launch` runs.
+/// The ring program, the overlap microbenchmark's shape — the headline
+/// workload `dcuda-launch` runs.
 #[test]
 fn conformance_overlap_backends_agree() {
-    if full_tier("overlap full-scale world") {
-        assert_backends_agree("overlap", 20, 4096, 8, tier_planes());
+    if full_tier("ring full-scale world") {
+        assert_backends_agree("ring", 20, 4096, 8, tier_planes());
     } else {
-        assert_backends_agree("overlap", 6, 1024, 4, tier_planes());
+        assert_backends_agree("ring", 6, 1024, 4, tier_planes());
     }
 }
 
@@ -280,17 +281,17 @@ fn assert_progress_pool_matches_inline(workload: &str, iters: u32, payload: usiz
 
 /// The progress-pool column of the conformance matrix (quick: in-process +
 /// tcp on a small halo exchange; full: bigger worlds, large-class payloads,
-/// the shm plane and a chunked collective). The overlap workload is the
+/// the shm plane and a chunked collective). The ring workload is the
 /// golden shape here because its halo exchange crosses devices — pingpong
 /// pairs adjacent same-device ranks, which would leave the plane (and the
 /// off-thread drain counter) empty.
 #[test]
 fn conformance_progress_pool_matches_inline() {
     if full_tier("progress-pool coll cell") {
-        assert_progress_pool_matches_inline("overlap", 20, 4096, 8);
+        assert_progress_pool_matches_inline("ring", 20, 4096, 8);
         assert_progress_pool_matches_inline("coll", 3, 512, 3);
     } else {
-        assert_progress_pool_matches_inline("overlap", 6, 1024, 4);
+        assert_progress_pool_matches_inline("ring", 6, 1024, 4);
     }
 }
 
@@ -310,7 +311,7 @@ fn killed_worker_on_plane(plane: &str) {
             "--ranks-per-device",
             "4",
             "--workload",
-            "overlap",
+            "ring",
             "--iters",
             "5000",
             "--payload",

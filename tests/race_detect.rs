@@ -13,11 +13,22 @@
 use dcuda::des::check::forall;
 use dcuda::net::{NetConfig, SocketPlane, Transport};
 use dcuda::rt::cluster::RankProgram;
+use dcuda::rt::programs::{Params, Program};
 use dcuda::rt::{thread_per_rank, ClusterPart, RaceMode, RtConfig, RtError, RtReport};
-use dcuda::workloads::{Workload, WorkloadSpec};
 
-fn config(devices: u32, rpd: u32, spec: &WorkloadSpec, mode: RaceMode) -> RtConfig {
-    let (program, p) = spec.program();
+/// A table program and its data (seed 1, as `dcuda-launch` runs it).
+type Spec = (Program, Params);
+
+fn spec(program: Program, iters: u32, payload: usize) -> Spec {
+    let p = Params {
+        seed: 1,
+        iters,
+        payload,
+    };
+    (program, p)
+}
+
+fn config(devices: u32, rpd: u32, &(program, p): &Spec, mode: RaceMode) -> RtConfig {
     program
         .config(&p, devices, rpd)
         .race_detect(mode)
@@ -26,15 +37,14 @@ fn config(devices: u32, rpd: u32, spec: &WorkloadSpec, mode: RaceMode) -> RtConf
 }
 
 /// Rank threads for `count` ranks of `spec`.
-fn rank_programs(spec: WorkloadSpec, count: u32) -> Vec<RankProgram> {
-    let (program, p) = spec.program();
+fn rank_programs((program, p): Spec, count: u32) -> Vec<RankProgram> {
     thread_per_rank(program.tasks(p, count))
         .into_iter()
         .map(|(program, _)| program)
         .collect()
 }
 
-fn run_inprocess(cfg: &RtConfig, spec: WorkloadSpec) -> Result<RtReport, RtError> {
+fn run_inprocess(cfg: &RtConfig, spec: Spec) -> Result<RtReport, RtError> {
     dcuda::rt::try_run_cluster(cfg, rank_programs(spec, cfg.world()))
 }
 
@@ -59,11 +69,7 @@ fn loopback_mesh(shm_dir: Option<std::path::PathBuf>) -> (Plane, Plane) {
 /// Run both halves of a two-device world over the given planes. The config
 /// is cloned into each half, so the `RaceHandle` inside it is shared and
 /// every report carries the world-wide race snapshot.
-fn run_mesh(
-    cfg: &RtConfig,
-    spec: WorkloadSpec,
-    planes: (Plane, Plane),
-) -> (HalfResult, HalfResult) {
+fn run_mesh(cfg: &RtConfig, spec: Spec, planes: (Plane, Plane)) -> (HalfResult, HalfResult) {
     let world = cfg.world();
     let half = world / 2;
     let part = |first_device| ClusterPart {
@@ -94,11 +100,11 @@ fn shm_dir() -> Option<std::path::PathBuf> {
 #[test]
 fn put_notify_wait_is_race_free_property() {
     forall("pingpong_race_free", 6, |g| {
-        let spec = WorkloadSpec {
-            workload: Workload::PingPong,
-            iters: 1 + g.u32_below(5),
-            payload: 64 * (1 + g.u32_below(8)) as usize,
-        };
+        let spec = spec(
+            Program::PingPong,
+            1 + g.u32_below(5),
+            64 * (1 + g.u32_below(8)) as usize,
+        );
         let rpd = 2 * (1 + g.u32_below(2));
         let cfg = config(2, rpd, &spec, RaceMode::Strict);
         let report = run_inprocess(&cfg, spec).expect("strict pingpong must pass");
@@ -110,11 +116,7 @@ fn put_notify_wait_is_race_free_property() {
 /// tcp loopback mesh and (where supported) a shared-memory mesh.
 #[test]
 fn put_notify_wait_is_race_free_on_tcp_and_shm_planes() {
-    let spec = WorkloadSpec {
-        workload: Workload::PingPong,
-        iters: 4,
-        payload: 512,
-    };
+    let spec = spec(Program::PingPong, 4, 512);
     let cfg = config(2, 4, &spec, RaceMode::Strict);
 
     let (r0, r1) = run_mesh(&cfg, spec, loopback_mesh(None));
@@ -141,11 +143,7 @@ fn put_notify_wait_is_race_free_on_tcp_and_shm_planes() {
 /// runs and across the in-process/tcp plane boundary.
 #[test]
 fn racey_workload_yields_one_deterministic_report() {
-    let spec = WorkloadSpec {
-        workload: Workload::Racey,
-        iters: 2,
-        payload: 256,
-    };
+    let spec = spec(Program::Racey, 2, 256);
     let observe = || {
         let cfg = config(2, 2, &spec, RaceMode::Observe);
         run_inprocess(&cfg, spec).expect("observe mode never fails the run")
