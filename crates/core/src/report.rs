@@ -1,6 +1,7 @@
 //! Run outcome and statistics.
 
-use dcuda_des::{SimDuration, SimTime};
+use dcuda_des::{QueueCounts, SimDuration, SimTime};
+use dcuda_device::DeviceCounts;
 use dcuda_trace::TraceSummary;
 use dcuda_verify::{RaceReport, VerifyReport};
 
@@ -37,6 +38,11 @@ pub struct RunReport {
     pub events: u64,
     /// High-water mark of the event queue (scheduled, not yet fired).
     pub peak_event_queue: u64,
+    /// The event queue's schedules, arms and pops by path; `events` is the
+    /// sum of the first three.
+    pub queue: QueueCounts,
+    /// Device advances and serving passes, summed over the nodes.
+    pub device: DeviceCounts,
     /// Payload snapshot buffers handed out by the pool (host-side metric;
     /// does not affect modeled time).
     pub pool_acquires: u64,

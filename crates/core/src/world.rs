@@ -32,7 +32,7 @@ use crate::spec::SystemSpec;
 use crate::types::{Rank, Topology};
 use crate::window::{Arena, WindowSpec};
 use dcuda_des::{EventQueue, FifoResource, SimDuration, SimTime, Slab, SlotKey};
-use dcuda_device::{BlockCharge, BlockSlot, Device, LaunchConfig};
+use dcuda_device::{BlockCharge, BlockSlot, Device, DeviceCounts, LaunchConfig};
 use dcuda_fabric::{Network, NodeId, PcieLink, TransferPath};
 use dcuda_queues::{IndexedMatcher, Notification, Query, ANY};
 use dcuda_trace::metrics::{overlap_efficiency, IntervalSet};
@@ -551,6 +551,14 @@ impl ClusterSim {
                 .sum(),
             events: self.queue.scheduled_total(),
             peak_event_queue: self.queue.peak_pending() as u64,
+            queue: self.queue.counts(),
+            device: self
+                .devices
+                .iter()
+                .fold(DeviceCounts::default(), |mut sum, d| {
+                    sum += d.counts();
+                    sum
+                }),
             pool_acquires: self.pool.acquires(),
             pool_hits: self.pool.hits(),
             trace,

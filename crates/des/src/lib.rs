@@ -6,10 +6,10 @@
 //! * [`SimTime`] / [`SimDuration`] — picosecond-resolution virtual time,
 //! * [`EventQueue`] — a stable (FIFO among equal timestamps) pending-event set
 //!   with re-armable timer slots,
-//! * [`PsResource`] — an egalitarian processor-sharing resource, the model we
-//!   use for streaming multiprocessors and memory interfaces (resident blocks
-//!   share SM throughput equally; a stalled block consumes none — this is the
-//!   latency-hiding mechanism the dCUDA paper builds on),
+//! * [`PsResource`] — an egalitarian processor-sharing resource with an
+//!   optional per-job rate cap, the model we use for memory interfaces
+//!   (`dcuda-device` serves its SMs with the same equal-share arithmetic
+//!   itself, and keeps one uncapped `PsResource` per SM as its test oracle),
 //! * [`FifoResource`] — a store-and-forward serializing server, the model we
 //!   use for NIC and PCIe link serialization,
 //! * [`stats`] — counters, histograms and time-weighted statistics.
@@ -31,7 +31,7 @@ pub mod time;
 
 pub use fifo::FifoResource;
 pub use ps::{PsJobId, PsResource};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, QueueCounts};
 pub use rng::SplitMix64;
 pub use slab::{BitSet, Slab, SlotKey};
 pub use time::{SimDuration, SimTime};

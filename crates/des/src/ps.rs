@@ -8,15 +8,18 @@
 //! is at its cap and the resource is partially idle). The cap belongs to the
 //! resource, not the job, so all live jobs always run at the same level.
 //!
-//! This is our model for:
-//! * a **streaming multiprocessor** executing resident blocks — equal-share
-//!   PS: a block stalled on a notification is simply not submitted, so other
-//!   blocks absorb its share (the hardware latency-hiding mechanism the
-//!   dCUDA paper exploits);
-//! * the **device memory interface** — capped PS: each block can keep only a
-//!   bounded number of bytes in flight (Little's law), so one block tops out
-//!   near 1 GB/s while hundreds of blocks together saturate 240 GB/s (paper
-//!   §IV-B explains the low shared-memory put bandwidth exactly this way).
+//! This is our model for the **device memory interface** — capped PS: each
+//! block can keep only a bounded number of bytes in flight (Little's law),
+//! so one block tops out near 1 GB/s while hundreds of blocks together
+//! saturate 240 GB/s (paper §IV-B explains the low shared-memory put
+//! bandwidth exactly this way).
+//!
+//! A **streaming multiprocessor** executing resident blocks is equal-share
+//! PS: a block stalled on a notification is simply not submitted, so other
+//! blocks absorb its share (the hardware latency-hiding mechanism the dCUDA
+//! paper exploits). `dcuda_device::Device` serves its SMs itself with this
+//! resource's arithmetic, all SMs in one pass; an uncapped `PsResource` per
+//! SM is the oracle its tests hold it to.
 //!
 //! # Driving protocol
 //!
@@ -72,6 +75,8 @@ pub struct PsResource {
     next: Option<Option<SimTime>>,
     /// Total service units delivered (for utilization statistics).
     delivered: f64,
+    /// Full advance passes over the live jobs (see [`passes`](Self::passes)).
+    passes: u64,
     /// Completion epsilon in service units (~2 ps of full-rate service).
     eps: f64,
 }
@@ -107,6 +112,7 @@ impl PsResource {
             level: (0, 0.0),
             next: Some(None),
             delivered: 0.0,
+            passes: 0,
             eps: rate * 2e-12,
         }
     }
@@ -122,6 +128,14 @@ impl PsResource {
     #[inline]
     pub fn delivered(&self) -> f64 {
         self.delivered
+    }
+
+    /// Advances that served the live jobs: each one that found the
+    /// resource busy and either later than its last update or submitted to
+    /// since. The no-op advances are not counted.
+    #[inline]
+    pub fn passes(&self) -> u64 {
+        self.passes
     }
 
     /// The service rate every live job gets: water-filling over `n` equal
@@ -190,6 +204,7 @@ impl PsResource {
         let dt = now.since(self.last_update).as_secs_f64();
         self.last_update = now;
         self.submitted = false;
+        self.passes += 1;
         let level = self.level();
         let eps = self.eps;
         let first = completed.len();

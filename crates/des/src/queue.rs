@@ -5,12 +5,14 @@
 //! Two structural choices decouple the queue's host-side cost from the event
 //! payload type and the dominant scheduling pattern of the cluster model:
 //!
-//! * **Arena-allocated entries.** The binary heap orders fixed-size
-//!   `(time, seq, slot)` keys; payloads live in a free-listed arena and are
-//!   moved exactly twice (in on schedule, out on pop) no matter how often
-//!   the heap sifts. Large event enums no longer ripple through every
-//!   percolation step, and slot reuse keeps the arena allocation-free at
-//!   steady state.
+//! * **Arena-allocated entries under packed keys.** The binary heap orders
+//!   one `u128` per entry: the time in the high 64 bits, then the sequence
+//!   number, then the arena slot (see `pack`), so a sift compares one
+//!   integer instead of a `(time, seq, slot)` tuple. Payloads live in a
+//!   free-listed arena and are moved exactly twice (in on schedule, out on
+//!   pop) no matter how often the heap sifts. Large event enums no longer
+//!   ripple through every percolation step, and slot reuse keeps the arena
+//!   allocation-free at steady state.
 //! * **Current-time FIFO fast path.** Simulation handlers overwhelmingly
 //!   schedule follow-up events at the *current* instant (`schedule_at(now)`
 //!   chains in the notified-put pipeline). Those events bypass the heap
@@ -20,14 +22,15 @@
 //!   schedule-then-immediately-pop cycle is O(1) instead of two O(log n)
 //!   heap operations.
 //! * **Re-armable timer slots.** A resource whose next completion moves
-//!   every time its active set changes (a device's processor-sharing SMs)
-//!   owns one slot. [`EventQueue::arm`] replaces the slot's pending event
-//!   in place and [`EventQueue::disarm`] clears it, so a superseded
-//!   prediction never enters the heap. An arm takes a fresh sequence
-//!   number exactly as `schedule_at` does, and `pop` merges the slots with
-//!   the FIFO and the heap by `(time, seq)`: the surviving events pop in
-//!   the same order as if every arm had been scheduled and every
-//!   superseded one skipped on delivery.
+//!   every time its active set changes (a device's SMs) owns one slot.
+//!   [`EventQueue::arm`] replaces the slot's pending event in place and
+//!   [`EventQueue::disarm`] clears it, so a superseded prediction never
+//!   enters the heap. An arm takes a fresh sequence number exactly as
+//!   `schedule_at` does, and `pop` merges the slots with the FIFO and the
+//!   heap by `(time, seq)`: the surviving events pop in the same order as
+//!   if every arm had been scheduled and every superseded one skipped on
+//!   delivery. The earliest slot is cached; the slots are rescanned only
+//!   when that slot is disarmed, popped or re-armed later.
 //!
 //! The FIFO can only hold entries stamped with the current time: `now` never
 //! decreases, so once the clock moves past an instant no new entry can join
@@ -38,6 +41,59 @@ use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// Bits of a packed key that hold the sequence number.
+const SEQ_BITS: u32 = 40;
+/// Bits of a packed key that hold the arena or timer slot.
+const SLOT_BITS: u32 = 24;
+
+/// Pack `(at, seq, slot)` into one key whose integer order is the tuple's
+/// lexicographic order: the time fills the high 64 bits, the sequence
+/// number the next [`SEQ_BITS`], the slot the low [`SLOT_BITS`].
+///
+/// # Panics
+/// Panics if `slot` does not fit its field; a key never wraps. The
+/// sequence number is checked where it is drawn ([`EventQueue::next_seq`]).
+#[inline]
+fn pack(at: SimTime, seq: u64, slot: usize) -> u128 {
+    debug_assert!(seq >> SEQ_BITS == 0);
+    assert!(
+        slot >> SLOT_BITS == 0,
+        "EventQueue: slot {slot} exceeds {SLOT_BITS} bits"
+    );
+    u128::from(at.as_ps()) << 64 | u128::from(seq) << SLOT_BITS | slot as u128
+}
+
+/// The time of a packed key.
+#[inline]
+fn time_of(key: u128) -> SimTime {
+    SimTime::from_ps((key >> 64) as u64)
+}
+
+/// The slot of a packed key.
+#[inline]
+fn slot_of(key: u128) -> usize {
+    (key as usize) & ((1 << SLOT_BITS) - 1)
+}
+
+/// How many events took each path through an [`EventQueue`]: the
+/// simulator's work as counts, which depend only on the model (a host-side
+/// change to the queue leaves them exact).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueCounts {
+    /// Events scheduled at the current instant (the FIFO fast path).
+    pub fifo_schedules: u64,
+    /// Events scheduled for a later instant (the heap).
+    pub heap_schedules: u64,
+    /// Timer-slot arms.
+    pub arms: u64,
+    /// Events popped from the FIFO.
+    pub fifo_pops: u64,
+    /// Events popped from the heap.
+    pub heap_pops: u64,
+    /// Events popped from timer slots.
+    pub timer_pops: u64,
+}
+
 /// A deterministic pending-event set.
 ///
 /// Events scheduled for the same instant are delivered in scheduling order
@@ -45,24 +101,24 @@ use std::collections::{BinaryHeap, VecDeque};
 /// internals. Popping an event advances the queue's clock; scheduling into
 /// the past is a model bug and panics.
 pub struct EventQueue<E> {
-    /// Min-heap over (time, seq, arena slot).
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Min-heap over packed `(time, seq, arena slot)` keys.
+    heap: BinaryHeap<Reverse<u128>>,
     /// Payload arena for heap-resident events; `None` slots are free.
     arena: Vec<Option<E>>,
     /// Free arena slots.
     free: Vec<u32>,
     /// Events scheduled at exactly `now`, in scheduling order.
     now_fifo: VecDeque<(u64, E)>,
-    /// Timer slots: the armed event of each, keyed by `(time, seq)`.
-    timers: Vec<Option<(SimTime, u64, E)>>,
-    /// Index and key of the earliest armed slot.
-    next_timer: Option<(SimTime, u64, usize)>,
+    /// Timer slots: the armed event of each under its packed `(time, seq,
+    /// timer slot)` key.
+    timers: Vec<Option<(u128, E)>>,
+    /// Key of the earliest armed slot.
+    next_timer: Option<u128>,
     /// Number of armed timer slots.
     armed: usize,
     now: SimTime,
     seq: u64,
-    scheduled_total: u64,
-    fast_path_hits: u64,
+    counts: QueueCounts,
     peak_pending: usize,
 }
 
@@ -79,8 +135,7 @@ impl<E> EventQueue<E> {
             armed: 0,
             now: SimTime::ZERO,
             seq: 0,
-            scheduled_total: 0,
-            fast_path_hits: 0,
+            counts: QueueCounts::default(),
             peak_pending: 0,
         }
     }
@@ -94,13 +149,13 @@ impl<E> EventQueue<E> {
     /// Number of events scheduled or armed over the queue's lifetime.
     #[inline]
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.seq
     }
 
-    /// Events that took the current-time FIFO fast path.
+    /// The schedules, arms and pops so far, by path.
     #[inline]
-    pub fn fast_path_hits(&self) -> u64 {
-        self.fast_path_hits
+    pub fn counts(&self) -> QueueCounts {
+        self.counts
     }
 
     /// Largest number of simultaneously pending events observed.
@@ -124,7 +179,8 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at absolute time `at`.
     ///
     /// # Panics
-    /// Panics if `at` is before the current time.
+    /// Panics if `at` is before the current time, or if the sequence
+    /// number or the arena slot outgrows its field of the packed key.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
@@ -133,33 +189,39 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq();
         if at == self.now {
-            self.fast_path_hits += 1;
+            self.counts.fifo_schedules += 1;
             self.now_fifo.push_back((seq, event));
         } else {
             let slot = match self.free.pop() {
                 Some(s) => {
                     debug_assert!(self.arena[s as usize].is_none());
                     self.arena[s as usize] = Some(event);
-                    s
+                    s as usize
                 }
                 None => {
-                    let s = u32::try_from(self.arena.len())
-                        .expect("event queue exceeds u32 arena slots");
                     self.arena.push(Some(event));
-                    s
+                    self.arena.len() - 1
                 }
             };
-            self.heap.push(Reverse((at, seq, slot)));
+            self.counts.heap_schedules += 1;
+            self.heap.push(Reverse(pack(at, seq, slot)));
         }
         self.peak_pending = self.peak_pending.max(self.len());
     }
 
-    /// Take the next sequence number, counting one more scheduled event.
+    /// Take the next sequence number.
+    ///
+    /// # Panics
+    /// Panics once the numbers outgrow their [`SEQ_BITS`] field of the
+    /// packed key.
     #[inline]
     fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
+        assert!(
+            seq >> SEQ_BITS == 0,
+            "EventQueue: sequence number {seq} exceeds {SEQ_BITS} bits"
+        );
         self.seq += 1;
-        self.scheduled_total += 1;
         seq
     }
 
@@ -168,20 +230,29 @@ impl<E> EventQueue<E> {
     /// times it pops after everything scheduled or armed before it.
     ///
     /// # Panics
-    /// Panics if `at` is before the current time.
+    /// Panics if `at` is before the current time, or if the sequence
+    /// number or `slot` outgrows its field of the packed key.
     pub fn arm(&mut self, slot: usize, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "EventQueue::arm: scheduling into the past ({at:?} < {:?})",
             self.now
         );
-        let seq = self.next_seq();
+        let key = pack(at, self.next_seq(), slot);
+        self.counts.arms += 1;
         if slot >= self.timers.len() {
             self.timers.resize_with(slot + 1, || None);
         }
-        let old = self.timers[slot].replace((at, seq, event));
+        let old = self.timers[slot].replace((key, event));
         self.armed += usize::from(old.is_none());
-        self.refresh_next_timer();
+        match self.next_timer {
+            // Every other slot's key is above the earliest one, so a key
+            // below it is the new earliest wherever it was armed. Only a
+            // re-arm of the earliest slot at a later key needs a rescan.
+            Some(next) if key >= next && slot_of(next) == slot => self.refresh_next_timer(),
+            Some(next) if key >= next => {}
+            _ => self.next_timer = Some(key),
+        }
         self.peak_pending = self.peak_pending.max(self.len());
     }
 
@@ -190,7 +261,9 @@ impl<E> EventQueue<E> {
         if let Some(timer) = self.timers.get_mut(slot) {
             if timer.take().is_some() {
                 self.armed -= 1;
-                self.refresh_next_timer();
+                if self.next_timer.is_some_and(|next| slot_of(next) == slot) {
+                    self.refresh_next_timer();
+                }
             }
         }
     }
@@ -199,8 +272,7 @@ impl<E> EventQueue<E> {
         self.next_timer = self
             .timers
             .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_ref().map(|&(at, seq, _)| (at, seq, i)))
+            .filter_map(|t| t.as_ref().map(|&(key, _)| key))
             .min();
     }
 
@@ -213,12 +285,12 @@ impl<E> EventQueue<E> {
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         let queued = if self.now_fifo.is_empty() {
-            self.heap.peek().map(|&Reverse((t, _, _))| t)
+            self.heap.peek().map(|&Reverse(key)| time_of(key))
         } else {
             // FIFO entries are stamped `now`, which no heap entry precedes.
             Some(self.now)
         };
-        let timer = self.next_timer.map(|(t, _, _)| t);
+        let timer = self.next_timer.map(time_of);
         match (queued, timer) {
             (Some(q), Some(t)) => Some(q.min(t)),
             (q, t) => q.or(t),
@@ -227,39 +299,50 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let fifo_key = self.now_fifo.front().map(|&(seq, _)| (self.now, seq));
-        let heap_key = self.heap.peek().map(|&Reverse((t, seq, _))| (t, seq));
         // A heap entry can tie the FIFO's timestamp (scheduled for this
         // instant before the clock reached it), and so can an armed slot;
         // the global sequence number arbitrates FIFO order across all three
-        // stores.
+        // stores. Sequence numbers are unique, so the slot bits below them
+        // never decide a comparison.
+        let fifo_key = self
+            .now_fifo
+            .front()
+            .map(|&(seq, _)| pack(self.now, seq, 0));
+        let heap_key = self.heap.peek().map(|&Reverse(key)| key);
         let queued = match (fifo_key, heap_key) {
             (None, None) => None,
             (Some(f), None) => Some((f, true)),
             (None, Some(h)) => Some((h, false)),
             (Some(f), Some(h)) => Some(if f < h { (f, true) } else { (h, false) }),
         };
-        if let Some((t, seq, slot)) = self.next_timer {
-            if queued.is_none_or(|(q, _)| (t, seq) < q) {
-                let (_, _, event) = self.timers[slot].take().expect("next timer is armed");
+        if let Some(next) = self.next_timer {
+            if queued.is_none_or(|(q, _)| next < q) {
+                let (_, event) = self.timers[slot_of(next)]
+                    .take()
+                    .expect("next timer is armed");
                 self.armed -= 1;
+                self.counts.timer_pops += 1;
                 self.refresh_next_timer();
-                self.now = t;
-                return Some((t, event));
+                self.now = time_of(next);
+                return Some((self.now, event));
             }
         }
         let (_, take_fifo) = queued?;
         if take_fifo {
             let (_, event) = self.now_fifo.pop_front().expect("checked non-empty");
+            self.counts.fifo_pops += 1;
             Some((self.now, event))
         } else {
-            let Reverse((t, _, slot)) = self.heap.pop().expect("checked non-empty");
+            let Reverse(key) = self.heap.pop().expect("checked non-empty");
+            let t = time_of(key);
             debug_assert!(t >= self.now);
+            self.counts.heap_pops += 1;
             self.now = t;
-            let event = self.arena[slot as usize]
+            let slot = slot_of(key);
+            let event = self.arena[slot]
                 .take()
                 .expect("heap key points at live arena slot");
-            self.free.push(slot);
+            self.free.push(slot as u32);
             Some((t, event))
         }
     }
@@ -339,7 +422,7 @@ mod tests {
         let (_, first) = q.pop().unwrap(); // advances now to 10
         assert_eq!(first, "early-heap");
         q.schedule_at(SimTime::from_ps(10), "fifo"); // fast path at now
-        assert_eq!(q.fast_path_hits(), 1);
+        assert_eq!(q.counts().fifo_schedules, 1);
         let (_, second) = q.pop().unwrap();
         assert_eq!(second, "late-heap", "heap tie scheduled earlier wins");
         let (_, third) = q.pop().unwrap();
@@ -383,5 +466,48 @@ mod tests {
         q.pop();
         q.pop();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn packed_keys_order_like_tuples() {
+        let tuples = [
+            (0, 0, 0),
+            (0, 0, (1 << SLOT_BITS) - 1),
+            (0, 1, 0),
+            (1, 0, 0),
+            (u64::MAX - 1, (1 << SEQ_BITS) - 1, 7),
+            (u64::MAX, 0, 0),
+            (u64::MAX, (1 << SEQ_BITS) - 1, (1 << SLOT_BITS) - 1),
+        ];
+        for a in tuples {
+            let ka = pack(SimTime::from_ps(a.0), a.1, a.2);
+            assert_eq!((time_of(ka).as_ps(), slot_of(ka)), (a.0, a.2));
+            for b in tuples {
+                let kb = pack(SimTime::from_ps(b.0), b.1, b.2);
+                assert_eq!(ka.cmp(&kb), a.cmp(&b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 24 bits")]
+    fn slot_overflow_panics() {
+        pack(SimTime::ZERO, 0, 1 << SLOT_BITS);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 40 bits")]
+    fn sequence_overflow_panics() {
+        let mut q = EventQueue::new();
+        q.seq = (1 << SEQ_BITS) - 1;
+        q.schedule_at(SimTime::from_ps(1), 'a');
+        q.schedule_at(SimTime::from_ps(1), 'b');
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 24 bits")]
+    fn timer_slot_overflow_panics() {
+        let mut q = EventQueue::new();
+        q.arm(1 << SLOT_BITS, SimTime::from_ps(1), ());
     }
 }

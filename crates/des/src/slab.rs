@@ -191,6 +191,29 @@ impl<T> Slab<T> {
         self.get(key).is_some()
     }
 
+    /// Visit the live values in slot order, removing each one for which
+    /// `keep` returns false. The freed slots are reused in the order that
+    /// [`remove`](Self::remove) calls made in slot order would leave.
+    pub fn retain(&mut self, mut keep: impl FnMut(&mut T) -> bool) {
+        let (slots, free_head, len) = (&mut self.slots, &mut self.free_head, &mut self.len);
+        self.occupied.retain(|i| {
+            let slot = &mut slots[i];
+            let Slot::Occupied { generation, value } = slot else {
+                unreachable!("occupancy bit set on a free slot")
+            };
+            if keep(value) {
+                return true;
+            }
+            *slot = Slot::Free {
+                generation: *generation,
+                next_free: *free_head,
+            };
+            *free_head = Some(i as u32);
+            *len -= 1;
+            false
+        });
+    }
+
     /// Iterate over `(key, &value)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (SlotKey, &T)> {
         let slots = &self.slots;
@@ -218,7 +241,7 @@ impl<T> Slab<T> {
 
 /// A set of small indices, one bit each (bit `i % 64` of word `i / 64`),
 /// visited in ascending order: a slab's occupied slots, a device's busy
-/// SMs.
+/// SMs and each SM's live slots.
 #[derive(Default)]
 pub struct BitSet(Vec<u64>);
 
@@ -244,6 +267,12 @@ impl BitSet {
         if let Some(word) = self.0.get_mut(i / 64) {
             *word &= !(1 << (i % 64));
         }
+    }
+
+    /// True when the set has no members.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.iter().all(|&word| word == 0)
     }
 
     /// The members, ascending.
@@ -339,6 +368,29 @@ mod tests {
         assert_eq!(k.index(), keys[3].index());
         let k2 = s.insert(11);
         assert_eq!(k2.index(), keys[1].index());
+    }
+
+    #[test]
+    fn retain_frees_like_removes_in_slot_order() {
+        let (mut a, mut b) = (Slab::new(), Slab::new());
+        let keys: Vec<_> = (0..6).map(|i| (a.insert(i), b.insert(i))).collect();
+        a.remove(keys[4].0);
+        b.remove(keys[4].1);
+        let mut seen = Vec::new();
+        a.retain(|v| {
+            seen.push(*v);
+            *v % 2 == 0
+        });
+        for &(_, k) in &keys {
+            if b.get(k).is_some_and(|v| v % 2 == 1) {
+                b.remove(k);
+            }
+        }
+        assert_eq!(seen, [0, 1, 2, 3, 5]);
+        assert_eq!(a.len(), b.len());
+        for v in 10..14 {
+            assert_eq!(a.insert(v), b.insert(v));
+        }
     }
 
     #[test]

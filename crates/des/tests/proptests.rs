@@ -4,7 +4,8 @@
 use dcuda_des::check::{forall, Gen};
 use dcuda_des::stats::Summary;
 use dcuda_des::{EventQueue, PsJobId, PsResource, SimDuration, SimTime, Slab, SlotKey};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Events always pop in non-decreasing time order, FIFO among ties, and
 /// none are lost.
@@ -164,6 +165,122 @@ fn timer_slots_match_generation_checked_timers() {
         }
         assert!(fast.is_empty());
         assert_eq!(fast.scheduled_total(), spec.queue.scheduled_total());
+    });
+}
+
+/// The queue without its FIFO, arena, timer slots or packed keys: one
+/// `BinaryHeap` of `(time, seq, slot, payload)` tuples holding every
+/// event, where an arm pushes a tuple tagged with its timer slot and a
+/// tuple whose slot was re-armed or disarmed since is skipped on pop.
+struct TupleQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize, u64)>>,
+    /// The sequence number of each timer slot's live arm.
+    armed: Vec<Option<u64>>,
+    /// Live events: plain ones in the heap plus armed slots.
+    live: usize,
+    now: SimTime,
+    seq: u64,
+}
+
+/// The slot a plain (non-timer) event carries in [`TupleQueue`].
+const PLAIN: usize = usize::MAX;
+
+impl TupleQueue {
+    fn push(&mut self, at: SimTime, slot: usize, payload: u64) {
+        assert!(at >= self.now);
+        self.heap.push(Reverse((at, self.seq, slot, payload)));
+        if slot != PLAIN {
+            self.live += usize::from(self.armed[slot].is_none());
+            self.armed[slot] = Some(self.seq);
+        } else {
+            self.live += 1;
+        }
+        self.seq += 1;
+    }
+
+    fn disarm(&mut self, slot: usize) {
+        if self.armed[slot].take().is_some() {
+            self.live -= 1;
+        }
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        while let Some(Reverse((t, seq, slot, payload))) = self.heap.pop() {
+            if slot != PLAIN {
+                if self.armed[slot] != Some(seq) {
+                    continue;
+                }
+                self.armed[slot] = None;
+            }
+            self.live -= 1;
+            self.now = t;
+            return Some((t, payload));
+        }
+        None
+    }
+}
+
+/// The packed-key queue pops exactly what a `(time, seq, slot)` tuple heap
+/// pops, over seeded mixes of schedules, arms on 1–4 timer slots, disarms
+/// and pops: ties at one instant (a third of all times are `now`), short
+/// and long horizons, and times within a few picoseconds of `u64::MAX`,
+/// where the time fills every bit of the key's high half. Length, next
+/// time and sequence count agree after every step.
+#[test]
+fn packed_queue_matches_tuple_heap() {
+    forall("packed_queue_matches_tuple_heap", 512, |g| {
+        let slots = g.usize_in(1, 5);
+        let mut fast = EventQueue::new();
+        let mut spec = TupleQueue {
+            heap: BinaryHeap::new(),
+            armed: vec![None; slots],
+            live: 0,
+            now: SimTime::ZERO,
+            seq: 0,
+        };
+        let at = |g: &mut Gen, now: SimTime| {
+            let now = now.as_ps();
+            SimTime::from_ps(match g.usize_below(16) {
+                0..=4 => now,
+                5..=10 => now.saturating_add(1 + g.u64_below(20)),
+                11..=14 => now.saturating_add(g.u64_below(1 << 40)),
+                _ => now.max(u64::MAX - g.u64_below(4)),
+            })
+        };
+        for payload in 0..g.usize_in(1, 400) as u64 {
+            let now = fast.now();
+            assert_eq!(now, spec.now);
+            match g.usize_below(10) {
+                0..=3 => {
+                    let t = at(g, now);
+                    fast.schedule_at(t, payload);
+                    spec.push(t, PLAIN, payload);
+                }
+                4..=5 => {
+                    let (slot, t) = (g.usize_below(slots), at(g, now));
+                    fast.arm(slot, t, payload);
+                    spec.push(t, slot, payload);
+                }
+                6 => {
+                    let slot = g.usize_below(slots);
+                    fast.disarm(slot);
+                    spec.disarm(slot);
+                }
+                _ => assert_eq!(fast.pop(), spec.pop()),
+            }
+            assert_eq!(fast.len(), spec.live);
+            assert_eq!(fast.scheduled_total(), spec.seq);
+        }
+        loop {
+            let next = fast.peek_time();
+            let popped = fast.pop();
+            assert_eq!(next, popped.map(|(t, _)| t));
+            assert_eq!(popped, spec.pop());
+            if popped.is_none() {
+                break;
+            }
+        }
+        assert_eq!((fast.len(), spec.live), (0, 0));
     });
 }
 

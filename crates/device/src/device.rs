@@ -5,15 +5,20 @@
 //! block work, asks for the next internal completion instant, arms a timer
 //! slot for it, and calls [`Device::advance_to`] when the timer fires.
 //!
-//! Only SMs with live jobs are visited, in ascending SM index: an idle SM
-//! has nothing to serve and reports no completion, so skipping it leaves
-//! every busy SM's sequence of service steps, and the completion order,
-//! exactly as an advance of every SM would.
+//! The device serves its SMs itself. Each SM is an egalitarian
+//! processor-sharing server: its live block steps share the SM's FLOP rate
+//! equally, and a stalled block (one with no step submitted) takes no share.
+//! Every busy SM was last served at the device's own instant, so one
+//! advance computes one `dt` and, in ascending SM order, serves each job in
+//! ascending slot order with `served = min(dt·level, remaining)`. Only SMs
+//! with live jobs are visited: an idle SM has nothing to serve and reports
+//! no completion. The memory interface is a capped [`PsResource`] served
+//! after the SMs.
 
 use crate::charge::BlockCharge;
 use crate::occupancy::{occupancy, LaunchConfig};
 use crate::spec::DeviceSpec;
-use dcuda_des::{BitSet, PsResource, SimTime, Slab, SlotKey};
+use dcuda_des::{BitSet, PsJobId, PsResource, SimDuration, SimTime, Slab, SlotKey};
 
 /// A resident block's position on the device (index within the launch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,23 +28,142 @@ pub struct BlockSlot(pub u32);
 /// work completes.
 pub type WorkTag = u64;
 
+/// The device's work as counts: they depend only on the model, so a
+/// host-side change to the device leaves them exact.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeviceCounts {
+    /// Calls to [`Device::advance_to`].
+    pub advances: u64,
+    /// SM serving passes: one per busy SM per advance that is later than
+    /// the device's last one, or that follows a submit to that SM.
+    pub sm_passes: u64,
+    /// Memory-interface serving passes, counted the same way.
+    pub memory_passes: u64,
+}
+
+impl std::ops::AddAssign for DeviceCounts {
+    fn add_assign(&mut self, rhs: DeviceCounts) {
+        self.advances += rhs.advances;
+        self.sm_passes += rhs.sm_passes;
+        self.memory_passes += rhs.memory_passes;
+    }
+}
+
 struct Work {
     tag: WorkTag,
     pending: u8,
+}
+
+/// One block step on an SM.
+struct SmJob {
+    /// Remaining demand, in FLOPs.
+    remaining: f64,
+    /// The step's key in the device's `works` slab, as bits.
+    work: u64,
+}
+
+/// One SM's live block steps, in a [`Slab`]: served in ascending slot
+/// order, freed slots reused most-recently-freed first, so steps that
+/// complete at one instant are reported in the same order a [`PsResource`]
+/// per SM reported them. The slab grows with the live steps; it has no cap.
+struct Sm {
+    jobs: Slab<SmJob>,
+    /// Least remaining demand over the live jobs; infinite when idle.
+    least: f64,
+    /// Seconds from the device's instant to this SM's next completion,
+    /// `least / (rate / live jobs)`; meaningless when idle.
+    next: f64,
+    /// A job was submitted since the SM was last served.
+    submitted: bool,
+}
+
+impl Sm {
+    /// An idle SM with room for `blocks` live jobs before it grows.
+    fn with_capacity(blocks: usize) -> Self {
+        Sm {
+            jobs: Slab::with_capacity(blocks),
+            least: f64::INFINITY,
+            next: f64::INFINITY,
+            submitted: false,
+        }
+    }
+
+    fn insert(&mut self, demand: f64, work: u64, rate: f64) {
+        self.jobs.insert(SmJob {
+            remaining: demand,
+            work,
+        });
+        // No live job was served since the last pass, so the least demand
+        // is the old least or the new job's.
+        self.least = self.least.min(demand);
+        self.next = self.least / (rate / self.jobs.len() as f64);
+        self.submitted = true;
+    }
+
+    /// Serve every live job for `dt` seconds at `rate / len` each, in slot
+    /// order, handing the work key of each job that drains (remaining
+    /// demand within `eps`) to `done` and freeing its slot.
+    fn serve(&mut self, dt: f64, rate: f64, eps: f64, mut done: impl FnMut(u64)) {
+        let step = dt * (rate / self.jobs.len() as f64);
+        let mut least = f64::INFINITY;
+        self.jobs.retain(|job| {
+            if dt > 0.0 {
+                job.remaining -= step.min(job.remaining);
+            }
+            if job.remaining <= eps {
+                done(job.work);
+                false
+            } else {
+                // A survivor's demand is positive, so a compare is `min`.
+                if job.remaining < least {
+                    least = job.remaining;
+                }
+                true
+            }
+        });
+        self.least = least;
+        self.next = least / (rate / self.jobs.len() as f64);
+        self.submitted = false;
+    }
 }
 
 /// One simulated GPU.
 pub struct Device {
     spec: DeviceSpec,
     resident_blocks: u32,
-    /// Per-SM compute resources, FLOP-denominated.
-    sms: Vec<PsResource>,
+    /// Per-SM block steps, FLOP-denominated.
+    sms: Vec<Sm>,
     /// The SMs with live jobs.
     busy: BitSet,
+    /// The instant every busy SM was last served at, or first submitted to.
+    last: SimTime,
+    /// Some SM was submitted to since the last serving pass.
+    submitted: bool,
+    /// The SMs' earliest completion as of the last pass, `None` after a
+    /// submit (computed again by [`next_event`](Self::next_event)).
+    sm_next: Option<Option<SimTime>>,
+    /// Completion epsilon in FLOPs (~2 ps of one SM's full rate).
+    sm_eps: f64,
     /// Device-wide memory interface, byte-denominated, per-block capped.
     memory: PsResource,
     works: Slab<Work>,
-    scratch: Vec<(dcuda_des::PsJobId, u64)>,
+    /// Memory-interface completions of the current advance.
+    scratch: Vec<(PsJobId, u64)>,
+    advances: u64,
+    sm_passes: u64,
+}
+
+/// Count one drained resource job of the step keyed by `bits`, reporting
+/// the step's tag once its last job drains.
+fn finish(works: &mut Slab<Work>, bits: u64, completed: &mut Vec<WorkTag>) {
+    let key = SlotKey::from_bits(bits);
+    let work = works.get_mut(key).expect("completion for unknown work");
+    work.pending -= 1;
+    if work.pending == 0 {
+        let tag = work.tag;
+        works.remove(key);
+        completed.push(tag);
+    }
 }
 
 impl Device {
@@ -60,17 +184,30 @@ impl Device {
             occ.resident_blocks,
             occ.limited_by
         );
-        let sms = (0..spec.sm_count)
-            .map(|_| PsResource::new(spec.sm_flops))
-            .collect();
+        assert!(
+            spec.sm_flops.is_finite() && spec.sm_flops > 0.0,
+            "SM rate must be positive, got {}",
+            spec.sm_flops
+        );
         let memory = PsResource::capped(spec.mem_bandwidth, spec.block_mem_bandwidth);
+        // A block has one step in flight at a time in the cluster model, so
+        // each SM is sized for its share of the launch.
+        let per_sm = cfg.blocks.div_ceil(spec.sm_count) as usize;
         Device {
             resident_blocks: cfg.blocks,
+            sms: (0..spec.sm_count)
+                .map(|_| Sm::with_capacity(per_sm))
+                .collect(),
             busy: BitSet::with_capacity(spec.sm_count as usize),
-            sms,
+            last: SimTime::ZERO,
+            submitted: false,
+            sm_next: Some(None),
+            sm_eps: spec.sm_flops * 2e-12,
             memory,
             works: Slab::new(),
             scratch: Vec::new(),
+            advances: 0,
+            sm_passes: 0,
             spec,
         }
     }
@@ -98,6 +235,11 @@ impl Device {
     ///
     /// The caller must have advanced the device to `now` first (it is safe to
     /// call [`advance_to`](Self::advance_to) redundantly).
+    ///
+    /// # Panics
+    /// Panics if the block is not resident, if either field of the charge
+    /// is negative or not finite, or if the device has busy SMs or a busy
+    /// memory interface that were not advanced to `now`.
     pub fn submit_block_work(
         &mut self,
         now: SimTime,
@@ -111,6 +253,13 @@ impl Device {
             block.0,
             self.resident_blocks
         );
+        for (what, value) in [("FLOPs", charge.flops), ("memory bytes", charge.mem_bytes)] {
+            assert!(
+                value.is_finite() && value >= 0.0,
+                "block {} charged {value} {what}; a charge must be finite and non-negative",
+                block.0
+            );
+        }
         let sm = self.sm_of(block);
         // Zero-demand charges still go through the SM as a zero-length job so
         // completion is always delivered via the event path (uniformity).
@@ -118,8 +267,21 @@ impl Device {
         let mut pending = 0u8;
         // Compute demand.
         if charge.flops > 0.0 || charge.mem_bytes == 0.0 {
-            self.sms[sm].submit(now, charge.flops.max(0.0), key.to_bits());
+            if self.busy.is_empty() {
+                // Idle SMs owe nothing, so they take `now` as their instant.
+                assert!(now >= self.last, "Device time went backwards");
+                self.last = now;
+            } else {
+                assert!(
+                    now == self.last,
+                    "Device submit at {now} to SMs last served at {}",
+                    self.last
+                );
+            }
+            self.sms[sm].insert(charge.flops, key.to_bits(), self.spec.sm_flops);
             self.busy.insert(sm);
+            self.submitted = true;
+            self.sm_next = None;
             pending += 1;
         }
         // Memory demand, capped at the per-block streaming limit.
@@ -135,44 +297,75 @@ impl Device {
 
     /// Advance the busy SMs, in SM order, then the memory interface to
     /// `now`, appending the tags of block steps that completed.
+    ///
+    /// At the instant the SMs already hold, only SMs submitted to since
+    /// are served (a zero-length pass that drains zero-demand jobs); any
+    /// other SM would serve nothing and complete nothing.
+    ///
+    /// # Panics
+    /// Panics if `now` is before the instant the SMs were last served at.
     pub fn advance_to(&mut self, now: SimTime, completed: &mut Vec<WorkTag>) {
+        self.advances += 1;
+        let dt = now.since(self.last);
+        if dt > SimDuration::ZERO || self.submitted {
+            let dt = dt.as_secs_f64();
+            self.last = now;
+            self.submitted = false;
+            let (rate, eps) = (self.spec.sm_flops, self.sm_eps);
+            let (sms, works, passes) = (&mut self.sms, &mut self.works, &mut self.sm_passes);
+            let mut least: Option<f64> = None;
+            self.busy.retain(|i| {
+                let sm = &mut sms[i];
+                if dt > 0.0 || sm.submitted {
+                    *passes += 1;
+                    sm.serve(dt, rate, eps, |bits| finish(works, bits, completed));
+                }
+                if sm.jobs.is_empty() {
+                    return false;
+                }
+                least = Some(least.map_or(sm.next, |l| l.min(sm.next)));
+                true
+            });
+            self.sm_next = Some(least.map(|q| now + SimDuration::from_secs_f64(q)));
+        }
         self.scratch.clear();
-        let (sms, scratch) = (&mut self.sms, &mut self.scratch);
-        self.busy.retain(|i| {
-            sms[i].advance_to(now, scratch);
-            !sms[i].is_idle()
-        });
         self.memory.advance_to(now, &mut self.scratch);
         for &(_, bits) in &self.scratch {
-            let key = SlotKey::from_bits(bits);
-            let work = self
-                .works
-                .get_mut(key)
-                .expect("PS completion for unknown work");
-            work.pending -= 1;
-            if work.pending == 0 {
-                let tag = work.tag;
-                self.works.remove(key);
-                completed.push(tag);
-            }
+            finish(&mut self.works, bits, completed);
         }
     }
 
     /// Earliest instant at which any in-flight block step progresses, or
     /// `None` if the device is idle.
+    ///
+    /// Each busy SM's next completion is its least remaining demand over
+    /// its per-job level, after the device's instant. The least quotient
+    /// is rounded to picoseconds once: rounding and the add are monotone,
+    /// so that is the least of the per-SM instants.
     pub fn next_event(&mut self) -> Option<SimTime> {
-        let mut earliest = self.memory.next_completion();
-        for i in self.busy.iter() {
-            if let Some(t) = self.sms[i].next_completion() {
-                earliest = Some(earliest.map_or(t, |e| e.min(t)));
-            }
+        let sm_next = *self.sm_next.get_or_insert_with(|| {
+            let sms = &self.sms;
+            let least = self.busy.iter().map(|i| sms[i].next).reduce(f64::min);
+            least.map(|q| self.last + SimDuration::from_secs_f64(q))
+        });
+        match (sm_next, self.memory.next_completion()) {
+            (Some(s), Some(m)) => Some(s.min(m)),
+            (s, m) => s.or(m),
         }
-        earliest
     }
 
     /// Number of block steps currently in flight.
     pub fn in_flight(&self) -> usize {
         self.works.len()
+    }
+
+    /// The advances and serving passes so far.
+    pub fn counts(&self) -> DeviceCounts {
+        DeviceCounts {
+            advances: self.advances,
+            sm_passes: self.sm_passes,
+            memory_passes: self.memory.passes(),
+        }
     }
 
     /// Total bytes delivered by the memory interface so far.
@@ -374,5 +567,52 @@ mod tests {
         for &(_, t) in &done {
             assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
         }
+    }
+
+    // A charge with a negative or non-finite field is rejected with the
+    // block and the value named; a memory-only one used to reach neither
+    // resource and stall its rank forever.
+
+    #[test]
+    #[should_panic(expected = "block 7 charged -1 memory bytes")]
+    fn negative_memory_charge_rejected() {
+        device().submit_block_work(SimTime::ZERO, BlockSlot(7), BlockCharge::mem(-1.0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 7 charged NaN memory bytes")]
+    fn nan_memory_charge_rejected() {
+        device().submit_block_work(SimTime::ZERO, BlockSlot(7), BlockCharge::mem(f64::NAN), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 3 charged -2 FLOPs")]
+    fn negative_flops_charge_rejected() {
+        device().submit_block_work(SimTime::ZERO, BlockSlot(3), BlockCharge::flops(-2.0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 3 charged NaN FLOPs")]
+    fn nan_flops_charge_rejected() {
+        device().submit_block_work(SimTime::ZERO, BlockSlot(3), BlockCharge::flops(f64::NAN), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 0 charged inf FLOPs")]
+    fn infinite_charge_rejected() {
+        let charge = BlockCharge {
+            flops: f64::INFINITY,
+            mem_bytes: 1.0,
+        };
+        device().submit_block_work(SimTime::ZERO, BlockSlot(0), charge, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "last served at")]
+    fn submit_to_busy_sms_needs_an_advance() {
+        let mut dev = device();
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(0), BlockCharge::flops(1.0e9), 1);
+        let later = SimTime::ZERO + SimDuration::from_micros(1);
+        dev.submit_block_work(later, BlockSlot(1), BlockCharge::flops(1.0e9), 2);
     }
 }

@@ -15,11 +15,13 @@
 //!   cannot saturate (bounded bytes-in-flight, Little's law), but hundreds of
 //!   blocks can.
 //!
-//! [`Device`] owns one processor-sharing resource per SM (FLOP-denominated)
-//! and one capped processor-sharing resource for the memory interface
-//! (byte-denominated). Block work is submitted as a [`BlockCharge`]; the
-//! block's step completes when both its compute and memory demands drain
-//! (roofline-style overlap of the two pipelines).
+//! [`Device`] serves its SMs itself, each as an equal-share
+//! processor-sharing server (FLOP-denominated), all busy SMs in one pass,
+//! and owns one capped processor-sharing resource
+//! ([`dcuda_des::PsResource`]) for the memory interface (byte-denominated).
+//! Block work is submitted as a [`BlockCharge`]; the block's step completes
+//! when both its compute and memory demands drain (roofline-style overlap
+//! of the two pipelines).
 
 #![warn(missing_docs)]
 
@@ -29,6 +31,6 @@ pub mod occupancy;
 pub mod spec;
 
 pub use charge::BlockCharge;
-pub use device::{BlockSlot, Device, WorkTag};
+pub use device::{BlockSlot, Device, DeviceCounts, WorkTag};
 pub use occupancy::{occupancy, LaunchConfig, Occupancy};
 pub use spec::DeviceSpec;

@@ -1,13 +1,14 @@
-//! Property tests for the device model: the busy-SM set against a device
-//! that advances every SM on every call.
+//! Property tests for the device model: the device's own SM service
+//! against one `PsResource` per SM, every SM advanced on every call.
 
 use dcuda_des::check::{forall, Gen};
 use dcuda_des::{PsJobId, PsResource, SimDuration, SimTime, Slab, SlotKey};
 use dcuda_device::{BlockCharge, BlockSlot, Device, DeviceSpec, LaunchConfig, WorkTag};
 
-/// The device without its busy set: every SM and the memory interface are
-/// advanced on every call and asked for their next completion. Kept as the
-/// executable specification the busy-set [`Device`] is held to.
+/// The device as one egalitarian `PsResource` per SM, without a busy set:
+/// every SM and the memory interface are advanced on every call and asked
+/// for their next completion. Kept as the executable specification the
+/// [`Device`], which serves its SMs in one pass, is held to.
 struct EagerDevice {
     sm_count: u32,
     sms: Vec<PsResource>,
@@ -161,4 +162,106 @@ fn busy_set_device_matches_eager_oracle() {
             eager.memory.delivered().to_bits()
         );
     });
+}
+
+/// Drive both devices to idle from `now`, checking every predicted event
+/// and completion list against each other; returns `(tag, instant)` in
+/// completion order.
+fn drain_both(
+    dev: &mut Device,
+    eager: &mut EagerDevice,
+    mut now: SimTime,
+    stop_after: Option<WorkTag>,
+) -> (Vec<(WorkTag, SimTime)>, SimTime) {
+    let (mut out, mut got, mut want) = (Vec::new(), Vec::new(), Vec::new());
+    while let Some(t) = dev.next_event() {
+        assert_eq!(Some(t), eager.next_event(), "predicted event");
+        now = t;
+        got.clear();
+        want.clear();
+        dev.advance_to(now, &mut got);
+        eager.advance_to(now, &mut want);
+        assert_eq!(got, want, "completions at {now}");
+        out.extend(got.iter().map(|&tag| (tag, now)));
+        if stop_after.is_some_and(|stop| got.contains(&stop)) {
+            break;
+        }
+    }
+    (out, now)
+}
+
+fn both(spec: &DeviceSpec) -> (Device, EagerDevice) {
+    (
+        Device::launch(spec.clone(), &LaunchConfig::paper()),
+        EagerDevice::new(spec),
+    )
+}
+
+/// Steps that complete at one instant on one SM come out in slot order,
+/// and slots are reused most-recently-freed first, as a `PsResource` per
+/// SM reported them: SM 0's slots 1 and 3 drain in that order, the two
+/// steps submitted next take slot 3 and then slot 1, and with equal
+/// demands they complete together as `[second, first]`. Equal survivors in
+/// slots 2 and 4 tie too.
+#[test]
+fn same_instant_completions_follow_reused_slot_order() {
+    let spec = DeviceSpec::k80();
+    let (mut dev, mut eager) = both(&spec);
+    // Blocks 0, 13, 26, 39, 52 all sit on SM 0 (slots 0-4 in this order).
+    let demands = [
+        (0, 5.0e6),
+        (13, 0.5e6),
+        (26, 4.0e6),
+        (39, 1.0e6),
+        (52, 4.0e6),
+    ];
+    for (tag, &(block, flops)) in demands.iter().enumerate() {
+        let charge = BlockCharge::flops(flops);
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(block), charge, tag as WorkTag + 1);
+        eager.submit(SimTime::ZERO, BlockSlot(block), charge, tag as WorkTag + 1);
+    }
+    let (first, t) = drain_both(&mut dev, &mut eager, SimTime::ZERO, Some(4));
+    let order: Vec<WorkTag> = first.iter().map(|&(tag, _)| tag).collect();
+    assert_eq!(order, [2, 4], "slot 1 drains before slot 3");
+    for (tag, block) in [(6, 39), (7, 13)] {
+        let charge = BlockCharge::flops(1.0e6);
+        dev.submit_block_work(t, BlockSlot(block), charge, tag);
+        eager.submit(t, BlockSlot(block), charge, tag);
+    }
+    let (rest, _) = drain_both(&mut dev, &mut eager, t, None);
+    let groups: Vec<Vec<WorkTag>> = rest
+        .chunk_by(|a, b| a.1 == b.1)
+        .map(|g| g.iter().map(|&(tag, _)| tag).collect())
+        .collect();
+    assert!(
+        groups.contains(&vec![7, 6]),
+        "reused slots 1, 3: {groups:?}"
+    );
+    assert!(groups.contains(&vec![3, 5]), "slots 2, 4: {groups:?}");
+    assert_eq!(dev.in_flight(), 0);
+}
+
+/// One SM holds far more live steps than a block per slot: 40 steps on
+/// SM 0, with ties, then 40 more submitted while half drain, all matching
+/// the `PsResource` oracle instant for instant.
+#[test]
+fn one_sm_grows_past_thirty_two_live_steps() {
+    let spec = DeviceSpec::k80();
+    let (mut dev, mut eager) = both(&spec);
+    let charge = |i: u64| BlockCharge::flops(1.0e5 * (1 + i * 7 % 40) as f64);
+    for tag in 0..40 {
+        dev.submit_block_work(SimTime::ZERO, BlockSlot(0), charge(tag), tag);
+        eager.submit(SimTime::ZERO, BlockSlot(0), charge(tag), tag);
+    }
+    assert_eq!(dev.in_flight(), 40);
+    let (early, t) = drain_both(&mut dev, &mut eager, SimTime::ZERO, Some(33));
+    assert!(early.len() < 40);
+    for tag in 40..80 {
+        dev.submit_block_work(t, BlockSlot(13 * (tag as u32 % 16)), charge(tag), tag);
+        eager.submit(t, BlockSlot(13 * (tag as u32 % 16)), charge(tag), tag);
+    }
+    assert!(dev.in_flight() > 40);
+    let (late, _) = drain_both(&mut dev, &mut eager, t, None);
+    assert_eq!(early.len() + late.len(), 80);
+    assert_eq!(dev.in_flight(), 0);
 }
